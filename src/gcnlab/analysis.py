@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .certification import GCCertificate, certify_gc, line_incidence, used_line_index
+from .certification import GCCertificate, Incidence, certify_gc, used_line_index
 from .errors import (
     CenterInTarget,
     DegenerateIntersection,
@@ -28,6 +28,7 @@ from .errors import (
     NotGC,
     NotPoised,
     ParallelLines,
+    RetryLimitExceeded,
     TooManyCollinear,
 )
 from .geometry import Line, intersect, line_through
@@ -65,21 +66,20 @@ class IncidenceProfile:
     counts: Mapping[int, int]
 
 
-def _maximal_incidence(xs: NodeSet) -> list[tuple[Line, tuple[int, ...]]]:
-    if len(xs) < 2:
-        return []
-    cap = xs.degree + 1
+def _maximal_incidence(index: Incidence, degree: int) -> list[tuple[Line, tuple[int, ...]]]:
+    cap = degree + 1
     out = []
-    for line, ids in sorted(line_incidence(xs).items()):
-        if len(ids) > cap:
+    for line, mask in sorted(index.masks.items()):
+        count = mask.bit_count()
+        if count > cap:
             raise TooManyCollinear(
-                f"{line} passes through {len(ids)} nodes; at most {cap} of a poised "
-                f"degree-{xs.degree} set can be collinear",
+                f"{line} passes through {count} nodes; at most {cap} of a poised "
+                f"degree-{degree} set can be collinear",
                 line=line,
-                count=len(ids),
+                count=count,
             )
-        if len(ids) == cap:
-            out.append((line, ids))
+        if count == cap:
+            out.append((line, index.nodes_on(line)))
     return out
 
 
@@ -90,12 +90,12 @@ def maximal_lines(xs: NodeSet) -> set[Line]:
     poised input that indicates an internal bug, for raw input it is a
     validity report.
     """
-    return {line for line, _ in _maximal_incidence(xs)}
+    return {line for line, _ in _maximal_incidence(Incidence.of(xs), xs.degree)}
 
 
 def gm_report_from_certificate(cert: GCCertificate) -> GMReport:
     """Build the GM report for an already-certified set."""
-    maximal = tuple(_maximal_incidence(cert.nodeset))
+    maximal = tuple(_maximal_incidence(cert.incidence, cert.degree))
     satisfied = bool(maximal)
     return GMReport(
         degree=cert.degree,
@@ -119,7 +119,7 @@ def verify_gm(xs: NodeSet) -> GMReport:
 def classify_2m_nodes(xs: NodeSet) -> set[int]:
     """Indices of nodes lying on at least two maximal lines."""
     tally: dict[int, int] = {}
-    for _, ids in _maximal_incidence(xs):
+    for _, ids in _maximal_incidence(Incidence.of(xs), xs.degree):
         for j in ids:
             tally[j] = tally.get(j, 0) + 1
     return {j for j, c in tally.items() if c >= 2}
@@ -231,10 +231,16 @@ def search_counterexample(
 
     Trials round-robin over the generator kinds; trial ``i`` runs with the
     derived seed ``substream_seed(seed, i)``, so results are reproducible
-    and independent of execution order.  For degree <= 5 every certified
-    set must turn out GM-satisfied; a failure dump would be a refutation
-    of a proved statement and deserves independent scrutiny.
+    and independent of execution order.  A trial whose draw is not poised,
+    not GC or exhausts the generator's retry budget is recorded as a
+    failure and the sweep goes on.  For degree <= 5 every certified set
+    must turn out GM-satisfied; a failure dump would be a refutation of a
+    proved statement and deserves independent scrutiny.
+
+    Raises ValueError when ``trials`` is less than 1.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     from .generators import DEFAULT_KINDS, GeneratorSpec, generate_with_certificate
     from .rng import substream_seed
 
@@ -250,8 +256,8 @@ def search_counterexample(
             kind=kind, degree=degree, seed=trial_seed, coordinate_bound=coordinate_bound
         )
         try:
-            xs, cert = generate_with_certificate(spec)
-        except (NotPoised, NotGC) as exc:
+            _, cert = generate_with_certificate(spec)
+        except (NotPoised, NotGC, RetryLimitExceeded) as exc:
             failures.append(
                 TrialFailure(trial=i, kind=kind, seed=trial_seed, reason=str(exc), certificate=None)
             )
@@ -266,9 +272,9 @@ def search_counterexample(
                     trial=i, kind=kind, seed=trial_seed, reason="no maximal line", certificate=cert
                 )
             )
-        incidence = line_incidence(xs)
+        masks = cert.incidence.masks
         for line, users in used_line_index(cert).users.items():
-            node_count = len(incidence[line])
+            node_count = masks[line].bit_count()
             uses = len(users)
             if uses > use_count_max.get(node_count, 0):
                 use_count_max[node_count] = uses

@@ -71,8 +71,8 @@ class FundamentalSolution:
     """The polynomial equal to 1 at one node and 0 at all the others.
 
     Produced by an exact solve, so the Kronecker property holds by
-    construction; the GC certifier and the test suite re-verify it by
-    direct evaluation rather than trusting the solver.
+    construction; the test suite re-verifies it by direct evaluation
+    rather than trusting the solver.
     """
 
     node_index: int

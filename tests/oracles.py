@@ -6,11 +6,31 @@ Bareiss), line deduplication uses a slope/intercept normal form (the
 library uses canonical integer triples), and polynomial products are plain
 dict convolution.  Expected values frozen into tests were produced by these
 routines.
+
+:func:`certify_gc_algebraic` is the algebraic GC certifier the library's
+cover search replaced: it decides poisedness by rank, solves for every
+fundamental polynomial and factors each one by exact division into
+node-pair lines, then rechecks the product by Fraction evaluation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
+
+from gcnlab import (
+    GCCertificate,
+    GCNLabError,
+    NodeCertificate,
+    NotDivisible,
+    NotGC,
+    NotPoised,
+    NotProductOfCandidateLines,
+    all_fundamentals,
+    divide_by_line,
+    is_poised,
+    line_through,
+)
 
 
 def rank_naive(rows):
@@ -99,3 +119,110 @@ def greedy_counts_recount(node_points, ordered_lines):
         counts.append(len(new))
         remaining -= new
     return tuple(counts)
+
+
+def line_incidence_pairs(xs):
+    """Line -> sorted node indices, from ``line_through`` on every node pair.
+
+    Keys are in the order of each line's first pair ``(i, j)``, ``i < j``.
+    """
+    acc = {}
+    nodes = xs.nodes
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            acc.setdefault(line_through(nodes[i], nodes[j]), set()).update((i, j))
+    return {l: tuple(sorted(ids)) for l, ids in acc.items()}
+
+
+def _factor_zero_cover(p, cands, zero_nodes):
+    """Greedy factorization of a polynomial with known zero nodes.
+
+    ``zero_nodes`` must index nodes where ``p`` vanishes; the invariant that
+    every still-uncovered zero node remains a zero of the residual justifies
+    the guaranteed-division fast path (a line through ``deg + 1`` zeros of
+    a degree-``deg`` polynomial divides it).  Without such a line it falls
+    back to trial division over all candidates.
+    """
+    residual = p
+    uncovered = set(zero_nodes)
+    factors = []
+    while residual.degree() >= 1:
+        d = residual.degree()
+        best_line, best_idx, best_count = None, None, -1
+        for line, idxs in cands:
+            c = len(idxs & uncovered)
+            if c > best_count:
+                best_line, best_idx, best_count = line, idxs, c
+        if best_line is not None and best_count >= d + 1:
+            residual = divide_by_line(residual, best_line)
+            factors.append(best_line)
+            uncovered -= best_idx
+            continue
+        for line, idxs in cands:
+            try:
+                residual = divide_by_line(residual, line)
+            except NotDivisible:
+                continue
+            factors.append(line)
+            uncovered -= idxs
+            break
+        else:
+            raise NotProductOfCandidateLines(
+                f"residual of degree {d} is not a product of candidate lines",
+                residual_degree=d,
+            )
+    return tuple(sorted(factors)), residual.coeffs[0]
+
+
+def certify_gc_algebraic(xs):
+    """GC certificate by rank, fundamental solve and exact line division.
+
+    Same contract as ``gcnlab.certify_gc``: NotPoised for a non-poised set,
+    NotGC with the first node whose fundamental polynomial does not split
+    into ``degree`` node-pair lines.
+    """
+    if not is_poised(xs):
+        raise NotPoised(f"{len(xs)} nodes at degree {xs.degree} are not poised")
+    n = xs.degree
+    funds = all_fundamentals(xs)
+    incidence = line_incidence_pairs(xs)
+    sorted_cands = [(l, frozenset(ids)) for l, ids in sorted(incidence.items())]
+    entries = []
+    for k, fund in enumerate(funds):
+        cands_k = [(l, ids) for l, ids in sorted_cands if k not in ids]
+        zeros = set(range(len(xs))) - {k}
+        try:
+            factors, const = _factor_zero_cover(fund.poly, cands_k, zeros)
+        except NotProductOfCandidateLines as exc:
+            raise NotGC(
+                f"fundamental polynomial of node {k} is not a product of node-pair lines",
+                node_index=k,
+            ) from exc
+        if len(factors) != n:
+            raise NotGC(
+                f"fundamental polynomial of node {k} splits into {len(factors)} lines, not {n}",
+                node_index=k,
+            )
+        witnesses = {}
+        for line in sorted(set(factors)):
+            others = list(factors)
+            others.remove(line)
+            found = []
+            for j in incidence[line]:
+                node = xs.nodes[j]
+                if const * prod((o.at(node) for o in others), start=Fraction(1)) != 0:
+                    found.append(j)
+            if len(found) < 2:
+                raise GCNLabError(
+                    f"internal: factor {line} of node {k} has {len(found)} nonvanishing-cofactor "
+                    "witnesses; a used line of a poised set must have at least two"
+                )
+            witnesses[line] = tuple(found)
+        for j, node in enumerate(xs.nodes):
+            value = const * prod((l.at(node) for l in factors), start=Fraction(1))
+            if value != (1 if j == k else 0):
+                raise GCNLabError(
+                    f"internal: certified product for node {k} evaluates to {value} at node {j}"
+                )
+        entries.append(NodeCertificate(k, const, factors, witnesses))
+    return GCCertificate(xs, tuple(entries))

@@ -16,9 +16,11 @@ import sys
 import time
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 
+import gcnlab
 from gcnlab import (
     DegenerateIntersection,
     GeneratorSpec,
@@ -265,7 +267,11 @@ def test_criterion_8_counting_identity(pool):
 @criterion(9, "byte-identical artifacts under fixed seeds")
 def test_criterion_9_determinism(tmp_path):
     def run(env_hash_seed: str, tag: str) -> dict[str, bytes]:
-        env = dict(os.environ, PYTHONHASHSEED=env_hash_seed)
+        # the child imports the same gcnlab as this process, however pytest
+        # put it on sys.path
+        src = str(Path(gcnlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONHASHSEED=env_hash_seed, PYTHONPATH=path)
         base = tmp_path / tag
         base.mkdir()
         nodes = base / "nodes.json"

@@ -194,10 +194,11 @@ class TestCayleyBacharach:
 
 
 class TestSearch:
-    def test_zero_trials_empty_summary(self):
-        s = search_counterexample(degree=3, trials=0, seed=1)
-        assert s.trials == 0 and s.certified == 0 and s.gm_satisfied == 0
-        assert s.failures == () and s.use_count_max == {}
+    def test_nonpositive_trials_rejected(self):
+        # an empty sweep would report vacuous success
+        for trials in (0, -3):
+            with pytest.raises(ValueError):
+                search_counterexample(degree=3, trials=trials, seed=1)
 
     def test_small_run_all_satisfied(self):
         s = search_counterexample(degree=2, trials=9, seed=17)

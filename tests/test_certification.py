@@ -4,8 +4,13 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gcnlab import (
+    DEFAULT_KINDS,
+    GCNLabError,
+    GeneratorSpec,
     Line,
     NodeSet,
     NotGC,
@@ -19,6 +24,7 @@ from gcnlab import (
     certify_gc,
     divide_by_line,
     factor_into_lines,
+    generate,
     is_poised,
     line_incidence,
     line_through,
@@ -28,9 +34,11 @@ from gcnlab import (
 )
 from gcnlab.certification import NodeCertificate
 from gcnlab.errors import NotDivisible
+from gcnlab.rng import SplitMix64
+from gcnlab.serialization import load_certificate, save_certificate
 
 from conftest import CY2_LINES
-from oracles import distinct_pair_lines
+from oracles import certify_gc_algebraic, distinct_pair_lines, line_incidence_pairs
 
 
 def product_poly(lines, constant=1):
@@ -86,9 +94,10 @@ class TestFactorIntoLines:
         assert factors == (Line(1, 0, 0), Line(1, 0, 0)) and const == 3
 
     def test_fallback_trial_division_with_no_zero_information(self):
-        # the incidence-guided engine must still factor when no zero nodes
-        # are known: every step then goes through exhaustive trial division
-        from gcnlab.certification import _factor_zero_cover
+        # the algebraic oracle's incidence-guided engine must still factor
+        # when no zero nodes are known: every step then goes through
+        # exhaustive trial division
+        from oracles import _factor_zero_cover
 
         lines = [Line(1, -1, 0), Line(1, 1, -1)]
         p = product_poly(lines + [lines[0]], constant=-5)  # squared factor too
@@ -238,3 +247,142 @@ class TestCandidateCompleteness:
                 for sol in funds:
                     with pytest.raises(NotDivisible):
                         divide_by_line(sol.poly, line)
+
+
+# --- differential tests against the algebraic certifier -----------------------
+
+GENERATED = [
+    (kind, degree, seed)
+    for degree in range(1, 6)
+    for kind in DEFAULT_KINDS
+    for seed in ((0,) if kind == "principal" else (1, 2))
+]
+
+
+def outcome(certify, xs):
+    """What a certifier says about a set, in comparable form."""
+    try:
+        cert = certify(xs)
+    except GCNLabError as exc:
+        return type(exc), getattr(exc, "node_index", None), str(exc)
+    return [(e.node_index, e.lines, e.constant, list(e.witnesses.items())) for e in cert.entries]
+
+
+def assert_agrees_with_oracle(xs):
+    got = outcome(certify_gc, xs)
+    assert got == outcome(certify_gc_algebraic, xs)
+    return got
+
+
+def replaced(xs, i, point):
+    nodes = list(xs.nodes)
+    nodes[i] = point
+    return NodeSet(xs.degree, tuple(nodes))
+
+
+def point_on(line, t):
+    """The point of ``line`` with x = t, or with y = t when it is vertical."""
+    if line.b == 0:
+        return Point(Fraction(-line.c, line.a), t)
+    return Point(t, -(line.a * t + line.c) / Fraction(line.b))
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+class TestAgainstAlgebraicOracle:
+    @pytest.mark.parametrize("kind,degree,seed", GENERATED)
+    def test_generated_sets(self, kind, degree, seed):
+        xs = generate(GeneratorSpec(kind, degree, seed=seed))
+        assert isinstance(assert_agrees_with_oracle(xs), list)
+        assert list(line_incidence(xs).items()) == list(line_incidence_pairs(xs).items())
+
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_one_node_moved(self, degree):
+        rng = SplitMix64(degree)
+        outcomes = set()
+        for kind in DEFAULT_KINDS:
+            xs = generate(GeneratorSpec(kind, degree, seed=7))
+            for _ in range(4):
+                i = rng.randint(0, len(xs) - 1)
+                p = Point(Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
+                          Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+                if xs.index(p) is None:
+                    moved = replaced(xs, i, p)
+                    got = assert_agrees_with_oracle(moved)
+                    outcomes.add(got[0] if isinstance(got, tuple) else "GC")
+                    assert list(line_incidence(moved).items()) == list(
+                        line_incidence_pairs(moved).items()
+                    )
+        assert NotGC in outcomes
+
+    @pytest.mark.parametrize("kind", DEFAULT_KINDS)
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_node_snapped_onto_a_line(self, kind, degree):
+        # moving a node onto a maximal line puts degree + 2 nodes on it, so
+        # the set is not poised; onto a two-node line it usually stays poised
+        xs = generate(GeneratorSpec(kind, degree, seed=3))
+        incidence = line_incidence(xs)
+        maximal = min(l for l, ids in incidence.items() if len(ids) == degree + 1)
+        short = min(l for l, ids in incidence.items() if len(ids) == 2)
+        for line, t in ((maximal, Fraction(97, 13)), (short, Fraction(-89, 11))):
+            i = min(j for j in range(len(xs)) if j not in incidence[line])
+            snapped = replaced(xs, i, point_on(line, t))
+            got = assert_agrees_with_oracle(snapped)
+            if line == maximal:
+                assert got[0] is NotPoised
+                assert len(line_incidence(snapped)[line]) == degree + 2
+
+    def test_wrong_node_count_and_degree_zero(self):
+        too_few = NodeSet(2, (Point(0, 0), Point(1, 0), Point(0, 1)))
+        too_many = NodeSet(1, (Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1)))
+        assert assert_agrees_with_oracle(too_few)[0] is NotPoised
+        assert assert_agrees_with_oracle(too_many)[0] is NotPoised
+        only = assert_agrees_with_oracle(NodeSet(0, (Point(Fraction(1, 3), 2),)))
+        assert only == [(0, (), Fraction(1), [])]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(DEFAULT_KINDS),
+        degree=st.integers(2, 3),
+        seed=st.integers(0, 20),
+        data=st.data(),
+    )
+    def test_property_moved_node(self, kind, degree, seed, data):
+        xs = generate(GeneratorSpec(kind, degree, seed=seed))
+        i = data.draw(st.integers(0, len(xs) - 1))
+        p = Point(data.draw(small_rationals), data.draw(small_rationals))
+        assume(xs.index(p) is None)
+        assert_agrees_with_oracle(replaced(xs, i, p))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        degree=st.integers(2, 3),
+        data=st.data(),
+    )
+    def test_property_grid_sets(self, degree, data):
+        # small grids force many collinear triples: GC, poised-not-GC and
+        # non-poised sets all come up
+        cells = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+        size = (degree + 1) * (degree + 2) // 2
+        points = data.draw(st.lists(cells, min_size=size, max_size=size, unique=True))
+        xs = NodeSet(degree, tuple(Point(x, y) for x, y in points))
+        assert_agrees_with_oracle(xs)
+
+
+class TestIncidenceIndex:
+    def test_certificate_carries_index_and_load_rebuilds_it(self, cy3_pair):
+        xs, cert = cy3_pair
+        assert cert.index is not None
+        loaded = load_certificate(save_certificate(cert))
+        assert loaded == cert and loaded.index is None
+        assert dict(loaded.incidence.masks) == dict(cert.incidence.masks)
+        assert save_certificate(loaded) == save_certificate(cert)
+
+    def test_values_scale_line_evaluation(self, cy3_pair):
+        xs, cert = cy3_pair
+        index = cert.incidence
+        for line in index.masks:
+            values = index.values(line)
+            assert [Fraction(v, index.scale) for v in values] == [line.at(p) for p in xs.nodes]
+            assert index.nodes_on(line) == tuple(j for j, v in enumerate(values) if v == 0)

@@ -156,6 +156,25 @@ class TestGenerateAndSearch:
         doc = json.loads(out)
         assert doc["certified"] == 6 and doc["gm_satisfied"] == 6
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_search_nonpositive_trials_is_usage_error(self, capsys, trials):
+        code, out = run(capsys, "search", "--degree", "2", "--trials", trials)
+        assert code == 2
+        assert out == ""
+
+    def test_search_records_retry_exhaustion_and_goes_on(self, capsys):
+        # at bound 1 there are only four line directions, so no 7 lines are
+        # in general position: the chung_yao draws exhaust their retries
+        code, out = run(capsys, "search", "--degree", "5", "--trials", "3", "--bound", "1")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["trials"] == 3
+        assert doc["certified"] == doc["gm_satisfied"] == 3 - len(doc["failures"])
+        first = doc["failures"][0]
+        assert first["trial"] == 0 and first["kind"] == "chung_yao"
+        assert first["certificate"] is None
+        assert first["reason"].startswith("no general-position configuration of 7 lines")
+
 
 class TestPlot:
     def test_plot_with_overlays(self, capsys, cy3_file, tmp_path):
