@@ -56,6 +56,17 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def scaled_nodes(xs: NodeSet) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The lcm D of all coordinate denominators and the integer nodes ``(D*x, D*y)``."""
+    nodes = xs.nodes
+    d = lcm(*(c.denominator for p in nodes for c in (p.x, p.y)))
+    coords = tuple(
+        (p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator))
+        for p in nodes
+    )
+    return d, coords
+
+
 @dataclass(frozen=True)
 class Incidence:
     """Every line through at least two nodes, with the bitmask of its nodes.
@@ -74,12 +85,7 @@ class Incidence:
     @classmethod
     def of(cls, xs: NodeSet) -> "Incidence":
         """The index of ``xs``, built from its node pairs in one pass."""
-        nodes = xs.nodes
-        d = lcm(*(c.denominator for p in nodes for c in (p.x, p.y)))
-        coords = tuple(
-            (p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator))
-            for p in nodes
-        )
+        d, coords = scaled_nodes(xs)
         # Lines are keyed by their primitive equation A*X + B*Y + C = 0 in
         # the integer coordinates.  Once the pairs of a line's first node are
         # done, its mask is complete, and every later pair on it is skipped.

@@ -16,13 +16,14 @@ from pathlib import Path
 
 from . import serialization as ser
 from .analysis import (
+    _maximal_incidence,
     cayley_bacharach_check,
     incidence_profile,
     maximal_lines,
     search_counterexample,
     verify_gm,
 )
-from .certification import certify_gc, line_incidence, used_lines_of
+from .certification import Incidence, certify_gc, used_lines_of
 from .errors import (
     DegenerateIntersection,
     GCNLabError,
@@ -150,12 +151,11 @@ def _cmd_mdseq(args) -> int:
 
 def _cmd_maximal_lines(args) -> int:
     xs = _read_nodeset(args.file)
-    incidence = line_incidence(xs) if len(xs) >= 2 else {}
-    maximal = sorted(maximal_lines(xs))
+    maximal = _maximal_incidence(Incidence.of(xs), xs.degree)
     doc = {
         "degree": xs.degree,
         "maximal_lines": [
-            {"line": list(l.coefficients), "nodes": list(incidence[l])} for l in maximal
+            {"line": list(l.coefficients), "nodes": list(nodes)} for l, nodes in maximal
         ],
     }
     _emit(_json_dump(doc), args.out)
@@ -249,17 +249,18 @@ def _cmd_plot(args) -> int:
     maximal = ()
     used = ()
     sequence = None
+    cert = None
     for overlay in args.overlay or ():
         if overlay == "maximal":
             maximal = maximal_lines(xs)
-        elif overlay.startswith("used:"):
-            cert = certify_gc(xs)
+        elif overlay.startswith(("used:", "primary:")):
+            if cert is None:
+                cert = certify_gc(xs)
             k = _node_index(xs, int(overlay.split(":", 1)[1]))
-            used = used_lines_of(cert, k)
-        elif overlay.startswith("primary:"):
-            cert = certify_gc(xs)
-            k = _node_index(xs, int(overlay.split(":", 1)[1]))
-            sequence = greedy_mdseq(cert, k)
+            if overlay.startswith("used:"):
+                used = used_lines_of(cert, k)
+            else:
+                sequence = greedy_mdseq(cert, k)
         else:
             raise _InputError(
                 f"unknown overlay {overlay!r}; use 'maximal', 'used:K' or 'primary:K'"

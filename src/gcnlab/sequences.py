@@ -7,12 +7,21 @@ vector of newly covered nodes per step is the node's distribution sequence;
 a node of the set is *primary* for the first line in the order containing
 it and *secondary* for every later one.
 
-Determinism never masks non-uniqueness: :func:`enumerate_mdseqs` explores
-every maximal choice at every step and returns the full set of achievable
-count vectors (expected, and tested, to be a singleton).
+Determinism never masks non-uniqueness: :func:`enumerate_mdseqs` returns
+the count vector of every greedy-consistent ordering, whatever the ties
+(expected, and tested, to be a singleton).  It does not walk the orderings
+one by one: on a natural lattice every ordering is greedy, which would be
+n! walks.  The rest of an ordering depends only on the lines still unused
+and the nodes still uncovered, so the orderings are advanced one step at a
+time as a frontier of ``(unused lines, uncovered nodes, counts)`` bitmask
+states with duplicates merged.  The n used lines give at most 2^n
+distinct unused-line sets over all steps.
 
-Intersection points of used lines that are not nodes of the set are ignored
-by all counting here; only nodes count.
+Incidence is decided on integers: the nodes are scaled by the common
+denominator D of their coordinates, node j lies on ``a*x + b*y + c = 0``
+iff ``a*X_j + b*Y_j + c*D`` is 0, and each line becomes the bitmask of its
+nodes.  Intersection points of used lines that are not nodes of the set
+are ignored by all counting here; only nodes count.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .certification import GCCertificate
+from .certification import GCCertificate, Incidence, _bits, scaled_nodes
 from .errors import CountsUnequal, LineNotUsed, MultiplicityPresent, ParallelLines
 from .geometry import Line, Point, intersect, is_incident
 from .interpolation import NodeSet
@@ -60,10 +69,22 @@ class MLineSequence:
         return MDSequence(self.counts)
 
 
-def _line_node_sets(xs: NodeSet, lines: Sequence[Line]) -> dict[Line, frozenset[int]]:
-    return {
-        l: frozenset(j for j, p in enumerate(xs.nodes) if is_incident(p, l)) for l in lines
-    }
+def _line_masks(
+    xs: NodeSet, lines: Sequence[Line], index: Incidence | None = None
+) -> dict[Line, int]:
+    """The bitmask of the nodes on each line, by integer evaluation.
+
+    Bit j is set iff ``a*X + b*Y + c*D`` is 0 at the integer node j.  The
+    integer nodes come from ``index`` when one is at hand and are otherwise
+    scaled from ``xs``; either way no line index is built, so any line
+    works, including one through fewer than two nodes.
+    """
+    scale, coords = (index.scale, index.coords) if index is not None else scaled_nodes(xs)
+    masks = {}
+    for line in lines:
+        a, b, c = line.a, line.b, line.c * scale
+        masks[line] = sum(1 << j for j, (x, y) in enumerate(coords) if a * x + b * y + c == 0)
+    return masks
 
 
 def greedy_sequence_for_lines(
@@ -81,8 +102,8 @@ def greedy_sequence_for_lines(
     """
     used = tuple(sorted(set(used)))
     key = tiebreak or _CANONICAL
-    incidence = _line_node_sets(xs, used)
-    remaining = set(range(len(xs)))
+    masks = _line_masks(xs, used)
+    remaining = (1 << len(xs)) - 1
     pool = set(used)
     order: list[Line] = []
     counts: list[int] = []
@@ -93,14 +114,16 @@ def greedy_sequence_for_lines(
             chosen = forced
             forced = None
         else:
-            best = max(len(incidence[l] & remaining) for l in pool)
-            chosen = min((l for l in pool if len(incidence[l] & remaining) == best), key=key)
-        new = incidence[chosen] & remaining
+            best = max((masks[l] & remaining).bit_count() for l in pool)
+            chosen = min(
+                (l for l in pool if (masks[l] & remaining).bit_count() == best), key=key
+            )
+        new = masks[chosen] & remaining
         position = len(order)
-        for j in new:
+        for j in _bits(new):
             primary[j] = position
-        counts.append(len(new))
-        remaining -= new
+        counts.append(new.bit_count())
+        remaining &= ~new
         pool.remove(chosen)
         order.append(chosen)
     return MLineSequence(
@@ -140,45 +163,50 @@ def fixed_first_mdseq(cert: GCCertificate, k: int, line: Line) -> MLineSequence:
 def enumerate_mdseqs(cert: GCCertificate, k: int) -> set[MDSequence]:
     """All count vectors reachable by any greedy-consistent ordering.
 
-    Every maximal choice at every step is explored with an explicit work
-    stack; the result deduplicates count vectors, so a singleton means the
-    distribution sequence is independent of tie-breaking.
+    The orderings advance together, one line per step, as a frontier of
+    ``(pool, uncovered, counts)`` states: the bitmask of the used lines not
+    yet placed, the bitmask of the nodes not yet covered, and the counts so
+    far.  Each state branches on every pool line of maximal gain, and equal
+    states are merged, so orderings that place the same lines in another
+    order are followed once.  Over all steps there are at most 2^n distinct
+    pools for n used lines (C(n, n/2) in one step), not the n! orderings of
+    a stack walk.  A singleton result means the distribution sequence is
+    independent of tie-breaking.
     """
     used = _distinct_used(cert, k)
-    xs = cert.nodeset
-    incidence = _line_node_sets(xs, used)
-    results: set[MDSequence] = set()
-    stack: list[tuple[frozenset[Line], frozenset[int], tuple[int, ...]]] = [
-        (frozenset(used), frozenset(range(len(xs))), ())
-    ]
-    while stack:
-        pool, remaining, counts = stack.pop()
-        if not pool:
-            results.add(MDSequence(counts))
-            continue
-        best = max(len(incidence[l] & remaining) for l in pool)
-        for l in pool:
-            covered = incidence[l] & remaining
-            if len(covered) == best:
-                stack.append((pool - {l}, remaining - covered, counts + (best,)))
-    return results
+    masks = list(_line_masks(cert.nodeset, used, cert.index).values())
+    frontier = {((1 << len(masks)) - 1, (1 << len(cert.nodeset)) - 1, ())}
+    for _ in masks:
+        step = set()
+        for pool, uncovered, counts in frontier:
+            gains = [
+                ((mask & uncovered).bit_count(), i)
+                for i, mask in enumerate(masks)
+                if pool >> i & 1
+            ]
+            best = max(gains)[0]
+            for gain, i in gains:
+                if gain == best:
+                    step.add((pool & ~(1 << i), uncovered & ~masks[i], counts + (best,)))
+        frontier = step
+    return {MDSequence(counts) for _, _, counts in frontier}
 
 
 def _is_greedy_ordering(
     xs: NodeSet, used: Sequence[Line], order: Sequence[Line], exempt_first: bool
 ) -> bool:
-    incidence = _line_node_sets(xs, used)
-    remaining = set(range(len(xs)))
+    masks = _line_masks(xs, used)
+    remaining = (1 << len(xs)) - 1
     pool = set(used)
     for s, line in enumerate(order):
         if line not in pool:
             return False
-        covered = len(incidence[line] & remaining)
+        covered = (masks[line] & remaining).bit_count()
         if not (exempt_first and s == 0):
-            best = max(len(incidence[l] & remaining) for l in pool)
+            best = max((masks[l] & remaining).bit_count() for l in pool)
             if covered < best:
                 return False
-        remaining -= incidence[line]
+        remaining &= ~masks[line]
         pool.remove(line)
     return not pool
 

@@ -11,6 +11,9 @@ routines.
 cover search replaced: it decides poisedness by rank, solves for every
 fundamental polynomial and factors each one by exact division into
 node-pair lines, then rechecks the product by Fraction evaluation.
+
+:func:`enumerate_mdseqs_dfs` is the ordering-by-ordering stack walk the
+library's deduplicated frontier replaced.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from math import prod
 from gcnlab import (
     GCCertificate,
     GCNLabError,
+    MDSequence,
+    MultiplicityPresent,
     NodeCertificate,
     NotDivisible,
     NotGC,
@@ -226,3 +231,35 @@ def certify_gc_algebraic(xs):
                 )
         entries.append(NodeCertificate(k, const, factors, witnesses))
     return GCCertificate(xs, tuple(entries))
+
+
+def enumerate_mdseqs_dfs(cert, k):
+    """Count vectors of every greedy-consistent ordering, one ordering at a time.
+
+    An explicit stack holds ``(unused lines, uncovered nodes, counts)`` and
+    branches on every line of maximal gain; nothing is merged, so the walk
+    visits every greedy ordering (about e * n! states on a natural
+    lattice).  Incidence is the Fraction test ``a*x + b*y + c == 0``.
+    """
+    lines = cert.entries[k].lines
+    used = sorted(set(lines))
+    if len(used) != len(lines):
+        raise MultiplicityPresent(f"node {k} repeats a factor line")
+    nodes = cert.nodeset.nodes
+    incidence = {
+        l: frozenset(j for j, p in enumerate(nodes) if l.a * p.x + l.b * p.y + l.c == 0)
+        for l in used
+    }
+    results = set()
+    stack = [(frozenset(used), frozenset(range(len(nodes))), ())]
+    while stack:
+        pool, remaining, counts = stack.pop()
+        if not pool:
+            results.add(MDSequence(counts))
+            continue
+        best = max(len(incidence[l] & remaining) for l in pool)
+        for l in pool:
+            covered = incidence[l] & remaining
+            if len(covered) == best:
+                stack.append((pool - {l}, remaining - covered, counts + (best,)))
+    return results

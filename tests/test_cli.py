@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from gcnlab import GeneratorSpec, generate
+from gcnlab import GeneratorSpec, certify_gc, generate, greedy_mdseq, plot_svg, used_lines_of
+from gcnlab import cli
 from gcnlab.cli import main
 from gcnlab.serialization import save_nodeset
 
@@ -90,6 +91,14 @@ class TestMdseq:
         assert code == 0
         assert json.loads(out)["distributions"] == [[4, 3, 2]]
 
+    def test_enumerate_all_degree_ten(self, capsys, tmp_path):
+        # every one of the 10! orderings of a natural lattice is greedy
+        path = tmp_path / "cy10.json"
+        path.write_text(save_nodeset(generate(GeneratorSpec("chung_yao", 10, seed=1))))
+        code, out = run(capsys, "mdseq", str(path), "--node", "0", "--all")
+        assert code == 0
+        assert json.loads(out)["distributions"] == [list(range(11, 1, -1))]
+
     def test_fix_line(self, capsys, cy3_file):
         greedy = json.loads(run(capsys, "mdseq", cy3_file, "--node", "0")[1])
         first = ",".join(str(v) for v in greedy["lines"][1])
@@ -110,6 +119,30 @@ class TestAnalysisCommands:
         doc = json.loads(out)
         assert len(doc["maximal_lines"]) == 5
         assert all(len(e["nodes"]) == 4 for e in doc["maximal_lines"])
+
+    @pytest.mark.parametrize("nodes", ['[["1/2","3"]]', "[]"])
+    def test_maximal_lines_fewer_than_two_nodes(self, capsys, tmp_path, nodes):
+        path = tmp_path / "small.json"
+        path.write_text('{"degree": 0, "nodes": %s}\n' % nodes)
+        code, out = run(capsys, "maximal-lines", str(path))
+        assert code == 0
+        assert out == '{\n  "degree": 0,\n  "maximal_lines": []\n}\n'
+
+    def test_maximal_lines_too_many_collinear(self, capsys, tmp_path):
+        # four nodes on y = 0 in a degree-2 set: at most three may be collinear
+        path = tmp_path / "overloaded.json"
+        path.write_text(
+            '{"degree": 2, "nodes": [["0","0"],["1","0"],["2","0"],["3","0"],'
+            '["0","1"],["1","2"]]}\n'
+        )
+        code = main(["maximal-lines", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "gcnlab: Line(0, 1, 0) passes through 4 nodes; at most 3 of a poised "
+            "degree-2 set can be collinear\n"
+        )
 
     def test_verify_gm(self, capsys, cy3_file):
         code, out = run(capsys, "verify-gm", cy3_file)
@@ -185,6 +218,24 @@ class TestPlot:
         )
         assert code == 0
         assert out_path.read_text().startswith("<svg")
+
+    def test_used_and_primary_overlays_certify_once(self, capsys, cy3_file, monkeypatch):
+        calls = []
+
+        def counting_certify(xs):
+            calls.append(xs)
+            return certify_gc(xs)
+
+        monkeypatch.setattr(cli, "certify_gc", counting_certify)
+        code, out = run(
+            capsys, "plot", cy3_file, "--overlay", "used:1", "--overlay", "primary:2",
+        )
+        assert code == 0
+        assert len(calls) == 1
+        cert = certify_gc(calls[0])
+        assert out == plot_svg(
+            calls[0], used=used_lines_of(cert, 1), sequence=greedy_mdseq(cert, 2)
+        )
 
     def test_unknown_overlay(self, capsys, cy3_file, tmp_path):
         code, _ = run(capsys, "plot", cy3_file, "--overlay", "sparkles",

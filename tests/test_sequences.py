@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gcnlab import (
+    DEFAULT_KINDS,
     CountsUnequal,
     GeneratorSpec,
     Line,
@@ -22,6 +23,7 @@ from gcnlab import (
     greedy_mdseq,
     greedy_sequence_for_lines,
     is_incident,
+    line_through,
     multiply_line,
     primary_zero_divisibility,
     used_lines_of,
@@ -31,7 +33,7 @@ from gcnlab.certification import GCCertificate, NodeCertificate
 from gcnlab.linalg import nullspace_basis
 from gcnlab.rng import SplitMix64
 
-from oracles import greedy_counts_recount
+from oracles import enumerate_mdseqs_dfs, greedy_counts_recount
 
 
 def recount(xs, seq):
@@ -116,6 +118,64 @@ class TestEnumerate:
     def test_degree_one_trivial(self, triangle):
         cert = certify_gc(triangle)
         assert enumerate_mdseqs(cert, 0) == {MDSequence((2,))}
+
+
+def chain_certificate():
+    """A hand-built certificate whose ties reach two count vectors.
+
+    Node 8's "used" lines are three 3-node lines A (y = 0), B (x = 2) and
+    C (y = 2) chained at (2, 0) and (2, 2), plus D (x + y = 12), which
+    passes through node 7 only and so is no node-pair line.  A, B and C
+    tie at the first step: starting with A or C gives (3, 3, 1, 1),
+    starting with B gives (3, 2, 2, 1).
+    """
+    nodes = (
+        Point(0, 0), Point(1, 0), Point(2, 0), Point(2, 1), Point(2, 2),
+        Point(3, 2), Point(4, 2), Point(5, 7), Point(9, 9),
+    )
+    lines = (Line(0, 1, 0), Line(1, 0, -2), Line(0, 1, -2), Line(1, 1, -12))
+    entry = NodeCertificate(node_index=8, constant=Fraction(1), lines=lines, witnesses={})
+    return GCCertificate(NodeSet(3, nodes), (entry,) * 9)
+
+
+class TestAgainstStackWalk:
+    @pytest.mark.parametrize("kind", DEFAULT_KINDS)
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_generated_sets_every_node(self, kind, degree):
+        xs, cert = generate_with_certificate(GeneratorSpec(kind, degree, seed=degree))
+        for k in range(len(xs)):
+            assert enumerate_mdseqs(cert, k) == enumerate_mdseqs_dfs(cert, k)
+
+    def test_ties_with_two_count_vectors(self):
+        cert = chain_certificate()
+        expected = {MDSequence((3, 3, 1, 1)), MDSequence((3, 2, 2, 1))}
+        assert enumerate_mdseqs_dfs(cert, 8) == expected
+        assert enumerate_mdseqs(cert, 8) == expected
+
+    def test_random_hand_built_line_sets(self):
+        # lines through random node pairs of a 4x4 grid, so ties and
+        # overlaps are common; several count vectors must show up
+        grid = tuple(Point(x, y) for x in range(4) for y in range(4))
+        xs = NodeSet(4, grid)
+        rng = SplitMix64(2)
+        multiple = 0
+        for _ in range(60):
+            lines = set()
+            while len(lines) < 5:
+                i, j = rng.randint(0, 15), rng.randint(0, 15)
+                if i != j:
+                    lines.add(line_through(grid[i], grid[j]))
+            entry = NodeCertificate(0, Fraction(1), tuple(sorted(lines)), {})
+            cert = GCCertificate(xs, (entry,))
+            expected = enumerate_mdseqs_dfs(cert, 0)
+            assert enumerate_mdseqs(cert, 0) == expected
+            multiple += len(expected) > 1
+        assert multiple > 0
+
+    def test_multiplicity_raised_first(self, cy2):
+        entry = NodeCertificate(0, Fraction(1), (Line(1, 0, 0), Line(1, 0, 0)), {})
+        with pytest.raises(MultiplicityPresent):
+            enumerate_mdseqs(GCCertificate(cy2, (entry,)), 0)
 
 
 class TestFixedFirst:
