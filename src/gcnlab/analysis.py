@@ -69,7 +69,8 @@ class IncidenceProfile:
 def _maximal_incidence(index: Incidence, degree: int) -> list[tuple[Line, tuple[int, ...]]]:
     cap = degree + 1
     out = []
-    for line, mask in sorted(index.masks.items()):
+    full = [(line, mask) for line, mask in index.masks.items() if mask.bit_count() >= cap]
+    for line, mask in sorted(full):
         count = mask.bit_count()
         if count > cap:
             raise TooManyCollinear(

@@ -19,7 +19,6 @@ from .analysis import (
     _maximal_incidence,
     cayley_bacharach_check,
     incidence_profile,
-    maximal_lines,
     search_counterexample,
     verify_gm,
 )
@@ -246,16 +245,25 @@ def _cmd_search(args) -> int:
 
 def _cmd_plot(args) -> int:
     xs = _read_nodeset(args.file)
+    overlays = args.overlay or ()
     maximal = ()
     used = ()
     sequence = None
-    cert = None
-    for overlay in args.overlay or ():
+    cert = failure = None
+    if any(o.startswith(("used:", "primary:")) for o in overlays):
+        # Certify up front so that `maximal` reads the certificate's index;
+        # a failure is raised where the first overlay that needs it stands.
+        try:
+            cert = certify_gc(xs)
+        except (GCNLabError, ValueError) as exc:
+            failure = exc
+    for overlay in overlays:
         if overlay == "maximal":
-            maximal = maximal_lines(xs)
+            index = Incidence.of(xs) if cert is None else cert.incidence
+            maximal = {line for line, _ in _maximal_incidence(index, xs.degree)}
         elif overlay.startswith(("used:", "primary:")):
-            if cert is None:
-                cert = certify_gc(xs)
+            if failure is not None:
+                raise failure
             k = _node_index(xs, int(overlay.split(":", 1)[1]))
             if overlay.startswith("used:"):
                 used = used_lines_of(cert, k)

@@ -7,6 +7,10 @@ incidence structure are affine-invariant).  Nothing is emitted on trust:
 every generated set is certified before it is returned, so a generator can
 only hand out sets whose GC property has been established exactly.
 
+The principal lattice depends on its degree alone, so it is certified once
+per degree per process; every later request for that degree gets the same
+set and certificate objects.
+
 Generation is a pure function of its spec; fixed seeds give byte-identical
 node sets on every platform (see :mod:`gcnlab.rng` for the PRNG contract).
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .certification import GCCertificate, certify_gc
 from .errors import RetryLimitExceeded
@@ -98,6 +103,12 @@ def _principal_nodes(degree: int) -> NodeSet:
     return NodeSet(degree, tuple(nodes))
 
 
+@lru_cache(maxsize=None)
+def _principal_certified(degree: int) -> tuple[NodeSet, GCCertificate]:
+    xs = _principal_nodes(degree)
+    return xs, certify_gc(xs)
+
+
 def _projective_image_nodes(degree: int, seed: int, bound: int) -> NodeSet:
     rng = SplitMix64(seed)
     if rng.choice(("chung_yao", "principal")) == "chung_yao":
@@ -115,17 +126,14 @@ def _projective_image_nodes(degree: int, seed: int, bound: int) -> NodeSet:
     raise RetryLimitExceeded(f"no invertible affine map within {RETRY_LIMIT} draws")
 
 
-def _raw_nodes(spec: GeneratorSpec) -> NodeSet:
-    if spec.kind == "chung_yao":
-        return _chung_yao_nodes(spec.degree, spec.seed, spec.coordinate_bound)
-    if spec.kind == "principal":
-        return _principal_nodes(spec.degree)
-    return _projective_image_nodes(spec.degree, spec.seed, spec.coordinate_bound)
-
-
 def generate_with_certificate(spec: GeneratorSpec) -> tuple[NodeSet, GCCertificate]:
     """Generate per spec and certify; the certificate comes along for free."""
-    xs = _raw_nodes(spec)
+    if spec.kind == "principal":
+        return _principal_certified(spec.degree)
+    if spec.kind == "chung_yao":
+        xs = _chung_yao_nodes(spec.degree, spec.seed, spec.coordinate_bound)
+    else:
+        xs = _projective_image_nodes(spec.degree, spec.seed, spec.coordinate_bound)
     return xs, certify_gc(xs)
 
 
@@ -146,8 +154,7 @@ def gen_principal(degree: int) -> NodeSet:
     """The triangular lattice (i/n, j/n), i + j <= n, certified on the way out."""
     if degree < 1:
         raise ValueError("principal lattice needs degree >= 1")
-    xs = _principal_nodes(degree)
-    certify_gc(xs)
+    xs, _ = _principal_certified(degree)
     return xs
 
 

@@ -156,10 +156,15 @@ def general_position(lines: Sequence[Line]) -> bool:
         for j in range(i + 1, len(ls)):
             if ls[i].a * ls[j].b - ls[j].a * ls[i].b == 0:
                 return False
+    # Pairwise non-parallel lines are concurrent exactly when the integer
+    # determinant of their coefficient rows, l_k . (l_i x l_j), vanishes.
     for i in range(len(ls)):
+        a1, b1, c1 = ls[i].a, ls[i].b, ls[i].c
         for j in range(i + 1, len(ls)):
-            p = intersect(ls[i], ls[j])
+            a2, b2, c2 = ls[j].a, ls[j].b, ls[j].c
+            m0, m1, m2 = b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2
             for k in range(j + 1, len(ls)):
-                if is_incident(p, ls[k]):
+                l = ls[k]
+                if l.a * m0 + l.b * m1 + l.c * m2 == 0:
                     return False
     return True

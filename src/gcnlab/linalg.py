@@ -69,29 +69,12 @@ def rank(rows: Sequence[Row]) -> int:
     return len(pivot_cols)
 
 
-def is_consistent(rows: Sequence[Row], rhs: Sequence[Fraction]) -> bool:
-    """True iff ``A x = b`` has a solution, by rank of [A|b] versus A.
-
-    A single echelon pass decides both ranks: the system is consistent
-    exactly when the appended column is not a pivot column.
-    """
-    if len(rows) != len(rhs):
-        raise ValueError("rhs length must match the number of rows")
-    if not rows:
-        return True
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    ncols = len(aug[0])
-    _, pivot_cols = _echelon(_integer_rows(aug))
-    return (ncols - 1) not in pivot_cols
-
-
 def unit_consistency(rows: Sequence[Row]) -> list[bool]:
     """For each k, whether ``A x = e_k`` has a solution.
 
-    Decided, like :func:`is_consistent`, by comparing augmented against
-    plain rank; all comparisons share one elimination of ``[A | I]``.  A
-    unit column is consistent exactly when its transform vanishes on the
-    rows below A's rank (further pivoting inside that block only re-mixes
+    Decided by comparing augmented against plain rank; all comparisons
+    share one elimination of ``[A | I]``.  A unit column is consistent
+    exactly when its transform vanishes on the rows below A's rank (further pivoting inside that block only re-mixes
     its row span, which leaves the all-zero test untouched).  Row scaling
     during integerization multiplies the identity part by an invertible
     diagonal, which changes no rank.

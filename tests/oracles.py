@@ -14,6 +14,13 @@ node-pair lines, then rechecks the product by Fraction evaluation.
 
 :func:`enumerate_mdseqs_dfs` is the ordering-by-ordering stack walk the
 library's deduplicated frontier replaced.
+
+:func:`general_position_fraction` is the concurrency test the library's
+integer determinant replaced: it intersects every pair of lines in
+Fraction arithmetic and evaluates every later line at the meet.
+
+:func:`is_consistent` is the one-system consistency check by Bareiss rank;
+it is the per-column reference for ``gcnlab.linalg.unit_consistency``.
 """
 
 from __future__ import annotations
@@ -30,12 +37,16 @@ from gcnlab import (
     NotDivisible,
     NotGC,
     NotPoised,
+    DuplicateLine,
     NotProductOfCandidateLines,
     all_fundamentals,
     divide_by_line,
+    intersect,
+    is_incident,
     is_poised,
     line_through,
 )
+from gcnlab.linalg import _echelon, _integer_rows
 
 
 def rank_naive(rows):
@@ -66,6 +77,48 @@ def solvable_naive(rows, rhs):
     """Consistency of A x = b via ranks computed by :func:`rank_naive`."""
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     return rank_naive(aug) == rank_naive(rows)
+
+
+def is_consistent(rows, rhs):
+    """True iff ``A x = b`` has a solution, by rank of [A|b] versus A.
+
+    A single echelon pass decides both ranks: the system is consistent
+    exactly when the appended column is not a pivot column.
+    """
+    if len(rows) != len(rhs):
+        raise ValueError("rhs length must match the number of rows")
+    if not rows:
+        return True
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    ncols = len(aug[0])
+    _, pivot_cols = _echelon(_integer_rows(aug))
+    return (ncols - 1) not in pivot_cols
+
+
+def general_position_fraction(lines):
+    """No two lines parallel and no three concurrent, by Fraction incidence.
+
+    Raises DuplicateLine if a canonical line appears twice.  Every pair of
+    lines is intersected exactly and every later line is evaluated at the
+    meet.
+    """
+    ls = list(lines)
+    seen = set()
+    for l in ls:
+        if l in seen:
+            raise DuplicateLine(f"{l} appears twice")
+        seen.add(l)
+    for i in range(len(ls)):
+        for j in range(i + 1, len(ls)):
+            if ls[i].a * ls[j].b - ls[j].a * ls[i].b == 0:
+                return False
+    for i in range(len(ls)):
+        for j in range(i + 1, len(ls)):
+            p = intersect(ls[i], ls[j])
+            for k in range(j + 1, len(ls)):
+                if is_incident(p, ls[k]):
+                    return False
+    return True
 
 
 def slope_form(p, q):

@@ -56,6 +56,19 @@ class TestMaximalLines:
         assert excinfo.value.count == 5
         assert excinfo.value.line == Line(0, 1, 0)
 
+    def test_first_overfull_line_in_canonical_order(self):
+        # x = 0 (5 nodes) is found first in pair order, y = 2 (6 nodes) comes
+        # first in canonical order; pinned on the unfiltered sort
+        pts = tuple(Point(0, y) for y in (0, 1, 3, 4, 5)) + tuple(Point(x, 2) for x in range(1, 7))
+        with pytest.raises(TooManyCollinear) as excinfo:
+            maximal_lines(NodeSet(3, pts))
+        assert excinfo.value.line == Line(0, 1, -2)
+        assert excinfo.value.count == 6
+        assert str(excinfo.value) == (
+            "Line(0, 1, -2) passes through 6 nodes; at most 4 of a poised degree-3 set "
+            "can be collinear"
+        )
+
 
 class TestVerifyGM:
     def test_generated_degree5_satisfied(self, cy5_pair):

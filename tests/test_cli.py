@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from gcnlab import GeneratorSpec, certify_gc, generate, greedy_mdseq, plot_svg, used_lines_of
+from gcnlab import (
+    GeneratorSpec,
+    certify_gc,
+    generate,
+    greedy_mdseq,
+    maximal_lines,
+    plot_svg,
+    used_lines_of,
+)
 from gcnlab import cli
 from gcnlab.cli import main
 from gcnlab.serialization import save_nodeset
@@ -235,6 +243,26 @@ class TestPlot:
         cert = certify_gc(calls[0])
         assert out == plot_svg(
             calls[0], used=used_lines_of(cert, 1), sequence=greedy_mdseq(cert, 2)
+        )
+
+    def test_maximal_and_primary_overlays_index_once(self, capsys, cy3_file, monkeypatch):
+        from gcnlab.certification import Incidence
+
+        calls = []
+        build = Incidence.of.__func__
+
+        def counting_of(klass, xs):
+            calls.append(xs)
+            return build(klass, xs)
+
+        monkeypatch.setattr(Incidence, "of", classmethod(counting_of))
+        code, out = run(capsys, "plot", cy3_file, "--overlay", "maximal", "--overlay", "primary:0")
+        assert code == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        cert = certify_gc(calls[0])
+        assert out == plot_svg(
+            calls[0], maximal=maximal_lines(calls[0]), sequence=greedy_mdseq(cert, 0)
         )
 
     def test_unknown_overlay(self, capsys, cy3_file, tmp_path):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gcnlab import generators
 from gcnlab import (
     GeneratorSpec,
     Line,
@@ -16,6 +17,7 @@ from gcnlab import (
     generate_with_certificate,
     is_poised,
     maximal_lines,
+    search_counterexample,
 )
 
 
@@ -111,3 +113,46 @@ class TestDeterminism:
         xs, cert = generate_with_certificate(GeneratorSpec("projective_image", 4, seed=77))
         assert is_poised(xs)
         assert len(cert.entries) == len(xs)
+
+
+class TestPrincipalMemo:
+    @pytest.fixture
+    def cold_cache(self):
+        generators._principal_certified.cache_clear()
+        yield
+        generators._principal_certified.cache_clear()
+
+    def test_certified_once_per_degree(self, cold_cache, monkeypatch):
+        calls = []
+
+        def counting_certify(xs):
+            calls.append(xs)
+            return certify_gc(xs)
+
+        monkeypatch.setattr(generators, "certify_gc", counting_certify)
+        # 6 trials cycle chung_yao, principal, projective_image twice each
+        a = search_counterexample(degree=3, trials=6, seed=5)
+        b = search_counterexample(degree=3, trials=6, seed=6)
+        assert a.all_satisfied and b.all_satisfied
+        principal = [xs for xs in calls if xs == generators._principal_nodes(3)]
+        assert len(principal) == 1
+        assert len(calls) == 1 + 4 + 4
+
+    def test_cached_certificate_equals_fresh(self, cold_cache):
+        for degree in (1, 2, 5):
+            xs, cert = generators._principal_certified(degree)
+            fresh = certify_gc(generators._principal_nodes(degree))
+            assert xs == fresh.nodeset
+            assert cert == fresh
+            assert cert.index.masks == fresh.index.masks
+            assert list(cert.index.masks) == list(fresh.index.masks)
+
+    def test_gen_principal_and_spec_share_the_entry(self, cold_cache):
+        xs = gen_principal(4)
+        info = generators._principal_certified.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
+        ys, cert = generate_with_certificate(GeneratorSpec("principal", 4, seed=9))
+        zs, _ = generate_with_certificate(GeneratorSpec("principal", 4, seed=10, coordinate_bound=3))
+        assert xs is ys is zs and cert.nodeset is xs
+        info = generators._principal_certified.cache_info()
+        assert (info.hits, info.misses) == (2, 1)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcnlab import (
@@ -19,6 +19,8 @@ from gcnlab import (
     line_through,
     to_scalar,
 )
+
+from oracles import general_position_fraction
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=12
@@ -132,6 +134,52 @@ class TestGeneralPosition:
         shuffled = list(ls)
         rng.shuffle(shuffled)
         assert general_position(ls) == general_position(shuffled)
+
+
+small_lines = st.builds(
+    lambda t: Line(*t),
+    st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8)).filter(
+        lambda t: (t[0], t[1]) != (0, 0)
+    ),
+)
+
+
+@st.composite
+def line_lists(draw):
+    """0-8 lines over [-8, 8], with forced parallel, concurrent and duplicate lines mixed in."""
+    ls = draw(st.lists(small_lines, max_size=8, unique=True))
+    for _ in range(draw(st.integers(0, 2))):
+        if len(ls) >= 8:
+            break
+        force = draw(st.sampled_from(("parallel", "concurrent", "duplicate")))
+        if force == "duplicate" and ls:
+            ls.append(draw(st.sampled_from(ls)))
+        elif force == "parallel" and ls:
+            l = draw(st.sampled_from(ls))
+            ls.append(Line(l.a, l.b, l.c + draw(st.integers(1, 8))))
+        elif force == "concurrent" and len(ls) >= 2:
+            l1, l2 = draw(st.sampled_from(ls)), draw(st.sampled_from(ls))
+            if l1.a * l2.b - l2.a * l1.b == 0:
+                continue
+            # a third line through the meet of l1 and l2: a combination of both
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            a, b = s * l1.a + t * l2.a, s * l1.b + t * l2.b
+            if (a, b) != (0, 0):
+                ls.append(Line(a, b, s * l1.c + t * l2.c))
+    return draw(st.permutations(ls))
+
+
+class TestGeneralPositionAgainstFraction:
+    @given(line_lists())
+    @settings(max_examples=400)
+    def test_matches_fraction_oracle(self, ls):
+        try:
+            expected = general_position_fraction(ls)
+        except DuplicateLine:
+            with pytest.raises(DuplicateLine):
+                general_position(ls)
+            return
+        assert general_position(ls) == expected
 
 
 class TestScalar:

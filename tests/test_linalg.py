@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcnlab.linalg import (
-    is_consistent,
     nullspace_basis,
     nullspace_vector,
     rank,
@@ -14,7 +13,7 @@ from gcnlab.linalg import (
     unit_consistency,
 )
 
-from oracles import rank_naive, solvable_naive
+from oracles import is_consistent, rank_naive, solvable_naive
 
 entry = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
