@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .certification import GCCertificate, Incidence, certify_gc, used_line_index
+from .certification import GCCertificate, Incidence, _bits, certify_gc, used_line_index
 from .errors import (
     CenterInTarget,
     DegenerateIntersection,
@@ -69,7 +69,9 @@ class IncidenceProfile:
 def _maximal_incidence(index: Incidence, degree: int) -> list[tuple[Line, tuple[int, ...]]]:
     cap = degree + 1
     out = []
-    full = [(line, mask) for line, mask in index.masks.items() if mask.bit_count() >= cap]
+    full = [
+        (index.line(key), mask) for key, mask in index.keys.items() if mask.bit_count() >= cap
+    ]
     for line, mask in sorted(full):
         count = mask.bit_count()
         if count > cap:
@@ -80,7 +82,7 @@ def _maximal_incidence(index: Incidence, degree: int) -> list[tuple[Line, tuple[
                 count=count,
             )
         if count == cap:
-            out.append((line, index.nodes_on(line)))
+            out.append((line, _bits(mask)))
     return out
 
 
@@ -273,9 +275,9 @@ def search_counterexample(
                     trial=i, kind=kind, seed=trial_seed, reason="no maximal line", certificate=cert
                 )
             )
-        masks = cert.incidence.masks
+        index = cert.incidence
         for line, users in used_line_index(cert).users.items():
-            node_count = masks[line].bit_count()
+            node_count = index.mask_of(line).bit_count()
             uses = len(users)
             if uses > use_count_max.get(node_count, 0):
                 use_count_max[node_count] = uses

@@ -13,23 +13,34 @@ tell a non-poised set from a poised non-GC one after a cover is missing.
 
 The covering search runs on one :class:`Incidence` index per node set:
 nodes scaled by the common denominator D of their coordinates to integers
-``(X, Y)``, and every line through two nodes mapped to the bitmask of its
-nodes.  With r lines left, a line holding at least r + 1 uncovered nodes
-must be chosen (the other r - 1 lines meet it at most once each); after
-forcing, more than r^2 uncovered nodes cannot be covered, and otherwise
-the search branches over the lines through the lowest uncovered node.
+``(X, Y)``, and every line through two nodes mapped, under its primitive
+integer equation ``(A, B, C)``, to the bitmask of its nodes.  A canonical
+:class:`Line` is built only for a line that leaves the index: a cover
+line, or a line reported to a caller.  With r lines left, a line holding
+at least r + 1 uncovered nodes must be chosen (the other r - 1 lines meet
+it at most once each).  The lines are ranked once by node count, largest
+first, so each forcing pass stops at the first line with at most r nodes;
+after forcing, more than r^2 uncovered nodes cannot be covered, and
+otherwise the search branches over the lines through the lowest uncovered
+node.  Lines through the node being certified are skipped by a mask test.
+When a poised set has no cover at some node, :class:`NotGC` names the node
+and the nodes its forced lines left uncovered.
 
-Certificates are rechecked exactly before being returned: the integer
-evaluation ``a*X + b*Y + c*D`` of every factor at every node must give
-``constant * product(lines)`` equal to the Kronecker delta, and every
-factor line must carry at least two witness nodes where the other factors
-are nonzero.
+Certificates are rechecked exactly before being returned.  Each factor
+line is evaluated once at every node as the integer ``a*X + b*Y + c*D``
+(D times its value there), which gives its zero mask.  The product of a
+node's lines vanishes at node j iff one of them does, so ``constant *
+product(lines)`` is the Kronecker delta of node k, with the constant D^n
+over the product's integer value at k, exactly when the OR of the zero
+masks is every node but k.  Every factor line must also carry at least two
+witness nodes where the other factors are nonzero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
@@ -67,29 +78,37 @@ def scaled_nodes(xs: NodeSet) -> tuple[int, tuple[tuple[int, int], ...]]:
     return d, coords
 
 
+Key = tuple[int, int, int]
+
+
 @dataclass(frozen=True)
 class Incidence:
     """Every line through at least two nodes, with the bitmask of its nodes.
 
     ``scale`` is the lcm D of all coordinate denominators and ``coords``
-    holds the integer nodes ``(D*x, D*y)``.  ``masks`` lists the lines in
-    the order their first node pair appears in the pair enumeration
-    ``(0, 1), (0, 2), ..., (1, 2), ...``; bit j of a mask is set iff node j
-    lies on the line.
+    holds the integer nodes ``(D*x, D*y)``.  ``keys`` maps the primitive
+    equation ``(A, B, C)`` of each line, ``A*X + B*Y + C = 0`` in the
+    integer coordinates with ``(A, B)`` coprime and its first nonzero
+    positive, to the line's node bitmask: bit j is set iff node j lies on
+    the line.  Lines are listed in the order their first node pair appears
+    in the pair enumeration ``(0, 1), (0, 2), ..., (1, 2), ...``.
+
+    :meth:`line` turns a key into its canonical :class:`Line` and
+    :meth:`mask_of` looks a ``Line`` up; ``masks`` is the whole map keyed
+    by ``Line``, in the same order, built on first use.
     """
 
     scale: int
     coords: tuple[tuple[int, int], ...]
-    masks: Mapping[Line, int]
+    keys: Mapping[Key, int]
 
     @classmethod
     def of(cls, xs: NodeSet) -> "Incidence":
         """The index of ``xs``, built from its node pairs in one pass."""
         d, coords = scaled_nodes(xs)
-        # Lines are keyed by their primitive equation A*X + B*Y + C = 0 in
-        # the integer coordinates.  Once the pairs of a line's first node are
-        # done, its mask is complete, and every later pair on it is skipped.
-        by_key: dict[tuple[int, int, int], int] = {}
+        # Once the pairs of a line's first node are done, its mask is
+        # complete, and every later pair on it is skipped.
+        by_key: dict[Key, int] = {}
         known = [0] * len(coords)
         for i, (xi, yi) in enumerate(coords):
             first = []
@@ -114,12 +133,28 @@ class Incidence:
                 if mask.bit_count() > 2:
                     for u in _bits(mask):
                         known[u] |= mask
-        masks = {Line(d * a, d * b, c): mask for (a, b, c), mask in by_key.items()}
-        return cls(d, coords, masks)
+        return cls(d, coords, by_key)
+
+    def line(self, key: Key) -> Line:
+        """The canonical line with integer-coordinate equation ``key``."""
+        a, b, c = key
+        return Line(self.scale * a, self.scale * b, c)
+
+    def mask_of(self, line: Line) -> int:
+        """The node bitmask of ``line``; KeyError unless it holds two nodes."""
+        h = gcd(line.a, line.b)
+        c, rem = divmod(line.c * self.scale, h)
+        if rem:
+            raise KeyError(line)
+        return self.keys[(line.a // h, line.b // h, c)]
+
+    @cached_property
+    def masks(self) -> dict[Line, int]:
+        return {self.line(key): mask for key, mask in self.keys.items()}
 
     def nodes_on(self, line: Line) -> tuple[int, ...]:
         """Indices of the nodes on ``line``, ascending."""
-        return _bits(self.masks[line])
+        return _bits(self.mask_of(line))
 
     def values(self, line: Line) -> list[int]:
         """``a*X + b*Y + c*D`` at every node: D times the line's value there."""
@@ -233,89 +268,107 @@ def factor_into_lines(p: Poly, candidates: set[Line]) -> tuple[tuple[Line, ...],
 
 
 def _cover(
-    uncovered: int, cands: Sequence[tuple[Line, int]], r: int
-) -> list[Line] | None:
-    """At most ``r`` candidate lines whose masks cover ``uncovered``, or None."""
-    chosen: list[Line] = []
+    uncovered: int, lines: Sequence[tuple[int, int, Key]], r: int, avoid: int
+) -> tuple[list[Key] | None, int]:
+    """At most ``r`` lines that miss ``avoid`` and cover ``uncovered``.
+
+    ``lines`` holds ``(node count, mask, key)`` for every line, largest
+    node count first.  Returns the keys of such a cover, or None when there
+    is none, and the nodes still uncovered when forcing stopped.
+    """
+    chosen: list[Key] = []
     while uncovered:
         forced = []
-        live = []
-        for line, mask in cands:
-            count = (mask & uncovered).bit_count()
-            if count > r:
-                forced.append((line, mask))
-            elif count:
-                live.append((line, mask))
+        for count, mask, key in lines:
+            if count <= r:
+                break
+            if not mask & avoid and (mask & uncovered).bit_count() > r:
+                forced.append((mask, key))
         if not forced:
             break
         if len(forced) > r:
-            return None
-        for line, mask in forced:
-            chosen.append(line)
+            return None, uncovered
+        for mask, key in forced:
+            chosen.append(key)
             uncovered &= ~mask
         r -= len(forced)
-        cands = live
     if not uncovered:
-        return chosen
+        return chosen, 0
     if uncovered.bit_count() > r * r:
-        return None
+        return None, uncovered
     low = uncovered & -uncovered
-    for line, mask in cands:
-        if mask & low:
-            rest = _cover(uncovered & ~mask, cands, r - 1)
+    for _, mask, key in lines:
+        if mask & low and not mask & avoid:
+            rest, _ = _cover(uncovered & ~mask, lines, r - 1, avoid)
             if rest is not None:
-                return chosen + [line] + rest
-    return None
+                return chosen + [key] + rest, uncovered
+    return None, uncovered
 
 
 def certify_gc(xs: NodeSet) -> GCCertificate:
     """Certify that every fundamental polynomial is a product of lines.
 
     Raises NotPoised when the set is not poised and NotGC (carrying the
-    first offending node index) when some node's fundamental polynomial is
-    not a product of ``degree`` node-pair lines.  The returned certificate
-    has been rechecked by exact evaluation at every node.
+    first offending node index and the nodes its forced lines left
+    uncovered) when some node's fundamental polynomial is not a product of
+    ``degree`` node-pair lines.  The returned certificate has been
+    rechecked by exact evaluation at every node.
     """
     n = xs.degree
     if len(xs) != dim_pi(n):
         raise NotPoised(f"{len(xs)} nodes at degree {n} are not poised")
     index = Incidence.of(xs)
     everyone = (1 << len(xs)) - 1
+    ranked = sorted(
+        ((mask.bit_count(), mask, key) for key, mask in index.keys.items()),
+        key=lambda t: t[0],
+        reverse=True,
+    )
     covers = []
     for k in range(len(xs)):
         bit = 1 << k
-        cands = [(l, m) for l, m in index.masks.items() if not m & bit]
-        lines = _cover(everyone ^ bit, cands, n)
+        keys, left = _cover(everyone ^ bit, ranked, n, bit)
         # a cover by fewer than n lines exists only in a non-poised set
-        if lines is None or len(lines) != n:
+        if keys is None or len(keys) != n:
             if not is_poised(xs):
                 raise NotPoised(f"{len(xs)} nodes at degree {n} are not poised")
             raise NotGC(
                 f"fundamental polynomial of node {k} is not a product of node-pair lines",
                 node_index=k,
+                uncovered=_bits(left),
             )
-        covers.append(sorted(lines))
+        covers.append(keys)
     # Every node has a cover, so the set is poised and each cover is the
     # factorization of a fundamental polynomial; what follows rechecks that.
+    # The product of node k's lines is zero at node j iff one of them is,
+    # so it is the Kronecker delta up to the constant exactly when their
+    # zero masks together hold every node but k.
     scale_n = index.scale**n
+    line_of: dict[Key, Line] = {}
     evaluated: dict[Line, tuple[list[int], int]] = {}
     entries = []
-    for k, lines in enumerate(covers):
-        for l in lines:
-            if l not in evaluated:
-                row = index.values(l)
-                evaluated[l] = (row, sum(1 << j for j, v in enumerate(row) if v == 0))
+    for k, keys in enumerate(covers):
+        for key in keys:
+            if key not in line_of:
+                line = line_of[key] = index.line(key)
+                row = index.values(line)
+                evaluated[line] = (row, sum(1 << j for j, v in enumerate(row) if v == 0))
+        lines = sorted(line_of[key] for key in keys)
         rows = [evaluated[l][0] for l in lines]
-        # constant * product(lines) at node j is const * products[j] / D^n.
-        products = [prod(col) for col in zip(*rows)] if rows else [1] * len(xs)
-        const = Fraction(scale_n, products[k]) if products[k] else Fraction(0)
-        for j, v in enumerate(products):
-            if (const * v != scale_n) if j == k else v != 0:
-                raise GCNLabError(
-                    f"internal: certified product for node {k} evaluates to "
-                    f"{const * v / scale_n} at node {j}"
-                )
         zeros = [evaluated[l][1] for l in lines]
+        # constant * product(lines) at node j is const * product_j / D^n.
+        at_k = prod(row[k] for row in rows)
+        const = Fraction(scale_n, at_k) if at_k else Fraction(0)
+        covered = 0
+        for z in zeros:
+            covered |= z
+        wrong = covered ^ everyone ^ (1 << k)
+        if wrong:
+            j = (wrong & -wrong).bit_length() - 1
+            raise GCNLabError(
+                f"internal: certified product for node {k} evaluates to "
+                f"{const * prod(row[j] for row in rows) / scale_n} at node {j}"
+            )
         witnesses: dict[Line, tuple[int, ...]] = {}
         for f, line in enumerate(lines):
             others = 0

@@ -69,12 +69,20 @@ class NotGC(GCNLabError):
     """Some fundamental polynomial is not a product of node-pair lines.
 
     ``node_index`` identifies the first node whose fundamental polynomial
-    failed to factor; it is the failure witness.
+    failed to factor; it is the failure witness.  ``uncovered`` holds the
+    indices of the nodes that the lines forced for that node left
+    uncovered, when the certifier reports them.
     """
 
-    def __init__(self, message: str, node_index: int | None = None):
+    def __init__(
+        self,
+        message: str,
+        node_index: int | None = None,
+        uncovered: tuple[int, ...] | None = None,
+    ):
         super().__init__(message)
         self.node_index = node_index
+        self.uncovered = uncovered
 
 
 # --- line sequences ---------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -96,15 +97,38 @@ def vandermonde(xs: NodeSet) -> list[list[Fraction]]:
     return _vandermonde_rows(xs.nodes, xs.degree)
 
 
+def _integer_vandermonde(xs: NodeSet) -> list[list[int]]:
+    """The Vandermonde rows, each scaled to integers by ``d**degree``.
+
+    With d the lcm of a node's two denominators, the monomial ``x^i y^j``
+    times ``d**degree`` is ``X^i Y^j d^(degree-i-j)`` for the integers
+    ``X = d*x`` and ``Y = d*y``; scaling a row leaves the rank alone.
+    """
+    n = xs.degree
+    rows = []
+    for p in xs.nodes:
+        d = lcm(p.x.denominator, p.y.denominator)
+        big_x, big_y = int(p.x * d), int(p.y * d)
+        xp, yp, dp = [1] * (n + 1), [1] * (n + 1), [1] * (n + 1)
+        for k in range(1, n + 1):
+            xp[k], yp[k], dp[k] = xp[k - 1] * big_x, yp[k - 1] * big_y, dp[k - 1] * d
+        rows.append([xp[i] * yp[j] * dp[n - i - j] for (i, j) in monomials(n)])
+    return rows
+
+
 def is_poised(xs: NodeSet) -> bool:
     """True iff the set admits unique interpolation at its degree.
 
     Equivalent to: the node count equals the space dimension and only the
-    zero polynomial vanishes on all nodes (full Vandermonde rank).
+    zero polynomial vanishes on all nodes (full Vandermonde rank).  Full
+    rank modulo a prime proves it; only a deficiency there pays for the
+    exact rank.
     """
     n_dim = dim_pi(xs.degree)
     if len(xs) != n_dim:
         return False
+    if linalg.rank_mod_p(_integer_vandermonde(xs)) == n_dim:
+        return True
     return linalg.rank(vandermonde(xs)) == n_dim
 
 

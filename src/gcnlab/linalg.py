@@ -6,6 +6,8 @@ Bareiss two-step recurrence: every intermediate entry is a minor of the
 scaled matrix, so the divisions are exact and integer growth stays
 polynomial instead of exponential.  A failed exact division would mean the
 invariant broke, so it raises immediately rather than rounding.
+:func:`rank_mod_p` alone works modulo a fixed prime: it is a lower bound
+on the rank, so it can prove full rank cheaply but never deny it.
 
 All functions take sequences of rows of Fractions (or ints) and none of
 them mutate their inputs.
@@ -67,6 +69,37 @@ def rank(rows: Sequence[Row]) -> int:
         return 0
     _, pivot_cols = _echelon(_integer_rows(rows))
     return len(pivot_cols)
+
+
+#: The Mersenne prime 2^61 - 1, the modulus of :func:`rank_mod_p`.
+PRIME = (1 << 61) - 1
+
+
+def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of integer rows modulo :data:`PRIME`; never above their rank over Q.
+
+    A minor that is nonzero modulo the prime is a nonzero integer, so full
+    rank here proves full rank over Q.  A deficiency proves nothing: the
+    prime may divide every maximal minor, and only :func:`rank` decides.
+    """
+    p = PRIME
+    m = [[v % p for v in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, p)
+        pivot = [v * inv % p for v in m[r]]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            if f:
+                m[i] = [(v - f * w) % p for v, w in zip(m[i], pivot)]
+        r += 1
+        if r == len(m):
+            break
+    return r
 
 
 def unit_consistency(rows: Sequence[Row]) -> list[bool]:

@@ -32,7 +32,8 @@ from gcnlab import (
     used_line_index,
     used_lines_of,
 )
-from gcnlab.certification import NodeCertificate
+from gcnlab import certification
+from gcnlab.certification import Incidence, NodeCertificate, _cover
 from gcnlab.errors import NotDivisible
 from gcnlab.rng import SplitMix64
 from gcnlab.serialization import load_certificate, save_certificate
@@ -386,3 +387,107 @@ class TestIncidenceIndex:
             values = index.values(line)
             assert [Fraction(v, index.scale) for v in values] == [line.at(p) for p in xs.nodes]
             assert index.nodes_on(line) == tuple(j for j, v in enumerate(values) if v == 0)
+
+    @pytest.mark.parametrize("kind", DEFAULT_KINDS)
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_line_keys_round_trip_in_pair_order(self, kind, degree):
+        xs = generate(GeneratorSpec(kind, degree, seed=degree))
+        index = Incidence.of(xs)
+        assert list(index.masks) == list(line_incidence_pairs(xs))
+        assert list(index.masks) == [index.line(key) for key in index.keys]
+        assert list(index.masks.values()) == list(index.keys.values())
+        for line, mask in index.masks.items():
+            assert index.mask_of(line) == mask
+
+    def test_mask_of_needs_a_line_through_two_nodes(self, cy3_pair):
+        xs, cert = cy3_pair
+        index = cert.incidence
+        p = xs.nodes[0]
+        through_one = Line.from_rationals(1234567, -1, p.y - 1234567 * p.x)
+        assert [v == 0 for v in index.values(through_one)].count(True) == 1
+        # x = 1 / (7 D) has no integer equation in the scaled coordinates
+        for line in (through_one, Line(1, 1, 10**6), Line(7 * index.scale, 0, -1)):
+            assert line not in index.masks
+            with pytest.raises(KeyError):
+                index.mask_of(line)
+
+
+class TestCoverSearch:
+    def test_branches_when_forcing_stalls(self):
+        # with r = 2 no two-node line is forced, so the search branches on
+        # node 0 and then forces the line left over
+        lines = [(2, 0b0011, "a"), (2, 0b1100, "b"), (2, 0b0101, "c"), (2, 0b1010, "d")]
+        assert _cover(0b1111, lines, 2, 0b10000) == (["a", "b"], 0b1111)
+        # lines through the avoided node are never chosen
+        assert _cover(0b1111, lines, 2, 0b0001)[0] is None
+
+    def test_branching_set_agrees_with_oracle(self, monkeypatch):
+        # a poised set on a 5 x 5 grid where forcing stalls before the
+        # search gives up on a node
+        pts = (
+            (-2, 0), (-2, 1), (1, 0), (-1, -2), (-1, 1),
+            (0, -2), (2, -2), (1, -2), (2, -1), (0, 0),
+        )
+        xs = NodeSet(3, tuple(Point(x, y) for x, y in pts))
+        calls = []
+        cover = certification._cover
+        monkeypatch.setattr(
+            certification, "_cover", lambda *args: calls.append(args[2]) or cover(*args)
+        )
+        got = assert_agrees_with_oracle(xs)
+        assert got[0] is NotGC
+        assert any(r < xs.degree for r in calls)  # a recursive call
+
+    @pytest.mark.parametrize("kind", DEFAULT_KINDS)
+    @pytest.mark.parametrize("degree", [3, 4, 5])
+    def test_not_gc_names_the_uncovered_nodes(self, kind, degree):
+        xs = generate(GeneratorSpec(kind, degree, seed=7))
+        moved = replaced(xs, 0, Point(Fraction(1234, 977), Fraction(-4321, 1013)))
+        with pytest.raises(NotGC) as excinfo:
+            certify_gc(moved)
+        exc = excinfo.value
+        k = exc.node_index
+        assert str(exc) == f"fundamental polynomial of node {k} is not a product of node-pair lines"
+        # recount the forcing from the pair incidence of the oracle
+        left, r = set(range(len(moved))) - {k}, degree
+        while True:
+            forced = [
+                set(ids)
+                for ids in line_incidence_pairs(moved).values()
+                if k not in ids and len(left.intersection(ids)) > r
+            ]
+            if not forced or len(forced) > r:
+                break
+            left -= set().union(*forced)
+            r -= len(forced)
+        assert exc.uncovered == tuple(sorted(left))
+        assert k not in exc.uncovered and 0 in exc.uncovered
+
+
+class TestZeroMaskRecheck:
+    @pytest.mark.parametrize("through_node", [False, True])
+    def test_wrong_cover_line_is_caught(self, monkeypatch, cy3_pair, through_node):
+        xs, _ = cy3_pair
+        cover = certification._cover
+
+        def wrong(uncovered, lines, r, avoid):
+            keys, left = cover(uncovered, lines, r, avoid)
+            # another line avoiding the node leaves a witness of the first
+            # factor uncovered; a line through the node zeroes the product there
+            spare = next(
+                key
+                for _, mask, key in lines
+                if bool(mask & avoid) == through_node and key not in keys
+            )
+            return [spare] + keys[1:], left
+
+        monkeypatch.setattr(certification, "_cover", wrong)
+        with pytest.raises(GCNLabError) as excinfo:
+            certify_gc(xs)
+        assert type(excinfo.value) is GCNLabError
+        message = str(excinfo.value)
+        assert message.startswith("internal: certified product for node 0 evaluates to ")
+        if through_node:
+            assert message.endswith(" to 0 at node 0")
+        else:
+            assert not message.endswith(" at node 0")

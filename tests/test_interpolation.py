@@ -1,11 +1,13 @@
 """Poisedness, fundamental polynomials, dependence and reproduction."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from gcnlab import (
     DuplicateNode,
+    GeneratorSpec,
     LengthMismatch,
     NodeSet,
     NotPoised,
@@ -17,12 +19,15 @@ from gcnlab import (
     evaluate,
     fundamental,
     gen_principal,
+    generate,
     interpolate,
     is_essentially_dependent,
     is_independent,
     is_poised,
     vandermonde,
 )
+from gcnlab import linalg
+from gcnlab.interpolation import _integer_vandermonde
 from gcnlab.rng import SplitMix64
 
 from oracles import rank_naive
@@ -78,6 +83,59 @@ class TestIsPoised:
         assert is_poised(principal5)
         # independent oracle: naive rational Gauss on the same matrix
         assert rank_naive(vandermonde(principal5)) == dim_pi(5)
+
+
+def conic_six():
+    """Six nodes on the circle x^2 + y^2 = 25: not poised at degree 2."""
+    pts = ((3, 4), (4, 3), (5, 0), (0, 5), (-3, 4), (-5, 0))
+    return NodeSet(2, tuple(Point(x, y) for x, y in pts))
+
+
+def overfull_line():
+    """Four collinear nodes at degree 2, one more than a poised set allows."""
+    pts = ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1))
+    return NodeSet(2, tuple(Point(x, y) for x, y in pts))
+
+
+class TestModularRankScreen:
+    CASES = {
+        "principal": lambda: gen_principal(5),
+        "chung_yao": lambda: generate(GeneratorSpec("chung_yao", 4, seed=3)),
+        "projective_image": lambda: generate(GeneratorSpec("projective_image", 4, seed=3)),
+        "conic": conic_six,
+        "overfull_line": overfull_line,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_agrees_with_exact_rank(self, name, monkeypatch):
+        xs = self.CASES[name]()
+        exact = linalg.rank(vandermonde(xs))
+        assert linalg.rank_mod_p(_integer_vandermonde(xs)) <= exact
+        calls = []
+        rank = linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(1) or rank(rows))
+        poised = is_poised(xs)
+        assert poised == (exact == len(xs))
+        # the exact rank runs only when the modular screen finds a deficiency
+        assert len(calls) == (0 if poised else 1)
+
+    def test_integer_rows_scale_the_fraction_rows(self):
+        xs = generate(GeneratorSpec("projective_image", 3, seed=5))
+        for p, row, ints in zip(xs.nodes, vandermonde(xs), _integer_vandermonde(xs)):
+            scale = lcm(p.x.denominator, p.y.denominator) ** 3
+            assert [scale * v for v in row] == ints
+
+    def test_prime_multiple_determinant_falls_back(self):
+        p = linalg.PRIME
+        assert linalg.rank_mod_p([[p, 0], [0, 1]]) == 1
+        assert linalg.rank([[p, 0], [0, 1]]) == 2
+        # both Vandermonde determinants are p: singular modulo p, poised over Q
+        for xs in (
+            NodeSet(1, (Point(0, 0), Point(p, 0), Point(0, 1))),
+            NodeSet(1, (Point(0, 0), Point(Fraction(p, 3), 0), Point(0, Fraction(1, 5)))),
+        ):
+            assert linalg.rank_mod_p(_integer_vandermonde(xs)) == 2
+            assert is_poised(xs)
 
 
 class TestFundamental:

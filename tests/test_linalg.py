@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from gcnlab.linalg import (
     nullspace_basis,
     nullspace_vector,
+    PRIME,
     rank,
+    rank_mod_p,
     solve_square,
     unit_consistency,
 )
@@ -47,6 +49,29 @@ class TestRank:
             [Fraction(0), Fraction(5), Fraction(10), Fraction(9)],
         ]
         assert rank(m) == rank_naive(m) == 2
+
+
+class TestRankModP:
+    @given(
+        st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+            lambda shape: st.lists(
+                st.lists(st.integers(-5, 5), min_size=shape[1], max_size=shape[1]),
+                min_size=shape[0],
+                max_size=shape[0],
+            )
+        )
+    )
+    @settings(max_examples=120)
+    def test_matches_exact_rank_on_small_entries(self, m):
+        # every minor is below 5^5 * 5! < PRIME in absolute value, so none
+        # vanishes modulo PRIME unless it vanishes
+        assert rank_mod_p(m) == rank(m)
+
+    def test_prime_multiples_lose_rank(self):
+        assert rank_mod_p([[PRIME, 0], [0, 1]]) == 1
+        assert rank_mod_p([[2, 1], [PRIME + 2, 1]]) == 1
+        assert rank([[2, 1], [PRIME + 2, 1]]) == 2
+        assert rank_mod_p([]) == 0
 
 
 class TestConsistency:
