@@ -16,10 +16,12 @@ violation on a merely poised set would be a category error.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
-from .certification import GCCertificate, Incidence, _bits, certify_gc, used_line_index
+from .certification import GCCertificate, Incidence, certify_gc
 from .errors import (
     CenterInTarget,
     DegenerateIntersection,
@@ -29,7 +31,6 @@ from .errors import (
     NotPoised,
     ParallelLines,
     RetryLimitExceeded,
-    TooManyCollinear,
 )
 from .geometry import Line, intersect, line_through
 from .interpolation import NodeSet, is_essentially_dependent
@@ -66,26 +67,6 @@ class IncidenceProfile:
     counts: Mapping[int, int]
 
 
-def _maximal_incidence(index: Incidence, degree: int) -> list[tuple[Line, tuple[int, ...]]]:
-    cap = degree + 1
-    out = []
-    full = [
-        (index.line(key), mask) for key, mask in index.keys.items() if mask.bit_count() >= cap
-    ]
-    for line, mask in sorted(full):
-        count = mask.bit_count()
-        if count > cap:
-            raise TooManyCollinear(
-                f"{line} passes through {count} nodes; at most {cap} of a poised "
-                f"degree-{degree} set can be collinear",
-                line=line,
-                count=count,
-            )
-        if count == cap:
-            out.append((line, _bits(mask)))
-    return out
-
-
 def maximal_lines(xs: NodeSet) -> set[Line]:
     """All lines through exactly degree+1 nodes.
 
@@ -93,12 +74,12 @@ def maximal_lines(xs: NodeSet) -> set[Line]:
     poised input that indicates an internal bug, for raw input it is a
     validity report.
     """
-    return {line for line, _ in _maximal_incidence(Incidence.of(xs), xs.degree)}
+    return {line for line, _ in Incidence.of(xs).maximal}
 
 
 def gm_report_from_certificate(cert: GCCertificate) -> GMReport:
     """Build the GM report for an already-certified set."""
-    maximal = tuple(_maximal_incidence(cert.incidence, cert.degree))
+    maximal = cert.incidence.maximal
     satisfied = bool(maximal)
     return GMReport(
         degree=cert.degree,
@@ -122,7 +103,7 @@ def verify_gm(xs: NodeSet) -> GMReport:
 def classify_2m_nodes(xs: NodeSet) -> set[int]:
     """Indices of nodes lying on at least two maximal lines."""
     tally: dict[int, int] = {}
-    for _, ids in _maximal_incidence(Incidence.of(xs), xs.degree):
+    for _, ids in Incidence.of(xs).maximal:
         for j in ids:
             tally[j] = tally.get(j, 0) + 1
     return {j for j, c in tally.items() if c >= 2}
@@ -275,10 +256,11 @@ def search_counterexample(
                     trial=i, kind=kind, seed=trial_seed, reason="no maximal line", certificate=cert
                 )
             )
+        # the lines of one certified node are distinct, so a line's count is
+        # the number of nodes that use it
         index = cert.incidence
-        for line, users in used_line_index(cert).users.items():
+        for line, uses in Counter(chain.from_iterable(e.lines for e in cert.entries)).items():
             node_count = index.mask_of(line).bit_count()
-            uses = len(users)
             if uses > use_count_max.get(node_count, 0):
                 use_count_max[node_count] = uses
     return SearchSummary(

@@ -28,12 +28,17 @@ and the nodes its forced lines left uncovered.
 
 Certificates are rechecked exactly before being returned.  Each factor
 line is evaluated once at every node as the integer ``a*X + b*Y + c*D``
-(D times its value there), which gives its zero mask.  The product of a
+(D times its value there), which gives its zero mask; a node's lines are
+put in canonical order by their coefficient triples.  The product of a
 node's lines vanishes at node j iff one of them does, so ``constant *
 product(lines)`` is the Kronecker delta of node k, with the constant D^n
 over the product's integer value at k, exactly when the OR of the zero
 masks is every node but k.  Every factor line must also carry at least two
-witness nodes where the other factors are nonzero.
+witness nodes where the other factors are nonzero: nodes of its zero mask
+outside the OR of the other masks, read off prefix and suffix ORs.
+
+The index also holds the set's maximal lines, those through degree + 1
+nodes, computed once on first use.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -50,6 +56,7 @@ from .errors import (
     NotGC,
     NotPoised,
     NotProductOfCandidateLines,
+    TooManyCollinear,
     ZeroPolynomial,
 )
 from .geometry import Line
@@ -85,19 +92,21 @@ Key = tuple[int, int, int]
 class Incidence:
     """Every line through at least two nodes, with the bitmask of its nodes.
 
-    ``scale`` is the lcm D of all coordinate denominators and ``coords``
-    holds the integer nodes ``(D*x, D*y)``.  ``keys`` maps the primitive
-    equation ``(A, B, C)`` of each line, ``A*X + B*Y + C = 0`` in the
-    integer coordinates with ``(A, B)`` coprime and its first nonzero
-    positive, to the line's node bitmask: bit j is set iff node j lies on
-    the line.  Lines are listed in the order their first node pair appears
+    ``degree`` is the node set's degree, ``scale`` the lcm D of all
+    coordinate denominators and ``coords`` the integer nodes ``(D*x, D*y)``.
+    ``keys`` maps the primitive equation ``(A, B, C)`` of each line,
+    ``A*X + B*Y + C = 0`` in the integer coordinates with ``(A, B)`` coprime
+    and its first nonzero positive, to the line's node bitmask: bit j is
+    set iff node j lies on the line.  Lines are listed in the order their first node pair appears
     in the pair enumeration ``(0, 1), (0, 2), ..., (1, 2), ...``.
 
     :meth:`line` turns a key into its canonical :class:`Line` and
     :meth:`mask_of` looks a ``Line`` up; ``masks`` is the whole map keyed
-    by ``Line``, in the same order, built on first use.
+    by ``Line``, in the same order, and ``maximal`` the maximal lines, each
+    built on first use.
     """
 
+    degree: int
     scale: int
     coords: tuple[tuple[int, int], ...]
     keys: Mapping[Key, int]
@@ -133,7 +142,7 @@ class Incidence:
                 if mask.bit_count() > 2:
                     for u in _bits(mask):
                         known[u] |= mask
-        return cls(d, coords, by_key)
+        return cls(xs.degree, d, coords, by_key)
 
     def line(self, key: Key) -> Line:
         """The canonical line with integer-coordinate equation ``key``."""
@@ -151,6 +160,28 @@ class Incidence:
     @cached_property
     def masks(self) -> dict[Line, int]:
         return {self.line(key): mask for key, mask in self.keys.items()}
+
+    @cached_property
+    def maximal(self) -> tuple[tuple[Line, tuple[int, ...]], ...]:
+        """Every line through exactly degree + 1 nodes and its node indices, in line order.
+
+        Raises TooManyCollinear, naming the first such line in line order,
+        when a line holds more nodes than that; no poised set has one.
+        """
+        cap = self.degree + 1
+        full = sorted(
+            (self.line(key), mask) for key, mask in self.keys.items() if mask.bit_count() >= cap
+        )
+        for line, mask in full:
+            count = mask.bit_count()
+            if count > cap:
+                raise TooManyCollinear(
+                    f"{line} passes through {count} nodes; at most {cap} of a poised "
+                    f"degree-{self.degree} set can be collinear",
+                    line=line,
+                    count=count,
+                )
+        return tuple((line, _bits(mask)) for line, mask in full)
 
     def nodes_on(self, line: Line) -> tuple[int, ...]:
         """Indices of the nodes on ``line``, ascending."""
@@ -344,45 +375,50 @@ def certify_gc(xs: NodeSet) -> GCCertificate:
     # so it is the Kronecker delta up to the constant exactly when their
     # zero masks together hold every node but k.
     scale_n = index.scale**n
-    line_of: dict[Key, Line] = {}
-    evaluated: dict[Line, tuple[list[int], int]] = {}
+    # one record (coefficients, line, row, zero mask) per distinct cover key;
+    # sorting a node's records by coefficients puts its lines in Line order
+    records: dict[Key, tuple[Key, Line, list[int], int]] = {}
     entries = []
     for k, keys in enumerate(covers):
+        recs = []
         for key in keys:
-            if key not in line_of:
-                line = line_of[key] = index.line(key)
+            rec = records.get(key)
+            if rec is None:
+                line = index.line(key)
                 row = index.values(line)
-                evaluated[line] = (row, sum(1 << j for j, v in enumerate(row) if v == 0))
-        lines = sorted(line_of[key] for key in keys)
-        rows = [evaluated[l][0] for l in lines]
-        zeros = [evaluated[l][1] for l in lines]
+                zero = 0
+                for j, v in enumerate(row):
+                    if not v:
+                        zero |= 1 << j
+                rec = records[key] = (line.coefficients, line, row, zero)
+            recs.append(rec)
+        recs.sort(key=itemgetter(0))
         # constant * product(lines) at node j is const * product_j / D^n.
-        at_k = prod(row[k] for row in rows)
+        at_k = prod(rec[2][k] for rec in recs)
         const = Fraction(scale_n, at_k) if at_k else Fraction(0)
-        covered = 0
-        for z in zeros:
-            covered |= z
-        wrong = covered ^ everyone ^ (1 << k)
+        # after[f] is the OR of the zero masks of lines f, f+1, ...
+        after = [0] * (len(recs) + 1)
+        for f in range(len(recs) - 1, -1, -1):
+            after[f] = after[f + 1] | recs[f][3]
+        wrong = after[0] ^ everyone ^ (1 << k)
         if wrong:
             j = (wrong & -wrong).bit_length() - 1
             raise GCNLabError(
                 f"internal: certified product for node {k} evaluates to "
-                f"{const * prod(row[j] for row in rows) / scale_n} at node {j}"
+                f"{const * prod(rec[2][j] for rec in recs) / scale_n} at node {j}"
             )
         witnesses: dict[Line, tuple[int, ...]] = {}
-        for f, line in enumerate(lines):
-            others = 0
-            for g, z in enumerate(zeros):
-                if g != f:
-                    others |= z
-            found = _bits(zeros[f] & ~others)
+        before = 0
+        for f, (_, line, _, zero) in enumerate(recs):
+            found = _bits(zero & ~(before | after[f + 1]))
             if len(found) < 2:
                 raise GCNLabError(
                     f"internal: factor {line} of node {k} has {len(found)} nonvanishing-cofactor "
                     "witnesses; a used line of a poised set must have at least two"
                 )
             witnesses[line] = found
-        entries.append(NodeCertificate(k, const, tuple(lines), witnesses))
+            before |= zero
+        entries.append(NodeCertificate(k, const, tuple(rec[1] for rec in recs), witnesses))
     return GCCertificate(xs, tuple(entries), index)
 
 

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import serialization as ser
 from .analysis import (
-    _maximal_incidence,
     cayley_bacharach_check,
     incidence_profile,
     search_counterexample,
@@ -150,11 +149,11 @@ def _cmd_mdseq(args) -> int:
 
 def _cmd_maximal_lines(args) -> int:
     xs = _read_nodeset(args.file)
-    maximal = _maximal_incidence(Incidence.of(xs), xs.degree)
     doc = {
         "degree": xs.degree,
         "maximal_lines": [
-            {"line": list(l.coefficients), "nodes": list(nodes)} for l, nodes in maximal
+            {"line": list(l.coefficients), "nodes": list(nodes)}
+            for l, nodes in Incidence.of(xs).maximal
         ],
     }
     _emit(_json_dump(doc), args.out)
@@ -260,7 +259,7 @@ def _cmd_plot(args) -> int:
     for overlay in overlays:
         if overlay == "maximal":
             index = Incidence.of(xs) if cert is None else cert.incidence
-            maximal = {line for line, _ in _maximal_incidence(index, xs.degree)}
+            maximal = {line for line, _ in index.maximal}
         elif overlay.startswith(("used:", "primary:")):
             if failure is not None:
                 raise failure

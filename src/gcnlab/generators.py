@@ -7,9 +7,19 @@ incidence structure are affine-invariant).  Nothing is emitted on trust:
 every generated set is certified before it is returned, so a generator can
 only hand out sets whose GC property has been established exactly.
 
+Nodes are built on integers and become Fractions only at the end.  Two
+random lines ``(a1, b1, c1)`` and ``(a2, b2, c2)`` meet at the homogeneous
+point ``(b1*c2 - b2*c1, a2*c1 - a1*c2, a1*b2 - a2*b1)``, taken with a
+positive last entry w; over the lcm D of all w, a natural lattice is a
+sorted tuple of integer nodes ``(D*x, D*y)``, which is the order of its
+points because D > 0.  An affine image maps such integer nodes with
+integer rows, one common denominator per output coordinate, so each
+coordinate is one Fraction built once.
+
 The principal lattice depends on its degree alone, so it is certified once
 per degree per process; every later request for that degree gets the same
-set and certificate objects.
+set and certificate objects, and an affine image of it reads its integer
+nodes from the cached certificate's incidence index.
 
 Generation is a pure function of its spec; fixed seeds give byte-identical
 node sets on every platform (see :mod:`gcnlab.rng` for the PRNG contract).
@@ -20,10 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .certification import GCCertificate, certify_gc
 from .errors import RetryLimitExceeded
-from .geometry import Line, Point, general_position, intersect
+from .geometry import Point
 from .interpolation import NodeSet
 from .polynomials import dim_pi
 from .rng import SplitMix64
@@ -59,17 +70,26 @@ class GeneratorSpec:
             raise ValueError("coordinate bound must be >= 1")
 
 
-def _random_line(rng: SplitMix64, bound: int) -> Line:
+def _random_line(rng: SplitMix64, bound: int) -> tuple[int, int, int]:
     while True:
         a = rng.randint(-bound, bound)
         b = rng.randint(-bound, bound)
         c = rng.randint(-bound, bound)
         if (a, b) != (0, 0):
-            return Line(a, b, c)
+            return a, b, c
 
 
-def _general_position_lines(rng: SplitMix64, count: int, bound: int) -> list[Line]:
-    lines: list[Line] = []
+def _general_position_meets(rng: SplitMix64, count: int, bound: int) -> list[tuple[int, int, int]]:
+    """The homogeneous meets ``(x, y, w)``, w > 0, of ``count`` random lines in general position.
+
+    A drawn line joins when it is parallel to no line drawn so far (a
+    repeated line is parallel to itself) and passes through none of their
+    meets, which is :func:`~gcnlab.geometry.general_position` of the lines
+    with it added; lines ``(a1, b1, c1)`` and ``(a2, b2, c2)`` meet at
+    ``(b1*c2 - b2*c1, a2*c1 - a1*c2, a1*b2 - a2*b1)``.
+    """
+    lines: list[tuple[int, int, int]] = []
+    meets: list[tuple[int, int, int]] = []
     attempts = 0
     while len(lines) < count:
         attempts += 1
@@ -78,20 +98,30 @@ def _general_position_lines(rng: SplitMix64, count: int, bound: int) -> list[Lin
                 f"no general-position configuration of {count} lines within "
                 f"{RETRY_LIMIT} draws at coordinate bound {bound}"
             )
-        candidate = _random_line(rng, bound)
-        if candidate in lines:
+        a, b, c = _random_line(rng, bound)
+        if any(a1 * b == a * b1 for a1, b1, _ in lines):
             continue
-        if general_position(lines + [candidate]):
-            lines.append(candidate)
-    return lines
+        if any(a * x + b * y + c * w == 0 for x, y, w in meets):
+            continue
+        for a1, b1, c1 in lines:
+            x, y, w = b1 * c - b * c1, a * c1 - a1 * c, a1 * b - a * b1
+            meets.append((x, y, w) if w > 0 else (-x, -y, -w))
+        lines.append((a, b, c))
+    return meets
+
+
+def _chung_yao_scaled(degree: int, seed: int, bound: int) -> tuple[int, list[tuple[int, int]]]:
+    """The lcm D of the meets' weights and the sorted integer nodes ``(D*x, D*y)``."""
+    meets = _general_position_meets(SplitMix64(seed), degree + 2, bound)
+    d = lcm(*(w for _, _, w in meets))
+    coords = sorted({(x * (d // w), y * (d // w)) for x, y, w in meets})
+    assert len(coords) == dim_pi(degree)  # guaranteed by general position
+    return d, coords
 
 
 def _chung_yao_nodes(degree: int, seed: int, bound: int) -> NodeSet:
-    rng = SplitMix64(seed)
-    lines = _general_position_lines(rng, degree + 2, bound)
-    points = {intersect(lines[i], lines[j]) for i in range(len(lines)) for j in range(i + 1, len(lines))}
-    assert len(points) == dim_pi(degree)  # guaranteed by general position
-    return NodeSet(degree, tuple(sorted(points)))
+    d, coords = _chung_yao_scaled(degree, seed, bound)
+    return NodeSet(degree, tuple(Point(Fraction(x, d), Fraction(y, d)) for x, y in coords))
 
 
 def _principal_nodes(degree: int) -> NodeSet:
@@ -109,18 +139,30 @@ def _principal_certified(degree: int) -> tuple[NodeSet, GCCertificate]:
     return xs, certify_gc(xs)
 
 
+def _integer_row(row: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """A common denominator L of ``row`` and the integers ``L * q``."""
+    den = lcm(*(q.denominator for q in row))
+    return den, [q.numerator * (den // q.denominator) for q in row]
+
+
 def _projective_image_nodes(degree: int, seed: int, bound: int) -> NodeSet:
     rng = SplitMix64(seed)
     if rng.choice(("chung_yao", "principal")) == "chung_yao":
-        base = _chung_yao_nodes(degree, rng.next_u64(), bound)
+        d, coords = _chung_yao_scaled(degree, rng.next_u64(), bound)
     else:
-        base = _principal_nodes(degree)
+        index = _principal_certified(degree)[1].incidence
+        d, coords = index.scale, index.coords
     for _ in range(RETRY_LIMIT):
         m00, m01, m10, m11 = (rng.rational(bound) for _ in range(4))
         t0, t1 = rng.rational(bound), rng.rational(bound)
         if m00 * m11 - m01 * m10 != 0:
+            # x' = m00*x + m01*y + t0 = (ax*X + bx*Y + cx*D) / (Lx*D) on X = D*x, Y = D*y
+            lx, (ax, bx, cx) = _integer_row((m00, m01, t0))
+            ly, (ay, by, cy) = _integer_row((m10, m11, t1))
+            cx, cy, dx, dy = cx * d, cy * d, lx * d, ly * d
             mapped = tuple(
-                Point(m00 * p.x + m01 * p.y + t0, m10 * p.x + m11 * p.y + t1) for p in base
+                Point(Fraction(ax * x + bx * y + cx, dx), Fraction(ay * x + by * y + cy, dy))
+                for x, y in coords
             )
             return NodeSet(degree, mapped)
     raise RetryLimitExceeded(f"no invertible affine map within {RETRY_LIMIT} draws")

@@ -34,9 +34,12 @@ RationalLike = Union[int, str, Fraction]
 def to_scalar(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction or exact string like ``"2/3"`` to a Fraction.
 
-    Raises TypeError for floats; use an explicit string or Fraction if an
-    exact value is really intended.
+    A Fraction is immutable, so one comes back as the same object.  Raises
+    TypeError for floats; use an explicit string or Fraction if an exact
+    value is really intended.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}: pass int, Fraction or 'p/q' string")
     return Fraction(value)

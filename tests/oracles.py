@@ -21,6 +21,13 @@ Fraction arithmetic and evaluates every later line at the meet.
 
 :func:`is_consistent` is the one-system consistency check by Bareiss rank;
 it is the per-column reference for ``gcnlab.linalg.unit_consistency``.
+
+:func:`chung_yao_nodes_fraction` and :func:`projective_image_nodes_fraction`
+are the node builders the library's integer generators replaced: they draw
+canonical :class:`Line` objects, test general position with
+``gcnlab.general_position`` on the whole list, intersect in Fraction
+arithmetic, sort Points and apply the affine map to Fraction coordinates,
+from the same seeded stream.
 """
 
 from __future__ import annotations
@@ -31,22 +38,30 @@ from math import prod
 from gcnlab import (
     GCCertificate,
     GCNLabError,
+    Line,
     MDSequence,
     MultiplicityPresent,
     NodeCertificate,
+    NodeSet,
     NotDivisible,
     NotGC,
     NotPoised,
     DuplicateLine,
     NotProductOfCandidateLines,
+    Point,
+    RetryLimitExceeded,
     all_fundamentals,
+    dim_pi,
     divide_by_line,
+    general_position,
     intersect,
     is_incident,
     is_poised,
     line_through,
 )
+from gcnlab.generators import RETRY_LIMIT
 from gcnlab.linalg import _echelon, _integer_rows
+from gcnlab.rng import SplitMix64
 
 
 def rank_naive(rows):
@@ -316,3 +331,61 @@ def enumerate_mdseqs_dfs(cert, k):
             if len(covered) == best:
                 stack.append((pool - {l}, remaining - covered, counts + (best,)))
     return results
+
+
+def _general_position_lines_fraction(rng, count, bound):
+    lines = []
+    attempts = 0
+    while len(lines) < count:
+        attempts += 1
+        if attempts > RETRY_LIMIT:
+            raise RetryLimitExceeded(
+                f"no general-position configuration of {count} lines within "
+                f"{RETRY_LIMIT} draws at coordinate bound {bound}"
+            )
+        while True:
+            a = rng.randint(-bound, bound)
+            b = rng.randint(-bound, bound)
+            c = rng.randint(-bound, bound)
+            if (a, b) != (0, 0):
+                break
+        candidate = Line(a, b, c)
+        if candidate in lines:
+            continue
+        if general_position(lines + [candidate]):
+            lines.append(candidate)
+    return lines
+
+
+def chung_yao_nodes_fraction(degree, seed, bound):
+    """Sorted pairwise intersections of ``degree + 2`` general-position lines."""
+    rng = SplitMix64(seed)
+    lines = _general_position_lines_fraction(rng, degree + 2, bound)
+    points = {intersect(lines[i], lines[j]) for i in range(len(lines)) for j in range(i + 1, len(lines))}
+    assert len(points) == dim_pi(degree)
+    return NodeSet(degree, tuple(sorted(points)))
+
+
+def projective_image_nodes_fraction(degree, seed, bound):
+    """An affine image, in Fraction arithmetic, of a seeded base lattice."""
+    rng = SplitMix64(seed)
+    if rng.choice(("chung_yao", "principal")) == "chung_yao":
+        base = chung_yao_nodes_fraction(degree, rng.next_u64(), bound)
+    else:
+        base = NodeSet(
+            degree,
+            tuple(
+                Point(Fraction(i, degree), Fraction(j, degree))
+                for i in range(degree + 1)
+                for j in range(degree + 1 - i)
+            ),
+        )
+    for _ in range(RETRY_LIMIT):
+        m00, m01, m10, m11 = (rng.rational(bound) for _ in range(4))
+        t0, t1 = rng.rational(bound), rng.rational(bound)
+        if m00 * m11 - m01 * m10 != 0:
+            mapped = tuple(
+                Point(m00 * p.x + m01 * p.y + t0, m10 * p.x + m11 * p.y + t1) for p in base
+            )
+            return NodeSet(degree, mapped)
+    raise RetryLimitExceeded(f"no invertible affine map within {RETRY_LIMIT} draws")

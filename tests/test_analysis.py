@@ -25,7 +25,9 @@ from gcnlab import (
     used_line_index,
     verify_gm,
 )
-from gcnlab.rng import SplitMix64
+from gcnlab.certification import Incidence
+from gcnlab.generators import DEFAULT_KINDS
+from gcnlab.rng import SplitMix64, substream_seed
 
 from oracles import solvable_naive
 
@@ -68,6 +70,22 @@ class TestMaximalLines:
             "Line(0, 1, -2) passes through 6 nodes; at most 4 of a poised degree-3 set "
             "can be collinear"
         )
+
+    def test_computed_once_per_index(self, principal5_cert):
+        index = principal5_cert.incidence
+        assert index.maximal is index.maximal
+        report = gm_report_from_certificate(principal5_cert)
+        assert report.maximal_lines is index.maximal
+        assert gm_report_from_certificate(principal5_cert).maximal_lines is index.maximal
+        assert index.degree == 5
+        assert [line for line, _ in index.maximal] == sorted(maximal_lines(principal5_cert.nodeset))
+
+    def test_overfull_line_raises_on_every_read(self):
+        pts = tuple(Point(t, 0) for t in range(5)) + (Point(0, 1), Point(1, 2))
+        index = Incidence.of(NodeSet(3, pts))
+        for _ in range(2):
+            with pytest.raises(TooManyCollinear):
+                index.maximal
 
 
 class TestVerifyGM:
@@ -222,6 +240,21 @@ class TestSearch:
         s = search_counterexample(degree=5, trials=6, seed=23)
         assert s.certified == 6 == s.gm_satisfied
         assert all(v <= 20 for v in s.use_count_max.values())
+
+    def test_use_count_max_matches_used_line_index(self):
+        # the histogram the search counted through UsedLineIndex
+        for degree in (2, 3, 4, 5):
+            want: dict[int, int] = {}
+            for i in range(9):
+                spec = GeneratorSpec(
+                    DEFAULT_KINDS[i % 3], degree, seed=substream_seed(31, i), coordinate_bound=8
+                )
+                _, cert = generate_with_certificate(spec)
+                for line, users in used_line_index(cert).users.items():
+                    count = len(cert.incidence.nodes_on(line))
+                    want[count] = max(want.get(count, 0), len(users))
+            got = search_counterexample(degree=degree, trials=9, seed=31).use_count_max
+            assert got == want
 
     def test_reproducible(self):
         a = search_counterexample(degree=3, trials=4, seed=99)

@@ -1,6 +1,8 @@
 """Seeded generators: construction shape, verification, reproducibility."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcnlab import generators
 from gcnlab import (
@@ -18,6 +20,12 @@ from gcnlab import (
     is_poised,
     maximal_lines,
     search_counterexample,
+)
+
+from oracles import (
+    certify_gc_algebraic,
+    chung_yao_nodes_fraction,
+    projective_image_nodes_fraction,
 )
 
 
@@ -156,3 +164,77 @@ class TestPrincipalMemo:
         assert xs is ys is zs and cert.nodeset is xs
         info = generators._principal_certified.cache_info()
         assert (info.hits, info.misses) == (2, 1)
+
+    def test_principal_image_reads_the_cached_index(self, cold_cache):
+        # seed 1 draws the principal base; its nodes come from the memo entry
+        spec = GeneratorSpec("projective_image", 3, seed=1)
+        assert projective_image_nodes_fraction(3, 1, 8) == generate(spec)
+        info = generators._principal_certified.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
+        generate(spec)
+        info = generators._principal_certified.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+
+def _exact(build, *args):
+    """Every coordinate as (numerator, denominator), in node order, or the error raised."""
+    try:
+        xs = build(*args)
+    except RetryLimitExceeded as exc:
+        return "RetryLimitExceeded", str(exc)
+    return [(p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in xs.nodes]
+
+
+BUILDERS = (
+    (generators._chung_yao_nodes, chung_yao_nodes_fraction),
+    (generators._projective_image_nodes, projective_image_nodes_fraction),
+)
+
+
+class TestIntegerBuildersAgainstFraction:
+    @pytest.mark.parametrize("bound", (1, 2, 8))
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_same_nodes_in_same_order(self, degree, bound):
+        for seed in range(50):
+            for build, oracle in BUILDERS:
+                assert _exact(build, degree, seed, bound) == _exact(oracle, degree, seed, bound)
+
+    def test_starved_bound_fails_alike(self):
+        # bound 1 leaves four line directions, so five general-position lines cannot exist
+        starved = (
+            "RetryLimitExceeded",
+            "no general-position configuration of 5 lines within 512 draws at coordinate bound 1",
+        )
+        assert _exact(generators._chung_yao_nodes, 3, 0, 1) == starved
+        assert _exact(chung_yao_nodes_fraction, 3, 0, 1) == starved
+        image = generators._projective_image_nodes
+        seeds = [seed for seed in range(20) if _exact(image, 3, seed, 1) == starved]
+        assert seeds
+        assert all(_exact(projective_image_nodes_fraction, 3, seed, 1) == starved for seed in seeds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        degree=st.integers(1, 6),
+        seed=st.integers(0, 2**64 - 1),
+        bound=st.integers(1, 40),
+    )
+    def test_property_over_seed_and_bound(self, degree, seed, bound):
+        for build, oracle in BUILDERS:
+            assert _exact(build, degree, seed, bound) == _exact(oracle, degree, seed, bound)
+
+
+class TestWitnessOrder:
+    @pytest.mark.parametrize("kind", ("chung_yao", "principal", "projective_image"))
+    def test_witness_keys_follow_line_order(self, kind):
+        for degree in range(1, 7):
+            for seed in range(3):
+                _, cert = generate_with_certificate(GeneratorSpec(kind, degree, seed=seed))
+                for entry in cert.entries:
+                    assert list(entry.witnesses) == list(entry.lines) == sorted(entry.lines)
+
+    @pytest.mark.parametrize("kind", ("chung_yao", "principal", "projective_image"))
+    def test_witness_keys_match_algebraic_oracle(self, kind):
+        for degree in range(1, 5):
+            xs, cert = generate_with_certificate(GeneratorSpec(kind, degree, seed=degree))
+            for got, want in zip(cert.entries, certify_gc_algebraic(xs).entries):
+                assert list(got.witnesses.items()) == list(want.witnesses.items())

@@ -194,6 +194,38 @@ class TestScalar:
         assert to_scalar(7) == 7
         assert Point("1/2", 0).x == Fraction(1, 2)
 
+    def test_fraction_comes_back_as_itself(self):
+        q = Fraction(-6, 4)
+        assert to_scalar(q) is q
+        p = Point(q, Fraction(5))
+        assert p.x is q
+
+    def test_values_and_types_by_input_form(self):
+        cases = (
+            (7, Fraction(7)),
+            (-3, Fraction(-3)),
+            (True, Fraction(1)),
+            ("2/3", Fraction(2, 3)),
+            ("-10/4", Fraction(-5, 2)),
+            (Fraction(9, 6), Fraction(3, 2)),
+        )
+        for value, want in cases:
+            got = to_scalar(value)
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    def test_fraction_subclass_becomes_fraction(self):
+        class Tagged(Fraction):
+            pass
+
+        got = to_scalar(Tagged(1, 3))
+        assert type(got) is Fraction and got == Fraction(1, 3)
+
+    def test_float_refused_even_when_exact(self):
+        for value in (0.5, 2.0, -0.0):
+            with pytest.raises(TypeError):
+                to_scalar(value)
+
     @given(rationals)
     def test_lowest_terms_positive_denominator(self, q):
         s = to_scalar(q)
