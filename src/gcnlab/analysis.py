@@ -32,8 +32,7 @@ from .errors import (
     ParallelLines,
     RetryLimitExceeded,
 )
-from .geometry import Line, intersect, line_through
-from .interpolation import NodeSet, is_essentially_dependent
+from .geometry import Line, NodeSet, intersect, line_through
 
 
 @dataclass(frozen=True)
@@ -153,6 +152,8 @@ def cayley_bacharach_check(lines_m: Sequence[Line], lines_n: Sequence[Line]) -> 
     m, n = len(lines_m), len(lines_n)
     if m < 1 or n < 1 or m + n < 3:
         raise ValueError("need line groups of degrees m, n with m + n >= 3")
+    from .interpolation import is_essentially_dependent
+
     points = []
     for la in lines_m:
         for lb in lines_n:

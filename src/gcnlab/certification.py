@@ -50,18 +50,8 @@ from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .errors import (
-    GCNLabError,
-    NotDivisible,
-    NotGC,
-    NotPoised,
-    NotProductOfCandidateLines,
-    TooManyCollinear,
-    ZeroPolynomial,
-)
-from .geometry import Line
-from .interpolation import NodeSet, is_poised
-from .polynomials import Poly, dim_pi, divide_by_line
+from .errors import GCNLabError, NotGC, NotPoised, TooManyCollinear
+from .geometry import Line, NodeSet
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -235,24 +225,6 @@ class GCCertificate:
         return self.index
 
 
-@dataclass(frozen=True)
-class UsedLineIndex:
-    """For each line, the indices of the nodes whose factorization uses it."""
-
-    users: Mapping[Line, tuple[int, ...]]
-
-    @classmethod
-    def from_certificate(cls, cert: GCCertificate) -> "UsedLineIndex":
-        acc: dict[Line, list[int]] = {}
-        for entry in cert.entries:
-            for line in set(entry.lines):
-                acc.setdefault(line, []).append(entry.node_index)
-        return cls({line: tuple(sorted(ks)) for line, ks in sorted(acc.items())})
-
-    def users_of(self, line: Line) -> tuple[int, ...]:
-        return self.users.get(line, ())
-
-
 def line_incidence(xs: NodeSet) -> dict[Line, tuple[int, ...]]:
     """Every line through at least two nodes, with its incident node indices.
 
@@ -262,40 +234,6 @@ def line_incidence(xs: NodeSet) -> dict[Line, tuple[int, ...]]:
     if len(xs) < 2:
         raise ValueError("need at least two nodes to span lines")
     return {line: _bits(mask) for line, mask in Incidence.of(xs).masks.items()}
-
-
-def candidate_lines(xs: NodeSet) -> set[Line]:
-    """All canonical lines through at least two nodes, deduplicated."""
-    return set(line_incidence(xs))
-
-
-def factor_into_lines(p: Poly, candidates: set[Line]) -> tuple[tuple[Line, ...], Fraction]:
-    """Factor ``p`` as ``constant * product(candidate lines)`` or fail.
-
-    Candidates are tried in canonical order, each divided out to its full
-    multiplicity.  Success means the residual is a nonzero constant after
-    exactly ``p.degree()`` peels; a residual of degree >= 1 raises
-    NotProductOfCandidateLines.
-    """
-    if p.is_zero():
-        raise ZeroPolynomial("the zero polynomial has no line factorization")
-    residual = p
-    factors: list[Line] = []
-    for line in sorted(candidates):
-        while residual.degree() >= 1:
-            try:
-                residual = divide_by_line(residual, line)
-            except NotDivisible:
-                break
-            factors.append(line)
-        if residual.degree() < 1:
-            break
-    if residual.degree() >= 1:
-        raise NotProductOfCandidateLines(
-            f"residual of degree {residual.degree()} is not a product of candidate lines",
-            residual_degree=residual.degree(),
-        )
-    return tuple(sorted(factors)), residual.coeffs[0]
 
 
 def _cover(
@@ -346,7 +284,7 @@ def certify_gc(xs: NodeSet) -> GCCertificate:
     rechecked by exact evaluation at every node.
     """
     n = xs.degree
-    if len(xs) != dim_pi(n):
+    if len(xs) != (n + 1) * (n + 2) // 2:  # dim Pi_n
         raise NotPoised(f"{len(xs)} nodes at degree {n} are not poised")
     index = Incidence.of(xs)
     everyone = (1 << len(xs)) - 1
@@ -361,6 +299,8 @@ def certify_gc(xs: NodeSet) -> GCCertificate:
         keys, left = _cover(everyone ^ bit, ranked, n, bit)
         # a cover by fewer than n lines exists only in a non-poised set
         if keys is None or len(keys) != n:
+            from .interpolation import is_poised
+
             if not is_poised(xs):
                 raise NotPoised(f"{len(xs)} nodes at degree {n} are not poised")
             raise NotGC(
@@ -425,7 +365,3 @@ def certify_gc(xs: NodeSet) -> GCCertificate:
 def used_lines_of(cert: GCCertificate, k: int) -> set[Line]:
     """The distinct lines in node ``k``'s factor multiset."""
     return set(cert.entries[k].lines)
-
-
-def used_line_index(cert: GCCertificate) -> UsedLineIndex:
-    return UsedLineIndex.from_certificate(cert)

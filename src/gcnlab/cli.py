@@ -5,6 +5,10 @@ succeeded), 1 when the property fails (not poised, not GC, GM violated,
 dependence check false, retry budget exhausted), 2 for input or usage
 errors.  All structured output is canonical JSON on stdout (or ``--out``);
 diagnostics go to stderr.
+
+Each handler imports the modules it runs when it runs, so a command pays
+at start-up only for its own code: ``certify-gc`` loads the certifier and
+the serializer, not the generators, sequences, plotting or exact algebra.
 """
 
 from __future__ import annotations
@@ -13,15 +17,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import serialization as ser
-from .analysis import (
-    cayley_bacharach_check,
-    incidence_profile,
-    search_counterexample,
-    verify_gm,
-)
-from .certification import Incidence, certify_gc, used_lines_of
 from .errors import (
     DegenerateIntersection,
     GCNLabError,
@@ -33,13 +30,9 @@ from .errors import (
     RetryLimitExceeded,
     TooManyCollinear,
 )
-from .generators import DEFAULT_KINDS, GeneratorSpec, generate
-from .geometry import Line
-from .interpolation import NodeSet, fundamental, is_poised
-from .plotting import plot_svg
-from .polynomials import format_poly
-from .rng import SplitMix64
-from .sequences import enumerate_mdseqs, fixed_first_mdseq, greedy_mdseq
+
+if TYPE_CHECKING:
+    from .geometry import Line, NodeSet
 
 _PROPERTY_FAILED = 1
 _BAD_INPUT = 2
@@ -50,11 +43,13 @@ class _InputError(Exception):
 
 
 def _read_nodeset(path: str) -> NodeSet:
+    from .serialization import load_nodeset
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from None
-    return ser.load_nodeset(text)
+    return load_nodeset(text)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -71,6 +66,8 @@ def _node_index(xs: NodeSet, k: int) -> int:
 
 
 def _parse_line_option(text: str) -> Line:
+    from .geometry import Line
+
     parts = text.split(",")
     if len(parts) != 3:
         raise _InputError(f"--fix-line expects 'a,b,c', got {text!r}")
@@ -87,6 +84,8 @@ def _json_dump(doc) -> str:
 # --- subcommand handlers -------------------------------------------------------
 
 def _cmd_check_poised(args) -> int:
+    from .interpolation import is_poised
+
     xs = _read_nodeset(args.file)
     poised = is_poised(xs)
     _emit(
@@ -97,10 +96,14 @@ def _cmd_check_poised(args) -> int:
 
 
 def _cmd_fundamental(args) -> int:
+    from .interpolation import fundamental
+    from .polynomials import format_poly
+    from .serialization import poly_to_dict
+
     xs = _read_nodeset(args.file)
     k = _node_index(xs, args.node)
     sol = fundamental(xs, k)
-    doc = ser.poly_to_dict(sol.poly)
+    doc = poly_to_dict(sol.poly)
     doc["node"] = k
     doc["text"] = format_poly(sol.poly)
     _emit(_json_dump(doc), args.out)
@@ -108,13 +111,18 @@ def _cmd_fundamental(args) -> int:
 
 
 def _cmd_certify_gc(args) -> int:
+    from .certification import certify_gc
+    from .serialization import save_certificate
+
     xs = _read_nodeset(args.file)
     cert = certify_gc(xs)
-    _emit(ser.save_certificate(cert), args.out)
+    _emit(save_certificate(cert), args.out)
     return 0
 
 
 def _cmd_used_lines(args) -> int:
+    from .certification import certify_gc, used_lines_of
+
     xs = _read_nodeset(args.file)
     cert = certify_gc(xs)
     k = _node_index(xs, args.node)
@@ -124,6 +132,9 @@ def _cmd_used_lines(args) -> int:
 
 
 def _cmd_mdseq(args) -> int:
+    from .certification import certify_gc
+    from .sequences import enumerate_mdseqs, fixed_first_mdseq, greedy_mdseq
+
     xs = _read_nodeset(args.file)
     cert = certify_gc(xs)
     k = _node_index(xs, args.node)
@@ -148,6 +159,8 @@ def _cmd_mdseq(args) -> int:
 
 
 def _cmd_maximal_lines(args) -> int:
+    from .certification import Incidence
+
     xs = _read_nodeset(args.file)
     doc = {
         "degree": xs.degree,
@@ -161,13 +174,18 @@ def _cmd_maximal_lines(args) -> int:
 
 
 def _cmd_verify_gm(args) -> int:
+    from .analysis import verify_gm
+    from .serialization import save_report
+
     xs = _read_nodeset(args.file)
     report = verify_gm(xs)
-    _emit(ser.save_report(report), args.out)
+    _emit(save_report(report), args.out)
     return 0 if report.satisfied else _PROPERTY_FAILED
 
 
 def _cmd_incidence_profile(args) -> int:
+    from .analysis import incidence_profile
+
     xs = _read_nodeset(args.file)
     k = _node_index(xs, args.node)
     target = None
@@ -189,6 +207,10 @@ def _cmd_incidence_profile(args) -> int:
 
 
 def _cmd_cayley_bacharach(args) -> int:
+    from .analysis import cayley_bacharach_check
+    from .geometry import Line
+    from .rng import SplitMix64
+
     if args.m < 1 or args.n < 1 or args.m + args.n < 3:
         raise _InputError("need --m >= 1 and --n >= 1 with m + n >= 3")
     rng = SplitMix64(args.seed)
@@ -226,23 +248,32 @@ def _cmd_cayley_bacharach(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .generators import GeneratorSpec, generate
+    from .serialization import save_nodeset
+
     spec = GeneratorSpec(
         kind=args.kind, degree=args.degree, seed=args.seed, coordinate_bound=args.bound
     )
     xs = generate(spec)
-    _emit(ser.save_nodeset(xs), args.out)
+    _emit(save_nodeset(xs), args.out)
     return 0
 
 
 def _cmd_search(args) -> int:
+    from .analysis import search_counterexample
+    from .serialization import save_summary
+
     summary = search_counterexample(
         degree=args.degree, trials=args.trials, seed=args.seed, coordinate_bound=args.bound
     )
-    _emit(ser.save_summary(summary), args.out)
+    _emit(save_summary(summary), args.out)
     return 0 if summary.all_satisfied else _PROPERTY_FAILED
 
 
 def _cmd_plot(args) -> int:
+    from .certification import Incidence, certify_gc, used_lines_of
+    from .plotting import plot_svg
+
     xs = _read_nodeset(args.file)
     overlays = args.overlay or ()
     maximal = ()
@@ -267,6 +298,8 @@ def _cmd_plot(args) -> int:
             if overlay.startswith("used:"):
                 used = used_lines_of(cert, k)
             else:
+                from .sequences import greedy_mdseq
+
                 sequence = greedy_mdseq(cert, k)
         else:
             raise _InputError(
@@ -277,6 +310,24 @@ def _cmd_plot(args) -> int:
 
 
 # --- parser -----------------------------------------------------------------------
+
+class _GeneratorKinds:
+    """``generators.DEFAULT_KINDS`` as ``--kind`` choices, imported when first read.
+
+    Once the argument exists, argparse reads its choices only to test a
+    parsed ``--kind`` and to print help or a usage error, so other commands
+    never load the generators.  ``add_argument`` itself formats the choices,
+    so they are attached to the action after it is added.
+    """
+
+    def __iter__(self):
+        from .generators import DEFAULT_KINDS
+
+        return iter(DEFAULT_KINDS)
+
+    def __contains__(self, kind) -> bool:
+        return kind in tuple(self)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -330,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=8)
 
     p = add("generate", _cmd_generate, "emit a certified node set")
-    p.add_argument("--kind", choices=DEFAULT_KINDS, required=True)
+    kind = p.add_argument("--kind", required=True)
+    kind.choices = _GeneratorKinds()
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", type=int, default=8)

@@ -57,14 +57,6 @@ class DuplicateNode(GCNLabError):
 
 # --- GC certification -------------------------------------------------------
 
-class NotProductOfCandidateLines(GCNLabError):
-    """A residual of degree >= 1 remained after all candidate divisions."""
-
-    def __init__(self, message: str, residual_degree: int | None = None):
-        super().__init__(message)
-        self.residual_degree = residual_degree
-
-
 class NotGC(GCNLabError):
     """Some fundamental polynomial is not a product of node-pair lines.
 

@@ -34,8 +34,7 @@ from math import lcm
 
 from .certification import GCCertificate, certify_gc
 from .errors import RetryLimitExceeded
-from .geometry import Point
-from .interpolation import NodeSet
+from .geometry import NodeSet, Point
 from .polynomials import dim_pi
 from .rng import SplitMix64
 
@@ -185,23 +184,9 @@ def generate(spec: GeneratorSpec) -> NodeSet:
     return xs
 
 
-def gen_chung_yao(spec: GeneratorSpec) -> NodeSet:
-    """All pairwise intersections of ``degree + 2`` random general-position lines."""
-    if spec.kind != "chung_yao":
-        raise ValueError(f"spec kind is {spec.kind!r}, expected 'chung_yao'")
-    return generate(spec)
-
-
 def gen_principal(degree: int) -> NodeSet:
     """The triangular lattice (i/n, j/n), i + j <= n, certified on the way out."""
     if degree < 1:
         raise ValueError("principal lattice needs degree >= 1")
     xs, _ = _principal_certified(degree)
     return xs
-
-
-def gen_projective_image(spec: GeneratorSpec) -> NodeSet:
-    """A random invertible affine image of a base construction."""
-    if spec.kind != "projective_image":
-        raise ValueError(f"spec kind is {spec.kind!r}, expected 'projective_image'")
-    return generate(spec)

@@ -10,6 +10,9 @@ triples, which makes deduplication of lines trivial.  Parallel lines never
 intersect: there are no projective points at infinity, callers get an
 explicit :class:`~gcnlab.errors.ParallelLines` signal instead.
 
+A :class:`NodeSet` is a degree-tagged tuple of distinct points, the input of
+every question the package answers.
+
 All values are immutable after construction and all operations are pure,
 so everything in this module is safe to share between threads.
 """
@@ -19,9 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
-from .errors import DuplicateLine, IdenticalLines, IdenticalPoints, ParallelLines
+from .errors import (
+    DuplicateLine,
+    DuplicateNode,
+    IdenticalLines,
+    IdenticalPoints,
+    LengthMismatch,
+    ParallelLines,
+)
 
 #: The coefficient field of every polynomial and coordinate in this package.
 Scalar = Fraction
@@ -107,6 +117,48 @@ class Line:
 
     def __repr__(self) -> str:
         return f"Line({self.a}, {self.b}, {self.c})"
+
+
+@dataclass(frozen=True)
+class NodeSet:
+    """A finite set of distinct nodes tagged with an interpolation degree.
+
+    Node order is significant only for indexing (certificates, CLI output);
+    every predicate in this package is order-invariant.
+    """
+
+    degree: int
+    nodes: tuple[Point, ...]
+    labels: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        if self.degree < 0:
+            raise ValueError(f"degree must be nonnegative, got {self.degree}")
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        if len(set(self.nodes)) != len(self.nodes):
+            seen: set[Point] = set()
+            for p in self.nodes:
+                if p in seen:
+                    raise DuplicateNode(f"node {p} appears twice")
+                seen.add(p)
+        if self.labels is not None:
+            labels = tuple(self.labels)
+            if len(labels) != len(self.nodes):
+                raise LengthMismatch(f"{len(labels)} labels for {len(self.nodes)} nodes")
+            object.__setattr__(self, "labels", labels)
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __iter__(self) -> Iterator[Point]:
+        return iter(self.nodes)
+
+    def index(self, p: Point) -> int | None:
+        """Index of a point in the set, or None when absent."""
+        try:
+            return self.nodes.index(p)
+        except ValueError:
+            return None
 
 
 def line_through(p: Point, q: Point) -> Line:

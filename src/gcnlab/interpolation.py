@@ -1,10 +1,11 @@
 """Poisedness, fundamental polynomials and interpolation by exact rank.
 
-A node set is a degree-tagged tuple of distinct points.  Everything here
-reduces to exact linear algebra on the Vandermonde matrix whose row for a
-node lists the monomial values in the global graded-lex order; poisedness,
-independence and essential dependence are rank statements, fundamental
-polynomials and interpolants come from exact solves.
+A node set (:class:`~gcnlab.geometry.NodeSet`, re-exported here) is a
+degree-tagged tuple of distinct points.  Everything here reduces to exact
+linear algebra on the Vandermonde matrix whose row for a node lists the
+monomial values in the global graded-lex order; poisedness, independence
+and essential dependence are rank statements, fundamental polynomials and
+interpolants come from exact solves.
 
 All functions are pure.  Fundamental polynomials for all nodes of one set
 are produced from a single shared elimination (see :func:`all_fundamentals`),
@@ -17,54 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import linalg
-from .errors import DuplicateNode, LengthMismatch, NotPoised
-from .geometry import Point
+from .errors import LengthMismatch, NotPoised
+from .geometry import NodeSet, Point
 from .polynomials import Poly, dim_pi, monomials
-
-
-@dataclass(frozen=True)
-class NodeSet:
-    """A finite set of distinct nodes tagged with an interpolation degree.
-
-    Node order is significant only for indexing (certificates, CLI output);
-    every predicate in this package is order-invariant.
-    """
-
-    degree: int
-    nodes: tuple[Point, ...]
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"degree must be nonnegative, got {self.degree}")
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        if len(set(self.nodes)) != len(self.nodes):
-            seen: set[Point] = set()
-            for p in self.nodes:
-                if p in seen:
-                    raise DuplicateNode(f"node {p} appears twice")
-                seen.add(p)
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != len(self.nodes):
-                raise LengthMismatch(f"{len(labels)} labels for {len(self.nodes)} nodes")
-            object.__setattr__(self, "labels", labels)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self) -> Iterator[Point]:
-        return iter(self.nodes)
-
-    def index(self, p: Point) -> int | None:
-        """Index of a point in the set, or None when absent."""
-        try:
-            return self.nodes.index(p)
-        except ValueError:
-            return None
 
 
 @dataclass(frozen=True)

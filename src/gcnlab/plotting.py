@@ -16,12 +16,13 @@ with a black outline).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import IdenticalLines, ParallelLines
-from .geometry import Line, Point, intersect
-from .interpolation import NodeSet
-from .sequences import MLineSequence
+from .geometry import Line, NodeSet, Point, intersect
+
+if TYPE_CHECKING:
+    from .sequences import MLineSequence
 
 _PALETTE = (
     "#1f77b4",

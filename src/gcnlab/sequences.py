@@ -27,13 +27,14 @@ are ignored by all counting here; only nodes count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .certification import GCCertificate, Incidence, _bits, scaled_nodes
 from .errors import CountsUnequal, LineNotUsed, MultiplicityPresent, ParallelLines
-from .geometry import Line, Point, intersect, is_incident
-from .interpolation import NodeSet
-from .polynomials import Poly, divide_by_line
+from .geometry import Line, NodeSet, Point, intersect, is_incident
+
+if TYPE_CHECKING:
+    from .polynomials import Poly
 
 TieBreak = Callable[[Line], object]
 
@@ -272,6 +273,8 @@ def primary_zero_divisibility(
             if p.at(pt) != 0:
                 raise ValueError(f"polynomial does not vanish at stated primary zero {pt}")
         seen_lines.append(line)
+    from .polynomials import divide_by_line
+
     result = p
     for line, _ in suffix:
         result = divide_by_line(result, line)

@@ -6,6 +6,11 @@ every value bit for bit.  Dumps are canonical (sorted keys, two-space
 indent, a single trailing newline, lists in node/canonical-line order),
 which is what makes the byte-identical determinism guarantee testable.
 
+Reading and writing node sets needs only :mod:`gcnlab.geometry` and
+:mod:`gcnlab.errors`; each loader of a certificate, report, summary or
+polynomial imports the types it builds when it runs, so loading a node
+file pulls in no other gcnlab module.
+
 Schemas
 -------
 node set:     {"degree": n, "nodes": [["p/q", "p/q"], ...], "labels": [...]?}
@@ -28,14 +33,15 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .analysis import GMReport, SearchSummary, TrialFailure
-from .certification import GCCertificate, NodeCertificate
 from .errors import BadRational, ParseError
-from .geometry import Line, Point
-from .interpolation import NodeSet
-from .polynomials import Poly, dim_pi
+from .geometry import Line, NodeSet, Point
+
+if TYPE_CHECKING:
+    from .analysis import GMReport, SearchSummary
+    from .certification import GCCertificate
+    from .polynomials import Poly
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -119,6 +125,8 @@ def poly_to_dict(p: Poly) -> dict:
 
 
 def poly_from_dict(doc: Any) -> Poly:
+    from .polynomials import Poly, dim_pi
+
     _expect(isinstance(doc, dict), "polynomial document must be an object")
     degree = doc.get("degree")
     _expect(isinstance(degree, int) and not isinstance(degree, bool) and degree >= 0,
@@ -161,6 +169,8 @@ def certificate_to_dict(cert: GCCertificate) -> dict:
 
 
 def certificate_from_dict(doc: Any) -> GCCertificate:
+    from .certification import GCCertificate, NodeCertificate
+
     xs = nodeset_from_dict(doc)
     raw_entries = doc.get("entries")
     _expect(isinstance(raw_entries, list), "field 'entries' must be a list")
@@ -218,6 +228,8 @@ def report_to_dict(report: GMReport) -> dict:
 
 
 def report_from_dict(doc: Any) -> GMReport:
+    from .analysis import GMReport
+
     _expect(isinstance(doc, dict), "report document must be an object")
     _expect(isinstance(doc.get("degree"), int), "field 'degree' must be an integer")
     _expect(isinstance(doc.get("satisfied"), bool), "field 'satisfied' must be a boolean")
@@ -275,6 +287,8 @@ def summary_to_dict(summary: SearchSummary) -> dict:
 
 
 def summary_from_dict(doc: Any) -> SearchSummary:
+    from .analysis import SearchSummary, TrialFailure
+
     _expect(isinstance(doc, dict), "summary document must be an object")
     for field_name in ("degree", "trials", "seed", "coordinate_bound", "certified", "gm_satisfied"):
         _expect(isinstance(doc.get(field_name), int), f"field {field_name!r} must be an integer")

@@ -28,12 +28,20 @@ canonical :class:`Line` objects, test general position with
 ``gcnlab.general_position`` on the whole list, intersect in Fraction
 arithmetic, sort Points and apply the affine map to Fraction coordinates,
 from the same seeded stream.
+
+:func:`candidate_lines`, :func:`factor_into_lines` (raising
+:class:`NotProductOfCandidateLines`) and :class:`UsedLineIndex` /
+:func:`used_line_index` are the factorization and line-use helpers that
+left the library once certification became a cover search; the tests use
+them to look inside fundamental polynomials and certificates.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import Mapping
 
 from gcnlab import (
     GCCertificate,
@@ -47,9 +55,9 @@ from gcnlab import (
     NotGC,
     NotPoised,
     DuplicateLine,
-    NotProductOfCandidateLines,
     Point,
     RetryLimitExceeded,
+    ZeroPolynomial,
     all_fundamentals,
     dim_pi,
     divide_by_line,
@@ -57,6 +65,7 @@ from gcnlab import (
     intersect,
     is_incident,
     is_poised,
+    line_incidence,
     line_through,
 )
 from gcnlab.generators import RETRY_LIMIT
@@ -205,6 +214,70 @@ def line_incidence_pairs(xs):
         for j in range(i + 1, len(nodes)):
             acc.setdefault(line_through(nodes[i], nodes[j]), set()).update((i, j))
     return {l: tuple(sorted(ids)) for l, ids in acc.items()}
+
+
+class NotProductOfCandidateLines(GCNLabError):
+    """A residual of degree >= 1 remained after all candidate divisions."""
+
+    def __init__(self, message, residual_degree=None):
+        super().__init__(message)
+        self.residual_degree = residual_degree
+
+
+def candidate_lines(xs):
+    """All canonical lines through at least two nodes, deduplicated."""
+    return set(line_incidence(xs))
+
+
+def factor_into_lines(p, candidates):
+    """Factor ``p`` as ``constant * product(candidate lines)`` or fail.
+
+    Candidates are tried in canonical order, each divided out to its full
+    multiplicity.  Success means the residual is a nonzero constant after
+    exactly ``p.degree()`` peels; a residual of degree >= 1 raises
+    NotProductOfCandidateLines.
+    """
+    if p.is_zero():
+        raise ZeroPolynomial("the zero polynomial has no line factorization")
+    residual = p
+    factors = []
+    for line in sorted(candidates):
+        while residual.degree() >= 1:
+            try:
+                residual = divide_by_line(residual, line)
+            except NotDivisible:
+                break
+            factors.append(line)
+        if residual.degree() < 1:
+            break
+    if residual.degree() >= 1:
+        raise NotProductOfCandidateLines(
+            f"residual of degree {residual.degree()} is not a product of candidate lines",
+            residual_degree=residual.degree(),
+        )
+    return tuple(sorted(factors)), residual.coeffs[0]
+
+
+@dataclass(frozen=True)
+class UsedLineIndex:
+    """For each line, the indices of the nodes whose factorization uses it."""
+
+    users: Mapping
+
+    @classmethod
+    def from_certificate(cls, cert):
+        acc = {}
+        for entry in cert.entries:
+            for line in set(entry.lines):
+                acc.setdefault(line, []).append(entry.node_index)
+        return cls({line: tuple(sorted(ks)) for line, ks in sorted(acc.items())})
+
+    def users_of(self, line):
+        return self.users.get(line, ())
+
+
+def used_line_index(cert):
+    return UsedLineIndex.from_certificate(cert)
 
 
 def _factor_zero_cover(p, cands, zero_nodes):

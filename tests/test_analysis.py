@@ -22,14 +22,13 @@ from gcnlab import (
     line_incidence,
     maximal_lines,
     search_counterexample,
-    used_line_index,
     verify_gm,
 )
 from gcnlab.certification import Incidence
 from gcnlab.generators import DEFAULT_KINDS
 from gcnlab.rng import SplitMix64, substream_seed
 
-from oracles import solvable_naive
+from oracles import solvable_naive, used_line_index
 
 
 class TestMaximalLines:

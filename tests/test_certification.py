@@ -15,21 +15,17 @@ from gcnlab import (
     NodeSet,
     NotGC,
     NotPoised,
-    NotProductOfCandidateLines,
     Point,
     Poly,
     ZeroPolynomial,
     all_fundamentals,
-    candidate_lines,
     certify_gc,
     divide_by_line,
-    factor_into_lines,
     generate,
     is_poised,
     line_incidence,
     line_through,
     multiply_line,
-    used_line_index,
     used_lines_of,
 )
 from gcnlab import certification
@@ -39,7 +35,15 @@ from gcnlab.rng import SplitMix64
 from gcnlab.serialization import load_certificate, save_certificate
 
 from conftest import CY2_LINES
-from oracles import certify_gc_algebraic, distinct_pair_lines, line_incidence_pairs
+from oracles import (
+    NotProductOfCandidateLines,
+    candidate_lines,
+    certify_gc_algebraic,
+    distinct_pair_lines,
+    factor_into_lines,
+    line_incidence_pairs,
+    used_line_index,
+)
 
 
 def product_poly(lines, constant=1):

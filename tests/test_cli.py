@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: output documents and exit codes."""
 
+import argparse
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from gcnlab import (
+    DEFAULT_KINDS,
     GeneratorSpec,
     certify_gc,
     generate,
@@ -13,8 +17,8 @@ from gcnlab import (
     plot_svg,
     used_lines_of,
 )
-from gcnlab import cli
-from gcnlab.cli import main
+from gcnlab import certification
+from gcnlab.cli import build_parser, main
 from gcnlab.serialization import save_nodeset
 
 
@@ -234,7 +238,7 @@ class TestPlot:
             calls.append(xs)
             return certify_gc(xs)
 
-        monkeypatch.setattr(cli, "certify_gc", counting_certify)
+        monkeypatch.setattr(certification, "certify_gc", counting_certify)
         code, out = run(
             capsys, "plot", cy3_file, "--overlay", "used:1", "--overlay", "primary:2",
         )
@@ -292,3 +296,74 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as excinfo:
             main(["mdseq"])  # missing required file and --node
         assert excinfo.value.code == 2
+
+
+# Help texts and a usage error, pinned from the CLI as it was before its
+# imports moved into the handlers (argparse wraps them to COLUMNS).
+PINNED = json.loads((Path(__file__).parent / "cli_help.json").read_text(encoding="utf-8"))
+
+
+class TestPinnedOutput:
+    @pytest.mark.skipif(
+        "%d.%d" % sys.version_info[:2] != PINNED["python"],
+        reason=f"argparse layout pinned on Python {PINNED['python']}",
+    )
+    @pytest.mark.parametrize("pinned", PINNED["runs"], ids=lambda r: " ".join(r["argv"]))
+    def test_same_bytes(self, capsys, monkeypatch, pinned):
+        monkeypatch.setenv("COLUMNS", str(PINNED["columns"]))
+        with pytest.raises(SystemExit) as excinfo:
+            main(pinned["argv"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == pinned["code"]
+        assert captured.out == pinned["stdout"]
+        assert captured.err == pinned["stderr"]
+
+    def test_kind_choices_are_the_generator_kinds(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        (kind,) = (a for a in sub.choices["generate"]._actions if a.dest == "kind")
+        assert tuple(kind.choices) == DEFAULT_KINDS
+        assert all(k in kind.choices for k in DEFAULT_KINDS)
+        assert "berzolari" not in kind.choices
+
+
+class TestDegreeCap:
+    """Only ``Poly`` is capped at MAX_DEGREE (12); the combinatorial paths are not."""
+
+    @pytest.fixture(scope="class")
+    def cy14_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cap") / "cy14.json"
+        path.write_text(save_nodeset(generate(GeneratorSpec("chung_yao", 14, seed=1))))
+        return str(path)
+
+    def test_generate_accepts_degree_14(self, capsys):
+        code, out = run(capsys, "generate", "--kind", "chung_yao", "--degree", "14", "--seed", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["degree"] == 14 and len(doc["nodes"]) == 120
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("check-poised",), ("certify-gc",), ("verify-gm",), ("mdseq", "--node", "0")],
+        ids=lambda argv: argv[0],
+    )
+    def test_command_accepts_degree_14(self, capsys, cy14_file, argv):
+        code, out = run(capsys, argv[0], cy14_file, *argv[1:])
+        assert code == 0
+        doc = json.loads(out)
+        if argv[0] == "mdseq":
+            assert doc["counts"] == list(range(15, 1, -1))
+        else:
+            assert doc.get("degree", 14) == 14
+
+    def test_search_accepts_degree_14(self, capsys):
+        code, out = run(capsys, "search", "--degree", "14", "--trials", "1", "--seed", "5")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["certified"] == doc["gm_satisfied"] == 1
+
+    def test_fundamental_rejects_degree_14(self, capsys, cy14_file):
+        code = main(["fundamental", cy14_file, "--node", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "gcnlab: degree bound 14 outside [0, 12]\n"

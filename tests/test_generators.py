@@ -12,9 +12,7 @@ from gcnlab import (
     RetryLimitExceeded,
     certify_gc,
     dim_pi,
-    gen_chung_yao,
     gen_principal,
-    gen_projective_image,
     generate,
     generate_with_certificate,
     is_poised,
@@ -45,28 +43,24 @@ class TestGeneratorSpec:
 
 class TestChungYao:
     def test_degree_one_triangle(self):
-        xs = gen_chung_yao(GeneratorSpec("chung_yao", 1, seed=8))
+        xs = generate(GeneratorSpec("chung_yao", 1, seed=8))
         assert len(xs) == 3 and is_poised(xs)
 
     def test_node_count_is_dimension(self):
         for degree, seed in ((1, 0), (2, 1), (3, 2), (4, 3), (5, 4)):
-            xs = gen_chung_yao(GeneratorSpec("chung_yao", degree, seed=seed))
+            xs = generate(GeneratorSpec("chung_yao", degree, seed=seed))
             assert len(xs) == dim_pi(degree)
 
     def test_degree5_has_seven_maximal_lines(self):
-        xs = gen_chung_yao(GeneratorSpec("chung_yao", 5, seed=6))
+        xs = generate(GeneratorSpec("chung_yao", 5, seed=6))
         assert len(xs) == 21
         assert len(maximal_lines(xs)) == 7
-
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(ValueError):
-            gen_chung_yao(GeneratorSpec("principal", 2))
 
     def test_retry_limit_with_starved_bound(self):
         # coefficients in {-1, 0, 1} give only four line directions, so seven
         # pairwise non-parallel lines cannot exist and the budget must trip
         with pytest.raises(RetryLimitExceeded):
-            gen_chung_yao(GeneratorSpec("chung_yao", 5, seed=0, coordinate_bound=1))
+            generate(GeneratorSpec("chung_yao", 5, seed=0, coordinate_bound=1))
 
 
 class TestPrincipal:
@@ -95,7 +89,7 @@ class TestPrincipal:
 class TestProjectiveImage:
     def test_certified_output(self):
         for seed in (0, 1, 2, 3):
-            xs = gen_projective_image(GeneratorSpec("projective_image", 3, seed=seed))
+            xs = generate(GeneratorSpec("projective_image", 3, seed=seed))
             assert len(xs) == dim_pi(3)
             certify_gc(xs)  # must not raise
 
@@ -103,7 +97,7 @@ class TestProjectiveImage:
         # affine images keep incidence structure; principal base keeps 3,
         # natural-lattice base keeps degree + 2
         for seed in range(6):
-            xs = gen_projective_image(GeneratorSpec("projective_image", 2, seed=seed))
+            xs = generate(GeneratorSpec("projective_image", 2, seed=seed))
             assert len(maximal_lines(xs)) in (3, 4)
 
 

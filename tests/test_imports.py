@@ -1,0 +1,181 @@
+"""The lazy package namespace, and which modules each entry point loads.
+
+Each CLI command is a fresh process, so every module it imports is start-up
+time it pays.  These tests pin the gcnlab modules a command loads; a new
+top-level import then fails here instead of quietly slowing the CLI.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gcnlab
+from gcnlab import GeneratorSpec, generate
+from gcnlab.serialization import save_nodeset
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: The public names and their home modules.
+PUBLIC = {
+    "analysis": (
+        "GMReport", "IncidenceProfile", "SearchSummary", "TrialFailure",
+        "cayley_bacharach_check", "classify_2m_nodes", "gm_report_from_certificate",
+        "incidence_profile", "maximal_lines", "search_counterexample", "verify_gm",
+    ),
+    "certification": (
+        "GCCertificate", "NodeCertificate", "certify_gc", "line_incidence", "used_lines_of",
+    ),
+    "errors": (
+        "BadRational", "CenterInTarget", "CountsUnequal", "DegenerateIntersection",
+        "DuplicateLine", "DuplicateNode", "GCNLabError", "IdenticalLines", "IdenticalPoints",
+        "LengthMismatch", "LineNotUsed", "MultiplicityPresent", "NotDivisible", "NotGC",
+        "NotPoised", "ParallelLines", "ParseError", "RetryLimitExceeded", "TooManyCollinear",
+        "ZeroPolynomial",
+    ),
+    "generators": (
+        "DEFAULT_KINDS", "GeneratorSpec", "gen_principal", "generate", "generate_with_certificate",
+    ),
+    "geometry": (
+        "Line", "NodeSet", "Point", "Scalar", "general_position", "intersect", "is_incident",
+        "line_through", "to_scalar",
+    ),
+    "interpolation": (
+        "FundamentalSolution", "all_fundamentals", "annihilator", "fundamental", "interpolate",
+        "is_essentially_dependent", "is_independent", "is_poised", "vandermonde",
+    ),
+    "plotting": ("plot_svg",),
+    "polynomials": (
+        "MAX_DEGREE", "Poly", "dim_pi", "divide_by_line", "evaluate", "format_poly",
+        "monomials", "multiply_line",
+    ),
+    "sequences": (
+        "MDSequence", "MLineSequence", "enumerate_mdseqs", "fixed_first_mdseq", "greedy_mdseq",
+        "greedy_sequence_for_lines", "primary_zero_divisibility", "verify_swap_property",
+    ),
+}
+
+#: Former public names; the first five now live in tests/oracles.py.
+REMOVED = (
+    "NotProductOfCandidateLines",
+    "UsedLineIndex",
+    "candidate_lines",
+    "factor_into_lines",
+    "used_line_index",
+    "gen_chung_yao",
+    "gen_projective_image",
+)
+
+
+class TestNamespace:
+    def test_all_is_the_public_list(self):
+        names = [name for names in PUBLIC.values() for name in names]
+        assert sorted(gcnlab.__all__) == sorted(names)
+        assert len(set(gcnlab.__all__)) == len(gcnlab.__all__)
+
+    @pytest.mark.parametrize("module", sorted(PUBLIC))
+    def test_names_are_their_home_objects(self, module):
+        home = importlib.import_module(f"gcnlab.{module}")
+        for name in PUBLIC[module]:
+            assert getattr(gcnlab, name) is getattr(home, name), name
+
+    def test_removed_names_are_gone(self):
+        for name in REMOVED:
+            assert name not in gcnlab.__all__
+            with pytest.raises(AttributeError):
+                getattr(gcnlab, name)
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="module 'gcnlab' has no attribute 'nope'"):
+            gcnlab.nope  # noqa: B018
+        assert not hasattr(gcnlab, "nope")
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from gcnlab import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(gcnlab.__all__)
+
+    def test_dir(self):
+        listed = dir(gcnlab)
+        assert listed == sorted(listed)
+        assert set(gcnlab.__all__) <= set(listed)
+        assert "__version__" in listed
+
+    def test_submodules_still_import_by_name(self):
+        from gcnlab import certification, serialization
+
+        assert certification.certify_gc is gcnlab.certify_gc
+        assert serialization.__name__ == "gcnlab.serialization"
+
+
+# Runs one CLI command as ``python -m gcnlab.cli`` does and reports, as the
+# last stderr line, its exit code and the gcnlab submodules it loaded.
+PROBE = """
+import json, runpy, sys
+sys.argv = ["gcnlab", *sys.argv[1:]]
+code = 0
+try:
+    runpy.run_module("gcnlab.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("gcnlab."))
+print(json.dumps([code, loaded]), file=sys.stderr)
+"""
+
+BARE = """
+import json, sys, gcnlab
+print(json.dumps([0, sorted(m for m in sys.modules if m.startswith("gcnlab."))]), file=sys.stderr)
+"""
+
+
+def probe(cwd, code, *argv):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, cwd=cwd
+    )
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("imports")
+    (path / "cy.json").write_text(save_nodeset(generate(GeneratorSpec("chung_yao", 4, seed=3))))
+    (path / "moved.json").write_text(
+        '{"degree": 2, "nodes": [["0","0"],["0","1"],["0","4"],["1","0"],'
+        '["2","0"],["22/7","-21/11"]]}\n'
+    )
+    return path
+
+
+BASE = ["certification", "errors", "geometry", "serialization"]
+ALGEBRA = ["interpolation", "linalg", "polynomials"]
+
+
+class TestImportBoundary:
+    def test_bare_import_loads_no_module(self, workdir):
+        assert probe(workdir, BARE) == [0, []]
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            pytest.param(["certify-gc", "cy.json", "--out", "cert.json"], [], id="certify-gc"),
+            pytest.param(["verify-gm", "cy.json"], ["analysis"], id="verify-gm"),
+            pytest.param(["mdseq", "cy.json", "--node", "0", "--all"], ["sequences"], id="mdseq"),
+            pytest.param(["plot", "cy.json", "--overlay", "maximal"], ["plotting"], id="plot"),
+        ],
+    )
+    def test_benchmark_commands(self, workdir, argv, extra):
+        assert probe(workdir, PROBE, *argv) == [0, sorted(BASE + extra)]
+
+    def test_only_a_failed_cover_loads_the_algebra(self, workdir):
+        # telling a non-poised set from a poised non-GC one needs a rank
+        assert probe(workdir, PROBE, "certify-gc", "moved.json") == [1, sorted(BASE + ALGEBRA)]
+
+    def test_generate_loads_the_generators(self, workdir):
+        argv = ["generate", "--kind", "principal", "--degree", "2"]
+        expected = sorted(BASE + ["generators", "polynomials", "rng"])
+        assert probe(workdir, PROBE, *argv) == [0, expected]
