@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Sequence
 
-from .certification import GCCertificate, Incidence, certify_gc
+from .certification import GCCertificate, certify_gc
 from .errors import (
     CenterInTarget,
     DegenerateIntersection,
@@ -73,12 +73,12 @@ def maximal_lines(xs: NodeSet) -> set[Line]:
     poised input that indicates an internal bug, for raw input it is a
     validity report.
     """
-    return {line for line, _ in Incidence.of(xs).maximal}
+    return {line for line, _ in xs.incidence.maximal}
 
 
 def gm_report_from_certificate(cert: GCCertificate) -> GMReport:
     """Build the GM report for an already-certified set."""
-    maximal = cert.incidence.maximal
+    maximal = cert.nodeset.incidence.maximal
     satisfied = bool(maximal)
     return GMReport(
         degree=cert.degree,
@@ -102,7 +102,7 @@ def verify_gm(xs: NodeSet) -> GMReport:
 def classify_2m_nodes(xs: NodeSet) -> set[int]:
     """Indices of nodes lying on at least two maximal lines."""
     tally: dict[int, int] = {}
-    for _, ids in Incidence.of(xs).maximal:
+    for _, ids in xs.incidence.maximal:
         for j in ids:
             tally[j] = tally.get(j, 0) + 1
     return {j for j, c in tally.items() if c >= 2}
@@ -259,7 +259,7 @@ def search_counterexample(
             )
         # the lines of one certified node are distinct, so a line's count is
         # the number of nodes that use it
-        index = cert.incidence
+        index = cert.nodeset.incidence
         for line, uses in Counter(chain.from_iterable(e.lines for e in cert.entries)).items():
             node_count = index.mask_of(line).bit_count()
             if uses > use_count_max.get(node_count, 0):

@@ -11,20 +11,23 @@ two nodes and no line repeats, so the factors are such a cover.  GC
 certification is therefore a covering search, and needs algebra only to
 tell a non-poised set from a poised non-GC one after a cover is missing.
 
-The covering search runs on one :class:`Incidence` index per node set:
-nodes scaled by the common denominator D of their coordinates to integers
-``(X, Y)``, and every line through two nodes mapped, under its primitive
-integer equation ``(A, B, C)``, to the bitmask of its nodes.  A canonical
-:class:`Line` is built only for a line that leaves the index: a cover
-line, or a line reported to a caller.  With r lines left, a line holding
-at least r + 1 uncovered nodes must be chosen (the other r - 1 lines meet
-it at most once each).  The lines are ranked once by node count, largest
-first, so each forcing pass stops at the first line with at most r nodes;
-after forcing, more than r^2 uncovered nodes cannot be covered, and
-otherwise the search branches over the lines through the lowest uncovered
-node.  Lines through the node being certified are skipped by a mask test.
-When a poised set has no cover at some node, :class:`NotGC` names the node
-and the nodes its forced lines left uncovered.
+The covering search runs on the node set's own incidence index,
+``xs.incidence`` (:class:`~gcnlab.geometry.Incidence`): nodes scaled by the
+common denominator D of their coordinates to integers ``(X, Y)``, and every
+line through two nodes mapped, under its primitive integer equation ``(A,
+B, C)``, to the bitmask of its nodes.  The index stays with the set, so
+whatever reads it after certification (maximal lines, the GM report,
+sequences) reuses it.  A canonical :class:`Line` is built only for a line
+that leaves the index: a cover line, or a line reported to a caller.  With
+r lines left, a line holding at least r + 1 uncovered nodes must be chosen
+(the other r - 1 lines meet it at most once each).  The lines are ranked
+once by node count, largest first, so each forcing pass stops at the first
+line with at most r nodes; after forcing, more than r^2 uncovered nodes
+cannot be covered, and otherwise the search branches over the lines
+through the lowest uncovered node.  Lines through the node being certified
+are skipped by a mask test.  When a poised set has no cover at some node,
+:class:`NotGC` names the node and the nodes its forced lines left
+uncovered.
 
 Certificates are rechecked exactly before being returned.  Each factor
 line is evaluated once at every node as the integer ``a*X + b*Y + c*D``
@@ -36,151 +39,18 @@ over the product's integer value at k, exactly when the OR of the zero
 masks is every node but k.  Every factor line must also carry at least two
 witness nodes where the other factors are nonzero: nodes of its zero mask
 outside the OR of the other masks, read off prefix and suffix ORs.
-
-The index also holds the set's maximal lines, those through degree + 1
-nodes, computed once on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm, prod
+from math import prod
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .errors import GCNLabError, NotGC, NotPoised, TooManyCollinear
-from .geometry import Line, NodeSet
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-def scaled_nodes(xs: NodeSet) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The lcm D of all coordinate denominators and the integer nodes ``(D*x, D*y)``."""
-    nodes = xs.nodes
-    d = lcm(*(c.denominator for p in nodes for c in (p.x, p.y)))
-    coords = tuple(
-        (p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator))
-        for p in nodes
-    )
-    return d, coords
-
-
-Key = tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class Incidence:
-    """Every line through at least two nodes, with the bitmask of its nodes.
-
-    ``degree`` is the node set's degree, ``scale`` the lcm D of all
-    coordinate denominators and ``coords`` the integer nodes ``(D*x, D*y)``.
-    ``keys`` maps the primitive equation ``(A, B, C)`` of each line,
-    ``A*X + B*Y + C = 0`` in the integer coordinates with ``(A, B)`` coprime
-    and its first nonzero positive, to the line's node bitmask: bit j is
-    set iff node j lies on the line.  Lines are listed in the order their first node pair appears
-    in the pair enumeration ``(0, 1), (0, 2), ..., (1, 2), ...``.
-
-    :meth:`line` turns a key into its canonical :class:`Line` and
-    :meth:`mask_of` looks a ``Line`` up; ``masks`` is the whole map keyed
-    by ``Line``, in the same order, and ``maximal`` the maximal lines, each
-    built on first use.
-    """
-
-    degree: int
-    scale: int
-    coords: tuple[tuple[int, int], ...]
-    keys: Mapping[Key, int]
-
-    @classmethod
-    def of(cls, xs: NodeSet) -> "Incidence":
-        """The index of ``xs``, built from its node pairs in one pass."""
-        d, coords = scaled_nodes(xs)
-        # Once the pairs of a line's first node are done, its mask is
-        # complete, and every later pair on it is skipped.
-        by_key: dict[Key, int] = {}
-        known = [0] * len(coords)
-        for i, (xi, yi) in enumerate(coords):
-            first = []
-            skip = known[i]
-            for j in range(i + 1, len(coords)):
-                if skip >> j & 1:
-                    continue
-                xj, yj = coords[j]
-                a, b = yj - yi, xi - xj
-                g = gcd(a, b)
-                if a < 0 or (a == 0 and b < 0):
-                    g = -g
-                key = (a // g, b // g, (yi * xj - xi * yj) // g)
-                mask = by_key.get(key)
-                if mask is None:
-                    by_key[key] = 1 << i | 1 << j
-                    first.append(key)
-                else:
-                    by_key[key] = mask | 1 << j
-            for key in first:
-                mask = by_key[key]
-                if mask.bit_count() > 2:
-                    for u in _bits(mask):
-                        known[u] |= mask
-        return cls(xs.degree, d, coords, by_key)
-
-    def line(self, key: Key) -> Line:
-        """The canonical line with integer-coordinate equation ``key``."""
-        a, b, c = key
-        return Line(self.scale * a, self.scale * b, c)
-
-    def mask_of(self, line: Line) -> int:
-        """The node bitmask of ``line``; KeyError unless it holds two nodes."""
-        h = gcd(line.a, line.b)
-        c, rem = divmod(line.c * self.scale, h)
-        if rem:
-            raise KeyError(line)
-        return self.keys[(line.a // h, line.b // h, c)]
-
-    @cached_property
-    def masks(self) -> dict[Line, int]:
-        return {self.line(key): mask for key, mask in self.keys.items()}
-
-    @cached_property
-    def maximal(self) -> tuple[tuple[Line, tuple[int, ...]], ...]:
-        """Every line through exactly degree + 1 nodes and its node indices, in line order.
-
-        Raises TooManyCollinear, naming the first such line in line order,
-        when a line holds more nodes than that; no poised set has one.
-        """
-        cap = self.degree + 1
-        full = sorted(
-            (self.line(key), mask) for key, mask in self.keys.items() if mask.bit_count() >= cap
-        )
-        for line, mask in full:
-            count = mask.bit_count()
-            if count > cap:
-                raise TooManyCollinear(
-                    f"{line} passes through {count} nodes; at most {cap} of a poised "
-                    f"degree-{self.degree} set can be collinear",
-                    line=line,
-                    count=count,
-                )
-        return tuple((line, _bits(mask)) for line, mask in full)
-
-    def nodes_on(self, line: Line) -> tuple[int, ...]:
-        """Indices of the nodes on ``line``, ascending."""
-        return _bits(self.mask_of(line))
-
-    def values(self, line: Line) -> list[int]:
-        """``a*X + b*Y + c*D`` at every node: D times the line's value there."""
-        a, b, c = line.a, line.b, line.c * self.scale
-        return [a * x + b * y + c for x, y in self.coords]
+from .errors import GCNLabError, NotGC, NotPoised
+from .geometry import Key, Line, NodeSet, _bits
 
 
 @dataclass(frozen=True)
@@ -202,38 +72,26 @@ class NodeCertificate:
 class GCCertificate:
     """Per-node line factorizations for a whole poised set.
 
-    The incidence index of the node set travels with a certificate from
-    :func:`certify_gc`; it takes no part in equality or serialization, and
-    a certificate built any other way computes it on first use.
+    The incidence index is the node set's own, ``nodeset.incidence``.
     """
 
     nodeset: NodeSet
     entries: tuple[NodeCertificate, ...]
-    index: Incidence | None = field(default=None, compare=False, repr=False)
-
-    def entry(self, k: int) -> NodeCertificate:
-        return self.entries[k]
 
     @property
     def degree(self) -> int:
         return self.nodeset.degree
-
-    @property
-    def incidence(self) -> Incidence:
-        if self.index is None:
-            object.__setattr__(self, "index", Incidence.of(self.nodeset))
-        return self.index
 
 
 def line_incidence(xs: NodeSet) -> dict[Line, tuple[int, ...]]:
     """Every line through at least two nodes, with its incident node indices.
 
     Lines appear in the order of their first node pair (see
-    :class:`Incidence`).
+    :class:`~gcnlab.geometry.Incidence`).
     """
     if len(xs) < 2:
         raise ValueError("need at least two nodes to span lines")
-    return {line: _bits(mask) for line, mask in Incidence.of(xs).masks.items()}
+    return {line: _bits(mask) for line, mask in xs.incidence.masks.items()}
 
 
 def _cover(
@@ -286,7 +144,7 @@ def certify_gc(xs: NodeSet) -> GCCertificate:
     n = xs.degree
     if len(xs) != (n + 1) * (n + 2) // 2:  # dim Pi_n
         raise NotPoised(f"{len(xs)} nodes at degree {n} are not poised")
-    index = Incidence.of(xs)
+    index = xs.incidence
     everyone = (1 << len(xs)) - 1
     ranked = sorted(
         ((mask.bit_count(), mask, key) for key, mask in index.keys.items()),
@@ -359,7 +217,7 @@ def certify_gc(xs: NodeSet) -> GCCertificate:
             witnesses[line] = found
             before |= zero
         entries.append(NodeCertificate(k, const, tuple(rec[1] for rec in recs), witnesses))
-    return GCCertificate(xs, tuple(entries), index)
+    return GCCertificate(xs, tuple(entries))
 
 
 def used_lines_of(cert: GCCertificate, k: int) -> set[Line]:

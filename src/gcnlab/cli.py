@@ -159,14 +159,12 @@ def _cmd_mdseq(args) -> int:
 
 
 def _cmd_maximal_lines(args) -> int:
-    from .certification import Incidence
-
     xs = _read_nodeset(args.file)
     doc = {
         "degree": xs.degree,
         "maximal_lines": [
             {"line": list(l.coefficients), "nodes": list(nodes)}
-            for l, nodes in Incidence.of(xs).maximal
+            for l, nodes in xs.incidence.maximal
         ],
     }
     _emit(_json_dump(doc), args.out)
@@ -213,19 +211,26 @@ def _cmd_cayley_bacharach(args) -> int:
 
     if args.m < 1 or args.n < 1 or args.m + args.n < 3:
         raise _InputError("need --m >= 1 and --n >= 1 with m + n >= 3")
+    if args.bound < 1:
+        raise _InputError("need --bound >= 1")
     rng = SplitMix64(args.seed)
     bound = args.bound
     for _ in range(512):
         lines_m = []
         lines_n = []
         seen = set()
+        rejected = 0  # draws that are no line or repeat one; small bounds have few lines
         for group, count in ((lines_m, args.m), (lines_n, args.n)):
             while len(group) < count:
                 a, b, c = (rng.randint(-bound, bound) for _ in range(3))
-                if (a, b) == (0, 0):
-                    continue
-                line = Line(a, b, c)
-                if line in seen:
+                line = Line(a, b, c) if (a, b) != (0, 0) else None
+                if line is None or line in seen:
+                    rejected += 1
+                    if rejected > 512:
+                        raise RetryLimitExceeded(
+                            f"no {args.m + args.n} distinct lines within 512 rejected draws "
+                            f"at coordinate bound {bound}"
+                        )
                     continue
                 seen.add(line)
                 group.append(line)
@@ -271,29 +276,21 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    from .certification import Incidence, certify_gc, used_lines_of
     from .plotting import plot_svg
 
     xs = _read_nodeset(args.file)
-    overlays = args.overlay or ()
     maximal = ()
     used = ()
     sequence = None
-    cert = failure = None
-    if any(o.startswith(("used:", "primary:")) for o in overlays):
-        # Certify up front so that `maximal` reads the certificate's index;
-        # a failure is raised where the first overlay that needs it stands.
-        try:
-            cert = certify_gc(xs)
-        except (GCNLabError, ValueError) as exc:
-            failure = exc
-    for overlay in overlays:
+    cert = None
+    for overlay in args.overlay or ():
         if overlay == "maximal":
-            index = Incidence.of(xs) if cert is None else cert.incidence
-            maximal = {line for line, _ in index.maximal}
+            maximal = {line for line, _ in xs.incidence.maximal}
         elif overlay.startswith(("used:", "primary:")):
-            if failure is not None:
-                raise failure
+            from .certification import certify_gc, used_lines_of
+
+            if cert is None:
+                cert = certify_gc(xs)
             k = _node_index(xs, int(overlay.split(":", 1)[1]))
             if overlay.startswith("used:"):
                 used = used_lines_of(cert, k)

@@ -19,7 +19,7 @@ coordinate is one Fraction built once.
 The principal lattice depends on its degree alone, so it is certified once
 per degree per process; every later request for that degree gets the same
 set and certificate objects, and an affine image of it reads its integer
-nodes from the cached certificate's incidence index.
+nodes from the cached set's incidence index.
 
 Generation is a pure function of its spec; fixed seeds give byte-identical
 node sets on every platform (see :mod:`gcnlab.rng` for the PRNG contract).
@@ -149,7 +149,7 @@ def _projective_image_nodes(degree: int, seed: int, bound: int) -> NodeSet:
     if rng.choice(("chung_yao", "principal")) == "chung_yao":
         d, coords = _chung_yao_scaled(degree, rng.next_u64(), bound)
     else:
-        index = _principal_certified(degree)[1].incidence
+        index = _principal_certified(degree)[0].incidence
         d, coords = index.scale, index.coords
     for _ in range(RETRY_LIMIT):
         m00, m01, m10, m11 = (rng.rational(bound) for _ in range(4))

@@ -11,7 +11,12 @@ intersect: there are no projective points at infinity, callers get an
 explicit :class:`~gcnlab.errors.ParallelLines` signal instead.
 
 A :class:`NodeSet` is a degree-tagged tuple of distinct points, the input of
-every question the package answers.
+every question the package answers.  Its :class:`Incidence` index
+(``NodeSet.incidence``, built on first use and kept) decides incidence on
+integers: node j lies on ``a*x + b*y + c = 0`` iff ``a*X_j + b*Y_j + c*D``
+is 0 for the nodes ``(X, Y) = (D*x, D*y)`` scaled by their common
+denominator D.  Certification, maximal lines, sequences and the generators
+all read this one index.
 
 All values are immutable after construction and all operations are pure,
 so everything in this module is safe to share between threads.
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterator, Sequence, Union
 
@@ -31,6 +37,7 @@ from .errors import (
     IdenticalPoints,
     LengthMismatch,
     ParallelLines,
+    TooManyCollinear,
 )
 
 #: The coefficient field of every polynomial and coordinate in this package.
@@ -159,6 +166,136 @@ class NodeSet:
             return self.nodes.index(p)
         except ValueError:
             return None
+
+    @cached_property
+    def incidence(self) -> "Incidence":
+        """The set's integer incidence index, built on first use and kept."""
+        return Incidence.of(self)
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+Key = tuple[int, int, int]
+
+
+@dataclass(frozen=True)
+class Incidence:
+    """A node set on integer coordinates, and every line through two of its nodes.
+
+    ``degree`` is the node set's degree, ``scale`` the lcm D of all
+    coordinate denominators and ``coords`` the integer nodes ``(D*x, D*y)``.
+    ``keys``, built on first use, maps the primitive equation ``(A, B, C)``
+    of each line, ``A*X + B*Y + C = 0`` in the integer coordinates with
+    ``(A, B)`` coprime and its first nonzero positive, to the line's node
+    bitmask: bit j is set iff node j lies on the line.  Lines are listed in
+    the order their first node pair appears in the pair enumeration ``(0,
+    1), (0, 2), ..., (1, 2), ...``.
+
+    :meth:`line` turns a key into its canonical :class:`Line` and
+    :meth:`mask_of` looks a ``Line`` up; ``masks`` is the whole map keyed
+    by ``Line``, in the same order, and ``maximal`` the maximal lines, each
+    built on first use.
+    """
+
+    degree: int
+    scale: int
+    coords: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, xs: NodeSet) -> "Incidence":
+        """The integer nodes of ``xs``; read ``xs.incidence`` to share them."""
+        nodes = xs.nodes
+        d = lcm(*(c.denominator for p in nodes for c in (p.x, p.y)))
+        coords = tuple(
+            (p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator))
+            for p in nodes
+        )
+        return cls(xs.degree, d, coords)
+
+    @cached_property
+    def keys(self) -> dict[Key, int]:
+        """Every line through two nodes, from the node pairs in one pass."""
+        coords = self.coords
+        # Once the pairs of a line's first node are done, its mask is
+        # complete, and every later pair on it is skipped.
+        by_key: dict[Key, int] = {}
+        known = [0] * len(coords)
+        for i, (xi, yi) in enumerate(coords):
+            first = []
+            skip = known[i]
+            for j in range(i + 1, len(coords)):
+                if skip >> j & 1:
+                    continue
+                xj, yj = coords[j]
+                a, b = yj - yi, xi - xj
+                g = gcd(a, b)
+                if a < 0 or (a == 0 and b < 0):
+                    g = -g
+                key = (a // g, b // g, (yi * xj - xi * yj) // g)
+                mask = by_key.get(key)
+                if mask is None:
+                    by_key[key] = 1 << i | 1 << j
+                    first.append(key)
+                else:
+                    by_key[key] = mask | 1 << j
+            for key in first:
+                mask = by_key[key]
+                if mask.bit_count() > 2:
+                    for u in _bits(mask):
+                        known[u] |= mask
+        return by_key
+
+    def line(self, key: Key) -> Line:
+        """The canonical line with integer-coordinate equation ``key``."""
+        a, b, c = key
+        return Line(self.scale * a, self.scale * b, c)
+
+    def mask_of(self, line: Line) -> int:
+        """The node bitmask of ``line``; KeyError unless it holds two nodes."""
+        h = gcd(line.a, line.b)
+        c, rem = divmod(line.c * self.scale, h)
+        if rem:
+            raise KeyError(line)
+        return self.keys[(line.a // h, line.b // h, c)]
+
+    @cached_property
+    def masks(self) -> dict[Line, int]:
+        return {self.line(key): mask for key, mask in self.keys.items()}
+
+    @cached_property
+    def maximal(self) -> tuple[tuple[Line, tuple[int, ...]], ...]:
+        """Every line through exactly degree + 1 nodes and its node indices, in line order.
+
+        Raises TooManyCollinear, naming the first such line in line order,
+        when a line holds more nodes than that; no poised set has one.
+        """
+        cap = self.degree + 1
+        full = sorted(
+            (self.line(key), mask) for key, mask in self.keys.items() if mask.bit_count() >= cap
+        )
+        for line, mask in full:
+            count = mask.bit_count()
+            if count > cap:
+                raise TooManyCollinear(
+                    f"{line} passes through {count} nodes; at most {cap} of a poised "
+                    f"degree-{self.degree} set can be collinear",
+                    line=line,
+                    count=count,
+                )
+        return tuple((line, _bits(mask)) for line, mask in full)
+
+    def values(self, line: Line) -> list[int]:
+        """``a*X + b*Y + c*D`` at every node: D times the line's value there."""
+        a, b, c = line.a, line.b, line.c * self.scale
+        return [a * x + b * y + c for x, y in self.coords]
 
 
 def line_through(p: Point, q: Point) -> Line:

@@ -23,7 +23,7 @@ from typing import Sequence
 from . import linalg
 from .errors import LengthMismatch, NotPoised
 from .geometry import NodeSet, Point
-from .polynomials import Poly, dim_pi, monomials
+from .polynomials import Poly, _check_degree_bound, dim_pi, monomials
 
 
 @dataclass(frozen=True)
@@ -125,16 +125,25 @@ def annihilator(xs: NodeSet) -> Poly | None:
     return Poly(xs.degree, tuple(vec))
 
 
-def all_fundamentals(xs: NodeSet) -> list[FundamentalSolution]:
-    """Fundamental polynomials of every node, from one shared elimination."""
+def _solve_poised(xs: NodeSet, rhs: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Solve the Vandermonde system of a poised set for every right-hand side.
+
+    Raises NotPoised, then ValueError above ``MAX_DEGREE`` (the cap of the
+    ``Poly`` the solutions become), before any exact elimination.
+    """
     if not is_poised(xs):
         raise NotPoised(f"{len(xs)} nodes at degree {xs.degree} are not poised")
-    s = len(xs)
-    rows = vandermonde(xs)
-    rhs = [[Fraction(1) if i == k else Fraction(0) for i in range(s)] for k in range(s)]
-    solutions = linalg.solve_square(rows, rhs)
+    _check_degree_bound(xs.degree)
+    solutions = linalg.solve_square(vandermonde(xs), [[Fraction(v) for v in row] for row in rhs])
     if solutions is None:  # unreachable after the poisedness check
         raise NotPoised("Vandermonde matrix is singular")
+    return solutions
+
+
+def all_fundamentals(xs: NodeSet) -> list[FundamentalSolution]:
+    """Fundamental polynomials of every node, from one shared elimination."""
+    s = len(xs)
+    solutions = _solve_poised(xs, [[int(i == k) for i in range(s)] for k in range(s)])
     return [FundamentalSolution(k, Poly(xs.degree, tuple(sol))) for k, sol in enumerate(solutions)]
 
 
@@ -142,23 +151,13 @@ def fundamental(xs: NodeSet, k: int) -> FundamentalSolution:
     """The unique fundamental polynomial of node ``k``; requires poisedness."""
     if not 0 <= k < len(xs):
         raise IndexError(f"node index {k} out of range")
-    if not is_poised(xs):
-        raise NotPoised(f"{len(xs)} nodes at degree {xs.degree} are not poised")
-    rhs = [Fraction(1) if i == k else Fraction(0) for i in range(len(xs))]
-    solutions = linalg.solve_square(vandermonde(xs), [rhs])
-    if solutions is None:
-        raise NotPoised("Vandermonde matrix is singular")
-    return FundamentalSolution(k, Poly(xs.degree, tuple(solutions[0])))
+    (solution,) = _solve_poised(xs, [[int(i == k) for i in range(len(xs))]])
+    return FundamentalSolution(k, Poly(xs.degree, tuple(solution)))
 
 
 def interpolate(xs: NodeSet, values: Sequence[Fraction]) -> Poly:
     """The unique polynomial of the set's degree matching the given values."""
     if len(values) != len(xs):
         raise LengthMismatch(f"{len(values)} values for {len(xs)} nodes")
-    if not is_poised(xs):
-        raise NotPoised(f"{len(xs)} nodes at degree {xs.degree} are not poised")
-    rhs = [Fraction(v) for v in values]
-    solutions = linalg.solve_square(vandermonde(xs), [rhs])
-    if solutions is None:
-        raise NotPoised("Vandermonde matrix is singular")
-    return Poly(xs.degree, tuple(solutions[0]))
+    (solution,) = _solve_poised(xs, [values])
+    return Poly(xs.degree, tuple(solution))

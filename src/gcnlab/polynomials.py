@@ -31,6 +31,12 @@ from .geometry import Line, Point, RationalLike, to_scalar
 MAX_DEGREE = 12
 
 
+def _check_degree_bound(n: int) -> None:
+    """Raise ValueError unless ``0 <= n <= MAX_DEGREE``."""
+    if not 0 <= n <= MAX_DEGREE:
+        raise ValueError(f"degree bound {n} outside [0, {MAX_DEGREE}]")
+
+
 def dim_pi(n: int) -> int:
     """Dimension of the space of bivariate polynomials of total degree <= n."""
     if n < 0:
@@ -62,8 +68,7 @@ class Poly:
 
     def __post_init__(self):
         n = self.degree_bound
-        if not 0 <= n <= MAX_DEGREE:
-            raise ValueError(f"degree bound {n} outside [0, {MAX_DEGREE}]")
+        _check_degree_bound(n)
         cs = tuple(to_scalar(c) for c in self.coeffs)
         if len(cs) != dim_pi(n):
             raise ValueError(f"need {dim_pi(n)} coefficients for degree {n}, got {len(cs)}")

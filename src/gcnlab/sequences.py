@@ -17,28 +17,25 @@ time as a frontier of ``(unused lines, uncovered nodes, counts)`` bitmask
 states with duplicates merged.  The n used lines give at most 2^n
 distinct unused-line sets over all steps.
 
-Incidence is decided on integers: the nodes are scaled by the common
-denominator D of their coordinates, node j lies on ``a*x + b*y + c = 0``
-iff ``a*X_j + b*Y_j + c*D`` is 0, and each line becomes the bitmask of its
-nodes.  Intersection points of used lines that are not nodes of the set
-are ignored by all counting here; only nodes count.
+Incidence is decided on the integer nodes of the set's index
+(``NodeSet.incidence``): node j lies on ``a*x + b*y + c = 0`` iff ``a*X_j +
+b*Y_j + c*D`` is 0, and each line becomes the bitmask of its nodes.  Two
+distinct lines share at most one node, so the AND of their masks is their
+crossing node, if it is one.  Intersection points of used lines that are
+not nodes of the set are ignored by all counting here; only nodes count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .certification import GCCertificate, Incidence, _bits, scaled_nodes
-from .errors import CountsUnequal, LineNotUsed, MultiplicityPresent, ParallelLines
-from .geometry import Line, NodeSet, Point, intersect, is_incident
+from .errors import CountsUnequal, LineNotUsed, MultiplicityPresent
+from .geometry import Line, NodeSet, Point, _bits, is_incident
 
 if TYPE_CHECKING:
+    from .certification import GCCertificate
     from .polynomials import Poly
-
-TieBreak = Callable[[Line], object]
-
-_CANONICAL: TieBreak = lambda line: line.coefficients
 
 
 @dataclass(frozen=True)
@@ -70,17 +67,14 @@ class MLineSequence:
         return MDSequence(self.counts)
 
 
-def _line_masks(
-    xs: NodeSet, lines: Sequence[Line], index: Incidence | None = None
-) -> dict[Line, int]:
+def _line_masks(xs: NodeSet, lines: Sequence[Line]) -> dict[Line, int]:
     """The bitmask of the nodes on each line, by integer evaluation.
 
-    Bit j is set iff ``a*X + b*Y + c*D`` is 0 at the integer node j.  The
-    integer nodes come from ``index`` when one is at hand and are otherwise
-    scaled from ``xs``; either way no line index is built, so any line
+    Bit j is set iff ``a*X + b*Y + c*D`` is 0 at the integer node j.  Only
+    the index's integer nodes are read, not its line map, so any line
     works, including one through fewer than two nodes.
     """
-    scale, coords = (index.scale, index.coords) if index is not None else scaled_nodes(xs)
+    scale, coords = xs.incidence.scale, xs.incidence.coords
     masks = {}
     for line in lines:
         a, b, c = line.a, line.b, line.c * scale
@@ -93,16 +87,15 @@ def greedy_sequence_for_lines(
     node_index: int,
     used: Sequence[Line],
     fixed_first: Line | None = None,
-    tiebreak: TieBreak | None = None,
 ) -> MLineSequence:
     """Greedy ordering of an arbitrary used-line set over a node set.
 
     This is the engine behind :func:`greedy_mdseq` and
     :func:`fixed_first_mdseq`; it accepts any collection of distinct lines,
-    which lets synthetic incidence structures be analyzed directly.
+    which lets synthetic incidence structures be analyzed directly.  Ties
+    go to the least line in canonical order.
     """
     used = tuple(sorted(set(used)))
-    key = tiebreak or _CANONICAL
     masks = _line_masks(xs, used)
     remaining = (1 << len(xs)) - 1
     pool = set(used)
@@ -116,9 +109,7 @@ def greedy_sequence_for_lines(
             forced = None
         else:
             best = max((masks[l] & remaining).bit_count() for l in pool)
-            chosen = min(
-                (l for l in pool if (masks[l] & remaining).bit_count() == best), key=key
-            )
+            chosen = min(l for l in pool if (masks[l] & remaining).bit_count() == best)
         new = masks[chosen] & remaining
         position = len(order)
         for j in _bits(new):
@@ -148,9 +139,9 @@ def _distinct_used(cert: GCCertificate, k: int) -> tuple[Line, ...]:
     return distinct
 
 
-def greedy_mdseq(cert: GCCertificate, k: int, tiebreak: TieBreak | None = None) -> MLineSequence:
+def greedy_mdseq(cert: GCCertificate, k: int) -> MLineSequence:
     """The deterministic greedy line sequence of a certified node."""
-    return greedy_sequence_for_lines(cert.nodeset, k, _distinct_used(cert, k), tiebreak=tiebreak)
+    return greedy_sequence_for_lines(cert.nodeset, k, _distinct_used(cert, k))
 
 
 def fixed_first_mdseq(cert: GCCertificate, k: int, line: Line) -> MLineSequence:
@@ -175,7 +166,7 @@ def enumerate_mdseqs(cert: GCCertificate, k: int) -> set[MDSequence]:
     independent of tie-breaking.
     """
     used = _distinct_used(cert, k)
-    masks = list(_line_masks(cert.nodeset, used, cert.index).values())
+    masks = list(_line_masks(cert.nodeset, used).values())
     frontier = {((1 << len(masks)) - 1, (1 << len(cert.nodeset)) - 1, ())}
     for _ in masks:
         step = set()
@@ -194,11 +185,15 @@ def enumerate_mdseqs(cert: GCCertificate, k: int) -> set[MDSequence]:
 
 
 def _is_greedy_ordering(
-    xs: NodeSet, used: Sequence[Line], order: Sequence[Line], exempt_first: bool
+    masks: Mapping[Line, int], size: int, order: Sequence[Line], exempt_first: bool
 ) -> bool:
-    masks = _line_masks(xs, used)
-    remaining = (1 << len(xs)) - 1
-    pool = set(used)
+    """Whether ``order`` places every line of ``masks`` once, each of maximal gain.
+
+    ``size`` is the number of nodes; with ``exempt_first`` the first line
+    may have any gain.
+    """
+    remaining = (1 << size) - 1
+    pool = set(masks)
     for s, line in enumerate(order):
         if line not in pool:
             return False
@@ -229,16 +224,15 @@ def verify_swap_property(seq: MLineSequence, i: int) -> bool:
         )
     swapped = list(seq.lines)
     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+    masks = _line_masks(seq.nodeset, seq.used)
     exempt = seq.fixed_first is not None
-    if not _is_greedy_ordering(seq.nodeset, seq.used, swapped, exempt_first=exempt):
+    if not _is_greedy_ordering(masks, len(seq.nodeset), swapped, exempt_first=exempt):
         return False
-    try:
-        crossing = intersect(seq.lines[i], seq.lines[i + 1])
-    except ParallelLines:
+    # both lines are distinct used lines here, so they share at most one node
+    crossing = masks[seq.lines[i]] & masks[seq.lines[i + 1]]
+    if not crossing:
         return True
-    idx = seq.nodeset.index(crossing)
-    if idx is None:
-        return True
+    idx = crossing.bit_length() - 1
     return idx in seq.primary and seq.primary[idx] < i
 
 

@@ -15,6 +15,10 @@ node-pair lines, then rechecks the product by Fraction evaluation.
 :func:`enumerate_mdseqs_dfs` is the ordering-by-ordering stack walk the
 library's deduplicated frontier replaced.
 
+:func:`verify_swap_property_fraction` is the swap-law check the library's
+node-mask test replaced: it intersects the two lines in Fraction arithmetic
+and looks the meet up among the nodes.
+
 :func:`general_position_fraction` is the concurrency test the library's
 integer determinant replaced: it intersects every pair of lines in
 Fraction arithmetic and evaluates every later line at the meet.
@@ -55,6 +59,7 @@ from gcnlab import (
     NotGC,
     NotPoised,
     DuplicateLine,
+    ParallelLines,
     Point,
     RetryLimitExceeded,
     ZeroPolynomial,
@@ -404,6 +409,42 @@ def enumerate_mdseqs_dfs(cert, k):
             if len(covered) == best:
                 stack.append((pool - {l}, remaining - covered, counts + (best,)))
     return results
+
+
+def verify_swap_property_fraction(seq, i):
+    """The swap law at equal-count positions ``i``, ``i + 1``, in Fraction arithmetic.
+
+    The swapped order must still be greedy (gains from the Fraction test
+    ``Line.at(p) == 0``; a fixed first line may have any gain), and when
+    ``intersect`` puts the two lines' meet at a node, ``NodeSet.index``
+    finds it and its primary position must come before ``i``.  The caller
+    checks the position and the equal counts.
+    """
+    nodes = seq.nodeset.nodes
+    on = {l: frozenset(j for j, p in enumerate(nodes) if l.at(p) == 0) for l in seq.used}
+    swapped = list(seq.lines)
+    swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+    remaining = set(range(len(nodes)))
+    pool = set(seq.used)
+    for s, line in enumerate(swapped):
+        if line not in pool:
+            return False
+        gain = len(on[line] & remaining)
+        exempt = seq.fixed_first is not None and s == 0
+        if not exempt and gain < max(len(on[l] & remaining) for l in pool):
+            return False
+        remaining -= on[line]
+        pool.remove(line)
+    if pool:
+        return False
+    try:
+        crossing = intersect(seq.lines[i], seq.lines[i + 1])
+    except ParallelLines:
+        return True
+    idx = seq.nodeset.index(crossing)
+    if idx is None:
+        return True
+    return idx in seq.primary and seq.primary[idx] < i
 
 
 def _general_position_lines_fraction(rng, count, bound):

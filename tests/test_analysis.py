@@ -24,7 +24,7 @@ from gcnlab import (
     search_counterexample,
     verify_gm,
 )
-from gcnlab.certification import Incidence
+from gcnlab.geometry import Incidence
 from gcnlab.generators import DEFAULT_KINDS
 from gcnlab.rng import SplitMix64, substream_seed
 
@@ -71,7 +71,7 @@ class TestMaximalLines:
         )
 
     def test_computed_once_per_index(self, principal5_cert):
-        index = principal5_cert.incidence
+        index = principal5_cert.nodeset.incidence
         assert index.maximal is index.maximal
         report = gm_report_from_certificate(principal5_cert)
         assert report.maximal_lines is index.maximal
@@ -250,7 +250,7 @@ class TestSearch:
                 )
                 _, cert = generate_with_certificate(spec)
                 for line, users in used_line_index(cert).users.items():
-                    count = len(cert.incidence.nodes_on(line))
+                    count = cert.nodeset.incidence.mask_of(line).bit_count()
                     want[count] = max(want.get(count, 0), len(users))
             got = search_counterexample(degree=degree, trials=9, seed=31).use_count_max
             assert got == want

@@ -21,16 +21,21 @@ from gcnlab import (
     all_fundamentals,
     certify_gc,
     divide_by_line,
+    enumerate_mdseqs,
     generate,
+    gm_report_from_certificate,
+    greedy_mdseq,
     is_poised,
     line_incidence,
     line_through,
+    maximal_lines,
     multiply_line,
     used_lines_of,
 )
 from gcnlab import certification
-from gcnlab.certification import Incidence, NodeCertificate, _cover
+from gcnlab.certification import NodeCertificate, _cover
 from gcnlab.errors import NotDivisible
+from gcnlab.geometry import Incidence, _bits
 from gcnlab.rng import SplitMix64
 from gcnlab.serialization import load_certificate, save_certificate
 
@@ -378,19 +383,47 @@ class TestAgainstAlgebraicOracle:
 class TestIncidenceIndex:
     def test_certificate_carries_index_and_load_rebuilds_it(self, cy3_pair):
         xs, cert = cy3_pair
-        assert cert.index is not None
+        assert "incidence" in vars(cert.nodeset)
         loaded = load_certificate(save_certificate(cert))
-        assert loaded == cert and loaded.index is None
-        assert dict(loaded.incidence.masks) == dict(cert.incidence.masks)
+        assert loaded == cert and "incidence" not in vars(loaded.nodeset)
+        assert dict(loaded.nodeset.incidence.masks) == dict(cert.nodeset.incidence.masks)
         assert save_certificate(loaded) == save_certificate(cert)
+
+    def test_node_set_keeps_one_index(self):
+        xs = NodeSet(2, generate(GeneratorSpec("chung_yao", 2, seed=4)).nodes)
+        assert "incidence" not in vars(xs)
+        assert xs.incidence is xs.incidence
+        assert xs.incidence.keys is xs.incidence.keys
+        assert xs.incidence == Incidence.of(xs)
+
+    def test_certify_leaves_its_index_on_the_set(self, monkeypatch):
+        build = Incidence.of.__func__
+        calls = []
+
+        def counting_of(klass, xs):
+            calls.append(xs)
+            return build(klass, xs)
+
+        xs = NodeSet(4, generate(GeneratorSpec("chung_yao", 4, seed=9)).nodes)
+        monkeypatch.setattr(Incidence, "of", classmethod(counting_of))
+        cert = certify_gc(xs)
+        keys = xs.incidence.keys
+        assert maximal_lines(xs) == {line for line, _ in xs.incidence.maximal}
+        gm_report_from_certificate(cert)
+        line_incidence(xs)
+        greedy_mdseq(cert, 0)
+        enumerate_mdseqs(cert, 0)
+        assert certify_gc(xs) == cert
+        assert calls == [xs]
+        assert xs.incidence.keys is keys
 
     def test_values_scale_line_evaluation(self, cy3_pair):
         xs, cert = cy3_pair
-        index = cert.incidence
+        index = cert.nodeset.incidence
         for line in index.masks:
             values = index.values(line)
             assert [Fraction(v, index.scale) for v in values] == [line.at(p) for p in xs.nodes]
-            assert index.nodes_on(line) == tuple(j for j, v in enumerate(values) if v == 0)
+            assert _bits(index.mask_of(line)) == tuple(j for j, v in enumerate(values) if v == 0)
 
     @pytest.mark.parametrize("kind", DEFAULT_KINDS)
     @pytest.mark.parametrize("degree", range(1, 7))
@@ -405,7 +438,7 @@ class TestIncidenceIndex:
 
     def test_mask_of_needs_a_line_through_two_nodes(self, cy3_pair):
         xs, cert = cy3_pair
-        index = cert.incidence
+        index = cert.nodeset.incidence
         p = xs.nodes[0]
         through_one = Line.from_rationals(1234567, -1, p.y - 1234567 * p.x)
         assert [v == 0 for v in index.values(through_one)].count(True) == 1

@@ -178,6 +178,24 @@ class TestAnalysisCommands:
         doc = json.loads(out)
         assert doc["dependent"] is True and doc["dependence_degree"] == 3
 
+    def test_cayley_bacharach_rejects_bound_below_one(self, capsys):
+        # every draw at bound 0 is (0, 0, 0), which is no line
+        code = main(["cayley-bacharach", "--m", "2", "--n", "2", "--bound", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "gcnlab: need --bound >= 1\n"
+
+    def test_cayley_bacharach_too_few_distinct_lines(self, capsys):
+        # only 12 distinct lines have coefficients in {-1, 0, 1}
+        code = main(["cayley-bacharach", "--m", "7", "--n", "7", "--bound", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "gcnlab: no 14 distinct lines within 512 rejected draws at coordinate bound 1\n"
+        )
+
 
 class TestGenerateAndSearch:
     def test_generate_writes_nodeset(self, capsys, tmp_path):
@@ -250,7 +268,7 @@ class TestPlot:
         )
 
     def test_maximal_and_primary_overlays_index_once(self, capsys, cy3_file, monkeypatch):
-        from gcnlab.certification import Incidence
+        from gcnlab.geometry import Incidence
 
         calls = []
         build = Incidence.of.__func__

@@ -140,14 +140,30 @@ class TestPrincipalMemo:
         assert len(principal) == 1
         assert len(calls) == 1 + 4 + 4
 
+    def test_each_trial_indexes_its_set_once(self, cold_cache, monkeypatch):
+        from gcnlab.geometry import Incidence
+
+        build = Incidence.of.__func__
+        calls = []
+
+        def counting_of(klass, xs):
+            calls.append(xs)
+            return build(klass, xs)
+
+        monkeypatch.setattr(Incidence, "of", classmethod(counting_of))
+        # as above: one principal set, then four fresh sets per search
+        search_counterexample(degree=3, trials=6, seed=5)
+        search_counterexample(degree=3, trials=6, seed=6)
+        assert len(calls) == len({id(xs) for xs in calls}) == 1 + 4 + 4
+
     def test_cached_certificate_equals_fresh(self, cold_cache):
         for degree in (1, 2, 5):
             xs, cert = generators._principal_certified(degree)
             fresh = certify_gc(generators._principal_nodes(degree))
             assert xs == fresh.nodeset
             assert cert == fresh
-            assert cert.index.masks == fresh.index.masks
-            assert list(cert.index.masks) == list(fresh.index.masks)
+            assert cert.nodeset.incidence.masks == fresh.nodeset.incidence.masks
+            assert list(cert.nodeset.incidence.masks) == list(fresh.nodeset.incidence.masks)
 
     def test_gen_principal_and_spec_share_the_entry(self, cold_cache):
         xs = gen_principal(4)

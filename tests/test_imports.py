@@ -151,7 +151,8 @@ def workdir(tmp_path_factory):
     return path
 
 
-BASE = ["certification", "errors", "geometry", "serialization"]
+READ = ["errors", "geometry", "serialization"]
+BASE = READ + ["certification"]
 ALGEBRA = ["interpolation", "linalg", "polynomials"]
 
 
@@ -169,7 +170,16 @@ class TestImportBoundary:
         ],
     )
     def test_benchmark_commands(self, workdir, argv, extra):
-        assert probe(workdir, PROBE, *argv) == [0, sorted(BASE + extra)]
+        base = READ if argv[0] == "plot" else BASE
+        assert probe(workdir, PROBE, *argv) == [0, sorted(base + extra)]
+
+    def test_maximal_lines_reads_the_index_without_the_certifier(self, workdir):
+        # maximal lines come from the node set's own index
+        assert probe(workdir, PROBE, "maximal-lines", "cy.json") == [0, sorted(READ)]
+
+    def test_plot_certifies_only_for_a_certificate_overlay(self, workdir):
+        argv = ["plot", "cy.json", "--overlay", "maximal", "--overlay", "used:0"]
+        assert probe(workdir, PROBE, *argv) == [0, sorted(BASE + ["plotting"])]
 
     def test_only_a_failed_cover_loads_the_algebra(self, workdir):
         # telling a non-poised set from a poised non-GC one needs a rank

@@ -242,6 +242,39 @@ class TestInterpolate:
             interpolate(xs, [1, 2, 3])
 
 
+class TestDegreeCap:
+    """``Poly`` stops at degree 12, so the solves refuse a higher degree before eliminating."""
+
+    @pytest.fixture(scope="class")
+    def cy14(self):
+        return generate(GeneratorSpec("chung_yao", 14, seed=1))
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda xs: fundamental(xs, 0),
+            lambda xs: interpolate(xs, [0] * len(xs)),
+            all_fundamentals,
+        ],
+        ids=["fundamental", "interpolate", "all_fundamentals"],
+    )
+    def test_poised_degree_14_rejected(self, cy14, solve, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solve_square ran above the degree cap")
+
+        monkeypatch.setattr(linalg, "solve_square", no_solve)
+        with pytest.raises(ValueError, match=r"^degree bound 14 outside \[0, 12\]$"):
+            solve(cy14)
+
+    def test_not_poised_reported_first(self):
+        # 120 grid nodes on 12 vertical lines: their product vanishes on all
+        xs = NodeSet(14, tuple(Point(i, j) for i in range(12) for j in range(10)))
+        with pytest.raises(NotPoised):
+            fundamental(xs, 0)
+        with pytest.raises(NotPoised):
+            interpolate(xs, [0] * len(xs))
+
+
 class TestStructuralProperties:
     def test_partition_of_unity(self, cy2):
         total = Poly.zero(cy2.degree)

@@ -1,5 +1,7 @@
 """Greedy line sequences: counts, primary assignment, swap law, divisibility."""
 
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -33,7 +35,7 @@ from gcnlab.certification import GCCertificate, NodeCertificate
 from gcnlab.linalg import nullspace_basis
 from gcnlab.rng import SplitMix64
 
-from oracles import enumerate_mdseqs_dfs, greedy_counts_recount
+from oracles import enumerate_mdseqs_dfs, greedy_counts_recount, verify_swap_property_fraction
 
 
 def recount(xs, seq):
@@ -289,6 +291,16 @@ class TestSwapProperty:
         )
         assert not verify_swap_property(fake, 0)
 
+    def test_crossing_off_the_node_set(self):
+        # x = 0 and y = 0 hold two nodes each and meet at (0, 0), no node
+        xs = NodeSet(2, (Point(0, 1), Point(0, 2), Point(1, 0), Point(2, 0), Point(5, 5)))
+        seq = greedy_sequence_for_lines(xs, 4, (Line(1, 0, 0), Line(0, 1, 0)))
+        assert seq.counts == (2, 2)
+        assert verify_swap_property(seq, 0)
+        # no node is primary before position 0, which a node crossing would need
+        late = replace(seq, primary={j: 1 for j in seq.primary})
+        assert verify_swap_property(late, 0)
+
     def test_counts_unequal_rejected(self, cy5_pair):
         xs, cert = cy5_pair
         seq = greedy_mdseq(cert, 0)
@@ -315,6 +327,47 @@ def sample_vanishing_poly(degree, constraints, seed):
         p = Poly(degree, tuple(coeffs))
         if not p.is_zero():
             return p
+
+
+class TestSwapAgainstFractionOracle:
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_every_equal_count_position(self, degree):
+        rng = SplitMix64(degree)
+        outcomes = Counter()
+        for kind in DEFAULT_KINDS:
+            xs, cert = generate_with_certificate(GeneratorSpec(kind, degree, seed=degree))
+            seqs = [greedy_mdseq(cert, k) for k in range(len(xs))]
+            # the generated sets' greedy counts fall strictly, so seeded
+            # families of node-pair lines and lines through one node add ties
+            pair_lines = list(xs.incidence.masks)
+            for t in range(12):
+                used = {pair_lines[rng.randint(0, len(pair_lines) - 1)] for _ in range(degree + 2)}
+                for _ in range(2):
+                    p = xs.nodes[rng.randint(0, len(xs) - 1)]
+                    a, b = rng.randint(1, 5), rng.randint(-5, 5)
+                    used.add(Line.from_rationals(a, b, -(a * p.x + b * p.y)))
+                first = min(used) if t % 2 else None
+                seqs.append(greedy_sequence_for_lines(xs, 0, used, fixed_first=first))
+            for seq in seqs:
+                for i in range(len(seq.lines) - 1):
+                    if seq.counts[i] != seq.counts[i + 1]:
+                        continue
+                    early = {j: 0 for j in seq.primary}
+                    late = {j: len(seq.lines) for j in seq.primary}
+                    for primary in (seq.primary, early, late):
+                        variant = replace(seq, primary=primary)
+                        got = verify_swap_property(variant, i)
+                        assert got == verify_swap_property_fraction(variant, i)
+                        outcomes[got] += 1
+        assert outcomes[True] and outcomes[False]
+
+
+class TestIncidenceReads:
+    def test_bare_set_never_builds_line_keys(self):
+        # only the integer nodes are read, not the all-pairs line map
+        xs, seq = crossing_structure()
+        assert verify_swap_property(seq, 1)
+        assert "keys" not in vars(xs.incidence)
 
 
 class TestPrimaryZeroDivisibility:
