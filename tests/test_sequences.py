@@ -297,7 +297,7 @@ class TestSwapProperty:
         seq = greedy_sequence_for_lines(xs, 4, (Line(1, 0, 0), Line(0, 1, 0)))
         assert seq.counts == (2, 2)
         assert verify_swap_property(seq, 0)
-        # no node is primary before position 0, which a node crossing would need
+        # every node claimed late would fail a crossing at a node, not this one
         late = replace(seq, primary={j: 1 for j in seq.primary})
         assert verify_swap_property(late, 0)
 
