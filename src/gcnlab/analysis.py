@@ -17,7 +17,6 @@ violation on a merely poised set would be a category error.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -32,10 +31,9 @@ from .errors import (
     ParallelLines,
     RetryLimitExceeded,
 )
-from .geometry import Line, NodeSet, intersect, line_through
+from .geometry import Line, NodeSet, _frozen_delattr, _frozen_setattr, intersect, line_through
 
 
-@dataclass(frozen=True)
 class GMReport:
     """Outcome of a Gasca-Maeztu check on one certified set.
 
@@ -45,13 +43,43 @@ class GMReport:
     the configuration can be reproduced and refuted independently.
     """
 
-    degree: int
-    satisfied: bool
-    maximal_lines: tuple[tuple[Line, tuple[int, ...]], ...]
-    counterexample: GCCertificate | None = None
+    __slots__ = ("degree", "satisfied", "maximal_lines", "counterexample")
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __init__(
+        self,
+        degree: int,
+        satisfied: bool,
+        maximal_lines: tuple[tuple[Line, tuple[int, ...]], ...],
+        counterexample: GCCertificate | None = None,
+    ):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "satisfied", satisfied)
+        object.__setattr__(self, "maximal_lines", maximal_lines)
+        object.__setattr__(self, "counterexample", counterexample)
+
+    def _values(self) -> tuple:
+        return (self.degree, self.satisfied, self.maximal_lines, self.counterexample)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return GMReport, self._values()
+
+    def __repr__(self) -> str:
+        return (
+            f"GMReport(degree={self.degree!r}, satisfied={self.satisfied!r}, "
+            f"maximal_lines={self.maximal_lines!r}, counterexample={self.counterexample!r})"
+        )
 
 
-@dataclass(frozen=True)
 class IncidenceProfile:
     """Counts of lines through a center node by their target-node incidence.
 
@@ -61,9 +89,34 @@ class IncidenceProfile:
     holds exactly; the constructor path asserts it.
     """
 
-    center: int
-    target: tuple[int, ...]
-    counts: Mapping[int, int]
+    __slots__ = ("center", "target", "counts")
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __init__(self, center: int, target: tuple[int, ...], counts: Mapping[int, int]):
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "counts", counts)
+
+    def _values(self) -> tuple:
+        return (self.center, self.target, self.counts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return IncidenceProfile, self._values()
+
+    def __repr__(self) -> str:
+        return (
+            f"IncidenceProfile(center={self.center!r}, target={self.target!r}, "
+            f"counts={self.counts!r})"
+        )
 
 
 def maximal_lines(xs: NodeSet) -> set[Line]:
@@ -170,18 +223,43 @@ def cayley_bacharach_check(lines_m: Sequence[Line], lines_n: Sequence[Line]) -> 
     return is_essentially_dependent(xs, m + n - 3)
 
 
-@dataclass(frozen=True)
 class TrialFailure:
     """One failed trial of the falsification harness."""
 
-    trial: int
-    kind: str
-    seed: int
-    reason: str
-    certificate: GCCertificate | None
+    __slots__ = ("trial", "kind", "seed", "reason", "certificate")
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __init__(
+        self, trial: int, kind: str, seed: int, reason: str, certificate: GCCertificate | None
+    ):
+        object.__setattr__(self, "trial", trial)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "certificate", certificate)
+
+    def _values(self) -> tuple:
+        return (self.trial, self.kind, self.seed, self.reason, self.certificate)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return TrialFailure, self._values()
+
+    def __repr__(self) -> str:
+        return (
+            f"TrialFailure(trial={self.trial!r}, kind={self.kind!r}, seed={self.seed!r}, "
+            f"reason={self.reason!r}, certificate={self.certificate!r})"
+        )
 
 
-@dataclass(frozen=True)
 class SearchSummary:
     """Aggregate outcome of a falsification run.
 
@@ -190,15 +268,59 @@ class SearchSummary:
     reported as data, no bound is asserted.
     """
 
-    degree: int
-    trials: int
-    seed: int
-    kinds: tuple[str, ...]
-    coordinate_bound: int
-    certified: int
-    gm_satisfied: int
-    failures: tuple[TrialFailure, ...]
-    use_count_max: Mapping[int, int]
+    __slots__ = (
+        "degree", "trials", "seed", "kinds", "coordinate_bound", "certified", "gm_satisfied",
+        "failures", "use_count_max",
+    )
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __init__(
+        self,
+        degree: int,
+        trials: int,
+        seed: int,
+        kinds: tuple[str, ...],
+        coordinate_bound: int,
+        certified: int,
+        gm_satisfied: int,
+        failures: tuple[TrialFailure, ...],
+        use_count_max: Mapping[int, int],
+    ):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "coordinate_bound", coordinate_bound)
+        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "gm_satisfied", gm_satisfied)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "use_count_max", use_count_max)
+
+    def _values(self) -> tuple:
+        return (
+            self.degree, self.trials, self.seed, self.kinds, self.coordinate_bound,
+            self.certified, self.gm_satisfied, self.failures, self.use_count_max,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return SearchSummary, self._values()
+
+    def __repr__(self) -> str:
+        return (
+            f"SearchSummary(degree={self.degree!r}, trials={self.trials!r}, seed={self.seed!r}, "
+            f"kinds={self.kinds!r}, coordinate_bound={self.coordinate_bound!r}, "
+            f"certified={self.certified!r}, gm_satisfied={self.gm_satisfied!r}, "
+            f"failures={self.failures!r}, use_count_max={self.use_count_max!r})"
+        )
 
     @property
     def all_satisfied(self) -> bool:

@@ -43,17 +43,15 @@ outside the OR of the other masks, read off prefix and suffix ORs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import GCNLabError, NotGC, NotPoised
-from .geometry import Key, Line, NodeSet, _bits
+from .geometry import Key, Line, NodeSet, _bits, _frozen_delattr, _frozen_setattr
 
 
-@dataclass(frozen=True)
 class NodeCertificate:
     """Factorization of one node's fundamental polynomial.
 
@@ -62,21 +60,73 @@ class NodeCertificate:
     it where the complementary cofactor is nonzero (always at least two).
     """
 
-    node_index: int
-    constant: Fraction
-    lines: tuple[Line, ...]
-    witnesses: Mapping[Line, tuple[int, ...]]
+    __slots__ = ("node_index", "constant", "lines", "witnesses")
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __init__(
+        self,
+        node_index: int,
+        constant: Fraction,
+        lines: tuple[Line, ...],
+        witnesses: Mapping[Line, tuple[int, ...]],
+    ):
+        object.__setattr__(self, "node_index", node_index)
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "witnesses", witnesses)
+
+    def _values(self) -> tuple:
+        return (self.node_index, self.constant, self.lines, self.witnesses)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return NodeCertificate, self._values()
+
+    def __repr__(self) -> str:
+        return (
+            f"NodeCertificate(node_index={self.node_index!r}, constant={self.constant!r}, "
+            f"lines={self.lines!r}, witnesses={self.witnesses!r})"
+        )
 
 
-@dataclass(frozen=True)
 class GCCertificate:
     """Per-node line factorizations for a whole poised set.
 
     The incidence index is the node set's own, ``nodeset.incidence``.
     """
 
-    nodeset: NodeSet
-    entries: tuple[NodeCertificate, ...]
+    __slots__ = ("nodeset", "entries")
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __init__(self, nodeset: NodeSet, entries: tuple[NodeCertificate, ...]):
+        object.__setattr__(self, "nodeset", nodeset)
+        object.__setattr__(self, "entries", entries)
+
+    def _values(self) -> tuple:
+        return (self.nodeset, self.entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return GCCertificate, self._values()
+
+    def __repr__(self) -> str:
+        return f"GCCertificate(nodeset={self.nodeset!r}, entries={self.entries!r})"
 
     @property
     def degree(self) -> int:

@@ -6,6 +6,10 @@ dependence check false, retry budget exhausted), 2 for input or usage
 errors.  All structured output is canonical JSON on stdout (or ``--out``);
 diagnostics go to stderr.
 
+A command checks its arguments (node indices, ``--fix-line``, overlays)
+before it certifies or analyses the set, so a usage error exits 2 on any
+set, GC or not, without paying for a certification.
+
 Each handler imports the modules it runs when it runs, so a command pays
 at start-up only for its own code: ``certify-gc`` loads the certifier and
 the serializer, not the generators, sequences, plotting or exact algebra.
@@ -124,8 +128,8 @@ def _cmd_used_lines(args) -> int:
     from .certification import certify_gc, used_lines_of
 
     xs = _read_nodeset(args.file)
-    cert = certify_gc(xs)
     k = _node_index(xs, args.node)
+    cert = certify_gc(xs)
     lines = sorted(used_lines_of(cert, k))
     _emit(_json_dump({"node": k, "lines": [list(l.coefficients) for l in lines]}), args.out)
     return 0
@@ -136,14 +140,15 @@ def _cmd_mdseq(args) -> int:
     from .sequences import enumerate_mdseqs, fixed_first_mdseq, greedy_mdseq
 
     xs = _read_nodeset(args.file)
-    cert = certify_gc(xs)
     k = _node_index(xs, args.node)
+    first = None if args.all or args.fix_line is None else _parse_line_option(args.fix_line)
+    cert = certify_gc(xs)
     if args.all:
         seqs = sorted(s.counts for s in enumerate_mdseqs(cert, k))
         _emit(_json_dump({"node": k, "distributions": [list(c) for c in seqs]}), args.out)
         return 0
-    if args.fix_line is not None:
-        seq = fixed_first_mdseq(cert, k, _parse_line_option(args.fix_line))
+    if first is not None:
+        seq = fixed_first_mdseq(cert, k, first)
     else:
         seq = greedy_mdseq(cert, k)
     doc = {
@@ -279,29 +284,35 @@ def _cmd_plot(args) -> int:
     from .plotting import plot_svg
 
     xs = _read_nodeset(args.file)
-    maximal = ()
-    used = ()
-    sequence = None
-    cert = None
+    overlays = []
     for overlay in args.overlay or ():
         if overlay == "maximal":
-            maximal = {line for line, _ in xs.incidence.maximal}
+            overlays.append((overlay, None))
         elif overlay.startswith(("used:", "primary:")):
-            from .certification import certify_gc, used_lines_of
-
-            if cert is None:
-                cert = certify_gc(xs)
-            k = _node_index(xs, int(overlay.split(":", 1)[1]))
-            if overlay.startswith("used:"):
-                used = used_lines_of(cert, k)
-            else:
-                from .sequences import greedy_mdseq
-
-                sequence = greedy_mdseq(cert, k)
+            kind, k = overlay.split(":", 1)
+            overlays.append((kind, _node_index(xs, int(k))))
         else:
             raise _InputError(
                 f"unknown overlay {overlay!r}; use 'maximal', 'used:K' or 'primary:K'"
             )
+    maximal = ()
+    used = ()
+    sequence = None
+    cert = None
+    for kind, k in overlays:
+        if kind == "maximal":
+            maximal = {line for line, _ in xs.incidence.maximal}
+            continue
+        from .certification import certify_gc, used_lines_of
+
+        if cert is None:
+            cert = certify_gc(xs)  # after every overlay is checked
+        if kind == "used":
+            used = used_lines_of(cert, k)
+        else:
+            from .sequences import greedy_mdseq
+
+            sequence = greedy_mdseq(cert, k)
     _emit(plot_svg(xs, maximal=maximal, used=used, sequence=sequence), args.out)
     return 0
 

@@ -27,14 +27,13 @@ node sets on every platform (see :mod:`gcnlab.rng` for the PRNG contract).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from .certification import GCCertificate, certify_gc
 from .errors import RetryLimitExceeded
-from .geometry import NodeSet, Point
+from .geometry import NodeSet, Point, _frozen_delattr, _frozen_setattr
 from .polynomials import dim_pi
 from .rng import SplitMix64
 
@@ -44,7 +43,6 @@ DEFAULT_KINDS = ("chung_yao", "principal", "projective_image")
 RETRY_LIMIT = 512
 
 
-@dataclass(frozen=True)
 class GeneratorSpec:
     """Parameters of one seeded generation.
 
@@ -55,18 +53,41 @@ class GeneratorSpec:
     determined by its degree, so that kind ignores seed and bound.
     """
 
-    kind: str
-    degree: int
-    seed: int = 0
-    coordinate_bound: int = 8
+    __slots__ = ("kind", "degree", "seed", "coordinate_bound")
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
-    def __post_init__(self):
-        if self.kind not in DEFAULT_KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}; use one of {DEFAULT_KINDS}")
-        if self.degree < 1:
+    def __init__(self, kind: str, degree: int, seed: int = 0, coordinate_bound: int = 8):
+        if kind not in DEFAULT_KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}; use one of {DEFAULT_KINDS}")
+        if degree < 1:
             raise ValueError("generator degree must be >= 1")
-        if self.coordinate_bound < 1:
+        if coordinate_bound < 1:
             raise ValueError("coordinate bound must be >= 1")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "coordinate_bound", coordinate_bound)
+
+    def _values(self) -> tuple:
+        return (self.kind, self.degree, self.seed, self.coordinate_bound)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return GeneratorSpec, self._values()
+
+    def __repr__(self) -> str:
+        return (
+            f"GeneratorSpec(kind={self.kind!r}, degree={self.degree!r}, seed={self.seed!r}, "
+            f"coordinate_bound={self.coordinate_bound!r})"
+        )
 
 
 def _random_line(rng: SplitMix64, bound: int) -> tuple[int, int, int]:

@@ -18,13 +18,22 @@ is 0 for the nodes ``(X, Y) = (D*x, D*y)`` scaled by their common
 denominator D.  Certification, maximal lines, sequences and the generators
 all read this one index.
 
-All values are immutable after construction and all operations are pure,
-so everything in this module is safe to share between threads.
+The value types here, like every value type of the package, are plain
+classes: the constructor validates and stores each field once, and
+assigning to or deleting a field raises AttributeError.  Equality holds
+only between instances of one class and compares their fields, and the
+hash is that of the same fields.  ``Point`` and ``Line`` use
+``__slots__``; ``NodeSet`` and ``Incidence`` keep a ``__dict__`` for
+their cached properties.  The package does not use :mod:`dataclasses`:
+its import (which pulls in ``inspect`` and ``ast``) and the methods it
+generates for each class would add start-up time to every CLI command.
+
+All operations are pure, so everything in this module is safe to share
+between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -62,50 +71,121 @@ def to_scalar(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True, order=True)
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
 class Point:
-    """A point of the rational plane; equality is componentwise and exact."""
+    """A point of the rational plane; equality is componentwise and exact.
 
-    x: Fraction
-    y: Fraction
+    Points sort lexicographically by ``(x, y)``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", to_scalar(self.x))
-        object.__setattr__(self, "y", to_scalar(self.y))
+    __slots__ = ("x", "y")
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __init__(self, x: RationalLike, y: RationalLike):
+        object.__setattr__(self, "x", to_scalar(x))
+        object.__setattr__(self, "y", to_scalar(y))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) == (other.x, other.y)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) < (other.x, other.y)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) <= (other.x, other.y)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) > (other.x, other.y)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) >= (other.x, other.y)
+        return NotImplemented
+
+    def __reduce__(self):
+        return Point, (self.x, self.y)
 
     def __repr__(self) -> str:
         return f"Point({self.x}, {self.y})"
 
 
-@dataclass(frozen=True, order=True)
 class Line:
     """The line ``a*x + b*y + c = 0`` with canonical integer coefficients.
 
     The constructor canonicalizes: coefficients are divided by their gcd
     and the sign is flipped so the first nonzero of ``(a, b, c)`` is
     positive.  Canonicalization is idempotent, so ``Line(*line.coefficients)``
-    reproduces ``line`` exactly.  The dataclass ordering (lexicographic on
-    the canonical triple) is the tie-breaking order used throughout the
+    reproduces ``line`` exactly.  Lines sort lexicographically by the
+    canonical triple, which is the tie-breaking order used throughout the
     package.
     """
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
-    def __post_init__(self):
-        a, b, c = self.a, self.b, self.c
-        if not all(isinstance(v, int) for v in (a, b, c)):
+    def __init__(self, a: int, b: int, c: int):
+        if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int)):
             raise TypeError("line coefficients must be int; see Line.from_rationals")
         if a == 0 and b == 0:
             raise ValueError("(a, b) = (0, 0) does not define a line")
-        g = gcd(gcd(abs(a), abs(b)), abs(c))
+        g = gcd(a, b, c)
         a, b, c = a // g, b // g, c // g
         if a < 0 or (a == 0 and b < 0):
             a, b, c = -a, -b, -c
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c) == (other.a, other.b, other.c)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c) < (other.a, other.b, other.c)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c) <= (other.a, other.b, other.c)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c) > (other.a, other.b, other.c)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c) >= (other.a, other.b, other.c)
+        return NotImplemented
+
+    def __reduce__(self):
+        return Line, (self.a, self.b, self.c)
 
     @classmethod
     def from_rationals(cls, a: RationalLike, b: RationalLike, c: RationalLike) -> "Line":
@@ -126,33 +206,50 @@ class Line:
         return f"Line({self.a}, {self.b}, {self.c})"
 
 
-@dataclass(frozen=True)
 class NodeSet:
     """A finite set of distinct nodes tagged with an interpolation degree.
 
     Node order is significant only for indexing (certificates, CLI output);
-    every predicate in this package is order-invariant.
+    every predicate in this package is order-invariant.  Equality and hash
+    read ``degree``, ``nodes`` and ``labels``.
     """
 
-    degree: int
-    nodes: tuple[Point, ...]
-    labels: tuple[str, ...] | None = None
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"degree must be nonnegative, got {self.degree}")
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        if len(set(self.nodes)) != len(self.nodes):
+    def __init__(
+        self, degree: int, nodes: Sequence[Point], labels: Sequence[str] | None = None
+    ):
+        if degree < 0:
+            raise ValueError(f"degree must be nonnegative, got {degree}")
+        nodes = tuple(nodes)
+        if len(set(nodes)) != len(nodes):
             seen: set[Point] = set()
-            for p in self.nodes:
+            for p in nodes:
                 if p in seen:
                     raise DuplicateNode(f"node {p} appears twice")
                 seen.add(p)
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != len(self.nodes):
-                raise LengthMismatch(f"{len(labels)} labels for {len(self.nodes)} nodes")
-            object.__setattr__(self, "labels", labels)
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != len(nodes):
+                raise LengthMismatch(f"{len(labels)} labels for {len(nodes)} nodes")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "labels", labels)
+
+    def _values(self) -> tuple:
+        return (self.degree, self.nodes, self.labels)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"NodeSet(degree={self.degree!r}, nodes={self.nodes!r}, labels={self.labels!r})"
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -186,7 +283,6 @@ def _bits(mask: int) -> tuple[int, ...]:
 Key = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
 class Incidence:
     """A node set on integer coordinates, and every line through two of its nodes.
 
@@ -205,9 +301,27 @@ class Incidence:
     built on first use.
     """
 
-    degree: int
-    scale: int
-    coords: tuple[tuple[int, int], ...]
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __init__(self, degree: int, scale: int, coords: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "coords", coords)
+
+    def _values(self) -> tuple:
+        return (self.degree, self.scale, self.coords)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"Incidence(degree={self.degree!r}, scale={self.scale!r}, coords={self.coords!r})"
 
     @classmethod
     def of(cls, xs: NodeSet) -> "Incidence":

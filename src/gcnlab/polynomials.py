@@ -18,13 +18,12 @@ points, which rules out false positives entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
 from .errors import NotDivisible, ZeroPolynomial
-from .geometry import Line, Point, RationalLike, to_scalar
+from .geometry import Line, Point, RationalLike, _frozen_delattr, _frozen_setattr, to_scalar
 
 #: Largest supported degree bound.  Dense triangular tables stay small up to
 #: here (dim 91 at degree 12); raise it if a larger desk fits your problem.
@@ -55,7 +54,6 @@ def _monomial_index(n: int) -> dict[tuple[int, int], int]:
     return {ij: pos for pos, ij in enumerate(monomials(n))}
 
 
-@dataclass(frozen=True, eq=False)
 class Poly:
     """A bivariate polynomial of total degree at most ``degree_bound``.
 
@@ -63,16 +61,21 @@ class Poly:
     same nonzero coefficients, regardless of their degree bounds.
     """
 
-    degree_bound: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("degree_bound", "coeffs")
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
-    def __post_init__(self):
-        n = self.degree_bound
+    def __init__(self, degree_bound: int, coeffs: tuple[RationalLike, ...]):
+        n = degree_bound
         _check_degree_bound(n)
-        cs = tuple(to_scalar(c) for c in self.coeffs)
+        cs = tuple(to_scalar(c) for c in coeffs)
         if len(cs) != dim_pi(n):
             raise ValueError(f"need {dim_pi(n)} coefficients for degree {n}, got {len(cs)}")
+        object.__setattr__(self, "degree_bound", n)
         object.__setattr__(self, "coeffs", cs)
+
+    def __reduce__(self):
+        return Poly, (self.degree_bound, self.coeffs)
 
     # --- constructors -----------------------------------------------------
 

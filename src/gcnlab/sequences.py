@@ -27,25 +27,44 @@ not nodes of the set are ignored by all counting here; only nodes count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import CountsUnequal, LineNotUsed, MultiplicityPresent
-from .geometry import Line, NodeSet, Point, _bits, is_incident
+from .geometry import Line, NodeSet, Point, _bits, _frozen_delattr, _frozen_setattr, is_incident
 
 if TYPE_CHECKING:
     from .certification import GCCertificate
     from .polynomials import Poly
 
 
-@dataclass(frozen=True)
 class MDSequence:
     """A distribution sequence: counts of newly covered nodes per line."""
 
-    counts: tuple[int, ...]
+    __slots__ = ("counts",)
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __init__(self, counts: tuple[int, ...]):
+        object.__setattr__(self, "counts", counts)
+
+    def _values(self) -> tuple:
+        return (self.counts,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return MDSequence, self._values()
+
+    def __repr__(self) -> str:
+        return f"MDSequence(counts={self.counts!r})"
 
 
-@dataclass(frozen=True)
 class MLineSequence:
     """An ordered used-line sequence with its counts and primary assignment.
 
@@ -55,13 +74,51 @@ class MLineSequence:
     against the alternatives that were available at each step.
     """
 
-    node_index: int
-    nodeset: NodeSet
-    used: tuple[Line, ...]
-    lines: tuple[Line, ...]
-    counts: tuple[int, ...]
-    primary: Mapping[int, int]
-    fixed_first: Line | None = None
+    __slots__ = ("node_index", "nodeset", "used", "lines", "counts", "primary", "fixed_first")
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __init__(
+        self,
+        node_index: int,
+        nodeset: NodeSet,
+        used: tuple[Line, ...],
+        lines: tuple[Line, ...],
+        counts: tuple[int, ...],
+        primary: Mapping[int, int],
+        fixed_first: Line | None = None,
+    ):
+        object.__setattr__(self, "node_index", node_index)
+        object.__setattr__(self, "nodeset", nodeset)
+        object.__setattr__(self, "used", used)
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "primary", primary)
+        object.__setattr__(self, "fixed_first", fixed_first)
+
+    def _values(self) -> tuple:
+        return (
+            self.node_index, self.nodeset, self.used, self.lines, self.counts, self.primary,
+            self.fixed_first,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return MLineSequence, self._values()
+
+    def __repr__(self) -> str:
+        return (
+            f"MLineSequence(node_index={self.node_index!r}, nodeset={self.nodeset!r}, "
+            f"used={self.used!r}, lines={self.lines!r}, counts={self.counts!r}, "
+            f"primary={self.primary!r}, fixed_first={self.fixed_first!r})"
+        )
 
     def distribution(self) -> MDSequence:
         return MDSequence(self.counts)

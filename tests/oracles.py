@@ -38,13 +38,18 @@ from the same seeded stream.
 :func:`used_line_index` are the factorization and line-use helpers that
 left the library once certification became a cover search; the tests use
 them to look inside fundamental polynomials and certificates.
+
+:class:`DataclassPoint` and :class:`DataclassLine` are the frozen, ordered
+dataclasses that ``Point`` and ``Line`` were before they became plain
+classes; the tests compare construction, errors, equality, hashing, order
+and repr against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 from typing import Mapping
 
 from gcnlab import (
@@ -72,10 +77,58 @@ from gcnlab import (
     is_poised,
     line_incidence,
     line_through,
+    to_scalar,
 )
 from gcnlab.generators import RETRY_LIMIT
 from gcnlab.linalg import _echelon, _integer_rows
 from gcnlab.rng import SplitMix64
+
+
+@dataclass(frozen=True, order=True)
+class DataclassPoint:
+    x: Fraction
+    y: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", to_scalar(self.x))
+        object.__setattr__(self, "y", to_scalar(self.y))
+
+    def __repr__(self) -> str:
+        return f"Point({self.x}, {self.y})"
+
+
+@dataclass(frozen=True, order=True)
+class DataclassLine:
+    a: int
+    b: int
+    c: int
+
+    def __post_init__(self):
+        a, b, c = self.a, self.b, self.c
+        if not all(isinstance(v, int) for v in (a, b, c)):
+            raise TypeError("line coefficients must be int; see Line.from_rationals")
+        if a == 0 and b == 0:
+            raise ValueError("(a, b) = (0, 0) does not define a line")
+        g = gcd(gcd(abs(a), abs(b)), abs(c))
+        a, b, c = a // g, b // g, c // g
+        if a < 0 or (a == 0 and b < 0):
+            a, b, c = -a, -b, -c
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+    @classmethod
+    def from_rationals(cls, a, b, c):
+        qa, qb, qc = to_scalar(a), to_scalar(b), to_scalar(c)
+        m = lcm(qa.denominator, qb.denominator, qc.denominator)
+        return cls(int(qa * m), int(qb * m), int(qc * m))
+
+    @property
+    def coefficients(self):
+        return (self.a, self.b, self.c)
+
+    def __repr__(self) -> str:
+        return f"Line({self.a}, {self.b}, {self.c})"
 
 
 def rank_naive(rows):

@@ -293,6 +293,45 @@ class TestPlot:
         assert code == 2
 
 
+class TestUsageBeforeCertification:
+    """A bad node index or --fix-line is a usage error even on a set that is not GC."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["mdseq", "--node", "99"], "node index 99 out of range", id="mdseq"),
+            pytest.param(
+                ["used-lines", "--node", "99"], "node index 99 out of range", id="used-lines"
+            ),
+            pytest.param(["plot", "--overlay", "used:99"], "node index 99 out of range", id="plot"),
+            pytest.param(
+                ["plot", "--overlay", "used:0", "--overlay", "primary:99"],
+                "node index 99 out of range",
+                id="plot-later-overlay",
+            ),
+            pytest.param(
+                ["mdseq", "--node", "0", "--fix-line", "1,2"],
+                "--fix-line expects 'a,b,c'",
+                id="mdseq-fix-line",
+            ),
+        ],
+    )
+    def test_exits_two_without_certifying(self, capsys, tmp_path, monkeypatch, argv, message):
+        path = tmp_path / "moved.json"
+        path.write_text(
+            '{"degree": 2, "nodes": [["0","0"],["0","1"],["0","4"],["1","0"],'
+            '["2","0"],["22/7","-21/11"]]}\n'
+        )
+
+        def no_certify(xs):
+            raise AssertionError("certified before checking the arguments")
+
+        monkeypatch.setattr(certification, "certify_gc", no_certify)
+        code = main([argv[0], str(path), *argv[1:]])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestErrorPaths:
     def test_missing_file(self, capsys):
         code, _ = run(capsys, "check-poised", "/nonexistent/file.json")

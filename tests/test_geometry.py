@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from gcnlab import (
     to_scalar,
 )
 
-from oracles import general_position_fraction
+from oracles import DataclassLine, DataclassPoint, general_position_fraction
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=12
@@ -233,3 +235,82 @@ class TestScalar:
 
         assert s.denominator > 0
         assert gcd(s.numerator, s.denominator) == 1
+
+
+# Constructor inputs for the comparison with the dataclass oracles: lines
+# with (a, b) = (0, 0), coefficients and coordinates that are not ints.
+odd_values = st.sampled_from([Fraction(1, 2), Fraction(4, 2), "3", "2/3", "x", 2.0, None, True])
+any_triples = st.one_of(
+    st.tuples(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60)),
+    st.integers(-60, 60).map(lambda c: (0, 0, c)),
+    st.tuples(*[st.one_of(st.integers(-9, 9), odd_values)] * 3),
+)
+any_pairs = st.tuples(*[st.one_of(rationals, odd_values)] * 2)
+COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def built(cls, args):
+    """``cls(*args)``, or the type and message of the exception it raised."""
+    try:
+        return cls(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def same_value(new, ref, fields):
+    if isinstance(ref, tuple):
+        assert new == ref  # the same exception type and message
+        return
+    assert tuple(getattr(new, f) for f in fields) == tuple(getattr(ref, f) for f in fields)
+    assert [type(getattr(new, f)) for f in fields] == [type(getattr(ref, f)) for f in fields]
+    assert repr(new) == repr(ref)
+    assert hash(new) == hash(ref)
+    assert new != ref and ref != new  # equal only within one class
+    with pytest.raises(TypeError):
+        new < ref  # noqa: B015
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(new, f, 0)
+        with pytest.raises(AttributeError):
+            delattr(new, f)
+
+
+def same_order(new, ref, fields):
+    key = operator.attrgetter(*fields)
+    assert [key(v) for v in sorted(new)] == [key(v) for v in sorted(ref)]
+    for i in range(len(new)):
+        for j in range(len(new)):
+            for op in COMPARISONS:
+                assert op(new[i], new[j]) == op(ref[i], ref[j])
+
+
+class TestAgainstDataclassOracle:
+    """``Point`` and ``Line`` behave as the frozen, ordered dataclasses they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_triples)
+    def test_line(self, t):
+        same_value(built(Line, t), built(DataclassLine, t), ("a", "b", "c"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(rationals, rationals, rationals))
+    def test_line_from_rationals(self, t):
+        new = built(Line.from_rationals, t)
+        same_value(new, built(DataclassLine.from_rationals, t), ("a", "b", "c"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(line_coeffs, min_size=1, max_size=8))
+    def test_line_order(self, ts):
+        same_order([Line(*t) for t in ts], [DataclassLine(*t) for t in ts], ("a", "b", "c"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_pairs)
+    def test_point(self, xy):
+        same_value(built(Point, xy), built(DataclassPoint, xy), ("x", "y"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([-1, 0, Fraction(1, 2)]), rationals), max_size=8))
+    def test_point_order(self, pairs):  # few x values, so ties on x are common
+        same_order(
+            [Point(*xy) for xy in pairs], [DataclassPoint(*xy) for xy in pairs], ("x", "y")
+        )

@@ -113,7 +113,11 @@ class TestNamespace:
 
 
 # Runs one CLI command as ``python -m gcnlab.cli`` does and reports, as the
-# last stderr line, its exit code and the gcnlab submodules it loaded.
+# last stderr line, its exit code, the gcnlab submodules it loaded and which
+# of ``dataclasses`` and ``inspect`` it loaded.  No part of a CLI process
+# but gcnlab would import those two (with ``ast``, ``dis`` and
+# ``tokenize``), so each one gcnlab pulled in would be start-up time paid by
+# every command.
 PROBE = """
 import json, runpy, sys
 sys.argv = ["gcnlab", *sys.argv[1:]]
@@ -123,12 +127,17 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("gcnlab."))
-print(json.dumps([code, loaded]), file=sys.stderr)
+stdlib = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+print(json.dumps([code, loaded, stdlib]), file=sys.stderr)
 """
 
+# Imports the module named by its argument and reports as PROBE does.
 BARE = """
-import json, sys, gcnlab
-print(json.dumps([0, sorted(m for m in sys.modules if m.startswith("gcnlab."))]), file=sys.stderr)
+import json, sys
+__import__(sys.argv[1])
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("gcnlab."))
+stdlib = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+print(json.dumps([0, loaded, stdlib]), file=sys.stderr)
 """
 
 
@@ -158,7 +167,10 @@ ALGEBRA = ["interpolation", "linalg", "polynomials"]
 
 class TestImportBoundary:
     def test_bare_import_loads_no_module(self, workdir):
-        assert probe(workdir, BARE) == [0, []]
+        assert probe(workdir, BARE, "gcnlab") == [0, [], []]
+
+    def test_serialization_loads_no_dataclasses(self, workdir):
+        assert probe(workdir, BARE, "gcnlab.serialization") == [0, sorted(READ), []]
 
     @pytest.mark.parametrize(
         "argv, extra",
@@ -171,21 +183,22 @@ class TestImportBoundary:
     )
     def test_benchmark_commands(self, workdir, argv, extra):
         base = READ if argv[0] == "plot" else BASE
-        assert probe(workdir, PROBE, *argv) == [0, sorted(base + extra)]
+        assert probe(workdir, PROBE, *argv) == [0, sorted(base + extra), []]
 
     def test_maximal_lines_reads_the_index_without_the_certifier(self, workdir):
         # maximal lines come from the node set's own index
-        assert probe(workdir, PROBE, "maximal-lines", "cy.json") == [0, sorted(READ)]
+        assert probe(workdir, PROBE, "maximal-lines", "cy.json") == [0, sorted(READ), []]
 
     def test_plot_certifies_only_for_a_certificate_overlay(self, workdir):
         argv = ["plot", "cy.json", "--overlay", "maximal", "--overlay", "used:0"]
-        assert probe(workdir, PROBE, *argv) == [0, sorted(BASE + ["plotting"])]
+        assert probe(workdir, PROBE, *argv) == [0, sorted(BASE + ["plotting"]), []]
 
     def test_only_a_failed_cover_loads_the_algebra(self, workdir):
         # telling a non-poised set from a poised non-GC one needs a rank
-        assert probe(workdir, PROBE, "certify-gc", "moved.json") == [1, sorted(BASE + ALGEBRA)]
+        got = probe(workdir, PROBE, "certify-gc", "moved.json")
+        assert got == [1, sorted(BASE + ALGEBRA), []]
 
     def test_generate_loads_the_generators(self, workdir):
         argv = ["generate", "--kind", "principal", "--degree", "2"]
         expected = sorted(BASE + ["generators", "polynomials", "rng"])
-        assert probe(workdir, PROBE, *argv) == [0, expected]
+        assert probe(workdir, PROBE, *argv) == [0, expected, []]

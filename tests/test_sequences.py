@@ -1,7 +1,6 @@
 """Greedy line sequences: counts, primary assignment, swap law, divisibility."""
 
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +12,7 @@ from gcnlab import (
     Line,
     LineNotUsed,
     MDSequence,
+    MLineSequence,
     MultiplicityPresent,
     NodeSet,
     Point,
@@ -36,6 +36,13 @@ from gcnlab.linalg import nullspace_basis
 from gcnlab.rng import SplitMix64
 
 from oracles import enumerate_mdseqs_dfs, greedy_counts_recount, verify_swap_property_fraction
+
+
+def with_primary(seq, primary):
+    """``seq`` with its primary map replaced."""
+    return MLineSequence(
+        seq.node_index, seq.nodeset, seq.used, seq.lines, seq.counts, primary, seq.fixed_first
+    )
 
 
 def recount(xs, seq):
@@ -298,7 +305,7 @@ class TestSwapProperty:
         assert seq.counts == (2, 2)
         assert verify_swap_property(seq, 0)
         # every node claimed late would fail a crossing at a node, not this one
-        late = replace(seq, primary={j: 1 for j in seq.primary})
+        late = with_primary(seq, {j: 1 for j in seq.primary})
         assert verify_swap_property(late, 0)
 
     def test_counts_unequal_rejected(self, cy5_pair):
@@ -355,7 +362,7 @@ class TestSwapAgainstFractionOracle:
                     early = {j: 0 for j in seq.primary}
                     late = {j: len(seq.lines) for j in seq.primary}
                     for primary in (seq.primary, early, late):
-                        variant = replace(seq, primary=primary)
+                        variant = with_primary(seq, primary)
                         got = verify_swap_property(variant, i)
                         assert got == verify_swap_property_fraction(variant, i)
                         outcomes[got] += 1
