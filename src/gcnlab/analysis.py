@@ -31,10 +31,10 @@ from .errors import (
     ParallelLines,
     RetryLimitExceeded,
 )
-from .geometry import Line, NodeSet, _frozen_delattr, _frozen_setattr, intersect, line_through
+from .geometry import Line, NodeSet, Value, intersect, line_through
 
 
-class GMReport:
+class GMReport(Value):
     """Outcome of a Gasca-Maeztu check on one certified set.
 
     ``satisfied`` is true exactly when ``maximal_lines`` is nonempty.  When
@@ -43,9 +43,7 @@ class GMReport:
     the configuration can be reproduced and refuted independently.
     """
 
-    __slots__ = ("degree", "satisfied", "maximal_lines", "counterexample")
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
+    __slots__ = _fields = ("degree", "satisfied", "maximal_lines", "counterexample")
 
     def __init__(
         self,
@@ -59,28 +57,8 @@ class GMReport:
         object.__setattr__(self, "maximal_lines", maximal_lines)
         object.__setattr__(self, "counterexample", counterexample)
 
-    def _values(self) -> tuple:
-        return (self.degree, self.satisfied, self.maximal_lines, self.counterexample)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return GMReport, self._values()
-
-    def __repr__(self) -> str:
-        return (
-            f"GMReport(degree={self.degree!r}, satisfied={self.satisfied!r}, "
-            f"maximal_lines={self.maximal_lines!r}, counterexample={self.counterexample!r})"
-        )
-
-
-class IncidenceProfile:
+class IncidenceProfile(Value):
     """Counts of lines through a center node by their target-node incidence.
 
     ``counts[k]`` is the number of lines through the center meeting the
@@ -89,34 +67,12 @@ class IncidenceProfile:
     holds exactly; the constructor path asserts it.
     """
 
-    __slots__ = ("center", "target", "counts")
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
+    __slots__ = _fields = ("center", "target", "counts")
 
     def __init__(self, center: int, target: tuple[int, ...], counts: Mapping[int, int]):
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "counts", counts)
-
-    def _values(self) -> tuple:
-        return (self.center, self.target, self.counts)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return IncidenceProfile, self._values()
-
-    def __repr__(self) -> str:
-        return (
-            f"IncidenceProfile(center={self.center!r}, target={self.target!r}, "
-            f"counts={self.counts!r})"
-        )
 
 
 def maximal_lines(xs: NodeSet) -> set[Line]:
@@ -223,12 +179,10 @@ def cayley_bacharach_check(lines_m: Sequence[Line], lines_n: Sequence[Line]) -> 
     return is_essentially_dependent(xs, m + n - 3)
 
 
-class TrialFailure:
+class TrialFailure(Value):
     """One failed trial of the falsification harness."""
 
-    __slots__ = ("trial", "kind", "seed", "reason", "certificate")
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
+    __slots__ = _fields = ("trial", "kind", "seed", "reason", "certificate")
 
     def __init__(
         self, trial: int, kind: str, seed: int, reason: str, certificate: GCCertificate | None
@@ -239,28 +193,8 @@ class TrialFailure:
         object.__setattr__(self, "reason", reason)
         object.__setattr__(self, "certificate", certificate)
 
-    def _values(self) -> tuple:
-        return (self.trial, self.kind, self.seed, self.reason, self.certificate)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return TrialFailure, self._values()
-
-    def __repr__(self) -> str:
-        return (
-            f"TrialFailure(trial={self.trial!r}, kind={self.kind!r}, seed={self.seed!r}, "
-            f"reason={self.reason!r}, certificate={self.certificate!r})"
-        )
-
-
-class SearchSummary:
+class SearchSummary(Value):
     """Aggregate outcome of a falsification run.
 
     ``use_count_max`` maps the node count of a line class to the largest
@@ -268,12 +202,10 @@ class SearchSummary:
     reported as data, no bound is asserted.
     """
 
-    __slots__ = (
+    __slots__ = _fields = (
         "degree", "trials", "seed", "kinds", "coordinate_bound", "certified", "gm_satisfied",
         "failures", "use_count_max",
     )
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
 
     def __init__(
         self,
@@ -296,31 +228,6 @@ class SearchSummary:
         object.__setattr__(self, "gm_satisfied", gm_satisfied)
         object.__setattr__(self, "failures", failures)
         object.__setattr__(self, "use_count_max", use_count_max)
-
-    def _values(self) -> tuple:
-        return (
-            self.degree, self.trials, self.seed, self.kinds, self.coordinate_bound,
-            self.certified, self.gm_satisfied, self.failures, self.use_count_max,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return SearchSummary, self._values()
-
-    def __repr__(self) -> str:
-        return (
-            f"SearchSummary(degree={self.degree!r}, trials={self.trials!r}, seed={self.seed!r}, "
-            f"kinds={self.kinds!r}, coordinate_bound={self.coordinate_bound!r}, "
-            f"certified={self.certified!r}, gm_satisfied={self.gm_satisfied!r}, "
-            f"failures={self.failures!r}, use_count_max={self.use_count_max!r})"
-        )
 
     @property
     def all_satisfied(self) -> bool:

@@ -6,9 +6,10 @@ dependence check false, retry budget exhausted), 2 for input or usage
 errors.  All structured output is canonical JSON on stdout (or ``--out``);
 diagnostics go to stderr.
 
-A command checks its arguments (node indices, ``--fix-line``, overlays)
-before it certifies or analyses the set, so a usage error exits 2 on any
-set, GC or not, without paying for a certification.
+A command checks its arguments (node indices, ``--fix-line`` and that it
+does not come with ``--all``, overlays and that no ``used:K`` or
+``primary:K`` repeats) before it certifies or analyses the set, so a usage
+error exits 2 on any set, GC or not, without paying for a certification.
 
 Each handler imports the modules it runs when it runs, so a command pays
 at start-up only for its own code: ``certify-gc`` loads the certifier and
@@ -18,7 +19,6 @@ the serializer, not the generators, sequences, plotting or exact algebra.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -63,6 +63,13 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _emit_doc(doc, out: str | None) -> None:
+    """Emit ``doc`` as canonical JSON, written as every saved document is."""
+    from .serialization import _dumps
+
+    _emit(_dumps(doc), out)
+
+
 def _node_index(xs: NodeSet, k: int) -> int:
     if not 0 <= k < len(xs):
         raise _InputError(f"node index {k} out of range [0, {len(xs) - 1}]")
@@ -81,10 +88,6 @@ def _parse_line_option(text: str) -> Line:
         raise _InputError(f"bad line coefficients {text!r}: {exc}") from None
 
 
-def _json_dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 # --- subcommand handlers -------------------------------------------------------
 
 def _cmd_check_poised(args) -> int:
@@ -92,10 +95,7 @@ def _cmd_check_poised(args) -> int:
 
     xs = _read_nodeset(args.file)
     poised = is_poised(xs)
-    _emit(
-        _json_dump({"degree": xs.degree, "node_count": len(xs), "poised": poised}),
-        args.out,
-    )
+    _emit_doc({"degree": xs.degree, "node_count": len(xs), "poised": poised}, args.out)
     return 0 if poised else _PROPERTY_FAILED
 
 
@@ -110,7 +110,7 @@ def _cmd_fundamental(args) -> int:
     doc = poly_to_dict(sol.poly)
     doc["node"] = k
     doc["text"] = format_poly(sol.poly)
-    _emit(_json_dump(doc), args.out)
+    _emit_doc(doc, args.out)
     return 0
 
 
@@ -131,7 +131,7 @@ def _cmd_used_lines(args) -> int:
     k = _node_index(xs, args.node)
     cert = certify_gc(xs)
     lines = sorted(used_lines_of(cert, k))
-    _emit(_json_dump({"node": k, "lines": [list(l.coefficients) for l in lines]}), args.out)
+    _emit_doc({"node": k, "lines": [list(l.coefficients) for l in lines]}, args.out)
     return 0
 
 
@@ -139,13 +139,15 @@ def _cmd_mdseq(args) -> int:
     from .certification import certify_gc
     from .sequences import enumerate_mdseqs, fixed_first_mdseq, greedy_mdseq
 
+    if args.all and args.fix_line is not None:
+        raise _InputError("--fix-line cannot be combined with --all, which lists every ordering")
     xs = _read_nodeset(args.file)
     k = _node_index(xs, args.node)
-    first = None if args.all or args.fix_line is None else _parse_line_option(args.fix_line)
+    first = None if args.fix_line is None else _parse_line_option(args.fix_line)
     cert = certify_gc(xs)
     if args.all:
         seqs = sorted(s.counts for s in enumerate_mdseqs(cert, k))
-        _emit(_json_dump({"node": k, "distributions": [list(c) for c in seqs]}), args.out)
+        _emit_doc({"node": k, "distributions": [list(c) for c in seqs]}, args.out)
         return 0
     if first is not None:
         seq = fixed_first_mdseq(cert, k, first)
@@ -159,7 +161,7 @@ def _cmd_mdseq(args) -> int:
     }
     if seq.fixed_first is not None:
         doc["fixed_first"] = list(seq.fixed_first.coefficients)
-    _emit(_json_dump(doc), args.out)
+    _emit_doc(doc, args.out)
     return 0
 
 
@@ -172,7 +174,7 @@ def _cmd_maximal_lines(args) -> int:
             for l, nodes in xs.incidence.maximal
         ],
     }
-    _emit(_json_dump(doc), args.out)
+    _emit_doc(doc, args.out)
     return 0
 
 
@@ -205,7 +207,7 @@ def _cmd_incidence_profile(args) -> int:
         "target_size": len(profile.target),
         "counts": {str(c): n for c, n in sorted(profile.counts.items())},
     }
-    _emit(_json_dump(doc), args.out)
+    _emit_doc(doc, args.out)
     return 0
 
 
@@ -252,7 +254,7 @@ def _cmd_cayley_bacharach(args) -> int:
             "dependence_degree": args.m + args.n - 3,
             "dependent": dependent,
         }
-        _emit(_json_dump(doc), args.out)
+        _emit_doc(doc, args.out)
         return 0 if dependent else _PROPERTY_FAILED
     raise RetryLimitExceeded("no transversal line configuration within 512 draws")
 
@@ -290,6 +292,8 @@ def _cmd_plot(args) -> int:
             overlays.append((overlay, None))
         elif overlay.startswith(("used:", "primary:")):
             kind, k = overlay.split(":", 1)
+            if any(kind == seen for seen, _ in overlays):
+                raise _InputError(f"overlay {overlay!r}: plot draws at most one {kind}:K overlay")
             overlays.append((kind, _node_index(xs, int(k))))
         else:
             raise _InputError(

@@ -33,7 +33,7 @@ from math import lcm
 
 from .certification import GCCertificate, certify_gc
 from .errors import RetryLimitExceeded
-from .geometry import NodeSet, Point, _frozen_delattr, _frozen_setattr
+from .geometry import NodeSet, Point, Value
 from .polynomials import dim_pi
 from .rng import SplitMix64
 
@@ -43,7 +43,7 @@ DEFAULT_KINDS = ("chung_yao", "principal", "projective_image")
 RETRY_LIMIT = 512
 
 
-class GeneratorSpec:
+class GeneratorSpec(Value):
     """Parameters of one seeded generation.
 
     ``coordinate_bound`` caps the magnitude of random integer coefficients
@@ -53,9 +53,7 @@ class GeneratorSpec:
     determined by its degree, so that kind ignores seed and bound.
     """
 
-    __slots__ = ("kind", "degree", "seed", "coordinate_bound")
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
+    __slots__ = _fields = ("kind", "degree", "seed", "coordinate_bound")
 
     def __init__(self, kind: str, degree: int, seed: int = 0, coordinate_bound: int = 8):
         if kind not in DEFAULT_KINDS:
@@ -68,26 +66,6 @@ class GeneratorSpec:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "coordinate_bound", coordinate_bound)
-
-    def _values(self) -> tuple:
-        return (self.kind, self.degree, self.seed, self.coordinate_bound)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return GeneratorSpec, self._values()
-
-    def __repr__(self) -> str:
-        return (
-            f"GeneratorSpec(kind={self.kind!r}, degree={self.degree!r}, seed={self.seed!r}, "
-            f"coordinate_bound={self.coordinate_bound!r})"
-        )
 
 
 def _random_line(rng: SplitMix64, bound: int) -> tuple[int, int, int]:

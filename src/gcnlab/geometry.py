@@ -18,15 +18,19 @@ is 0 for the nodes ``(X, Y) = (D*x, D*y)`` scaled by their common
 denominator D.  Certification, maximal lines, sequences and the generators
 all read this one index.
 
-The value types here, like every value type of the package, are plain
-classes: the constructor validates and stores each field once, and
-assigning to or deleting a field raises AttributeError.  Equality holds
-only between instances of one class and compares their fields, and the
-hash is that of the same fields.  ``Point`` and ``Line`` use
-``__slots__``; ``NodeSet`` and ``Incidence`` keep a ``__dict__`` for
-their cached properties.  The package does not use :mod:`dataclasses`:
-its import (which pulls in ``inspect`` and ``ast``) and the methods it
-generates for each class would add start-up time to every CLI command.
+Every value type of the package derives from :class:`Value`, defined
+here.  A subclass names its fields once, in constructor order:
+``__slots__ = _fields = (...)``, or ``_fields`` alone on ``NodeSet`` and
+``Incidence``, which keep a ``__dict__`` for their cached properties.  Its
+constructor validates and stores each field.  ``Value`` supplies the rest:
+assigning to or deleting a field raises AttributeError, values are equal
+only within one class and field by field, the hash is that of the fields,
+pickling rebuilds a value from its fields, and the repr reads
+``Name(field=value, ...)``.  ``Point`` and ``Line`` alone sort, and print
+shorter; ``Poly`` compares mathematically and is unhashable.  The package
+does not use :mod:`dataclasses`: its import (which pulls in ``inspect``
+and ``ast``) and the methods it generates for each class would add
+start-up time to every CLI command.
 
 All operations are pure, so everything in this module is safe to share
 between threads.
@@ -71,64 +75,91 @@ def to_scalar(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
-def _frozen_setattr(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
+class Value:
+    """An immutable value whose fields are named in ``_fields``, in constructor order.
+
+    A subclass's ``__init__`` stores each field with ``object.__setattr__``;
+    after that, assigning to or deleting any attribute raises
+    AttributeError.  Two values are equal only when they are of one class
+    and their fields are equal, and the hash is that of the field tuple.
+    A value pickles and copies as its class applied to its fields, and its
+    repr is ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
 
 
-def _frozen_delattr(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
+class _Ordered(Value):
+    """A value that sorts by its field tuple, against values of its own class only."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() < other._values()
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() <= other._values()
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() > other._values()
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() >= other._values()
+        return NotImplemented
 
 
-class Point:
+class Point(_Ordered):
     """A point of the rational plane; equality is componentwise and exact.
 
     Points sort lexicographically by ``(x, y)``.
     """
 
-    __slots__ = ("x", "y")
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
+    __slots__ = _fields = ("x", "y")
 
     def __init__(self, x: RationalLike, y: RationalLike):
         object.__setattr__(self, "x", to_scalar(x))
         object.__setattr__(self, "y", to_scalar(y))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.x, self.y) == (other.x, other.y)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.x, self.y) < (other.x, other.y)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.x, self.y) <= (other.x, other.y)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.x, self.y) > (other.x, other.y)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.x, self.y) >= (other.x, other.y)
-        return NotImplemented
-
-    def __reduce__(self):
-        return Point, (self.x, self.y)
+    def _values(self) -> tuple:  # the literal tuple: hashing points is on the hot path
+        return (self.x, self.y)
 
     def __repr__(self) -> str:
         return f"Point({self.x}, {self.y})"
 
 
-class Line:
+class Line(_Ordered):
     """The line ``a*x + b*y + c = 0`` with canonical integer coefficients.
 
     The constructor canonicalizes: coefficients are divided by their gcd
@@ -139,9 +170,7 @@ class Line:
     package.
     """
 
-    __slots__ = ("a", "b", "c")
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
+    __slots__ = _fields = ("a", "b", "c")
 
     def __init__(self, a: int, b: int, c: int):
         if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int)):
@@ -156,36 +185,8 @@ class Line:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c) == (other.a, other.b, other.c)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c) < (other.a, other.b, other.c)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c) <= (other.a, other.b, other.c)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c) > (other.a, other.b, other.c)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c) >= (other.a, other.b, other.c)
-        return NotImplemented
-
-    def __reduce__(self):
-        return Line, (self.a, self.b, self.c)
+    def _values(self) -> tuple:  # the literal tuple: hashing lines is on the hot path
+        return (self.a, self.b, self.c)
 
     @classmethod
     def from_rationals(cls, a: RationalLike, b: RationalLike, c: RationalLike) -> "Line":
@@ -206,16 +207,14 @@ class Line:
         return f"Line({self.a}, {self.b}, {self.c})"
 
 
-class NodeSet:
+class NodeSet(Value):
     """A finite set of distinct nodes tagged with an interpolation degree.
 
     Node order is significant only for indexing (certificates, CLI output);
-    every predicate in this package is order-invariant.  Equality and hash
-    read ``degree``, ``nodes`` and ``labels``.
+    every predicate in this package is order-invariant.
     """
 
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
+    _fields = ("degree", "nodes", "labels")
 
     def __init__(
         self, degree: int, nodes: Sequence[Point], labels: Sequence[str] | None = None
@@ -236,20 +235,6 @@ class NodeSet:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "labels", labels)
-
-    def _values(self) -> tuple:
-        return (self.degree, self.nodes, self.labels)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return f"NodeSet(degree={self.degree!r}, nodes={self.nodes!r}, labels={self.labels!r})"
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -283,7 +268,7 @@ def _bits(mask: int) -> tuple[int, ...]:
 Key = tuple[int, int, int]
 
 
-class Incidence:
+class Incidence(Value):
     """A node set on integer coordinates, and every line through two of its nodes.
 
     ``degree`` is the node set's degree, ``scale`` the lcm D of all
@@ -301,27 +286,12 @@ class Incidence:
     built on first use.
     """
 
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
+    _fields = ("degree", "scale", "coords")
 
     def __init__(self, degree: int, scale: int, coords: tuple[tuple[int, int], ...]):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "coords", coords)
-
-    def _values(self) -> tuple:
-        return (self.degree, self.scale, self.coords)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return f"Incidence(degree={self.degree!r}, scale={self.scale!r}, coords={self.coords!r})"
 
     @classmethod
     def of(cls, xs: NodeSet) -> "Incidence":

@@ -21,11 +21,11 @@ from typing import Sequence
 
 from . import linalg
 from .errors import LengthMismatch, NotPoised
-from .geometry import NodeSet, Point, _frozen_delattr, _frozen_setattr
+from .geometry import NodeSet, Point, Value
 from .polynomials import Poly, _check_degree_bound, dim_pi, monomials
 
 
-class FundamentalSolution:
+class FundamentalSolution(Value):
     """The polynomial equal to 1 at one node and 0 at all the others.
 
     Produced by an exact solve, so the Kronecker property holds by
@@ -33,30 +33,11 @@ class FundamentalSolution:
     rather than trusting the solver.
     """
 
-    __slots__ = ("node_index", "poly")
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
+    __slots__ = _fields = ("node_index", "poly")
 
     def __init__(self, node_index: int, poly: Poly):
         object.__setattr__(self, "node_index", node_index)
         object.__setattr__(self, "poly", poly)
-
-    def _values(self) -> tuple:
-        return (self.node_index, self.poly)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return FundamentalSolution, self._values()
-
-    def __repr__(self) -> str:
-        return f"FundamentalSolution(node_index={self.node_index!r}, poly={self.poly!r})"
 
 
 def _vandermonde_rows(nodes: Sequence[Point], degree: int) -> list[list[Fraction]]:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .errors import NotDivisible, ZeroPolynomial
-from .geometry import Line, Point, RationalLike, _frozen_delattr, _frozen_setattr, to_scalar
+from .geometry import Line, Point, RationalLike, Value, to_scalar
 
 #: Largest supported degree bound.  Dense triangular tables stay small up to
 #: here (dim 91 at degree 12); raise it if a larger desk fits your problem.
@@ -54,16 +54,14 @@ def _monomial_index(n: int) -> dict[tuple[int, int], int]:
     return {ij: pos for pos, ij in enumerate(monomials(n))}
 
 
-class Poly:
+class Poly(Value):
     """A bivariate polynomial of total degree at most ``degree_bound``.
 
     Equality is mathematical: two instances compare equal iff they have the
     same nonzero coefficients, regardless of their degree bounds.
     """
 
-    __slots__ = ("degree_bound", "coeffs")
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
+    __slots__ = _fields = ("degree_bound", "coeffs")
 
     def __init__(self, degree_bound: int, coeffs: tuple[RationalLike, ...]):
         n = degree_bound
@@ -73,9 +71,6 @@ class Poly:
             raise ValueError(f"need {dim_pi(n)} coefficients for degree {n}, got {len(cs)}")
         object.__setattr__(self, "degree_bound", n)
         object.__setattr__(self, "coeffs", cs)
-
-    def __reduce__(self):
-        return Poly, (self.degree_bound, self.coeffs)
 
     # --- constructors -----------------------------------------------------
 

@@ -18,11 +18,12 @@ states with duplicates merged.  The n used lines give at most 2^n
 distinct unused-line sets over all steps.
 
 Incidence is decided on the integer nodes of the set's index
-(``NodeSet.incidence``): node j lies on ``a*x + b*y + c = 0`` iff ``a*X_j +
-b*Y_j + c*D`` is 0, and each line becomes the bitmask of its nodes.  Two
-distinct lines share at most one node, so the AND of their masks is their
-crossing node, if it is one.  Intersection points of used lines that are
-not nodes of the set are ignored by all counting here; only nodes count.
+(``NodeSet.incidence``, read through ``Incidence.values``): node j lies on
+``a*x + b*y + c = 0`` iff ``a*X_j + b*Y_j + c*D`` is 0, and each line
+becomes the bitmask of its nodes.  Two distinct lines share at most one
+node, so the AND of their masks is their crossing node, if it is one.
+Intersection points of used lines that are not nodes of the set are
+ignored by all counting here; only nodes count.
 """
 
 from __future__ import annotations
@@ -30,42 +31,23 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import CountsUnequal, LineNotUsed, MultiplicityPresent
-from .geometry import Line, NodeSet, Point, _bits, _frozen_delattr, _frozen_setattr, is_incident
+from .geometry import Line, NodeSet, Point, Value, _bits, is_incident
 
 if TYPE_CHECKING:
     from .certification import GCCertificate
     from .polynomials import Poly
 
 
-class MDSequence:
+class MDSequence(Value):
     """A distribution sequence: counts of newly covered nodes per line."""
 
-    __slots__ = ("counts",)
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
+    __slots__ = _fields = ("counts",)
 
     def __init__(self, counts: tuple[int, ...]):
         object.__setattr__(self, "counts", counts)
 
-    def _values(self) -> tuple:
-        return (self.counts,)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return MDSequence, self._values()
-
-    def __repr__(self) -> str:
-        return f"MDSequence(counts={self.counts!r})"
-
-
-class MLineSequence:
+class MLineSequence(Value):
     """An ordered used-line sequence with its counts and primary assignment.
 
     ``primary`` maps the index of every covered node to the position (into
@@ -74,9 +56,9 @@ class MLineSequence:
     against the alternatives that were available at each step.
     """
 
-    __slots__ = ("node_index", "nodeset", "used", "lines", "counts", "primary", "fixed_first")
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
+    __slots__ = _fields = (
+        "node_index", "nodeset", "used", "lines", "counts", "primary", "fixed_first",
+    )
 
     def __init__(
         self,
@@ -96,47 +78,21 @@ class MLineSequence:
         object.__setattr__(self, "primary", primary)
         object.__setattr__(self, "fixed_first", fixed_first)
 
-    def _values(self) -> tuple:
-        return (
-            self.node_index, self.nodeset, self.used, self.lines, self.counts, self.primary,
-            self.fixed_first,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return MLineSequence, self._values()
-
-    def __repr__(self) -> str:
-        return (
-            f"MLineSequence(node_index={self.node_index!r}, nodeset={self.nodeset!r}, "
-            f"used={self.used!r}, lines={self.lines!r}, counts={self.counts!r}, "
-            f"primary={self.primary!r}, fixed_first={self.fixed_first!r})"
-        )
-
     def distribution(self) -> MDSequence:
         return MDSequence(self.counts)
 
 
 def _line_masks(xs: NodeSet, lines: Sequence[Line]) -> dict[Line, int]:
-    """The bitmask of the nodes on each line, by integer evaluation.
+    """The bitmask of the nodes on each line, from ``Incidence.values``.
 
-    Bit j is set iff ``a*X + b*Y + c*D`` is 0 at the integer node j.  Only
-    the index's integer nodes are read, not its line map, so any line
-    works, including one through fewer than two nodes.
+    Bit j is set iff the line's integer value at node j is 0.  Only the
+    index's integer nodes are read, not its line map, so any line works,
+    including one through fewer than two nodes.
     """
-    scale, coords = xs.incidence.scale, xs.incidence.coords
-    masks = {}
-    for line in lines:
-        a, b, c = line.a, line.b, line.c * scale
-        masks[line] = sum(1 << j for j, (x, y) in enumerate(coords) if a * x + b * y + c == 0)
-    return masks
+    values = xs.incidence.values
+    return {
+        line: sum(1 << j for j, v in enumerate(values(line)) if v == 0) for line in lines
+    }
 
 
 def greedy_sequence_for_lines(

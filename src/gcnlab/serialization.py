@@ -44,6 +44,7 @@ if TYPE_CHECKING:
     from .polynomials import Poly
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
 def format_rational(value: Fraction) -> str:
@@ -76,6 +77,15 @@ def _expect(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
+def _is_int(value: Any) -> bool:
+    """True for a JSON integer; ``true`` and ``false`` are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value: Any) -> bool:
+    return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
 # --- node sets ---------------------------------------------------------------
 
 def nodeset_to_dict(xs: NodeSet) -> dict:
@@ -90,8 +100,7 @@ def nodeset_to_dict(xs: NodeSet) -> dict:
 
 def nodeset_from_dict(doc: Any) -> NodeSet:
     _expect(isinstance(doc, dict), "node set document must be an object")
-    _expect(isinstance(doc.get("degree"), int) and not isinstance(doc.get("degree"), bool),
-            "field 'degree' must be an integer")
+    _expect(_is_int(doc.get("degree")), "field 'degree' must be an integer")
     raw_nodes = doc.get("nodes")
     _expect(isinstance(raw_nodes, list), "field 'nodes' must be a list")
     points = []
@@ -129,8 +138,7 @@ def poly_from_dict(doc: Any) -> Poly:
 
     _expect(isinstance(doc, dict), "polynomial document must be an object")
     degree = doc.get("degree")
-    _expect(isinstance(degree, int) and not isinstance(degree, bool) and degree >= 0,
-            "field 'degree' must be a nonnegative integer")
+    _expect(_is_int(degree) and degree >= 0, "field 'degree' must be a nonnegative integer")
     coeffs = doc.get("coefficients")
     _expect(isinstance(coeffs, list) and len(coeffs) == dim_pi(degree),
             f"field 'coefficients' must list {dim_pi(degree)} rationals")
@@ -145,11 +153,13 @@ def _line_key(line: Line) -> str:
 
 def _line_from_triple(triple: Any, context: str) -> Line:
     _expect(
-        isinstance(triple, list) and len(triple) == 3
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in triple),
+        _is_int_list(triple) and len(triple) == 3,
         f"{context}: a line must be an [a, b, c] integer triple",
     )
-    return Line(triple[0], triple[1], triple[2])
+    try:
+        return Line(triple[0], triple[1], triple[2])
+    except ValueError as exc:
+        raise ParseError(f"{context}: {triple} is not a line: {exc}") from None
 
 
 def certificate_to_dict(cert: GCCertificate) -> dict:
@@ -177,8 +187,10 @@ def certificate_from_dict(doc: Any) -> GCCertificate:
     entries = []
     for e in raw_entries:
         _expect(isinstance(e, dict), "certificate entries must be objects")
-        _expect(isinstance(e.get("node"), int), "entry field 'node' must be an integer")
-        lines = tuple(_line_from_triple(t, f"entry {e.get('node')}") for t in e.get("lines", []))
+        _expect(_is_int(e.get("node")), "entry field 'node' must be an integer")
+        raw_lines = e.get("lines", [])
+        _expect(isinstance(raw_lines, list), "entry field 'lines' must be a list")
+        lines = tuple(_line_from_triple(t, f"entry {e['node']}") for t in raw_lines)
         witnesses = {}
         raw_witnesses = e.get("witnesses", {})
         _expect(isinstance(raw_witnesses, dict), "entry field 'witnesses' must be an object")
@@ -189,8 +201,7 @@ def certificate_from_dict(doc: Any) -> GCCertificate:
                 line = Line(int(parts[0]), int(parts[1]), int(parts[2]))
             except ValueError as exc:
                 raise ParseError(f"witness key {key!r} is not a line: {exc}") from None
-            _expect(isinstance(ids, list) and all(isinstance(j, int) for j in ids),
-                    f"witnesses of {key!r} must be a list of node indices")
+            _expect(_is_int_list(ids), f"witnesses of {key!r} must be a list of node indices")
             witnesses[line] = tuple(ids)
         entries.append(
             NodeCertificate(
@@ -231,7 +242,7 @@ def report_from_dict(doc: Any) -> GMReport:
     from .analysis import GMReport
 
     _expect(isinstance(doc, dict), "report document must be an object")
-    _expect(isinstance(doc.get("degree"), int), "field 'degree' must be an integer")
+    _expect(_is_int(doc.get("degree")), "field 'degree' must be an integer")
     _expect(isinstance(doc.get("satisfied"), bool), "field 'satisfied' must be a boolean")
     raw = doc.get("maximal_lines")
     _expect(isinstance(raw, list), "field 'maximal_lines' must be a list")
@@ -240,8 +251,7 @@ def report_from_dict(doc: Any) -> GMReport:
         _expect(isinstance(item, dict), "maximal line entries must be objects")
         line = _line_from_triple(item.get("line"), "maximal line")
         ids = item.get("nodes")
-        _expect(isinstance(ids, list) and all(isinstance(j, int) for j in ids),
-                "maximal line 'nodes' must be a list of indices")
+        _expect(_is_int_list(ids), "maximal line 'nodes' must be a list of indices")
         maximal.append((line, tuple(ids)))
     raw_cex = doc.get("counterexample")
     cex = None if raw_cex is None else certificate_from_dict(raw_cex)
@@ -291,10 +301,19 @@ def summary_from_dict(doc: Any) -> SearchSummary:
 
     _expect(isinstance(doc, dict), "summary document must be an object")
     for field_name in ("degree", "trials", "seed", "coordinate_bound", "certified", "gm_satisfied"):
-        _expect(isinstance(doc.get(field_name), int), f"field {field_name!r} must be an integer")
-    _expect(isinstance(doc.get("kinds"), list), "field 'kinds' must be a list")
+        _expect(_is_int(doc.get(field_name)), f"field {field_name!r} must be an integer")
+    kinds = doc.get("kinds")
+    _expect(isinstance(kinds, list) and all(isinstance(k, str) for k in kinds),
+            "field 'kinds' must be a list of strings")
+    raw_failures = doc.get("failures", [])
+    _expect(isinstance(raw_failures, list), "field 'failures' must be a list")
     failures = []
-    for f in doc.get("failures", []):
+    for f in raw_failures:
+        _expect(isinstance(f, dict), "failures must be objects")
+        _expect(_is_int(f.get("trial")) and _is_int(f.get("seed")),
+                "failure fields 'trial' and 'seed' must be integers")
+        _expect(isinstance(f.get("kind"), str) and isinstance(f.get("reason"), str),
+                "failure fields 'kind' and 'reason' must be strings")
         cert = None if f.get("certificate") is None else certificate_from_dict(f["certificate"])
         failures.append(
             TrialFailure(
@@ -303,11 +322,14 @@ def summary_from_dict(doc: Any) -> SearchSummary:
         )
     raw_counts = doc.get("use_count_max", {})
     _expect(isinstance(raw_counts, dict), "field 'use_count_max' must be an object")
+    for k, v in raw_counts.items():
+        _expect(_INTEGER_RE.fullmatch(k) is not None and _is_int(v),
+                f"use_count_max entry {k!r}: {v!r} must map an integer key to an integer")
     return SearchSummary(
         degree=doc["degree"],
         trials=doc["trials"],
         seed=doc["seed"],
-        kinds=tuple(doc["kinds"]),
+        kinds=tuple(kinds),
         coordinate_bound=doc["coordinate_bound"],
         certified=doc["certified"],
         gm_satisfied=doc["gm_satisfied"],

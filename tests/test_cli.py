@@ -287,6 +287,11 @@ class TestPlot:
             calls[0], maximal=maximal_lines(calls[0]), sequence=greedy_mdseq(cert, 0)
         )
 
+    def test_repeated_maximal_overlay_draws_it_once(self, capsys, cy3_file):
+        code, twice = run(capsys, "plot", cy3_file, "--overlay", "maximal", "--overlay", "maximal")
+        assert code == 0
+        assert twice == run(capsys, "plot", cy3_file, "--overlay", "maximal")[1]
+
     def test_unknown_overlay(self, capsys, cy3_file, tmp_path):
         code, _ = run(capsys, "plot", cy3_file, "--overlay", "sparkles",
                       "--out", str(tmp_path / "x.svg"))
@@ -313,6 +318,22 @@ class TestUsageBeforeCertification:
                 ["mdseq", "--node", "0", "--fix-line", "1,2"],
                 "--fix-line expects 'a,b,c'",
                 id="mdseq-fix-line",
+            ),
+            pytest.param(
+                ["mdseq", "--node", "0", "--all", "--fix-line", "1,2"],
+                "--fix-line cannot be combined with --all",
+                id="mdseq-all-fix-line",
+            ),
+            pytest.param(
+                ["plot", "--overlay", "used:0", "--overlay", "used:1"],
+                "plot draws at most one used:K overlay",
+                id="plot-repeated-used",
+            ),
+            pytest.param(
+                ["plot", "--overlay", "primary:0", "--overlay", "maximal",
+                 "--overlay", "primary:2"],
+                "plot draws at most one primary:K overlay",
+                id="plot-repeated-primary",
             ),
         ],
     )

@@ -1,5 +1,6 @@
 """Interchange schemas: exact round trips, canonical dumps, diagnostics."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,49 @@ class TestSummaryDocuments:
         b = save_summary(search_counterexample(degree=3, trials=3, seed=8))
         assert a == b
         assert a.endswith("\n")
+
+
+def _set(field, value, entry=None):
+    """A corruption: set ``field`` of the document, or of its entry ``entry``."""
+
+    def corrupt(doc):
+        (doc if entry is None else doc["entries"][entry])[field] = value
+
+    return corrupt
+
+
+def _count(key, value):
+    def corrupt(doc):
+        doc["use_count_max"][key] = value
+
+    return corrupt
+
+
+class TestMalformedDocuments:
+    """A document that breaks its schema raises ParseError, whatever is wrong with it."""
+
+    @pytest.mark.parametrize(
+        "load, corrupt",
+        [
+            pytest.param(load_summary, _set("failures", [1]), id="failure-not-an-object"),
+            pytest.param(load_summary, _set("failures", [{}]), id="failure-without-fields"),
+            pytest.param(load_summary, _set("failures", 5), id="failures-not-a-list"),
+            pytest.param(load_summary, _count("three", 3), id="use-count-key-not-an-integer"),
+            pytest.param(load_summary, _count("3", "3"), id="use-count-value-not-an-integer"),
+            pytest.param(load_certificate, _set("lines", 5, entry=0), id="entry-lines-not-a-list"),
+            pytest.param(load_certificate, _set("node", True, entry=0), id="entry-node-boolean"),
+            pytest.param(load_certificate, _set("lines", [[0, 0, 1]], entry=0), id="entry-no-line"),
+        ],
+    )
+    def test_parse_error(self, cy2_cert, load, corrupt):
+        if load is load_summary:
+            doc = json.loads(save_summary(search_counterexample(degree=2, trials=2, seed=1)))
+        else:
+            doc = json.loads(save_certificate(cy2_cert))
+        load(json.dumps(doc))  # the document is valid before it is corrupted
+        corrupt(doc)
+        with pytest.raises(ParseError):
+            load(json.dumps(doc))
 
 
 class TestPolyDocuments:

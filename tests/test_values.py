@@ -4,6 +4,7 @@ Each type is built from its fields, positionally, in the order listed here.
 """
 
 import copy
+import operator
 import pickle
 
 import pytest
@@ -42,6 +43,9 @@ FIELDS = {
         "node_index", "nodeset", "used", "lines", "counts", "primary", "fixed_first",
     ),
 }
+
+#: The only types that sort.
+ORDERED = ("Point", "Line")
 
 #: Types with a repr of their own; every other type prints ``Name(field=value, ...)``.
 OWN_REPR = {"Point": "Point(1/2, -3)", "Line": "Line(1, -2, 3)"}
@@ -122,3 +126,15 @@ class TestValueType:
         value = values[name]
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is type(value) and twin == value
+
+    def test_only_points_and_lines_order(self, values, name):
+        value = values[name]
+        other = values["Line" if name == "Point" else "Point"]
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(value, other)
+            if name in ORDERED:
+                assert op(value, value) is (op in (operator.le, operator.ge))
+            else:
+                with pytest.raises(TypeError):
+                    op(value, value)
