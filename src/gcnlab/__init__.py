@@ -73,7 +73,6 @@ _HOMES = {
         "NodeSet",
         "Point",
         "Scalar",
-        "general_position",
         "intersect",
         "is_incident",
         "line_through",

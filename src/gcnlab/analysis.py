@@ -31,7 +31,7 @@ from .errors import (
     ParallelLines,
     RetryLimitExceeded,
 )
-from .geometry import Line, NodeSet, Value, intersect, line_through
+from .geometry import Line, NodeSet, Value, intersect
 
 
 class GMReport(Value):
@@ -122,8 +122,11 @@ def incidence_profile(
 ) -> IncidenceProfile:
     """Group a target set by the lines joining it to a center node.
 
-    The exact identity ``sum(k * counts[k]) == len(target)`` is asserted
-    before returning (each target node lies on exactly one joining line).
+    The lines are the set's index lines through the center.  A target
+    index out of range raises IndexError, the center in the target
+    CenterInTarget and a repeated target index ValueError.  The exact
+    identity ``sum(k * counts[k]) == len(target)`` is asserted before
+    returning (each target node lies on exactly one joining line).
     """
     if not 0 <= center < len(xs):
         raise IndexError(f"center index {center} out of range")
@@ -136,13 +139,14 @@ def incidence_profile(
                 raise IndexError(f"target index {j} out of range")
     if center in ids:
         raise CenterInTarget(f"center {center} must not belong to the target")
-    per_line: dict[Line, int] = {}
-    for j in ids:
-        l = line_through(xs.nodes[center], xs.nodes[j])
-        per_line[l] = per_line.get(l, 0) + 1
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"target {ids} repeats a node index")
+    target_mask = sum(1 << j for j in ids)
     counts: dict[int, int] = {}
-    for k in per_line.values():
-        counts[k] = counts.get(k, 0) + 1
+    for mask in xs.incidence.keys.values():
+        k = (mask & target_mask).bit_count() if mask >> center & 1 else 0
+        if k:
+            counts[k] = counts.get(k, 0) + 1
     if sum(k * c for k, c in counts.items()) != len(ids):
         raise GCNLabError("internal: incidence sum identity violated")
     return IncidenceProfile(center=center, target=ids, counts=counts)

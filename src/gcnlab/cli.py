@@ -294,7 +294,11 @@ def _cmd_plot(args) -> int:
             kind, k = overlay.split(":", 1)
             if any(kind == seen for seen, _ in overlays):
                 raise _InputError(f"overlay {overlay!r}: plot draws at most one {kind}:K overlay")
-            overlays.append((kind, _node_index(xs, int(k))))
+            try:
+                k = int(k)
+            except ValueError:
+                raise _InputError(f"overlay {overlay!r}: {kind}:K needs a node index K") from None
+            overlays.append((kind, _node_index(xs, k)))
         else:
             raise _InputError(
                 f"unknown overlay {overlay!r}; use 'maximal', 'used:K' or 'primary:K'"

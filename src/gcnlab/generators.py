@@ -33,7 +33,7 @@ from math import lcm
 
 from .certification import GCCertificate, certify_gc
 from .errors import RetryLimitExceeded
-from .geometry import NodeSet, Point, Value
+from .geometry import NodeSet, Point, Value, _clear
 from .polynomials import dim_pi
 from .rng import SplitMix64
 
@@ -82,8 +82,8 @@ def _general_position_meets(rng: SplitMix64, count: int, bound: int) -> list[tup
 
     A drawn line joins when it is parallel to no line drawn so far (a
     repeated line is parallel to itself) and passes through none of their
-    meets, which is :func:`~gcnlab.geometry.general_position` of the lines
-    with it added; lines ``(a1, b1, c1)`` and ``(a2, b2, c2)`` meet at
+    meets: no two of the lines with it added are parallel and no three
+    concurrent.  Lines ``(a1, b1, c1)`` and ``(a2, b2, c2)`` meet at
     ``(b1*c2 - b2*c1, a2*c1 - a1*c2, a1*b2 - a2*b1)``.
     """
     lines: list[tuple[int, int, int]] = []
@@ -137,12 +137,6 @@ def _principal_certified(degree: int) -> tuple[NodeSet, GCCertificate]:
     return xs, certify_gc(xs)
 
 
-def _integer_row(row: tuple[Fraction, ...]) -> tuple[int, list[int]]:
-    """A common denominator L of ``row`` and the integers ``L * q``."""
-    den = lcm(*(q.denominator for q in row))
-    return den, [q.numerator * (den // q.denominator) for q in row]
-
-
 def _projective_image_nodes(degree: int, seed: int, bound: int) -> NodeSet:
     rng = SplitMix64(seed)
     if rng.choice(("chung_yao", "principal")) == "chung_yao":
@@ -155,8 +149,8 @@ def _projective_image_nodes(degree: int, seed: int, bound: int) -> NodeSet:
         t0, t1 = rng.rational(bound), rng.rational(bound)
         if m00 * m11 - m01 * m10 != 0:
             # x' = m00*x + m01*y + t0 = (ax*X + bx*Y + cx*D) / (Lx*D) on X = D*x, Y = D*y
-            lx, (ax, bx, cx) = _integer_row((m00, m01, t0))
-            ly, (ay, by, cy) = _integer_row((m10, m11, t1))
+            lx, (ax, bx, cx) = _clear((m00, m01, t0))
+            ly, (ay, by, cy) = _clear((m10, m11, t1))
             cx, cy, dx, dy = cx * d, cy * d, lx * d, ly * d
             mapped = tuple(
                 Point(Fraction(ax * x + bx * y + cx, dx), Fraction(ay * x + by * y + cy, dy))

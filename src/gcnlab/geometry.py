@@ -44,7 +44,6 @@ from math import gcd, lcm
 from typing import Iterator, Sequence, Union
 
 from .errors import (
-    DuplicateLine,
     DuplicateNode,
     IdenticalLines,
     IdenticalPoints,
@@ -73,6 +72,12 @@ def to_scalar(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}: pass int, Fraction or 'p/q' string")
     return Fraction(value)
+
+
+def _clear(values: Sequence[Union[int, Fraction]]) -> tuple[int, list[int]]:
+    """The lcm d of the denominators of ints or Fractions, and each value times d, as ints."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 class Value:
@@ -191,9 +196,8 @@ class Line(_Ordered):
     @classmethod
     def from_rationals(cls, a: RationalLike, b: RationalLike, c: RationalLike) -> "Line":
         """Build a line from rational coefficients by clearing denominators."""
-        qa, qb, qc = to_scalar(a), to_scalar(b), to_scalar(c)
-        m = lcm(qa.denominator, qb.denominator, qc.denominator)
-        return cls(int(qa * m), int(qb * m), int(qc * m))
+        _, (ia, ib, ic) = _clear((to_scalar(a), to_scalar(b), to_scalar(c)))
+        return cls(ia, ib, ic)
 
     @property
     def coefficients(self) -> tuple[int, int, int]:
@@ -296,13 +300,8 @@ class Incidence(Value):
     @classmethod
     def of(cls, xs: NodeSet) -> "Incidence":
         """The integer nodes of ``xs``; read ``xs.incidence`` to share them."""
-        nodes = xs.nodes
-        d = lcm(*(c.denominator for p in nodes for c in (p.x, p.y)))
-        coords = tuple(
-            (p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator))
-            for p in nodes
-        )
-        return cls(xs.degree, d, coords)
+        d, flat = _clear([c for p in xs.nodes for c in (p.x, p.y)])
+        return cls(xs.degree, d, tuple(zip(flat[::2], flat[1::2])))
 
     @cached_property
     def keys(self) -> dict[Key, int]:
@@ -414,33 +413,3 @@ def intersect(l1: Line, l2: Line) -> Point:
 def is_incident(p: Point, l: Line) -> bool:
     """True iff ``p`` lies on ``l`` (exact test)."""
     return l.at(p) == 0
-
-
-def general_position(lines: Sequence[Line]) -> bool:
-    """True iff no two lines are parallel and no three are concurrent.
-
-    Raises DuplicateLine if the same canonical line appears twice.  The
-    result is invariant under permutation of the input.
-    """
-    ls = list(lines)
-    seen: set[Line] = set()
-    for l in ls:
-        if l in seen:
-            raise DuplicateLine(f"{l} appears twice")
-        seen.add(l)
-    for i in range(len(ls)):
-        for j in range(i + 1, len(ls)):
-            if ls[i].a * ls[j].b - ls[j].a * ls[i].b == 0:
-                return False
-    # Pairwise non-parallel lines are concurrent exactly when the integer
-    # determinant of their coefficient rows, l_k . (l_i x l_j), vanishes.
-    for i in range(len(ls)):
-        a1, b1, c1 = ls[i].a, ls[i].b, ls[i].c
-        for j in range(i + 1, len(ls)):
-            a2, b2, c2 = ls[j].a, ls[j].b, ls[j].c
-            m0, m1, m2 = b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2
-            for k in range(j + 1, len(ls)):
-                l = ls[k]
-                if l.a * m0 + l.b * m1 + l.c * m2 == 0:
-                    return False
-    return True

@@ -7,6 +7,10 @@ monomial values in the global graded-lex order; poisedness, independence
 and essential dependence are rank statements, fundamental polynomials and
 interpolants come from exact solves.
 
+Every exact question runs on one integer Vandermonde matrix, built by
+:func:`_integer_vandermonde` from nodes cleared by
+:func:`~gcnlab.geometry._clear`; :func:`vandermonde` is its rational view.
+
 All functions are pure.  Fundamental polynomials for all nodes of one set
 are produced from a single shared elimination (see :func:`all_fundamentals`),
 which is also safe to fan out across threads because every input is
@@ -16,12 +20,11 @@ immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from . import linalg
 from .errors import LengthMismatch, NotPoised
-from .geometry import NodeSet, Point, Value
+from .geometry import NodeSet, Point, Value, _clear
 from .polynomials import Poly, _check_degree_bound, dim_pi, monomials
 
 
@@ -40,40 +43,35 @@ class FundamentalSolution(Value):
         object.__setattr__(self, "poly", poly)
 
 
-def _vandermonde_rows(nodes: Sequence[Point], degree: int) -> list[list[Fraction]]:
+def _integer_vandermonde(nodes: Sequence[Point], n: int) -> list[list[int]]:
+    """Degree-``n`` Vandermonde rows of ``nodes``, row i scaled to integers by ``d_i**n``.
+
+    d_i is the lcm of node i's denominators, so ``x^a y^b * d_i**n`` is
+    ``X^a Y^b d_i^(n-a-b)`` on the integers ``(X, Y) = d_i*(x, y)``, and the
+    scale is the row's first entry.  It is also the lcm of the rational
+    row's denominators (those of ``x^n`` and ``y^n`` give it), so these are
+    the rows that clearing the rational ones gives.  A solve multiplies data
+    b by the scale: ``d_i**n * den(b * d_i**n) = lcm(d_i**n, den b)`` prime
+    by prime, so every augmented integer matrix, elimination step and
+    solution is the one the rational rows give.
+    """
     rows = []
     for p in nodes:
-        xp = [Fraction(1)] * (degree + 1)
-        yp = [Fraction(1)] * (degree + 1)
-        for k in range(1, degree + 1):
-            xp[k] = xp[k - 1] * p.x
-            yp[k] = yp[k - 1] * p.y
-        rows.append([xp[i] * yp[j] for (i, j) in monomials(degree)])
-    return rows
-
-
-def vandermonde(xs: NodeSet) -> list[list[Fraction]]:
-    """One row per node of monomial values at the set's degree."""
-    return _vandermonde_rows(xs.nodes, xs.degree)
-
-
-def _integer_vandermonde(xs: NodeSet) -> list[list[int]]:
-    """The Vandermonde rows, each scaled to integers by ``d**degree``.
-
-    With d the lcm of a node's two denominators, the monomial ``x^i y^j``
-    times ``d**degree`` is ``X^i Y^j d^(degree-i-j)`` for the integers
-    ``X = d*x`` and ``Y = d*y``; scaling a row leaves the rank alone.
-    """
-    n = xs.degree
-    rows = []
-    for p in xs.nodes:
-        d = lcm(p.x.denominator, p.y.denominator)
-        big_x, big_y = int(p.x * d), int(p.y * d)
+        d, (big_x, big_y) = _clear((p.x, p.y))
         xp, yp, dp = [1] * (n + 1), [1] * (n + 1), [1] * (n + 1)
         for k in range(1, n + 1):
             xp[k], yp[k], dp[k] = xp[k - 1] * big_x, yp[k - 1] * big_y, dp[k - 1] * d
         rows.append([xp[i] * yp[j] * dp[n - i - j] for (i, j) in monomials(n)])
     return rows
+
+
+def _vandermonde_rows(nodes: Sequence[Point], degree: int) -> list[list[Fraction]]:
+    return [[Fraction(v, row[0]) for v in row] for row in _integer_vandermonde(nodes, degree)]
+
+
+def vandermonde(xs: NodeSet) -> list[list[Fraction]]:
+    """One row per node of monomial values at the set's degree."""
+    return _vandermonde_rows(xs.nodes, xs.degree)
 
 
 def is_poised(xs: NodeSet) -> bool:
@@ -87,16 +85,17 @@ def is_poised(xs: NodeSet) -> bool:
     n_dim = dim_pi(xs.degree)
     if len(xs) != n_dim:
         return False
-    if linalg.rank_mod_p(_integer_vandermonde(xs)) == n_dim:
+    rows = _integer_vandermonde(xs.nodes, xs.degree)
+    if linalg.rank_mod_p(rows) == n_dim:
         return True
-    return linalg.rank(vandermonde(xs)) == n_dim
+    return linalg.rank(rows) == n_dim
 
 
 def is_independent(xs: NodeSet) -> bool:
     """True iff every node has a fundamental polynomial at the set's degree."""
     if len(xs) > dim_pi(xs.degree):
         return False
-    return linalg.rank(vandermonde(xs)) == len(xs)
+    return linalg.rank(_integer_vandermonde(xs.nodes, xs.degree)) == len(xs)
 
 
 def is_essentially_dependent(xs: NodeSet, m: int) -> bool:
@@ -106,18 +105,18 @@ def is_essentially_dependent(xs: NodeSet, m: int) -> bool:
     tested for infeasibility by comparing augmented against plain rank;
     the per-node comparisons share a single elimination.
     """
-    rows = _vandermonde_rows(xs.nodes, m)
-    return not any(linalg.unit_consistency(rows))
+    return not any(linalg.unit_consistency(_integer_vandermonde(xs.nodes, m)))
 
 
 def annihilator(xs: NodeSet) -> Poly | None:
     """A nonzero polynomial of the set's degree vanishing on every node.
 
-    Returns None exactly when the nodes are independent.  For a non-poised
-    set of full size this exhibits the kernel witness promised by the rank
-    criterion.
+    Returns None exactly when the Vandermonde matrix has full column rank,
+    which for a set of ``dim_pi(degree)`` nodes is poisedness.  For a
+    non-poised set of full size this exhibits the kernel witness promised
+    by the rank criterion.
     """
-    rows = vandermonde(xs)
+    rows = _integer_vandermonde(xs.nodes, xs.degree)
     if not rows:
         return None if dim_pi(xs.degree) == 0 else Poly.from_coeff_dict({(0, 0): 1}, xs.degree)
     vec = linalg.nullspace_vector(rows)
@@ -135,7 +134,9 @@ def _solve_poised(xs: NodeSet, rhs: Sequence[Sequence]) -> list[list[Fraction]]:
     if not is_poised(xs):
         raise NotPoised(f"{len(xs)} nodes at degree {xs.degree} are not poised")
     _check_degree_bound(xs.degree)
-    solutions = linalg.solve_square(vandermonde(xs), [[Fraction(v) for v in row] for row in rhs])
+    rows = _integer_vandermonde(xs.nodes, xs.degree)
+    scaled = [[Fraction(v) * row[0] for v, row in zip(column, rows)] for column in rhs]
+    solutions = linalg.solve_square(rows, scaled)
     if solutions is None:  # unreachable after the poisedness check
         raise NotPoised("Vandermonde matrix is singular")
     return solutions

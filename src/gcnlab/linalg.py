@@ -1,7 +1,8 @@
 """Fraction-free exact linear algebra over the rationals.
 
-Rows are rescaled to integers up front (an elementary row operation, so
-ranks and solution sets are untouched) and elimination then follows the
+Rows hold ints or Fractions; each is cleared to integers up front by
+:func:`~gcnlab.geometry._clear` (an elementary row operation, so ranks
+and solution sets are untouched) and elimination then follows the
 Bareiss two-step recurrence: every intermediate entry is a minor of the
 scaled matrix, so the divisions are exact and integer growth stays
 polynomial instead of exponential.  A failed exact division would mean the
@@ -9,26 +10,21 @@ invariant broke, so it raises immediately rather than rounding.
 :func:`rank_mod_p` alone works modulo a fixed prime: it is a lower bound
 on the rank, so it can prove full rank cheaply but never deny it.
 
-All functions take sequences of rows of Fractions (or ints) and none of
-them mutate their inputs.
+No function mutates its input.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from typing import Sequence, Union
 
-Row = Sequence[Fraction]
+from .geometry import _clear
+
+Row = Sequence[Union[int, Fraction]]
 
 
 def _integer_rows(rows: Sequence[Row]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        scaled = [Fraction(v) for v in row]
-        m = lcm(*(v.denominator for v in scaled)) if scaled else 1
-        out.append([int(v * m) for v in scaled])
-    return out
+    return [_clear(row)[1] for row in rows]
 
 
 def _echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -106,18 +102,18 @@ def unit_consistency(rows: Sequence[Row]) -> list[bool]:
     """For each k, whether ``A x = e_k`` has a solution.
 
     Decided by comparing augmented against plain rank; all comparisons
-    share one elimination of ``[A | I]``.  A unit column is consistent
-    exactly when its transform vanishes on the rows below A's rank (further pivoting inside that block only re-mixes
-    its row span, which leaves the all-zero test untouched).  Row scaling
-    during integerization multiplies the identity part by an invertible
-    diagonal, which changes no rank.
+    share one elimination of ``[A | I]``, with A's rows cleared to integers
+    before the identity is appended.  A unit column is consistent exactly
+    when its transform vanishes on the rows below A's rank (further
+    pivoting inside that block only re-mixes its row span, which leaves
+    the all-zero test untouched).
     """
     s = len(rows)
     if s == 0:
         return []
     ncols_a = len(rows[0])
-    aug = [list(row) + [1 if j == i else 0 for j in range(s)] for i, row in enumerate(rows)]
-    m, pivot_cols = _echelon(_integer_rows(aug))
+    aug = [row + [int(j == i) for j in range(s)] for i, row in enumerate(_integer_rows(rows))]
+    m, pivot_cols = _echelon(aug)
     rank_a = sum(1 for c in pivot_cols if c < ncols_a)
     return [
         all(m[r][ncols_a + k] == 0 for r in range(rank_a, s)) for k in range(s)

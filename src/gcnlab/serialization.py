@@ -100,7 +100,8 @@ def nodeset_to_dict(xs: NodeSet) -> dict:
 
 def nodeset_from_dict(doc: Any) -> NodeSet:
     _expect(isinstance(doc, dict), "node set document must be an object")
-    _expect(_is_int(doc.get("degree")), "field 'degree' must be an integer")
+    degree = doc.get("degree")
+    _expect(_is_int(degree) and degree >= 0, "field 'degree' must be a nonnegative integer")
     raw_nodes = doc.get("nodes")
     _expect(isinstance(raw_nodes, list), "field 'nodes' must be a list")
     points = []
@@ -113,7 +114,7 @@ def nodeset_from_dict(doc: Any) -> NodeSet:
         _expect(isinstance(labels, list) and all(isinstance(s, str) for s in labels),
                 "field 'labels' must be a list of strings")
         labels = tuple(labels)
-    return NodeSet(degree=doc["degree"], nodes=tuple(points), labels=labels)
+    return NodeSet(degree=degree, nodes=tuple(points), labels=labels)
 
 
 def save_nodeset(xs: NodeSet) -> str:

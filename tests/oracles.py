@@ -19,9 +19,17 @@ library's deduplicated frontier replaced.
 node-mask test replaced: it intersects the two lines in Fraction arithmetic
 and looks the meet up among the nodes.
 
-:func:`general_position_fraction` is the concurrency test the library's
-integer determinant replaced: it intersects every pair of lines in
+:func:`general_position` is the integer-determinant test of whole line
+lists that left the library once the generators began testing general
+position one drawn line at a time; :func:`general_position_fraction` is
+the concurrency test it replaced: it intersects every pair of lines in
 Fraction arithmetic and evaluates every later line at the meet.
+
+:func:`vandermonde_naive` builds Vandermonde rows from Fraction powers of
+the coordinates; the library builds integer rows and divides by their
+scale.  :func:`incidence_profile_fraction` groups a target by the Fraction
+line through the center and each target node; the library reads the lines
+off the node set's integer incidence index.
 
 :func:`is_consistent` is the one-system consistency check by Bareiss rank;
 it is the per-column reference for ``gcnlab.linalg.unit_consistency``.
@@ -29,7 +37,7 @@ it is the per-column reference for ``gcnlab.linalg.unit_consistency``.
 :func:`chung_yao_nodes_fraction` and :func:`projective_image_nodes_fraction`
 are the node builders the library's integer generators replaced: they draw
 canonical :class:`Line` objects, test general position with
-``gcnlab.general_position`` on the whole list, intersect in Fraction
+:func:`general_position` on the whole list, intersect in Fraction
 arithmetic, sort Points and apply the affine map to Fraction coordinates,
 from the same seeded stream.
 
@@ -71,7 +79,6 @@ from gcnlab import (
     all_fundamentals,
     dim_pi,
     divide_by_line,
-    general_position,
     intersect,
     is_incident,
     is_poised,
@@ -161,6 +168,24 @@ def solvable_naive(rows, rhs):
     return rank_naive(aug) == rank_naive(rows)
 
 
+def vandermonde_naive(nodes, degree):
+    """Monomial values ``x**i * y**j`` per node, in graded-lex order, in Fractions."""
+    exponents = [(i, t - i) for t in range(degree + 1) for i in range(t, -1, -1)]
+    return [[p.x**i * p.y**j for i, j in exponents] for p in nodes]
+
+
+def incidence_profile_fraction(xs, center, target):
+    """Counts of lines through ``center`` by target nodes met, from Fraction lines per target."""
+    per_line = {}
+    for j in target:
+        line = line_through(xs.nodes[center], xs.nodes[j])
+        per_line[line] = per_line.get(line, 0) + 1
+    counts = {}
+    for k in per_line.values():
+        counts[k] = counts.get(k, 0) + 1
+    return counts
+
+
 def is_consistent(rows, rhs):
     """True iff ``A x = b`` has a solution, by rank of [A|b] versus A.
 
@@ -175,6 +200,36 @@ def is_consistent(rows, rhs):
     ncols = len(aug[0])
     _, pivot_cols = _echelon(_integer_rows(aug))
     return (ncols - 1) not in pivot_cols
+
+
+def general_position(lines):
+    """True iff no two lines are parallel and no three are concurrent.
+
+    Raises DuplicateLine if the same canonical line appears twice.  The
+    result is invariant under permutation of the input.
+    """
+    ls = list(lines)
+    seen: set[Line] = set()
+    for l in ls:
+        if l in seen:
+            raise DuplicateLine(f"{l} appears twice")
+        seen.add(l)
+    for i in range(len(ls)):
+        for j in range(i + 1, len(ls)):
+            if ls[i].a * ls[j].b - ls[j].a * ls[i].b == 0:
+                return False
+    # Pairwise non-parallel lines are concurrent exactly when the integer
+    # determinant of their coefficient rows, l_k . (l_i x l_j), vanishes.
+    for i in range(len(ls)):
+        a1, b1, c1 = ls[i].a, ls[i].b, ls[i].c
+        for j in range(i + 1, len(ls)):
+            a2, b2, c2 = ls[j].a, ls[j].b, ls[j].c
+            m0, m1, m2 = b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2
+            for k in range(j + 1, len(ls)):
+                l = ls[k]
+                if l.a * m0 + l.b * m1 + l.c * m2 == 0:
+                    return False
+    return True
 
 
 def general_position_fraction(lines):

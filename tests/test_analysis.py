@@ -28,7 +28,7 @@ from gcnlab.geometry import Incidence
 from gcnlab.generators import DEFAULT_KINDS
 from gcnlab.rng import SplitMix64, substream_seed
 
-from oracles import solvable_naive, used_line_index
+from oracles import incidence_profile_fraction, solvable_naive, used_line_index
 
 
 class TestMaximalLines:
@@ -160,6 +160,23 @@ class TestIncidenceProfile:
     def test_center_in_target_rejected(self, cy2):
         with pytest.raises(CenterInTarget):
             incidence_profile(cy2, 0, (0, 1))
+
+    def test_repeated_target_rejected(self, cy2):
+        with pytest.raises(ValueError, match="repeats a node index"):
+            incidence_profile(cy2, 0, (1, 1, 2))
+        with pytest.raises(CenterInTarget):  # checked before a repeat
+            incidence_profile(cy2, 0, (0, 0))
+
+    def test_counts_match_fraction_lines(self, cy5_pair, principal5):
+        rng = SplitMix64(17)
+        grid = NodeSet(2, tuple(Point(i, j) for i in range(4) for j in range(3)))
+        for xs in (cy5_pair[0], principal5, grid):
+            for center in range(len(xs)):
+                others = [j for j in range(len(xs)) if j != center]
+                subset = [j for j in others if rng.randint(0, 1)]
+                for target in (others, subset):
+                    got = incidence_profile(xs, center, target).counts
+                    assert got == incidence_profile_fraction(xs, center, target)
 
     def test_principal5_profiles(self, principal5):
         for center in (0, 7, 20):

@@ -172,6 +172,11 @@ class TestAnalysisCommands:
         assert code == 0
         assert json.loads(out)["target_size"] == 3
 
+    def test_incidence_profile_repeated_target(self, capsys, cy3_file):
+        code = main(["incidence-profile", cy3_file, "--node", "0", "--target", "1,1,2"])
+        assert code == 2
+        assert capsys.readouterr().err == "gcnlab: target (1, 1, 2) repeats a node index\n"
+
     def test_cayley_bacharach(self, capsys):
         code, out = run(capsys, "cayley-bacharach", "--m", "3", "--n", "3", "--seed", "4")
         assert code == 0
@@ -325,6 +330,16 @@ class TestUsageBeforeCertification:
                 id="mdseq-all-fix-line",
             ),
             pytest.param(
+                ["plot", "--overlay", "used:x"],
+                "overlay 'used:x': used:K needs a node index K",
+                id="plot-used-not-an-index",
+            ),
+            pytest.param(
+                ["plot", "--overlay", "maximal", "--overlay", "primary:"],
+                "overlay 'primary:': primary:K needs a node index K",
+                id="plot-primary-not-an-index",
+            ),
+            pytest.param(
                 ["plot", "--overlay", "used:0", "--overlay", "used:1"],
                 "plot draws at most one used:K overlay",
                 id="plot-repeated-used",
@@ -363,6 +378,13 @@ class TestErrorPaths:
         path.write_text("{not json")
         code, _ = run(capsys, "check-poised", str(path))
         assert code == 2
+
+    def test_negative_degree(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"degree": -1, "nodes": []}')
+        code = main(["check-poised", str(path)])
+        assert code == 2
+        assert "field 'degree' must be a nonnegative integer" in capsys.readouterr().err
 
     def test_bad_rational(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

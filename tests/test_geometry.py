@@ -1,6 +1,7 @@
 """Exact plane geometry: canonical lines, incidence, general position."""
 
 from fractions import Fraction
+from math import gcd
 
 import operator
 
@@ -15,14 +16,15 @@ from gcnlab import (
     Line,
     ParallelLines,
     Point,
-    general_position,
     intersect,
     is_incident,
     line_through,
     to_scalar,
 )
 
-from oracles import DataclassLine, DataclassPoint, general_position_fraction
+from gcnlab.geometry import _clear
+
+from oracles import DataclassLine, DataclassPoint, general_position, general_position_fraction
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=12
@@ -182,6 +184,23 @@ class TestGeneralPositionAgainstFraction:
                 general_position(ls)
             return
         assert general_position(ls) == expected
+
+
+class TestClear:
+    def test_no_values(self):
+        assert _clear([]) == (1, [])
+
+    def test_mixed_ints_and_fractions(self):
+        d, ints = _clear([Fraction(-1, 4), 3, Fraction(5, 6), Fraction(-7, 9), -2])
+        assert (d, ints) == (36, [-9, 108, 30, -28, -72])
+        assert all(type(v) is int for v in ints)
+
+    @given(st.lists(st.one_of(st.integers(-9, 9), rationals), max_size=6))
+    def test_scales_by_the_lcm_of_the_denominators(self, values):
+        d, ints = _clear(values)
+        assert ints == [v * d for v in values]
+        assert all(d % Fraction(v).denominator == 0 for v in values)
+        assert gcd(d, *ints) == 1
 
 
 class TestScalar:

@@ -41,8 +41,8 @@ PUBLIC = {
         "DEFAULT_KINDS", "GeneratorSpec", "gen_principal", "generate", "generate_with_certificate",
     ),
     "geometry": (
-        "Line", "NodeSet", "Point", "Scalar", "general_position", "intersect", "is_incident",
-        "line_through", "to_scalar",
+        "Line", "NodeSet", "Point", "Scalar", "intersect", "is_incident", "line_through",
+        "to_scalar",
     ),
     "interpolation": (
         "FundamentalSolution", "all_fundamentals", "annihilator", "fundamental", "interpolate",
@@ -59,12 +59,13 @@ PUBLIC = {
     ),
 }
 
-#: Former public names; the first five now live in tests/oracles.py.
+#: Former public names; the first six now live in tests/oracles.py.
 REMOVED = (
     "NotProductOfCandidateLines",
     "UsedLineIndex",
     "candidate_lines",
     "factor_into_lines",
+    "general_position",
     "used_line_index",
     "gen_chung_yao",
     "gen_projective_image",
@@ -171,6 +172,11 @@ class TestImportBoundary:
 
     def test_serialization_loads_no_dataclasses(self, workdir):
         assert probe(workdir, BARE, "gcnlab.serialization") == [0, sorted(READ), []]
+
+    def test_linalg_loads_only_geometry(self, workdir):
+        # linalg clears denominators with geometry._clear, and every command
+        # loads geometry already, so the algebra adds no other module
+        assert probe(workdir, BARE, "gcnlab.linalg") == [0, ["errors", "geometry", "linalg"], []]
 
     @pytest.mark.parametrize(
         "argv, extra",

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcnlab import (
     DuplicateNode,
@@ -30,7 +32,7 @@ from gcnlab import linalg
 from gcnlab.interpolation import _integer_vandermonde
 from gcnlab.rng import SplitMix64
 
-from oracles import rank_naive
+from oracles import rank_naive, solvable_naive, vandermonde_naive
 
 
 def grid_3x3():
@@ -110,7 +112,7 @@ class TestModularRankScreen:
     def test_agrees_with_exact_rank(self, name, monkeypatch):
         xs = self.CASES[name]()
         exact = linalg.rank(vandermonde(xs))
-        assert linalg.rank_mod_p(_integer_vandermonde(xs)) <= exact
+        assert linalg.rank_mod_p(_integer_vandermonde(xs.nodes, xs.degree)) <= exact
         calls = []
         rank = linalg.rank
         monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(1) or rank(rows))
@@ -121,7 +123,8 @@ class TestModularRankScreen:
 
     def test_integer_rows_scale_the_fraction_rows(self):
         xs = generate(GeneratorSpec("projective_image", 3, seed=5))
-        for p, row, ints in zip(xs.nodes, vandermonde(xs), _integer_vandermonde(xs)):
+        naive = vandermonde_naive(xs.nodes, 3)
+        for p, row, ints in zip(xs.nodes, naive, _integer_vandermonde(xs.nodes, 3)):
             scale = lcm(p.x.denominator, p.y.denominator) ** 3
             assert [scale * v for v in row] == ints
 
@@ -134,7 +137,7 @@ class TestModularRankScreen:
             NodeSet(1, (Point(0, 0), Point(p, 0), Point(0, 1))),
             NodeSet(1, (Point(0, 0), Point(Fraction(p, 3), 0), Point(0, Fraction(1, 5)))),
         ):
-            assert linalg.rank_mod_p(_integer_vandermonde(xs)) == 2
+            assert linalg.rank_mod_p(_integer_vandermonde(xs.nodes, xs.degree)) == 2
             assert is_poised(xs)
 
 
@@ -305,3 +308,57 @@ class TestStructuralProperties:
         if not is_poised(bad):
             w = annihilator(bad)
             assert w is not None and not w.is_zero()
+
+
+#: Node denominators whose lcm per node, and its powers, share primes with
+#: some data denominators below and not with others.
+mixed = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((2, 3, 4, 6, 9)))
+data_values = st.builds(Fraction, st.integers(-20, 20), st.sampled_from((1, 2, 3, 5, 7, 12, 35)))
+
+
+@st.composite
+def mixed_sets(draw):
+    """A degree 1 to 3 set of up to dim_pi(degree) nodes with mixed denominators."""
+    n = draw(st.integers(1, 3))
+    size = draw(st.one_of(st.just(dim_pi(n)), st.integers(1, dim_pi(n))))
+    points = st.builds(Point, mixed, mixed)
+    return NodeSet(n, tuple(draw(st.lists(points, min_size=size, max_size=size, unique=True))))
+
+
+def apply(rows, coeffs):
+    return [sum(v * c for v, c in zip(row, coeffs)) for row in rows]
+
+
+class TestMixedDenominatorsAgainstNaiveRows:
+    """Every exact question agrees with naive Gauss on Fraction-power rows."""
+
+    @given(mixed_sets(), st.integers(0, 3), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_naive_rows(self, xs, m, data):
+        rows = vandermonde_naive(xs.nodes, xs.degree)
+        assert vandermonde(xs) == rows
+        r = rank_naive(rows)
+        assert is_independent(xs) == (r == len(xs))
+        witness = annihilator(xs)
+        if r == dim_pi(xs.degree):
+            assert witness is None
+        else:
+            assert not witness.is_zero() and apply(rows, witness.coeffs) == [0] * len(xs)
+        units = [[int(i == k) for i in range(len(xs))] for k in range(len(xs))]
+        rows_m = vandermonde_naive(xs.nodes, m)
+        assert is_essentially_dependent(xs, m) == (
+            not any(solvable_naive(rows_m, e) for e in units)
+        )
+        values = data.draw(st.lists(data_values, min_size=len(xs), max_size=len(xs)))
+        if not len(xs) == r == dim_pi(xs.degree):
+            assert not is_poised(xs)
+            with pytest.raises(NotPoised):
+                interpolate(xs, values)
+            return
+        assert is_poised(xs)
+        solutions = all_fundamentals(xs)
+        for k, e in enumerate(units):
+            assert solvable_naive(rows, e)
+            assert apply(rows, solutions[k].poly.coeffs) == e
+            assert fundamental(xs, k) == solutions[k]
+        assert apply(rows, interpolate(xs, values).coeffs) == values

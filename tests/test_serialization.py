@@ -180,6 +180,8 @@ class TestMalformedDocuments:
             pytest.param(load_certificate, _set("lines", 5, entry=0), id="entry-lines-not-a-list"),
             pytest.param(load_certificate, _set("node", True, entry=0), id="entry-node-boolean"),
             pytest.param(load_certificate, _set("lines", [[0, 0, 1]], entry=0), id="entry-no-line"),
+            pytest.param(load_nodeset, _set("degree", -1), id="nodeset-negative-degree"),
+            pytest.param(load_certificate, _set("degree", -1), id="certificate-negative-degree"),
         ],
     )
     def test_parse_error(self, cy2_cert, load, corrupt):
