@@ -75,7 +75,6 @@ _HOMES = {
         "Scalar",
         "intersect",
         "is_incident",
-        "line_through",
         "to_scalar",
     ),
     "interpolation": (

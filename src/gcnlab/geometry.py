@@ -26,7 +26,9 @@ constructor validates and stores each field.  ``Value`` supplies the rest:
 assigning to or deleting a field raises AttributeError, values are equal
 only within one class and field by field, the hash is that of the fields,
 pickling rebuilds a value from its fields, and the repr reads
-``Name(field=value, ...)``.  ``Point`` and ``Line`` alone sort, and print
+``Name(field=value, ...)``.  ``Point`` and ``Line`` alone sort, by their
+fields and against their own class only: ``_Ordered`` writes ``__lt__``
+and :func:`functools.total_ordering` derives the rest.  They also print
 shorter; ``Poly`` compares mathematically and is unhashable.  The package
 does not use :mod:`dataclasses`: its import (which pulls in ``inspect``
 and ``ast``) and the methods it generates for each class would add
@@ -39,14 +41,13 @@ between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from math import gcd, lcm
 from typing import Iterator, Sequence, Union
 
 from .errors import (
     DuplicateNode,
     IdenticalLines,
-    IdenticalPoints,
     LengthMismatch,
     ParallelLines,
     TooManyCollinear,
@@ -119,6 +120,7 @@ class Value:
         return f"{self.__class__.__name__}({fields})"
 
 
+@total_ordering
 class _Ordered(Value):
     """A value that sorts by its field tuple, against values of its own class only."""
 
@@ -127,21 +129,6 @@ class _Ordered(Value):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self._values() < other._values()
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() <= other._values()
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() > other._values()
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() >= other._values()
         return NotImplemented
 
 
@@ -379,19 +366,6 @@ class Incidence(Value):
         """``a*X + b*Y + c*D`` at every node: D times the line's value there."""
         a, b, c = line.a, line.b, line.c * self.scale
         return [a * x + b * y + c for x, y in self.coords]
-
-
-def line_through(p: Point, q: Point) -> Line:
-    """The canonical line incident to both ``p`` and ``q``.
-
-    Raises IdenticalPoints when ``p == q``.
-    """
-    if p == q:
-        raise IdenticalPoints(f"no unique line through coincident points {p}")
-    a = q.y - p.y
-    b = p.x - q.x
-    c = p.y * q.x - p.x * q.y
-    return Line.from_rationals(a, b, c)
 
 
 def intersect(l1: Line, l2: Line) -> Point:

@@ -7,6 +7,8 @@ Bareiss two-step recurrence: every intermediate entry is a minor of the
 scaled matrix, so the divisions are exact and integer growth stays
 polynomial instead of exponential.  A failed exact division would mean the
 invariant broke, so it raises immediately rather than rounding.
+:func:`solve_square` and :func:`nullspace_basis` read their solutions off
+the echelon rows through one back-substitution, ``_back_substitute``.
 :func:`rank_mod_p` alone works modulo a fixed prime: it is a lower bound
 on the rank, so it can prove full rank cheaply but never deny it.
 
@@ -120,6 +122,25 @@ def unit_consistency(rows: Sequence[Row]) -> list[bool]:
     ]
 
 
+def _back_substitute(
+    m: list[list[int]], pivot_cols: list[int], x: list[Fraction], rhs: Sequence[int]
+) -> list[Fraction]:
+    """Solve echelon rows for the pivot unknowns of ``x``, bottom row first.
+
+    Row r of ``m`` reads ``sum(m[r][j] * x[j]) = rhs[r]`` over the columns of
+    ``x``; the entries of ``x`` off the pivot columns are given and kept.
+    """
+    for r in range(len(pivot_cols) - 1, -1, -1):
+        pc = pivot_cols[r]
+        acc = Fraction(rhs[r])
+        row = m[r]
+        for j in range(pc + 1, len(x)):
+            if row[j] and x[j]:
+                acc -= row[j] * x[j]
+        x[pc] = acc / row[pc]
+    return x
+
+
 def solve_square(rows: Sequence[Row], rhs_columns: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
     """Solve ``A x = b`` for a square A and several right-hand sides at once.
 
@@ -132,54 +153,31 @@ def solve_square(rows: Sequence[Row], rhs_columns: Sequence[Sequence[Fraction]])
         raise ValueError("matrix must be square")
     if any(len(col) != n for col in rhs_columns):
         raise ValueError("rhs columns must have one entry per row")
-    k = len(rhs_columns)
     aug = [list(rows[i]) + [col[i] for col in rhs_columns] for i in range(n)]
     m, pivot_cols = _echelon(_integer_rows(aug))
     if len(pivot_cols) < n or pivot_cols[:n] != list(range(n)):
         return None
-    solutions = []
-    for t in range(k):
-        x: list[Fraction] = [Fraction(0)] * n
-        for r in range(n - 1, -1, -1):
-            acc = Fraction(m[r][n + t])
-            row = m[r]
-            for j in range(r + 1, n):
-                if row[j] and x[j]:
-                    acc -= row[j] * x[j]
-            x[r] = acc / row[r]
-        solutions.append(x)
-    return solutions
+    return [
+        _back_substitute(m, pivot_cols, [Fraction(0)] * n, [row[n + t] for row in m])
+        for t in range(len(rhs_columns))
+    ]
 
 
 def nullspace_basis(rows: Sequence[Row], ncols: int | None = None) -> list[list[Fraction]]:
-    """A basis of the right kernel of A; empty when A has full column rank."""
-    if not rows:
-        if ncols is None:
-            return []
-        basis = []
-        for f in range(ncols):
+    """A basis of the right kernel of A; empty when A has full column rank.
+
+    Free column f gives the vector that is 1 at f and 0 at the other free
+    columns.  ``ncols`` is the width when there are no rows.
+    """
+    m, pivot_cols = _echelon(_integer_rows(rows))
+    if m:
+        ncols = len(m[0])
+    basis = []
+    for f in range(ncols or 0):
+        if f not in pivot_cols:
             v = [Fraction(0)] * ncols
             v[f] = Fraction(1)
-            basis.append(v)
-        return basis
-    m, pivot_cols = _echelon(_integer_rows(rows))
-    ncols = len(m[0])
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r in range(len(pivot_cols) - 1, -1, -1):
-            pc = pivot_cols[r]
-            if pc > f:
-                continue
-            acc = Fraction(0)
-            row = m[r]
-            for j in range(pc + 1, ncols):
-                if row[j] and v[j]:
-                    acc -= row[j] * v[j]
-            v[pc] = acc / row[pc]
-        basis.append(v)
+            basis.append(_back_substitute(m, pivot_cols, v, [0] * len(pivot_cols)))
     return basis
 
 

@@ -2,10 +2,12 @@
 
 Given a certified node, its used lines are ordered greedily: each step
 picks the line covering the most not-yet-covered nodes of the set, ties
-broken by canonical line order so the result is deterministic.  The count
-vector of newly covered nodes per step is the node's distribution sequence;
-a node of the set is *primary* for the first line in the order containing
-it and *secondary* for every later one.
+broken by canonical line order so the result is deterministic.  ``_best``
+is that rule, written once; it returns every tied line, least first, so
+:func:`enumerate_mdseqs` and the swap check branch on the same ties.  The
+count vector of newly covered nodes per step is the node's distribution
+sequence; a node of the set is *primary* for the first line in the order
+containing it and *secondary* for every later one.
 
 Determinism never masks non-uniqueness: :func:`enumerate_mdseqs` returns
 the count vector of every greedy-consistent ordering, whatever the ties
@@ -82,17 +84,26 @@ class MLineSequence(Value):
         return MDSequence(self.counts)
 
 
-def _line_masks(xs: NodeSet, lines: Sequence[Line]) -> dict[Line, int]:
-    """The bitmask of the nodes on each line, from ``Incidence.values``.
+def _line_masks(xs: NodeSet, lines: Sequence[Line]) -> list[int]:
+    """The bitmask of the nodes on each line, in order, from ``Incidence.values``.
 
     Bit j is set iff the line's integer value at node j is 0.  Only the
     index's integer nodes are read, not its line map, so any line works,
     including one through fewer than two nodes.
     """
     values = xs.incidence.values
-    return {
-        line: sum(1 << j for j, v in enumerate(values(line)) if v == 0) for line in lines
-    }
+    return [sum(1 << j for j, v in enumerate(values(line)) if v == 0) for line in lines]
+
+
+def _best(masks: Sequence[int], pool: int, uncovered: int) -> tuple[int, list[int]]:
+    """``(gain, ties)``: the most ``uncovered`` nodes on a line of ``pool``, and those lines.
+
+    ``pool`` is a bitmask of indices into ``masks``, which follows the
+    sorted used lines; ``ties`` ascends, so ``ties[0]`` is the least line.
+    """
+    gains = {i: (masks[i] & uncovered).bit_count() for i in _bits(pool)}
+    best = max(gains.values())
+    return best, [i for i, gain in gains.items() if gain == best]
 
 
 def greedy_sequence_for_lines(
@@ -106,31 +117,31 @@ def greedy_sequence_for_lines(
     This is the engine behind :func:`greedy_mdseq` and
     :func:`fixed_first_mdseq`; it accepts any collection of distinct lines,
     which lets synthetic incidence structures be analyzed directly.  Ties
-    go to the least line in canonical order.
+    go to the least line in canonical order.  A ``fixed_first`` that is not
+    among ``used`` raises KeyError.
     """
     used = tuple(sorted(set(used)))
     masks = _line_masks(xs, used)
     remaining = (1 << len(xs)) - 1
-    pool = set(used)
+    pool = (1 << len(used)) - 1
     order: list[Line] = []
     counts: list[int] = []
     primary: dict[int, int] = {}
-    forced = fixed_first
     while pool:
-        if forced is not None:
-            chosen = forced
-            forced = None
+        if fixed_first is not None and not order:
+            if fixed_first not in used:
+                raise KeyError(fixed_first)
+            i = used.index(fixed_first)
         else:
-            best = max((masks[l] & remaining).bit_count() for l in pool)
-            chosen = min(l for l in pool if (masks[l] & remaining).bit_count() == best)
-        new = masks[chosen] & remaining
+            i = _best(masks, pool, remaining)[1][0]
+        new = masks[i] & remaining
         position = len(order)
         for j in _bits(new):
             primary[j] = position
         counts.append(new.bit_count())
         remaining &= ~new
-        pool.remove(chosen)
-        order.append(chosen)
+        pool &= ~(1 << i)
+        order.append(used[i])
     return MLineSequence(
         node_index=node_index,
         nodeset=xs,
@@ -179,44 +190,35 @@ def enumerate_mdseqs(cert: GCCertificate, k: int) -> set[MDSequence]:
     independent of tie-breaking.
     """
     used = _distinct_used(cert, k)
-    masks = list(_line_masks(cert.nodeset, used).values())
+    masks = _line_masks(cert.nodeset, used)
     frontier = {((1 << len(masks)) - 1, (1 << len(cert.nodeset)) - 1, ())}
     for _ in masks:
         step = set()
         for pool, uncovered, counts in frontier:
-            gains = [
-                ((mask & uncovered).bit_count(), i)
-                for i, mask in enumerate(masks)
-                if pool >> i & 1
-            ]
-            best = max(gains)[0]
-            for gain, i in gains:
-                if gain == best:
-                    step.add((pool & ~(1 << i), uncovered & ~masks[i], counts + (best,)))
+            gain, ties = _best(masks, pool, uncovered)
+            for i in ties:
+                step.add((pool & ~(1 << i), uncovered & ~masks[i], counts + (gain,)))
         frontier = step
     return {MDSequence(counts) for _, _, counts in frontier}
 
 
-def _is_greedy_ordering(
-    masks: Mapping[Line, int], size: int, order: Sequence[Line], exempt_first: bool
-) -> bool:
-    """Whether ``order`` places every line of ``masks`` once, each of maximal gain.
+def _is_greedy_ordering(seq: MLineSequence, order: Sequence[Line]) -> bool:
+    """Whether ``order`` places every line of ``seq.used`` once, each of maximal gain.
 
-    ``size`` is the number of nodes; with ``exempt_first`` the first line
-    may have any gain.
+    With a ``fixed_first`` line in ``seq``, the first line may have any gain.
     """
-    remaining = (1 << size) - 1
-    pool = set(masks)
+    masks = _line_masks(seq.nodeset, seq.used)
+    index = {line: i for i, line in enumerate(seq.used)}
+    remaining = (1 << len(seq.nodeset)) - 1
+    pool = (1 << len(masks)) - 1
     for s, line in enumerate(order):
-        if line not in pool:
+        i = index.get(line)
+        if i is None or not pool >> i & 1:
             return False
-        covered = (masks[line] & remaining).bit_count()
-        if not (exempt_first and s == 0):
-            best = max((masks[l] & remaining).bit_count() for l in pool)
-            if covered < best:
-                return False
-        remaining &= ~masks[line]
-        pool.remove(line)
+        if (s or seq.fixed_first is None) and i not in _best(masks, pool, remaining)[1]:
+            return False
+        remaining &= ~masks[i]
+        pool &= ~(1 << i)
     return not pool
 
 
@@ -237,12 +239,11 @@ def verify_swap_property(seq: MLineSequence, i: int) -> bool:
         )
     swapped = list(seq.lines)
     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-    masks = _line_masks(seq.nodeset, seq.used)
-    exempt = seq.fixed_first is not None
-    if not _is_greedy_ordering(masks, len(seq.nodeset), swapped, exempt_first=exempt):
+    if not _is_greedy_ordering(seq, swapped):
         return False
     # both lines are distinct used lines here, so they share at most one node
-    crossing = masks[seq.lines[i]] & masks[seq.lines[i + 1]]
+    first, second = _line_masks(seq.nodeset, seq.lines[i : i + 2])
+    crossing = first & second
     if not crossing:
         return True
     idx = crossing.bit_length() - 1

@@ -26,6 +26,9 @@ summary:      {"degree": n, "trials": T, "seed": s, "kinds": [...],
                              "reason": ..., "certificate": certificate | null}],
                "use_count_max": {"nodes-on-line": max-uses}}
 polynomial:   {"degree": n, "coefficients": ["p/q", ...]}   (graded-lex order)
+
+A report is satisfied exactly when it lists a maximal line, and it carries
+a counterexample, of its own degree, exactly when it is not satisfied.
 """
 
 from __future__ import annotations
@@ -243,8 +246,10 @@ def report_from_dict(doc: Any) -> GMReport:
     from .analysis import GMReport
 
     _expect(isinstance(doc, dict), "report document must be an object")
-    _expect(_is_int(doc.get("degree")), "field 'degree' must be an integer")
-    _expect(isinstance(doc.get("satisfied"), bool), "field 'satisfied' must be a boolean")
+    degree = doc.get("degree")
+    _expect(_is_int(degree) and degree >= 0, "field 'degree' must be a nonnegative integer")
+    satisfied = doc.get("satisfied")
+    _expect(isinstance(satisfied, bool), "field 'satisfied' must be a boolean")
     raw = doc.get("maximal_lines")
     _expect(isinstance(raw, list), "field 'maximal_lines' must be a list")
     maximal = []
@@ -254,11 +259,16 @@ def report_from_dict(doc: Any) -> GMReport:
         ids = item.get("nodes")
         _expect(_is_int_list(ids), "maximal line 'nodes' must be a list of indices")
         maximal.append((line, tuple(ids)))
+    _expect(satisfied == bool(maximal), "field 'satisfied' must say whether there is a maximal line")
     raw_cex = doc.get("counterexample")
+    _expect((raw_cex is None) == satisfied,
+            "field 'counterexample' must be present exactly when the report is not satisfied")
     cex = None if raw_cex is None else certificate_from_dict(raw_cex)
+    _expect(cex is None or cex.degree == degree,
+            "the counterexample's degree must be the report's degree")
     return GMReport(
-        degree=doc["degree"],
-        satisfied=doc["satisfied"],
+        degree=degree,
+        satisfied=satisfied,
         maximal_lines=tuple(maximal),
         counterexample=cex,
     )

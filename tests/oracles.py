@@ -15,9 +15,16 @@ node-pair lines, then rechecks the product by Fraction evaluation.
 :func:`enumerate_mdseqs_dfs` is the ordering-by-ordering stack walk the
 library's deduplicated frontier replaced.
 
+:func:`greedy_order_fraction` orders a used-line set greedily by Fraction
+incidence, ties to the least ``Line``; the library states that rule once,
+on node bitmasks.
+
 :func:`verify_swap_property_fraction` is the swap-law check the library's
 node-mask test replaced: it intersects the two lines in Fraction arithmetic
 and looks the meet up among the nodes.
+
+:func:`line_through` is the Fraction line through two points; it left the
+library once nothing there built a line from a node pair.
 
 :func:`general_position` is the integer-determinant test of whole line
 lists that left the library once the generators began testing general
@@ -30,6 +37,10 @@ the coordinates; the library builds integer rows and divides by their
 scale.  :func:`incidence_profile_fraction` groups a target by the Fraction
 line through the center and each target node; the library reads the lines
 off the node set's integer incidence index.
+
+:func:`nullspace_naive` reads a kernel basis off the reduced row echelon
+form in Fraction arithmetic; the library back-substitutes on fraction-free
+echelon rows.
 
 :func:`is_consistent` is the one-system consistency check by Bareiss rank;
 it is the per-column reference for ``gcnlab.linalg.unit_consistency``.
@@ -63,6 +74,7 @@ from typing import Mapping
 from gcnlab import (
     GCCertificate,
     GCNLabError,
+    IdenticalPoints,
     Line,
     MDSequence,
     MultiplicityPresent,
@@ -83,7 +95,6 @@ from gcnlab import (
     is_incident,
     is_poised,
     line_incidence,
-    line_through,
     to_scalar,
 )
 from gcnlab.generators import RETRY_LIMIT
@@ -162,6 +173,41 @@ def rank_naive(rows):
     return r
 
 
+def nullspace_naive(rows, ncols=None):
+    """A kernel basis by Fraction Gauss-Jordan elimination to reduced row echelon form.
+
+    With no rows, ``ncols`` gives the width (none: no columns).  The vector
+    of free column f is 1 at f, 0 at the other free columns, and minus the
+    reduced entry in column f at the pivot column of each reduced row.  The
+    pivot columns do not depend on how the elimination runs, so this basis
+    is unique.
+    """
+    m = [[Fraction(v) for v in row] for row in rows]
+    width = len(m[0]) if m else ncols or 0
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for f in range(width):
+        if f not in pivots:
+            v = [Fraction(0)] * width
+            v[f] = Fraction(1)
+            for r, c in enumerate(pivots):
+                v[c] = -m[r][f]
+            basis.append(v)
+    return basis
+
+
 def solvable_naive(rows, rhs):
     """Consistency of A x = b via ranks computed by :func:`rank_naive`."""
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
@@ -200,6 +246,19 @@ def is_consistent(rows, rhs):
     ncols = len(aug[0])
     _, pivot_cols = _echelon(_integer_rows(aug))
     return (ncols - 1) not in pivot_cols
+
+
+def line_through(p, q):
+    """The canonical line incident to both ``p`` and ``q``.
+
+    Raises IdenticalPoints when ``p == q``.
+    """
+    if p == q:
+        raise IdenticalPoints(f"no unique line through coincident points {p}")
+    a = q.y - p.y
+    b = p.x - q.x
+    c = p.y * q.x - p.x * q.y
+    return Line.from_rationals(a, b, c)
 
 
 def general_position(lines):
@@ -517,6 +576,34 @@ def enumerate_mdseqs_dfs(cert, k):
             if len(covered) == best:
                 stack.append((pool - {l}, remaining - covered, counts + (best,)))
     return results
+
+
+def greedy_order_fraction(xs, used, fixed_first=None):
+    """The greedy order of ``used`` over ``xs`` by Fraction incidence.
+
+    Each step places a line covering the most uncovered nodes (the Fraction
+    test ``is_incident``), and among lines of equal gain the least ``Line``;
+    ``fixed_first``, when given, is placed first whatever its gain.  Returns
+    ``(lines, counts, primary)``: the order, the newly covered nodes per
+    step, and node index -> the step that first covered it.
+    """
+    on = {l: {j for j, p in enumerate(xs.nodes) if is_incident(p, l)} for l in used}
+    pool = set(on)
+    remaining = set(range(len(xs)))
+    lines, counts, primary = [], [], {}
+    while pool:
+        if fixed_first is not None and not lines:
+            line = fixed_first
+        else:
+            best = max(len(on[l] & remaining) for l in pool)
+            line = min(l for l in pool if len(on[l] & remaining) == best)
+        new = on[line] & remaining
+        primary.update((j, len(lines)) for j in new)
+        lines.append(line)
+        counts.append(len(new))
+        remaining -= new
+        pool.remove(line)
+    return tuple(lines), tuple(counts), primary
 
 
 def verify_swap_property_fraction(seq, i):

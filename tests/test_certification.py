@@ -27,7 +27,6 @@ from gcnlab import (
     greedy_mdseq,
     is_poised,
     line_incidence,
-    line_through,
     maximal_lines,
     multiply_line,
     used_lines_of,
@@ -47,6 +46,7 @@ from oracles import (
     distinct_pair_lines,
     factor_into_lines,
     line_incidence_pairs,
+    line_through,
     used_line_index,
 )
 

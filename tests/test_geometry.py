@@ -18,13 +18,18 @@ from gcnlab import (
     Point,
     intersect,
     is_incident,
-    line_through,
     to_scalar,
 )
 
 from gcnlab.geometry import _clear
 
-from oracles import DataclassLine, DataclassPoint, general_position, general_position_fraction
+from oracles import (
+    DataclassLine,
+    DataclassPoint,
+    general_position,
+    general_position_fraction,
+    line_through,
+)
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=12

@@ -15,7 +15,7 @@ from gcnlab.linalg import (
     unit_consistency,
 )
 
-from oracles import is_consistent, rank_naive, solvable_naive
+from oracles import is_consistent, nullspace_naive, rank_naive, solvable_naive
 
 entry = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -141,3 +141,26 @@ class TestNullspace:
     def test_full_rank_trivial_kernel(self):
         m = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
         assert nullspace_vector(m) is None
+
+
+def combinations(m):
+    """``m`` with up to two rows appended that are rational combinations of its rows."""
+    coeffs = st.lists(st.lists(entry, min_size=len(m), max_size=len(m)), max_size=2)
+    return coeffs.map(
+        lambda cs: m + [[sum(c * row[j] for c, row in zip(cc, m)) for j in range(len(m[0]))] for cc in cs]
+    )
+
+
+class TestNullspaceAgainstGaussJordan:
+    """The shared back-substitution gives exactly the reduced-echelon basis."""
+
+    @given(matrices(4, 7).flatmap(combinations))
+    @settings(max_examples=120)
+    def test_same_basis_wide_and_deficient(self, m):
+        assert nullspace_basis(m) == nullspace_naive(m)
+
+    def test_no_rows(self):
+        for k in range(5):
+            units = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+            assert nullspace_basis([], k) == nullspace_naive([], k) == units
+        assert nullspace_basis([]) == nullspace_naive([]) == []

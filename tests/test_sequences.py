@@ -25,7 +25,6 @@ from gcnlab import (
     greedy_mdseq,
     greedy_sequence_for_lines,
     is_incident,
-    line_through,
     multiply_line,
     primary_zero_divisibility,
     used_lines_of,
@@ -35,7 +34,13 @@ from gcnlab.certification import GCCertificate, NodeCertificate
 from gcnlab.linalg import nullspace_basis
 from gcnlab.rng import SplitMix64
 
-from oracles import enumerate_mdseqs_dfs, greedy_counts_recount, verify_swap_property_fraction
+from oracles import (
+    enumerate_mdseqs_dfs,
+    greedy_counts_recount,
+    greedy_order_fraction,
+    line_through,
+    verify_swap_property_fraction,
+)
 
 
 def with_primary(seq, primary):
@@ -367,6 +372,51 @@ class TestSwapAgainstFractionOracle:
                         assert got == verify_swap_property_fraction(variant, i)
                         outcomes[got] += 1
         assert outcomes[True] and outcomes[False]
+
+
+def tie_families(xs, degree, rng):
+    """The seeded used-line families of TestSwapAgainstFractionOracle, drawn the same way."""
+    pair_lines = list(xs.incidence.masks)
+    for _ in range(12):
+        used = {pair_lines[rng.randint(0, len(pair_lines) - 1)] for _ in range(degree + 2)}
+        for _ in range(2):
+            p = xs.nodes[rng.randint(0, len(xs) - 1)]
+            a, b = rng.randint(1, 5), rng.randint(-5, 5)
+            used.add(Line.from_rationals(a, b, -(a * p.x + b * p.y)))
+        yield used
+
+
+def assert_greedy_matches_oracle(xs, k, used, fixed_first=None):
+    seq = greedy_sequence_for_lines(xs, k, used, fixed_first=fixed_first)
+    assert (seq.lines, seq.counts, seq.primary) == greedy_order_fraction(xs, used, fixed_first)
+    return seq
+
+
+class TestGreedyAgainstFractionOracle:
+    """Which tied line greedy takes, against Fraction incidence and least-Line ties."""
+
+    @pytest.mark.parametrize("kind", DEFAULT_KINDS)
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_generated_sets_every_node(self, kind, degree):
+        xs, cert = generate_with_certificate(GeneratorSpec(kind, degree, seed=degree))
+        for k in range(len(xs)):
+            assert_greedy_matches_oracle(xs, k, used_lines_of(cert, k))
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_tie_families(self, degree):
+        rng = SplitMix64(degree)
+        tied_steps = 0
+        for kind in DEFAULT_KINDS:
+            xs, _ = generate_with_certificate(GeneratorSpec(kind, degree, seed=degree))
+            for used in tie_families(xs, degree, rng):
+                for first in (None, *sorted(used)):
+                    seq = assert_greedy_matches_oracle(xs, 0, used, first)
+                    # equal counts at steps s, s+1 mean the later line tied at step s
+                    start = 0 if first is None else 1
+                    tied_steps += sum(
+                        seq.counts[s] == seq.counts[s + 1] for s in range(start, len(seq.counts) - 1)
+                    )
+        assert tied_steps
 
 
 class TestIncidenceReads:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gcnlab import (
     BadRational,
     DuplicateNode,
+    GMReport,
     NodeSet,
     ParseError,
     Point,
@@ -137,6 +138,11 @@ class TestReportDocuments:
         report = gm_report_from_certificate(cy2_cert)
         assert '"satisfied": true' in save_report(report)
 
+    def test_unsatisfied_round_trip(self, cy2_cert):
+        report = GMReport(degree=2, satisfied=False, maximal_lines=(), counterexample=cy2_cert)
+        again = load_report(save_report(report))
+        assert again == report
+
 
 class TestSummaryDocuments:
     def test_round_trip(self):
@@ -193,6 +199,36 @@ class TestMalformedDocuments:
         corrupt(doc)
         with pytest.raises(ParseError):
             load(json.dumps(doc))
+
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            pytest.param({"degree": -1}, "nonnegative integer", id="report-negative-degree"),
+            pytest.param({"maximal_lines": []}, "maximal line", id="satisfied-without-maximal-line"),
+            pytest.param({"satisfied": False}, "maximal line", id="unsatisfied-with-maximal-line"),
+            pytest.param(
+                {"satisfied": False, "maximal_lines": []}, "present exactly",
+                id="unsatisfied-without-counterexample",
+            ),
+            pytest.param({"counterexample": 2}, "present exactly", id="satisfied-with-counterexample"),
+            pytest.param(
+                {"satisfied": False, "maximal_lines": [], "counterexample": 1}, "counterexample's degree",
+                id="counterexample-of-another-degree",
+            ),
+        ],
+    )
+    def test_report_parse_error(self, cy2_cert, triangle, changes, message):
+        # a "counterexample" change names the degree of the certificate put there
+        certificates = {1: certify_gc(triangle), 2: cy2_cert}
+        doc = json.loads(save_report(gm_report_from_certificate(cy2_cert)))
+        load_report(json.dumps(doc))  # the document is valid before it is corrupted
+        for field, value in changes.items():
+            if field == "counterexample":
+                value = json.loads(save_certificate(certificates[value]))
+            doc[field] = value
+        with pytest.raises(ParseError, match=message):
+            load_report(json.dumps(doc))
 
 
 class TestPolyDocuments:
