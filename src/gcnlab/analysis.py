@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .certification import GCCertificate, certify_gc
 from .errors import (
@@ -44,18 +44,7 @@ class GMReport(Value):
     """
 
     __slots__ = _fields = ("degree", "satisfied", "maximal_lines", "counterexample")
-
-    def __init__(
-        self,
-        degree: int,
-        satisfied: bool,
-        maximal_lines: tuple[tuple[Line, tuple[int, ...]], ...],
-        counterexample: GCCertificate | None = None,
-    ):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "satisfied", satisfied)
-        object.__setattr__(self, "maximal_lines", maximal_lines)
-        object.__setattr__(self, "counterexample", counterexample)
+    _defaults = {"counterexample": None}
 
 
 class IncidenceProfile(Value):
@@ -68,11 +57,6 @@ class IncidenceProfile(Value):
     """
 
     __slots__ = _fields = ("center", "target", "counts")
-
-    def __init__(self, center: int, target: tuple[int, ...], counts: Mapping[int, int]):
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "counts", counts)
 
 
 def maximal_lines(xs: NodeSet) -> set[Line]:
@@ -188,15 +172,6 @@ class TrialFailure(Value):
 
     __slots__ = _fields = ("trial", "kind", "seed", "reason", "certificate")
 
-    def __init__(
-        self, trial: int, kind: str, seed: int, reason: str, certificate: GCCertificate | None
-    ):
-        object.__setattr__(self, "trial", trial)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "certificate", certificate)
-
 
 class SearchSummary(Value):
     """Aggregate outcome of a falsification run.
@@ -210,28 +185,6 @@ class SearchSummary(Value):
         "degree", "trials", "seed", "kinds", "coordinate_bound", "certified", "gm_satisfied",
         "failures", "use_count_max",
     )
-
-    def __init__(
-        self,
-        degree: int,
-        trials: int,
-        seed: int,
-        kinds: tuple[str, ...],
-        coordinate_bound: int,
-        certified: int,
-        gm_satisfied: int,
-        failures: tuple[TrialFailure, ...],
-        use_count_max: Mapping[int, int],
-    ):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "kinds", kinds)
-        object.__setattr__(self, "coordinate_bound", coordinate_bound)
-        object.__setattr__(self, "certified", certified)
-        object.__setattr__(self, "gm_satisfied", gm_satisfied)
-        object.__setattr__(self, "failures", failures)
-        object.__setattr__(self, "use_count_max", use_count_max)
 
     @property
     def all_satisfied(self) -> bool:

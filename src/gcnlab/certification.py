@@ -46,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import GCNLabError, NotGC, NotPoised
 from .geometry import Key, Line, NodeSet, Value, _bits
@@ -62,18 +62,6 @@ class NodeCertificate(Value):
 
     __slots__ = _fields = ("node_index", "constant", "lines", "witnesses")
 
-    def __init__(
-        self,
-        node_index: int,
-        constant: Fraction,
-        lines: tuple[Line, ...],
-        witnesses: Mapping[Line, tuple[int, ...]],
-    ):
-        object.__setattr__(self, "node_index", node_index)
-        object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "witnesses", witnesses)
-
 
 class GCCertificate(Value):
     """Per-node line factorizations for a whole poised set.
@@ -82,10 +70,6 @@ class GCCertificate(Value):
     """
 
     __slots__ = _fields = ("nodeset", "entries")
-
-    def __init__(self, nodeset: NodeSet, entries: tuple[NodeCertificate, ...]):
-        object.__setattr__(self, "nodeset", nodeset)
-        object.__setattr__(self, "entries", entries)
 
     @property
     def degree(self) -> int:

@@ -166,14 +166,10 @@ def _cmd_mdseq(args) -> int:
 
 
 def _cmd_maximal_lines(args) -> int:
+    from .serialization import maximal_lines_to_list
+
     xs = _read_nodeset(args.file)
-    doc = {
-        "degree": xs.degree,
-        "maximal_lines": [
-            {"line": list(l.coefficients), "nodes": list(nodes)}
-            for l, nodes in xs.incidence.maximal
-        ],
-    }
+    doc = {"degree": xs.degree, "maximal_lines": maximal_lines_to_list(xs.incidence.maximal)}
     _emit_doc(doc, args.out)
     return 0
 
@@ -214,7 +210,7 @@ def _cmd_incidence_profile(args) -> int:
 def _cmd_cayley_bacharach(args) -> int:
     from .analysis import cayley_bacharach_check
     from .geometry import Line
-    from .rng import SplitMix64
+    from .rng import RETRY_LIMIT, SplitMix64
 
     if args.m < 1 or args.n < 1 or args.m + args.n < 3:
         raise _InputError("need --m >= 1 and --n >= 1 with m + n >= 3")
@@ -222,7 +218,7 @@ def _cmd_cayley_bacharach(args) -> int:
         raise _InputError("need --bound >= 1")
     rng = SplitMix64(args.seed)
     bound = args.bound
-    for _ in range(512):
+    for _ in range(RETRY_LIMIT):
         lines_m = []
         lines_n = []
         seen = set()
@@ -233,10 +229,10 @@ def _cmd_cayley_bacharach(args) -> int:
                 line = Line(a, b, c) if (a, b) != (0, 0) else None
                 if line is None or line in seen:
                     rejected += 1
-                    if rejected > 512:
+                    if rejected > RETRY_LIMIT:
                         raise RetryLimitExceeded(
-                            f"no {args.m + args.n} distinct lines within 512 rejected draws "
-                            f"at coordinate bound {bound}"
+                            f"no {args.m + args.n} distinct lines within {RETRY_LIMIT} "
+                            f"rejected draws at coordinate bound {bound}"
                         )
                     continue
                 seen.add(line)
@@ -256,7 +252,7 @@ def _cmd_cayley_bacharach(args) -> int:
         }
         _emit_doc(doc, args.out)
         return 0 if dependent else _PROPERTY_FAILED
-    raise RetryLimitExceeded("no transversal line configuration within 512 draws")
+    raise RetryLimitExceeded(f"no transversal line configuration within {RETRY_LIMIT} draws")
 
 
 def _cmd_generate(args) -> int:

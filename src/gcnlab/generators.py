@@ -35,12 +35,9 @@ from .certification import GCCertificate, certify_gc
 from .errors import RetryLimitExceeded
 from .geometry import NodeSet, Point, Value, _clear
 from .polynomials import dim_pi
-from .rng import SplitMix64
+from .rng import RETRY_LIMIT, SplitMix64
 
 DEFAULT_KINDS = ("chung_yao", "principal", "projective_image")
-
-#: Budget of random draws before a degenerate-configuration loop gives up.
-RETRY_LIMIT = 512
 
 
 class GeneratorSpec(Value):

@@ -21,18 +21,22 @@ all read this one index.
 Every value type of the package derives from :class:`Value`, defined
 here.  A subclass names its fields once, in constructor order:
 ``__slots__ = _fields = (...)``, or ``_fields`` alone on ``NodeSet`` and
-``Incidence``, which keep a ``__dict__`` for their cached properties.  Its
-constructor validates and stores each field.  ``Value`` supplies the rest:
-assigning to or deleting a field raises AttributeError, values are equal
-only within one class and field by field, the hash is that of the fields,
-pickling rebuilds a value from its fields, and the repr reads
-``Name(field=value, ...)``.  ``Point`` and ``Line`` alone sort, by their
-fields and against their own class only: ``_Ordered`` writes ``__lt__``
-and :func:`functools.total_ordering` derives the rest.  They also print
+``Incidence``, which keep a ``__dict__`` for their cached properties.
+``Value`` generates the constructor when the class is created: it takes
+the fields by name and in that order, with the defaults of the class's
+``_defaults`` mapping.  A class that validates or normalizes its fields
+writes its own (``Point``, ``Line``, ``NodeSet``, ``Poly`` and
+``GeneratorSpec``).  ``Value`` supplies the rest: assigning to or
+deleting a field raises AttributeError, values are equal only within one
+class and field by field, the hash is that of the fields, pickling
+rebuilds a value from its fields, and the repr reads ``Name(field=value,
+...)``.  ``Point`` and ``Line`` alone sort, by their fields and against
+their own class only: ``_Ordered`` writes ``__lt__`` and
+:func:`functools.total_ordering` derives the rest.  They also print
 shorter; ``Poly`` compares mathematically and is unhashable.  The package
 does not use :mod:`dataclasses`: its import (which pulls in ``inspect``
-and ``ast``) and the methods it generates for each class would add
-start-up time to every CLI command.
+and ``ast``) and the comparison, hash and repr methods it would generate
+for each class would add start-up time to every CLI command.
 
 All operations are pure, so everything in this module is safe to share
 between threads.
@@ -84,16 +88,33 @@ def _clear(values: Sequence[Union[int, Fraction]]) -> tuple[int, list[int]]:
 class Value:
     """An immutable value whose fields are named in ``_fields``, in constructor order.
 
-    A subclass's ``__init__`` stores each field with ``object.__setattr__``;
-    after that, assigning to or deleting any attribute raises
-    AttributeError.  Two values are equal only when they are of one class
-    and their fields are equal, and the hash is that of the field tuple.
-    A value pickles and copies as its class applied to its fields, and its
-    repr is ``Name(field=value, ...)``.
+    A subclass that declares ``_fields`` and no ``__init__`` gets one,
+    generated when the class is created: it takes the fields by name, in
+    order, with the defaults of the ``_defaults`` mapping, and stores each.
+    A subclass that validates writes its own and stores each field with
+    ``object.__setattr__``.  After that, assigning to or deleting any
+    attribute raises AttributeError.  Two values are equal only when they
+    are of one class and their fields are equal, and the hash is that of
+    the field tuple.  A value pickles and copies as its class applied to
+    its fields, and its repr is ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # Compiled source, not an argument binder: certification builds a
+        # NodeCertificate per node, and this runs as fast as a hand-written one.
+        if "_fields" in cls.__dict__ and "__init__" not in cls.__dict__:
+            params = (f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in cls._fields)
+            body = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)
+            namespace = {"__name__": cls.__module__, "_set": object.__setattr__,
+                         "_defaults": cls._defaults}
+            exec(f"def __init__(self, {', '.join(params)}):{body}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -278,11 +299,6 @@ class Incidence(Value):
     """
 
     _fields = ("degree", "scale", "coords")
-
-    def __init__(self, degree: int, scale: int, coords: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def of(cls, xs: NodeSet) -> "Incidence":

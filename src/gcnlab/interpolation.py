@@ -38,10 +38,6 @@ class FundamentalSolution(Value):
 
     __slots__ = _fields = ("node_index", "poly")
 
-    def __init__(self, node_index: int, poly: Poly):
-        object.__setattr__(self, "node_index", node_index)
-        object.__setattr__(self, "poly", poly)
-
 
 def _integer_vandermonde(nodes: Sequence[Point], n: int) -> list[list[int]]:
     """Degree-``n`` Vandermonde rows of ``nodes``, row i scaled to integers by ``d_i**n``.
@@ -65,13 +61,9 @@ def _integer_vandermonde(nodes: Sequence[Point], n: int) -> list[list[int]]:
     return rows
 
 
-def _vandermonde_rows(nodes: Sequence[Point], degree: int) -> list[list[Fraction]]:
-    return [[Fraction(v, row[0]) for v in row] for row in _integer_vandermonde(nodes, degree)]
-
-
 def vandermonde(xs: NodeSet) -> list[list[Fraction]]:
     """One row per node of monomial values at the set's degree."""
-    return _vandermonde_rows(xs.nodes, xs.degree)
+    return [[Fraction(v, row[0]) for v in row] for row in _integer_vandermonde(xs.nodes, xs.degree)]
 
 
 def is_poised(xs: NodeSet) -> bool:
@@ -118,7 +110,7 @@ def annihilator(xs: NodeSet) -> Poly | None:
     """
     rows = _integer_vandermonde(xs.nodes, xs.degree)
     if not rows:
-        return None if dim_pi(xs.degree) == 0 else Poly.from_coeff_dict({(0, 0): 1}, xs.degree)
+        return Poly.from_coeff_dict({(0, 0): 1}, xs.degree)
     vec = linalg.nullspace_vector(rows)
     if vec is None:
         return None

@@ -15,6 +15,9 @@ from fractions import Fraction
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
+#: Budget of random draws before a degenerate-configuration loop gives up.
+RETRY_LIMIT = 512
+
 
 def mix64(z: int) -> int:
     """The splitmix64 output finalizer (xor-shift / multiply chain)."""

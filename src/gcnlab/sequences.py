@@ -30,7 +30,7 @@ ignored by all counting here; only nodes count.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import CountsUnequal, LineNotUsed, MultiplicityPresent
 from .geometry import Line, NodeSet, Point, Value, _bits, is_incident
@@ -45,9 +45,6 @@ class MDSequence(Value):
 
     __slots__ = _fields = ("counts",)
 
-    def __init__(self, counts: tuple[int, ...]):
-        object.__setattr__(self, "counts", counts)
-
 
 class MLineSequence(Value):
     """An ordered used-line sequence with its counts and primary assignment.
@@ -61,24 +58,7 @@ class MLineSequence(Value):
     __slots__ = _fields = (
         "node_index", "nodeset", "used", "lines", "counts", "primary", "fixed_first",
     )
-
-    def __init__(
-        self,
-        node_index: int,
-        nodeset: NodeSet,
-        used: tuple[Line, ...],
-        lines: tuple[Line, ...],
-        counts: tuple[int, ...],
-        primary: Mapping[int, int],
-        fixed_first: Line | None = None,
-    ):
-        object.__setattr__(self, "node_index", node_index)
-        object.__setattr__(self, "nodeset", nodeset)
-        object.__setattr__(self, "used", used)
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "primary", primary)
-        object.__setattr__(self, "fixed_first", fixed_first)
+    _defaults = {"fixed_first": None}
 
     def distribution(self) -> MDSequence:
         return MDSequence(self.counts)
@@ -118,9 +98,11 @@ def greedy_sequence_for_lines(
     :func:`fixed_first_mdseq`; it accepts any collection of distinct lines,
     which lets synthetic incidence structures be analyzed directly.  Ties
     go to the least line in canonical order.  A ``fixed_first`` that is not
-    among ``used`` raises KeyError.
+    among ``used`` raises LineNotUsed.
     """
     used = tuple(sorted(set(used)))
+    if fixed_first is not None and fixed_first not in used:
+        raise LineNotUsed(f"{fixed_first} is not used by node {node_index}")
     masks = _line_masks(xs, used)
     remaining = (1 << len(xs)) - 1
     pool = (1 << len(used)) - 1
@@ -129,8 +111,6 @@ def greedy_sequence_for_lines(
     primary: dict[int, int] = {}
     while pool:
         if fixed_first is not None and not order:
-            if fixed_first not in used:
-                raise KeyError(fixed_first)
             i = used.index(fixed_first)
         else:
             i = _best(masks, pool, remaining)[1][0]
@@ -170,10 +150,7 @@ def greedy_mdseq(cert: GCCertificate, k: int) -> MLineSequence:
 
 def fixed_first_mdseq(cert: GCCertificate, k: int, line: Line) -> MLineSequence:
     """Greedy sequence with a designated line forced into first position."""
-    used = _distinct_used(cert, k)
-    if line not in used:
-        raise LineNotUsed(f"{line} is not used by node {k}")
-    return greedy_sequence_for_lines(cert.nodeset, k, used, fixed_first=line)
+    return greedy_sequence_for_lines(cert.nodeset, k, _distinct_used(cert, k), fixed_first=line)
 
 
 def enumerate_mdseqs(cert: GCCertificate, k: int) -> set[MDSequence]:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import BadRational, ParseError
 from .geometry import Line, NodeSet, Point
@@ -228,14 +228,16 @@ def load_certificate(text: str) -> GCCertificate:
 
 # --- GM reports -----------------------------------------------------------------
 
+def maximal_lines_to_list(maximal: Sequence[tuple[Line, Sequence[int]]]) -> list:
+    """Each maximal line and its node indices as ``{"line": [a, b, c], "nodes": [j, ...]}``."""
+    return [{"line": list(line.coefficients), "nodes": list(ids)} for line, ids in maximal]
+
+
 def report_to_dict(report: GMReport) -> dict:
     return {
         "degree": report.degree,
         "satisfied": report.satisfied,
-        "maximal_lines": [
-            {"line": list(line.coefficients), "nodes": list(ids)}
-            for line, ids in report.maximal_lines
-        ],
+        "maximal_lines": maximal_lines_to_list(report.maximal_lines),
         "counterexample": None
         if report.counterexample is None
         else certificate_to_dict(report.counterexample),

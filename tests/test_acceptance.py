@@ -26,6 +26,7 @@ from gcnlab import (
     GeneratorSpec,
     Line,
     MDSequence,
+    NodeSet,
     Point,
     Poly,
     all_fundamentals,
@@ -43,9 +44,9 @@ from gcnlab import (
     is_poised,
     line_incidence,
     multiply_line,
+    vandermonde,
 )
 from gcnlab.cli import main as cli_main
-from gcnlab.interpolation import _vandermonde_rows
 from gcnlab.linalg import nullspace_basis
 from gcnlab.rng import SplitMix64, substream_seed
 
@@ -179,7 +180,7 @@ def test_criterion_5_divisibility_suite():
                 points.add(Point(t, Fraction(-line.a * t - line.c, line.b)))
             else:
                 points.add(Point(Fraction(-line.c, line.a), t))
-        basis = nullspace_basis(_vandermonde_rows(sorted(points), n))
+        basis = nullspace_basis(vandermonde(NodeSet(n, sorted(points))))
         coeffs = [Fraction(0)] * dim_pi(n)
         for vec in basis:
             w = rng.randint(-5, 5)

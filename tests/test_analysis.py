@@ -28,7 +28,9 @@ from gcnlab.geometry import Incidence
 from gcnlab.generators import DEFAULT_KINDS
 from gcnlab.rng import SplitMix64, substream_seed
 
-from oracles import incidence_profile_fraction, solvable_naive, used_line_index
+from oracles import (
+    incidence_profile_fraction, solvable_naive, used_line_index, vandermonde_naive,
+)
 
 
 class TestMaximalLines:
@@ -193,10 +195,8 @@ class TestCayleyBacharach:
     def test_grid_infeasibility_against_oracle(self):
         # independent check: each node's inhomogeneous system at degree 3 is
         # infeasible by naive rational elimination
-        from gcnlab.interpolation import _vandermonde_rows
-
         pts = [Point(i, j) for i in range(3) for j in range(3)]
-        rows = _vandermonde_rows(pts, 3)
+        rows = vandermonde_naive(pts, 3)
         for k in range(9):
             rhs = [Fraction(1) if i == k else Fraction(0) for i in range(9)]
             assert not solvable_naive(rows, rhs)

@@ -22,7 +22,7 @@ from gcnlab import (
 from gcnlab.linalg import nullspace_basis
 from gcnlab.rng import SplitMix64
 
-from oracles import poly_multiply_naive
+from oracles import poly_multiply_naive, vandermonde_naive
 
 coeff = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 line_coeffs = st.tuples(
@@ -148,10 +148,8 @@ class TestDivideByLine:
         # p in Pi_3 vanishing at 5 distinct points of y = 0 must be divisible
         # by y; sample p from the nullspace of the 5 vanishing constraints and
         # verify by multiplying the quotient back.
-        from gcnlab.interpolation import _vandermonde_rows
-
         pts = [Point(t, 0) for t in range(5)]
-        basis = nullspace_basis(_vandermonde_rows(pts, 3))
+        basis = nullspace_basis(vandermonde_naive(pts, 3))
         assert basis, "five constraints cannot exhaust a 10-dimensional space"
         rng = SplitMix64(202)
         for _ in range(10):
@@ -173,11 +171,9 @@ class TestVanishingPointsForceDivisibility:
     @given(st.integers(1, 4), lines, st.data())
     @settings(max_examples=60, deadline=None)
     def test_property(self, n, line, data):
-        from gcnlab.interpolation import _vandermonde_rows
-
         seed = data.draw(st.integers(0, 2**32))
         pts = _distinct_points_on_line(line, n + 1, seed)
-        basis = nullspace_basis(_vandermonde_rows(pts, n))
+        basis = nullspace_basis(vandermonde_naive(pts, n))
         rng = SplitMix64(seed ^ 0xA5A5)
         coeffs = [Fraction(0)] * dim_pi(n)
         for vec in basis:

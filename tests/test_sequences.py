@@ -39,6 +39,7 @@ from oracles import (
     greedy_counts_recount,
     greedy_order_fraction,
     line_through,
+    vandermonde_naive,
     verify_swap_property_fraction,
 )
 
@@ -204,6 +205,12 @@ class TestFixedFirst:
         with pytest.raises(LineNotUsed):
             fixed_first_mdseq(cy2_cert, 0, Line(97, 89, 1))
 
+    def test_line_not_used_by_a_bare_line_set(self, triangle):
+        # checked before the first step: an empty set of lines has none
+        for used in ([], [Line(0, 1, 0)]):
+            with pytest.raises(LineNotUsed, match=r"Line\(1, 0, 0\) is not used by node 0"):
+                greedy_sequence_for_lines(triangle, 0, used, fixed_first=Line(1, 0, 0))
+
     def test_tail_non_increasing_on_generated_sets(self):
         for degree, seed in ((3, 5), (4, 9)):
             xs, cert = generate_with_certificate(GeneratorSpec("chung_yao", degree, seed=seed))
@@ -327,9 +334,7 @@ class TestSwapProperty:
 
 def sample_vanishing_poly(degree, constraints, seed):
     """A random polynomial of the given degree vanishing at all constraint points."""
-    from gcnlab.interpolation import _vandermonde_rows
-
-    basis = nullspace_basis(_vandermonde_rows(constraints, degree))
+    basis = nullspace_basis(vandermonde_naive(constraints, degree))
     rng = SplitMix64(seed)
     while True:
         coeffs = [Fraction(0)] * dim_pi(degree)

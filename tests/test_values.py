@@ -1,11 +1,15 @@
 """The value types: immutable, equal field by field within one class, hashed by field.
 
 Each type is built from its fields, positionally, in the order listed here.
+``Value`` writes the constructor of every type in ``GENERATED``, which also
+takes its fields by name.
 """
 
 import copy
+import inspect
 import operator
 import pickle
+import re
 
 import pytest
 
@@ -43,6 +47,15 @@ FIELDS = {
         "node_index", "nodeset", "used", "lines", "counts", "primary", "fixed_first",
     ),
 }
+
+#: The types whose constructor ``Value`` generates; the others validate their fields.
+GENERATED = (
+    "Incidence", "NodeCertificate", "GCCertificate", "GMReport", "IncidenceProfile",
+    "TrialFailure", "SearchSummary", "FundamentalSolution", "MDSequence", "MLineSequence",
+)
+
+#: The only fields with a default, None.
+DEFAULTS = {"GMReport": "counterexample", "MLineSequence": "fixed_first"}
 
 #: The only types that sort.
 ORDERED = ("Point", "Line")
@@ -138,3 +151,47 @@ class TestValueType:
             else:
                 with pytest.raises(TypeError):
                     op(value, value)
+
+
+def test_value_writes_the_plain_constructors(values):
+    for name, value in values.items():
+        generated = type(value).__init__.__code__.co_filename == "<string>"
+        assert generated is (name in GENERATED), name
+
+
+@pytest.mark.parametrize("name", GENERATED)
+class TestGeneratedConstructor:
+    def test_keyword_equals_positional(self, values, name):
+        value = values[name]
+        fields = {f: getattr(value, f) for f in FIELDS[name]}
+        assert type(value)(**fields) == type(value)(*fields.values()) == value
+
+    def test_missing_unknown_and_repeated_fields(self, values, name):
+        value = values[name]
+        cls, (first, *rest) = type(value), FIELDS[name]
+        fields = [getattr(value, f) for f in FIELDS[name]]
+        missing = f"{name}.__init__() missing 1 required positional argument: '{first}'"
+        with pytest.raises(TypeError, match=re.escape(missing)):
+            cls(**{f: getattr(value, f) for f in rest})
+        with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+            cls(*fields, extra=None)
+        with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+            cls(*fields, **{first: fields[0]})
+
+    def test_only_the_declared_default(self, values, name):
+        value = values[name]
+        *head, last = FIELDS[name]
+        fields = [getattr(value, f) for f in head]
+        if name in DEFAULTS:
+            assert DEFAULTS[name] == last
+            assert getattr(type(value)(*fields), last) is None
+        else:
+            with pytest.raises(TypeError, match=f"missing 1 .*'{last}'"):
+                type(value)(*fields)
+
+    def test_signature_lists_the_fields(self, values, name):
+        params = inspect.signature(type(values[name])).parameters.values()
+        assert tuple(p.name for p in params) == FIELDS[name]
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+        defaults = {p.name: p.default for p in params if p.default is not p.empty}
+        assert defaults == ({DEFAULTS[name]: None} if name in DEFAULTS else {})
