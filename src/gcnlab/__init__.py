@@ -38,6 +38,7 @@ _HOMES = {
         "certify_gc",
         "line_incidence",
         "used_lines_of",
+        "verify_certificate",
     ),
     "errors": (
         "BadRational",
@@ -49,6 +50,7 @@ _HOMES = {
         "GCNLabError",
         "IdenticalLines",
         "IdenticalPoints",
+        "InvalidCertificate",
         "LengthMismatch",
         "LineNotUsed",
         "MultiplicityPresent",

@@ -29,27 +29,37 @@ are skipped by a mask test.  When a poised set has no cover at some node,
 :class:`NotGC` names the node and the nodes its forced lines left
 uncovered.
 
-Certificates are rechecked exactly before being returned.  Each factor
-line is evaluated once at every node as the integer ``a*X + b*Y + c*D``
-(D times its value there), which gives its zero mask; a node's lines are
-put in canonical order by their coefficient triples.  The product of a
+One rule turns a node's n lines into its certificate entry, and both
+:func:`certify_gc` and :func:`verify_certificate` go through it.  Each
+factor line is evaluated once at every node as the integer ``a*X + b*Y +
+c*D`` (D times its value there), which gives its zero mask; a node's lines
+are put in canonical order by their coefficient triples.  The product of a
 node's lines vanishes at node j iff one of them does, so ``constant *
 product(lines)`` is the Kronecker delta of node k, with the constant D^n
 over the product's integer value at k, exactly when the OR of the zero
 masks is every node but k.  Every factor line must also carry at least two
 witness nodes where the other factors are nonzero: nodes of its zero mask
-outside the OR of the other masks, read off prefix and suffix ORs.
+outside the OR of the other masks, read off prefix and suffix ORs.  A
+repeated line would have no witness, so no entry that passes the rule
+repeats a line.
+
+:func:`certify_gc` applies the rule once to each cover it finds.
+:func:`verify_certificate` checks a certificate built anywhere else (every
+loader calls it): one entry per node, in node order, n lines each, and each
+entry equal to what the rule rebuilds from its lines.  Both raise
+:class:`~gcnlab.errors.InvalidCertificate`, naming the node and the reason.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import prod
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import GCNLabError, NotGC, NotPoised
-from .geometry import Key, Line, NodeSet, Value, _bits
+from .errors import InvalidCertificate, NotGC, NotPoised
+from .geometry import Incidence, Key, Line, NodeSet, Value, _bits
 
 
 class NodeCertificate(Value):
@@ -131,8 +141,9 @@ def certify_gc(xs: NodeSet) -> GCCertificate:
     Raises NotPoised when the set is not poised and NotGC (carrying the
     first offending node index and the nodes its forced lines left
     uncovered) when some node's fundamental polynomial is not a product of
-    ``degree`` node-pair lines.  The returned certificate has been
-    rechecked by exact evaluation at every node.
+    ``degree`` node-pair lines.  Each entry of the returned certificate
+    comes from the rule of :func:`verify_certificate`, so it passes that
+    check without being checked again.
     """
     n = xs.degree
     if len(xs) != (n + 1) * (n + 2) // 2:  # dim Pi_n
@@ -161,56 +172,98 @@ def certify_gc(xs: NodeSet) -> GCCertificate:
             )
         covers.append(keys)
     # Every node has a cover, so the set is poised and each cover is the
-    # factorization of a fundamental polynomial; what follows rechecks that.
-    # The product of node k's lines is zero at node j iff one of them is,
-    # so it is the Kronecker delta up to the constant exactly when their
-    # zero masks together hold every node but k.
-    scale_n = index.scale**n
-    # one record (coefficients, line, row, zero mask) per distinct cover key;
-    # sorting a node's records by coefficients puts its lines in Line order
-    records: dict[Key, tuple[Key, Line, list[int], int]] = {}
-    entries = []
-    for k, keys in enumerate(covers):
-        recs = []
-        for key in keys:
-            rec = records.get(key)
-            if rec is None:
-                line = index.line(key)
-                row = index.values(line)
-                zero = 0
-                for j, v in enumerate(row):
-                    if not v:
-                        zero |= 1 << j
-                rec = records[key] = (line.coefficients, line, row, zero)
-            recs.append(rec)
-        recs.sort(key=itemgetter(0))
-        # constant * product(lines) at node j is const * product_j / D^n.
-        at_k = prod(rec[2][k] for rec in recs)
-        const = Fraction(scale_n, at_k) if at_k else Fraction(0)
-        # after[f] is the OR of the zero masks of lines f, f+1, ...
-        after = [0] * (len(recs) + 1)
-        for f in range(len(recs) - 1, -1, -1):
-            after[f] = after[f + 1] | recs[f][3]
-        wrong = after[0] ^ everyone ^ (1 << k)
-        if wrong:
-            j = (wrong & -wrong).bit_length() - 1
-            raise GCNLabError(
-                f"internal: certified product for node {k} evaluates to "
-                f"{const * prod(rec[2][j] for rec in recs) / scale_n} at node {j}"
-            )
-        witnesses: dict[Line, tuple[int, ...]] = {}
-        before = 0
-        for f, (_, line, _, zero) in enumerate(recs):
-            found = _bits(zero & ~(before | after[f + 1]))
-            if len(found) < 2:
-                raise GCNLabError(
-                    f"internal: factor {line} of node {k} has {len(found)} nonvanishing-cofactor "
-                    "witnesses; a used line of a poised set must have at least two"
-                )
-            witnesses[line] = found
-            before |= zero
-        entries.append(NodeCertificate(k, const, tuple(rec[1] for rec in recs), witnesses))
+    # factorization of a fundamental polynomial; _entry computes its
+    # constant and witnesses, rechecking the rule as it goes.  Each
+    # distinct cover line is evaluated once.
+    records = {key: _record(index, index.line(key)) for key in set(chain.from_iterable(covers))}
+    entries = [_entry(index, k, [records[key] for key in keys]) for k, keys in enumerate(covers)]
     return GCCertificate(xs, tuple(entries))
+
+
+def _invalid(k: int, reason: str, detail: str) -> InvalidCertificate:
+    return InvalidCertificate(f"node {k}: {reason}: {detail}", node_index=k)
+
+
+def _record(index: Incidence, line: Line) -> tuple[Key, Line, list[int], int]:
+    """``(coefficients, line, values, zero mask)`` of a factor line.
+
+    ``values`` holds D times the line's value at every node, and bit j of
+    the zero mask is set iff the line passes through node j.
+    """
+    row = index.values(line)
+    zero = 0
+    for j, v in enumerate(row):
+        if not v:
+            zero |= 1 << j
+    return line.coefficients, line, row, zero
+
+
+def _entry(
+    index: Incidence, k: int, recs: list[tuple[Key, Line, list[int], int]]
+) -> NodeCertificate:
+    """The canonical certificate entry of node ``k`` from the records of its lines.
+
+    ``index`` is the node set's incidence index, and ``recs`` is sorted in
+    place.  Raises InvalidCertificate when the lines' zero masks together
+    do not hold exactly every node but k, or when a line has fewer than two
+    witnesses.
+    """
+    recs.sort(key=itemgetter(0))  # coefficient order is Line order
+    # after[f] is the OR of the zero masks of lines f, f+1, ...
+    after = [0] * (len(recs) + 1)
+    for f in range(len(recs) - 1, -1, -1):
+        after[f] = after[f + 1] | recs[f][3]
+    wrong = after[0] ^ ((1 << len(index.coords)) - 1) ^ (1 << k)
+    if wrong:
+        j = (wrong & -wrong).bit_length() - 1
+        where = f"vanishes at node {k}" if j == k else f"does not vanish at node {j}"
+        raise _invalid(k, "zero mask", f"the product of its lines {where}")
+    witnesses: dict[Line, tuple[int, ...]] = {}
+    before = 0
+    for f, (_, line, _, zero) in enumerate(recs):
+        found = _bits(zero & ~(before | after[f + 1]))
+        if len(found) < 2:
+            raise _invalid(k, "witnesses", f"factor {line} has {len(found)}, not at least two")
+        witnesses[line] = found
+        before |= zero
+    # constant * product(lines) at node k is constant * product_k / D^n = 1
+    at_k = prod(rec[2][k] for rec in recs)
+    constant = Fraction(index.scale**index.degree, at_k)
+    return NodeCertificate(k, constant, tuple(rec[1] for rec in recs), witnesses)
+
+
+def verify_certificate(cert: GCCertificate) -> None:
+    """Check a certificate against the rule that :func:`certify_gc` applies.
+
+    Raises InvalidCertificate, naming the node and the reason, unless there
+    is one entry per node of a set of dim Pi_n nodes, entry k is node k's,
+    it has n lines, and its constant, lines and witnesses are exactly what
+    the rule rebuilds from those lines.
+    """
+    xs = cert.nodeset
+    n = xs.degree
+    size = (n + 1) * (n + 2) // 2  # dim Pi_n
+    if len(xs) != size or len(cert.entries) != size:
+        raise InvalidCertificate(
+            f"count: {len(cert.entries)} entries for {len(xs)} nodes; degree {n} needs "
+            f"{size} of each"
+        )
+    index = xs.incidence
+    lines = set(chain.from_iterable(entry.lines for entry in cert.entries))
+    records = {line: _record(index, line) for line in lines}
+    for k, entry in enumerate(cert.entries):
+        if entry.node_index != k:
+            raise _invalid(k, "order", f"entry {k} is for node {entry.node_index}")
+        if len(entry.lines) != n:
+            raise _invalid(k, "line count", f"{len(entry.lines)} lines, not {n}")
+        rebuilt = _entry(index, k, [records[line] for line in entry.lines])
+        for reason, given, want in (
+            ("constant", entry.constant, rebuilt.constant),
+            ("line order", tuple(entry.lines), rebuilt.lines),
+            ("witnesses", entry.witnesses, rebuilt.witnesses),
+        ):
+            if given != want:
+                raise _invalid(k, reason, f"{given}, not {want}")
 
 
 def used_lines_of(cert: GCCertificate, k: int) -> set[Line]:

@@ -77,11 +77,30 @@ class NotGC(GCNLabError):
         self.uncovered = uncovered
 
 
+class InvalidCertificate(GCNLabError):
+    """A certificate breaks the rule that certification applies.
+
+    ``node_index`` is the node whose entry is wrong, or None when the entry
+    count is.  The message reads ``"node k: reason: detail"`` (or ``"count:
+    detail"``), the reason being one of ``count``, ``order``, ``line
+    count``, ``zero mask``, ``witnesses``, ``constant`` and ``line order``.
+    """
+
+    def __init__(self, message: str, node_index: int | None = None):
+        super().__init__(message)
+        self.node_index = node_index
+
+
 # --- line sequences ---------------------------------------------------------
 
 class MultiplicityPresent(GCNLabError):
     """A node's factor multiset repeats a line; sequence analysis needs
-    n distinct used lines."""
+    n distinct used lines.
+
+    Only a hand-built certificate can raise it: every certificate from
+    ``certify_gc`` or a loader is verified, and a repeated line has no
+    witness, so it fails verification.
+    """
 
 
 class LineNotUsed(GCNLabError):

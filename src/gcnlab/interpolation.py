@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import linalg
 from .errors import LengthMismatch, NotPoised
-from .geometry import NodeSet, Point, Value, _clear
+from .geometry import NodeSet, Point, RationalLike, Value, _clear, to_scalar
 from .polynomials import Poly, _check_degree_bound, dim_pi, monomials
 
 
@@ -121,13 +121,14 @@ def _solve_poised(xs: NodeSet, rhs: Sequence[Sequence]) -> list[list[Fraction]]:
     """Solve the Vandermonde system of a poised set for every right-hand side.
 
     Raises NotPoised, then ValueError above ``MAX_DEGREE`` (the cap of the
-    ``Poly`` the solutions become), before any exact elimination.
+    ``Poly`` the solutions become), before any exact elimination; a value
+    that is a float raises TypeError, as in :func:`~gcnlab.geometry.to_scalar`.
     """
     if not is_poised(xs):
         raise NotPoised(f"{len(xs)} nodes at degree {xs.degree} are not poised")
     _check_degree_bound(xs.degree)
     rows = _integer_vandermonde(xs.nodes, xs.degree)
-    scaled = [[Fraction(v) * row[0] for v, row in zip(column, rows)] for column in rhs]
+    scaled = [[to_scalar(v) * row[0] for v, row in zip(column, rows)] for column in rhs]
     solutions = linalg.solve_square(rows, scaled)
     if solutions is None:  # unreachable after the poisedness check
         raise NotPoised("Vandermonde matrix is singular")
@@ -149,8 +150,12 @@ def fundamental(xs: NodeSet, k: int) -> FundamentalSolution:
     return FundamentalSolution(k, Poly(xs.degree, tuple(solution)))
 
 
-def interpolate(xs: NodeSet, values: Sequence[Fraction]) -> Poly:
-    """The unique polynomial of the set's degree matching the given values."""
+def interpolate(xs: NodeSet, values: Sequence[RationalLike]) -> Poly:
+    """The unique polynomial of the set's degree matching the given values.
+
+    Each value is an int, a Fraction or an exact ``"p/q"`` string; a float
+    raises TypeError.
+    """
     if len(values) != len(xs):
         raise LengthMismatch(f"{len(values)} values for {len(xs)} nodes")
     (solution,) = _solve_poised(xs, [values])

@@ -4,7 +4,8 @@ The viewport is the exact bounding box of the nodes padded by 10% per side
 (one unit when the extent is zero) and scaled to 600 pixels on the longer
 axis.  Geometry is clipped against the viewport with exact rational
 arithmetic; floats appear only in the final coordinate formatting, at a
-fixed precision, so identical input yields byte-identical SVG.
+fixed precision, so identical input yields byte-identical SVG.  Node labels
+are escaped, so any label gives well-formed XML.
 
 Overlay styling: maximal lines are solid red, a node's used lines are
 dashed blue, and a line-sequence overlay draws each sequence line in a
@@ -37,6 +38,11 @@ _PALETTE = (
 
 def _fmt(v) -> str:
     return f"{float(v):.4f}"
+
+
+def _escape(text: str) -> str:
+    """``text`` as XML character data (no ``html`` import: plot's cold start stays small)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _viewport(xs: NodeSet) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -136,7 +142,7 @@ def plot_svg(
         if xs.labels is not None:
             parts.append(
                 f'<text x="{_fmt(px + radius + 2)}" y="{_fmt(py - radius - 2)}" '
-                f'font-size="11" font-family="monospace">{xs.labels[j]}</text>'
+                f'font-size="11" font-family="monospace">{_escape(xs.labels[j])}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -134,6 +134,12 @@ def greedy_sequence_for_lines(
 
 
 def _distinct_used(cert: GCCertificate, k: int) -> tuple[Line, ...]:
+    """Node ``k``'s lines, sorted; MultiplicityPresent if one repeats.
+
+    Only a hand-built certificate repeats a line: every certificate from
+    ``certify_gc`` or a loader is verified, and a repeated line has no
+    witness.
+    """
     entry = cert.entries[k]
     distinct = tuple(sorted(set(entry.lines)))
     if len(distinct) != len(entry.lines):

@@ -27,8 +27,14 @@ summary:      {"degree": n, "trials": T, "seed": s, "kinds": [...],
                "use_count_max": {"nodes-on-line": max-uses}}
 polynomial:   {"degree": n, "coefficients": ["p/q", ...]}   (graded-lex order)
 
-A report is satisfied exactly when it lists a maximal line, and it carries
-a counterexample, of its own degree, exactly when it is not satisfied.
+Every certificate a loader returns, a report's counterexample and a
+summary's failure certificates included, has passed
+:func:`~gcnlab.certification.verify_certificate`.  A report is satisfied
+exactly when it lists a maximal line, and it carries a counterexample, of
+its own degree, exactly when it is not satisfied.  A summary has
+``0 <= gm_satisfied <= certified <= trials``, one failure per trial that
+is not GM-satisfied, and a certificate on exactly the ``certified -
+gm_satisfied`` failures of certified sets.
 """
 
 from __future__ import annotations
@@ -183,7 +189,13 @@ def certificate_to_dict(cert: GCCertificate) -> dict:
 
 
 def certificate_from_dict(doc: Any) -> GCCertificate:
-    from .certification import GCCertificate, NodeCertificate
+    """Parse a certificate document and verify it.
+
+    Raises ParseError when the document breaks its schema and
+    InvalidCertificate when the certificate it holds breaks the rule of
+    :func:`~gcnlab.certification.verify_certificate`.
+    """
+    from .certification import GCCertificate, NodeCertificate, verify_certificate
 
     xs = nodeset_from_dict(doc)
     raw_entries = doc.get("entries")
@@ -215,7 +227,9 @@ def certificate_from_dict(doc: Any) -> GCCertificate:
                 witnesses=witnesses,
             )
         )
-    return GCCertificate(nodeset=xs, entries=tuple(entries))
+    cert = GCCertificate(nodeset=xs, entries=tuple(entries))
+    verify_certificate(cert)
+    return cert
 
 
 def save_certificate(cert: GCCertificate) -> str:
@@ -333,6 +347,14 @@ def summary_from_dict(doc: Any) -> SearchSummary:
                 trial=f["trial"], kind=f["kind"], seed=f["seed"], reason=f["reason"], certificate=cert
             )
         )
+    trials, certified, satisfied = doc["trials"], doc["certified"], doc["gm_satisfied"]
+    _expect(0 <= satisfied <= certified <= trials,
+            "fields 'gm_satisfied', 'certified' and 'trials' must satisfy "
+            "0 <= gm_satisfied <= certified <= trials")
+    _expect(len(failures) == trials - satisfied,
+            "field 'failures' must hold one failure per trial that is not GM-satisfied")
+    _expect(sum(f.certificate is not None for f in failures) == certified - satisfied,
+            "exactly the certified trials that are not GM-satisfied carry a certificate")
     raw_counts = doc.get("use_count_max", {})
     _expect(isinstance(raw_counts, dict), "field 'use_count_max' must be an object")
     for k, v in raw_counts.items():
@@ -340,12 +362,12 @@ def summary_from_dict(doc: Any) -> SearchSummary:
                 f"use_count_max entry {k!r}: {v!r} must map an integer key to an integer")
     return SearchSummary(
         degree=doc["degree"],
-        trials=doc["trials"],
+        trials=trials,
         seed=doc["seed"],
         kinds=tuple(kinds),
         coordinate_bound=doc["coordinate_bound"],
-        certified=doc["certified"],
-        gm_satisfied=doc["gm_satisfied"],
+        certified=certified,
+        gm_satisfied=satisfied,
         failures=tuple(failures),
         use_count_max={int(k): v for k, v in raw_counts.items()},
     )

@@ -11,6 +11,7 @@ from gcnlab import (
     DEFAULT_KINDS,
     GCNLabError,
     GeneratorSpec,
+    InvalidCertificate,
     Line,
     NodeSet,
     NotGC,
@@ -23,6 +24,7 @@ from gcnlab import (
     divide_by_line,
     enumerate_mdseqs,
     generate,
+    generate_with_certificate,
     gm_report_from_certificate,
     greedy_mdseq,
     is_poised,
@@ -30,9 +32,10 @@ from gcnlab import (
     maximal_lines,
     multiply_line,
     used_lines_of,
+    verify_certificate,
 )
 from gcnlab import certification
-from gcnlab.certification import NodeCertificate, _cover
+from gcnlab.certification import GCCertificate, NodeCertificate, _cover
 from gcnlab.errors import NotDivisible
 from gcnlab.geometry import Incidence, _bits
 from gcnlab.rng import SplitMix64
@@ -234,8 +237,6 @@ class TestUsedLines:
             lines=(Line(1, 0, 0), Line(1, 0, 0), Line(0, 1, 0)),
             witnesses={},
         )
-        from gcnlab.certification import GCCertificate
-
         cert = GCCertificate(cy2, (entry,))
         assert used_lines_of(cert, 0) == {Line(1, 0, 0), Line(0, 1, 0)}
 
@@ -385,7 +386,9 @@ class TestIncidenceIndex:
         xs, cert = cy3_pair
         assert "incidence" in vars(cert.nodeset)
         loaded = load_certificate(save_certificate(cert))
-        assert loaded == cert and "incidence" not in vars(loaded.nodeset)
+        # the document holds no index; verifying the load built a new one
+        assert loaded == cert and loaded.nodeset.incidence is not cert.nodeset.incidence
+        assert "keys" not in vars(loaded.nodeset.incidence)
         assert dict(loaded.nodeset.incidence.masks) == dict(cert.nodeset.incidence.masks)
         assert save_certificate(loaded) == save_certificate(cert)
 
@@ -519,12 +522,119 @@ class TestZeroMaskRecheck:
             return [spare] + keys[1:], left
 
         monkeypatch.setattr(certification, "_cover", wrong)
-        with pytest.raises(GCNLabError) as excinfo:
+        with pytest.raises(InvalidCertificate) as excinfo:
             certify_gc(xs)
-        assert type(excinfo.value) is GCNLabError
+        assert excinfo.value.node_index == 0
         message = str(excinfo.value)
-        assert message.startswith("internal: certified product for node 0 evaluates to ")
+        assert message.startswith("node 0: zero mask: the product of its lines ")
         if through_node:
-            assert message.endswith(" to 0 at node 0")
+            assert message.endswith(" vanishes at node 0")
         else:
-            assert not message.endswith(" at node 0")
+            assert "does not vanish at node " in message
+
+
+# --- verification of certificates built anywhere ------------------------------
+
+
+def with_entry(cert, k, **fields):
+    """``cert`` with some fields of entry ``k`` replaced."""
+    entry = cert.entries[k]
+    new = NodeCertificate(**{**dict(zip(entry._fields, entry._values())), **fields})
+    return GCCertificate(cert.nodeset, cert.entries[:k] + (new,) + cert.entries[k + 1 :])
+
+
+def one_node_line(xs, k):
+    """A line through exactly one node of ``xs``, and not through node ``k``."""
+    node = xs.nodes[(k + 1) % len(xs)]
+    for slope in range(1, 100):
+        line = Line.from_rationals(slope, -1, node.y - slope * node.x)
+        if sum(line.at(p) == 0 for p in xs.nodes) == 1:
+            return line
+    raise AssertionError("no line through one node")
+
+
+def first_witness_dropped(entry):
+    (line, ids), *rest = entry.witnesses.items()
+    return {line: ids[:-1], **dict(rest)}
+
+
+#: name: (corruption of a valid certificate, reason, node index)
+CORRUPTIONS = {
+    "wrong-constant": (
+        lambda c: with_entry(c, 2, constant=2 * c.entries[2].constant), "constant", 2
+    ),
+    "swapped-lines": (lambda c: with_entry(c, 1, lines=c.entries[1].lines[::-1]), "line order", 1),
+    # the nodes only the dropped line held are left: n distinct lines are needed
+    "repeated-line": (
+        lambda c: with_entry(c, 0, lines=c.entries[0].lines[:1] * 2 + c.entries[0].lines[2:]),
+        "zero mask",
+        0,
+    ),
+    "extra-line": (
+        lambda c: with_entry(c, 3, lines=c.entries[3].lines + c.entries[4].lines[:1]),
+        "line count",
+        3,
+    ),
+    "missing-witness": (
+        lambda c: with_entry(c, 3, witnesses=first_witness_dropped(c.entries[3])),
+        "witnesses",
+        3,
+    ),
+    "permuted-entries": (
+        lambda c: GCCertificate(c.nodeset, c.entries[:4] + c.entries[5:3:-1] + c.entries[6:]),
+        "order",
+        4,
+    ),
+    "missing-entry": (lambda c: GCCertificate(c.nodeset, c.entries[:-1]), "count", None),
+    "line-through-one-node": (
+        lambda c: with_entry(c, 0, lines=(one_node_line(c.nodeset, 0),) + c.entries[0].lines[1:]),
+        "zero mask",
+        0,
+    ),
+}
+
+
+def load_saved(cert):
+    return load_certificate(save_certificate(cert))
+
+
+class TestVerifyCertificate:
+    @pytest.mark.parametrize("kind", DEFAULT_KINDS)
+    def test_every_generated_certificate_passes(self, kind):
+        for degree in range(1, 13):
+            _, cert = generate_with_certificate(GeneratorSpec(kind, degree, seed=degree))
+            assert verify_certificate(cert) is None
+            assert load_saved(cert) == cert
+
+    @pytest.mark.parametrize("check", [verify_certificate, load_saved], ids=["verify", "load"])
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_corruption_is_rejected_with_its_reason(self, cy3_pair, check, name):
+        corrupt, reason, k = CORRUPTIONS[name]
+        _, cert = cy3_pair
+        bad = corrupt(cert)
+        assert bad != cert
+        with pytest.raises(InvalidCertificate) as excinfo:
+            check(bad)
+        assert excinfo.value.node_index == k
+        prefix = f"{reason}: " if k is None else f"node {k}: {reason}: "
+        assert str(excinfo.value).startswith(prefix)
+
+    def test_a_repeated_line_has_no_witness(self):
+        # five collinear nodes and one off the line: the doubled line holds
+        # every node but node 0, so only the witness rule rejects it
+        xs = NodeSet(2, (Point(0, 1),) + tuple(Point(t, 0) for t in range(5)))
+        axis = Line(0, 1, 0)
+        entries = tuple(NodeCertificate(k, Fraction(1), (axis, axis), {}) for k in range(6))
+        message = r"^node 0: witnesses: factor Line\(0, 1, 0\) has 0, not at least two$"
+        with pytest.raises(InvalidCertificate, match=message):
+            verify_certificate(GCCertificate(xs, entries))
+
+    def test_node_set_of_the_wrong_size(self, triangle):
+        cert = certify_gc(triangle)
+        bigger = NodeSet(1, triangle.nodes + (Point(5, 7),))
+        with pytest.raises(InvalidCertificate, match="^count: 3 entries for 4 nodes") as excinfo:
+            verify_certificate(GCCertificate(bigger, cert.entries))
+        assert excinfo.value.node_index is None
+
+    def test_degree_zero(self):
+        assert verify_certificate(certify_gc(NodeSet(0, (Point(3, 4),)))) is None

@@ -297,6 +297,20 @@ class TestPlot:
         assert code == 0
         assert twice == run(capsys, "plot", cy3_file, "--overlay", "maximal")[1]
 
+    def test_labels_with_markup_give_well_formed_svg(self, capsys, tmp_path):
+        from xml.dom import minidom
+
+        labels = ["a<b", "R&D", "</svg><script>x</script>"]
+        path = tmp_path / "labelled.json"
+        path.write_text(json.dumps(
+            {"degree": 1, "nodes": [["0", "0"], ["1", "0"], ["0", "1"]], "labels": labels}
+        ))
+        code, out = run(capsys, "plot", str(path))
+        assert code == 0
+        doc = minidom.parseString(out)
+        assert [t.firstChild.data for t in doc.getElementsByTagName("text")] == labels
+        assert doc.getElementsByTagName("script") == []
+
     def test_unknown_overlay(self, capsys, cy3_file, tmp_path):
         code, _ = run(capsys, "plot", cy3_file, "--overlay", "sparkles",
                       "--out", str(tmp_path / "x.svg"))

@@ -29,13 +29,14 @@ PUBLIC = {
     ),
     "certification": (
         "GCCertificate", "NodeCertificate", "certify_gc", "line_incidence", "used_lines_of",
+        "verify_certificate",
     ),
     "errors": (
         "BadRational", "CenterInTarget", "CountsUnequal", "DegenerateIntersection",
         "DuplicateLine", "DuplicateNode", "GCNLabError", "IdenticalLines", "IdenticalPoints",
-        "LengthMismatch", "LineNotUsed", "MultiplicityPresent", "NotDivisible", "NotGC",
-        "NotPoised", "ParallelLines", "ParseError", "RetryLimitExceeded", "TooManyCollinear",
-        "ZeroPolynomial",
+        "InvalidCertificate", "LengthMismatch", "LineNotUsed", "MultiplicityPresent",
+        "NotDivisible", "NotGC", "NotPoised", "ParallelLines", "ParseError", "RetryLimitExceeded",
+        "TooManyCollinear", "ZeroPolynomial",
     ),
     "generators": (
         "DEFAULT_KINDS", "GeneratorSpec", "gen_principal", "generate", "generate_with_certificate",

@@ -235,6 +235,25 @@ class TestInterpolate:
             values = [1 if j == k else 0 for j in range(3)]
             assert interpolate(triangle, values) == fundamental(triangle, k).poly
 
+    def test_exact_value_forms_agree(self, triangle):
+        # v0 + (v1 - v0) x + (v2 - v0) y on the unit triangle
+        want = Poly.from_coeff_dict(
+            {(0, 0): Fraction(1, 10), (1, 0): Fraction(2, 5), (0, 1): Fraction(9, 10)}, 1
+        )
+        for values in (
+            [Fraction(1, 10), Fraction(1, 2), 1],
+            ["1/10", "1/2", "1"],
+            [Fraction(1, 10), "1/2", 1],
+        ):
+            assert interpolate(triangle, values) == want
+        ints = Poly.from_coeff_dict({(0, 0): 1, (1, 0): 1, (0, 1): 2}, 1)
+        assert interpolate(triangle, [1, 2, 3]) == ints
+
+    @pytest.mark.parametrize("values", [[0.1, 0.5, 1.0], [0, 1, 0.5]])
+    def test_floats_are_refused(self, triangle, values):
+        with pytest.raises(TypeError, match="refusing float"):
+            interpolate(triangle, values)
+
     def test_length_mismatch(self, triangle):
         with pytest.raises(LengthMismatch):
             interpolate(triangle, [1, 2])

@@ -1,6 +1,7 @@
 """SVG rendering: determinism, overlays, clipping, well-formedness."""
 
 import xml.etree.ElementTree as ET
+from xml.dom import minidom
 
 from gcnlab import Line, NodeSet, Point, certify_gc, greedy_mdseq, maximal_lines, plot_svg
 
@@ -61,3 +62,13 @@ class TestLabels:
         xs = NodeSet(1, (Point(0, 0), Point(1, 0), Point(0, 1)), labels=("A", "B", "C"))
         svg = plot_svg(xs)
         assert [t.text for t in tags(svg, "text")] == ["A", "B", "C"]
+
+    def test_markup_in_labels_is_escaped(self):
+        labels = ("a<b", "R&D", "</svg><script>x</script>")
+        xs = NodeSet(1, (Point(0, 0), Point(1, 0), Point(0, 1)), labels=labels)
+        svg = plot_svg(xs)
+        doc = minidom.parseString(svg)
+        texts = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+        assert texts == list(labels)
+        assert doc.getElementsByTagName("script") == []
+        assert "&lt;/svg&gt;&lt;script&gt;x&lt;/script&gt;" in svg

@@ -11,6 +11,7 @@ from gcnlab import (
     BadRational,
     DuplicateNode,
     GMReport,
+    InvalidCertificate,
     NodeSet,
     ParseError,
     Point,
@@ -229,6 +230,94 @@ class TestMalformedDocuments:
             doc[field] = value
         with pytest.raises(ParseError, match=message):
             load_report(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            pytest.param({"certified": 99}, "0 <= gm_satisfied", id="more-certified-than-trials"),
+            pytest.param({"gm_satisfied": -5}, "0 <= gm_satisfied", id="negative-gm-satisfied"),
+            pytest.param(
+                {"gm_satisfied": 2, "certified": 1}, "0 <= gm_satisfied",
+                id="more-satisfied-than-certified",
+            ),
+            pytest.param({"trials": 3}, "one failure per trial", id="trial-without-failure"),
+            pytest.param(
+                {"failures": [False]}, "one failure per trial", id="failure-of-a-satisfied-set"
+            ),
+            pytest.param(
+                {"trials": 3, "certified": 3, "failures": [False]}, "carry a certificate",
+                id="certified-failure-without-certificate",
+            ),
+            pytest.param(
+                {"trials": 3, "failures": [True]}, "carry a certificate",
+                id="uncertified-failure-with-certificate",
+            ),
+        ],
+    )
+    def test_summary_parse_error(self, cy2_cert, changes, message):
+        doc = summary_doc(cy2_cert, {})
+        assert [doc[f] for f in ("trials", "certified", "gm_satisfied", "failures")] == [2, 2, 2, []]
+        load_summary(json.dumps(doc))  # the document is valid before it is corrupted
+        with pytest.raises(ParseError, match=message):
+            load_summary(json.dumps(summary_doc(cy2_cert, changes)))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            pytest.param({"trials": 3, "failures": [False]}, id="uncertified-trial"),
+            pytest.param({"trials": 3, "certified": 3, "failures": [True]}, id="gm-violated-trial"),
+        ],
+    )
+    def test_summary_with_failures_loads(self, cy2_cert, changes):
+        summary = load_summary(json.dumps(summary_doc(cy2_cert, changes)))
+        assert [f.certificate for f in summary.failures] == [
+            cy2_cert if certified else None for certified in changes["failures"]
+        ]
+
+
+def summary_doc(cert, changes):
+    """A valid 2-trial summary document with ``changes``; a ``failures``
+    change lists, per failure, whether it carries ``cert``."""
+    doc = json.loads(save_summary(search_counterexample(degree=2, trials=2, seed=1)))
+    doc.update(changes)
+    doc["failures"] = [
+        {"trial": i, "kind": "chung_yao", "seed": i, "reason": "no maximal line",
+         "certificate": json.loads(save_certificate(cert)) if certified else None}
+        for i, certified in enumerate(doc["failures"])
+    ]
+    return doc
+
+
+class TestLoadersVerifyCertificates:
+    """Every certificate a loader returns has passed verify_certificate."""
+
+    @staticmethod
+    def wrong_constant(cert):
+        doc = json.loads(save_certificate(cert))
+        doc["entries"][1]["constant"] = "7/3"
+        return doc
+
+    def test_certificate(self, cy2_cert):
+        with pytest.raises(InvalidCertificate, match="^node 1: constant: 7/3, not "):
+            load_certificate(json.dumps(self.wrong_constant(cy2_cert)))
+
+    def test_report_counterexample(self, cy2_cert):
+        doc = {"degree": 2, "satisfied": False, "maximal_lines": [],
+               "counterexample": self.wrong_constant(cy2_cert)}
+        with pytest.raises(InvalidCertificate, match="^node 1: constant: "):
+            load_report(json.dumps(doc))
+
+    def test_summary_failure_certificate(self, cy2_cert):
+        doc = summary_doc(cy2_cert, {"trials": 3, "certified": 3, "failures": [True]})
+        doc["failures"][0]["certificate"] = self.wrong_constant(cy2_cert)
+        with pytest.raises(InvalidCertificate, match="^node 1: constant: "):
+            load_summary(json.dumps(doc))
+
+    def test_schema_faults_come_first(self, cy2_cert):
+        doc = self.wrong_constant(cy2_cert)
+        doc["entries"][0]["lines"] = 5
+        with pytest.raises(ParseError):
+            load_certificate(json.dumps(doc))
 
 
 class TestPolyDocuments:
