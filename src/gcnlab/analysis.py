@@ -16,8 +16,6 @@ violation on a merely poised set would be a category error.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
 from typing import Sequence
 
 from .certification import GCCertificate, certify_gc
@@ -26,12 +24,10 @@ from .errors import (
     DegenerateIntersection,
     GCNLabError,
     IdenticalLines,
-    NotGC,
-    NotPoised,
     ParallelLines,
     RetryLimitExceeded,
 )
-from .geometry import Line, NodeSet, Value, intersect
+from .geometry import Line, NodeSet, Value, _bits, intersect
 
 
 class GMReport(Value):
@@ -71,7 +67,10 @@ def maximal_lines(xs: NodeSet) -> set[Line]:
 
 def gm_report_from_certificate(cert: GCCertificate) -> GMReport:
     """Build the GM report for an already-certified set."""
-    maximal = cert.nodeset.incidence.maximal
+    return _report(cert, cert.nodeset.incidence.maximal)
+
+
+def _report(cert: GCCertificate, maximal: tuple[tuple[Line, tuple[int, ...]], ...]) -> GMReport:
     satisfied = bool(maximal)
     return GMReport(
         degree=cert.degree,
@@ -202,9 +201,11 @@ def search_counterexample(
 
     Trials round-robin over the generator kinds; trial ``i`` runs with the
     derived seed ``substream_seed(seed, i)``, so results are reproducible
-    and independent of execution order.  A trial whose draw is not poised,
-    not GC or exhausts the generator's retry budget is recorded as a
-    failure and the sweep goes on.  For degree <= 5 every certified set
+    and independent of execution order.  Each trial's certificate is
+    constructed with its set and verified (see :mod:`gcnlab.generators`),
+    and the GM report and use counts are read off its cover lines.  A
+    trial whose draw exhausts the generator's retry budget is recorded as
+    a failure and the sweep goes on.  For degree <= 5 every certified set
     must turn out GM-satisfied; a failure dump would be a refutation of a
     proved statement and deserves independent scrutiny.
 
@@ -212,7 +213,7 @@ def search_counterexample(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    from .generators import DEFAULT_KINDS, GeneratorSpec, generate_with_certificate
+    from .generators import DEFAULT_KINDS, GeneratorSpec, _constructed
     from .rng import substream_seed
 
     kind_cycle = tuple(kinds) if kinds is not None else DEFAULT_KINDS
@@ -227,14 +228,20 @@ def search_counterexample(
             kind=kind, degree=degree, seed=trial_seed, coordinate_bound=coordinate_bound
         )
         try:
-            _, cert = generate_with_certificate(spec)
-        except (NotPoised, NotGC, RetryLimitExceeded) as exc:
+            cert, lines, masks, covers = _constructed(spec)
+        except RetryLimitExceeded as exc:
             failures.append(
                 TrialFailure(trial=i, kind=kind, seed=trial_seed, reason=str(exc), certificate=None)
             )
             continue
         certified += 1
-        report = gm_report_from_certificate(cert)
+        # A maximal line is a factor of the fundamental polynomial of every
+        # node off it, so the maximal lines are the cover lines with n + 1
+        # nodes, and no line holds more in a poised set.
+        maximal = sorted(
+            (lines[f], _bits(mask)) for f, mask in enumerate(masks) if mask.bit_count() > degree
+        )
+        report = _report(cert, tuple(maximal))
         if report.satisfied:
             satisfied += 1
         else:
@@ -243,13 +250,16 @@ def search_counterexample(
                     trial=i, kind=kind, seed=trial_seed, reason="no maximal line", certificate=cert
                 )
             )
-        # the lines of one certified node are distinct, so a line's count is
+        # the lines of one node's cover are distinct, so a line's count is
         # the number of nodes that use it
-        index = cert.nodeset.incidence
-        for line, uses in Counter(chain.from_iterable(e.lines for e in cert.entries)).items():
-            node_count = index.mask_of(line).bit_count()
-            if uses > use_count_max.get(node_count, 0):
-                use_count_max[node_count] = uses
+        uses = [0] * len(lines)
+        for cover in covers:
+            for f in cover:
+                uses[f] += 1
+        for mask, count in zip(masks, uses):
+            node_count = mask.bit_count()
+            if count > use_count_max.get(node_count, 0):
+                use_count_max[node_count] = count
     return SearchSummary(
         degree=degree,
         trials=trials,

@@ -43,10 +43,13 @@ outside the OR of the other masks, read off prefix and suffix ORs.  A
 repeated line would have no witness, so no entry that passes the rule
 repeats a line.
 
-:func:`certify_gc` applies the rule once to each cover it finds.
-:func:`verify_certificate` checks a certificate built anywhere else (every
-loader calls it): one entry per node, in node order, n lines each, and each
-entry equal to what the rule rebuilds from its lines.  Both raise
+One helper applies the rule to a node set, its distinct cover lines and
+each node's cover as positions in those lines: :func:`certify_gc` hands
+it the covers its search finds, and :mod:`gcnlab.generators` the covers
+it knows by construction.  :func:`verify_certificate` checks a
+certificate built anywhere else (every loader calls it): one entry per
+node, in node order, n lines each, and each entry equal to what the rule
+rebuilds from its lines.  Both raise
 :class:`~gcnlab.errors.InvalidCertificate`, naming the node and the reason.
 """
 
@@ -172,12 +175,32 @@ def certify_gc(xs: NodeSet) -> GCCertificate:
             )
         covers.append(keys)
     # Every node has a cover, so the set is poised and each cover is the
-    # factorization of a fundamental polynomial; _entry computes its
-    # constant and witnesses, rechecking the rule as it goes.  Each
-    # distinct cover line is evaluated once.
-    records = {key: _record(index, index.line(key)) for key in set(chain.from_iterable(covers))}
-    entries = [_entry(index, k, [records[key] for key in keys]) for k, keys in enumerate(covers)]
-    return GCCertificate(xs, tuple(entries))
+    # factorization of a fundamental polynomial.
+    keys = list(set(chain.from_iterable(covers)))
+    position = {key: i for i, key in enumerate(keys)}
+    lines = [index.line(key) for key in keys]
+    return _certificate(xs, lines, [[position[key] for key in cover] for cover in covers])[0]
+
+
+def _certificate(
+    xs: NodeSet, lines: Sequence[Line], covers: Sequence[Sequence[int]]
+) -> tuple[GCCertificate, list[int]]:
+    """The certificate of ``xs`` in which node k is covered by the lines at ``covers[k]``.
+
+    ``lines`` are distinct, and each is evaluated once.  Every entry comes
+    from :func:`_entry`, so a cover of other than n lines, or one whose
+    product is not node k's fundamental polynomial up to scale, raises
+    InvalidCertificate.  Also returns each line's zero mask.
+    """
+    index = xs.incidence
+    n = xs.degree
+    records = [_record(index, line) for line in lines]
+    entries = []
+    for k, cover in enumerate(covers):
+        if len(cover) != n:
+            raise _invalid(k, "line count", f"{len(cover)} lines, not {n}")
+        entries.append(_entry(index, k, [records[i] for i in cover]))
+    return GCCertificate(xs, tuple(entries)), [rec[3] for rec in records]
 
 
 def _invalid(k: int, reason: str, detail: str) -> InvalidCertificate:

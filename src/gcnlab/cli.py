@@ -2,9 +2,10 @@
 
 Exit codes: 0 when the requested property holds (or the command simply
 succeeded), 1 when the property fails (not poised, not GC, GM violated,
-dependence check false, retry budget exhausted), 2 for input or usage
-errors.  All structured output is canonical JSON on stdout (or ``--out``);
-diagnostics go to stderr.
+dependence check false, retry budget exhausted, a certificate that
+``check-cert`` finds invalid), 2 for input or usage errors.  All
+structured output is canonical JSON on stdout (or ``--out``); diagnostics
+go to stderr.
 
 A command checks its arguments (node indices, ``--fix-line`` and that it
 does not come with ``--all``, overlays and that no ``used:K`` or
@@ -46,14 +47,17 @@ class _InputError(Exception):
     """Invalid user input discovered after argument parsing."""
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise _InputError(f"cannot read {path}: {exc}") from None
+
+
 def _read_nodeset(path: str) -> NodeSet:
     from .serialization import load_nodeset
 
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from None
-    return load_nodeset(text)
+    return load_nodeset(_read(path))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -121,6 +125,20 @@ def _cmd_certify_gc(args) -> int:
     xs = _read_nodeset(args.file)
     cert = certify_gc(xs)
     _emit(save_certificate(cert), args.out)
+    return 0
+
+
+def _cmd_check_cert(args) -> int:
+    from .errors import InvalidCertificate
+    from .serialization import load_certificate
+
+    text = _read(args.file)
+    try:
+        cert = load_certificate(text)  # verifies every entry
+    except InvalidCertificate as exc:
+        print(f"gcnlab: invalid certificate: {exc}", file=sys.stderr)
+        return _PROPERTY_FAILED
+    _emit_doc({"degree": cert.degree, "node_count": len(cert.nodeset), "valid": True}, args.out)
     return 0
 
 
@@ -363,6 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node", type=int, required=True)
 
     p = add("certify-gc", _cmd_certify_gc, "factor every fundamental polynomial into lines")
+    p.add_argument("file")
+
+    p = add("check-cert", _cmd_check_cert, "verify a saved certificate without searching")
     p.add_argument("file")
 
     p = add("used-lines", _cmd_used_lines, "distinct factor lines of one node")

@@ -12,7 +12,8 @@ explicit :class:`~gcnlab.errors.ParallelLines` signal instead.
 
 A :class:`NodeSet` is a degree-tagged tuple of distinct points, the input of
 every question the package answers.  Its :class:`Incidence` index
-(``NodeSet.incidence``, built on first use and kept) decides incidence on
+(``NodeSet.incidence``, built on first use and kept, or handed over by a
+generator that built the nodes on integers) decides incidence on
 integers: node j lies on ``a*x + b*y + c = 0`` iff ``a*X_j + b*Y_j + c*D``
 is 0 for the nodes ``(X, Y) = (D*x, D*y)`` scaled by their common
 denominator D.  Certification, maximal lines, sequences and the generators
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, total_ordering
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterator, Sequence, Union
 
@@ -247,6 +249,21 @@ class NodeSet(Value):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def _scaled(cls, degree: int, scale: int, coords: Sequence[tuple[int, int]]) -> "NodeSet":
+        """The nodes ``(X/scale, Y/scale)`` of integer ``coords``, with their index built.
+
+        ``scale`` and ``coords`` are first divided by their gcd, so the
+        index is the one :meth:`Incidence.of` would derive from the nodes.
+        """
+        g = gcd(scale, *chain.from_iterable(coords))
+        if g > 1:
+            scale //= g
+            coords = [(x // g, y // g) for x, y in coords]
+        xs = cls(degree, [Point(Fraction(x, scale), Fraction(y, scale)) for x, y in coords])
+        xs.__dict__["incidence"] = Incidence(degree, scale, tuple(coords))
+        return xs
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -31,10 +31,11 @@ Every certificate a loader returns, a report's counterexample and a
 summary's failure certificates included, has passed
 :func:`~gcnlab.certification.verify_certificate`.  A report is satisfied
 exactly when it lists a maximal line, and it carries a counterexample, of
-its own degree, exactly when it is not satisfied.  A summary has
-``0 <= gm_satisfied <= certified <= trials``, one failure per trial that
-is not GM-satisfied, and a certificate on exactly the ``certified -
-gm_satisfied`` failures of certified sets.
+its own degree, exactly when it is not satisfied.  A summary has a
+nonnegative degree, ``0 <= gm_satisfied <= certified <= trials``, one
+failure per trial that is not GM-satisfied, each naming a distinct trial
+in ``range(trials)``, and a certificate of its own degree on exactly the
+``certified - gm_satisfied`` failures of certified sets.
 """
 
 from __future__ import annotations
@@ -329,6 +330,8 @@ def summary_from_dict(doc: Any) -> SearchSummary:
     _expect(isinstance(doc, dict), "summary document must be an object")
     for field_name in ("degree", "trials", "seed", "coordinate_bound", "certified", "gm_satisfied"):
         _expect(_is_int(doc.get(field_name)), f"field {field_name!r} must be an integer")
+    degree, trials = doc["degree"], doc["trials"]
+    _expect(degree >= 0, "field 'degree' must be a nonnegative integer")
     kinds = doc.get("kinds")
     _expect(isinstance(kinds, list) and all(isinstance(k, str) for k in kinds),
             "field 'kinds' must be a list of strings")
@@ -347,7 +350,12 @@ def summary_from_dict(doc: Any) -> SearchSummary:
                 trial=f["trial"], kind=f["kind"], seed=f["seed"], reason=f["reason"], certificate=cert
             )
         )
-    trials, certified, satisfied = doc["trials"], doc["certified"], doc["gm_satisfied"]
+    certified, satisfied = doc["certified"], doc["gm_satisfied"]
+    _expect(all(f.certificate is None or f.certificate.degree == degree for f in failures),
+            "a failure's certificate must have the summary's degree")
+    trial_ids = [f.trial for f in failures]
+    _expect(all(0 <= t < trials for t in trial_ids) and len(set(trial_ids)) == len(trial_ids),
+            "failure trials must be distinct indices in range(trials)")
     _expect(0 <= satisfied <= certified <= trials,
             "fields 'gm_satisfied', 'certified' and 'trials' must satisfy "
             "0 <= gm_satisfied <= certified <= trials")
@@ -361,7 +369,7 @@ def summary_from_dict(doc: Any) -> SearchSummary:
         _expect(_INTEGER_RE.fullmatch(k) is not None and _is_int(v),
                 f"use_count_max entry {k!r}: {v!r} must map an integer key to an integer")
     return SearchSummary(
-        degree=doc["degree"],
+        degree=degree,
         trials=trials,
         seed=doc["seed"],
         kinds=tuple(kinds),

@@ -90,6 +90,47 @@ class TestCertifyAndLines:
         assert len(json.loads(out)["lines"]) == 3
 
 
+class TestCheckCert:
+    @pytest.fixture()
+    def cert_doc(self, capsys, cy3_file):
+        code, out = run(capsys, "certify-gc", cy3_file)
+        assert code == 0
+        return json.loads(out)
+
+    def check(self, capsys, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        code = main(["check-cert", str(path)])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_valid_certificate_exits_zero(self, capsys, tmp_path, cert_doc):
+        code, out, err = self.check(capsys, tmp_path, json.dumps(cert_doc))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"degree": 3, "node_count": 10, "valid": True}
+
+    def test_invalid_certificate_exits_one_with_the_reason(self, capsys, tmp_path, cert_doc):
+        cert_doc["entries"][4]["constant"] = "7/3"
+        code, out, err = self.check(capsys, tmp_path, json.dumps(cert_doc))
+        assert (code, out) == (1, "")
+        assert err.startswith("gcnlab: invalid certificate: node 4: constant: 7/3, not ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('{"degree": 3', id="malformed-json"),
+            pytest.param('{"degree": 3, "nodes": [], "entries": 5}', id="schema"),
+        ],
+    )
+    def test_parse_error_exits_two(self, capsys, tmp_path, text):
+        code, out, err = self.check(capsys, tmp_path, text)
+        assert (code, out) == (2, "")
+        assert err.startswith("gcnlab: ") and "invalid certificate" not in err
+
+    def test_missing_file_exits_two(self, capsys, tmp_path):
+        assert main(["check-cert", str(tmp_path / "absent.json")]) == 2
+
+
 class TestMdseq:
     def test_greedy_counts(self, capsys, cy3_file):
         code, out = run(capsys, "mdseq", cy3_file, "--node", "0")
@@ -413,7 +454,8 @@ class TestErrorPaths:
 
 
 # Help texts and a usage error, pinned from the CLI as it was before its
-# imports moved into the handlers (argparse wraps them to COLUMNS).
+# imports moved into the handlers (argparse wraps them to COLUMNS); the
+# top-level help and check-cert's were pinned when check-cert was added.
 PINNED = json.loads((Path(__file__).parent / "cli_help.json").read_text(encoding="utf-8"))
 
 

@@ -1,13 +1,22 @@
 """Seeded generators: construction shape, verification, reproducibility."""
 
+from collections import Counter
+from fractions import Fraction
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcnlab import generators
+from gcnlab import analysis, certification, generators
+from gcnlab.geometry import Incidence
 from gcnlab import (
+    DEFAULT_KINDS,
+    DuplicateNode,
     GeneratorSpec,
+    InvalidCertificate,
     Line,
+    NodeSet,
     Point,
     RetryLimitExceeded,
     certify_gc,
@@ -15,6 +24,7 @@ from gcnlab import (
     gen_principal,
     generate,
     generate_with_certificate,
+    gm_report_from_certificate,
     is_poised,
     maximal_lines,
     search_counterexample,
@@ -117,49 +127,56 @@ class TestDeterminism:
         assert len(cert.entries) == len(xs)
 
 
+@pytest.fixture
+def cold_cache():
+    generators._principal_certified.cache_clear()
+    yield
+    generators._principal_certified.cache_clear()
+
+
+def _principal_points(degree):
+    return [
+        Point(Fraction(i, degree), Fraction(j, degree))
+        for i in range(degree + 1)
+        for j in range(degree + 1 - i)
+    ]
+
+
 class TestPrincipalMemo:
-    @pytest.fixture
-    def cold_cache(self):
-        generators._principal_certified.cache_clear()
-        yield
-        generators._principal_certified.cache_clear()
-
     def test_certified_once_per_degree(self, cold_cache, monkeypatch):
-        calls = []
+        def no_search(xs):
+            raise AssertionError("a sweep trial searched for a cover")
 
-        def counting_certify(xs):
-            calls.append(xs)
-            return certify_gc(xs)
-
-        monkeypatch.setattr(generators, "certify_gc", counting_certify)
+        monkeypatch.setattr(certification, "certify_gc", no_search)
+        monkeypatch.setattr(analysis, "certify_gc", no_search)
         # 6 trials cycle chung_yao, principal, projective_image twice each
         a = search_counterexample(degree=3, trials=6, seed=5)
         b = search_counterexample(degree=3, trials=6, seed=6)
         assert a.all_satisfied and b.all_satisfied
-        principal = [xs for xs in calls if xs == generators._principal_nodes(3)]
-        assert len(principal) == 1
-        assert len(calls) == 1 + 4 + 4
+        info = generators._principal_certified.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits >= 3  # the three principal trials after the first
 
     def test_each_trial_indexes_its_set_once(self, cold_cache, monkeypatch):
-        from gcnlab.geometry import Incidence
-
-        build = Incidence.of.__func__
+        build = Incidence.__init__
         calls = []
 
-        def counting_of(klass, xs):
-            calls.append(xs)
-            return build(klass, xs)
+        def counting_init(index, *args):
+            calls.append(index)
+            build(index, *args)
 
-        monkeypatch.setattr(Incidence, "of", classmethod(counting_of))
-        # as above: one principal set, then four fresh sets per search
+        monkeypatch.setattr(Incidence, "__init__", counting_init)
+        # one principal set, then four fresh sets per search; the generators
+        # hand each set the index of the integer nodes they built it from
         search_counterexample(degree=3, trials=6, seed=5)
         search_counterexample(degree=3, trials=6, seed=6)
-        assert len(calls) == len({id(xs) for xs in calls}) == 1 + 4 + 4
+        assert len(calls) == len({id(index) for index in calls}) == 1 + 4 + 4
 
     def test_cached_certificate_equals_fresh(self, cold_cache):
         for degree in (1, 2, 5):
-            xs, cert = generators._principal_certified(degree)
-            fresh = certify_gc(generators._principal_nodes(degree))
+            cert = generators._principal_certified(degree)[0]
+            xs = cert.nodeset
+            fresh = certify_gc(NodeSet(degree, _principal_points(degree)))
             assert xs == fresh.nodeset
             assert cert == fresh
             assert cert.nodeset.incidence.masks == fresh.nodeset.incidence.masks
@@ -186,6 +203,97 @@ class TestPrincipalMemo:
         assert (info.hits, info.misses) == (1, 1)
 
 
+class TestConstructedCertificates:
+    """Generated certificates are constructed; the cover search is their oracle."""
+
+    @staticmethod
+    def searched(xs):
+        # a copy of the set, so the search builds its own index
+        return certify_gc(NodeSet(xs.degree, xs.nodes))
+
+    @pytest.mark.parametrize("kind", DEFAULT_KINDS)
+    def test_equal_to_the_search(self, kind):
+        for degree in range(1, 13):
+            for seed in (0, 1, 2, 7, 2024, 7331):
+                xs, cert = generate_with_certificate(GeneratorSpec(kind, degree, seed=seed))
+                assert cert == self.searched(xs)
+
+    @pytest.mark.parametrize("degree", (20, 30))
+    def test_high_degree_natural_lattice_equal_to_the_search(self, degree):
+        xs, cert = generate_with_certificate(GeneratorSpec("chung_yao", degree, seed=degree))
+        assert cert == self.searched(xs)
+
+    @pytest.mark.parametrize("kind", DEFAULT_KINDS)
+    def test_index_equals_the_one_derived_from_the_nodes(self, kind):
+        for degree in range(1, 9):
+            for seed in range(4):
+                xs = generate(GeneratorSpec(kind, degree, seed=seed))
+                assert "incidence" in xs.__dict__  # handed over, not derived
+                derived = Incidence.of(NodeSet(xs.degree, xs.nodes))
+                assert (xs.incidence.scale, xs.incidence.coords) == (derived.scale, derived.coords)
+
+    def test_integer_nodes_keep_the_duplicate_check(self):
+        with pytest.raises(DuplicateNode):
+            NodeSet._scaled(1, 4, [(0, 0), (2, 0), (0, 0)])
+
+    def test_search_reads_the_report_and_use_counts_off_the_covers(self, monkeypatch):
+        reports = []
+        report = analysis._report
+
+        def spy(cert, maximal):
+            reports.append((cert, report(cert, maximal)))
+            return reports[-1][1]
+
+        monkeypatch.setattr(analysis, "_report", spy)
+        runs = []
+        for degree in range(1, 7):
+            for seed in (3, 2024):
+                start = len(reports)
+                summary = search_counterexample(degree=degree, trials=9, seed=seed)
+                runs.append((summary, reports[start:]))
+        monkeypatch.undo()  # the oracle below builds its reports with _report
+        for summary, trials in runs:
+            assert len(trials) == summary.certified == 9
+            want: dict[int, int] = {}
+            for cert, got in trials:
+                fresh = self.searched(cert.nodeset)
+                assert got == gm_report_from_certificate(fresh)
+                index = fresh.nodeset.incidence
+                uses = Counter(chain.from_iterable(e.lines for e in fresh.entries))
+                for line, count in uses.items():
+                    node_count = index.mask_of(line).bit_count()
+                    want[node_count] = max(want.get(node_count, 0), count)
+            assert summary.use_count_max == want
+
+    def test_sweep_builds_no_line_map(self, cold_cache, monkeypatch):
+        certs = []
+        constructed = generators._constructed
+
+        def spy(spec):
+            certs.append(constructed(spec)[0])
+            return constructed(spec)
+
+        monkeypatch.setattr(generators, "_constructed", spy)
+        search_counterexample(degree=4, trials=12, seed=2024)
+        assert len(certs) == 12
+        for cert in certs:
+            assert not {"keys", "masks", "maximal"} & set(cert.nodeset.incidence.__dict__)
+
+    def test_corrupted_cover_is_an_internal_error(self, monkeypatch):
+        scaled = generators._chung_yao_scaled
+
+        def corrupt(*args):
+            d, coords, lines, covers = scaled(*args)
+            # node 1's cover holds a generating line through node 0
+            return d, coords, lines, [covers[1], *covers[1:]]
+
+        monkeypatch.setattr(generators, "_chung_yao_scaled", corrupt)
+        with pytest.raises(InvalidCertificate) as excinfo:
+            search_counterexample(degree=3, trials=3, seed=1, kinds=["chung_yao"])
+        assert excinfo.value.node_index == 0
+        assert str(excinfo.value) == "node 0: zero mask: the product of its lines vanishes at node 0"
+
+
 def _exact(build, *args):
     """Every coordinate as (numerator, denominator), in node order, or the error raised."""
     try:
@@ -195,9 +303,19 @@ def _exact(build, *args):
     return [(p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in xs.nodes]
 
 
+def _nodes(scaled):
+    """The node set of an integer construction, without its certificate."""
+
+    def build(degree, seed, bound):
+        d, coords, _, _ = scaled(degree, seed, bound)
+        return NodeSet._scaled(degree, d, coords)
+
+    return build
+
+
 BUILDERS = (
-    (generators._chung_yao_nodes, chung_yao_nodes_fraction),
-    (generators._projective_image_nodes, projective_image_nodes_fraction),
+    (_nodes(generators._chung_yao_scaled), chung_yao_nodes_fraction),
+    (_nodes(generators._projective_image_scaled), projective_image_nodes_fraction),
 )
 
 
@@ -215,9 +333,9 @@ class TestIntegerBuildersAgainstFraction:
             "RetryLimitExceeded",
             "no general-position configuration of 5 lines within 512 draws at coordinate bound 1",
         )
-        assert _exact(generators._chung_yao_nodes, 3, 0, 1) == starved
+        assert _exact(BUILDERS[0][0], 3, 0, 1) == starved
         assert _exact(chung_yao_nodes_fraction, 3, 0, 1) == starved
-        image = generators._projective_image_nodes
+        image = BUILDERS[1][0]
         seeds = [seed for seed in range(20) if _exact(image, 3, seed, 1) == starved]
         assert seeds
         assert all(_exact(projective_image_nodes_fraction, 3, seed, 1) == starved for seed in seeds)

@@ -207,5 +207,9 @@ class TestImportBoundary:
 
     def test_generate_loads_the_generators(self, workdir):
         argv = ["generate", "--kind", "principal", "--degree", "2"]
-        expected = sorted(BASE + ["generators", "polynomials", "rng"])
+        expected = sorted(BASE + ["generators", "rng"])
         assert probe(workdir, PROBE, *argv) == [0, expected, []]
+
+    def test_check_cert_loads_only_the_reader_and_the_rule(self, workdir):
+        assert probe(workdir, PROBE, "certify-gc", "cy.json", "--out", "c.json")[0] == 0
+        assert probe(workdir, PROBE, "check-cert", "c.json") == [0, sorted(BASE), []]

@@ -252,6 +252,11 @@ class TestMalformedDocuments:
                 {"trials": 3, "failures": [True]}, "carry a certificate",
                 id="uncertified-failure-with-certificate",
             ),
+            pytest.param({"degree": -4}, "nonnegative integer", id="summary-negative-degree"),
+            pytest.param(
+                {"degree": 3, "trials": 3, "certified": 3, "failures": [True]}, "summary's degree",
+                id="failure-certificate-of-another-degree",
+            ),
         ],
     )
     def test_summary_parse_error(self, cy2_cert, changes, message):
@@ -273,6 +278,26 @@ class TestMalformedDocuments:
         assert [f.certificate for f in summary.failures] == [
             cy2_cert if certified else None for certified in changes["failures"]
         ]
+
+
+    @pytest.mark.parametrize(
+        "changes, trial_ids",
+        [
+            pytest.param({"trials": 3, "failures": [False]}, [3], id="failure-trial-past-the-end"),
+            pytest.param({"trials": 3, "failures": [False]}, [-1], id="negative-failure-trial"),
+            pytest.param(
+                {"trials": 3, "certified": 1, "gm_satisfied": 1, "failures": [False, False]},
+                [0, 0], id="repeated-failure-trial",
+            ),
+        ],
+    )
+    def test_summary_failure_trial_parse_error(self, cy2_cert, changes, trial_ids):
+        doc = summary_doc(cy2_cert, changes)
+        load_summary(json.dumps(doc))  # valid with failure trials 0, 1, ...
+        for failure, trial in zip(doc["failures"], trial_ids):
+            failure["trial"] = trial
+        with pytest.raises(ParseError, match="distinct indices in range"):
+            load_summary(json.dumps(doc))
 
 
 def summary_doc(cert, changes):
