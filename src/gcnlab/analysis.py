@@ -228,7 +228,7 @@ def search_counterexample(
             kind=kind, degree=degree, seed=trial_seed, coordinate_bound=coordinate_bound
         )
         try:
-            cert, lines, masks, covers = _constructed(spec)
+            cert = _constructed(spec)
         except RetryLimitExceeded as exc:
             failures.append(
                 TrialFailure(trial=i, kind=kind, seed=trial_seed, reason=str(exc), certificate=None)
@@ -237,11 +237,13 @@ def search_counterexample(
         certified += 1
         # A maximal line is a factor of the fundamental polynomial of every
         # node off it, so the maximal lines are the cover lines with n + 1
-        # nodes, and no line holds more in a poised set.
-        maximal = sorted(
+        # nodes, and no line holds more in a poised set.  The cover lines
+        # are in line order already.
+        lines, masks = cert.lines, cert.masks
+        maximal = tuple(
             (lines[f], _bits(mask)) for f, mask in enumerate(masks) if mask.bit_count() > degree
         )
-        report = _report(cert, tuple(maximal))
+        report = _report(cert, maximal)
         if report.satisfied:
             satisfied += 1
         else:
@@ -253,7 +255,7 @@ def search_counterexample(
         # the lines of one node's cover are distinct, so a line's count is
         # the number of nodes that use it
         uses = [0] * len(lines)
-        for cover in covers:
+        for cover in cert.covers:
             for f in cover:
                 uses[f] += 1
         for mask, count in zip(masks, uses):

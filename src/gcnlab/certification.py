@@ -29,40 +29,32 @@ are skipped by a mask test.  When a poised set has no cover at some node,
 :class:`NotGC` names the node and the nodes its forced lines left
 uncovered.
 
-One rule turns a node's n lines into its certificate entry, and both
-:func:`certify_gc` and :func:`verify_certificate` go through it.  Each
-factor line is evaluated once at every node as the integer ``a*X + b*Y +
-c*D`` (D times its value there), which gives its zero mask; a node's lines
-are put in canonical order by their coefficient triples.  The product of a
-node's lines vanishes at node j iff one of them does, so ``constant *
-product(lines)`` is the Kronecker delta of node k, with the constant D^n
-over the product's integer value at k, exactly when the OR of the zero
-masks is every node but k.  Every factor line must also carry at least two
-witness nodes where the other factors are nonzero: nodes of its zero mask
-outside the OR of the other masks, read off prefix and suffix ORs.  A
-repeated line would have no witness, so no entry that passes the rule
-repeats a line.
-
-One helper applies the rule to a node set, its distinct cover lines and
-each node's cover as positions in those lines: :func:`certify_gc` hands
-it the covers its search finds, and :mod:`gcnlab.generators` the covers
-it knows by construction.  :func:`verify_certificate` checks a
-certificate built anywhere else (every loader calls it): one entry per
-node, in node order, n lines each, and each entry equal to what the rule
-rebuilds from its lines.  Both raise
+A certificate is a cover table (:class:`GCCertificate`): the distinct
+cover lines, in Line order, and each node's cover as sorted positions in
+them.  The product of node k's lines is its fundamental polynomial up to
+scale exactly when the OR of their zero masks (bit j is set iff the
+line's integer value ``a*X + b*Y + c*D`` at node j is 0) is every node
+but k.  Each line must also carry at least two witnesses, nodes where
+only it vanishes, read off prefix and suffix ORs; a repeated line has
+none.  :func:`verify_certificate` is the one place this rule runs.  The
+entries (:class:`NodeCertificate`: constant, lines and witnesses) are a
+view derived from the table when first read, so a sweep that needs only
+validity builds none.  :func:`certify_gc`, :mod:`gcnlab.generators` and
+the certificate loader hand their covers to one helper that sorts the
+lines, remaps the covers and verifies the table.  Failures raise
 :class:`~gcnlab.errors.InvalidCertificate`, naming the node and the reason.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import prod
-from operator import itemgetter
-from typing import Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InvalidCertificate, NotGC, NotPoised
-from .geometry import Incidence, Key, Line, NodeSet, Value, _bits
+from .geometry import Key, Line, NodeSet, Value, _bits
 
 
 class NodeCertificate(Value):
@@ -77,16 +69,40 @@ class NodeCertificate(Value):
 
 
 class GCCertificate(Value):
-    """Per-node line factorizations for a whole poised set.
+    """The cover table of a poised set: which lines cover each node.
 
-    The incidence index is the node set's own, ``nodeset.incidence``.
+    ``lines`` holds the distinct cover lines in Line order, and
+    ``covers[k]`` node k's lines as sorted positions in ``lines``.  The
+    incidence index is the node set's own, ``nodeset.incidence``.
+    ``masks`` and ``entries`` are derived from the table when first read.
     """
 
-    __slots__ = _fields = ("nodeset", "entries")
+    _fields = ("nodeset", "lines", "covers")
 
     @property
     def degree(self) -> int:
         return self.nodeset.degree
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Each line's zero mask: bit j is set iff the line passes through node j."""
+        return tuple(map(self.nodeset.incidence.zero_mask, self.lines))
+
+    @cached_property
+    def entries(self) -> tuple[NodeCertificate, ...]:
+        """Each node's factorization; InvalidCertificate unless the table passes the rule."""
+        verify_certificate(self)
+        index = self.nodeset.incidence
+        rows = [index.values(line) for line in self.lines]
+        entries = []
+        for k, cover in enumerate(self.covers):
+            lines = tuple(self.lines[f] for f in cover)
+            _, private = _private([self.masks[f] for f in cover])
+            witnesses = {line: _bits(bits) for line, bits in zip(lines, private)}
+            # constant * product(lines) at node k is constant * product_k / D^n = 1
+            constant = Fraction(index.scale**index.degree, prod(rows[f][k] for f in cover))
+            entries.append(NodeCertificate(k, constant, lines, witnesses))
+        return tuple(entries)
 
 
 def line_incidence(xs: NodeSet) -> dict[Line, tuple[int, ...]]:
@@ -144,9 +160,8 @@ def certify_gc(xs: NodeSet) -> GCCertificate:
     Raises NotPoised when the set is not poised and NotGC (carrying the
     first offending node index and the nodes its forced lines left
     uncovered) when some node's fundamental polynomial is not a product of
-    ``degree`` node-pair lines.  Each entry of the returned certificate
-    comes from the rule of :func:`verify_certificate`, so it passes that
-    check without being checked again.
+    ``degree`` node-pair lines.  The returned cover table has passed
+    :func:`verify_certificate`.
     """
     n = xs.degree
     if len(xs) != (n + 1) * (n + 2) // 2:  # dim Pi_n
@@ -176,119 +191,81 @@ def certify_gc(xs: NodeSet) -> GCCertificate:
         covers.append(keys)
     # Every node has a cover, so the set is poised and each cover is the
     # factorization of a fundamental polynomial.
-    keys = list(set(chain.from_iterable(covers)))
-    position = {key: i for i, key in enumerate(keys)}
-    lines = [index.line(key) for key in keys]
-    return _certificate(xs, lines, [[position[key] for key in cover] for cover in covers])[0]
+    lines = {key: index.line(key) for key in set(chain.from_iterable(covers))}
+    return _from_covers(xs, lines, covers)
 
 
-def _certificate(
-    xs: NodeSet, lines: Sequence[Line], covers: Sequence[Sequence[int]]
-) -> tuple[GCCertificate, list[int]]:
-    """The certificate of ``xs`` in which node k is covered by the lines at ``covers[k]``.
+def _from_covers(
+    xs: NodeSet, lines: Mapping[Hashable, Line], covers: Iterable[Iterable[Hashable]]
+) -> GCCertificate:
+    """The verified certificate of ``xs`` that covers node k by the lines named in ``covers[k]``.
 
-    ``lines`` are distinct, and each is evaluated once.  Every entry comes
-    from :func:`_entry`, so a cover of other than n lines, or one whose
-    product is not node k's fundamental polynomial up to scale, raises
-    InvalidCertificate.  Also returns each line's zero mask.
+    ``lines`` maps each name to a distinct line; the lines are put in Line
+    order and the covers remapped to their positions.  A table that breaks
+    the rule of :func:`verify_certificate` raises InvalidCertificate.
     """
-    index = xs.incidence
-    n = xs.degree
-    records = [_record(index, line) for line in lines]
-    entries = []
-    for k, cover in enumerate(covers):
-        if len(cover) != n:
-            raise _invalid(k, "line count", f"{len(cover)} lines, not {n}")
-        entries.append(_entry(index, k, [records[i] for i in cover]))
-    return GCCertificate(xs, tuple(entries)), [rec[3] for rec in records]
+    order = sorted(lines, key=lambda i: lines[i].coefficients)
+    position = {i: f for f, i in enumerate(order)}
+    cert = GCCertificate(
+        xs,
+        tuple(lines[i] for i in order),
+        tuple(tuple(sorted(position[i] for i in cover)) for cover in covers),
+    )
+    verify_certificate(cert)
+    return cert
 
 
 def _invalid(k: int, reason: str, detail: str) -> InvalidCertificate:
     return InvalidCertificate(f"node {k}: {reason}: {detail}", node_index=k)
 
 
-def _record(index: Incidence, line: Line) -> tuple[Key, Line, list[int], int]:
-    """``(coefficients, line, values, zero mask)`` of a factor line.
-
-    ``values`` holds D times the line's value at every node, and bit j of
-    the zero mask is set iff the line passes through node j.
-    """
-    row = index.values(line)
-    zero = 0
-    for j, v in enumerate(row):
-        if not v:
-            zero |= 1 << j
-    return line.coefficients, line, row, zero
-
-
-def _entry(
-    index: Incidence, k: int, recs: list[tuple[Key, Line, list[int], int]]
-) -> NodeCertificate:
-    """The canonical certificate entry of node ``k`` from the records of its lines.
-
-    ``index`` is the node set's incidence index, and ``recs`` is sorted in
-    place.  Raises InvalidCertificate when the lines' zero masks together
-    do not hold exactly every node but k, or when a line has fewer than two
-    witnesses.
-    """
-    recs.sort(key=itemgetter(0))  # coefficient order is Line order
-    # after[f] is the OR of the zero masks of lines f, f+1, ...
-    after = [0] * (len(recs) + 1)
-    for f in range(len(recs) - 1, -1, -1):
-        after[f] = after[f + 1] | recs[f][3]
-    wrong = after[0] ^ ((1 << len(index.coords)) - 1) ^ (1 << k)
-    if wrong:
-        j = (wrong & -wrong).bit_length() - 1
-        where = f"vanishes at node {k}" if j == k else f"does not vanish at node {j}"
-        raise _invalid(k, "zero mask", f"the product of its lines {where}")
-    witnesses: dict[Line, tuple[int, ...]] = {}
+def _private(zeros: list[int]) -> tuple[int, list[int]]:
+    """The OR of the zero masks ``zeros``, and each mask's bits outside the OR of the others."""
+    # after[f] is the OR of zeros[f], zeros[f + 1], ...
+    after = [0] * (len(zeros) + 1)
+    for f in range(len(zeros) - 1, -1, -1):
+        after[f] = after[f + 1] | zeros[f]
+    private = []
     before = 0
-    for f, (_, line, _, zero) in enumerate(recs):
-        found = _bits(zero & ~(before | after[f + 1]))
-        if len(found) < 2:
-            raise _invalid(k, "witnesses", f"factor {line} has {len(found)}, not at least two")
-        witnesses[line] = found
+    for f, zero in enumerate(zeros):
+        private.append(zero & ~(before | after[f + 1]))
         before |= zero
-    # constant * product(lines) at node k is constant * product_k / D^n = 1
-    at_k = prod(rec[2][k] for rec in recs)
-    constant = Fraction(index.scale**index.degree, at_k)
-    return NodeCertificate(k, constant, tuple(rec[1] for rec in recs), witnesses)
+    return after[0], private
 
 
 def verify_certificate(cert: GCCertificate) -> None:
-    """Check a certificate against the rule that :func:`certify_gc` applies.
+    """Check a cover table against the certificate rule.
 
-    Raises InvalidCertificate, naming the node and the reason, unless there
-    is one entry per node of a set of dim Pi_n nodes, entry k is node k's,
-    it has n lines, and its constant, lines and witnesses are exactly what
-    the rule rebuilds from those lines.
+    Raises InvalidCertificate, naming the node and the reason, unless the
+    set has dim Pi_n nodes and the table a cover for each, every cover has
+    n lines, the zero masks of node k's lines together hold exactly every
+    node but k, and each of its lines has at least two witnesses.
     """
     xs = cert.nodeset
     n = xs.degree
     size = (n + 1) * (n + 2) // 2  # dim Pi_n
-    if len(xs) != size or len(cert.entries) != size:
+    if len(xs) != size or len(cert.covers) != size:
         raise InvalidCertificate(
-            f"count: {len(cert.entries)} entries for {len(xs)} nodes; degree {n} needs "
+            f"count: {len(cert.covers)} entries for {len(xs)} nodes; degree {n} needs "
             f"{size} of each"
         )
-    index = xs.incidence
-    lines = set(chain.from_iterable(entry.lines for entry in cert.entries))
-    records = {line: _record(index, line) for line in lines}
-    for k, entry in enumerate(cert.entries):
-        if entry.node_index != k:
-            raise _invalid(k, "order", f"entry {k} is for node {entry.node_index}")
-        if len(entry.lines) != n:
-            raise _invalid(k, "line count", f"{len(entry.lines)} lines, not {n}")
-        rebuilt = _entry(index, k, [records[line] for line in entry.lines])
-        for reason, given, want in (
-            ("constant", entry.constant, rebuilt.constant),
-            ("line order", tuple(entry.lines), rebuilt.lines),
-            ("witnesses", entry.witnesses, rebuilt.witnesses),
-        ):
-            if given != want:
-                raise _invalid(k, reason, f"{given}, not {want}")
+    masks = cert.masks
+    everyone = (1 << size) - 1
+    for k, cover in enumerate(cert.covers):
+        if len(cover) != n:
+            raise _invalid(k, "line count", f"{len(cover)} lines, not {n}")
+        union, private = _private([masks[f] for f in cover])
+        wrong = union ^ everyone ^ (1 << k)
+        if wrong:
+            j = (wrong & -wrong).bit_length() - 1
+            where = f"vanishes at node {k}" if j == k else f"does not vanish at node {j}"
+            raise _invalid(k, "zero mask", f"the product of its lines {where}")
+        for f, bits in zip(cover, private):
+            if bits.bit_count() < 2:
+                detail = f"factor {cert.lines[f]} has {bits.bit_count()}, not at least two"
+                raise _invalid(k, "witnesses", detail)
 
 
 def used_lines_of(cert: GCCertificate, k: int) -> set[Line]:
     """The distinct lines in node ``k``'s factor multiset."""
-    return set(cert.entries[k].lines)
+    return {cert.lines[f] for f in cert.covers[k]}

@@ -15,11 +15,13 @@ principal lattice's node (i, j) is covered by x = a/n (a < i), y = b/n
 (b < j) and x + y = c/n (c > i + j).  An affine map carries each cover to
 the image's cover: node j of an image is the image of base node j, and
 each distinct base line is mapped once.  The distinct lines and each
-node's cover, as positions in them, go to the certificate rule
-(``certification._certificate``), which evaluates every line at every
-node and rebuilds and checks every entry exactly.  If the rule rejects a
-construction, InvalidCertificate is raised: an internal error, never a
-property of the set.
+node's cover, as positions in them, are the certificate: a cover table
+(:class:`~gcnlab.certification.GCCertificate`), verified once by the
+certificate rule, which evaluates every line at every node.  If the rule
+rejects a construction, InvalidCertificate is raised: an internal error,
+never a property of the set.  The certificate's entries (constants and
+witnesses) are a view built only when something reads them, so a sweep
+builds none.
 
 Nodes are built on integers and become Fractions only at the end.  Two
 random lines ``(a1, b1, c1)`` and ``(a2, b2, c2)`` meet at the homogeneous
@@ -34,7 +36,8 @@ is never derived again from the Fractions.
 The principal lattice depends on its degree alone, so it is certified once
 per degree per process; every later request for that degree gets the same
 set and certificate objects, and an affine image of it reads its integer
-nodes from the cached set's incidence index and its covers from the cache.
+nodes from the cached set's incidence index and its lines and covers from
+the cached certificate.
 
 Generation is a pure function of its spec; fixed seeds give byte-identical
 node sets on every platform (see :mod:`gcnlab.rng` for the PRNG contract).
@@ -45,7 +48,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .certification import GCCertificate, _certificate
+from .certification import GCCertificate, _from_covers
 from .errors import RetryLimitExceeded
 from .geometry import Line, NodeSet, Value, _clear
 from .rng import RETRY_LIMIT, SplitMix64
@@ -125,9 +128,6 @@ def _general_position_meets(
 # A construction on integers: the scale D, the integer nodes (D*x, D*y), the
 # distinct cover lines, and each node's cover as positions in those lines.
 _Scaled = tuple[int, list[tuple[int, int]], list[Line], list[tuple[int, ...]]]
-# A verified construction: the certificate, the distinct cover lines, the
-# zero mask of each, and each node's cover as positions in those lines.
-_Certified = tuple[GCCertificate, list[Line], list[int], list[tuple[int, ...]]]
 
 
 def _chung_yao_scaled(degree: int, seed: int, bound: int) -> _Scaled:
@@ -161,15 +161,14 @@ def _principal_scaled(degree: int) -> _Scaled:
     return n, coords, lines, covers
 
 
-def _certified(degree: int, scaled: _Scaled) -> _Certified:
+def _certified(degree: int, scaled: _Scaled) -> GCCertificate:
     """The node set of a construction, with its index, certified from its covers."""
     d, coords, lines, covers = scaled
-    cert, masks = _certificate(NodeSet._scaled(degree, d, coords), lines, covers)
-    return cert, lines, masks, covers
+    return _from_covers(NodeSet._scaled(degree, d, coords), dict(enumerate(lines)), covers)
 
 
 @lru_cache(maxsize=None)
-def _principal_certified(degree: int) -> _Certified:
+def _principal_certified(degree: int) -> GCCertificate:
     return _certified(degree, _principal_scaled(degree))
 
 
@@ -184,8 +183,9 @@ def _projective_image_scaled(degree: int, seed: int, bound: int) -> _Scaled:
     if rng.choice(("chung_yao", "principal")) == "chung_yao":
         d, coords, lines, covers = _chung_yao_scaled(degree, rng.next_u64(), bound)
     else:
-        cert, lines, _, covers = _principal_certified(degree)
-        d, coords = cert.nodeset.incidence.scale, cert.nodeset.incidence.coords
+        base = _principal_certified(degree)
+        d, coords = base.nodeset.incidence.scale, base.nodeset.incidence.coords
+        lines, covers = base.lines, base.covers
     for _ in range(RETRY_LIMIT):
         m00, m01, m10, m11 = (rng.rational(bound) for _ in range(4))
         t0, t1 = rng.rational(bound), rng.rational(bound)
@@ -211,7 +211,7 @@ def _projective_image_scaled(degree: int, seed: int, bound: int) -> _Scaled:
     raise RetryLimitExceeded(f"no invertible affine map within {RETRY_LIMIT} draws")
 
 
-def _constructed(spec: GeneratorSpec) -> _Certified:
+def _constructed(spec: GeneratorSpec) -> GCCertificate:
     """The set ``spec`` names, certified from the covers it is built with.
 
     A construction that the certificate rule rejects raises
@@ -228,7 +228,7 @@ def _constructed(spec: GeneratorSpec) -> _Certified:
 
 def generate_with_certificate(spec: GeneratorSpec) -> tuple[NodeSet, GCCertificate]:
     """Generate per spec; the certificate is constructed, then verified by the certificate rule."""
-    cert = _constructed(spec)[0]
+    cert = _constructed(spec)
     return cert.nodeset, cert
 
 
@@ -242,4 +242,4 @@ def gen_principal(degree: int) -> NodeSet:
     """The triangular lattice (i/n, j/n), i + j <= n, verified on the way out."""
     if degree < 1:
         raise ValueError("principal lattice needs degree >= 1")
-    return _principal_certified(degree)[0].nodeset
+    return _principal_certified(degree).nodeset

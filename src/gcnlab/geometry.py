@@ -21,8 +21,9 @@ all read this one index.
 
 Every value type of the package derives from :class:`Value`, defined
 here.  A subclass names its fields once, in constructor order:
-``__slots__ = _fields = (...)``, or ``_fields`` alone on ``NodeSet`` and
-``Incidence``, which keep a ``__dict__`` for their cached properties.
+``__slots__ = _fields = (...)``, or ``_fields`` alone on ``NodeSet``,
+``Incidence`` and ``GCCertificate``, which keep a ``__dict__`` for their
+cached properties.
 ``Value`` generates the constructor when the class is created: it takes
 the fields by name and in that order, with the defaults of the class's
 ``_defaults`` mapping.  A class that validates or normalizes its fields
@@ -312,7 +313,8 @@ class Incidence(Value):
     :meth:`line` turns a key into its canonical :class:`Line` and
     :meth:`mask_of` looks a ``Line`` up; ``masks`` is the whole map keyed
     by ``Line``, in the same order, and ``maximal`` the maximal lines, each
-    built on first use.
+    built on first use.  :meth:`zero_mask` evaluates any line at every node
+    instead, without the line map.
     """
 
     _fields = ("degree", "scale", "coords")
@@ -399,6 +401,14 @@ class Incidence(Value):
         """``a*X + b*Y + c*D`` at every node: D times the line's value there."""
         a, b, c = line.a, line.b, line.c * self.scale
         return [a * x + b * y + c for x, y in self.coords]
+
+    def zero_mask(self, line: Line) -> int:
+        """The bitmask of the nodes on ``line``, from :meth:`values`; any line works."""
+        mask = 0
+        for j, v in enumerate(self.values(line)):
+            if not v:
+                mask |= 1 << j
+        return mask
 
 
 def intersect(l1: Line, l2: Line) -> Point:

@@ -20,7 +20,7 @@ states with duplicates merged.  The n used lines give at most 2^n
 distinct unused-line sets over all steps.
 
 Incidence is decided on the integer nodes of the set's index
-(``NodeSet.incidence``, read through ``Incidence.values``): node j lies on
+(``NodeSet.incidence``, read through ``Incidence.zero_mask``): node j lies on
 ``a*x + b*y + c = 0`` iff ``a*X_j + b*Y_j + c*D`` is 0, and each line
 becomes the bitmask of its nodes.  Two distinct lines share at most one
 node, so the AND of their masks is their crossing node, if it is one.
@@ -64,17 +64,6 @@ class MLineSequence(Value):
         return MDSequence(self.counts)
 
 
-def _line_masks(xs: NodeSet, lines: Sequence[Line]) -> list[int]:
-    """The bitmask of the nodes on each line, in order, from ``Incidence.values``.
-
-    Bit j is set iff the line's integer value at node j is 0.  Only the
-    index's integer nodes are read, not its line map, so any line works,
-    including one through fewer than two nodes.
-    """
-    values = xs.incidence.values
-    return [sum(1 << j for j, v in enumerate(values(line)) if v == 0) for line in lines]
-
-
 def _best(masks: Sequence[int], pool: int, uncovered: int) -> tuple[int, list[int]]:
     """``(gain, ties)``: the most ``uncovered`` nodes on a line of ``pool``, and those lines.
 
@@ -103,7 +92,7 @@ def greedy_sequence_for_lines(
     used = tuple(sorted(set(used)))
     if fixed_first is not None and fixed_first not in used:
         raise LineNotUsed(f"{fixed_first} is not used by node {node_index}")
-    masks = _line_masks(xs, used)
+    masks = [xs.incidence.zero_mask(line) for line in used]
     remaining = (1 << len(xs)) - 1
     pool = (1 << len(used)) - 1
     order: list[Line] = []
@@ -140,9 +129,9 @@ def _distinct_used(cert: GCCertificate, k: int) -> tuple[Line, ...]:
     ``certify_gc`` or a loader is verified, and a repeated line has no
     witness.
     """
-    entry = cert.entries[k]
-    distinct = tuple(sorted(set(entry.lines)))
-    if len(distinct) != len(entry.lines):
+    cover = cert.covers[k]
+    distinct = tuple(sorted({cert.lines[f] for f in cover}))
+    if len(distinct) != len(cover):
         raise MultiplicityPresent(
             f"node {k} repeats a factor line; sequence analysis needs distinct lines"
         )
@@ -173,7 +162,7 @@ def enumerate_mdseqs(cert: GCCertificate, k: int) -> set[MDSequence]:
     independent of tie-breaking.
     """
     used = _distinct_used(cert, k)
-    masks = _line_masks(cert.nodeset, used)
+    masks = [cert.nodeset.incidence.zero_mask(line) for line in used]
     frontier = {((1 << len(masks)) - 1, (1 << len(cert.nodeset)) - 1, ())}
     for _ in masks:
         step = set()
@@ -190,7 +179,7 @@ def _is_greedy_ordering(seq: MLineSequence, order: Sequence[Line]) -> bool:
 
     With a ``fixed_first`` line in ``seq``, the first line may have any gain.
     """
-    masks = _line_masks(seq.nodeset, seq.used)
+    masks = [seq.nodeset.incidence.zero_mask(line) for line in seq.used]
     index = {line: i for i, line in enumerate(seq.used)}
     remaining = (1 << len(seq.nodeset)) - 1
     pool = (1 << len(masks)) - 1
@@ -225,7 +214,7 @@ def verify_swap_property(seq: MLineSequence, i: int) -> bool:
     if not _is_greedy_ordering(seq, swapped):
         return False
     # both lines are distinct used lines here, so they share at most one node
-    first, second = _line_masks(seq.nodeset, seq.lines[i : i + 2])
+    first, second = map(seq.nodeset.incidence.zero_mask, seq.lines[i : i + 2])
     crossing = first & second
     if not crossing:
         return True

@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import BadRational, ParseError
@@ -163,14 +164,18 @@ def _line_key(line: Line) -> str:
 
 
 def _line_from_triple(triple: Any, context: str) -> Line:
+    """The line of a canonical ``[a, b, c]`` triple; ParseError for any other spelling."""
     _expect(
         _is_int_list(triple) and len(triple) == 3,
         f"{context}: a line must be an [a, b, c] integer triple",
     )
     try:
-        return Line(triple[0], triple[1], triple[2])
+        line = Line(triple[0], triple[1], triple[2])
     except ValueError as exc:
         raise ParseError(f"{context}: {triple} is not a line: {exc}") from None
+    _expect(list(line.coefficients) == triple,
+            f"{context}: {triple} is not canonical; {line} is {list(line.coefficients)}")
+    return line
 
 
 def certificate_to_dict(cert: GCCertificate) -> dict:
@@ -194,9 +199,11 @@ def certificate_from_dict(doc: Any) -> GCCertificate:
 
     Raises ParseError when the document breaks its schema and
     InvalidCertificate when the certificate it holds breaks the rule of
-    :func:`~gcnlab.certification.verify_certificate`.
+    :func:`~gcnlab.certification.verify_certificate`.  The entries become a
+    cover table, which is verified; then each entry's constant, line order
+    and witnesses must equal the ones derived from the table.
     """
-    from .certification import GCCertificate, NodeCertificate, verify_certificate
+    from .certification import NodeCertificate, _from_covers, _invalid
 
     xs = nodeset_from_dict(doc)
     raw_entries = doc.get("entries")
@@ -218,6 +225,8 @@ def certificate_from_dict(doc: Any) -> GCCertificate:
                 line = Line(int(parts[0]), int(parts[1]), int(parts[2]))
             except ValueError as exc:
                 raise ParseError(f"witness key {key!r} is not a line: {exc}") from None
+            _expect(key == _line_key(line),
+                    f"witness key {key!r} is not canonical; {line} is {_line_key(line)!r}")
             _expect(_is_int_list(ids), f"witnesses of {key!r} must be a list of node indices")
             witnesses[line] = tuple(ids)
         entries.append(
@@ -228,8 +237,20 @@ def certificate_from_dict(doc: Any) -> GCCertificate:
                 witnesses=witnesses,
             )
         )
-    cert = GCCertificate(nodeset=xs, entries=tuple(entries))
-    verify_certificate(cert)
+    if len(entries) == len(xs):  # otherwise the count check reports it
+        for k, entry in enumerate(entries):
+            if entry.node_index != k:
+                raise _invalid(k, "order", f"entry {k} is for node {entry.node_index}")
+    lines = {line: line for line in chain.from_iterable(entry.lines for entry in entries)}
+    cert = _from_covers(xs, lines, [entry.lines for entry in entries])
+    for k, (entry, derived) in enumerate(zip(entries, cert.entries)):
+        for reason, given, want in (
+            ("constant", entry.constant, derived.constant),
+            ("line order", entry.lines, derived.lines),
+            ("witnesses", entry.witnesses, derived.witnesses),
+        ):
+            if given != want:
+                raise _invalid(k, reason, f"{given}, not {want}")
     return cert
 
 

@@ -10,7 +10,10 @@ routines.
 :func:`certify_gc_algebraic` is the algebraic GC certifier the library's
 cover search replaced: it decides poisedness by rank, solves for every
 fundamental polynomial and factors each one by exact division into
-node-pair lines, then rechecks the product by Fraction evaluation.
+node-pair lines, then rechecks the product by Fraction evaluation.  It
+returns its own entries (:class:`AlgebraicCertificate`), with constants
+and witnesses from the exact solve, not the library's cover table, so the
+tests compare them with the entries the library derives from the table.
 
 :func:`enumerate_mdseqs_dfs` is the ordering-by-ordering stack walk the
 library's deduplicated frontier replaced.
@@ -72,7 +75,6 @@ from math import gcd, lcm, prod
 from typing import Mapping
 
 from gcnlab import (
-    GCCertificate,
     GCNLabError,
     IdenticalPoints,
     Line,
@@ -492,8 +494,16 @@ def _factor_zero_cover(p, cands, zero_nodes):
     return tuple(sorted(factors)), residual.coeffs[0]
 
 
+@dataclass(frozen=True)
+class AlgebraicCertificate:
+    """The algebraic certifier's answer: one ``NodeCertificate`` per node, in node order."""
+
+    nodeset: NodeSet
+    entries: tuple
+
+
 def certify_gc_algebraic(xs):
-    """GC certificate by rank, fundamental solve and exact line division.
+    """GC certificate entries by rank, fundamental solve and exact line division.
 
     Same contract as ``gcnlab.certify_gc``: NotPoised for a non-poised set,
     NotGC with the first node whose fundamental polynomial does not split
@@ -543,7 +553,7 @@ def certify_gc_algebraic(xs):
                     f"internal: certified product for node {k} evaluates to {value} at node {j}"
                 )
         entries.append(NodeCertificate(k, const, factors, witnesses))
-    return GCCertificate(xs, tuple(entries))
+    return AlgebraicCertificate(xs, tuple(entries))
 
 
 def enumerate_mdseqs_dfs(cert, k):
@@ -554,7 +564,7 @@ def enumerate_mdseqs_dfs(cert, k):
     visits every greedy ordering (about e * n! states on a natural
     lattice).  Incidence is the Fraction test ``a*x + b*y + c == 0``.
     """
-    lines = cert.entries[k].lines
+    lines = [cert.lines[f] for f in cert.covers[k]]
     used = sorted(set(lines))
     if len(used) != len(lines):
         raise MultiplicityPresent(f"node {k} repeats a factor line")

@@ -1,5 +1,6 @@
 """GC certificates: candidate lines, factorization, witnesses, soundness."""
 
+import json
 from fractions import Fraction
 from math import prod
 
@@ -35,7 +36,7 @@ from gcnlab import (
     verify_certificate,
 )
 from gcnlab import certification
-from gcnlab.certification import GCCertificate, NodeCertificate, _cover
+from gcnlab.certification import GCCertificate, _cover
 from gcnlab.errors import NotDivisible
 from gcnlab.geometry import Incidence, _bits
 from gcnlab.rng import SplitMix64
@@ -231,13 +232,7 @@ class TestUsedLines:
                 assert line in used_lines_of(cy2_cert, k)
 
     def test_tolerates_multiset_repeats(self, cy2):
-        entry = NodeCertificate(
-            node_index=0,
-            constant=Fraction(1),
-            lines=(Line(1, 0, 0), Line(1, 0, 0), Line(0, 1, 0)),
-            witnesses={},
-        )
-        cert = GCCertificate(cy2, (entry,))
+        cert = GCCertificate(cy2, (Line(0, 1, 0), Line(1, 0, 0)), ((0, 1, 1),))
         assert used_lines_of(cert, 0) == {Line(1, 0, 0), Line(0, 1, 0)}
 
 
@@ -536,11 +531,10 @@ class TestZeroMaskRecheck:
 # --- verification of certificates built anywhere ------------------------------
 
 
-def with_entry(cert, k, **fields):
-    """``cert`` with some fields of entry ``k`` replaced."""
-    entry = cert.entries[k]
-    new = NodeCertificate(**{**dict(zip(entry._fields, entry._values())), **fields})
-    return GCCertificate(cert.nodeset, cert.entries[:k] + (new,) + cert.entries[k + 1 :])
+def with_cover(cert, k, cover, *extra):
+    """``cert`` with the ``extra`` lines added and node ``k`` covered by those at ``cover``."""
+    covers = cert.covers[:k] + (cover,) + cert.covers[k + 1 :]
+    return GCCertificate(cert.nodeset, cert.lines + extra, covers)
 
 
 def one_node_line(xs, k):
@@ -553,45 +547,66 @@ def one_node_line(xs, k):
     raise AssertionError("no line through one node")
 
 
-def first_witness_dropped(entry):
-    (line, ids), *rest = entry.witnesses.items()
-    return {line: ids[:-1], **dict(rest)}
+def document(table, cert):
+    """The saved document of ``cert`` with the lines of cover table ``table``.
+
+    Its constants and witnesses stay ``cert``'s, so only the cover can be
+    at fault.
+    """
+    doc = json.loads(save_certificate(cert))
+    doc["entries"] = doc["entries"][: len(table.covers)]
+    for entry, cover in zip(doc["entries"], table.covers):
+        entry["lines"] = [list(table.lines[f].coefficients) for f in cover]
+    return json.dumps(doc)
 
 
-#: name: (corruption of a valid certificate, reason, node index)
-CORRUPTIONS = {
-    "wrong-constant": (
-        lambda c: with_entry(c, 2, constant=2 * c.entries[2].constant), "constant", 2
-    ),
-    "swapped-lines": (lambda c: with_entry(c, 1, lines=c.entries[1].lines[::-1]), "line order", 1),
+def drop_first_witness(doc, k):
+    witnesses = doc["entries"][k]["witnesses"]
+    first = next(iter(witnesses))
+    witnesses[first] = witnesses[first][:-1]
+
+
+def swap_entries(doc, i, j):
+    entries = doc["entries"]
+    entries[i], entries[j] = entries[j], entries[i]
+
+
+#: name: (corruption of a valid cover table, reason, node index)
+COVER_FAULTS = {
     # the nodes only the dropped line held are left: n distinct lines are needed
     "repeated-line": (
-        lambda c: with_entry(c, 0, lines=c.entries[0].lines[:1] * 2 + c.entries[0].lines[2:]),
-        "zero mask",
-        0,
+        lambda c: with_cover(c, 0, c.covers[0][:1] * 2 + c.covers[0][2:]), "zero mask", 0
     ),
-    "extra-line": (
-        lambda c: with_entry(c, 3, lines=c.entries[3].lines + c.entries[4].lines[:1]),
-        "line count",
-        3,
-    ),
-    "missing-witness": (
-        lambda c: with_entry(c, 3, witnesses=first_witness_dropped(c.entries[3])),
-        "witnesses",
-        3,
-    ),
-    "permuted-entries": (
-        lambda c: GCCertificate(c.nodeset, c.entries[:4] + c.entries[5:3:-1] + c.entries[6:]),
-        "order",
-        4,
-    ),
-    "missing-entry": (lambda c: GCCertificate(c.nodeset, c.entries[:-1]), "count", None),
+    "extra-line": (lambda c: with_cover(c, 3, c.covers[3] + c.covers[4][:1]), "line count", 3),
+    "missing-entry": (lambda c: GCCertificate(c.nodeset, c.lines, c.covers[:-1]), "count", None),
     "line-through-one-node": (
-        lambda c: with_entry(c, 0, lines=(one_node_line(c.nodeset, 0),) + c.entries[0].lines[1:]),
+        lambda c: with_cover(c, 0, (len(c.lines),) + c.covers[0][1:], one_node_line(c.nodeset, 0)),
         "zero mask",
         0,
     ),
 }
+
+#: name: (edit of a valid saved document, in place, reason, node index)
+ENTRY_FAULTS = {
+    "wrong-constant": (
+        lambda d: d["entries"][2].update(constant=str(2 * Fraction(d["entries"][2]["constant"]))),
+        "constant",
+        2,
+    ),
+    "swapped-lines": (
+        lambda d: d["entries"][1].update(lines=d["entries"][1]["lines"][::-1]), "line order", 1
+    ),
+    "missing-witness": (lambda d: drop_first_witness(d, 3), "witnesses", 3),
+    "permuted-entries": (lambda d: swap_entries(d, 4, 5), "order", 4),
+}
+
+#: Cover faults are checked by verify_certificate, by the entries view that
+#: saving reads and by the loader; entry faults exist only in a document.
+FAULTS = [
+    pytest.param(name, check, id=f"{name}-{check}")
+    for name in sorted(COVER_FAULTS.keys() | ENTRY_FAULTS.keys())
+    for check in (("verify", "save", "load") if name in COVER_FAULTS else ("load",))
+]
 
 
 def load_saved(cert):
@@ -606,15 +621,27 @@ class TestVerifyCertificate:
             assert verify_certificate(cert) is None
             assert load_saved(cert) == cert
 
-    @pytest.mark.parametrize("check", [verify_certificate, load_saved], ids=["verify", "load"])
-    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-    def test_corruption_is_rejected_with_its_reason(self, cy3_pair, check, name):
-        corrupt, reason, k = CORRUPTIONS[name]
+    @pytest.mark.parametrize("name, check", FAULTS)
+    def test_corruption_is_rejected_with_its_reason(self, cy3_pair, name, check):
         _, cert = cy3_pair
-        bad = corrupt(cert)
-        assert bad != cert
+        if name in COVER_FAULTS:
+            corrupt, reason, k = COVER_FAULTS[name]
+            bad = corrupt(cert)
+            assert bad != cert
+            text = document(bad, cert)
+        else:
+            edit, reason, k = ENTRY_FAULTS[name]
+            doc = json.loads(save_certificate(cert))
+            edit(doc)
+            assert doc != json.loads(save_certificate(cert))
+            text = json.dumps(doc)
         with pytest.raises(InvalidCertificate) as excinfo:
-            check(bad)
+            if check == "verify":
+                verify_certificate(bad)
+            elif check == "save":
+                save_certificate(bad)
+            else:
+                load_certificate(text)
         assert excinfo.value.node_index == k
         prefix = f"{reason}: " if k is None else f"node {k}: {reason}: "
         assert str(excinfo.value).startswith(prefix)
@@ -623,17 +650,15 @@ class TestVerifyCertificate:
         # five collinear nodes and one off the line: the doubled line holds
         # every node but node 0, so only the witness rule rejects it
         xs = NodeSet(2, (Point(0, 1),) + tuple(Point(t, 0) for t in range(5)))
-        axis = Line(0, 1, 0)
-        entries = tuple(NodeCertificate(k, Fraction(1), (axis, axis), {}) for k in range(6))
         message = r"^node 0: witnesses: factor Line\(0, 1, 0\) has 0, not at least two$"
         with pytest.raises(InvalidCertificate, match=message):
-            verify_certificate(GCCertificate(xs, entries))
+            verify_certificate(GCCertificate(xs, (Line(0, 1, 0),), ((0, 0),) * 6))
 
     def test_node_set_of_the_wrong_size(self, triangle):
         cert = certify_gc(triangle)
         bigger = NodeSet(1, triangle.nodes + (Point(5, 7),))
         with pytest.raises(InvalidCertificate, match="^count: 3 entries for 4 nodes") as excinfo:
-            verify_certificate(GCCertificate(bigger, cert.entries))
+            verify_certificate(GCCertificate(bigger, cert.lines, cert.covers))
         assert excinfo.value.node_index is None
 
     def test_degree_zero(self):

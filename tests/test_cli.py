@@ -130,6 +130,15 @@ class TestCheckCert:
     def test_missing_file_exits_two(self, capsys, tmp_path):
         assert main(["check-cert", str(tmp_path / "absent.json")]) == 2
 
+    def test_non_canonical_witness_key_exits_two(self, capsys, tmp_path, cert_doc):
+        # the key names the right line, but saving it would write other bytes
+        witnesses = cert_doc["entries"][0]["witnesses"]
+        key = next(iter(witnesses))
+        witnesses[" +" + key] = witnesses.pop(key)
+        code, out, err = self.check(capsys, tmp_path, json.dumps(cert_doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("gcnlab: witness key ") and "is not canonical" in err
+
 
 class TestMdseq:
     def test_greedy_counts(self, capsys, cy3_file):

@@ -174,7 +174,7 @@ class TestPrincipalMemo:
 
     def test_cached_certificate_equals_fresh(self, cold_cache):
         for degree in (1, 2, 5):
-            cert = generators._principal_certified(degree)[0]
+            cert = generators._principal_certified(degree)
             xs = cert.nodeset
             fresh = certify_gc(NodeSet(degree, _principal_points(degree)))
             assert xs == fresh.nodeset
@@ -270,14 +270,17 @@ class TestConstructedCertificates:
         constructed = generators._constructed
 
         def spy(spec):
-            certs.append(constructed(spec)[0])
-            return constructed(spec)
+            certs.append(constructed(spec))
+            return certs[-1]
 
         monkeypatch.setattr(generators, "_constructed", spy)
-        search_counterexample(degree=4, trials=12, seed=2024)
-        assert len(certs) == 12
+        for degree in range(2, 6):
+            search_counterexample(degree=degree, trials=12, seed=2024)
+        assert len(certs) == 48
         for cert in certs:
             assert not {"keys", "masks", "maximal"} & set(cert.nodeset.incidence.__dict__)
+            # validity needs the zero masks only: no constant or witness is built
+            assert "masks" in cert.__dict__ and "entries" not in cert.__dict__
 
     def test_corrupted_cover_is_an_internal_error(self, monkeypatch):
         scaled = generators._chung_yao_scaled
@@ -362,7 +365,14 @@ class TestWitnessOrder:
 
     @pytest.mark.parametrize("kind", ("chung_yao", "principal", "projective_image"))
     def test_witness_keys_match_algebraic_oracle(self, kind):
-        for degree in range(1, 5):
+        # the entries derived from the cover table against the ones the
+        # oracle reads off the exact solve
+        for degree in range(1, 9):
             xs, cert = generate_with_certificate(GeneratorSpec(kind, degree, seed=degree))
-            for got, want in zip(cert.entries, certify_gc_algebraic(xs).entries):
-                assert list(got.witnesses.items()) == list(want.witnesses.items())
+            want = certify_gc_algebraic(xs).entries
+            assert len(cert.entries) == len(want) == len(xs)
+            for got, expected in zip(cert.entries, want):
+                assert got.node_index == expected.node_index
+                assert got.constant == expected.constant
+                assert got.lines == expected.lines
+                assert list(got.witnesses.items()) == list(expected.witnesses.items())

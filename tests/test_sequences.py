@@ -30,7 +30,7 @@ from gcnlab import (
     used_lines_of,
     verify_swap_property,
 )
-from gcnlab.certification import GCCertificate, NodeCertificate
+from gcnlab.certification import GCCertificate
 from gcnlab.linalg import nullspace_basis
 from gcnlab.rng import SplitMix64
 
@@ -148,9 +148,8 @@ def chain_certificate():
         Point(0, 0), Point(1, 0), Point(2, 0), Point(2, 1), Point(2, 2),
         Point(3, 2), Point(4, 2), Point(5, 7), Point(9, 9),
     )
-    lines = (Line(0, 1, 0), Line(1, 0, -2), Line(0, 1, -2), Line(1, 1, -12))
-    entry = NodeCertificate(node_index=8, constant=Fraction(1), lines=lines, witnesses={})
-    return GCCertificate(NodeSet(3, nodes), (entry,) * 9)
+    lines = (Line(0, 1, -2), Line(0, 1, 0), Line(1, 0, -2), Line(1, 1, -12))  # C, A, B, D
+    return GCCertificate(NodeSet(3, nodes), lines, ((0, 1, 2, 3),) * 9)
 
 
 class TestAgainstStackWalk:
@@ -180,17 +179,15 @@ class TestAgainstStackWalk:
                 i, j = rng.randint(0, 15), rng.randint(0, 15)
                 if i != j:
                     lines.add(line_through(grid[i], grid[j]))
-            entry = NodeCertificate(0, Fraction(1), tuple(sorted(lines)), {})
-            cert = GCCertificate(xs, (entry,))
+            cert = GCCertificate(xs, tuple(sorted(lines)), ((0, 1, 2, 3, 4),))
             expected = enumerate_mdseqs_dfs(cert, 0)
             assert enumerate_mdseqs(cert, 0) == expected
             multiple += len(expected) > 1
         assert multiple > 0
 
     def test_multiplicity_raised_first(self, cy2):
-        entry = NodeCertificate(0, Fraction(1), (Line(1, 0, 0), Line(1, 0, 0)), {})
         with pytest.raises(MultiplicityPresent):
-            enumerate_mdseqs(GCCertificate(cy2, (entry,)), 0)
+            enumerate_mdseqs(GCCertificate(cy2, (Line(1, 0, 0),), ((0, 0),)), 0)
 
 
 class TestFixedFirst:
@@ -224,13 +221,7 @@ class TestFixedFirst:
 
 class TestMultiplicitySignal:
     def test_repeated_line_raises(self, cy2):
-        entry = NodeCertificate(
-            node_index=0,
-            constant=Fraction(1),
-            lines=(Line(1, 0, 0), Line(1, 0, 0)),
-            witnesses={},
-        )
-        cert = GCCertificate(cy2, (entry,))
+        cert = GCCertificate(cy2, (Line(1, 0, 0),), ((0, 0),))
         with pytest.raises(MultiplicityPresent):
             greedy_mdseq(cert, 0)
 

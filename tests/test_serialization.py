@@ -166,6 +166,22 @@ def _set(field, value, entry=None):
     return corrupt
 
 
+def _witness_key(spell):
+    """A corruption: write the witness key of entry 0's first line as ``spell(a, b, c)``."""
+
+    def corrupt(doc):
+        entry = doc["entries"][0]
+        a, b, c = entry["lines"][0]
+        entry["witnesses"][spell(a, b, c)] = entry["witnesses"].pop(f"{a},{b},{c}")
+
+    return corrupt
+
+
+def _first_line_doubled(doc):
+    lines = doc["entries"][0]["lines"]
+    lines[0] = [2 * v for v in lines[0]]
+
+
 def _count(key, value):
     def corrupt(doc):
         doc["use_count_max"][key] = value
@@ -187,6 +203,17 @@ class TestMalformedDocuments:
             pytest.param(load_certificate, _set("lines", 5, entry=0), id="entry-lines-not-a-list"),
             pytest.param(load_certificate, _set("node", True, entry=0), id="entry-node-boolean"),
             pytest.param(load_certificate, _set("lines", [[0, 0, 1]], entry=0), id="entry-no-line"),
+            pytest.param(load_certificate, _first_line_doubled, id="entry-line-not-canonical"),
+            pytest.param(
+                load_certificate,
+                _witness_key(lambda a, b, c: f"{2 * a},{2 * b},{2 * c}"),
+                id="witness-key-not-primitive",
+            ),
+            pytest.param(
+                load_certificate,
+                _witness_key(lambda a, b, c: f" +{a},{b},{c}"),
+                id="witness-key-padded",
+            ),
             pytest.param(load_nodeset, _set("degree", -1), id="nodeset-negative-degree"),
             pytest.param(load_certificate, _set("degree", -1), id="certificate-negative-degree"),
         ],
@@ -213,6 +240,10 @@ class TestMalformedDocuments:
                 id="unsatisfied-without-counterexample",
             ),
             pytest.param({"counterexample": 2}, "present exactly", id="satisfied-with-counterexample"),
+            pytest.param(
+                {"maximal_lines": [{"line": [2, 0, -2], "nodes": [0, 1, 2]}]}, "not canonical",
+                id="maximal-line-not-canonical",
+            ),
             pytest.param(
                 {"satisfied": False, "maximal_lines": [], "counterexample": 1}, "counterexample's degree",
                 id="counterexample-of-another-degree",

@@ -31,7 +31,7 @@ FIELDS = {
     "NodeSet": ("degree", "nodes", "labels"),
     "Incidence": ("degree", "scale", "coords"),
     "NodeCertificate": ("node_index", "constant", "lines", "witnesses"),
-    "GCCertificate": ("nodeset", "entries"),
+    "GCCertificate": ("nodeset", "lines", "covers"),
     "GMReport": ("degree", "satisfied", "maximal_lines", "counterexample"),
     "IncidenceProfile": ("center", "target", "counts"),
     "TrialFailure": ("trial", "kind", "seed", "reason", "certificate"),
