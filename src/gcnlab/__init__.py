@@ -53,7 +53,6 @@ _HOMES = {
         "InvalidCertificate",
         "LengthMismatch",
         "LineNotUsed",
-        "MultiplicityPresent",
         "NotDivisible",
         "NotGC",
         "NotPoised",

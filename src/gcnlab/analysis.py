@@ -66,14 +66,20 @@ def maximal_lines(xs: NodeSet) -> set[Line]:
 
 
 def gm_report_from_certificate(cert: GCCertificate) -> GMReport:
-    """Build the GM report for an already-certified set."""
-    return _report(cert, cert.nodeset.incidence.maximal)
+    """Build the GM report for an already-certified set, from its cover table.
 
-
-def _report(cert: GCCertificate, maximal: tuple[tuple[Line, tuple[int, ...]], ...]) -> GMReport:
+    A maximal line is a factor of the fundamental polynomial of every node
+    off it, so the maximal lines are the cover lines with more than n
+    nodes (no line of a poised set holds more than n + 1), and the cover
+    lines are in line order already.
+    """
+    n = cert.degree
+    maximal = tuple(
+        (line, _bits(mask)) for line, mask in zip(cert.lines, cert.masks) if mask.bit_count() > n
+    )
     satisfied = bool(maximal)
     return GMReport(
-        degree=cert.degree,
+        degree=n,
         satisfied=satisfied,
         maximal_lines=maximal,
         counterexample=None if satisfied else cert,
@@ -209,7 +215,7 @@ def search_counterexample(
     must turn out GM-satisfied; a failure dump would be a refutation of a
     proved statement and deserves independent scrutiny.
 
-    Raises ValueError when ``trials`` is less than 1.
+    Raises ValueError when ``trials`` is less than 1 or ``kinds`` is empty.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -217,6 +223,8 @@ def search_counterexample(
     from .rng import substream_seed
 
     kind_cycle = tuple(kinds) if kinds is not None else DEFAULT_KINDS
+    if not kind_cycle:
+        raise ValueError("need at least one generator kind")
     certified = 0
     satisfied = 0
     failures: list[TrialFailure] = []
@@ -235,15 +243,7 @@ def search_counterexample(
             )
             continue
         certified += 1
-        # A maximal line is a factor of the fundamental polynomial of every
-        # node off it, so the maximal lines are the cover lines with n + 1
-        # nodes, and no line holds more in a poised set.  The cover lines
-        # are in line order already.
-        lines, masks = cert.lines, cert.masks
-        maximal = tuple(
-            (lines[f], _bits(mask)) for f, mask in enumerate(masks) if mask.bit_count() > degree
-        )
-        report = _report(cert, maximal)
+        report = gm_report_from_certificate(cert)
         if report.satisfied:
             satisfied += 1
         else:
@@ -254,11 +254,11 @@ def search_counterexample(
             )
         # the lines of one node's cover are distinct, so a line's count is
         # the number of nodes that use it
-        uses = [0] * len(lines)
+        uses = [0] * len(cert.lines)
         for cover in cert.covers:
             for f in cover:
                 uses[f] += 1
-        for mask, count in zip(masks, uses):
+        for mask, count in zip(cert.masks, uses):
             node_count = mask.bit_count()
             if count > use_count_max.get(node_count, 0):
                 use_count_max[node_count] = count

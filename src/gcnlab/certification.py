@@ -36,12 +36,14 @@ scale exactly when the OR of their zero masks (bit j is set iff the
 line's integer value ``a*X + b*Y + c*D`` at node j is 0) is every node
 but k.  Each line must also carry at least two witnesses, nodes where
 only it vanishes, read off prefix and suffix ORs; a repeated line has
-none.  :func:`verify_certificate` is the one place this rule runs.  The
-entries (:class:`NodeCertificate`: constant, lines and witnesses) are a
-view derived from the table when first read, so a sweep that needs only
-validity builds none.  :func:`certify_gc`, :mod:`gcnlab.generators` and
-the certificate loader hand their covers to one helper that sorts the
-lines, remaps the covers and verifies the table.  Failures raise
+none.  :func:`verify_certificate` is the one place this rule runs, and
+the constructor of :class:`GCCertificate` runs it: it puts the lines it
+is given in Line order, remaps the covers and verifies the table, so
+every certificate that exists has passed, a copied or unpickled one
+included.  Whatever reads a certificate trusts its table.  The entries
+(:class:`NodeCertificate`: constant, lines and witnesses) are a view
+derived from the table when first read, so a sweep that needs only
+validity builds none.  Failures raise
 :class:`~gcnlab.errors.InvalidCertificate`, naming the node and the reason.
 """
 
@@ -49,9 +51,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import prod
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .errors import InvalidCertificate, NotGC, NotPoised
 from .geometry import Key, Line, NodeSet, Value, _bits
@@ -73,11 +74,30 @@ class GCCertificate(Value):
 
     ``lines`` holds the distinct cover lines in Line order, and
     ``covers[k]`` node k's lines as sorted positions in ``lines``.  The
-    incidence index is the node set's own, ``nodeset.incidence``.
-    ``masks`` and ``entries`` are derived from the table when first read.
+    constructor takes lines in any order, with the covers as positions in
+    them, puts the distinct lines in Line order, remaps the covers and
+    runs :func:`verify_certificate`, so a table that breaks the rule
+    raises InvalidCertificate and every certificate, copied and unpickled
+    ones included, has passed.  The incidence index is the node set's
+    own, ``nodeset.incidence``.  ``masks`` and ``entries`` are derived
+    from the table when first read.
     """
 
     _fields = ("nodeset", "lines", "covers")
+
+    def __init__(self, nodeset: NodeSet, lines: Sequence[Line], covers: Sequence[Sequence[int]]):
+        distinct: list[Line] = []
+        position = [0] * len(lines)
+        for i in sorted(range(len(lines)), key=lambda i: lines[i].coefficients):
+            if not distinct or lines[i] != distinct[-1]:
+                distinct.append(lines[i])
+            position[i] = len(distinct) - 1
+        object.__setattr__(self, "nodeset", nodeset)
+        object.__setattr__(self, "lines", tuple(distinct))
+        object.__setattr__(
+            self, "covers", tuple(tuple(sorted(position[i] for i in c)) for c in covers)
+        )
+        verify_certificate(self)
 
     @property
     def degree(self) -> int:
@@ -90,8 +110,7 @@ class GCCertificate(Value):
 
     @cached_property
     def entries(self) -> tuple[NodeCertificate, ...]:
-        """Each node's factorization; InvalidCertificate unless the table passes the rule."""
-        verify_certificate(self)
+        """Each node's factorization, read off the verified table."""
         index = self.nodeset.incidence
         rows = [index.values(line) for line in self.lines]
         entries = []
@@ -113,7 +132,8 @@ def line_incidence(xs: NodeSet) -> dict[Line, tuple[int, ...]]:
     """
     if len(xs) < 2:
         raise ValueError("need at least two nodes to span lines")
-    return {line: _bits(mask) for line, mask in xs.incidence.masks.items()}
+    index = xs.incidence
+    return {index.line(key): _bits(mask) for key, mask in index.keys.items()}
 
 
 def _cover(
@@ -191,28 +211,9 @@ def certify_gc(xs: NodeSet) -> GCCertificate:
         covers.append(keys)
     # Every node has a cover, so the set is poised and each cover is the
     # factorization of a fundamental polynomial.
-    lines = {key: index.line(key) for key in set(chain.from_iterable(covers))}
-    return _from_covers(xs, lines, covers)
-
-
-def _from_covers(
-    xs: NodeSet, lines: Mapping[Hashable, Line], covers: Iterable[Iterable[Hashable]]
-) -> GCCertificate:
-    """The verified certificate of ``xs`` that covers node k by the lines named in ``covers[k]``.
-
-    ``lines`` maps each name to a distinct line; the lines are put in Line
-    order and the covers remapped to their positions.  A table that breaks
-    the rule of :func:`verify_certificate` raises InvalidCertificate.
-    """
-    order = sorted(lines, key=lambda i: lines[i].coefficients)
-    position = {i: f for f, i in enumerate(order)}
-    cert = GCCertificate(
-        xs,
-        tuple(lines[i] for i in order),
-        tuple(tuple(sorted(position[i] for i in cover)) for cover in covers),
-    )
-    verify_certificate(cert)
-    return cert
+    position: dict[Key, int] = {}
+    covers = [[position.setdefault(key, len(position)) for key in cover] for cover in covers]
+    return GCCertificate(xs, [index.line(key) for key in position], covers)
 
 
 def _invalid(k: int, reason: str, detail: str) -> InvalidCertificate:

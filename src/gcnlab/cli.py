@@ -28,7 +28,6 @@ from .errors import (
     DegenerateIntersection,
     GCNLabError,
     LineNotUsed,
-    MultiplicityPresent,
     NotGC,
     NotPoised,
     ParseError,
@@ -449,7 +448,6 @@ def main(argv: list[str] | None = None) -> int:
         NotPoised,
         NotGC,
         TooManyCollinear,
-        MultiplicityPresent,
         LineNotUsed,
         DegenerateIntersection,
         RetryLimitExceeded,

@@ -3,7 +3,10 @@
 Every error raised by gcnlab derives from :class:`GCNLabError`, so callers
 can catch the whole family at once.  Names follow the signals of the
 operation contracts; exceptions that carry a witness (a node index, a line,
-a count) expose it as an attribute.
+a count) expose it as an attribute.  A type that validates what it is
+built from raises its error from its constructor: ``GCCertificate``
+raises :class:`InvalidCertificate`, so code that holds a certificate never
+checks it again.
 """
 
 from __future__ import annotations
@@ -80,10 +83,12 @@ class NotGC(GCNLabError):
 class InvalidCertificate(GCNLabError):
     """A certificate breaks the rule that certification applies.
 
-    ``node_index`` is the node whose entry is wrong, or None when the entry
-    count is.  The message reads ``"node k: reason: detail"`` (or ``"count:
-    detail"``), the reason being one of ``count``, ``order``, ``line
-    count``, ``zero mask``, ``witnesses``, ``constant`` and ``line order``.
+    The constructor of ``GCCertificate`` raises it, so no certificate that
+    breaks the rule exists.  ``node_index`` is the node whose entry is
+    wrong, or None when the entry count is.  The message reads ``"node k:
+    reason: detail"`` (or ``"count: detail"``), the reason being one of
+    ``count``, ``order``, ``line count``, ``zero mask``, ``witnesses``,
+    ``constant`` and ``line order``.
     """
 
     def __init__(self, message: str, node_index: int | None = None):
@@ -92,16 +97,6 @@ class InvalidCertificate(GCNLabError):
 
 
 # --- line sequences ---------------------------------------------------------
-
-class MultiplicityPresent(GCNLabError):
-    """A node's factor multiset repeats a line; sequence analysis needs
-    n distinct used lines.
-
-    Only a hand-built certificate can raise it: every certificate from
-    ``certify_gc`` or a loader is verified, and a repeated line has no
-    witness, so it fails verification.
-    """
-
 
 class LineNotUsed(GCNLabError):
     """The designated first line is not used by the node."""

@@ -15,13 +15,13 @@ principal lattice's node (i, j) is covered by x = a/n (a < i), y = b/n
 (b < j) and x + y = c/n (c > i + j).  An affine map carries each cover to
 the image's cover: node j of an image is the image of base node j, and
 each distinct base line is mapped once.  The distinct lines and each
-node's cover, as positions in them, are the certificate: a cover table
-(:class:`~gcnlab.certification.GCCertificate`), verified once by the
-certificate rule, which evaluates every line at every node.  If the rule
-rejects a construction, InvalidCertificate is raised: an internal error,
-never a property of the set.  The certificate's entries (constants and
-witnesses) are a view built only when something reads them, so a sweep
-builds none.
+node's cover, as positions in them, go to the constructor of the cover
+table (:class:`~gcnlab.certification.GCCertificate`), which verifies it
+once by the certificate rule, evaluating every line at every node.  If
+the rule rejects a construction, InvalidCertificate is raised: an
+internal error, never a property of the set.  The certificate's entries
+(constants and witnesses) are a view built only when something reads
+them, so a sweep builds none.
 
 Nodes are built on integers and become Fractions only at the end.  Two
 random lines ``(a1, b1, c1)`` and ``(a2, b2, c2)`` meet at the homogeneous
@@ -48,7 +48,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .certification import GCCertificate, _from_covers
+from .certification import GCCertificate
 from .errors import RetryLimitExceeded
 from .geometry import Line, NodeSet, Value, _clear
 from .rng import RETRY_LIMIT, SplitMix64
@@ -164,7 +164,7 @@ def _principal_scaled(degree: int) -> _Scaled:
 def _certified(degree: int, scaled: _Scaled) -> GCCertificate:
     """The node set of a construction, with its index, certified from its covers."""
     d, coords, lines, covers = scaled
-    return _from_covers(NodeSet._scaled(degree, d, coords), dict(enumerate(lines)), covers)
+    return GCCertificate(NodeSet._scaled(degree, d, coords), lines, covers)
 
 
 @lru_cache(maxsize=None)

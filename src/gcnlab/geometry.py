@@ -27,14 +27,14 @@ cached properties.
 ``Value`` generates the constructor when the class is created: it takes
 the fields by name and in that order, with the defaults of the class's
 ``_defaults`` mapping.  A class that validates or normalizes its fields
-writes its own (``Point``, ``Line``, ``NodeSet``, ``Poly`` and
-``GeneratorSpec``).  ``Value`` supplies the rest: assigning to or
-deleting a field raises AttributeError, values are equal only within one
-class and field by field, the hash is that of the fields, pickling
-rebuilds a value from its fields, and the repr reads ``Name(field=value,
-...)``.  ``Point`` and ``Line`` alone sort, by their fields and against
-their own class only: ``_Ordered`` writes ``__lt__`` and
-:func:`functools.total_ordering` derives the rest.  They also print
+writes its own (``Point``, ``Line``, ``NodeSet``, ``Poly``,
+``GeneratorSpec`` and ``GCCertificate``).  ``Value`` supplies the rest:
+assigning to or deleting a field raises AttributeError, values are equal
+only within one class and field by field, the hash is that of the
+fields, pickling rebuilds a value from its fields, and the repr reads
+``Name(field=value, ...)``.  ``Point`` and ``Line`` alone sort, by their
+fields and against their own class only: ``_Ordered`` writes ``__lt__``
+and :func:`functools.total_ordering` derives the rest.  They also print
 shorter; ``Poly`` compares mathematically and is unhashable.  The package
 does not use :mod:`dataclasses`: its import (which pulls in ``inspect``
 and ``ast``) and the comparison, hash and repr methods it would generate
@@ -310,11 +310,10 @@ class Incidence(Value):
     the order their first node pair appears in the pair enumeration ``(0,
     1), (0, 2), ..., (1, 2), ...``.
 
-    :meth:`line` turns a key into its canonical :class:`Line` and
-    :meth:`mask_of` looks a ``Line`` up; ``masks`` is the whole map keyed
-    by ``Line``, in the same order, and ``maximal`` the maximal lines, each
-    built on first use.  :meth:`zero_mask` evaluates any line at every node
-    instead, without the line map.
+    :meth:`line` turns a key into its canonical :class:`Line`, and
+    ``maximal``, built on first use, holds the maximal lines.
+    :meth:`zero_mask` evaluates any line at every node instead, without
+    the line map.
     """
 
     _fields = ("degree", "scale", "coords")
@@ -362,18 +361,6 @@ class Incidence(Value):
         """The canonical line with integer-coordinate equation ``key``."""
         a, b, c = key
         return Line(self.scale * a, self.scale * b, c)
-
-    def mask_of(self, line: Line) -> int:
-        """The node bitmask of ``line``; KeyError unless it holds two nodes."""
-        h = gcd(line.a, line.b)
-        c, rem = divmod(line.c * self.scale, h)
-        if rem:
-            raise KeyError(line)
-        return self.keys[(line.a // h, line.b // h, c)]
-
-    @cached_property
-    def masks(self) -> dict[Line, int]:
-        return {self.line(key): mask for key, mask in self.keys.items()}
 
     @cached_property
     def maximal(self) -> tuple[tuple[Line, tuple[int, ...]], ...]:

@@ -20,19 +20,22 @@ states with duplicates merged.  The n used lines give at most 2^n
 distinct unused-line sets over all steps.
 
 Incidence is decided on the integer nodes of the set's index
-(``NodeSet.incidence``, read through ``Incidence.zero_mask``): node j lies on
-``a*x + b*y + c = 0`` iff ``a*X_j + b*Y_j + c*D`` is 0, and each line
-becomes the bitmask of its nodes.  Two distinct lines share at most one
-node, so the AND of their masks is their crossing node, if it is one.
-Intersection points of used lines that are not nodes of the set are
-ignored by all counting here; only nodes count.
+(``NodeSet.incidence``): node j lies on ``a*x + b*y + c = 0`` iff ``a*X_j
++ b*Y_j + c*D`` is 0, and each line becomes the bitmask of its nodes.  A
+certified node's lines and their masks are read off the verified cover
+table (``cert.covers`` and ``cert.masks``), which never repeats a line in
+a cover; an arbitrary line set is evaluated with ``Incidence.zero_mask``.
+Two distinct lines share at most one node, so the AND of their masks is
+their crossing node, if it is one.  Intersection points of used lines
+that are not nodes of the set are ignored by all counting here; only
+nodes count.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import CountsUnequal, LineNotUsed, MultiplicityPresent
+from .errors import CountsUnequal, LineNotUsed
 from .geometry import Line, NodeSet, Point, Value, _bits, is_incident
 
 if TYPE_CHECKING:
@@ -122,48 +125,40 @@ def greedy_sequence_for_lines(
     )
 
 
-def _distinct_used(cert: GCCertificate, k: int) -> tuple[Line, ...]:
-    """Node ``k``'s lines, sorted; MultiplicityPresent if one repeats.
-
-    Only a hand-built certificate repeats a line: every certificate from
-    ``certify_gc`` or a loader is verified, and a repeated line has no
-    witness.
-    """
-    cover = cert.covers[k]
-    distinct = tuple(sorted({cert.lines[f] for f in cover}))
-    if len(distinct) != len(cover):
-        raise MultiplicityPresent(
-            f"node {k} repeats a factor line; sequence analysis needs distinct lines"
-        )
-    return distinct
-
-
 def greedy_mdseq(cert: GCCertificate, k: int) -> MLineSequence:
     """The deterministic greedy line sequence of a certified node."""
-    return greedy_sequence_for_lines(cert.nodeset, k, _distinct_used(cert, k))
+    used = [cert.lines[f] for f in cert.covers[k]]
+    return greedy_sequence_for_lines(cert.nodeset, k, used)
 
 
 def fixed_first_mdseq(cert: GCCertificate, k: int, line: Line) -> MLineSequence:
     """Greedy sequence with a designated line forced into first position."""
-    return greedy_sequence_for_lines(cert.nodeset, k, _distinct_used(cert, k), fixed_first=line)
+    used = [cert.lines[f] for f in cert.covers[k]]
+    return greedy_sequence_for_lines(cert.nodeset, k, used, fixed_first=line)
 
 
 def enumerate_mdseqs(cert: GCCertificate, k: int) -> set[MDSequence]:
-    """All count vectors reachable by any greedy-consistent ordering.
+    """All count vectors reachable by any greedy-consistent ordering of node ``k``'s lines.
+
+    A singleton result means the distribution sequence is independent of
+    tie-breaking.
+    """
+    return _distributions([cert.masks[f] for f in cert.covers[k]], len(cert.nodeset))
+
+
+def _distributions(masks: Sequence[int], size: int) -> set[MDSequence]:
+    """The count vectors of every greedy ordering of the distinct lines with zero masks ``masks``.
 
     The orderings advance together, one line per step, as a frontier of
-    ``(pool, uncovered, counts)`` states: the bitmask of the used lines not
-    yet placed, the bitmask of the nodes not yet covered, and the counts so
-    far.  Each state branches on every pool line of maximal gain, and equal
-    states are merged, so orderings that place the same lines in another
-    order are followed once.  Over all steps there are at most 2^n distinct
-    pools for n used lines (C(n, n/2) in one step), not the n! orderings of
-    a stack walk.  A singleton result means the distribution sequence is
-    independent of tie-breaking.
+    ``(pool, uncovered, counts)`` states: the bitmask of the lines not yet
+    placed, the bitmask of the ``size`` nodes not yet covered, and the
+    counts so far.  Each state branches on every pool line of maximal
+    gain, and equal states are merged, so orderings that place the same
+    lines in another order are followed once.  Over all steps there are at
+    most 2^n distinct pools for n lines (C(n, n/2) in one step), not the
+    n! orderings of a stack walk.
     """
-    used = _distinct_used(cert, k)
-    masks = [cert.nodeset.incidence.zero_mask(line) for line in used]
-    frontier = {((1 << len(masks)) - 1, (1 << len(cert.nodeset)) - 1, ())}
+    frontier = {((1 << len(masks)) - 1, (1 << size) - 1, ())}
     for _ in masks:
         step = set()
         for pool, uncovered, counts in frontier:

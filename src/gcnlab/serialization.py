@@ -28,14 +28,16 @@ summary:      {"degree": n, "trials": T, "seed": s, "kinds": [...],
 polynomial:   {"degree": n, "coefficients": ["p/q", ...]}   (graded-lex order)
 
 Every certificate a loader returns, a report's counterexample and a
-summary's failure certificates included, has passed
-:func:`~gcnlab.certification.verify_certificate`.  A report is satisfied
-exactly when it lists a maximal line, and it carries a counterexample, of
-its own degree, exactly when it is not satisfied.  A summary has a
-nonnegative degree, ``0 <= gm_satisfied <= certified <= trials``, one
-failure per trial that is not GM-satisfied, each naming a distinct trial
-in ``range(trials)``, and a certificate of its own degree on exactly the
-``certified - gm_satisfied`` failures of certified sets.
+summary's failure certificates included, is built by the constructor of
+:class:`~gcnlab.certification.GCCertificate`, so it has passed
+:func:`~gcnlab.certification.verify_certificate` once.  A report is
+satisfied exactly when it lists a maximal line, and it carries a
+counterexample, of its own degree, exactly when it is not satisfied.  A
+summary has a nonnegative degree, at least one trial and one kind, a
+coordinate bound of at least 1, ``0 <= gm_satisfied <= certified <=
+trials``, one failure per trial that is not GM-satisfied, each naming a
+distinct trial in ``range(trials)``, and a certificate of its own degree
+on exactly the ``certified - gm_satisfied`` failures of certified sets.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import chain
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import BadRational, ParseError
@@ -200,10 +201,11 @@ def certificate_from_dict(doc: Any) -> GCCertificate:
     Raises ParseError when the document breaks its schema and
     InvalidCertificate when the certificate it holds breaks the rule of
     :func:`~gcnlab.certification.verify_certificate`.  The entries become a
-    cover table, which is verified; then each entry's constant, line order
-    and witnesses must equal the ones derived from the table.
+    cover table, which its constructor verifies; then each entry's
+    constant, line order and witnesses must equal the ones derived from
+    the table.
     """
-    from .certification import NodeCertificate, _from_covers, _invalid
+    from .certification import GCCertificate, NodeCertificate, _invalid
 
     xs = nodeset_from_dict(doc)
     raw_entries = doc.get("entries")
@@ -241,8 +243,9 @@ def certificate_from_dict(doc: Any) -> GCCertificate:
         for k, entry in enumerate(entries):
             if entry.node_index != k:
                 raise _invalid(k, "order", f"entry {k} is for node {entry.node_index}")
-    lines = {line: line for line in chain.from_iterable(entry.lines for entry in entries)}
-    cert = _from_covers(xs, lines, [entry.lines for entry in entries])
+    position: dict[Line, int] = {}
+    covers = [[position.setdefault(line, len(position)) for line in e.lines] for e in entries]
+    cert = GCCertificate(xs, list(position), covers)
     for k, (entry, derived) in enumerate(zip(entries, cert.entries)):
         for reason, given, want in (
             ("constant", entry.constant, derived.constant),
@@ -353,9 +356,11 @@ def summary_from_dict(doc: Any) -> SearchSummary:
         _expect(_is_int(doc.get(field_name)), f"field {field_name!r} must be an integer")
     degree, trials = doc["degree"], doc["trials"]
     _expect(degree >= 0, "field 'degree' must be a nonnegative integer")
+    _expect(trials >= 1, "field 'trials' must be at least 1")
+    _expect(doc["coordinate_bound"] >= 1, "field 'coordinate_bound' must be at least 1")
     kinds = doc.get("kinds")
-    _expect(isinstance(kinds, list) and all(isinstance(k, str) for k in kinds),
-            "field 'kinds' must be a list of strings")
+    _expect(isinstance(kinds, list) and kinds and all(isinstance(k, str) for k in kinds),
+            "field 'kinds' must be a nonempty list of strings")
     raw_failures = doc.get("failures", [])
     _expect(isinstance(raw_failures, list), "field 'failures' must be a list")
     failures = []

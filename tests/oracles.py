@@ -79,7 +79,6 @@ from gcnlab import (
     IdenticalPoints,
     Line,
     MDSequence,
-    MultiplicityPresent,
     NodeCertificate,
     NodeSet,
     NotDivisible,
@@ -556,19 +555,16 @@ def certify_gc_algebraic(xs):
     return AlgebraicCertificate(xs, tuple(entries))
 
 
-def enumerate_mdseqs_dfs(cert, k):
-    """Count vectors of every greedy-consistent ordering, one ordering at a time.
+def enumerate_mdseqs_dfs(xs, lines):
+    """Count vectors of every greedy-consistent ordering of ``lines`` over ``xs``, one at a time.
 
     An explicit stack holds ``(unused lines, uncovered nodes, counts)`` and
     branches on every line of maximal gain; nothing is merged, so the walk
     visits every greedy ordering (about e * n! states on a natural
     lattice).  Incidence is the Fraction test ``a*x + b*y + c == 0``.
     """
-    lines = [cert.lines[f] for f in cert.covers[k]]
     used = sorted(set(lines))
-    if len(used) != len(lines):
-        raise MultiplicityPresent(f"node {k} repeats a factor line")
-    nodes = cert.nodeset.nodes
+    nodes = xs.nodes
     incidence = {
         l: frozenset(j for j, p in enumerate(nodes) if l.a * p.x + l.b * p.y + l.c == 0)
         for l in used

@@ -14,6 +14,7 @@ from gcnlab import (
     Point,
     TooManyCollinear,
     cayley_bacharach_check,
+    certify_gc,
     classify_2m_nodes,
     gen_principal,
     generate_with_certificate,
@@ -24,6 +25,7 @@ from gcnlab import (
     search_counterexample,
     verify_gm,
 )
+from gcnlab import generators
 from gcnlab.geometry import Incidence
 from gcnlab.generators import DEFAULT_KINDS
 from gcnlab.rng import SplitMix64, substream_seed
@@ -75,9 +77,8 @@ class TestMaximalLines:
     def test_computed_once_per_index(self, principal5_cert):
         index = principal5_cert.nodeset.incidence
         assert index.maximal is index.maximal
-        report = gm_report_from_certificate(principal5_cert)
-        assert report.maximal_lines is index.maximal
-        assert gm_report_from_certificate(principal5_cert).maximal_lines is index.maximal
+        # the report reads its maximal lines off the cover table instead
+        assert gm_report_from_certificate(principal5_cert).maximal_lines == index.maximal
         assert index.degree == 5
         assert [line for line, _ in index.maximal] == sorted(maximal_lines(principal5_cert.nodeset))
 
@@ -87,6 +88,24 @@ class TestMaximalLines:
         for _ in range(2):
             with pytest.raises(TooManyCollinear):
                 index.maximal
+
+
+class TestReportFromTheCoverTable:
+    """The report's maximal lines are the cover lines with n + 1 nodes."""
+
+    @pytest.mark.parametrize("kind", DEFAULT_KINDS)
+    def test_equal_to_the_maximal_lines_of_a_fresh_index(self, kind):
+        for degree in range(1, 13):
+            for seed in range(3):
+                _, cert = generate_with_certificate(GeneratorSpec(kind, degree, seed=seed))
+                certs = [cert]
+                if degree <= 9:
+                    certs.append(certify_gc(NodeSet(degree, cert.nodeset.nodes)))
+                for c in certs:
+                    report = gm_report_from_certificate(c)
+                    fresh = NodeSet(degree, c.nodeset.nodes).incidence
+                    assert report.maximal_lines == fresh.maximal
+                    assert report.satisfied and report.counterexample is None
 
 
 class TestVerifyGM:
@@ -247,6 +266,13 @@ class TestSearch:
             with pytest.raises(ValueError):
                 search_counterexample(degree=3, trials=trials, seed=1)
 
+    def test_no_kinds_rejected(self, monkeypatch):
+        # refused before any set is generated, like a sweep of no trials
+        monkeypatch.setattr(generators, "_constructed", None)
+        for kinds in ((), []):
+            with pytest.raises(ValueError, match="at least one generator kind"):
+                search_counterexample(degree=3, trials=3, seed=1, kinds=kinds)
+
     def test_small_run_all_satisfied(self):
         s = search_counterexample(degree=2, trials=9, seed=17)
         assert s.certified == 9 and s.gm_satisfied == 9 and s.all_satisfied
@@ -267,7 +293,7 @@ class TestSearch:
                 )
                 _, cert = generate_with_certificate(spec)
                 for line, users in used_line_index(cert).users.items():
-                    count = cert.nodeset.incidence.mask_of(line).bit_count()
+                    count = cert.nodeset.incidence.zero_mask(line).bit_count()
                     want[count] = max(want.get(count, 0), len(users))
             got = search_counterexample(degree=degree, trials=9, seed=31).use_count_max
             assert got == want

@@ -75,6 +75,19 @@ class TestCertifyAndLines:
         assert len(doc["entries"]) == 10
         assert all(len(e["lines"]) == 3 for e in doc["entries"])
 
+    def test_certify_and_save_runs_the_rule_once(self, capsys, cy3_file, tmp_path, monkeypatch):
+        calls = []
+        rule = certification.verify_certificate
+
+        def spy(table):
+            calls.append(table)
+            rule(table)
+
+        monkeypatch.setattr(certification, "verify_certificate", spy)
+        out = tmp_path / "cert.json"
+        assert run(capsys, "certify-gc", cy3_file, "--out", str(out)) == (0, "")
+        assert len(calls) == 1 and len(json.loads(out.read_text())["entries"]) == 10
+
     def test_non_gc_exits_one(self, capsys, tmp_path):
         path = tmp_path / "perturbed.json"
         path.write_text(

@@ -26,6 +26,7 @@ from gcnlab import (
     generate_with_certificate,
     gm_report_from_certificate,
     is_poised,
+    line_incidence,
     maximal_lines,
     search_counterexample,
 )
@@ -179,8 +180,7 @@ class TestPrincipalMemo:
             fresh = certify_gc(NodeSet(degree, _principal_points(degree)))
             assert xs == fresh.nodeset
             assert cert == fresh
-            assert cert.nodeset.incidence.masks == fresh.nodeset.incidence.masks
-            assert list(cert.nodeset.incidence.masks) == list(fresh.nodeset.incidence.masks)
+            assert list(line_incidence(xs).items()) == list(line_incidence(fresh.nodeset).items())
 
     def test_gen_principal_and_spec_share_the_entry(self, cold_cache):
         xs = gen_principal(4)
@@ -238,30 +238,31 @@ class TestConstructedCertificates:
 
     def test_search_reads_the_report_and_use_counts_off_the_covers(self, monkeypatch):
         reports = []
-        report = analysis._report
+        report = analysis.gm_report_from_certificate
 
-        def spy(cert, maximal):
-            reports.append((cert, report(cert, maximal)))
+        def spy(cert):
+            reports.append((cert, report(cert)))
             return reports[-1][1]
 
-        monkeypatch.setattr(analysis, "_report", spy)
+        monkeypatch.setattr(analysis, "gm_report_from_certificate", spy)
         runs = []
         for degree in range(1, 7):
             for seed in (3, 2024):
                 start = len(reports)
                 summary = search_counterexample(degree=degree, trials=9, seed=seed)
                 runs.append((summary, reports[start:]))
-        monkeypatch.undo()  # the oracle below builds its reports with _report
+        monkeypatch.undo()
         for summary, trials in runs:
             assert len(trials) == summary.certified == 9
             want: dict[int, int] = {}
             for cert, got in trials:
                 fresh = self.searched(cert.nodeset)
-                assert got == gm_report_from_certificate(fresh)
                 index = fresh.nodeset.incidence
+                assert got == gm_report_from_certificate(fresh)
+                assert got.maximal_lines == index.maximal
                 uses = Counter(chain.from_iterable(e.lines for e in fresh.entries))
                 for line, count in uses.items():
-                    node_count = index.mask_of(line).bit_count()
+                    node_count = index.zero_mask(line).bit_count()
                     want[node_count] = max(want.get(node_count, 0), count)
             assert summary.use_count_max == want
 

@@ -34,8 +34,8 @@ PUBLIC = {
     "errors": (
         "BadRational", "CenterInTarget", "CountsUnequal", "DegenerateIntersection",
         "DuplicateLine", "DuplicateNode", "GCNLabError", "IdenticalLines", "IdenticalPoints",
-        "InvalidCertificate", "LengthMismatch", "LineNotUsed", "MultiplicityPresent",
-        "NotDivisible", "NotGC", "NotPoised", "ParallelLines", "ParseError", "RetryLimitExceeded",
+        "InvalidCertificate", "LengthMismatch", "LineNotUsed", "NotDivisible",
+        "NotGC", "NotPoised", "ParallelLines", "ParseError", "RetryLimitExceeded",
         "TooManyCollinear", "ZeroPolynomial",
     ),
     "generators": (
@@ -70,6 +70,7 @@ REMOVED = (
     "used_line_index",
     "gen_chung_yao",
     "gen_projective_image",
+    "MultiplicityPresent",
 )
 
 

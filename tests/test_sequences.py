@@ -13,7 +13,6 @@ from gcnlab import (
     LineNotUsed,
     MDSequence,
     MLineSequence,
-    MultiplicityPresent,
     NodeSet,
     Point,
     Poly,
@@ -25,14 +24,15 @@ from gcnlab import (
     greedy_mdseq,
     greedy_sequence_for_lines,
     is_incident,
+    line_incidence,
     multiply_line,
     primary_zero_divisibility,
     used_lines_of,
     verify_swap_property,
 )
-from gcnlab.certification import GCCertificate
 from gcnlab.linalg import nullspace_basis
 from gcnlab.rng import SplitMix64
+from gcnlab.sequences import _distributions
 
 from oracles import (
     enumerate_mdseqs_dfs,
@@ -135,21 +135,27 @@ class TestEnumerate:
         assert enumerate_mdseqs(cert, 0) == {MDSequence((2,))}
 
 
-def chain_certificate():
-    """A hand-built certificate whose ties reach two count vectors.
+def chain_structure():
+    """A hand-built node set and used-line set whose ties reach two count vectors.
 
     Node 8's "used" lines are three 3-node lines A (y = 0), B (x = 2) and
     C (y = 2) chained at (2, 0) and (2, 2), plus D (x + y = 12), which
     passes through node 7 only and so is no node-pair line.  A, B and C
     tie at the first step: starting with A or C gives (3, 3, 1, 1),
-    starting with B gives (3, 2, 2, 1).
+    starting with B gives (3, 2, 2, 1).  No cover table holds these lines,
+    so the tests hand them to the mask-level engine of enumerate_mdseqs.
     """
     nodes = (
         Point(0, 0), Point(1, 0), Point(2, 0), Point(2, 1), Point(2, 2),
         Point(3, 2), Point(4, 2), Point(5, 7), Point(9, 9),
     )
     lines = (Line(0, 1, -2), Line(0, 1, 0), Line(1, 0, -2), Line(1, 1, -12))  # C, A, B, D
-    return GCCertificate(NodeSet(3, nodes), lines, ((0, 1, 2, 3),) * 9)
+    return NodeSet(3, nodes), lines
+
+
+def distributions(xs, lines):
+    """The count vectors that enumerate_mdseqs gives for ``lines`` over ``xs``."""
+    return _distributions([xs.incidence.zero_mask(line) for line in sorted(lines)], len(xs))
 
 
 class TestAgainstStackWalk:
@@ -158,13 +164,13 @@ class TestAgainstStackWalk:
     def test_generated_sets_every_node(self, kind, degree):
         xs, cert = generate_with_certificate(GeneratorSpec(kind, degree, seed=degree))
         for k in range(len(xs)):
-            assert enumerate_mdseqs(cert, k) == enumerate_mdseqs_dfs(cert, k)
+            assert enumerate_mdseqs(cert, k) == enumerate_mdseqs_dfs(xs, used_lines_of(cert, k))
 
     def test_ties_with_two_count_vectors(self):
-        cert = chain_certificate()
+        xs, lines = chain_structure()
         expected = {MDSequence((3, 3, 1, 1)), MDSequence((3, 2, 2, 1))}
-        assert enumerate_mdseqs_dfs(cert, 8) == expected
-        assert enumerate_mdseqs(cert, 8) == expected
+        assert enumerate_mdseqs_dfs(xs, lines) == expected
+        assert distributions(xs, lines) == expected
 
     def test_random_hand_built_line_sets(self):
         # lines through random node pairs of a 4x4 grid, so ties and
@@ -179,15 +185,10 @@ class TestAgainstStackWalk:
                 i, j = rng.randint(0, 15), rng.randint(0, 15)
                 if i != j:
                     lines.add(line_through(grid[i], grid[j]))
-            cert = GCCertificate(xs, tuple(sorted(lines)), ((0, 1, 2, 3, 4),))
-            expected = enumerate_mdseqs_dfs(cert, 0)
-            assert enumerate_mdseqs(cert, 0) == expected
+            expected = enumerate_mdseqs_dfs(xs, lines)
+            assert distributions(xs, lines) == expected
             multiple += len(expected) > 1
         assert multiple > 0
-
-    def test_multiplicity_raised_first(self, cy2):
-        with pytest.raises(MultiplicityPresent):
-            enumerate_mdseqs(GCCertificate(cy2, (Line(1, 0, 0),), ((0, 0),)), 0)
 
 
 class TestFixedFirst:
@@ -217,13 +218,6 @@ class TestFixedFirst:
                     tail = seq.counts[1:]
                     assert all(tail[i] >= tail[i + 1] for i in range(len(tail) - 1))
                     assert sum(seq.counts) == dim_pi(degree) - 1
-
-
-class TestMultiplicitySignal:
-    def test_repeated_line_raises(self, cy2):
-        cert = GCCertificate(cy2, (Line(1, 0, 0),), ((0, 0),))
-        with pytest.raises(MultiplicityPresent):
-            greedy_mdseq(cert, 0)
 
 
 def parallel_rows_structure():
@@ -347,7 +341,7 @@ class TestSwapAgainstFractionOracle:
             seqs = [greedy_mdseq(cert, k) for k in range(len(xs))]
             # the generated sets' greedy counts fall strictly, so seeded
             # families of node-pair lines and lines through one node add ties
-            pair_lines = list(xs.incidence.masks)
+            pair_lines = list(line_incidence(xs))
             for t in range(12):
                 used = {pair_lines[rng.randint(0, len(pair_lines) - 1)] for _ in range(degree + 2)}
                 for _ in range(2):
@@ -372,7 +366,7 @@ class TestSwapAgainstFractionOracle:
 
 def tie_families(xs, degree, rng):
     """The seeded used-line families of TestSwapAgainstFractionOracle, drawn the same way."""
-    pair_lines = list(xs.incidence.masks)
+    pair_lines = list(line_incidence(xs))
     for _ in range(12):
         used = {pair_lines[rng.randint(0, len(pair_lines) - 1)] for _ in range(degree + 2)}
         for _ in range(2):

@@ -285,6 +285,15 @@ class TestMalformedDocuments:
             ),
             pytest.param({"degree": -4}, "nonnegative integer", id="summary-negative-degree"),
             pytest.param(
+                {"trials": 0, "certified": 0, "gm_satisfied": 0}, "'trials' must be at least 1",
+                id="summary-without-trials",
+            ),
+            pytest.param({"kinds": []}, "nonempty list of strings", id="summary-without-kinds"),
+            pytest.param(
+                {"coordinate_bound": 0}, "'coordinate_bound' must be at least 1",
+                id="summary-coordinate-bound-zero",
+            ),
+            pytest.param(
                 {"degree": 3, "trials": 3, "certified": 3, "failures": [True]}, "summary's degree",
                 id="failure-certificate-of-another-degree",
             ),

@@ -2,7 +2,8 @@
 
 Each type is built from its fields, positionally, in the order listed here.
 ``Value`` writes the constructor of every type in ``GENERATED``, which also
-takes its fields by name.
+takes its fields by name; so does the one ``GCCertificate`` writes to
+verify its table.
 """
 
 import copy
@@ -50,9 +51,12 @@ FIELDS = {
 
 #: The types whose constructor ``Value`` generates; the others validate their fields.
 GENERATED = (
-    "Incidence", "NodeCertificate", "GCCertificate", "GMReport", "IncidenceProfile",
+    "Incidence", "NodeCertificate", "GMReport", "IncidenceProfile",
     "TrialFailure", "SearchSummary", "FundamentalSolution", "MDSequence", "MLineSequence",
 )
+
+#: The types whose constructor takes exactly their fields, by name or in order.
+FIELD_SIGNATURE = GENERATED + ("GCCertificate",)
 
 #: The only fields with a default, None.
 DEFAULTS = {"GMReport": "counterexample", "MLineSequence": "fixed_first"}
@@ -159,7 +163,7 @@ def test_value_writes_the_plain_constructors(values):
         assert generated is (name in GENERATED), name
 
 
-@pytest.mark.parametrize("name", GENERATED)
+@pytest.mark.parametrize("name", FIELD_SIGNATURE)
 class TestGeneratedConstructor:
     def test_keyword_equals_positional(self, values, name):
         value = values[name]
