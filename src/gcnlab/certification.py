@@ -35,12 +35,14 @@ them.  The product of node k's lines is its fundamental polynomial up to
 scale exactly when the OR of their zero masks (bit j is set iff the
 line's integer value ``a*X + b*Y + c*D`` at node j is 0) is every node
 but k.  Each line must also carry at least two witnesses, nodes where
-only it vanishes, read off prefix and suffix ORs; a repeated line has
-none.  :func:`verify_certificate` is the one place this rule runs, and
-the constructor of :class:`GCCertificate` runs it: it puts the lines it
-is given in Line order, remaps the covers and verifies the table, so
-every certificate that exists has passed, a copied or unpickled one
-included.  Whatever reads a certificate trusts its table.  The entries
+only it vanishes; a repeated line has none.  One pass over a node's
+lines ORs their masks and the nodes seen again, so the witnesses are
+read off the nodes on exactly one line.  :func:`verify_certificate` is
+the one place this rule runs, and the constructor of
+:class:`GCCertificate` runs it: it puts the lines it is given in Line
+order, remaps the covers and verifies the table, so every certificate
+that exists has passed, a copied or unpickled one included.  Whatever
+reads a certificate trusts its table.  The entries
 (:class:`NodeCertificate`: constant, lines and witnesses) are a view
 derived from the table when first read, so a sweep that needs only
 validity builds none.  Failures raise
@@ -75,17 +77,22 @@ class GCCertificate(Value):
     ``lines`` holds the distinct cover lines in Line order, and
     ``covers[k]`` node k's lines as sorted positions in ``lines``.  The
     constructor takes lines in any order, with the covers as positions in
-    them, puts the distinct lines in Line order, remaps the covers and
-    runs :func:`verify_certificate`, so a table that breaks the rule
-    raises InvalidCertificate and every certificate, copied and unpickled
-    ones included, has passed.  The incidence index is the node set's
-    own, ``nodeset.incidence``.  ``masks`` and ``entries`` are derived
-    from the table when first read.
+    them (a position outside ``range(len(lines))`` raises
+    InvalidCertificate with reason ``position``), puts the distinct lines
+    in Line order, remaps the covers and runs :func:`verify_certificate`,
+    so a table that breaks the rule raises InvalidCertificate and every
+    certificate, copied and unpickled ones included, has passed.  The
+    incidence index is the node set's own, ``nodeset.incidence``.
+    ``masks`` and ``entries`` are derived from the table when first read.
     """
 
     _fields = ("nodeset", "lines", "covers")
 
     def __init__(self, nodeset: NodeSet, lines: Sequence[Line], covers: Sequence[Sequence[int]]):
+        for k, cover in enumerate(covers):
+            for i in cover:
+                if not 0 <= i < len(lines):
+                    raise _invalid(k, "position", f"{i} is not one of {len(lines)} positions")
         distinct: list[Line] = []
         position = [0] * len(lines)
         for i in sorted(range(len(lines)), key=lambda i: lines[i].coefficients):
@@ -116,8 +123,8 @@ class GCCertificate(Value):
         entries = []
         for k, cover in enumerate(self.covers):
             lines = tuple(self.lines[f] for f in cover)
-            _, private = _private([self.masks[f] for f in cover])
-            witnesses = {line: _bits(bits) for line, bits in zip(lines, private)}
+            _, once = _union_once(self.masks, cover)
+            witnesses = {self.lines[f]: _bits(self.masks[f] & once) for f in cover}
             # constant * product(lines) at node k is constant * product_k / D^n = 1
             constant = Fraction(index.scale**index.degree, prod(rows[f][k] for f in cover))
             entries.append(NodeCertificate(k, constant, lines, witnesses))
@@ -220,18 +227,13 @@ def _invalid(k: int, reason: str, detail: str) -> InvalidCertificate:
     return InvalidCertificate(f"node {k}: {reason}: {detail}", node_index=k)
 
 
-def _private(zeros: list[int]) -> tuple[int, list[int]]:
-    """The OR of the zero masks ``zeros``, and each mask's bits outside the OR of the others."""
-    # after[f] is the OR of zeros[f], zeros[f + 1], ...
-    after = [0] * (len(zeros) + 1)
-    for f in range(len(zeros) - 1, -1, -1):
-        after[f] = after[f + 1] | zeros[f]
-    private = []
-    before = 0
-    for f, zero in enumerate(zeros):
-        private.append(zero & ~(before | after[f + 1]))
-        before |= zero
-    return after[0], private
+def _union_once(masks: Sequence[int], cover: Sequence[int]) -> tuple[int, int]:
+    """The OR of the zero masks ``masks[f]`` of a cover, and the nodes on exactly one of them."""
+    seen = multi = 0
+    for f in cover:
+        multi |= seen & masks[f]
+        seen |= masks[f]
+    return seen, seen & ~multi
 
 
 def verify_certificate(cert: GCCertificate) -> None:
@@ -242,12 +244,12 @@ def verify_certificate(cert: GCCertificate) -> None:
     n lines, the zero masks of node k's lines together hold exactly every
     node but k, and each of its lines has at least two witnesses.
     """
-    xs = cert.nodeset
-    n = xs.degree
+    n = cert.nodeset.degree
     size = (n + 1) * (n + 2) // 2  # dim Pi_n
-    if len(xs) != size or len(cert.covers) != size:
+    count = len(cert.nodeset.incidence.coords)  # len(nodeset) would build its points
+    if count != size or len(cert.covers) != size:
         raise InvalidCertificate(
-            f"count: {len(cert.covers)} entries for {len(xs)} nodes; degree {n} needs "
+            f"count: {len(cert.covers)} entries for {count} nodes; degree {n} needs "
             f"{size} of each"
         )
     masks = cert.masks
@@ -255,15 +257,16 @@ def verify_certificate(cert: GCCertificate) -> None:
     for k, cover in enumerate(cert.covers):
         if len(cover) != n:
             raise _invalid(k, "line count", f"{len(cover)} lines, not {n}")
-        union, private = _private([masks[f] for f in cover])
+        union, once = _union_once(masks, cover)
         wrong = union ^ everyone ^ (1 << k)
         if wrong:
             j = (wrong & -wrong).bit_length() - 1
             where = f"vanishes at node {k}" if j == k else f"does not vanish at node {j}"
             raise _invalid(k, "zero mask", f"the product of its lines {where}")
-        for f, bits in zip(cover, private):
-            if bits.bit_count() < 2:
-                detail = f"factor {cert.lines[f]} has {bits.bit_count()}, not at least two"
+        for f in cover:
+            witnesses = (masks[f] & once).bit_count()
+            if witnesses < 2:
+                detail = f"factor {cert.lines[f]} has {witnesses}, not at least two"
                 raise _invalid(k, "witnesses", detail)
 
 

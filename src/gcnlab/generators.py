@@ -23,15 +23,17 @@ internal error, never a property of the set.  The certificate's entries
 (constants and witnesses) are a view built only when something reads
 them, so a sweep builds none.
 
-Nodes are built on integers and become Fractions only at the end.  Two
+Nodes are built on integers and become Fractions only when read.  Two
 random lines ``(a1, b1, c1)`` and ``(a2, b2, c2)`` meet at the homogeneous
 point ``(b1*c2 - b2*c1, a2*c1 - a1*c2, a1*b2 - a2*b1)``, taken with a
 positive last entry w; over the lcm D of all w, a natural lattice is a
 sorted list of integer nodes ``(D*x, D*y)``, which is the order of its
 points because D > 0.  An affine image maps such integer nodes with
 integer rows over one common scale.  The integer nodes, reduced by their
-gcd with the scale, become the set's incidence index as they are, so it
-is never derived again from the Fractions.
+gcd with the scale, become the set's incidence index as they are, and the
+set is held as that index: a sweep reads only the index and the cover
+table, so it builds no Fraction, and the points are built from the index
+when something first reads ``nodes``.
 
 The principal lattice depends on its degree alone, so it is certified once
 per degree per process; every later request for that degree gets the same

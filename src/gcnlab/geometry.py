@@ -17,7 +17,9 @@ generator that built the nodes on integers) decides incidence on
 integers: node j lies on ``a*x + b*y + c = 0`` iff ``a*X_j + b*Y_j + c*D``
 is 0 for the nodes ``(X, Y) = (D*x, D*y)`` scaled by their common
 denominator D.  Certification, maximal lines, sequences and the generators
-all read this one index.
+all read this one index.  A generated set is held as its index alone, and
+its points (``NodeSet.nodes``) are built from it when first read, by
+equality, hashing, pickling, the repr or serialization.
 
 Every value type of the package derives from :class:`Value`, defined
 here.  A subclass names its fields once, in constructor order:
@@ -253,18 +255,27 @@ class NodeSet(Value):
 
     @classmethod
     def _scaled(cls, degree: int, scale: int, coords: Sequence[tuple[int, int]]) -> "NodeSet":
-        """The nodes ``(X/scale, Y/scale)`` of integer ``coords``, with their index built.
+        """The set of nodes ``(X/scale, Y/scale)``, held as its index of integer ``coords``.
 
         ``scale`` and ``coords`` are first divided by their gcd, so the
-        index is the one :meth:`Incidence.of` would derive from the nodes.
+        index is the one :meth:`Incidence.of` would derive from the nodes,
+        and two nodes are equal exactly when their integer coordinates are.
         """
         g = gcd(scale, *chain.from_iterable(coords))
-        if g > 1:
-            scale //= g
-            coords = [(x // g, y // g) for x, y in coords]
-        xs = cls(degree, [Point(Fraction(x, scale), Fraction(y, scale)) for x, y in coords])
-        xs.__dict__["incidence"] = Incidence(degree, scale, tuple(coords))
+        coords = tuple((x // g, y // g) for x, y in coords) if g > 1 else tuple(coords)
+        xs = object.__new__(cls)
+        object.__setattr__(xs, "degree", degree)
+        object.__setattr__(xs, "labels", None)
+        xs.__dict__["incidence"] = Incidence(degree, scale // g, coords)
+        if len(set(coords)) != len(coords):
+            cls(degree, xs.nodes)  # raises DuplicateNode, naming the repeated node
         return xs
+
+    @cached_property
+    def nodes(self) -> tuple[Point, ...]:
+        """The points of a set held as its index (the constructor stores them instead)."""
+        d = self.incidence.scale
+        return tuple(Point(Fraction(x, d), Fraction(y, d)) for x, y in self.incidence.coords)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -390,10 +401,11 @@ class Incidence(Value):
         return [a * x + b * y + c for x, y in self.coords]
 
     def zero_mask(self, line: Line) -> int:
-        """The bitmask of the nodes on ``line``, from :meth:`values`; any line works."""
+        """The bitmask of the nodes where :meth:`values` is 0; any line works."""
+        a, b, c = line.a, line.b, line.c * self.scale
         mask = 0
-        for j, v in enumerate(self.values(line)):
-            if not v:
+        for j, (x, y) in enumerate(self.coords):
+            if not a * x + b * y + c:
                 mask |= 1 << j
         return mask
 

@@ -86,16 +86,21 @@ def greedy_sequence_for_lines(
 ) -> MLineSequence:
     """Greedy ordering of an arbitrary used-line set over a node set.
 
-    This is the engine behind :func:`greedy_mdseq` and
-    :func:`fixed_first_mdseq`; it accepts any collection of distinct lines,
-    which lets synthetic incidence structures be analyzed directly.  Ties
-    go to the least line in canonical order.  A ``fixed_first`` that is not
-    among ``used`` raises LineNotUsed.
+    It accepts any collection of distinct lines, which lets synthetic
+    incidence structures be analyzed directly, and evaluates each line at
+    every node.  Ties go to the least line in canonical order.  A
+    ``fixed_first`` that is not among ``used`` raises LineNotUsed.
     """
     used = tuple(sorted(set(used)))
+    masks = [xs.incidence.zero_mask(line) for line in used]
+    return _greedy(xs, node_index, used, masks, fixed_first)
+
+
+def _greedy(xs: NodeSet, node_index: int, used: tuple[Line, ...], masks: Sequence[int],
+            fixed_first: Line | None = None) -> MLineSequence:
+    """The greedy ordering of the sorted distinct lines ``used``, whose zero masks are ``masks``."""
     if fixed_first is not None and fixed_first not in used:
         raise LineNotUsed(f"{fixed_first} is not used by node {node_index}")
-    masks = [xs.incidence.zero_mask(line) for line in used]
     remaining = (1 << len(xs)) - 1
     pool = (1 << len(used)) - 1
     order: list[Line] = []
@@ -127,14 +132,14 @@ def greedy_sequence_for_lines(
 
 def greedy_mdseq(cert: GCCertificate, k: int) -> MLineSequence:
     """The deterministic greedy line sequence of a certified node."""
-    used = [cert.lines[f] for f in cert.covers[k]]
-    return greedy_sequence_for_lines(cert.nodeset, k, used)
+    cover, lines, masks = cert.covers[k], cert.lines, cert.masks
+    return _greedy(cert.nodeset, k, tuple(lines[f] for f in cover), [masks[f] for f in cover])
 
 
 def fixed_first_mdseq(cert: GCCertificate, k: int, line: Line) -> MLineSequence:
     """Greedy sequence with a designated line forced into first position."""
-    used = [cert.lines[f] for f in cert.covers[k]]
-    return greedy_sequence_for_lines(cert.nodeset, k, used, fixed_first=line)
+    cover, lines, masks = cert.covers[k], cert.lines, cert.masks
+    return _greedy(cert.nodeset, k, tuple(lines[f] for f in cover), [masks[f] for f in cover], line)
 
 
 def enumerate_mdseqs(cert: GCCertificate, k: int) -> set[MDSequence]:

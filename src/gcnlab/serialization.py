@@ -33,11 +33,13 @@ summary's failure certificates included, is built by the constructor of
 :func:`~gcnlab.certification.verify_certificate` once.  A report is
 satisfied exactly when it lists a maximal line, and it carries a
 counterexample, of its own degree, exactly when it is not satisfied.  A
-summary has a nonnegative degree, at least one trial and one kind, a
-coordinate bound of at least 1, ``0 <= gm_satisfied <= certified <=
-trials``, one failure per trial that is not GM-satisfied, each naming a
-distinct trial in ``range(trials)``, and a certificate of its own degree
-on exactly the ``certified - gm_satisfied`` failures of certified sets.
+summary has a nonnegative degree, at least one trial, one or more kinds
+from ``generators.DEFAULT_KINDS``, a coordinate bound of at least 1,
+``0 <= gm_satisfied <= certified <= trials``, one failure per trial that
+is not GM-satisfied, each naming a distinct trial in ``range(trials)``
+and its kind ``kinds[trial % len(kinds)]``, and a certificate of its own
+degree on exactly the ``certified - gm_satisfied`` failures of certified
+sets.
 """
 
 from __future__ import annotations
@@ -350,6 +352,7 @@ def summary_to_dict(summary: SearchSummary) -> dict:
 
 def summary_from_dict(doc: Any) -> SearchSummary:
     from .analysis import SearchSummary, TrialFailure
+    from .generators import DEFAULT_KINDS
 
     _expect(isinstance(doc, dict), "summary document must be an object")
     for field_name in ("degree", "trials", "seed", "coordinate_bound", "certified", "gm_satisfied"):
@@ -361,6 +364,8 @@ def summary_from_dict(doc: Any) -> SearchSummary:
     kinds = doc.get("kinds")
     _expect(isinstance(kinds, list) and kinds and all(isinstance(k, str) for k in kinds),
             "field 'kinds' must be a nonempty list of strings")
+    _expect(all(k in DEFAULT_KINDS for k in kinds),
+            f"field 'kinds' must list generator kinds from {DEFAULT_KINDS}")
     raw_failures = doc.get("failures", [])
     _expect(isinstance(raw_failures, list), "field 'failures' must be a list")
     failures = []
@@ -382,6 +387,8 @@ def summary_from_dict(doc: Any) -> SearchSummary:
     trial_ids = [f.trial for f in failures]
     _expect(all(0 <= t < trials for t in trial_ids) and len(set(trial_ids)) == len(trial_ids),
             "failure trials must be distinct indices in range(trials)")
+    _expect(all(f.kind == kinds[f.trial % len(kinds)] for f in failures),
+            "a failure's kind must be kinds[trial % len(kinds)]")
     _expect(0 <= satisfied <= certified <= trials,
             "fields 'gm_satisfied', 'certified' and 'trials' must satisfy "
             "0 <= gm_satisfied <= certified <= trials")

@@ -61,6 +61,12 @@ from the same seeded stream.
 left the library once certification became a cover search; the tests use
 them to look inside fundamental polynomials and certificates.
 
+:func:`_private` is the prefix-and-suffix OR the library's certificate
+rule used before it read each cover in one pass, and
+:func:`certificate_fault_private` applies the rule with it, to a table of
+zero masks and covers; the tests compare its verdict with
+``verify_certificate``'s.
+
 :class:`DataclassPoint` and :class:`DataclassLine` are the frozen, ordered
 dataclasses that ``Point`` and ``Line`` were before they became plain
 classes; the tests compare construction, errors, equality, hashing, order
@@ -491,6 +497,46 @@ def _factor_zero_cover(p, cands, zero_nodes):
                 residual_degree=d,
             )
     return tuple(sorted(factors)), residual.coeffs[0]
+
+
+def _private(zeros):
+    """The OR of the zero masks ``zeros``, and each mask's bits outside the OR of the others."""
+    # after[f] is the OR of zeros[f], zeros[f + 1], ...
+    after = [0] * (len(zeros) + 1)
+    for f in range(len(zeros) - 1, -1, -1):
+        after[f] = after[f + 1] | zeros[f]
+    private = []
+    before = 0
+    for f, zero in enumerate(zeros):
+        private.append(zero & ~(before | after[f + 1]))
+        before |= zero
+    return after[0], private
+
+
+def certificate_fault_private(degree, count, lines, masks, covers):
+    """The certificate rule's first fault in a table, as (message, node), or (None, None).
+
+    ``count`` is the number of nodes, ``masks[f]`` the zero mask of
+    ``lines[f]`` and ``covers[k]`` node k's positions in ``lines``.
+    """
+    size = (degree + 1) * (degree + 2) // 2
+    if count != size or len(covers) != size:
+        return (f"count: {len(covers)} entries for {count} nodes; degree {degree} needs "
+                f"{size} of each"), None
+    for k, cover in enumerate(covers):
+        if len(cover) != degree:
+            return f"node {k}: line count: {len(cover)} lines, not {degree}", k
+        union, private = _private([masks[f] for f in cover])
+        wrong = union ^ ((1 << size) - 1) ^ (1 << k)
+        if wrong:
+            j = (wrong & -wrong).bit_length() - 1
+            where = f"vanishes at node {k}" if j == k else f"does not vanish at node {j}"
+            return f"node {k}: zero mask: the product of its lines {where}", k
+        for f, bits in zip(cover, private):
+            if bits.bit_count() < 2:
+                return (f"node {k}: witnesses: factor {lines[f]} has {bits.bit_count()}, "
+                        "not at least two"), k
+    return None, None
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import json
 import pickle
 from fractions import Fraction
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -37,7 +38,7 @@ from gcnlab import (
     used_lines_of,
     verify_certificate,
 )
-from gcnlab import certification
+from gcnlab import certification, generators
 from gcnlab.certification import GCCertificate, _cover
 from gcnlab.errors import NotDivisible
 from gcnlab.geometry import Incidence, _bits
@@ -48,6 +49,7 @@ from conftest import CY2_LINES
 from oracles import (
     NotProductOfCandidateLines,
     candidate_lines,
+    certificate_fault_private,
     certify_gc_algebraic,
     distinct_pair_lines,
     factor_into_lines,
@@ -681,3 +683,120 @@ class TestVerifyCertificate:
         k = next(k for k, cover in enumerate(covers) if 0 in cover)
         covers[k] = [len(lines) if i == 0 else i for i in covers[k]]
         assert GCCertificate(cert.nodeset, lines + lines[:1], covers) == cert
+
+    @pytest.mark.parametrize("position", (-1, 6, 7))
+    def test_a_cover_position_outside_the_lines(self, position):
+        # a negative position used to wrap to another line, and one past the
+        # end to raise IndexError
+        cert = generators._principal_certified(2)
+        assert len(cert.lines) == 6
+        table = with_cover(cert, 1, (position,) + cert.covers[1][1:])
+        message = rf"^node 1: position: {position} is not one of 6 positions$"
+        with pytest.raises(InvalidCertificate, match=message) as excinfo:
+            GCCertificate(*table)
+        assert excinfo.value.node_index == 1
+
+
+# --- the one-pass rule against the prefix-and-suffix reference ----------------
+
+
+def rule_verdict(degree, count, lines, masks, covers):
+    """``verify_certificate``'s message and node on a table of zero masks, or (None, None)."""
+    nodeset = SimpleNamespace(degree=degree, incidence=SimpleNamespace(coords=(None,) * count))
+    table = SimpleNamespace(nodeset=nodeset, lines=lines, masks=masks, covers=covers)
+    try:
+        verify_certificate(table)
+    except InvalidCertificate as exc:
+        return str(exc), exc.node_index
+    return None, None
+
+
+def base_tables():
+    """Valid cover tables of small generated sets, as (degree, count, lines, masks, covers)."""
+    tables = []
+    for kind in DEFAULT_KINDS:
+        for degree in range(1, 5):
+            for seed in range(2):
+                _, cert = generate_with_certificate(GeneratorSpec(kind, degree, seed=seed))
+                tables.append((degree, len(cert.nodeset), cert.lines, list(cert.masks),
+                               [list(cover) for cover in cert.covers]))
+    return tables
+
+
+BASES = base_tables()
+
+
+@st.composite
+def mask_tables(draw):
+    """A base table with up to four edits, or a random one.
+
+    The edits repeat a position in a cover, point it at another line, flip
+    a node of a mask (a wrong union, or a factor left one witness), OR one
+    mask into another (factors with no private node) or change a cover's
+    length.  A random table may also miscount its nodes.
+    """
+    if draw(st.booleans()):
+        degree = draw(st.integers(0, 3))
+        size = (degree + 1) * (degree + 2) // 2
+        m = draw(st.integers(1, 6))
+        lines = [Line(1, 0, -f) for f in range(m)]
+        masks = draw(st.lists(st.integers(0, (1 << size) - 1), min_size=m, max_size=m))
+        covers = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=degree, max_size=degree),
+                               min_size=size, max_size=size))
+        count = draw(st.sampled_from((size, size, size, size + 1)))
+        return degree, count, lines, masks, covers
+    degree, count, lines, masks, covers = draw(st.sampled_from(BASES))
+    masks, covers = list(masks), [list(cover) for cover in covers]
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(("repeat", "point", "flip", "merge", "length")))
+        k = draw(st.integers(0, count - 1))
+        f = draw(st.integers(0, len(lines) - 1))
+        g = draw(st.integers(0, len(lines) - 1))
+        cover = covers[k]
+        i = draw(st.integers(0, max(len(cover) - 1, 0)))
+        if edit == "flip":
+            masks[f] ^= 1 << k
+        elif edit == "merge":
+            masks[f] |= masks[g]
+        elif edit == "length" and draw(st.booleans()):
+            cover.append(f)
+        elif not cover:
+            continue
+        elif edit == "repeat":
+            cover[i] = cover[(i + 1) % len(cover)]
+        elif edit == "point":
+            cover[i] = f
+        else:
+            cover.pop()
+    return degree, count, lines, masks, covers
+
+
+class TestOnePassRule:
+    @settings(max_examples=400, deadline=None)
+    @given(table=mask_tables())
+    def test_agrees_with_prefix_and_suffix_ors(self, table):
+        assert rule_verdict(*table) == certificate_fault_private(*table)
+
+    def test_every_reason_is_reached(self):
+        # every single edit of one base table: repeated positions, wrong
+        # unions and factors with fewer than two witnesses all occur
+        degree, count, lines, masks, covers = next(t for t in BASES if t[0] == 3)
+        reasons = set()
+        edits = []
+        for f in range(len(lines)):
+            for j in range(count):
+                edits.append(([*masks[:f], masks[f] ^ 1 << j, *masks[f + 1 :]], covers))
+            for g in range(len(lines)):
+                edits.append(([*masks[:f], masks[f] | masks[g], *masks[f + 1 :]], covers))
+        for k in range(count):
+            for i in range(degree):
+                for f in range(len(lines)):
+                    cover = covers[k][:i] + [f] + covers[k][i + 1 :]
+                    edits.append((masks, covers[:k] + [cover] + covers[k + 1 :]))
+            edits.append((masks, covers[:k] + [covers[k][1:]] + covers[k + 1 :]))
+        for edited_masks, edited_covers in edits:
+            table = (degree, count, lines, edited_masks, edited_covers)
+            verdict = rule_verdict(*table)
+            assert verdict == certificate_fault_private(*table)
+            reasons.add(verdict[0] and verdict[0].split(": ")[1])
+        assert reasons == {None, "line count", "zero mask", "witnesses"}

@@ -1,5 +1,6 @@
 """Seeded generators: construction shape, verification, reproducibility."""
 
+import pickle
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -30,6 +31,8 @@ from gcnlab import (
     maximal_lines,
     search_counterexample,
 )
+
+from gcnlab.serialization import save_nodeset
 
 from oracles import (
     certify_gc_algebraic,
@@ -233,8 +236,37 @@ class TestConstructedCertificates:
                 assert (xs.incidence.scale, xs.incidence.coords) == (derived.scale, derived.coords)
 
     def test_integer_nodes_keep_the_duplicate_check(self):
-        with pytest.raises(DuplicateNode):
-            NodeSet._scaled(1, 4, [(0, 0), (2, 0), (0, 0)])
+        cases = [
+            (4, [(0, 0), (2, 0), (0, 0)], [(0, 0), ("1/2", 0), (0, 0)]),
+            # reduced by the gcd 2 over the scale 3; the repeated node is not the first
+            (6, [(2, 4), (4, 4), (6, 2), (4, 4)],
+             [("1/3", "2/3"), ("2/3", "2/3"), (1, "1/3"), ("2/3", "2/3")]),
+        ]
+        for scale, coords, points in cases:
+            with pytest.raises(DuplicateNode) as fraction_path:
+                NodeSet(2, [Point(x, y) for x, y in points])
+            with pytest.raises(DuplicateNode, match=r"^node Point\(.*\) appears twice$") as raised:
+                NodeSet._scaled(2, scale, coords)
+            assert str(raised.value) == str(fraction_path.value)
+
+    @pytest.mark.parametrize("kind", DEFAULT_KINDS)
+    def test_generated_set_equals_the_set_of_its_fractions(self, kind):
+        # a generated set is held as its index and builds its points when
+        # read; it equals the set built from Fraction points in every way
+        for degree in range(1, 13):
+            for seed in range(3):
+                xs = generate(GeneratorSpec(kind, degree, seed=seed))
+                if kind == "principal":
+                    points = _principal_points(degree)
+                elif kind == "chung_yao":
+                    points = chung_yao_nodes_fraction(degree, seed, 8).nodes
+                else:
+                    points = projective_image_nodes_fraction(degree, seed, 8).nodes
+                want = NodeSet(degree, points)
+                assert xs == want and want == xs
+                assert hash(xs) == hash(want) and repr(xs) == repr(want)
+                assert pickle.loads(pickle.dumps(xs)) == want
+                assert save_nodeset(xs) == save_nodeset(want)
 
     def test_search_reads_the_report_and_use_counts_off_the_covers(self, monkeypatch):
         reports = []
@@ -280,6 +312,8 @@ class TestConstructedCertificates:
         assert len(certs) == 48
         for cert in certs:
             assert not {"keys", "masks", "maximal"} & set(cert.nodeset.incidence.__dict__)
+            # the set is held as its index: no trial builds its points
+            assert "nodes" not in cert.nodeset.__dict__
             # validity needs the zero masks only: no constant or witness is built
             assert "masks" in cert.__dict__ and "entries" not in cert.__dict__
 

@@ -30,6 +30,7 @@ from gcnlab import (
     used_lines_of,
     verify_swap_property,
 )
+from gcnlab.geometry import Incidence
 from gcnlab.linalg import nullspace_basis
 from gcnlab.rng import SplitMix64
 from gcnlab.sequences import _distributions
@@ -390,7 +391,13 @@ class TestGreedyAgainstFractionOracle:
     def test_generated_sets_every_node(self, kind, degree):
         xs, cert = generate_with_certificate(GeneratorSpec(kind, degree, seed=degree))
         for k in range(len(xs)):
-            assert_greedy_matches_oracle(xs, k, used_lines_of(cert, k))
+            used = used_lines_of(cert, k)
+            # the certified node's sequences read the table's masks
+            assert greedy_mdseq(cert, k) == assert_greedy_matches_oracle(xs, k, used)
+            for first in sorted(used)[:2]:
+                assert fixed_first_mdseq(cert, k, first) == assert_greedy_matches_oracle(
+                    xs, k, used, first
+                )
 
     @pytest.mark.parametrize("degree", range(1, 7))
     def test_tie_families(self, degree):
@@ -410,6 +417,19 @@ class TestGreedyAgainstFractionOracle:
 
 
 class TestIncidenceReads:
+    def test_certified_sequences_evaluate_no_line(self, cy5_pair, monkeypatch):
+        # a certified node's zero masks are the cover table's, read, not evaluated again
+        xs, cert = cy5_pair
+        want = [greedy_sequence_for_lines(xs, k, used_lines_of(cert, k)) for k in range(len(xs))]
+        first = cert.lines[cert.covers[0][-1]]
+        want_fixed = greedy_sequence_for_lines(xs, 0, used_lines_of(cert, 0), first)
+        cert.masks  # built by the constructor's check; read here so the spy cannot see it
+        calls = []
+        monkeypatch.setattr(Incidence, "zero_mask", lambda index, line: calls.append(line))
+        assert [greedy_mdseq(cert, k) for k in range(len(xs))] == want
+        assert fixed_first_mdseq(cert, 0, first) == want_fixed
+        assert calls == []
+
     def test_bare_set_never_builds_line_keys(self):
         # only the integer nodes are read, not the all-pairs line map
         xs, seq = crossing_structure()

@@ -289,6 +289,11 @@ class TestMalformedDocuments:
                 id="summary-without-trials",
             ),
             pytest.param({"kinds": []}, "nonempty list of strings", id="summary-without-kinds"),
+            pytest.param({"kinds": ["nope"]}, "generator kinds from", id="summary-unknown-kind"),
+            pytest.param(
+                {"kinds": ["principal", "chung_yao", "Principal"]}, "generator kinds from",
+                id="summary-one-unknown-kind",
+            ),
             pytest.param(
                 {"coordinate_bound": 0}, "'coordinate_bound' must be at least 1",
                 id="summary-coordinate-bound-zero",
@@ -340,13 +345,24 @@ class TestMalformedDocuments:
             load_summary(json.dumps(doc))
 
 
+    @pytest.mark.parametrize("kind", ["chung_yao", "principal", "projective_image", "nope"])
+    def test_failure_of_another_kind(self, cy2_cert, kind):
+        changes = {"trials": 3, "certified": 1, "gm_satisfied": 1, "failures": [False, False]}
+        doc = summary_doc(cy2_cert, changes)
+        load_summary(json.dumps(doc))  # trials 0 and 1 ran "chung_yao" and "principal"
+        doc["failures"][1 if kind == "chung_yao" else 0]["kind"] = kind
+        with pytest.raises(ParseError, match=r"kind must be kinds\[trial % len\(kinds\)\]"):
+            load_summary(json.dumps(doc))
+
+
 def summary_doc(cert, changes):
     """A valid 2-trial summary document with ``changes``; a ``failures``
     change lists, per failure, whether it carries ``cert``."""
     doc = json.loads(save_summary(search_counterexample(degree=2, trials=2, seed=1)))
     doc.update(changes)
     doc["failures"] = [
-        {"trial": i, "kind": "chung_yao", "seed": i, "reason": "no maximal line",
+        {"trial": i, "kind": doc["kinds"][i % len(doc["kinds"])], "seed": i,
+         "reason": "no maximal line",
          "certificate": json.loads(save_certificate(cert)) if certified else None}
         for i, certified in enumerate(doc["failures"])
     ]
