@@ -219,7 +219,7 @@ def search_counterexample(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    from .generators import DEFAULT_KINDS, GeneratorSpec, _constructed
+    from .generators import DEFAULT_KINDS, GeneratorSpec, generate_with_certificate
     from .rng import substream_seed
 
     kind_cycle = tuple(kinds) if kinds is not None else DEFAULT_KINDS
@@ -236,7 +236,7 @@ def search_counterexample(
             kind=kind, degree=degree, seed=trial_seed, coordinate_bound=coordinate_bound
         )
         try:
-            cert = _constructed(spec)
+            _, cert = generate_with_certificate(spec)
         except RetryLimitExceeded as exc:
             failures.append(
                 TrialFailure(trial=i, kind=kind, seed=trial_seed, reason=str(exc), certificate=None)

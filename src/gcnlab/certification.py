@@ -11,20 +11,21 @@ two nodes and no line repeats, so the factors are such a cover.  GC
 certification is therefore a covering search, and needs algebra only to
 tell a non-poised set from a poised non-GC one after a cover is missing.
 
-The covering search runs on the node set's own incidence index,
-``xs.incidence`` (:class:`~gcnlab.geometry.Incidence`): nodes scaled by the
-common denominator D of their coordinates to integers ``(X, Y)``, and every
-line through two nodes mapped, under its primitive integer equation ``(A,
-B, C)``, to the bitmask of its nodes.  The index stays with the set, so
-whatever reads it after certification (maximal lines, the GM report,
-sequences) reuses it.  A canonical :class:`Line` is built only for a line
-that leaves the index: a cover line, or a line reported to a caller.  With
-r lines left, a line holding at least r + 1 uncovered nodes must be chosen
-(the other r - 1 lines meet it at most once each).  The lines are ranked
-once by node count, largest first, so each forcing pass stops at the first
-line with at most r nodes; after forcing, more than r^2 uncovered nodes
-cannot be covered, and otherwise the search branches over the lines
-through the lowest uncovered node.  Lines through the node being certified
+The covering search runs on the incidence index that every node set
+carries from construction, ``xs.incidence``
+(:class:`~gcnlab.geometry.Incidence`): nodes scaled by the common
+denominator D of their coordinates to integers ``(X, Y)``, and every line
+through two nodes mapped, under its primitive integer equation ``(A, B,
+C)``, to the bitmask of its nodes, built when first read and kept on the
+index.  So whatever reads the lines after certification (maximal lines,
+the GM report, sequences) reuses them.  A canonical :class:`Line` is
+built only for a line that leaves the index: a cover line, or a line
+reported to a caller.  With r lines left, a line holding at least r + 1
+uncovered nodes must be chosen (the other r - 1 lines meet it at most
+once each).  The lines are ranked once by node count, largest first, so
+each forcing pass stops at the first line with at most r nodes; after
+forcing, more than r^2 uncovered nodes cannot be covered, and otherwise
+the search branches over the lines through the lowest uncovered node.  Lines through the node being certified
 are skipped by a mask test.  When a poised set has no cover at some node,
 :class:`NotGC` names the node and the nodes its forced lines left
 uncovered.
@@ -246,7 +247,7 @@ def verify_certificate(cert: GCCertificate) -> None:
     """
     n = cert.nodeset.degree
     size = (n + 1) * (n + 2) // 2  # dim Pi_n
-    count = len(cert.nodeset.incidence.coords)  # len(nodeset) would build its points
+    count = len(cert.nodeset.incidence.coords)
     if count != size or len(cert.covers) != size:
         raise InvalidCertificate(
             f"count: {len(cert.covers)} entries for {count} nodes; degree {n} needs "

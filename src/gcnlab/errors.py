@@ -87,8 +87,8 @@ class InvalidCertificate(GCNLabError):
     breaks the rule exists.  ``node_index`` is the node whose entry is
     wrong, or None when the entry count is.  The message reads ``"node k:
     reason: detail"`` (or ``"count: detail"``), the reason being one of
-    ``count``, ``order``, ``line count``, ``zero mask``, ``witnesses``,
-    ``constant`` and ``line order``.
+    ``count``, ``order``, ``position``, ``line count``, ``zero mask``,
+    ``witnesses``, ``constant`` and ``line order``.
     """
 
     def __init__(self, message: str, node_index: int | None = None):

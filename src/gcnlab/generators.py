@@ -213,24 +213,21 @@ def _projective_image_scaled(degree: int, seed: int, bound: int) -> _Scaled:
     raise RetryLimitExceeded(f"no invertible affine map within {RETRY_LIMIT} draws")
 
 
-def _constructed(spec: GeneratorSpec) -> GCCertificate:
-    """The set ``spec`` names, certified from the covers it is built with.
+def generate_with_certificate(spec: GeneratorSpec) -> tuple[NodeSet, GCCertificate]:
+    """The set ``spec`` names, and its certificate, constructed from the covers it is built with.
 
-    A construction that the certificate rule rejects raises
-    InvalidCertificate: that is an internal error, not a property of the set.
+    The certificate is verified by the certificate rule.  A construction
+    that the rule rejects raises InvalidCertificate: that is an internal
+    error, not a property of the set.
     """
     if spec.kind == "principal":
-        return _principal_certified(spec.degree)
-    if spec.kind == "chung_yao":
-        scaled = _chung_yao_scaled(spec.degree, spec.seed, spec.coordinate_bound)
+        cert = _principal_certified(spec.degree)
     else:
-        scaled = _projective_image_scaled(spec.degree, spec.seed, spec.coordinate_bound)
-    return _certified(spec.degree, scaled)
-
-
-def generate_with_certificate(spec: GeneratorSpec) -> tuple[NodeSet, GCCertificate]:
-    """Generate per spec; the certificate is constructed, then verified by the certificate rule."""
-    cert = _constructed(spec)
+        if spec.kind == "chung_yao":
+            scaled = _chung_yao_scaled(spec.degree, spec.seed, spec.coordinate_bound)
+        else:
+            scaled = _projective_image_scaled(spec.degree, spec.seed, spec.coordinate_bound)
+        cert = _certified(spec.degree, scaled)
     return cert.nodeset, cert
 
 

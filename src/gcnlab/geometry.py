@@ -11,21 +11,24 @@ intersect: there are no projective points at infinity, callers get an
 explicit :class:`~gcnlab.errors.ParallelLines` signal instead.
 
 A :class:`NodeSet` is a degree-tagged tuple of distinct points, the input of
-every question the package answers.  Its :class:`Incidence` index
-(``NodeSet.incidence``, built on first use and kept, or handed over by a
-generator that built the nodes on integers) decides incidence on
-integers: node j lies on ``a*x + b*y + c = 0`` iff ``a*X_j + b*Y_j + c*D``
-is 0 for the nodes ``(X, Y) = (D*x, D*y)`` scaled by their common
-denominator D.  Certification, maximal lines, sequences and the generators
-all read this one index.  A generated set is held as its index alone, and
-its points (``NodeSet.nodes``) are built from it when first read, by
-equality, hashing, pickling, the repr or serialization.
+every question the package answers.  Every set carries its
+:class:`Incidence` index (``NodeSet.incidence``) from construction, and
+decides incidence on integers: node j lies on ``a*x + b*y + c = 0`` iff
+``a*X_j + b*Y_j + c*D`` is 0 for the nodes ``(X, Y) = (D*x, D*y)`` scaled
+by their common denominator D.  Both ways to build a set end in one
+setup, which checks the integer nodes for repeats and stores the index:
+the constructor, from points, and ``NodeSet._scaled``, from the integer
+nodes a generator built.  Certification, maximal lines, sequences and the
+generators all read this one index, and ``len`` counts its nodes.  A
+generated set is held as its index alone, and its points
+(``NodeSet.nodes``) are built from it when first read, by equality,
+hashing, pickling, the repr or serialization.
 
 Every value type of the package derives from :class:`Value`, defined
 here.  A subclass names its fields once, in constructor order:
 ``__slots__ = _fields = (...)``, or ``_fields`` alone on ``NodeSet``,
 ``Incidence`` and ``GCCertificate``, which keep a ``__dict__`` for their
-cached properties.
+cached properties (and a node set for its index, which is not a field).
 ``Value`` generates the constructor when the class is created: it takes
 the fields by name and in that order, with the defaults of the class's
 ``_defaults`` mapping.  A class that validates or normalizes its fields
@@ -110,8 +113,8 @@ class Value:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        # Compiled source, not an argument binder: certification builds a
-        # NodeCertificate per node, and this runs as fast as a hand-written one.
+        # Compiled source, not an argument binder: a sweep builds an Incidence
+        # and a GMReport per trial, and this runs as fast as a hand-written one.
         if "_fields" in cls.__dict__ and "__init__" not in cls.__dict__:
             params = (f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in cls._fields)
             body = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)
@@ -236,20 +239,14 @@ class NodeSet(Value):
     def __init__(
         self, degree: int, nodes: Sequence[Point], labels: Sequence[str] | None = None
     ):
-        if degree < 0:
-            raise ValueError(f"degree must be nonnegative, got {degree}")
         nodes = tuple(nodes)
-        if len(set(nodes)) != len(nodes):
-            seen: set[Point] = set()
-            for p in nodes:
-                if p in seen:
-                    raise DuplicateNode(f"node {p} appears twice")
-                seen.add(p)
+        # D is the lcm of reduced denominators, so D and the integer nodes have gcd 1
+        d, flat = _clear([c for p in nodes for c in (p.x, p.y)])
+        self._store(degree, d, tuple(zip(flat[::2], flat[1::2])))
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != len(nodes):
                 raise LengthMismatch(f"{len(labels)} labels for {len(nodes)} nodes")
-        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "labels", labels)
 
@@ -258,18 +255,29 @@ class NodeSet(Value):
         """The set of nodes ``(X/scale, Y/scale)``, held as its index of integer ``coords``.
 
         ``scale`` and ``coords`` are first divided by their gcd, so the
-        index is the one :meth:`Incidence.of` would derive from the nodes,
-        and two nodes are equal exactly when their integer coordinates are.
+        index is the one the constructor builds from the nodes.  The points
+        are built from the index when first read.
         """
         g = gcd(scale, *chain.from_iterable(coords))
         coords = tuple((x // g, y // g) for x, y in coords) if g > 1 else tuple(coords)
         xs = object.__new__(cls)
-        object.__setattr__(xs, "degree", degree)
+        xs._store(degree, scale // g, coords)
         object.__setattr__(xs, "labels", None)
-        xs.__dict__["incidence"] = Incidence(degree, scale // g, coords)
-        if len(set(coords)) != len(coords):
-            cls(degree, xs.nodes)  # raises DuplicateNode, naming the repeated node
         return xs
+
+    def _store(self, degree: int, scale: int, coords: tuple[tuple[int, int], ...]) -> None:
+        """Store ``degree`` and the index of the nodes ``coords / scale``, which must be distinct."""
+        if degree < 0:
+            raise ValueError(f"degree must be nonnegative, got {degree}")
+        if len(set(coords)) != len(coords):
+            seen: set[tuple[int, int]] = set()
+            for x, y in coords:
+                if (x, y) in seen:
+                    p = Point(Fraction(x, scale), Fraction(y, scale))
+                    raise DuplicateNode(f"node {p} appears twice")
+                seen.add((x, y))
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "incidence", Incidence(degree, scale, coords))
 
     @cached_property
     def nodes(self) -> tuple[Point, ...]:
@@ -278,7 +286,7 @@ class NodeSet(Value):
         return tuple(Point(Fraction(x, d), Fraction(y, d)) for x, y in self.incidence.coords)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.incidence.coords)
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.nodes)
@@ -289,11 +297,6 @@ class NodeSet(Value):
             return self.nodes.index(p)
         except ValueError:
             return None
-
-    @cached_property
-    def incidence(self) -> "Incidence":
-        """The set's integer incidence index, built on first use and kept."""
-        return Incidence.of(self)
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -328,12 +331,6 @@ class Incidence(Value):
     """
 
     _fields = ("degree", "scale", "coords")
-
-    @classmethod
-    def of(cls, xs: NodeSet) -> "Incidence":
-        """The integer nodes of ``xs``; read ``xs.incidence`` to share them."""
-        d, flat = _clear([c for p in xs.nodes for c in (p.x, p.y)])
-        return cls(xs.degree, d, tuple(zip(flat[::2], flat[1::2])))
 
     @cached_property
     def keys(self) -> dict[Key, int]:

@@ -19,12 +19,14 @@ time as a frontier of ``(unused lines, uncovered nodes, counts)`` bitmask
 states with duplicates merged.  The n used lines give at most 2^n
 distinct unused-line sets over all steps.
 
-Incidence is decided on the integer nodes of the set's index
-(``NodeSet.incidence``): node j lies on ``a*x + b*y + c = 0`` iff ``a*X_j
-+ b*Y_j + c*D`` is 0, and each line becomes the bitmask of its nodes.  A
-certified node's lines and their masks are read off the verified cover
-table (``cert.covers`` and ``cert.masks``), which never repeats a line in
-a cover; an arbitrary line set is evaluated with ``Incidence.zero_mask``.
+Incidence is decided on the integer nodes of the index every set carries
+from construction (``NodeSet.incidence``): node j lies on ``a*x + b*y + c
+= 0`` iff ``a*X_j + b*Y_j + c*D`` is 0, and each line becomes the bitmask
+of its nodes.  The node count is read off the index too, so no point of a
+generated set is built here.  A certified node's lines and their masks
+are read off the verified cover table (``cert.covers`` and
+``cert.masks``), which never repeats a line in a cover; an arbitrary line
+set is evaluated with ``Incidence.zero_mask``.
 Two distinct lines share at most one node, so the AND of their masks is
 their crossing node, if it is one.  Intersection points of used lines
 that are not nodes of the set are ignored by all counting here; only

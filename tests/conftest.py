@@ -19,6 +19,31 @@ from gcnlab import (
     generate_with_certificate,
     intersect,
 )
+from gcnlab import generators
+from gcnlab.geometry import Incidence
+
+
+@pytest.fixture
+def cold_cache():
+    """The principal memo, empty at the start and at the end of the test."""
+    generators._principal_certified.cache_clear()
+    yield
+    generators._principal_certified.cache_clear()
+
+
+@pytest.fixture
+def built_indexes(monkeypatch):
+    """Every Incidence constructed during the test, in order."""
+    built = []
+    init = Incidence.__init__
+
+    def counting_init(index, *args, **kwargs):
+        init(index, *args, **kwargs)
+        built.append(index)
+
+    monkeypatch.setattr(Incidence, "__init__", counting_init)
+    return built
+
 
 CY2_LINES = (Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, -1), Line(2, 1, -4))
 

@@ -26,7 +26,6 @@ from gcnlab import (
     verify_gm,
 )
 from gcnlab import generators
-from gcnlab.geometry import Incidence
 from gcnlab.generators import DEFAULT_KINDS
 from gcnlab.rng import SplitMix64, substream_seed
 
@@ -84,7 +83,7 @@ class TestMaximalLines:
 
     def test_overfull_line_raises_on_every_read(self):
         pts = tuple(Point(t, 0) for t in range(5)) + (Point(0, 1), Point(1, 2))
-        index = Incidence.of(NodeSet(3, pts))
+        index = NodeSet(3, pts).incidence
         for _ in range(2):
             with pytest.raises(TooManyCollinear):
                 index.maximal
@@ -268,7 +267,7 @@ class TestSearch:
 
     def test_no_kinds_rejected(self, monkeypatch):
         # refused before any set is generated, like a sweep of no trials
-        monkeypatch.setattr(generators, "_constructed", None)
+        monkeypatch.setattr(generators, "generate_with_certificate", None)
         for kinds in ((), []):
             with pytest.raises(ValueError, match="at least one generator kind"):
                 search_counterexample(degree=3, trials=3, seed=1, kinds=kinds)

@@ -27,6 +27,7 @@ from gcnlab import (
     certify_gc,
     divide_by_line,
     enumerate_mdseqs,
+    fixed_first_mdseq,
     generate,
     generate_with_certificate,
     gm_report_from_certificate,
@@ -41,7 +42,7 @@ from gcnlab import (
 from gcnlab import certification, generators
 from gcnlab.certification import GCCertificate, _cover
 from gcnlab.errors import NotDivisible
-from gcnlab.geometry import Incidence, _bits
+from gcnlab.geometry import _bits
 from gcnlab.rng import SplitMix64
 from gcnlab.serialization import load_certificate, save_certificate
 
@@ -388,31 +389,30 @@ class TestIncidenceIndex:
         assert save_certificate(loaded) == save_certificate(cert)
 
     def test_node_set_keeps_one_index(self):
-        xs = NodeSet(2, generate(GeneratorSpec("chung_yao", 2, seed=4)).nodes)
-        assert "incidence" not in vars(xs)
+        generated = generate(GeneratorSpec("chung_yao", 2, seed=4))
+        xs = NodeSet(2, generated.nodes)
+        # built by the constructor, before anything reads it
+        assert "incidence" in vars(xs)
         assert xs.incidence is xs.incidence
         assert xs.incidence.keys is xs.incidence.keys
-        assert xs.incidence == Incidence.of(xs)
+        assert xs.incidence == NodeSet(2, xs.nodes).incidence == generated.incidence
+        assert len(xs) == len(xs.incidence.coords) == 6
 
-    def test_certify_leaves_its_index_on_the_set(self, monkeypatch):
-        build = Incidence.of.__func__
-        calls = []
-
-        def counting_of(klass, xs):
-            calls.append(xs)
-            return build(klass, xs)
-
-        xs = NodeSet(4, generate(GeneratorSpec("chung_yao", 4, seed=9)).nodes)
-        monkeypatch.setattr(Incidence, "of", classmethod(counting_of))
+    def test_certify_leaves_its_index_on_the_set(self, built_indexes):
+        points = generate(GeneratorSpec("chung_yao", 4, seed=9)).nodes
+        built_indexes.clear()
+        xs = NodeSet(4, points)
+        assert len(built_indexes) == 1 and built_indexes[0] is xs.incidence
         cert = certify_gc(xs)
         keys = xs.incidence.keys
         assert maximal_lines(xs) == {line for line, _ in xs.incidence.maximal}
         gm_report_from_certificate(cert)
         line_incidence(xs)
         greedy_mdseq(cert, 0)
+        fixed_first_mdseq(cert, 0, cert.lines[cert.covers[0][0]])
         enumerate_mdseqs(cert, 0)
         assert certify_gc(xs) == cert
-        assert calls == [xs]
+        assert len(built_indexes) == 1
         assert xs.incidence.keys is keys
 
     def test_values_scale_line_evaluation(self, cy3_pair):
@@ -427,7 +427,7 @@ class TestIncidenceIndex:
     @pytest.mark.parametrize("degree", range(1, 7))
     def test_line_keys_round_trip_in_pair_order(self, kind, degree):
         xs = generate(GeneratorSpec(kind, degree, seed=degree))
-        index = Incidence.of(xs)
+        index = NodeSet(degree, xs.nodes).incidence
         lines = line_incidence(xs)
         assert list(lines) == list(line_incidence_pairs(xs))
         assert list(lines) == [index.line(key) for key in index.keys]

@@ -19,7 +19,7 @@ from gcnlab import (
 )
 from gcnlab import certification
 from gcnlab.cli import build_parser, main
-from gcnlab.serialization import save_nodeset
+from gcnlab.serialization import load_nodeset, save_nodeset
 
 
 @pytest.fixture()
@@ -335,25 +335,15 @@ class TestPlot:
             calls[0], used=used_lines_of(cert, 1), sequence=greedy_mdseq(cert, 2)
         )
 
-    def test_maximal_and_primary_overlays_index_once(self, capsys, cy3_file, monkeypatch):
-        from gcnlab.geometry import Incidence
-
-        calls = []
-        build = Incidence.of.__func__
-
-        def counting_of(klass, xs):
-            calls.append(xs)
-            return build(klass, xs)
-
-        monkeypatch.setattr(Incidence, "of", classmethod(counting_of))
+    def test_maximal_and_primary_overlays_index_once(self, capsys, cy3_file, built_indexes):
+        # the loaded set's index, built with it, serves every overlay
         code, out = run(capsys, "plot", cy3_file, "--overlay", "maximal", "--overlay", "primary:0")
         assert code == 0
-        assert len(calls) == 1
-        monkeypatch.undo()
-        cert = certify_gc(calls[0])
-        assert out == plot_svg(
-            calls[0], maximal=maximal_lines(calls[0]), sequence=greedy_mdseq(cert, 0)
-        )
+        assert len(built_indexes) == 1
+        xs = load_nodeset(Path(cy3_file).read_text())
+        assert xs.incidence == built_indexes[0]
+        cert = certify_gc(xs)
+        assert out == plot_svg(xs, maximal=maximal_lines(xs), sequence=greedy_mdseq(cert, 0))
 
     def test_repeated_maximal_overlay_draws_it_once(self, capsys, cy3_file):
         code, twice = run(capsys, "plot", cy3_file, "--overlay", "maximal", "--overlay", "maximal")

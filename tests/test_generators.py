@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcnlab import analysis, certification, generators
-from gcnlab.geometry import Incidence
 from gcnlab.serialization import save_nodeset
 from gcnlab import (
     DEFAULT_KINDS,
@@ -130,13 +129,6 @@ class TestDeterminism:
         assert len(cert.entries) == len(xs)
 
 
-@pytest.fixture
-def cold_cache():
-    generators._principal_certified.cache_clear()
-    yield
-    generators._principal_certified.cache_clear()
-
-
 def _principal_points(degree):
     return [
         Point(Fraction(i, degree), Fraction(j, degree))
@@ -160,20 +152,12 @@ class TestPrincipalMemo:
         assert (info.misses, info.currsize) == (1, 1)
         assert info.hits >= 3  # the three principal trials after the first
 
-    def test_each_trial_indexes_its_set_once(self, cold_cache, monkeypatch):
-        build = Incidence.__init__
-        calls = []
-
-        def counting_init(index, *args):
-            calls.append(index)
-            build(index, *args)
-
-        monkeypatch.setattr(Incidence, "__init__", counting_init)
+    def test_each_trial_indexes_its_set_once(self, cold_cache, built_indexes):
         # one principal set, then four fresh sets per search; the generators
         # hand each set the index of the integer nodes they built it from
         search_counterexample(degree=3, trials=6, seed=5)
         search_counterexample(degree=3, trials=6, seed=6)
-        assert len(calls) == len({id(index) for index in calls}) == 1 + 4 + 4
+        assert len(built_indexes) == len({id(index) for index in built_indexes}) == 1 + 4 + 4
 
     def test_cached_certificate_equals_fresh(self, cold_cache):
         for degree in (1, 2, 5):
@@ -230,9 +214,7 @@ class TestConstructedCertificates:
         for degree in range(1, 9):
             for seed in range(4):
                 xs = generate(GeneratorSpec(kind, degree, seed=seed))
-                assert "incidence" in xs.__dict__  # handed over, not derived
-                derived = Incidence.of(NodeSet(xs.degree, xs.nodes))
-                assert (xs.incidence.scale, xs.incidence.coords) == (derived.scale, derived.coords)
+                assert xs.incidence == NodeSet(xs.degree, xs.nodes).incidence
 
     def test_integer_nodes_keep_the_duplicate_check(self):
         cases = [
@@ -301,13 +283,13 @@ class TestConstructedCertificates:
 
     def test_sweep_builds_no_line_map(self, cold_cache, monkeypatch):
         certs = []
-        constructed = generators._constructed
 
         def spy(spec):
-            certs.append(constructed(spec))
-            return certs[-1]
+            xs, cert = generate_with_certificate(spec)
+            certs.append(cert)
+            return xs, cert
 
-        monkeypatch.setattr(generators, "_constructed", spy)
+        monkeypatch.setattr(generators, "generate_with_certificate", spy)
         for degree in range(2, 6):
             search_counterexample(degree=degree, trials=12, seed=2024)
         assert len(certs) == 48

@@ -1,7 +1,7 @@
 """Exact plane geometry: canonical lines, incidence, general position."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import operator
 
@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 
 from gcnlab import (
     DuplicateLine,
+    DuplicateNode,
     IdenticalLines,
     IdenticalPoints,
+    LengthMismatch,
     Line,
+    NodeSet,
     ParallelLines,
     Point,
     intersect,
@@ -206,6 +209,84 @@ class TestClear:
         assert ints == [v * d for v in values]
         assert all(d % Fraction(v).denominator == 0 for v in values)
         assert gcd(d, *ints) == 1
+
+
+def point_rule(degree, points, labels):
+    """The first error of a set of Points, as (type, message), by hashing the Points.
+
+    The degree is checked first, then repeats (the second occurrence of the
+    first repeated point is named), then the label count.
+    """
+    if degree < 0:
+        return ValueError, f"degree must be nonnegative, got {degree}"
+    seen = set()
+    for p in points:
+        if p in seen:
+            return DuplicateNode, f"node {p} appears twice"
+        seen.add(p)
+    if labels is not None and len(labels) != len(points):
+        return LengthMismatch, f"{len(labels)} labels for {len(points)} nodes"
+    return None
+
+
+def outcome(build, *args):
+    """The set ``build(*args)`` returns, or the (type, message) of what it raises."""
+    try:
+        return build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def node_lists(draw):
+    """A degree, rational points with repeats, labels of any count and an unreduced scale.
+
+    A repeat is spelled over a multiple of its denominator, and the integer
+    nodes of the scaled path share the extra factor, so repeats appear on
+    the integer nodes only after the gcd reduction.
+    """
+    degree = draw(st.integers(-1, 4))
+    drawn = draw(st.lists(st.tuples(rationals, rationals), max_size=8))
+    coords = list(drawn)
+    for _ in range(draw(st.integers(0, 2)) if drawn else 0):
+        x, y = draw(st.sampled_from(drawn))
+        k = draw(st.integers(2, 4))
+        respelled = tuple(f"{k * v.numerator}/{k * v.denominator}" for v in (x, y))
+        coords.insert(draw(st.integers(0, len(coords))), respelled)
+    points = [Point(x, y) for x, y in coords]
+    labels = draw(st.none() | st.lists(st.sampled_from("abc"), max_size=9))
+    factor = draw(st.integers(1, 6))
+    return degree, points, labels, factor
+
+
+class TestNodeSetConstruction:
+    """The constructor, from points, and ``_scaled``, from integer nodes, share one setup."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=node_lists())
+    def test_both_paths_give_one_index_and_one_error(self, case):
+        degree, points, labels, factor = case
+        scale = factor * lcm(*(v.denominator for p in points for v in (p.x, p.y)))
+        ints = [(int(p.x * scale), int(p.y * scale)) for p in points]
+        built = outcome(NodeSet, degree, points, labels)
+        scaled = outcome(NodeSet._scaled, degree, scale, ints)
+        assert scaled == point_rule(degree, points, None) or isinstance(scaled, NodeSet)
+        want = point_rule(degree, points, labels)
+        if want is not None:
+            assert built == want
+        else:
+            assert built.nodes == tuple(points)
+            assert built.labels == (None if labels is None else tuple(labels))
+        if isinstance(scaled, NodeSet):
+            plain = NodeSet(degree, points)
+            assert "nodes" not in vars(scaled)
+            assert scaled.incidence == plain.incidence
+            assert len(scaled) == len(plain) == len(points)
+            assert scaled == plain and scaled.nodes == tuple(points)
+
+    def test_an_empty_set(self):
+        for xs in (NodeSet(2, []), NodeSet._scaled(2, 5, [])):
+            assert len(xs) == 0 and xs.incidence.coords == () and xs.incidence.scale == 1
 
 
 class TestScalar:

@@ -430,6 +430,18 @@ class TestIncidenceReads:
         assert fixed_first_mdseq(cert, 0, first) == want_fixed
         assert calls == []
 
+    @pytest.mark.parametrize("kind", DEFAULT_KINDS)
+    def test_generated_sets_build_no_point(self, cold_cache, kind):
+        # the node count is the index's, so a set held as its index stays so
+        for degree in range(1, 9):
+            xs, cert = generate_with_certificate(GeneratorSpec(kind, degree, seed=degree))
+            assert len(xs) == dim_pi(degree)
+            for k in range(len(xs)):
+                greedy_mdseq(cert, k)
+                fixed_first_mdseq(cert, k, cert.lines[cert.covers[k][-1]])
+                enumerate_mdseqs(cert, k)
+            assert "nodes" not in vars(xs)
+
     def test_bare_set_never_builds_line_keys(self):
         # only the integer nodes are read, not the all-pairs line map
         xs, seq = crossing_structure()
