@@ -16,7 +16,7 @@ violation on a merely poised set would be a category error.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .certification import GCCertificate, certify_gc
 from .errors import (
@@ -65,8 +65,8 @@ def maximal_lines(xs: NodeSet) -> set[Line]:
     return {line for line, _ in xs.incidence.maximal}
 
 
-def gm_report_from_certificate(cert: GCCertificate) -> GMReport:
-    """Build the GM report for an already-certified set, from its cover table.
+def _maximal_covers(cert: GCCertificate) -> Iterator[tuple[Line, int]]:
+    """The maximal lines of a certified set and their node masks, in line order.
 
     A maximal line is a factor of the fundamental polynomial of every node
     off it, so the maximal lines are the cover lines with more than n
@@ -74,9 +74,13 @@ def gm_report_from_certificate(cert: GCCertificate) -> GMReport:
     lines are in line order already.
     """
     n = cert.degree
-    maximal = tuple(
-        (line, _bits(mask)) for line, mask in zip(cert.lines, cert.masks) if mask.bit_count() > n
-    )
+    return ((line, mask) for line, mask in zip(cert.lines, cert.masks) if mask.bit_count() > n)
+
+
+def gm_report_from_certificate(cert: GCCertificate) -> GMReport:
+    """Build the GM report for an already-certified set, from its cover table."""
+    n = cert.degree
+    maximal = tuple((line, _bits(mask)) for line, mask in _maximal_covers(cert))
     satisfied = bool(maximal)
     return GMReport(
         degree=n,
@@ -209,7 +213,7 @@ def search_counterexample(
     derived seed ``substream_seed(seed, i)``, so results are reproducible
     and independent of execution order.  Each trial's certificate is
     constructed with its set and verified (see :mod:`gcnlab.generators`),
-    and the GM report and use counts are read off its cover lines.  A
+    and the GM verdict and use counts are read off its cover lines.  A
     trial whose draw exhausts the generator's retry budget is recorded as
     a failure and the sweep goes on.  For degree <= 5 every certified set
     must turn out GM-satisfied; a failure dump would be a refutation of a
@@ -243,8 +247,7 @@ def search_counterexample(
             )
             continue
         certified += 1
-        report = gm_report_from_certificate(cert)
-        if report.satisfied:
+        if any(_maximal_covers(cert)):
             satisfied += 1
         else:
             failures.append(

@@ -62,8 +62,11 @@ def _read_nodeset(path: str) -> NodeSet:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _InputError(f"cannot write {out}: {exc}") from None
 
 
 def _emit_doc(doc, out: str | None) -> None:

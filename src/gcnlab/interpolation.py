@@ -93,9 +93,10 @@ def is_independent(xs: NodeSet) -> bool:
 def is_essentially_dependent(xs: NodeSet, m: int) -> bool:
     """True iff no node has a degree-``m`` fundamental polynomial.
 
-    Each node's system (vanish on the others, value 1 at the node) is
-    tested for infeasibility by comparing augmented against plain rank;
-    the per-node comparisons share a single elimination.
+    Node k's system (vanish on the others, value 1 at node k) is
+    infeasible exactly when some vector of the Vandermonde matrix's left
+    kernel, a dependence among the nodes, is nonzero at k; every node is
+    decided from one exact kernel basis.
     """
     return not any(linalg.unit_consistency(_integer_vandermonde(xs.nodes, m)))
 

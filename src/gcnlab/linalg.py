@@ -7,10 +7,17 @@ Bareiss two-step recurrence: every intermediate entry is a minor of the
 scaled matrix, so the divisions are exact and integer growth stays
 polynomial instead of exponential.  A failed exact division would mean the
 invariant broke, so it raises immediately rather than rounding.
-:func:`solve_square` and :func:`nullspace_basis` read their solutions off
-the echelon rows through one back-substitution, ``_back_substitute``.
-:func:`rank_mod_p` alone works modulo a fixed prime: it is a lower bound
-on the rank, so it can prove full rank cheaply but never deny it.
+
+Solutions are read off the echelon rows by one integer back-substitution,
+``_back_substitute``, scaled by the last pivot d (up to sign the
+determinant of the pivot block), which makes every unknown an integer;
+:func:`solve_square` and :func:`nullspace_basis` divide by d once per entry
+at the end.  :func:`unit_consistency` decides every ``A x = e_k`` from an
+integer basis of A's left kernel: ``e_k`` lies in the column space exactly
+when every left-kernel vector is 0 at k.  It finds A's pivot columns
+modulo a fixed prime, in the elimination :func:`rank_mod_p` runs, takes
+the kernel of those columns alone, and proves it is A's kernel by checking
+it against the other columns before it answers.
 
 No function mutates its input.
 """
@@ -18,6 +25,7 @@ No function mutates its input.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 from .geometry import _clear
@@ -73,15 +81,15 @@ def rank(rows: Sequence[Row]) -> int:
 PRIME = (1 << 61) - 1
 
 
-def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of integer rows modulo :data:`PRIME`; never above their rank over Q.
+def _pivots_mod_p(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Pivot columns of the row echelon form of integer rows modulo :data:`PRIME`.
 
-    A minor that is nonzero modulo the prime is a nonzero integer, so full
-    rank here proves full rank over Q.  A deficiency proves nothing: the
-    prime may divide every maximal minor, and only :func:`rank` decides.
+    Their minor is nonzero modulo the prime, so these columns are
+    independent over Q too.
     """
     p = PRIME
     m = [[v % p for v in row] for row in rows]
+    pivots: list[int] = []
     r = 0
     for c in range(len(m[0]) if m else 0):
         pr = next((i for i in range(r, len(m)) if m[i][c]), None)
@@ -94,51 +102,100 @@ def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
             f = m[i][c]
             if f:
                 m[i] = [(v - f * w) % p for v, w in zip(m[i], pivot)]
+        pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return r
+    return pivots
+
+
+def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of integer rows modulo :data:`PRIME`; never above their rank over Q.
+
+    A minor that is nonzero modulo the prime is a nonzero integer, so full
+    rank here proves full rank over Q.  A deficiency proves nothing: the
+    prime may divide every maximal minor, and only :func:`rank` decides.
+    The elimination is the one :func:`unit_consistency` takes its pivot
+    columns from.
+    """
+    return len(_pivots_mod_p(rows))
+
+
+def _back_substitute(
+    m: list[list[int]], pivot_cols: list[int], x: list[int], rhs: Sequence[int]
+) -> list[int]:
+    """Solve echelon rows for the pivot unknowns of ``x``, bottom row first, in integers.
+
+    Row r of ``m`` reads ``sum(m[r][j] * x[j]) = rhs[r]`` over the columns of
+    ``x``; the entries of ``x`` off the pivot columns are given and kept.
+    The caller scales ``x`` and ``rhs`` by the last pivot, so every
+    division is exact.
+    """
+    n = len(x)
+    for r in range(len(pivot_cols) - 1, -1, -1):
+        pc = pivot_cols[r]
+        row = m[r]
+        q, rem = divmod(rhs[r] - sum(map(mul, row[pc + 1 : n], x[pc + 1 :])), row[pc])
+        if rem:
+            raise ArithmeticError("fraction-free back-substitution lost exactness")
+        x[pc] = q
+    return x
+
+
+def _last_pivot(m: list[list[int]], pivot_cols: list[int]) -> int:
+    return m[len(pivot_cols) - 1][pivot_cols[-1]] if pivot_cols else 1
+
+
+def _kernel(m: list[list[int]], pivot_cols: list[int], ncols: int) -> tuple[int, list[list[int]]]:
+    """The last pivot d and an integer basis of the right kernel of echelon rows.
+
+    Free column f gives d times the vector that is 1 at f and 0 at the
+    other free columns.
+    """
+    d = _last_pivot(m, pivot_cols)
+    zeros = [0] * len(pivot_cols)
+    pivots = set(pivot_cols)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            x = [0] * ncols
+            x[f] = d
+            basis.append(_back_substitute(m, pivot_cols, x, zeros))
+    return d, basis
+
+
+def _left_kernel(cols: list[tuple[int, ...]], which: Sequence[int], s: int) -> list[list[int]]:
+    """An integer basis of the y of length s with ``y . cols[c] == 0`` for every c in ``which``."""
+    m, pivot_cols = _echelon([list(cols[c]) for c in which])
+    return _kernel(m, pivot_cols, s)[1]
 
 
 def unit_consistency(rows: Sequence[Row]) -> list[bool]:
     """For each k, whether ``A x = e_k`` has a solution.
 
-    Decided by comparing augmented against plain rank; all comparisons
-    share one elimination of ``[A | I]``, with A's rows cleared to integers
-    before the identity is appended.  A unit column is consistent exactly
-    when its transform vanishes on the rows below A's rank (further
-    pivoting inside that block only re-mixes its row span, which leaves
-    the all-zero test untouched).
+    ``e_k`` lies in A's column space exactly when every vector of A's left
+    kernel is 0 at k.  A's pivot columns modulo :data:`PRIME` are
+    independent over Q; when there are as many as rows, A has full row
+    rank and every system is consistent.  Otherwise the left kernel of
+    those r columns comes from one elimination of their r x s transpose.
+    It is A's left kernel exactly when it annihilates A's other columns
+    too; if it does not (the prime divided a minor, so A's rank over Q is
+    above r), the kernel is computed again from all columns.  Every
+    verdict is therefore exact.
     """
     s = len(rows)
     if s == 0:
         return []
-    ncols_a = len(rows[0])
-    aug = [row + [int(j == i) for j in range(s)] for i, row in enumerate(_integer_rows(rows))]
-    m, pivot_cols = _echelon(aug)
-    rank_a = sum(1 for c in pivot_cols if c < ncols_a)
-    return [
-        all(m[r][ncols_a + k] == 0 for r in range(rank_a, s)) for k in range(s)
-    ]
-
-
-def _back_substitute(
-    m: list[list[int]], pivot_cols: list[int], x: list[Fraction], rhs: Sequence[int]
-) -> list[Fraction]:
-    """Solve echelon rows for the pivot unknowns of ``x``, bottom row first.
-
-    Row r of ``m`` reads ``sum(m[r][j] * x[j]) = rhs[r]`` over the columns of
-    ``x``; the entries of ``x`` off the pivot columns are given and kept.
-    """
-    for r in range(len(pivot_cols) - 1, -1, -1):
-        pc = pivot_cols[r]
-        acc = Fraction(rhs[r])
-        row = m[r]
-        for j in range(pc + 1, len(x)):
-            if row[j] and x[j]:
-                acc -= row[j] * x[j]
-        x[pc] = acc / row[pc]
-    return x
+    m = _integer_rows(rows)
+    pivots = _pivots_mod_p(m)
+    if len(pivots) == s:
+        return [True] * s
+    cols = list(zip(*m))
+    basis = _left_kernel(cols, pivots, s)
+    others = set(range(len(cols))).difference(pivots)
+    if any(sum(map(mul, y, cols[j])) for y in basis for j in others):
+        basis = _left_kernel(cols, range(len(cols)), s)
+    return [not any(y[k] for y in basis) for k in range(s)]
 
 
 def solve_square(rows: Sequence[Row], rhs_columns: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
@@ -157,10 +214,12 @@ def solve_square(rows: Sequence[Row], rhs_columns: Sequence[Sequence[Fraction]])
     m, pivot_cols = _echelon(_integer_rows(aug))
     if len(pivot_cols) < n or pivot_cols[:n] != list(range(n)):
         return None
-    return [
-        _back_substitute(m, pivot_cols, [Fraction(0)] * n, [row[n + t] for row in m])
-        for t in range(len(rhs_columns))
-    ]
+    d = _last_pivot(m, pivot_cols)
+    solutions = []
+    for t in range(len(rhs_columns)):
+        x = _back_substitute(m, pivot_cols, [0] * n, [d * row[n + t] for row in m])
+        solutions.append([Fraction(v, d) for v in x])
+    return solutions
 
 
 def nullspace_basis(rows: Sequence[Row], ncols: int | None = None) -> list[list[Fraction]]:
@@ -172,13 +231,8 @@ def nullspace_basis(rows: Sequence[Row], ncols: int | None = None) -> list[list[
     m, pivot_cols = _echelon(_integer_rows(rows))
     if m:
         ncols = len(m[0])
-    basis = []
-    for f in range(ncols or 0):
-        if f not in pivot_cols:
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            basis.append(_back_substitute(m, pivot_cols, v, [0] * len(pivot_cols)))
-    return basis
+    d, basis = _kernel(m, pivot_cols, ncols or 0)
+    return [[Fraction(v, d) for v in x] for x in basis]
 
 
 def nullspace_vector(rows: Sequence[Row]) -> list[Fraction] | None:

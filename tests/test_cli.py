@@ -459,6 +459,18 @@ class TestErrorPaths:
         code, _ = run(capsys, "check-poised", str(path))
         assert code == 2
 
+    def test_unwritable_out_through_emit_doc(self, capsys, cy3_file):
+        code = main(["maximal-lines", cy3_file, "--out", "/nonexistent/x.json"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("gcnlab: cannot write /nonexistent/x.json: ")
+
+    def test_out_to_a_directory_through_emit(self, capsys, cy3_file, tmp_path):
+        code = main(["certify-gc", cy3_file, "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"gcnlab: cannot write {tmp_path}: ")
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["mdseq"])  # missing required file and --node

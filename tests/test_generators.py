@@ -252,25 +252,27 @@ class TestConstructedCertificates:
                 assert save_nodeset(xs) == save_nodeset(want)
 
     def test_search_reads_the_report_and_use_counts_off_the_covers(self, monkeypatch):
-        reports = []
-        report = analysis.gm_report_from_certificate
+        certs = []
+        covers = analysis._maximal_covers
 
         def spy(cert):
-            reports.append((cert, report(cert)))
-            return reports[-1][1]
+            certs.append(cert)
+            return covers(cert)
 
-        monkeypatch.setattr(analysis, "gm_report_from_certificate", spy)
+        monkeypatch.setattr(analysis, "_maximal_covers", spy)
         runs = []
         for degree in range(1, 7):
             for seed in (3, 2024):
-                start = len(reports)
+                start = len(certs)
                 summary = search_counterexample(degree=degree, trials=9, seed=seed)
-                runs.append((summary, reports[start:]))
+                runs.append((summary, certs[start:]))
         monkeypatch.undo()
         for summary, trials in runs:
             assert len(trials) == summary.certified == 9
+            assert summary.gm_satisfied == sum(gm_report_from_certificate(c).satisfied for c in trials)
             want: dict[int, int] = {}
-            for cert, got in trials:
+            for cert in trials:
+                got = gm_report_from_certificate(cert)
                 fresh = self.searched(cert.nodeset)
                 index = fresh.nodeset.incidence
                 assert got == gm_report_from_certificate(fresh)

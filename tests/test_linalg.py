@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcnlab import linalg
 from gcnlab.linalg import (
     nullspace_basis,
     nullspace_vector,
@@ -28,6 +30,26 @@ def matrices(max_rows=5, max_cols=5):
             max_size=shape[0],
         )
     )
+
+
+def integer_matrix(nrows, ncols):
+    row = st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def wide_rank_deficient(draw):
+    """s rows, more columns than rows and rank at most s - 1, like the Cayley-Bacharach systems."""
+    s = draw(st.integers(2, 6))
+    r = draw(st.integers(0, s - 1))
+    width = draw(st.integers(s + 1, 9))
+    left, right = draw(integer_matrix(s, r)), draw(integer_matrix(r, width))
+    return [[sum(a * right[t][j] for t, a in enumerate(row)) for j in range(width)] for row in left]
+
+
+def per_unit(m):
+    """``is_consistent`` of ``A x = e_k`` for every k, one system at a time."""
+    return [is_consistent(m, [int(i == k) for i in range(len(m))]) for k in range(len(m))]
 
 
 class TestRank:
@@ -93,6 +115,44 @@ class TestConsistency:
         for k in range(len(m)):
             rhs = [Fraction(1) if i == k else Fraction(0) for i in range(len(m))]
             assert got[k] == is_consistent(m, rhs)
+
+    @given(wide_rank_deficient())
+    @settings(max_examples=100)
+    def test_wide_rank_deficient(self, m):
+        assert unit_consistency(m) == per_unit(m)
+
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            ([[1, 0], [0, PRIME]], [True, True]),
+            ([[1, 0], [0, PRIME], [1, PRIME]], [False, False, False]),
+            ([[1, 0, 2], [0, PRIME, 0], [1, PRIME, 2], [0, 0, 1]], [False, False, False, True]),
+        ],
+    )
+    def test_modular_pivots_missing_a_column(self, monkeypatch, m, expected):
+        # the prime hides a column of A's column space, so the kernel of
+        # the modular pivot columns fails the check and all columns are used
+        calls = []
+        kernel = linalg._left_kernel
+
+        def spy(cols, which, s):
+            calls.append(list(which))
+            return kernel(cols, which, s)
+
+        monkeypatch.setattr(linalg, "_left_kernel", spy)
+        assert unit_consistency(m) == expected == per_unit(m)
+        assert calls == [linalg._pivots_mod_p(m), list(range(len(m[0])))]
+
+    def test_full_row_rank_modulo_the_prime_needs_no_kernel(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_left_kernel", None)
+        assert unit_consistency([[1, 2, 3], [0, 1, PRIME]]) == [True, True]
+
+    @pytest.mark.parametrize("m", [[[], [], []], [[0, 0, 0], [0, 0, 0]], [[0], [0], [0], [0]]])
+    def test_zero_columns_and_zero_matrix(self, m):
+        assert unit_consistency(m) == per_unit(m) == [False] * len(m)
+
+    def test_no_rows(self):
+        assert unit_consistency([]) == []
 
 
 class TestSolveSquare:
