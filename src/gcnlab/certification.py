@@ -40,9 +40,15 @@ only it vanishes; a repeated line has none.  One pass over a node's
 lines ORs their masks and the nodes seen again, so the witnesses are
 read off the nodes on exactly one line.  :func:`verify_certificate` is
 the one place this rule runs, and the constructor of
-:class:`GCCertificate` runs it: it puts the lines it is given in Line
-order, remaps the covers and verifies the table, so every certificate
-that exists has passed, a copied or unpickled one included.  Whatever
+:class:`GCCertificate` runs it, so every certificate that exists has
+passed, a copied or unpickled one included.  The constructor first
+checks in one pass whether the table is canonical already: the lines
+strictly increasing in Line order, every cover strictly increasing and
+within range.  It keeps such a table as it is (a natural lattice's
+generator, a copy and an unpickled certificate hand one over), and only
+otherwise puts the distinct lines in Line order and remaps and sorts the
+covers (``certify_gc``, the loader, the principal lattice and affine
+images).  Whatever
 reads a certificate trusts its table.  The entries
 (:class:`NodeCertificate`: constant, lines and witnesses) are a view
 derived from the table when first read, so a sweep that needs only
@@ -55,6 +61,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import prod
+from operator import lt
 from typing import Sequence
 
 from .errors import InvalidCertificate, NotGC, NotPoised
@@ -78,11 +85,15 @@ class GCCertificate(Value):
     ``lines`` holds the distinct cover lines in Line order, and
     ``covers[k]`` node k's lines as sorted positions in ``lines``.  The
     constructor takes lines in any order, with the covers as positions in
-    them (a position outside ``range(len(lines))`` raises
-    InvalidCertificate with reason ``position``), puts the distinct lines
-    in Line order, remaps the covers and runs :func:`verify_certificate`,
-    so a table that breaks the rule raises InvalidCertificate and every
-    certificate, copied and unpickled ones included, has passed.  The
+    them.  A table whose lines strictly increase in Line order and whose
+    covers strictly increase within ``range(len(lines))`` is stored as
+    given, after one pass that checks just that.  Any other has its
+    distinct lines put in Line order and its covers remapped and sorted;
+    a position outside ``range(len(lines))`` raises InvalidCertificate
+    with reason ``position``, and a repeated one stays, for the rule to
+    reject.  Then :func:`verify_certificate` runs, so a table that breaks
+    the rule raises InvalidCertificate and every certificate, copied and
+    unpickled ones included, has passed.  The
     incidence index is the node set's own, ``nodeset.incidence``.
     ``masks`` and ``entries`` are derived from the table when first read.
     """
@@ -90,21 +101,13 @@ class GCCertificate(Value):
     _fields = ("nodeset", "lines", "covers")
 
     def __init__(self, nodeset: NodeSet, lines: Sequence[Line], covers: Sequence[Sequence[int]]):
-        for k, cover in enumerate(covers):
-            for i in cover:
-                if not 0 <= i < len(lines):
-                    raise _invalid(k, "position", f"{i} is not one of {len(lines)} positions")
-        distinct: list[Line] = []
-        position = [0] * len(lines)
-        for i in sorted(range(len(lines)), key=lambda i: lines[i].coefficients):
-            if not distinct or lines[i] != distinct[-1]:
-                distinct.append(lines[i])
-            position[i] = len(distinct) - 1
+        lines = tuple(lines)
+        covers = tuple(map(tuple, covers))
+        if not _in_order(lines, covers):
+            lines, covers = _sorted_table(lines, covers)
         object.__setattr__(self, "nodeset", nodeset)
-        object.__setattr__(self, "lines", tuple(distinct))
-        object.__setattr__(
-            self, "covers", tuple(tuple(sorted(position[i] for i in c)) for c in covers)
-        )
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "covers", covers)
         verify_certificate(self)
 
     @property
@@ -130,6 +133,51 @@ class GCCertificate(Value):
             constant = Fraction(index.scale**index.degree, prod(rows[f][k] for f in cover))
             entries.append(NodeCertificate(k, constant, lines, witnesses))
         return tuple(entries)
+
+
+def _in_order(lines: tuple[Line, ...], covers: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether the table is canonical.
+
+    That is, the lines strictly increase in Line order and each cover
+    strictly increases within ``range(len(lines))``.
+    """
+    keys = [line._values() for line in lines]
+    if not all(map(lt, keys, keys[1:])):
+        return False
+    for cover in covers:
+        last = -1
+        for i in cover:
+            if i <= last:
+                return False
+            last = i
+        if last >= len(lines):
+            return False
+    return True
+
+
+def _sorted_table(
+    lines: tuple[Line, ...], covers: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[Line, ...], tuple[tuple[int, ...], ...]]:
+    """The distinct lines in Line order, and the covers as sorted positions in them.
+
+    Raises InvalidCertificate with reason ``position`` for a position
+    outside ``range(len(lines))``.
+    """
+    for k, cover in enumerate(covers):
+        for i in cover:
+            if not 0 <= i < len(lines):
+                raise _invalid(k, "position", f"{i} is not one of {len(lines)} positions")
+    keys = [line._values() for line in lines]
+    distinct: list[Line] = []
+    position = [0] * len(lines)
+    last = None
+    for i in sorted(range(len(lines)), key=keys.__getitem__):
+        if keys[i] != last:
+            last = keys[i]
+            distinct.append(lines[i])
+        position[i] = len(distinct) - 1
+    remap = position.__getitem__
+    return tuple(distinct), tuple(tuple(sorted(map(remap, cover))) for cover in covers)
 
 
 def line_incidence(xs: NodeSet) -> dict[Line, tuple[int, ...]]:

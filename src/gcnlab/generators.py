@@ -19,7 +19,12 @@ node's cover, as positions in them, go to the constructor of the cover
 table (:class:`~gcnlab.certification.GCCertificate`), which verifies it
 once by the certificate rule, evaluating every line at every node.  If
 the rule rejects a construction, InvalidCertificate is raised: an
-internal error, never a property of the set.  The certificate's entries
+internal error, never a property of the set.  A natural lattice hands
+over its lines in Line order and each node's cover as the positions
+``0..n+1`` without the two of its meeting lines, so the constructor keeps
+that table as it is; the principal lattice (built once per degree) and
+affine images, whose lines the map reorders, are put in Line order by
+the constructor.  The certificate's entries
 (constants and witnesses) are a view built only when something reads
 them, so a sweep builds none.
 
@@ -28,8 +33,15 @@ random lines ``(a1, b1, c1)`` and ``(a2, b2, c2)`` meet at the homogeneous
 point ``(b1*c2 - b2*c1, a2*c1 - a1*c2, a1*b2 - a2*b1)``, taken with a
 positive last entry w; over the lcm D of all w, a natural lattice is a
 sorted list of integer nodes ``(D*x, D*y)``, which is the order of its
-points because D > 0.  An affine image maps such integer nodes with
-integer rows over one common scale.  The integer nodes, reduced by their
+points because D > 0.  A drawn line is parallel to an earlier one exactly
+when their directions ``(a, b)``, divided by their gcd and signed so the
+first nonzero is positive, are equal, so general position is a set
+lookup and one pass over the meets so far.  An affine image maps such
+integer nodes with integer rows over one common scale: its six
+coefficients are drawn as the numerator and denominator of
+``rng.rational``, in that order, reduced by their gcd, and each row is
+cleared by the integer lcm of its denominators, so no draw builds a
+Fraction.  The integer nodes, reduced by their
 gcd with the scale, become the set's incidence index as they are, and the
 set is held as that index: a sweep reads only the index and the cover
 table, so it builds no Fraction, and the points are built from the index
@@ -48,11 +60,11 @@ node sets on every platform (see :mod:`gcnlab.rng` for the PRNG contract).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .certification import GCCertificate
 from .errors import RetryLimitExceeded
-from .geometry import Line, NodeSet, Value, _clear
+from .geometry import Line, NodeSet, Value
 from .rng import RETRY_LIMIT, SplitMix64
 
 DEFAULT_KINDS = ("chung_yao", "principal", "projective_image")
@@ -106,6 +118,7 @@ def _general_position_meets(
     """
     lines: list[tuple[int, int, int]] = []
     meets: list[tuple[int, int, int, int, int]] = []
+    directions: set[tuple[int, int]] = set()
     attempts = 0
     while len(lines) < count:
         attempts += 1
@@ -115,15 +128,22 @@ def _general_position_meets(
                 f"{RETRY_LIMIT} draws at coordinate bound {bound}"
             )
         a, b, c = _random_line(rng, bound)
-        if any(a1 * b == a * b1 for a1, b1, _ in lines):
+        g = gcd(a, b)
+        if a < 0 or (a == 0 and b < 0):
+            g = -g
+        direction = (a // g, b // g)
+        if direction in directions:
             continue
-        if any(a * x + b * y + c * w == 0 for x, y, w, _, _ in meets):
-            continue
-        j = len(lines)
-        for i, (a1, b1, c1) in enumerate(lines):
-            x, y, w = b1 * c - b * c1, a * c1 - a1 * c, a1 * b - a * b1
-            meets.append((x, y, w, i, j) if w > 0 else (-x, -y, -w, i, j))
-        lines.append((a, b, c))
+        for x, y, w, _, _ in meets:
+            if a * x + b * y + c * w == 0:
+                break
+        else:
+            j = len(lines)
+            for i, (a1, b1, c1) in enumerate(lines):
+                x, y, w = b1 * c - b * c1, a * c1 - a1 * c, a1 * b - a * b1
+                meets.append((x, y, w, i, j) if w > 0 else (-x, -y, -w, i, j))
+            lines.append((a, b, c))
+            directions.add(direction)
     return lines, meets
 
 
@@ -136,14 +156,26 @@ def _chung_yao_scaled(degree: int, seed: int, bound: int) -> _Scaled:
     """The natural lattice of ``degree + 2`` random lines, over the lcm D of the meets' weights.
 
     Its nodes are sorted, which is the order of the points because D > 0.
-    The node where lines i and j meet is covered by the other n lines.
+    The lines are returned in Line order, and the node where the lines at
+    positions p < q meet is covered by the other n: the positions
+    ``0..n+1`` without p and q, ascending.
     """
     lines, meets = _general_position_meets(SplitMix64(seed), degree + 2, bound)
     d = lcm(*(w for _, _, w, _, _ in meets))
     nodes = sorted((x * (d // w), y * (d // w), i, j) for x, y, w, i, j in meets)
-    every = range(degree + 2)
-    covers = [tuple(f for f in every if f != i and f != j) for _, _, i, j in nodes]
-    return d, [(x, y) for x, y, _, _ in nodes], [Line(*t) for t in lines], covers
+    drawn = [Line(*t) for t in lines]
+    order = sorted(range(len(drawn)), key=[line._values() for line in drawn].__getitem__)
+    rank = [0] * len(drawn)
+    for p, i in enumerate(order):
+        rank[i] = p
+    every = tuple(range(len(drawn)))
+    covers = []
+    for _, _, i, j in nodes:
+        p, q = rank[i], rank[j]
+        if p > q:
+            p, q = q, p
+        covers.append(every[:p] + every[p + 1 : q] + every[q + 1 :])
+    return d, [(x, y) for x, y, _, _ in nodes], [drawn[i] for i in order], covers
 
 
 def _principal_scaled(degree: int) -> _Scaled:
@@ -174,12 +206,23 @@ def _principal_certified(degree: int) -> GCCertificate:
     return _certified(degree, _principal_scaled(degree))
 
 
+def _rational(rng: SplitMix64, bound: int) -> tuple[int, int]:
+    """The reduced numerator and denominator of ``rng.rational(bound)``, from the same draws."""
+    num = rng.randint(-bound, bound)
+    den = rng.randint(1, bound)
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def _projective_image_scaled(degree: int, seed: int, bound: int) -> _Scaled:
     """A random invertible affine image of a natural or the principal lattice.
 
     Node j of the image is the image of base node j, and a base cover line
     ``a*x + b*y + c = 0`` maps to the image's cover line through the
-    inverse of the map.
+    inverse of the map.  The map is ``x' = m00*x + m01*y + t0``,
+    ``y' = m10*x + m11*y + t1``, its coefficients drawn in that order
+    (m00, m01, m10, m11, t0, t1) as reduced integer pairs, from the draws
+    ``rng.rational(bound)`` makes.
     """
     rng = SplitMix64(seed)
     if rng.choice(("chung_yao", "principal")) == "chung_yao":
@@ -189,13 +232,17 @@ def _projective_image_scaled(degree: int, seed: int, bound: int) -> _Scaled:
         d, coords = base.nodeset.incidence.scale, base.nodeset.incidence.coords
         lines, covers = base.lines, base.covers
     for _ in range(RETRY_LIMIT):
-        m00, m01, m10, m11 = (rng.rational(bound) for _ in range(4))
-        t0, t1 = rng.rational(bound), rng.rational(bound)
-        if m00 * m11 - m01 * m10 != 0:
+        (n00, d00), (n01, d01), (n10, d10), (n11, d11), (nt0, dt0), (nt1, dt1) = (
+            _rational(rng, bound) for _ in range(6)
+        )
+        # the determinant n00/d00 * n11/d11 - n01/d01 * n10/d10, over positive denominators
+        if n00 * n11 * d01 * d10 != n01 * n10 * d00 * d11:
             # lx*x' = ax*x + bx*y + cx and ly*y' = ay*x + by*y + cy; over the
             # scale L*D, L = lcm(lx, ly), X' = (L/lx)*(ax*X + bx*Y + cx*D) on X = D*x
-            lx, (ax, bx, cx) = _clear((m00, m01, t0))
-            ly, (ay, by, cy) = _clear((m10, m11, t1))
+            lx = lcm(d00, d01, dt0)
+            ax, bx, cx = n00 * (lx // d00), n01 * (lx // d01), nt0 * (lx // dt0)
+            ly = lcm(d10, d11, dt1)
+            ay, by, cy = n10 * (ly // d10), n11 * (ly // d11), nt1 * (ly // dt1)
             scale = lcm(lx, ly)
             ux, uy = scale // lx, scale // ly
             mapped = [

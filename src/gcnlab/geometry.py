@@ -113,8 +113,11 @@ class Value:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        # Compiled source, not an argument binder: a sweep builds an Incidence
-        # and a GMReport per trial, and this runs as fast as a hand-written one.
+        # Compiled source, not an argument binder: it takes and refuses
+        # arguments with the signature and messages of a hand-written
+        # constructor, and builds a sweep trial's one Incidence in about 1.3
+        # us against 3.4 us for a generic binder (CPython 3.11, 2-CPU host),
+        # about 1% of the trial.
         if "_fields" in cls.__dict__ and "__init__" not in cls.__dict__:
             params = (f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in cls._fields)
             body = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)

@@ -3,9 +3,19 @@
 The generator is specified completely here so identical seeds give
 identical streams on every platform and Python version: the state advances
 by the golden-gamma increment 0x9E3779B97F4A7C15 modulo 2**64 and each
-output is the standard splitmix64 finalizer of the new state.  Bounded
-integers come from rejection sampling, never plain modulo, so the stream
-is bias-free and independent of the range's divisibility properties.
+output is the standard splitmix64 finalizer of the new state, all modulo
+2**64::
+
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    z = z ^ (z >> 31)
+
+Bounded integers come from rejection sampling, never plain modulo, so the
+stream is bias-free and independent of the range's divisibility
+properties: an integer in [lo, hi] with span s = hi - lo + 1 is
+``lo + r % s`` for the first output r below the largest multiple of s
+that is at most 2**64.  A rational is a numerator drawn in [-bound, bound]
+over a denominator then drawn in [1, bound].
 """
 
 from __future__ import annotations
@@ -42,9 +52,13 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK
 
+    # next_u64 and randint inline mix64, which saves a call per draw (about
+    # a tenth of a randint); a sweep trial draws a dozen times or more.
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        return mix64(self._state)
+        z = self._state = (self._state + _GAMMA) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return z ^ (z >> 31)
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], by rejection sampling."""
@@ -53,9 +67,12 @@ class SplitMix64:
         span = hi - lo + 1
         limit = (1 << 64) - ((1 << 64) % span)
         while True:
-            r = self.next_u64()
-            if r < limit:
-                return lo + (r % span)
+            z = self._state = (self._state + _GAMMA) & _MASK
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            z ^= z >> 31
+            if z < limit:
+                return lo + (z % span)
 
     def rational(self, bound: int) -> Fraction:
         """Uniform numerator in [-bound, bound] over uniform denominator in [1, bound]."""

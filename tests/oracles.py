@@ -48,12 +48,14 @@ echelon rows.
 :func:`is_consistent` is the one-system consistency check by Bareiss rank;
 it is the per-column reference for ``gcnlab.linalg.unit_consistency``.
 
-:func:`chung_yao_nodes_fraction` and :func:`projective_image_nodes_fraction`
-are the node builders the library's integer generators replaced: they draw
-canonical :class:`Line` objects, test general position with
-:func:`general_position` on the whole list, intersect in Fraction
-arithmetic, sort Points and apply the affine map to Fraction coordinates,
-from the same seeded stream.
+:func:`chung_yao_fraction` and :func:`projective_image_fraction` (with
+``*_nodes_fraction`` for the node set alone) are the builders the
+library's integer generators replaced: they draw canonical :class:`Line`
+objects, test general position with :func:`general_position` on the whole
+list, intersect in Fraction arithmetic, sort Points and apply the affine
+map to Fraction coordinates and its inverse to Fraction line
+coefficients, from the same seeded stream, and return the cover lines in
+Line order beside the node set.
 
 :func:`candidate_lines`, :func:`factor_into_lines` (raising
 :class:`NotProductOfCandidateLines`) and :class:`UsedLineIndex` /
@@ -66,6 +68,14 @@ rule used before it read each cover in one pass, and
 :func:`certificate_fault_private` applies the rule with it, to a table of
 zero masks and covers; the tests compare its verdict with
 ``verify_certificate``'s.
+
+:class:`ReferenceSplitMix64` and :func:`reference_substream_seed` restate
+the seeded stream from the formula in the :mod:`gcnlab.rng` docstring (the
+state advances by the golden gamma modulo 2**64, each output is the
+splitmix64 finalizer of the new state, bounded integers come by rejection
+below the largest multiple of the span), as one plain function per
+output; the Fraction node builders draw from it, so a changed library
+stream shows as a mismatch rather than moving both sides alike.
 
 :class:`DataclassPoint` and :class:`DataclassLine` are the frozen, ordered
 dataclasses that ``Point`` and ``Line`` were before they became plain
@@ -106,7 +116,6 @@ from gcnlab import (
 )
 from gcnlab.generators import RETRY_LIMIT
 from gcnlab.linalg import _echelon, _integer_rows
-from gcnlab.rng import SplitMix64
 
 
 @dataclass(frozen=True, order=True)
@@ -694,6 +703,49 @@ def verify_swap_property_fraction(seq, i):
     return idx in seq.primary and seq.primary[idx] < i
 
 
+_TWO_64 = 2**64
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _splitmix64_finalizer(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % _TWO_64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % _TWO_64
+    return z ^ (z >> 31)
+
+
+def reference_substream_seed(seed, index):
+    """The finalizer of ``seed + (index + 1) * gamma`` modulo 2**64."""
+    return _splitmix64_finalizer((seed + (index + 1) * _GOLDEN_GAMMA) % _TWO_64)
+
+
+class ReferenceSplitMix64:
+    """The splitmix64 stream, from its formula: one output per step of the state."""
+
+    def __init__(self, seed):
+        self.state = seed % _TWO_64
+
+    def next_u64(self):
+        self.state = (self.state + _GOLDEN_GAMMA) % _TWO_64
+        return _splitmix64_finalizer(self.state)
+
+    def randint(self, lo, hi):
+        # accept an output below the largest multiple of the span that fits in 64 bits
+        span = hi - lo + 1
+        accepted = _TWO_64 // span * span
+        while True:
+            r = self.next_u64()
+            if r < accepted:
+                return lo + r % span
+
+    def rational(self, bound):
+        numerator = self.randint(-bound, bound)
+        return Fraction(numerator, self.randint(1, bound))
+
+    def choice(self, items):
+        items = list(items)
+        return items[self.randint(0, len(items) - 1)]
+
+
 def _general_position_lines_fraction(rng, count, bound):
     lines = []
     attempts = 0
@@ -718,35 +770,55 @@ def _general_position_lines_fraction(rng, count, bound):
     return lines
 
 
-def chung_yao_nodes_fraction(degree, seed, bound):
-    """Sorted pairwise intersections of ``degree + 2`` general-position lines."""
-    rng = SplitMix64(seed)
+def chung_yao_fraction(degree, seed, bound):
+    """Sorted meets of ``degree + 2`` general-position lines, and the sorted lines."""
+    rng = ReferenceSplitMix64(seed)
     lines = _general_position_lines_fraction(rng, degree + 2, bound)
     points = {intersect(lines[i], lines[j]) for i in range(len(lines)) for j in range(i + 1, len(lines))}
     assert len(points) == dim_pi(degree)
-    return NodeSet(degree, tuple(sorted(points)))
+    return NodeSet(degree, tuple(sorted(points))), sorted(lines)
 
 
-def projective_image_nodes_fraction(degree, seed, bound):
-    """An affine image, in Fraction arithmetic, of a seeded base lattice."""
-    rng = SplitMix64(seed)
+def chung_yao_nodes_fraction(degree, seed, bound):
+    return chung_yao_fraction(degree, seed, bound)[0]
+
+
+def projective_image_fraction(degree, seed, bound):
+    """An affine image, in Fraction arithmetic, of a seeded base lattice, and its sorted lines.
+
+    The base's cover lines are its generating lines, or the principal
+    lattice's grid lines x = a/n, y = b/n (a, b < n) and x + y = c/n
+    (0 < c <= n); each maps to the image of its points.
+    """
+    rng = ReferenceSplitMix64(seed)
     if rng.choice(("chung_yao", "principal")) == "chung_yao":
-        base = chung_yao_nodes_fraction(degree, rng.next_u64(), bound)
+        base, lines = chung_yao_fraction(degree, rng.next_u64(), bound)
     else:
-        base = NodeSet(
-            degree,
-            tuple(
-                Point(Fraction(i, degree), Fraction(j, degree))
-                for i in range(degree + 1)
-                for j in range(degree + 1 - i)
-            ),
+        n = degree
+        grid = ((i, j) for i in range(n + 1) for j in range(n + 1 - i))
+        base = NodeSet(n, tuple(Point(Fraction(i, n), Fraction(j, n)) for i, j in grid))
+        lines = (
+            [Line.from_rationals(1, 0, Fraction(-a, n)) for a in range(n)]
+            + [Line.from_rationals(0, 1, Fraction(-b, n)) for b in range(n)]
+            + [Line.from_rationals(1, 1, Fraction(-c, n)) for c in range(1, n + 1)]
         )
     for _ in range(RETRY_LIMIT):
         m00, m01, m10, m11 = (rng.rational(bound) for _ in range(4))
         t0, t1 = rng.rational(bound), rng.rational(bound)
-        if m00 * m11 - m01 * m10 != 0:
+        det = m00 * m11 - m01 * m10
+        if det != 0:
             mapped = tuple(
                 Point(m00 * p.x + m01 * p.y + t0, m10 * p.x + m11 * p.y + t1) for p in base
             )
-            return NodeSet(degree, mapped)
+            # a*x + b*y + c = 0 at x = M^-1 (x' - t): (u, v) = (a, b) M^-1
+            image = []
+            for line in lines:
+                u = (line.a * m11 - line.b * m10) / det
+                v = (line.b * m00 - line.a * m01) / det
+                image.append(Line.from_rationals(u, v, line.c - u * t0 - v * t1))
+            return NodeSet(degree, mapped), sorted(image)
     raise RetryLimitExceeded(f"no invertible affine map within {RETRY_LIMIT} draws")
+
+
+def projective_image_nodes_fraction(degree, seed, bound):
+    return projective_image_fraction(degree, seed, bound)[0]

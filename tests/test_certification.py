@@ -25,6 +25,7 @@ from gcnlab import (
     ZeroPolynomial,
     all_fundamentals,
     certify_gc,
+    dim_pi,
     divide_by_line,
     enumerate_mdseqs,
     fixed_first_mdseq,
@@ -695,6 +696,103 @@ class TestVerifyCertificate:
         with pytest.raises(InvalidCertificate, match=message) as excinfo:
             GCCertificate(*table)
         assert excinfo.value.node_index == 1
+
+
+class TestConstructorOrder:
+    """The constructor keeps a table in canonical order and sorts any other."""
+
+    tables = st.builds(
+        lambda *spec: generate_with_certificate(GeneratorSpec(*spec))[1],
+        st.sampled_from(DEFAULT_KINDS),
+        st.integers(1, 6),
+        st.integers(0, 2**64 - 1),
+    )
+
+    @staticmethod
+    def sorting_calls(monkeypatch):
+        calls = []
+        sort = certification._sorted_table
+
+        def spy(lines, covers):
+            calls.append(lines)
+            return sort(lines, covers)
+
+        monkeypatch.setattr(certification, "_sorted_table", spy)
+        return calls
+
+    @settings(max_examples=40, deadline=None)
+    @given(cert=tables, data=st.data())
+    def test_permuted_and_repeated_lines_give_an_equal_certificate(self, cert, data):
+        m = len(cert.lines)
+        # lines[new[f]] is cert.lines[f]
+        new = data.draw(st.permutations(range(m)))
+        lines = [None] * m
+        for f, g in enumerate(new):
+            lines[g] = cert.lines[f]
+        covers = [data.draw(st.permutations([new[f] for f in cover])) for cover in cert.covers]
+        assert GCCertificate(cert.nodeset, lines, covers) == cert
+        # a second copy of a line, used in place of the first by one node
+        f = data.draw(st.integers(0, m - 1))
+        k = next(k for k, cover in enumerate(cert.covers) if f in cover)
+        covers[k] = [m if i == new[f] else i for i in covers[k]]
+        assert GCCertificate(cert.nodeset, lines + [cert.lines[f]], covers) == cert
+
+    @settings(max_examples=40, deadline=None)
+    @given(cert=tables)
+    def test_a_canonical_table_is_stored_as_given(self, cert):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = self.sorting_calls(monkeypatch)
+            again = GCCertificate(cert.nodeset, list(cert.lines), [list(c) for c in cert.covers])
+        assert calls == []
+        assert again == cert
+        assert all(a is b for a, b in zip(again.lines, cert.lines))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cert=tables, data=st.data())
+    def test_a_repeated_position_fails_at_its_node(self, cert, data):
+        # n distinct lines with one dropped leave its witnesses uncovered
+        assume(cert.degree >= 2)
+        k = data.draw(st.integers(0, len(cert.covers) - 1))
+        i = data.draw(st.integers(1, cert.degree - 1))
+        cover = cert.covers[k]
+        table = with_cover(cert, k, cover[:i] + cover[i - 1 : i] + cover[i + 1 :])
+        with pytest.raises(InvalidCertificate, match=rf"^node {k}: zero mask: ") as excinfo:
+            GCCertificate(*table)
+        assert excinfo.value.node_index == k
+
+    @pytest.mark.parametrize("degree", range(3, 7))
+    def test_a_repeated_position_in_an_ordered_table_has_no_witness(self, degree):
+        # test_a_repeated_line_has_no_witness at higher degrees: every node
+        # but node 0 on one line, repeated n times in each cover, covers node
+        # 0's complement, so only the witness rule rejects the table
+        xs = NodeSet(degree, (Point(0, 1),) + tuple(Point(t, 0) for t in range(dim_pi(degree) - 1)))
+        message = r"^node 0: witnesses: factor Line\(0, 1, 0\) has 0, not at least two$"
+        with pytest.raises(InvalidCertificate, match=message):
+            GCCertificate(xs, (Line(0, 1, 0),), ((0,) * degree,) * len(xs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cert=tables, data=st.data())
+    def test_a_position_outside_an_ordered_table(self, cert, data):
+        k = data.draw(st.integers(0, len(cert.covers) - 1))
+        cover = cert.covers[k]
+        m = len(cert.lines)
+        position = data.draw(st.sampled_from((-1, m, m + 5)))
+        changed = (position,) + cover[1:] if position < 0 else cover[:-1] + (position,)
+        message = rf"^node {k}: position: {position} is not one of {m} positions$"
+        with pytest.raises(InvalidCertificate, match=message) as excinfo:
+            GCCertificate(*with_cover(cert, k, changed))
+        assert excinfo.value.node_index == k
+
+    @pytest.mark.parametrize("degree", range(1, 13))
+    def test_natural_lattices_are_built_in_canonical_order(self, degree, monkeypatch):
+        calls = self.sorting_calls(monkeypatch)
+        for seed in range(3):
+            _, _, lines, covers = generators._chung_yao_scaled(degree, seed, 8)
+            assert lines == sorted(lines) and len(set(lines)) == len(lines)
+            assert all(list(cover) == sorted(set(cover)) for cover in covers)
+            assert all(0 <= i < len(lines) for cover in covers for i in cover)
+            generate_with_certificate(GeneratorSpec("chung_yao", degree, seed=seed))
+        assert calls == []
 
 
 # --- the one-pass rule against the prefix-and-suffix reference ----------------

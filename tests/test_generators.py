@@ -34,7 +34,9 @@ from gcnlab import (
 
 from oracles import (
     certify_gc_algebraic,
+    chung_yao_fraction,
     chung_yao_nodes_fraction,
+    projective_image_fraction,
     projective_image_nodes_fraction,
 )
 
@@ -318,27 +320,28 @@ class TestConstructedCertificates:
 
 
 def _exact(build, *args):
-    """Every coordinate as (numerator, denominator), in node order, or the error raised."""
+    """Coordinates as (numerator, denominator), in node order, and the sorted lines, or the error."""
     try:
-        xs = build(*args)
+        xs, lines = build(*args)
     except RetryLimitExceeded as exc:
         return "RetryLimitExceeded", str(exc)
-    return [(p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in xs.nodes]
+    nodes = [(p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in xs.nodes]
+    return nodes, sorted(lines)
 
 
-def _nodes(scaled):
-    """The node set of an integer construction, without its certificate."""
+def _built(scaled):
+    """The node set of an integer construction and its cover lines, without the certificate."""
 
     def build(degree, seed, bound):
-        d, coords, _, _ = scaled(degree, seed, bound)
-        return NodeSet._scaled(degree, d, coords)
+        d, coords, lines, _ = scaled(degree, seed, bound)
+        return NodeSet._scaled(degree, d, coords), lines
 
     return build
 
 
 BUILDERS = (
-    (_nodes(generators._chung_yao_scaled), chung_yao_nodes_fraction),
-    (_nodes(generators._projective_image_scaled), projective_image_nodes_fraction),
+    (_built(generators._chung_yao_scaled), chung_yao_fraction),
+    (_built(generators._projective_image_scaled), projective_image_fraction),
 )
 
 
@@ -357,11 +360,11 @@ class TestIntegerBuildersAgainstFraction:
             "no general-position configuration of 5 lines within 512 draws at coordinate bound 1",
         )
         assert _exact(BUILDERS[0][0], 3, 0, 1) == starved
-        assert _exact(chung_yao_nodes_fraction, 3, 0, 1) == starved
+        assert _exact(chung_yao_fraction, 3, 0, 1) == starved
         image = BUILDERS[1][0]
         seeds = [seed for seed in range(20) if _exact(image, 3, seed, 1) == starved]
         assert seeds
-        assert all(_exact(projective_image_nodes_fraction, 3, seed, 1) == starved for seed in seeds)
+        assert all(_exact(projective_image_fraction, 3, seed, 1) == starved for seed in seeds)
 
     @settings(max_examples=60, deadline=None)
     @given(
