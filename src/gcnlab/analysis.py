@@ -22,6 +22,7 @@ from .certification import GCCertificate, certify_gc
 from .errors import (
     CenterInTarget,
     DegenerateIntersection,
+    DuplicateNode,
     GCNLabError,
     IdenticalLines,
     ParallelLines,
@@ -62,7 +63,7 @@ def maximal_lines(xs: NodeSet) -> set[Line]:
     poised input that indicates an internal bug, for raw input it is a
     validity report.
     """
-    return {line for line, _ in xs.incidence.maximal}
+    return {line for line, _ in xs.maximal}
 
 
 def _maximal_covers(cert: GCCertificate) -> Iterator[tuple[Line, int]]:
@@ -104,7 +105,7 @@ def verify_gm(xs: NodeSet) -> GMReport:
 def classify_2m_nodes(xs: NodeSet) -> set[int]:
     """Indices of nodes lying on at least two maximal lines."""
     tally: dict[int, int] = {}
-    for _, ids in xs.incidence.maximal:
+    for _, ids in xs.maximal:
         for j in ids:
             tally[j] = tally.get(j, 0) + 1
     return {j for j, c in tally.items() if c >= 2}
@@ -136,7 +137,7 @@ def incidence_profile(
         raise ValueError(f"target {ids} repeats a node index")
     target_mask = sum(1 << j for j in ids)
     counts: dict[int, int] = {}
-    for mask in xs.incidence.keys.values():
+    for mask in xs.keys.values():
         k = (mask & target_mask).bit_count() if mask >> center & 1 else 0
         if k:
             counts[k] = counts.get(k, 0) + 1
@@ -167,12 +168,12 @@ def cayley_bacharach_check(lines_m: Sequence[Line], lines_n: Sequence[Line]) -> 
                 points.append(intersect(la, lb))
             except (ParallelLines, IdenticalLines) as exc:
                 raise DegenerateIntersection(f"{la} and {lb} do not meet transversally") from exc
-    distinct = sorted(set(points))
-    if len(distinct) != m * n:
+    try:
+        xs = NodeSet(m + n - 3, points)
+    except DuplicateNode as exc:
         raise DegenerateIntersection(
-            f"only {len(distinct)} distinct intersection points, expected {m * n}"
-        )
-    xs = NodeSet(degree=m + n - 3, nodes=tuple(distinct))
+            f"only {len(set(points))} distinct intersection points, expected {m * n}"
+        ) from exc
     return is_essentially_dependent(xs, m + n - 3)
 
 

@@ -12,23 +12,23 @@ certification is therefore a covering search, and needs algebra only to
 tell a non-poised set from a poised non-GC one after a cover is missing.
 
 The covering search runs on the incidence index that every node set
-carries from construction, ``xs.incidence``
-(:class:`~gcnlab.geometry.Incidence`): nodes scaled by the common
-denominator D of their coordinates to integers ``(X, Y)``, and every line
-through two nodes mapped, under its primitive integer equation ``(A, B,
-C)``, to the bitmask of its nodes, built when first read and kept on the
-index.  So whatever reads the lines after certification (maximal lines,
-the GM report, sequences) reuses them.  A canonical :class:`Line` is
-built only for a line that leaves the index: a cover line, or a line
-reported to a caller.  With r lines left, a line holding at least r + 1
-uncovered nodes must be chosen (the other r - 1 lines meet it at most
-once each).  The lines are ranked once by node count, largest first, so
-each forcing pass stops at the first line with at most r nodes; after
-forcing, more than r^2 uncovered nodes cannot be covered, and otherwise
-the search branches over the lines through the lowest uncovered node.  Lines through the node being certified
-are skipped by a mask test.  When a poised set has no cover at some node,
-:class:`NotGC` names the node and the nodes its forced lines left
-uncovered.
+(:class:`~gcnlab.geometry.NodeSet`) is from construction: ``xs.coords``,
+the nodes scaled by the common denominator ``xs.scale`` of their
+coordinates to integers ``(X, Y)``, and ``xs.keys``, every line through
+two nodes mapped, under its primitive integer equation ``(A, B, C)``, to
+the bitmask of its nodes, built when first read and kept on the set.  So
+whatever reads the lines after certification (maximal lines, the GM
+report, sequences) reuses them.  A canonical :class:`Line` is built only
+for a line that leaves the index: a cover line, or a line reported to a
+caller.  With r lines left, a line holding at least r + 1 uncovered nodes
+must be chosen (the other r - 1 lines meet it at most once each).  The
+lines are ranked once by node count, largest first, so each forcing pass
+stops at the first line with at most r nodes; after forcing, more than
+r^2 uncovered nodes cannot be covered, and otherwise the search branches
+over the lines through the lowest uncovered node.  Lines through the
+node being certified are skipped by a mask test.  When a poised set has
+no cover at some node, :class:`NotGC` names the node and the nodes its
+forced lines left uncovered.
 
 A certificate is a cover table (:class:`GCCertificate`): the distinct
 cover lines, in Line order, and each node's cover as sorted positions in
@@ -93,9 +93,9 @@ class GCCertificate(Value):
     with reason ``position``, and a repeated one stays, for the rule to
     reject.  Then :func:`verify_certificate` runs, so a table that breaks
     the rule raises InvalidCertificate and every certificate, copied and
-    unpickled ones included, has passed.  The
-    incidence index is the node set's own, ``nodeset.incidence``.
-    ``masks`` and ``entries`` are derived from the table when first read.
+    unpickled ones included, has passed.  The incidence index is the node
+    set itself.  ``masks`` and ``entries`` are derived from the table when
+    first read.
     """
 
     _fields = ("nodeset", "lines", "covers")
@@ -117,20 +117,20 @@ class GCCertificate(Value):
     @cached_property
     def masks(self) -> tuple[int, ...]:
         """Each line's zero mask: bit j is set iff the line passes through node j."""
-        return tuple(map(self.nodeset.incidence.zero_mask, self.lines))
+        return tuple(map(self.nodeset.zero_mask, self.lines))
 
     @cached_property
     def entries(self) -> tuple[NodeCertificate, ...]:
         """Each node's factorization, read off the verified table."""
-        index = self.nodeset.incidence
-        rows = [index.values(line) for line in self.lines]
+        xs = self.nodeset
+        rows = [xs.values(line) for line in self.lines]
         entries = []
         for k, cover in enumerate(self.covers):
             lines = tuple(self.lines[f] for f in cover)
             _, once = _union_once(self.masks, cover)
             witnesses = {self.lines[f]: _bits(self.masks[f] & once) for f in cover}
             # constant * product(lines) at node k is constant * product_k / D^n = 1
-            constant = Fraction(index.scale**index.degree, prod(rows[f][k] for f in cover))
+            constant = Fraction(xs.scale**xs.degree, prod(rows[f][k] for f in cover))
             entries.append(NodeCertificate(k, constant, lines, witnesses))
         return tuple(entries)
 
@@ -184,12 +184,11 @@ def line_incidence(xs: NodeSet) -> dict[Line, tuple[int, ...]]:
     """Every line through at least two nodes, with its incident node indices.
 
     Lines appear in the order of their first node pair (see
-    :class:`~gcnlab.geometry.Incidence`).
+    :class:`~gcnlab.geometry.NodeSet`).
     """
     if len(xs) < 2:
         raise ValueError("need at least two nodes to span lines")
-    index = xs.incidence
-    return {index.line(key): _bits(mask) for key, mask in index.keys.items()}
+    return {xs.line(key): _bits(mask) for key, mask in xs.keys.items()}
 
 
 def _cover(
@@ -242,10 +241,9 @@ def certify_gc(xs: NodeSet) -> GCCertificate:
     n = xs.degree
     if len(xs) != (n + 1) * (n + 2) // 2:  # dim Pi_n
         raise NotPoised(f"{len(xs)} nodes at degree {n} are not poised")
-    index = xs.incidence
     everyone = (1 << len(xs)) - 1
     ranked = sorted(
-        ((mask.bit_count(), mask, key) for key, mask in index.keys.items()),
+        ((mask.bit_count(), mask, key) for key, mask in xs.keys.items()),
         key=lambda t: t[0],
         reverse=True,
     )
@@ -269,7 +267,7 @@ def certify_gc(xs: NodeSet) -> GCCertificate:
     # factorization of a fundamental polynomial.
     position: dict[Key, int] = {}
     covers = [[position.setdefault(key, len(position)) for key in cover] for cover in covers]
-    return GCCertificate(xs, [index.line(key) for key in position], covers)
+    return GCCertificate(xs, [xs.line(key) for key in position], covers)
 
 
 def _invalid(k: int, reason: str, detail: str) -> InvalidCertificate:
@@ -295,7 +293,7 @@ def verify_certificate(cert: GCCertificate) -> None:
     """
     n = cert.nodeset.degree
     size = (n + 1) * (n + 2) // 2  # dim Pi_n
-    count = len(cert.nodeset.incidence.coords)
+    count = len(cert.nodeset.coords)
     if count != size or len(cert.covers) != size:
         raise InvalidCertificate(
             f"count: {len(cert.covers)} entries for {count} nodes; degree {n} needs "

@@ -189,7 +189,7 @@ def _cmd_maximal_lines(args) -> int:
     from .serialization import maximal_lines_to_list
 
     xs = _read_nodeset(args.file)
-    doc = {"degree": xs.degree, "maximal_lines": maximal_lines_to_list(xs.incidence.maximal)}
+    doc = {"degree": xs.degree, "maximal_lines": maximal_lines_to_list(xs.maximal)}
     _emit_doc(doc, args.out)
     return 0
 
@@ -325,7 +325,7 @@ def _cmd_plot(args) -> int:
     cert = None
     for kind, k in overlays:
         if kind == "maximal":
-            maximal = {line for line, _ in xs.incidence.maximal}
+            maximal = {line for line, _ in xs.maximal}
             continue
         from .certification import certify_gc, used_lines_of
 

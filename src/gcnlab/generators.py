@@ -38,20 +38,20 @@ when their directions ``(a, b)``, divided by their gcd and signed so the
 first nonzero is positive, are equal, so general position is a set
 lookup and one pass over the meets so far.  An affine image maps such
 integer nodes with integer rows over one common scale: its six
-coefficients are drawn as the numerator and denominator of
-``rng.rational``, in that order, reduced by their gcd, and each row is
-cleared by the integer lcm of its denominators, so no draw builds a
-Fraction.  The integer nodes, reduced by their
-gcd with the scale, become the set's incidence index as they are, and the
-set is held as that index: a sweep reads only the index and the cover
-table, so it builds no Fraction, and the points are built from the index
-when something first reads ``nodes``.
+coefficients are drawn as the reduced integer pairs of ``rng.rational``,
+and each row is cleared by the integer lcm of its denominators, so no
+draw builds a Fraction.  The integer nodes, reduced by their gcd with the
+scale, become the set's incidence index (``NodeSet.scale`` and
+``NodeSet.coords``) as they are, and the set is held as that index: a
+sweep reads only the index and the cover table, so it builds no
+Fraction, and the points are built from the index when something first
+reads ``nodes``.
 
 The principal lattice depends on its degree alone, so it is certified once
 per degree per process; every later request for that degree gets the same
 set and certificate objects, and an affine image of it reads its integer
-nodes from the cached set's incidence index and its lines and covers from
-the cached certificate.
+nodes from the cached set and its lines and covers from the cached
+certificate.
 
 Generation is a pure function of its spec; fixed seeds give byte-identical
 node sets on every platform (see :mod:`gcnlab.rng` for the PRNG contract).
@@ -206,14 +206,6 @@ def _principal_certified(degree: int) -> GCCertificate:
     return _certified(degree, _principal_scaled(degree))
 
 
-def _rational(rng: SplitMix64, bound: int) -> tuple[int, int]:
-    """The reduced numerator and denominator of ``rng.rational(bound)``, from the same draws."""
-    num = rng.randint(-bound, bound)
-    den = rng.randint(1, bound)
-    g = gcd(num, den)
-    return num // g, den // g
-
-
 def _projective_image_scaled(degree: int, seed: int, bound: int) -> _Scaled:
     """A random invertible affine image of a natural or the principal lattice.
 
@@ -221,19 +213,19 @@ def _projective_image_scaled(degree: int, seed: int, bound: int) -> _Scaled:
     ``a*x + b*y + c = 0`` maps to the image's cover line through the
     inverse of the map.  The map is ``x' = m00*x + m01*y + t0``,
     ``y' = m10*x + m11*y + t1``, its coefficients drawn in that order
-    (m00, m01, m10, m11, t0, t1) as reduced integer pairs, from the draws
-    ``rng.rational(bound)`` makes.
+    (m00, m01, m10, m11, t0, t1) as the reduced integer pairs of
+    ``rng.rational(bound)``.
     """
     rng = SplitMix64(seed)
     if rng.choice(("chung_yao", "principal")) == "chung_yao":
         d, coords, lines, covers = _chung_yao_scaled(degree, rng.next_u64(), bound)
     else:
         base = _principal_certified(degree)
-        d, coords = base.nodeset.incidence.scale, base.nodeset.incidence.coords
+        d, coords = base.nodeset.scale, base.nodeset.coords
         lines, covers = base.lines, base.covers
     for _ in range(RETRY_LIMIT):
         (n00, d00), (n01, d01), (n10, d10), (n11, d11), (nt0, dt0), (nt1, dt1) = (
-            _rational(rng, bound) for _ in range(6)
+            rng.rational(bound) for _ in range(6)
         )
         # the determinant n00/d00 * n11/d11 - n01/d01 * n10/d10, over positive denominators
         if n00 * n11 * d01 * d10 != n01 * n10 * d00 * d11:

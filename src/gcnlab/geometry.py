@@ -11,24 +11,25 @@ intersect: there are no projective points at infinity, callers get an
 explicit :class:`~gcnlab.errors.ParallelLines` signal instead.
 
 A :class:`NodeSet` is a degree-tagged tuple of distinct points, the input of
-every question the package answers.  Every set carries its
-:class:`Incidence` index (``NodeSet.incidence``) from construction, and
-decides incidence on integers: node j lies on ``a*x + b*y + c = 0`` iff
-``a*X_j + b*Y_j + c*D`` is 0 for the nodes ``(X, Y) = (D*x, D*y)`` scaled
-by their common denominator D.  Both ways to build a set end in one
-setup, which checks the integer nodes for repeats and stores the index:
-the constructor, from points, and ``NodeSet._scaled``, from the integer
-nodes a generator built.  Certification, maximal lines, sequences and the
-generators all read this one index, and ``len`` counts its nodes.  A
-generated set is held as its index alone, and its points
-(``NodeSet.nodes``) are built from it when first read, by equality,
-hashing, pickling, the repr or serialization.
+every question the package answers, and it is its own incidence index:
+``xs.scale`` is the common denominator D of the coordinates and
+``xs.coords`` the integer nodes ``(X, Y) = (D*x, D*y)``, so node j lies on
+``a*x + b*y + c = 0`` iff ``a*X_j + b*Y_j + c*D`` is 0.  Both ways to build
+a set end in one setup, which checks the integer nodes for repeats and
+stores the index: the constructor, from points, and ``NodeSet._scaled``,
+from the integer nodes a generator built.  Certification, maximal lines,
+sequences, the generators and the Vandermonde rows all read these
+integers, and ``len`` counts them.  The lines through two nodes
+(``xs.keys``) and the maximal lines (``xs.maximal``) are built when first
+read.  A generated set is held as its index alone, and its points
+(``xs.nodes``) are built from it when first read, by equality, hashing,
+pickling, the repr or serialization.
 
 Every value type of the package derives from :class:`Value`, defined
 here.  A subclass names its fields once, in constructor order:
-``__slots__ = _fields = (...)``, or ``_fields`` alone on ``NodeSet``,
-``Incidence`` and ``GCCertificate``, which keep a ``__dict__`` for their
-cached properties (and a node set for its index, which is not a field).
+``__slots__ = _fields = (...)``, or ``_fields`` alone on ``NodeSet`` and
+``GCCertificate``, which keep a ``__dict__`` for their cached properties
+(and a node set for its index, which is not a field).
 ``Value`` generates the constructor when the class is created: it takes
 the fields by name and in that order, with the defaults of the class's
 ``_defaults`` mapping.  A class that validates or normalizes its fields
@@ -115,9 +116,7 @@ class Value:
         super().__init_subclass__()
         # Compiled source, not an argument binder: it takes and refuses
         # arguments with the signature and messages of a hand-written
-        # constructor, and builds a sweep trial's one Incidence in about 1.3
-        # us against 3.4 us for a generic binder (CPython 3.11, 2-CPU host),
-        # about 1% of the trial.
+        # constructor.
         if "_fields" in cls.__dict__ and "__init__" not in cls.__dict__:
             params = (f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in cls._fields)
             body = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)
@@ -230,11 +229,36 @@ class Line(_Ordered):
         return f"Line({self.a}, {self.b}, {self.c})"
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+Key = tuple[int, int, int]
+
+
 class NodeSet(Value):
-    """A finite set of distinct nodes tagged with an interpolation degree.
+    """A finite set of distinct nodes tagged with an interpolation degree, and its incidence index.
 
     Node order is significant only for indexing (certificates, CLI output);
     every predicate in this package is order-invariant.
+
+    ``scale`` is the lcm D of all coordinate denominators and ``coords``
+    the integer nodes ``(D*x, D*y)``.  ``keys``, built on first use, maps
+    the primitive equation ``(A, B, C)`` of each line through two nodes,
+    ``A*X + B*Y + C = 0`` in the integer coordinates with ``(A, B)``
+    coprime and its first nonzero positive, to the line's node bitmask:
+    bit j is set iff node j lies on the line.  Lines are listed in the
+    order their first node pair appears in the pair enumeration ``(0, 1),
+    (0, 2), ..., (1, 2), ...``.  :meth:`line` turns a key into its
+    canonical :class:`Line`, and ``maximal``, built on first use, holds
+    the maximal lines.  :meth:`zero_mask` evaluates any line at every node
+    instead, without the line map.
     """
 
     _fields = ("degree", "nodes", "labels")
@@ -280,16 +304,17 @@ class NodeSet(Value):
                     raise DuplicateNode(f"node {p} appears twice")
                 seen.add((x, y))
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "incidence", Incidence(degree, scale, coords))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "coords", coords)
 
     @cached_property
     def nodes(self) -> tuple[Point, ...]:
         """The points of a set held as its index (the constructor stores them instead)."""
-        d = self.incidence.scale
-        return tuple(Point(Fraction(x, d), Fraction(y, d)) for x, y in self.incidence.coords)
+        d = self.scale
+        return tuple(Point(Fraction(x, d), Fraction(y, d)) for x, y in self.coords)
 
     def __len__(self) -> int:
-        return len(self.incidence.coords)
+        return len(self.coords)
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.nodes)
@@ -300,40 +325,6 @@ class NodeSet(Value):
             return self.nodes.index(p)
         except ValueError:
             return None
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-Key = tuple[int, int, int]
-
-
-class Incidence(Value):
-    """A node set on integer coordinates, and every line through two of its nodes.
-
-    ``degree`` is the node set's degree, ``scale`` the lcm D of all
-    coordinate denominators and ``coords`` the integer nodes ``(D*x, D*y)``.
-    ``keys``, built on first use, maps the primitive equation ``(A, B, C)``
-    of each line, ``A*X + B*Y + C = 0`` in the integer coordinates with
-    ``(A, B)`` coprime and its first nonzero positive, to the line's node
-    bitmask: bit j is set iff node j lies on the line.  Lines are listed in
-    the order their first node pair appears in the pair enumeration ``(0,
-    1), (0, 2), ..., (1, 2), ...``.
-
-    :meth:`line` turns a key into its canonical :class:`Line`, and
-    ``maximal``, built on first use, holds the maximal lines.
-    :meth:`zero_mask` evaluates any line at every node instead, without
-    the line map.
-    """
-
-    _fields = ("degree", "scale", "coords")
 
     @cached_property
     def keys(self) -> dict[Key, int]:

@@ -8,8 +8,9 @@ and essential dependence are rank statements, fundamental polynomials and
 interpolants come from exact solves.
 
 Every exact question runs on one integer Vandermonde matrix, built by
-:func:`_integer_vandermonde` from nodes cleared by
-:func:`~gcnlab.geometry._clear`; :func:`vandermonde` is its rational view.
+:func:`_integer_vandermonde` from the integer nodes the set holds
+(``xs.scale`` and ``xs.coords``), so no point is built or cleared again;
+:func:`vandermonde` is its rational view.
 
 All functions are pure.  Fundamental polynomials for all nodes of one set
 are produced from a single shared elimination (see :func:`all_fundamentals`),
@@ -20,11 +21,12 @@ immutable.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from . import linalg
 from .errors import LengthMismatch, NotPoised
-from .geometry import NodeSet, Point, RationalLike, Value, _clear, to_scalar
+from .geometry import NodeSet, RationalLike, Value, to_scalar
 from .polynomials import Poly, _check_degree_bound, dim_pi, monomials
 
 
@@ -39,21 +41,25 @@ class FundamentalSolution(Value):
     __slots__ = _fields = ("node_index", "poly")
 
 
-def _integer_vandermonde(nodes: Sequence[Point], n: int) -> list[list[int]]:
-    """Degree-``n`` Vandermonde rows of ``nodes``, row i scaled to integers by ``d_i**n``.
+def _integer_vandermonde(xs: NodeSet, n: int) -> list[list[int]]:
+    """Degree-``n`` Vandermonde rows of the nodes of ``xs``, row i scaled to integers by ``d_i**n``.
 
-    d_i is the lcm of node i's denominators, so ``x^a y^b * d_i**n`` is
-    ``X^a Y^b d_i^(n-a-b)`` on the integers ``(X, Y) = d_i*(x, y)``, and the
-    scale is the row's first entry.  It is also the lcm of the rational
-    row's denominators (those of ``x^n`` and ``y^n`` give it), so these are
-    the rows that clearing the rational ones gives.  A solve multiplies data
-    b by the scale: ``d_i**n * den(b * d_i**n) = lcm(d_i**n, den b)`` prime
-    by prime, so every augmented integer matrix, elimination step and
-    solution is the one the rational rows give.
+    d_i is the lcm of node i's denominators: on the set's integer node
+    ``(X_i, Y_i)`` over its scale D it is D / g with g = gcd(X_i, Y_i, D),
+    and ``(X, Y) = (X_i/g, Y_i/g)`` is ``d_i*(x, y)``.  So ``x^a y^b *
+    d_i**n`` is ``X^a Y^b d_i^(n-a-b)``, and the scale is the row's first
+    entry.  It is also the lcm of the rational row's denominators (those of
+    ``x^n`` and ``y^n`` give it), so these are the rows that clearing the
+    rational ones gives.  A solve multiplies data b by the scale:
+    ``d_i**n * den(b * d_i**n) = lcm(d_i**n, den b)`` prime by prime, so
+    every augmented integer matrix, elimination step and solution is the
+    one the rational rows give.
     """
+    big_d = xs.scale
     rows = []
-    for p in nodes:
-        d, (big_x, big_y) = _clear((p.x, p.y))
+    for big_x, big_y in xs.coords:
+        g = gcd(big_x, big_y, big_d)
+        big_x, big_y, d = big_x // g, big_y // g, big_d // g
         xp, yp, dp = [1] * (n + 1), [1] * (n + 1), [1] * (n + 1)
         for k in range(1, n + 1):
             xp[k], yp[k], dp[k] = xp[k - 1] * big_x, yp[k - 1] * big_y, dp[k - 1] * d
@@ -63,7 +69,7 @@ def _integer_vandermonde(nodes: Sequence[Point], n: int) -> list[list[int]]:
 
 def vandermonde(xs: NodeSet) -> list[list[Fraction]]:
     """One row per node of monomial values at the set's degree."""
-    return [[Fraction(v, row[0]) for v in row] for row in _integer_vandermonde(xs.nodes, xs.degree)]
+    return [[Fraction(v, row[0]) for v in row] for row in _integer_vandermonde(xs, xs.degree)]
 
 
 def is_poised(xs: NodeSet) -> bool:
@@ -77,7 +83,7 @@ def is_poised(xs: NodeSet) -> bool:
     n_dim = dim_pi(xs.degree)
     if len(xs) != n_dim:
         return False
-    rows = _integer_vandermonde(xs.nodes, xs.degree)
+    rows = _integer_vandermonde(xs, xs.degree)
     if linalg.rank_mod_p(rows) == n_dim:
         return True
     return linalg.rank(rows) == n_dim
@@ -87,7 +93,7 @@ def is_independent(xs: NodeSet) -> bool:
     """True iff every node has a fundamental polynomial at the set's degree."""
     if len(xs) > dim_pi(xs.degree):
         return False
-    return linalg.rank(_integer_vandermonde(xs.nodes, xs.degree)) == len(xs)
+    return linalg.rank(_integer_vandermonde(xs, xs.degree)) == len(xs)
 
 
 def is_essentially_dependent(xs: NodeSet, m: int) -> bool:
@@ -98,7 +104,7 @@ def is_essentially_dependent(xs: NodeSet, m: int) -> bool:
     kernel, a dependence among the nodes, is nonzero at k; every node is
     decided from one exact kernel basis.
     """
-    return not any(linalg.unit_consistency(_integer_vandermonde(xs.nodes, m)))
+    return not any(linalg.unit_consistency(_integer_vandermonde(xs, m)))
 
 
 def annihilator(xs: NodeSet) -> Poly | None:
@@ -109,7 +115,7 @@ def annihilator(xs: NodeSet) -> Poly | None:
     non-poised set of full size this exhibits the kernel witness promised
     by the rank criterion.
     """
-    rows = _integer_vandermonde(xs.nodes, xs.degree)
+    rows = _integer_vandermonde(xs, xs.degree)
     if not rows:
         return Poly.from_coeff_dict({(0, 0): 1}, xs.degree)
     vec = linalg.nullspace_vector(rows)
@@ -128,7 +134,7 @@ def _solve_poised(xs: NodeSet, rhs: Sequence[Sequence]) -> list[list[Fraction]]:
     if not is_poised(xs):
         raise NotPoised(f"{len(xs)} nodes at degree {xs.degree} are not poised")
     _check_degree_bound(xs.degree)
-    rows = _integer_vandermonde(xs.nodes, xs.degree)
+    rows = _integer_vandermonde(xs, xs.degree)
     scaled = [[to_scalar(v) * row[0] for v, row in zip(column, rows)] for column in rhs]
     solutions = linalg.solve_square(rows, scaled)
     if solutions is None:  # unreachable after the poisedness check

@@ -94,15 +94,7 @@ class Poly(Value):
             c[index[(i, j)]] = to_scalar(v)
         return cls(n, tuple(c))
 
-    @classmethod
-    def from_line(cls, line: Line) -> "Poly":
-        """The degree-1 polynomial ``a*x + b*y + c`` of a line."""
-        return cls.from_coeff_dict({(1, 0): line.a, (0, 1): line.b, (0, 0): line.c}, 1)
-
     # --- inspection ---------------------------------------------------------
-
-    def coeff(self, i: int, j: int) -> Fraction:
-        return self.coeffs[_monomial_index(self.degree_bound)[(i, j)]]
 
     def as_dict(self) -> dict[tuple[int, int], Fraction]:
         """Nonzero coefficients keyed by exponent pair."""

@@ -15,12 +15,13 @@ stream is bias-free and independent of the range's divisibility
 properties: an integer in [lo, hi] with span s = hi - lo + 1 is
 ``lo + r % s`` for the first output r below the largest multiple of s
 that is at most 2**64.  A rational is a numerator drawn in [-bound, bound]
-over a denominator then drawn in [1, bound].
+over a denominator then drawn in [1, bound], returned as that pair divided
+by its gcd.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -74,13 +75,18 @@ class SplitMix64:
             if z < limit:
                 return lo + (z % span)
 
-    def rational(self, bound: int) -> Fraction:
-        """Uniform numerator in [-bound, bound] over uniform denominator in [1, bound]."""
+    def rational(self, bound: int) -> tuple[int, int]:
+        """Uniform numerator in [-bound, bound] over uniform denominator in [1, bound].
+
+        Returns the pair reduced by its gcd, so the denominator is positive
+        and zero comes back as ``(0, 1)``.
+        """
         if bound < 1:
             raise ValueError("bound must be positive")
         num = self.randint(-bound, bound)
         den = self.randint(1, bound)
-        return Fraction(num, den)
+        g = gcd(num, den)
+        return num // g, den // g
 
     def choice(self, items):
         seq = list(items)

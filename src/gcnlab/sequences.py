@@ -19,14 +19,14 @@ time as a frontier of ``(unused lines, uncovered nodes, counts)`` bitmask
 states with duplicates merged.  The n used lines give at most 2^n
 distinct unused-line sets over all steps.
 
-Incidence is decided on the integer nodes of the index every set carries
-from construction (``NodeSet.incidence``): node j lies on ``a*x + b*y + c
-= 0`` iff ``a*X_j + b*Y_j + c*D`` is 0, and each line becomes the bitmask
-of its nodes.  The node count is read off the index too, so no point of a
-generated set is built here.  A certified node's lines and their masks
-are read off the verified cover table (``cert.covers`` and
-``cert.masks``), which never repeats a line in a cover; an arbitrary line
-set is evaluated with ``Incidence.zero_mask``.
+Incidence is decided on the integer nodes every set holds from
+construction (``NodeSet.coords`` over ``NodeSet.scale``): node j lies on
+``a*x + b*y + c = 0`` iff ``a*X_j + b*Y_j + c*D`` is 0, and each line
+becomes the bitmask of its nodes.  The node count is read off the integer
+nodes too, so no point of a generated set is built here.  A certified
+node's lines and their masks are read off the verified cover table
+(``cert.covers`` and ``cert.masks``), which never repeats a line in a
+cover; an arbitrary line set is evaluated with ``NodeSet.zero_mask``.
 Two distinct lines share at most one node, so the AND of their masks is
 their crossing node, if it is one.  Intersection points of used lines
 that are not nodes of the set are ignored by all counting here; only
@@ -94,7 +94,7 @@ def greedy_sequence_for_lines(
     ``fixed_first`` that is not among ``used`` raises LineNotUsed.
     """
     used = tuple(sorted(set(used)))
-    masks = [xs.incidence.zero_mask(line) for line in used]
+    masks = [xs.zero_mask(line) for line in used]
     return _greedy(xs, node_index, used, masks, fixed_first)
 
 
@@ -181,7 +181,7 @@ def _is_greedy_ordering(seq: MLineSequence, order: Sequence[Line]) -> bool:
 
     With a ``fixed_first`` line in ``seq``, the first line may have any gain.
     """
-    masks = [seq.nodeset.incidence.zero_mask(line) for line in seq.used]
+    masks = [seq.nodeset.zero_mask(line) for line in seq.used]
     index = {line: i for i, line in enumerate(seq.used)}
     remaining = (1 << len(seq.nodeset)) - 1
     pool = (1 << len(masks)) - 1
@@ -216,7 +216,7 @@ def verify_swap_property(seq: MLineSequence, i: int) -> bool:
     if not _is_greedy_ordering(seq, swapped):
         return False
     # both lines are distinct used lines here, so they share at most one node
-    first, second = map(seq.nodeset.incidence.zero_mask, seq.lines[i : i + 2])
+    first, second = map(seq.nodeset.zero_mask, seq.lines[i : i + 2])
     crossing = first & second
     if not crossing:
         return True

@@ -20,7 +20,6 @@ from gcnlab import (
     intersect,
 )
 from gcnlab import generators
-from gcnlab.geometry import Incidence
 
 
 @pytest.fixture
@@ -33,16 +32,21 @@ def cold_cache():
 
 @pytest.fixture
 def built_indexes(monkeypatch):
-    """Every Incidence constructed during the test, in order."""
+    """Every node set indexed during the test (each ``NodeSet._store`` call), in order."""
     built = []
-    init = Incidence.__init__
+    store = NodeSet._store
 
-    def counting_init(index, *args, **kwargs):
-        init(index, *args, **kwargs)
-        built.append(index)
+    def counting_store(xs, *args, **kwargs):
+        store(xs, *args, **kwargs)
+        built.append(xs)
 
-    monkeypatch.setattr(Incidence, "__init__", counting_init)
+    monkeypatch.setattr(NodeSet, "_store", counting_store)
     return built
+
+
+def index_of(xs):
+    """A node set's incidence index, ``(degree, scale, coords)``, for comparing two sets' indexes."""
+    return (xs.degree, xs.scale, xs.coords)
 
 
 CY2_LINES = (Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, -1), Line(2, 1, -4))

@@ -74,19 +74,19 @@ class TestMaximalLines:
         )
 
     def test_computed_once_per_index(self, principal5_cert):
-        index = principal5_cert.nodeset.incidence
-        assert index.maximal is index.maximal
+        xs = principal5_cert.nodeset
+        assert xs.maximal is xs.maximal
         # the report reads its maximal lines off the cover table instead
-        assert gm_report_from_certificate(principal5_cert).maximal_lines == index.maximal
-        assert index.degree == 5
-        assert [line for line, _ in index.maximal] == sorted(maximal_lines(principal5_cert.nodeset))
+        assert gm_report_from_certificate(principal5_cert).maximal_lines == xs.maximal
+        assert xs.degree == 5
+        assert [line for line, _ in xs.maximal] == sorted(maximal_lines(xs))
 
     def test_overfull_line_raises_on_every_read(self):
         pts = tuple(Point(t, 0) for t in range(5)) + (Point(0, 1), Point(1, 2))
-        index = NodeSet(3, pts).incidence
+        xs = NodeSet(3, pts)
         for _ in range(2):
             with pytest.raises(TooManyCollinear):
-                index.maximal
+                xs.maximal
 
 
 class TestReportFromTheCoverTable:
@@ -102,7 +102,7 @@ class TestReportFromTheCoverTable:
                     certs.append(certify_gc(NodeSet(degree, cert.nodeset.nodes)))
                 for c in certs:
                     report = gm_report_from_certificate(c)
-                    fresh = NodeSet(degree, c.nodeset.nodes).incidence
+                    fresh = NodeSet(degree, c.nodeset.nodes)
                     assert report.maximal_lines == fresh.maximal
                     assert report.satisfied and report.counterexample is None
 
@@ -227,8 +227,9 @@ class TestCayleyBacharach:
         # three concurrent cross lines collapse the point count
         lines_m = [Line(1, 0, 0), Line(0, 1, 0)]
         lines_n = [Line(1, 1, 0), Line(1, 2, 0)]
-        with pytest.raises(DegenerateIntersection):
+        with pytest.raises(DegenerateIntersection) as excinfo:
             cayley_bacharach_check(lines_m, lines_n)
+        assert str(excinfo.value) == "only 1 distinct intersection points, expected 4"
 
     def test_random_seeded_instances(self):
         rng = SplitMix64(55)
@@ -292,7 +293,7 @@ class TestSearch:
                 )
                 _, cert = generate_with_certificate(spec)
                 for line, users in used_line_index(cert).users.items():
-                    count = cert.nodeset.incidence.zero_mask(line).bit_count()
+                    count = cert.nodeset.zero_mask(line).bit_count()
                     want[count] = max(want.get(count, 0), len(users))
             got = search_counterexample(degree=degree, trials=9, seed=31).use_count_max
             assert got == want

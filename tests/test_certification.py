@@ -47,7 +47,7 @@ from gcnlab.geometry import _bits
 from gcnlab.rng import SplitMix64
 from gcnlab.serialization import load_certificate, save_certificate
 
-from conftest import CY2_LINES
+from conftest import CY2_LINES, index_of
 from oracles import (
     NotProductOfCandidateLines,
     candidate_lines,
@@ -381,11 +381,12 @@ class TestAgainstAlgebraicOracle:
 class TestIncidenceIndex:
     def test_certificate_carries_index_and_load_rebuilds_it(self, cy3_pair):
         xs, cert = cy3_pair
-        assert "incidence" in vars(cert.nodeset)
+        assert {"scale", "coords"} <= set(vars(cert.nodeset))
         loaded = load_certificate(save_certificate(cert))
         # the document holds no index; verifying the load built a new one
-        assert loaded == cert and loaded.nodeset.incidence is not cert.nodeset.incidence
-        assert "keys" not in vars(loaded.nodeset.incidence)
+        assert loaded == cert and loaded.nodeset is not cert.nodeset
+        assert index_of(loaded.nodeset) == index_of(cert.nodeset)
+        assert "keys" not in vars(loaded.nodeset)
         assert line_incidence(loaded.nodeset) == line_incidence(cert.nodeset)
         assert save_certificate(loaded) == save_certificate(cert)
 
@@ -393,20 +394,19 @@ class TestIncidenceIndex:
         generated = generate(GeneratorSpec("chung_yao", 2, seed=4))
         xs = NodeSet(2, generated.nodes)
         # built by the constructor, before anything reads it
-        assert "incidence" in vars(xs)
-        assert xs.incidence is xs.incidence
-        assert xs.incidence.keys is xs.incidence.keys
-        assert xs.incidence == NodeSet(2, xs.nodes).incidence == generated.incidence
-        assert len(xs) == len(xs.incidence.coords) == 6
+        assert {"scale", "coords"} <= set(vars(xs)) and "keys" not in vars(xs)
+        assert xs.keys is xs.keys
+        assert index_of(xs) == index_of(NodeSet(2, xs.nodes)) == index_of(generated)
+        assert len(xs) == len(xs.coords) == 6
 
     def test_certify_leaves_its_index_on_the_set(self, built_indexes):
         points = generate(GeneratorSpec("chung_yao", 4, seed=9)).nodes
         built_indexes.clear()
         xs = NodeSet(4, points)
-        assert len(built_indexes) == 1 and built_indexes[0] is xs.incidence
+        assert len(built_indexes) == 1 and built_indexes[0] is xs
         cert = certify_gc(xs)
-        keys = xs.incidence.keys
-        assert maximal_lines(xs) == {line for line, _ in xs.incidence.maximal}
+        keys = xs.keys
+        assert maximal_lines(xs) == {line for line, _ in xs.maximal}
         gm_report_from_certificate(cert)
         line_incidence(xs)
         greedy_mdseq(cert, 0)
@@ -414,11 +414,11 @@ class TestIncidenceIndex:
         enumerate_mdseqs(cert, 0)
         assert certify_gc(xs) == cert
         assert len(built_indexes) == 1
-        assert xs.incidence.keys is keys
+        assert xs.keys is keys
 
     def test_values_scale_line_evaluation(self, cy3_pair):
         xs, cert = cy3_pair
-        index = cert.nodeset.incidence
+        index = cert.nodeset
         for line, ids in line_incidence(xs).items():
             values = index.values(line)
             assert [Fraction(v, index.scale) for v in values] == [line.at(p) for p in xs.nodes]
@@ -428,7 +428,7 @@ class TestIncidenceIndex:
     @pytest.mark.parametrize("degree", range(1, 7))
     def test_line_keys_round_trip_in_pair_order(self, kind, degree):
         xs = generate(GeneratorSpec(kind, degree, seed=degree))
-        index = NodeSet(degree, xs.nodes).incidence
+        index = NodeSet(degree, xs.nodes)
         lines = line_incidence(xs)
         assert list(lines) == list(line_incidence_pairs(xs))
         assert list(lines) == [index.line(key) for key in index.keys]
@@ -800,7 +800,7 @@ class TestConstructorOrder:
 
 def rule_verdict(degree, count, lines, masks, covers):
     """``verify_certificate``'s message and node on a table of zero masks, or (None, None)."""
-    nodeset = SimpleNamespace(degree=degree, incidence=SimpleNamespace(coords=(None,) * count))
+    nodeset = SimpleNamespace(degree=degree, coords=(None,) * count)
     table = SimpleNamespace(nodeset=nodeset, lines=lines, masks=masks, covers=covers)
     try:
         verify_certificate(table)

@@ -21,6 +21,8 @@ from gcnlab import certification
 from gcnlab.cli import build_parser, main
 from gcnlab.serialization import load_nodeset, save_nodeset
 
+from conftest import index_of
+
 
 @pytest.fixture()
 def cy3_file(tmp_path):
@@ -341,7 +343,7 @@ class TestPlot:
         assert code == 0
         assert len(built_indexes) == 1
         xs = load_nodeset(Path(cy3_file).read_text())
-        assert xs.incidence == built_indexes[0]
+        assert index_of(xs) == index_of(built_indexes[0])
         cert = certify_gc(xs)
         assert out == plot_svg(xs, maximal=maximal_lines(xs), sequence=greedy_mdseq(cert, 0))
 

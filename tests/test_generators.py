@@ -32,6 +32,7 @@ from gcnlab import (
     search_counterexample,
 )
 
+from conftest import index_of
 from oracles import (
     certify_gc_algebraic,
     chung_yao_fraction,
@@ -216,7 +217,7 @@ class TestConstructedCertificates:
         for degree in range(1, 9):
             for seed in range(4):
                 xs = generate(GeneratorSpec(kind, degree, seed=seed))
-                assert xs.incidence == NodeSet(xs.degree, xs.nodes).incidence
+                assert index_of(xs) == index_of(NodeSet(xs.degree, xs.nodes))
 
     def test_integer_nodes_keep_the_duplicate_check(self):
         cases = [
@@ -276,7 +277,7 @@ class TestConstructedCertificates:
             for cert in trials:
                 got = gm_report_from_certificate(cert)
                 fresh = self.searched(cert.nodeset)
-                index = fresh.nodeset.incidence
+                index = fresh.nodeset
                 assert got == gm_report_from_certificate(fresh)
                 assert got.maximal_lines == index.maximal
                 uses = Counter(chain.from_iterable(e.lines for e in fresh.entries))
@@ -298,7 +299,7 @@ class TestConstructedCertificates:
             search_counterexample(degree=degree, trials=12, seed=2024)
         assert len(certs) == 48
         for cert in certs:
-            assert not {"keys", "masks", "maximal"} & set(cert.nodeset.incidence.__dict__)
+            assert not {"keys", "masks", "maximal"} & set(cert.nodeset.__dict__)
             # the set is held as its index: no trial builds its points
             assert "nodes" not in cert.nodeset.__dict__
             # validity needs the zero masks only: no constant or witness is built

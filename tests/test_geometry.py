@@ -26,6 +26,7 @@ from gcnlab import (
 
 from gcnlab.geometry import _clear
 
+from conftest import index_of
 from oracles import (
     DataclassLine,
     DataclassPoint,
@@ -280,13 +281,13 @@ class TestNodeSetConstruction:
         if isinstance(scaled, NodeSet):
             plain = NodeSet(degree, points)
             assert "nodes" not in vars(scaled)
-            assert scaled.incidence == plain.incidence
+            assert index_of(scaled) == index_of(plain)
             assert len(scaled) == len(plain) == len(points)
             assert scaled == plain and scaled.nodes == tuple(points)
 
     def test_an_empty_set(self):
         for xs in (NodeSet(2, []), NodeSet._scaled(2, 5, [])):
-            assert len(xs) == 0 and xs.incidence.coords == () and xs.incidence.scale == 1
+            assert len(xs) == 0 and xs.coords == () and xs.scale == 1
 
 
 class TestScalar:

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcnlab import (
+    DEFAULT_KINDS,
     DuplicateNode,
     GeneratorSpec,
     LengthMismatch,
+    Line,
     NodeSet,
     NotPoised,
     Point,
@@ -23,6 +25,7 @@ from gcnlab import (
     gen_principal,
     generate,
     interpolate,
+    intersect,
     is_essentially_dependent,
     is_independent,
     is_poised,
@@ -99,6 +102,15 @@ def overfull_line():
     return NodeSet(2, tuple(Point(x, y) for x, y in pts))
 
 
+def scaled_fraction_rows(nodes, n):
+    """The Fraction Vandermonde rows of ``nodes``, each times the lcm of its node's denominators to the n."""
+    rows = []
+    for p, row in zip(nodes, vandermonde_naive(nodes, n)):
+        scale = lcm(p.x.denominator, p.y.denominator) ** n
+        rows.append([scale * v for v in row])
+    return rows
+
+
 class TestModularRankScreen:
     CASES = {
         "principal": lambda: gen_principal(5),
@@ -112,7 +124,7 @@ class TestModularRankScreen:
     def test_agrees_with_exact_rank(self, name, monkeypatch):
         xs = self.CASES[name]()
         exact = linalg.rank(vandermonde(xs))
-        assert linalg.rank_mod_p(_integer_vandermonde(xs.nodes, xs.degree)) <= exact
+        assert linalg.rank_mod_p(_integer_vandermonde(xs, xs.degree)) <= exact
         calls = []
         rank = linalg.rank
         monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(1) or rank(rows))
@@ -122,11 +134,36 @@ class TestModularRankScreen:
         assert len(calls) == (0 if poised else 1)
 
     def test_integer_rows_scale_the_fraction_rows(self):
+        mixed = NodeSet(2, (
+            Point(Fraction(-3, 4), Fraction(5, 6)), Point(-2, Fraction(1, 9)),
+            Point(Fraction(7, 10), -5), Point(0, Fraction(-1, 4)), Point(Fraction(-5, 3), 0),
+            Point(Fraction(1, 2), Fraction(-1, 2)),
+        ))
+        # the lines that ``cayley-bacharach --m 3 --n 4 --seed 1`` draws
+        group_m = (Line(1, -4, -4), Line(4, -5, -8), Line(0, 1, 3))
+        group_n = (Line(7, 2, 2), Line(4, -3, 3), Line(8, 1, 7), Line(2, 4, -1))
+        cayley_bacharach = NodeSet(4, [intersect(la, lb) for la in group_m for lb in group_n])
+        principal4 = gen_principal(4)
+        # the principal lattice's common scale is 4, but node (1/2, 0) needs only 2
+        assert principal4.scale == 4 and (2, 0) in principal4.coords
+        for xs in (
+            generate(GeneratorSpec("projective_image", 3, seed=5)), principal4, mixed,
+            cayley_bacharach,
+        ):
+            for n in (xs.degree, xs.degree + 1):
+                assert _integer_vandermonde(xs, n) == scaled_fraction_rows(xs.nodes, n)
+
+    @pytest.mark.parametrize("kind", DEFAULT_KINDS)
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_rows_of_generated_sets(self, kind, degree):
+        for seed in range(3):
+            xs = generate(GeneratorSpec(kind, degree, seed=seed))
+            assert _integer_vandermonde(xs, degree) == scaled_fraction_rows(xs.nodes, degree)
+
+    def test_generated_set_builds_no_point_for_algebra(self):
         xs = generate(GeneratorSpec("projective_image", 3, seed=5))
-        naive = vandermonde_naive(xs.nodes, 3)
-        for p, row, ints in zip(xs.nodes, naive, _integer_vandermonde(xs.nodes, 3)):
-            scale = lcm(p.x.denominator, p.y.denominator) ** 3
-            assert [scale * v for v in row] == ints
+        assert is_poised(xs) and is_independent(xs) and not is_essentially_dependent(xs, 3)
+        assert "nodes" not in vars(xs)
 
     def test_prime_multiple_determinant_falls_back(self):
         p = linalg.PRIME
@@ -137,7 +174,7 @@ class TestModularRankScreen:
             NodeSet(1, (Point(0, 0), Point(p, 0), Point(0, 1))),
             NodeSet(1, (Point(0, 0), Point(Fraction(p, 3), 0), Point(0, Fraction(1, 5)))),
         ):
-            assert linalg.rank_mod_p(_integer_vandermonde(xs.nodes, xs.degree)) == 2
+            assert linalg.rank_mod_p(_integer_vandermonde(xs, xs.degree)) == 2
             assert is_poised(xs)
 
 

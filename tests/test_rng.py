@@ -1,6 +1,7 @@
 """The seeded stream against a reference splitmix64 written from its formula."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -58,8 +59,10 @@ def test_randint_rejects_outputs_above_the_last_whole_span():
 def test_rational(seed, bound):
     rng, reference = SplitMix64(seed), ReferenceSplitMix64(seed)
     got = [rng.rational(bound) for _ in range(100)]
-    assert got == [reference.rational(bound) for _ in range(100)]
-    assert all(type(v) is Fraction and abs(v) <= bound for v in got)
+    assert [Fraction(*pair) for pair in got] == [reference.rational(bound) for _ in range(100)]
+    for num, den in got:
+        assert type(num) is int and type(den) is int
+        assert gcd(num, den) == 1 and 0 < den <= bound and abs(num) <= bound
 
 
 @pytest.mark.parametrize("seed", SEEDS)

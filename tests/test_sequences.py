@@ -30,7 +30,6 @@ from gcnlab import (
     used_lines_of,
     verify_swap_property,
 )
-from gcnlab.geometry import Incidence
 from gcnlab.linalg import nullspace_basis
 from gcnlab.rng import SplitMix64
 from gcnlab.sequences import _distributions
@@ -156,7 +155,7 @@ def chain_structure():
 
 def distributions(xs, lines):
     """The count vectors that enumerate_mdseqs gives for ``lines`` over ``xs``."""
-    return _distributions([xs.incidence.zero_mask(line) for line in sorted(lines)], len(xs))
+    return _distributions([xs.zero_mask(line) for line in sorted(lines)], len(xs))
 
 
 class TestAgainstStackWalk:
@@ -425,7 +424,7 @@ class TestIncidenceReads:
         want_fixed = greedy_sequence_for_lines(xs, 0, used_lines_of(cert, 0), first)
         cert.masks  # built by the constructor's check; read here so the spy cannot see it
         calls = []
-        monkeypatch.setattr(Incidence, "zero_mask", lambda index, line: calls.append(line))
+        monkeypatch.setattr(NodeSet, "zero_mask", lambda nodeset, line: calls.append(line))
         assert [greedy_mdseq(cert, k) for k in range(len(xs))] == want
         assert fixed_first_mdseq(cert, 0, first) == want_fixed
         assert calls == []
@@ -446,7 +445,7 @@ class TestIncidenceReads:
         # only the integer nodes are read, not the all-pairs line map
         xs, seq = crossing_structure()
         assert verify_swap_property(seq, 1)
-        assert "keys" not in vars(xs.incidence)
+        assert "keys" not in vars(xs)
 
 
 class TestPrimaryZeroDivisibility:

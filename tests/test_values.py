@@ -30,7 +30,6 @@ FIELDS = {
     "Point": ("x", "y"),
     "Line": ("a", "b", "c"),
     "NodeSet": ("degree", "nodes", "labels"),
-    "Incidence": ("degree", "scale", "coords"),
     "NodeCertificate": ("node_index", "constant", "lines", "witnesses"),
     "GCCertificate": ("nodeset", "lines", "covers"),
     "GMReport": ("degree", "satisfied", "maximal_lines", "counterexample"),
@@ -51,7 +50,7 @@ FIELDS = {
 
 #: The types whose constructor ``Value`` generates; the others validate their fields.
 GENERATED = (
-    "Incidence", "NodeCertificate", "GMReport", "IncidenceProfile",
+    "NodeCertificate", "GMReport", "IncidenceProfile",
     "TrialFailure", "SearchSummary", "FundamentalSolution", "MDSequence", "MLineSequence",
 )
 
@@ -76,7 +75,6 @@ def values(cy2, cy2_cert):
         Point("1/2", -3),
         Line(2, -4, 6),
         cy2,
-        cy2.incidence,
         cy2_cert.entries[0],
         cy2_cert,
         verify_gm(cy2),
