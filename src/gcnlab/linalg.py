@@ -19,6 +19,11 @@ modulo a fixed prime, in the elimination :func:`rank_mod_p` runs, takes
 the kernel of those columns alone, and proves it is A's kernel by checking
 it against the other columns before it answers.
 
+The prime :data:`PRIME` is below 2^30, so every residue is a one-digit
+CPython int and every product of two stays below 2^60.  No answer depends
+on its size: a modular rank is only ever used to prove full rank, and
+modular pivot columns are checked exactly before they are trusted.
+
 No function mutates its input.
 """
 
@@ -77,8 +82,11 @@ def rank(rows: Sequence[Row]) -> int:
     return len(pivot_cols)
 
 
-#: The Mersenne prime 2^61 - 1, the modulus of :func:`rank_mod_p`.
-PRIME = (1 << 61) - 1
+#: 1073741789, the largest prime below 2^30 and the modulus of
+#: :func:`rank_mod_p`.  Residues fit in one 30-bit CPython digit, so the
+#: elimination multiplies small ints; a larger prime would only make a
+#: fallback to exact work rarer, never change an answer.
+PRIME = 1073741789
 
 
 def _pivots_mod_p(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -96,12 +104,14 @@ def _pivots_mod_p(rows: Sequence[Sequence[int]]) -> list[int]:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
+        # left of column c, rows r and below are already 0
         inv = pow(m[r][c], -1, p)
-        pivot = [v * inv % p for v in m[r]]
+        pivot = [v * inv % p for v in m[r][c:]]
         for i in range(r + 1, len(m)):
-            f = m[i][c]
+            row = m[i]
+            f = row[c]
             if f:
-                m[i] = [(v - f * w) % p for v, w in zip(m[i], pivot)]
+                row[c:] = [(v - f * w) % p for v, w in zip(row[c:], pivot)]
         pivots.append(c)
         r += 1
         if r == len(m):

@@ -57,7 +57,7 @@ if TYPE_CHECKING:
     from .certification import GCCertificate
     from .polynomials import Poly
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
@@ -67,7 +67,7 @@ def format_rational(value: Fraction) -> str:
 
 def parse_rational(text: Any) -> Fraction:
     """Parse an exact ``"p"`` or ``"p/q"`` string; anything else is BadRational."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise BadRational(f"not an exact rational string: {text!r}")
     try:
         return Fraction(text)
@@ -401,6 +401,7 @@ def summary_from_dict(doc: Any) -> SearchSummary:
     for k, v in raw_counts.items():
         _expect(_INTEGER_RE.fullmatch(k) is not None and _is_int(v),
                 f"use_count_max entry {k!r}: {v!r} must map an integer key to an integer")
+        _expect(str(int(k)) == k, f"use_count_max key {k!r} is not canonical; write {str(int(k))!r}")
     return SearchSummary(
         degree=degree,
         trials=trials,

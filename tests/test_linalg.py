@@ -1,6 +1,7 @@
 """Fraction-free elimination against a naive rational-Gauss oracle."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,35 @@ def wide_rank_deficient(draw):
     return [[sum(a * right[t][j] for t, a in enumerate(row)) for j in range(width)] for row in left]
 
 
+#: a 60-80-bit integer of either sign, the size of an integer Vandermonde entry
+big_entry = st.tuples(
+    st.booleans(), st.integers(60, 80).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
+).map(lambda t: -t[1] if t[0] else t[1])
+
+
+@st.composite
+def big_entry_matrices(draw):
+    """Rows of 60-80-bit entries, PRIME multiples of small rows, and combinations of earlier rows.
+
+    A PRIME multiple is 0 modulo the prime, so the modular rank drops and
+    ``unit_consistency`` must fall back to all columns; a combination
+    makes the rank over Q deficient too.
+    """
+    s, width = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    m = []
+    for _ in range(s):
+        kind = draw(st.sampled_from(("big", "prime", "combination") if m else ("big", "prime")))
+        if kind == "big":
+            row = draw(st.lists(st.one_of(st.just(0), big_entry), min_size=width, max_size=width))
+        elif kind == "prime":
+            row = [PRIME * v for v in draw(st.lists(st.integers(-3, 3), min_size=width, max_size=width))]
+        else:
+            coefficients = draw(st.lists(st.integers(-3, 3), min_size=len(m), max_size=len(m)))
+            row = [sum(a * r[j] for a, r in zip(coefficients, m)) for j in range(width)]
+        m.append(row)
+    return m
+
+
 def per_unit(m):
     """``is_consistent`` of ``A x = e_k`` for every k, one system at a time."""
     return [is_consistent(m, [int(i == k) for i in range(len(m))]) for k in range(len(m))]
@@ -85,9 +115,21 @@ class TestRankModP:
     )
     @settings(max_examples=120)
     def test_matches_exact_rank_on_small_entries(self, m):
-        # every minor is below 5^5 * 5! < PRIME in absolute value, so none
+        # every minor is at most 5^5 * 5! < PRIME in absolute value, so none
         # vanishes modulo PRIME unless it vanishes
+        assert 5**5 * 120 < PRIME
         assert rank_mod_p(m) == rank(m)
+
+    def test_prime_is_a_prime_below_2_to_the_30(self):
+        # every residue is a one-digit CPython int, every product below 2^60
+        assert 1 < PRIME < 1 << 30
+        assert all(PRIME % d for d in range(2, isqrt(PRIME) + 1))
+
+    @given(big_entry_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_big_entries_and_prime_multiples(self, m):
+        assert rank_mod_p(m) <= rank(m) == rank_naive(m)
+        assert unit_consistency(m) == per_unit(m)
 
     def test_prime_multiples_lose_rank(self):
         assert rank_mod_p([[PRIME, 0], [0, 1]]) == 1

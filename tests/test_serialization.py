@@ -41,7 +41,9 @@ class TestRationals:
         assert parse_rational("-7") == -7
         assert parse_rational("0") == 0
 
-    @pytest.mark.parametrize("bad", ["0.5", "1e3", "", "a", "1/0", "--2", "1/ 2", None, 3])
+    @pytest.mark.parametrize(
+        "bad", ["0.5", "1e3", "", "a", "1/0", "--2", "1/ 2", None, 3, "1/2\n", "\u0663"]
+    )
     def test_rejects_inexact_forms(self, bad):
         with pytest.raises(BadRational):
             parse_rational(bad)
@@ -200,6 +202,9 @@ class TestMalformedDocuments:
             pytest.param(load_summary, _set("failures", 5), id="failures-not-a-list"),
             pytest.param(load_summary, _count("three", 3), id="use-count-key-not-an-integer"),
             pytest.param(load_summary, _count("3", "3"), id="use-count-value-not-an-integer"),
+            # the valid document has key "3", which a padded "03" would overwrite
+            pytest.param(load_summary, _count("03", 999), id="use-count-key-padded"),
+            pytest.param(load_summary, _count("-0", 3), id="use-count-key-negative-zero"),
             pytest.param(load_certificate, _set("lines", 5, entry=0), id="entry-lines-not-a-list"),
             pytest.param(load_certificate, _set("node", True, entry=0), id="entry-node-boolean"),
             pytest.param(load_certificate, _set("lines", [[0, 0, 1]], entry=0), id="entry-no-line"),
