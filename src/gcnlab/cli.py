@@ -3,23 +3,32 @@
 Exit codes: 0 when the requested property holds (or the command simply
 succeeded), 1 when the property fails (not poised, not GC, GM violated,
 dependence check false, retry budget exhausted, a certificate that
-``check-cert`` finds invalid), 2 for input or usage errors.  All
-structured output is canonical JSON on stdout (or ``--out``); diagnostics
-go to stderr.
+``check-cert`` finds invalid), 2 for input or usage errors, an unwritable
+stdout or ``--out`` included.  All structured output is canonical JSON on
+stdout (or ``--out``); diagnostics go to stderr.
 
 A command checks its arguments (node indices, ``--fix-line`` and that it
 does not come with ``--all``, overlays and that no ``used:K`` or
 ``primary:K`` repeats) before it certifies or analyses the set, so a usage
 error exits 2 on any set, GC or not, without paying for a certification.
 
-Each handler imports the modules it runs when it runs, so a command pays
-at start-up only for its own code: ``certify-gc`` loads the certifier and
-the serializer, not the generators, sequences, plotting or exact algebra.
+Each command is a fresh process, so :func:`main` builds only the parser of
+the command that ``argv[0]`` names.  The whole tree of :func:`build_parser`
+comes from the same ``_COMMANDS`` table and is built only to report no
+command, an unknown command or arguments left over.  Each handler imports
+the modules it runs when it runs.  Every command reads node files and
+writes canonical JSON through :mod:`gcnlab.nodefile`; only the commands
+that read or write a certificate, report, summary or polynomial load
+:mod:`gcnlab.serialization`.  So ``certify-gc`` loads the certifier and
+the serializer, not the generators, sequences, plotting or exact algebra,
+and ``plot --overlay maximal`` loads neither the certifier nor the
+serializer.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -54,14 +63,20 @@ def _read(path: str) -> str:
 
 
 def _read_nodeset(path: str) -> NodeSet:
-    from .serialization import load_nodeset
+    from .nodefile import load_nodeset
 
     return load_nodeset(_read(path))
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the interpreter flushes stdout again as it exits; let that go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise _InputError(f"cannot write stdout: {exc}") from None
         return
     try:
         Path(out).write_text(text, encoding="utf-8")
@@ -71,7 +86,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _emit_doc(doc, out: str | None) -> None:
     """Emit ``doc`` as canonical JSON, written as every saved document is."""
-    from .serialization import _dumps
+    from .nodefile import _dumps
 
     _emit(_dumps(doc), out)
 
@@ -122,10 +137,11 @@ def _cmd_fundamental(args) -> int:
 
 def _cmd_certify_gc(args) -> int:
     from .certification import certify_gc
-    from .serialization import save_certificate
 
     xs = _read_nodeset(args.file)
     cert = certify_gc(xs)
+    from .serialization import save_certificate  # a set that fails never loads the writer
+
     _emit(save_certificate(cert), args.out)
     return 0
 
@@ -186,7 +202,7 @@ def _cmd_mdseq(args) -> int:
 
 
 def _cmd_maximal_lines(args) -> int:
-    from .serialization import maximal_lines_to_list
+    from .nodefile import maximal_lines_to_list
 
     xs = _read_nodeset(args.file)
     doc = {"degree": xs.degree, "maximal_lines": maximal_lines_to_list(xs.maximal)}
@@ -196,10 +212,11 @@ def _cmd_maximal_lines(args) -> int:
 
 def _cmd_verify_gm(args) -> int:
     from .analysis import verify_gm
-    from .serialization import save_report
 
     xs = _read_nodeset(args.file)
     report = verify_gm(xs)
+    from .serialization import save_report  # a set that fails never loads the writer
+
     _emit(save_report(report), args.out)
     return 0 if report.satisfied else _PROPERTY_FAILED
 
@@ -277,7 +294,7 @@ def _cmd_cayley_bacharach(args) -> int:
 
 def _cmd_generate(args) -> int:
     from .generators import GeneratorSpec, generate
-    from .serialization import save_nodeset
+    from .nodefile import save_nodeset
 
     spec = GeneratorSpec(
         kind=args.kind, degree=args.degree, seed=args.seed, coordinate_bound=args.bound
@@ -361,87 +378,132 @@ class _GeneratorKinds:
         return kind in tuple(self)
 
 
+_FILE = (("file",), {})
+_NODE = (("--node",), {"type": int, "required": True})
+_SEED = (("--seed",), {"type": int, "default": 0})
+_BOUND = (("--bound",), {"type": int, "default": 8})
+
+#: Each command's handler, its help line and its arguments after ``--out``,
+#: as the positional and keyword arguments of ``add_argument``.
+_COMMANDS = {
+    "check-poised": (_cmd_check_poised, "decide unique solvability of a node file", [_FILE]),
+    "fundamental": (_cmd_fundamental, "fundamental polynomial of one node", [_FILE, _NODE]),
+    "certify-gc": (_cmd_certify_gc, "factor every fundamental polynomial into lines", [_FILE]),
+    "check-cert": (_cmd_check_cert, "verify a saved certificate without searching", [_FILE]),
+    "used-lines": (_cmd_used_lines, "distinct factor lines of one node", [_FILE, _NODE]),
+    "mdseq": (
+        _cmd_mdseq,
+        "greedy line sequence and count vector of one node",
+        [
+            _FILE,
+            _NODE,
+            (("--fix-line",), {"help": "force 'a,b,c' as the first line"}),
+            (("--all",), {"action": "store_true",
+                          "help": "enumerate all achievable count vectors"}),
+        ],
+    ),
+    "maximal-lines": (_cmd_maximal_lines, "lines through exactly degree+1 nodes", [_FILE]),
+    "verify-gm": (_cmd_verify_gm, "certify, then check for a maximal line", [_FILE]),
+    "incidence-profile": (
+        _cmd_incidence_profile,
+        "per-line target counts through a center",
+        [
+            _FILE,
+            _NODE,
+            (("--target",), {"help": "comma-separated node indices (default: all others)"}),
+        ],
+    ),
+    "cayley-bacharach": (
+        _cmd_cayley_bacharach,
+        "dependence of a random line-product grid",
+        [
+            (("--m",), {"type": int, "required": True}),
+            (("--n",), {"type": int, "required": True}),
+            _SEED,
+            _BOUND,
+        ],
+    ),
+    "generate": (
+        _cmd_generate,
+        "emit a certified node set",
+        [
+            (("--kind",), {"required": True}),
+            (("--degree",), {"type": int, "required": True}),
+            _SEED,
+            _BOUND,
+        ],
+    ),
+    "search": (
+        _cmd_search,
+        "generate many sets and hunt for a GM violation",
+        [
+            (("--degree",), {"type": int, "required": True}),
+            (("--trials",), {"type": int, "required": True}),
+            _SEED,
+            _BOUND,
+        ],
+    ),
+    "plot": (
+        _cmd_plot,
+        "render nodes and overlays as SVG",
+        [
+            _FILE,
+            (("--overlay",), {"action": "append",
+                              "help": "repeatable: 'maximal', 'used:K' or 'primary:K'"}),
+        ],
+    ),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    handler, _, arguments = _COMMANDS[name]
+    parser.set_defaults(handler=handler)
+    parser.add_argument("--out", help="write output to this file instead of stdout")
+    for flags, options in arguments:
+        action = parser.add_argument(*flags, **options)
+        if action.dest == "kind":
+            action.choices = _GeneratorKinds()
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree: ``gcnlab`` and one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="gcnlab",
         description="Exact geometry of GC interpolation sets: poisedness, line-factor "
         "certificates, distribution sequences, maximal-line analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        p.add_argument("--out", help="write output to this file instead of stdout")
-        return p
-
-    p = add("check-poised", _cmd_check_poised, "decide unique solvability of a node file")
-    p.add_argument("file")
-
-    p = add("fundamental", _cmd_fundamental, "fundamental polynomial of one node")
-    p.add_argument("file")
-    p.add_argument("--node", type=int, required=True)
-
-    p = add("certify-gc", _cmd_certify_gc, "factor every fundamental polynomial into lines")
-    p.add_argument("file")
-
-    p = add("check-cert", _cmd_check_cert, "verify a saved certificate without searching")
-    p.add_argument("file")
-
-    p = add("used-lines", _cmd_used_lines, "distinct factor lines of one node")
-    p.add_argument("file")
-    p.add_argument("--node", type=int, required=True)
-
-    p = add("mdseq", _cmd_mdseq, "greedy line sequence and count vector of one node")
-    p.add_argument("file")
-    p.add_argument("--node", type=int, required=True)
-    p.add_argument("--fix-line", help="force 'a,b,c' as the first line")
-    p.add_argument("--all", action="store_true", help="enumerate all achievable count vectors")
-
-    p = add("maximal-lines", _cmd_maximal_lines, "lines through exactly degree+1 nodes")
-    p.add_argument("file")
-
-    p = add("verify-gm", _cmd_verify_gm, "certify, then check for a maximal line")
-    p.add_argument("file")
-
-    p = add("incidence-profile", _cmd_incidence_profile, "per-line target counts through a center")
-    p.add_argument("file")
-    p.add_argument("--node", type=int, required=True)
-    p.add_argument("--target", help="comma-separated node indices (default: all others)")
-
-    p = add("cayley-bacharach", _cmd_cayley_bacharach, "dependence of a random line-product grid")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=8)
-
-    p = add("generate", _cmd_generate, "emit a certified node set")
-    kind = p.add_argument("--kind", required=True)
-    kind.choices = _GeneratorKinds()
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=8)
-
-    p = add("search", _cmd_search, "generate many sets and hunt for a GM violation")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=8)
-
-    p = add("plot", _cmd_plot, "render nodes and overlays as SVG")
-    p.add_argument("file")
-    p.add_argument(
-        "--overlay",
-        action="append",
-        help="repeatable: 'maximal', 'used:K' or 'primary:K'",
-    )
-
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, as it stands in :func:`build_parser`'s tree."""
+    return _add_arguments(argparse.ArgumentParser(prog=f"gcnlab {name}"), name)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` gives, building one parser when it can.
+
+    The tree hands every argument after the command name to that command's
+    parser, so parsing them with the same parser alone gives the same
+    namespace, help and errors.  The tree itself is built only when no
+    command is named or arguments are left over, which it reports with its
+    own usage.
+    """
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        parser = _command_parser(name)
+        args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.handler(args)
     except (_InputError, ParseError, ValueError) as exc:

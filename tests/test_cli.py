@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from gcnlab import (
     used_lines_of,
 )
 from gcnlab import certification
+from gcnlab import cli
 from gcnlab.cli import build_parser, main
 from gcnlab.serialization import load_nodeset, save_nodeset
 
@@ -479,9 +482,17 @@ class TestErrorPaths:
         assert excinfo.value.code == 2
 
 
-# Help texts and a usage error, pinned from the CLI as it was before its
-# imports moved into the handlers (argparse wraps them to COLUMNS); the
-# top-level help and check-cert's were pinned when check-cert was added.
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+# Help texts and usage errors (argparse wraps them to COLUMNS).  The help
+# texts and the bad --kind were pinned from the CLI as it was before its
+# imports moved into the handlers, the top-level help and check-cert's when
+# check-cert was added, and the other usage errors (no command, an unknown
+# command, an unrecognized argument, a missing or bad --node, an option
+# before the command) while the CLI still built the whole parser tree for
+# every command.
 PINNED = json.loads((Path(__file__).parent / "cli_help.json").read_text(encoding="utf-8"))
 
 
@@ -501,8 +512,8 @@ class TestPinnedOutput:
         assert captured.err == pinned["stderr"]
 
     def test_kind_choices_are_the_generator_kinds(self):
-        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        (kind,) = (a for a in sub.choices["generate"]._actions if a.dest == "kind")
+        generate = _subparsers(build_parser()).choices["generate"]
+        (kind,) = (a for a in generate._actions if a.dest == "kind")
         assert tuple(kind.choices) == DEFAULT_KINDS
         assert all(k in kind.choices for k in DEFAULT_KINDS)
         assert "berzolari" not in kind.choices
@@ -549,3 +560,101 @@ class TestDegreeCap:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "gcnlab: degree bound 14 outside [0, 12]\n"
+
+
+class TestOneParserPerCommand:
+    """``main`` builds only the parser of the command it runs; the tree reports the rest."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            progs.append(parser.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return progs
+
+    def test_a_well_formed_command_builds_one_parser(self, capsys, cy3_file, built):
+        code, out = run(capsys, "plot", cy3_file, "--overlay", "maximal")
+        assert code == 0 and out.startswith("<svg")
+        assert built == ["gcnlab plot"]
+
+    def test_help_builds_the_whole_tree(self, capsys, built):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        assert len(built) == 14 == 1 + len(_subparsers(build_parser()).choices)
+
+    def test_left_over_arguments_build_the_tree_after_the_command(self, capsys, cy3_file, built):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plot", cy3_file, "--bogus"])
+        assert excinfo.value.code == 2
+        assert built[0] == "gcnlab plot" and len(built) == 15
+        assert capsys.readouterr().err.endswith("\ngcnlab: error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_command_help_is_the_tree_help(self, capsys, name):
+        # on the running Python; the pinned bytes above hold on 3.11 only
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        alone = capsys.readouterr()
+        assert alone.out == _subparsers(build_parser()).choices[name].format_help()
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([name, "--help"])
+        assert capsys.readouterr() == alone
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plot", "f.json", "--overlay", "maximal", "--overlay", "used:3", "--out=x.svg"],
+            ["plot", "--ov", "maximal", "--", "f.json"],
+            ["mdseq", "--all", "f.json", "--node=4", "--fix-line", "1,0,0"],
+            ["mdseq", "f.json", "--node", "-2"],
+            ["incidence-profile", "f.json", "--node", "0", "--target", "1,2"],
+            ["cayley-bacharach", "--m", "2", "--n", "3", "--seed", "9"],
+            ["generate", "--kind", "principal", "--degree", "3", "--bo", "5"],
+            ["search", "--degree", "2", "--trials", "4"],
+            ["certify-gc", "f.json", "g.json"],
+            ["certify-gc", "f.json", "-x"],
+            ["mdseq", "f.json", "--node", "1", "--fix-line"],
+            ["fundamental", "--node", "1"],
+            ["used-lines", "f.json", "--no", "1"],
+            ["check-cert", "-h", "f.json"],
+            ["generate", "--kind", "nope", "--degree", "3"],
+            ["plot", "--help", "--bogus"],
+            ["-h", "plot"],
+            ["plot"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_same_namespace_and_errors_as_the_tree(self, capsys, argv):
+        def parse(how):
+            try:
+                result = vars(how(argv))
+            except SystemExit as exc:
+                result = exc.code
+            return result, capsys.readouterr()
+
+        assert parse(cli._parse) == parse(build_parser().parse_args)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["check-poised", "certify-gc"])
+    def test_exits_two_with_one_line(self, cy3_file, command):
+        # stdout to a pipe is block-buffered unless PYTHONUNBUFFERED is set,
+        # so the failure comes from a flush, and the exit flush must not fail again
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gcnlab.cli", command, cy3_file],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # long before the command writes
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (2, "gcnlab: cannot write stdout: [Errno 32] Broken pipe\n")

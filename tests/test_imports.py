@@ -163,9 +163,30 @@ def workdir(tmp_path_factory):
     return path
 
 
-READ = ["errors", "geometry", "serialization"]
+READ = ["errors", "geometry", "nodefile"]
 BASE = READ + ["certification"]
 ALGEBRA = ["interpolation", "linalg", "polynomials"]
+
+#: What ``gcnlab.serialization`` exposes: the document codecs and, re-exported
+#: from ``gcnlab.nodefile``, the node-file codec.
+CODECS = (
+    "certificate_from_dict", "certificate_to_dict", "load_certificate", "load_report",
+    "load_summary", "poly_from_dict", "poly_to_dict", "report_from_dict", "report_to_dict",
+    "save_certificate", "save_report", "save_summary", "summary_from_dict", "summary_to_dict",
+)
+NODE_FILE = (
+    "format_rational", "load_nodeset", "maximal_lines_to_list", "nodeset_from_dict",
+    "nodeset_to_dict", "parse_rational", "save_nodeset",
+)
+
+
+def test_serialization_keeps_every_codec_name():
+    from gcnlab import nodefile, serialization
+
+    for name in CODECS:
+        assert callable(getattr(serialization, name)), name
+    for name in NODE_FILE:
+        assert getattr(serialization, name) is getattr(nodefile, name), name
 
 
 class TestImportBoundary:
@@ -173,7 +194,10 @@ class TestImportBoundary:
         assert probe(workdir, BARE, "gcnlab") == [0, [], []]
 
     def test_serialization_loads_no_dataclasses(self, workdir):
-        assert probe(workdir, BARE, "gcnlab.serialization") == [0, sorted(READ), []]
+        assert probe(workdir, BARE, "gcnlab.serialization") == [0, sorted(READ + ["serialization"]), []]
+
+    def test_nodefile_loads_only_geometry(self, workdir):
+        assert probe(workdir, BARE, "gcnlab.nodefile") == [0, sorted(READ), []]
 
     def test_linalg_loads_only_geometry(self, workdir):
         # linalg clears denominators with geometry._clear, and every command
@@ -181,17 +205,18 @@ class TestImportBoundary:
         assert probe(workdir, BARE, "gcnlab.linalg") == [0, ["errors", "geometry", "linalg"], []]
 
     @pytest.mark.parametrize(
-        "argv, extra",
+        "argv, expected",
         [
-            pytest.param(["certify-gc", "cy.json", "--out", "cert.json"], [], id="certify-gc"),
-            pytest.param(["verify-gm", "cy.json"], ["analysis"], id="verify-gm"),
-            pytest.param(["mdseq", "cy.json", "--node", "0", "--all"], ["sequences"], id="mdseq"),
-            pytest.param(["plot", "cy.json", "--overlay", "maximal"], ["plotting"], id="plot"),
+            pytest.param(["certify-gc", "cy.json", "--out", "cert.json"], BASE + ["serialization"],
+                         id="certify-gc"),
+            pytest.param(["verify-gm", "cy.json"], BASE + ["analysis", "serialization"], id="verify-gm"),
+            pytest.param(["mdseq", "cy.json", "--node", "0", "--all"], BASE + ["sequences"], id="mdseq"),
+            pytest.param(["plot", "cy.json", "--overlay", "maximal"], READ + ["plotting"], id="plot"),
         ],
     )
-    def test_benchmark_commands(self, workdir, argv, extra):
-        base = READ if argv[0] == "plot" else BASE
-        assert probe(workdir, PROBE, *argv) == [0, sorted(base + extra), []]
+    def test_benchmark_commands(self, workdir, argv, expected):
+        # only the commands that write a certificate or a report load the document codecs
+        assert probe(workdir, PROBE, *argv) == [0, sorted(expected), []]
 
     def test_maximal_lines_reads_the_index_without_the_certifier(self, workdir):
         # maximal lines come from the node set's own index
@@ -202,9 +227,17 @@ class TestImportBoundary:
         assert probe(workdir, PROBE, *argv) == [0, sorted(BASE + ["plotting"]), []]
 
     def test_only_a_failed_cover_loads_the_algebra(self, workdir):
-        # telling a non-poised set from a poised non-GC one needs a rank
+        # telling a non-poised set from a poised non-GC one needs a rank; a
+        # set that fails writes no document, so the codecs stay unloaded
         got = probe(workdir, PROBE, "certify-gc", "moved.json")
         assert got == [1, sorted(BASE + ALGEBRA), []]
+
+    @pytest.mark.parametrize("argv", [["verify-gm"], ["mdseq", "--node", "0", "--all"]],
+                             ids=lambda argv: argv[0])
+    def test_failing_commands_load_no_document_codec(self, workdir, argv):
+        code, loaded, stdlib = probe(workdir, PROBE, argv[0], "moved.json", *argv[1:])
+        assert (code, stdlib) == (1, [])
+        assert "nodefile" in loaded and "serialization" not in loaded
 
     def test_generate_loads_the_generators(self, workdir):
         argv = ["generate", "--kind", "principal", "--degree", "2"]
@@ -213,4 +246,4 @@ class TestImportBoundary:
 
     def test_check_cert_loads_only_the_reader_and_the_rule(self, workdir):
         assert probe(workdir, PROBE, "certify-gc", "cy.json", "--out", "c.json")[0] == 0
-        assert probe(workdir, PROBE, "check-cert", "c.json") == [0, sorted(BASE), []]
+        assert probe(workdir, PROBE, "check-cert", "c.json") == [0, sorted(BASE + ["serialization"]), []]
