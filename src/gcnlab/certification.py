@@ -58,14 +58,13 @@ validity builds none.  Failures raise
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import prod
 from operator import lt
 from typing import Sequence
 
 from .errors import InvalidCertificate, NotGC, NotPoised
-from .geometry import Key, Line, NodeSet, Value, _bits
+from .geometry import Key, Line, NodeSet, Value, _bits, _fraction
 
 
 class NodeCertificate(Value):
@@ -122,6 +121,7 @@ class GCCertificate(Value):
     @cached_property
     def entries(self) -> tuple[NodeCertificate, ...]:
         """Each node's factorization, read off the verified table."""
+        Fraction = _fraction()  # the constants are the one rational a certificate holds
         xs = self.nodeset
         rows = [xs.values(line) for line in self.lines]
         entries = []

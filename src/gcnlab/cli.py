@@ -22,7 +22,9 @@ that read or write a certificate, report, summary or polynomial load
 :mod:`gcnlab.serialization`.  So ``certify-gc`` loads the certifier and
 the serializer, not the generators, sequences, plotting or exact algebra,
 and ``plot --overlay maximal`` loads neither the certifier nor the
-serializer.
+serializer.  A node file is read into the set's integer index, so only a
+command that computes a rational (a certificate's constants, a rank, a
+solve) loads :mod:`fractions`.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class _InputError(Exception):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -455,6 +457,21 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help, like every output, exits 2 when stdout cannot take it.
+
+    ``ArgumentParser`` writes help through ``_print_message``, which drops
+    an OSError, so ``--help`` to a closed pipe would print nothing and
+    exit 0.  The subparsers of the tree are of this class too.
+    """
+
+    def print_help(self, file=None):
+        if file is None:
+            _emit(self.format_help(), None)
+        else:
+            super().print_help(file)
+
+
 def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     handler, _, arguments = _COMMANDS[name]
     parser.set_defaults(handler=handler)
@@ -468,7 +485,7 @@ def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.Argum
 
 def build_parser() -> argparse.ArgumentParser:
     """The whole command tree: ``gcnlab`` and one subparser per command."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gcnlab",
         description="Exact geometry of GC interpolation sets: poisedness, line-factor "
         "certificates, distribution sequences, maximal-line analysis.",
@@ -481,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of one command, as it stands in :func:`build_parser`'s tree."""
-    return _add_arguments(argparse.ArgumentParser(prog=f"gcnlab {name}"), name)
+    return _add_arguments(_Parser(prog=f"gcnlab {name}"), name)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -503,8 +520,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         return args.handler(args)
     except (_InputError, ParseError, ValueError) as exc:
         print(f"gcnlab: {exc}", file=sys.stderr)

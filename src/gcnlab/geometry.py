@@ -1,7 +1,14 @@
 """Exact rational plane geometry: points, canonical lines, incidence.
 
-Coordinates are arbitrary-precision rationals (``fractions.Fraction``), so
-every predicate here is decided exactly; there is no epsilon anywhere.
+Coordinates are arbitrary-precision rationals, so every predicate here is
+decided exactly; there is no epsilon anywhere.  A set keeps them as
+integers over one common denominator, and a point's coordinates are
+``fractions.Fraction``s.  :mod:`fractions` is imported when a Fraction is
+first made (by :func:`to_scalar`, ``NodeSet.nodes``, the duplicate-node
+message or :func:`intersect`, through ``_fraction``), and ``Scalar`` and
+``RationalLike`` resolve on first access (PEP 562), so a caller that stays
+on a set's integers, as most CLI commands do, never loads it, nor the
+:mod:`decimal` and :mod:`numbers` it pulls in.
 
 A line is the zero set of ``a*x + b*y + c`` and is stored as an integer
 triple normalized so that ``gcd(|a|, |b|, |c|) = 1`` and the first nonzero
@@ -16,14 +23,15 @@ every question the package answers, and it is its own incidence index:
 ``xs.coords`` the integer nodes ``(X, Y) = (D*x, D*y)``, so node j lies on
 ``a*x + b*y + c = 0`` iff ``a*X_j + b*Y_j + c*D`` is 0.  Both ways to build
 a set end in one setup, which checks the integer nodes for repeats and
-stores the index: the constructor, from points, and ``NodeSet._scaled``,
-from the integer nodes a generator built.  Certification, maximal lines,
+the labels for their count, and stores the index: the constructor, from
+points, and ``NodeSet._scaled``, from the integer nodes a generator or the
+node-file loader built.  Certification, maximal lines,
 sequences, the generators and the Vandermonde rows all read these
 integers, and ``len`` counts them.  The lines through two nodes
 (``xs.keys``) and the maximal lines (``xs.maximal``) are built when first
-read.  A generated set is held as its index alone, and its points
-(``xs.nodes``) are built from it when first read, by equality, hashing,
-pickling, the repr or serialization.
+read.  A generated or loaded set is held as its index alone, and its
+points (``xs.nodes``) are built from it when first read, by equality,
+hashing, pickling or the repr.
 
 Every value type of the package derives from :class:`Value`, defined
 here.  A subclass names its fields once, in constructor order:
@@ -52,11 +60,10 @@ between threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, total_ordering
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 from .errors import (
     DuplicateNode,
@@ -66,12 +73,39 @@ from .errors import (
     TooManyCollinear,
 )
 
-#: The coefficient field of every polynomial and coordinate in this package.
-Scalar = Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-#: Inputs accepted wherever a Scalar is expected.  Floats are deliberately
-#: excluded: they would smuggle binary rounding into an exact pipeline.
-RationalLike = Union[int, str, Fraction]
+#: :class:`fractions.Fraction`, once :func:`_fraction` has imported it.
+_Fraction = None
+
+
+def _fraction() -> type[Fraction]:
+    """:class:`fractions.Fraction`, imported by the first call.
+
+    An import statement costs about 2 us each time it runs, even once the
+    module is loaded, so code that makes many Fractions reads
+    ``_Fraction or _fraction()`` instead.
+    """
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+    return _Fraction
+
+
+def __getattr__(name):
+    """``Scalar`` and ``RationalLike``, looked up on access (PEP 562).
+
+    ``Scalar`` is :class:`fractions.Fraction`, the coefficient field of
+    every polynomial and coordinate in this package.  ``RationalLike`` is
+    what is accepted wherever a Scalar is expected: int, str or Fraction.
+    Floats are deliberately excluded: they would smuggle binary rounding
+    into an exact pipeline.
+    """
+    if name in ("Scalar", "RationalLike"):
+        Fraction = _fraction()
+        return Fraction if name == "Scalar" else Union[int, str, Fraction]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def to_scalar(value: RationalLike) -> Fraction:
@@ -81,6 +115,7 @@ def to_scalar(value: RationalLike) -> Fraction:
     TypeError for floats; use an explicit string or Fraction if an exact
     value is really intended.
     """
+    Fraction = _Fraction or _fraction()
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
@@ -269,47 +304,66 @@ class NodeSet(Value):
         nodes = tuple(nodes)
         # D is the lcm of reduced denominators, so D and the integer nodes have gcd 1
         d, flat = _clear([c for p in nodes for c in (p.x, p.y)])
-        self._store(degree, d, tuple(zip(flat[::2], flat[1::2])))
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != len(nodes):
-                raise LengthMismatch(f"{len(labels)} labels for {len(nodes)} nodes")
+        self._store(degree, d, tuple(zip(flat[::2], flat[1::2])), labels)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "labels", labels)
 
     @classmethod
-    def _scaled(cls, degree: int, scale: int, coords: Sequence[tuple[int, int]]) -> "NodeSet":
+    def _scaled(
+        cls,
+        degree: int,
+        scale: int,
+        coords: Sequence[tuple[int, int]],
+        labels: Sequence[str] | None = None,
+    ) -> "NodeSet":
         """The set of nodes ``(X/scale, Y/scale)``, held as its index of integer ``coords``.
 
         ``scale`` and ``coords`` are first divided by their gcd, so the
-        index is the one the constructor builds from the nodes.  The points
-        are built from the index when first read.
+        index is the one the constructor builds from the nodes, and the
+        labels are checked as the constructor checks them.  The points are
+        built from the index when first read.
         """
         g = gcd(scale, *chain.from_iterable(coords))
         coords = tuple((x // g, y // g) for x, y in coords) if g > 1 else tuple(coords)
         xs = object.__new__(cls)
-        xs._store(degree, scale // g, coords)
-        object.__setattr__(xs, "labels", None)
+        xs._store(degree, scale // g, coords, labels)
         return xs
 
-    def _store(self, degree: int, scale: int, coords: tuple[tuple[int, int], ...]) -> None:
-        """Store ``degree`` and the index of the nodes ``coords / scale``, which must be distinct."""
+    def _store(
+        self,
+        degree: int,
+        scale: int,
+        coords: tuple[tuple[int, int], ...],
+        labels: Sequence[str] | None,
+    ) -> None:
+        """Store ``degree``, the index of the nodes ``coords / scale`` and one label per node.
+
+        Raises DuplicateNode, naming the first repeat, unless the nodes are
+        distinct, then LengthMismatch unless ``labels`` is None or has one
+        label per node.
+        """
         if degree < 0:
             raise ValueError(f"degree must be nonnegative, got {degree}")
         if len(set(coords)) != len(coords):
             seen: set[tuple[int, int]] = set()
             for x, y in coords:
                 if (x, y) in seen:
+                    Fraction = _fraction()
                     p = Point(Fraction(x, scale), Fraction(y, scale))
                     raise DuplicateNode(f"node {p} appears twice")
                 seen.add((x, y))
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != len(coords):
+                raise LengthMismatch(f"{len(labels)} labels for {len(coords)} nodes")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "labels", labels)
 
     @cached_property
     def nodes(self) -> tuple[Point, ...]:
         """The points of a set held as its index (the constructor stores them instead)."""
+        Fraction = _fraction()
         d = self.scale
         return tuple(Point(Fraction(x, d), Fraction(y, d)) for x, y in self.coords)
 
@@ -412,6 +466,7 @@ def intersect(l1: Line, l2: Line) -> Point:
     det = l1.a * l2.b - l2.a * l1.b
     if det == 0:
         raise ParallelLines(f"{l1} and {l2} are parallel")
+    Fraction = _Fraction or _fraction()
     x = Fraction(l1.b * l2.c - l2.b * l1.c, det)
     y = Fraction(l2.a * l1.c - l1.a * l2.c, det)
     return Point(x, y)

@@ -8,6 +8,15 @@ report, summary and polynomial codecs live in :mod:`gcnlab.serialization`,
 which re-exports every public name defined here, so a command that only
 reads a node file and prints canonical JSON does not compile them.
 
+A node file is read straight into the set's integer index: each ``"p/q"``
+becomes the integer pair ``(p, q)``, the pairs are put over the lcm D of
+their denominators, and ``NodeSet._scaled`` stores the integer nodes, so
+no Fraction is built.  A set is written from its integer nodes X and D the
+same way, each ``"p/q"`` being ``X/D`` in lowest terms.  Only
+:func:`parse_rational` and :func:`format_rational`, which the certificate
+and polynomial codecs use, make Fractions, so only they import
+:mod:`fractions`, when first called.
+
 Schema::
 
     node set:  {"degree": n, "nodes": [["p/q", "p/q"], ...], "labels": [...]?}
@@ -17,27 +26,44 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
-from typing import Any, Sequence
+from math import gcd, lcm
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import BadRational, ParseError
-from .geometry import Line, NodeSet, Point
+from .geometry import Line, NodeSet, _fraction
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(text: Any) -> tuple[int, int]:
+    """``(p, q)``, q > 0, of an exact ``"p"`` or ``"p/q"`` string; anything else is BadRational."""
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise BadRational(f"not an exact rational string: {text!r}")
+    numerator, denominator = match.groups()
+    p = int(numerator)
+    q = 1 if denominator is None else int(denominator)
+    if q == 0:
+        raise BadRational(f"zero denominator in {text!r}")
+    return p, q
+
+
+def _format_ratio(p: int, q: int) -> str:
+    """``p/q``, q > 0, in lowest terms, written as ``str`` writes a Fraction."""
+    g = gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(_fraction()(value))
 
 
 def parse_rational(text: Any) -> Fraction:
     """Parse an exact ``"p"`` or ``"p/q"`` string; anything else is BadRational."""
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise BadRational(f"not an exact rational string: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise BadRational(f"zero denominator in {text!r}") from None
+    return _fraction()(*_ratio(text))
 
 
 def _dumps(doc: Any) -> str:
@@ -62,9 +88,10 @@ def _is_int(value: Any) -> bool:
 
 
 def nodeset_to_dict(xs: NodeSet) -> dict:
+    d = xs.scale
     doc: dict[str, Any] = {
         "degree": xs.degree,
-        "nodes": [[format_rational(p.x), format_rational(p.y)] for p in xs.nodes],
+        "nodes": [[_format_ratio(x, d), _format_ratio(y, d)] for x, y in xs.coords],
     }
     if xs.labels is not None:
         doc["labels"] = list(xs.labels)
@@ -77,17 +104,19 @@ def nodeset_from_dict(doc: Any) -> NodeSet:
     _expect(_is_int(degree) and degree >= 0, "field 'degree' must be a nonnegative integer")
     raw_nodes = doc.get("nodes")
     _expect(isinstance(raw_nodes, list), "field 'nodes' must be a list")
-    points = []
+    ratios = []
     for row, entry in enumerate(raw_nodes):
         _expect(isinstance(entry, list) and len(entry) == 2,
                 f"node row {row} must be a [x, y] pair")
-        points.append(Point(parse_rational(entry[0]), parse_rational(entry[1])))
+        ratios.append((_ratio(entry[0]), _ratio(entry[1])))
     labels = doc.get("labels")
     if labels is not None:
         _expect(isinstance(labels, list) and all(isinstance(s, str) for s in labels),
                 "field 'labels' must be a list of strings")
-        labels = tuple(labels)
-    return NodeSet(degree=degree, nodes=tuple(points), labels=labels)
+    # over any common denominator: _scaled divides out the gcd, as the constructor would
+    d = lcm(*(q for pair in ratios for _, q in pair))
+    coords = [(p * (d // q), r * (d // s)) for (p, q), (r, s) in ratios]
+    return NodeSet._scaled(degree, d, coords, labels)
 
 
 def save_nodeset(xs: NodeSet) -> str:

@@ -2,10 +2,15 @@
 
 The viewport is the exact bounding box of the nodes padded by 10% per side
 (one unit when the extent is zero) and scaled to 600 pixels on the longer
-axis.  Geometry is clipped against the viewport with exact rational
-arithmetic; floats appear only in the final coordinate formatting, at a
-fixed precision, so identical input yields byte-identical SVG.  Node labels
-are escaped, so any label gives well-formed XML.
+axis.  Everything up to the pixels is exact integer arithmetic on the
+set's index: in units of 1/(10*D), with D the set's common denominator
+``xs.scale``, a node ``(X/D, Y/D)`` is the integer point ``(10*X, 10*Y)``,
+the viewport's sides and its padding are integers, and a line
+``a*x + b*y + c = 0`` is ``a*u + b*v + 10*D*c = 0``, so its clipped ends
+are integer points over one common denominator.  Each pixel coordinate is
+then one int/int division, which is correctly rounded, so identical input
+yields byte-identical SVG, and the same SVG as the float of the exact
+rational.  Node labels are escaped, so any label gives well-formed XML.
 
 Overlay styling: maximal lines are solid red, a node's used lines are
 dashed blue, and a line-sequence overlay draws each sequence line in a
@@ -16,11 +21,9 @@ with a black outline).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import IdenticalLines, ParallelLines
-from .geometry import Line, NodeSet, Point, intersect
+from .geometry import Line, NodeSet
 
 if TYPE_CHECKING:
     from .sequences import MLineSequence
@@ -36,8 +39,8 @@ _PALETTE = (
     "#17becf",
 )
 
-def _fmt(v) -> str:
-    return f"{float(v):.4f}"
+def _fmt(v: float) -> str:
+    return f"{v:.4f}"
 
 
 def _escape(text: str) -> str:
@@ -45,43 +48,46 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _viewport(xs: NodeSet) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    if xs.nodes:
-        min_x = min(p.x for p in xs.nodes)
-        max_x = max(p.x for p in xs.nodes)
-        min_y = min(p.y for p in xs.nodes)
-        max_y = max(p.y for p in xs.nodes)
+def _viewport(xs: NodeSet) -> tuple[int, int, int, int]:
+    """The padded bounding box ``(u0, u1, v0, v1)`` of the nodes, in units of 1/(10*D)."""
+    if xs.coords:
+        us, vs = zip(*xs.coords)
     else:
-        min_x = max_x = min_y = max_y = Fraction(0)
-    pad_x = (max_x - min_x) / 10 if max_x > min_x else Fraction(1)
-    pad_y = (max_y - min_y) / 10 if max_y > min_y else Fraction(1)
-    return (min_x - pad_x, max_x + pad_x, min_y - pad_y, max_y + pad_y)
+        us = vs = (0,)
+    # a tenth of the extent, (max - min)/(10*D), is max - min units; a zero extent pads 10*D
+    pad_u = max(us) - min(us) or 10 * xs.scale
+    pad_v = max(vs) - min(vs) or 10 * xs.scale
+    return (10 * min(us) - pad_u, 10 * max(us) + pad_u, 10 * min(vs) - pad_v, 10 * max(vs) + pad_v)
 
 
 def _clip_segment(
-    line: Line, x0: Fraction, x1: Fraction, y0: Fraction, y1: Fraction
-) -> tuple[Point, Point] | None:
-    borders = (
-        (Line.from_rationals(1, 0, -x0), Point(x0, y0), Point(x0, y1)),
-        (Line.from_rationals(1, 0, -x1), Point(x1, y0), Point(x1, y1)),
-        (Line.from_rationals(0, 1, -y0), Point(x0, y0), Point(x1, y0)),
-        (Line.from_rationals(0, 1, -y1), Point(x0, y1), Point(x1, y1)),
-    )
-    hits: set[Point] = set()
-    for border, start, end in borders:
-        try:
-            p = intersect(line, border)
-        except IdenticalLines:
-            hits.update((start, end))
-            continue
-        except ParallelLines:
-            continue
-        if x0 <= p.x <= x1 and y0 <= p.y <= y1:
-            hits.add(p)
+    a: int, b: int, c: int, u0: int, u1: int, v0: int, v1: int
+) -> tuple[tuple[int, int], tuple[int, int], int] | None:
+    """The ends of ``a*u + b*v + c = 0`` in the box, as integer points over a denominator q.
+
+    Returns the lexicographically first and last points where the line
+    meets the box's sides, and q, or None when it meets them in fewer than
+    two points.  A line along a side meets it in that side's two corners.
+    """
+    q = (abs(a) or 1) * (abs(b) or 1)  # b divides q if b != 0, a divides q if a != 0
+    hits: set[tuple[int, int]] = set()
+    for u in (u0, u1):
+        if b:
+            v = -(a * u + c) * (q // b)
+            if v0 * q <= v <= v1 * q:
+                hits.add((u * q, v))
+        elif a * u + c == 0:
+            hits.update(((u * q, v0 * q), (u * q, v1 * q)))
+    for v in (v0, v1):
+        if a:
+            u = -(b * v + c) * (q // a)
+            if u0 * q <= u <= u1 * q:
+                hits.add((u, v * q))
+        elif b * v + c == 0:
+            hits.update(((u0 * q, v * q), (u1 * q, v * q)))
     if len(hits) < 2:
         return None
-    ordered = sorted(hits)
-    return ordered[0], ordered[-1]
+    return min(hits), max(hits), q
 
 
 def plot_svg(
@@ -91,13 +97,14 @@ def plot_svg(
     sequence: MLineSequence | None = None,
 ) -> str:
     """Render the configuration with the requested overlays as SVG text."""
-    x0, x1, y0, y1 = _viewport(xs)
-    scale = Fraction(600) / max(x1 - x0, y1 - y0)
-    width = float((x1 - x0) * scale)
-    height = float((y1 - y0) * scale)
+    u0, u1, v0, v1 = _viewport(xs)
+    span = max(u1 - u0, v1 - v0)  # 600 pixels
+    width = 600 * (u1 - u0) / span
+    height = 600 * (v1 - v0) / span
 
-    def to_px(p: Point) -> tuple[float, float]:
-        return (float((p.x - x0) * scale), float((y1 - p.y) * scale))
+    def to_px(u: int, v: int, q: int = 1) -> tuple[float, float]:
+        """The pixel of the point ``(u/q, v/q)``."""
+        return (600 * (u - u0 * q) / (span * q), 600 * (v1 * q - v) / (span * q))
 
     radius = max(3.0, 0.008 * min(width, height))
     parts = [
@@ -107,10 +114,11 @@ def plot_svg(
     ]
 
     def emit_line(line: Line, style: str) -> None:
-        segment = _clip_segment(line, x0, x1, y0, y1)
+        segment = _clip_segment(line.a, line.b, 10 * xs.scale * line.c, u0, u1, v0, v1)
         if segment is None:
             return
-        (ax, ay), (bx, by) = to_px(segment[0]), to_px(segment[1])
+        start, end, q = segment
+        (ax, ay), (bx, by) = to_px(*start, q), to_px(*end, q)
         parts.append(
             f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}" {style}/>'
         )
@@ -124,8 +132,8 @@ def plot_svg(
             color = _PALETTE[pos % len(_PALETTE)]
             emit_line(line, f'stroke="{color}" stroke-width="1.5"')
 
-    for j, node in enumerate(xs.nodes):
-        px, py = to_px(node)
+    for j, (x, y) in enumerate(xs.coords):
+        px, py = to_px(10 * x, 10 * y)
         fill = "#000000"
         extra = ""
         r = radius

@@ -77,6 +77,14 @@ below the largest multiple of the span), as one plain function per
 output; the Fraction node builders draw from it, so a changed library
 stream shows as a mismatch rather than moving both sides alike.
 
+:func:`nodeset_from_dict_fraction` is the node-file loader the library's
+integer one replaced: it parses every ``"p/q"`` with ``Fraction`` and
+builds the set from Points through the NodeSet constructor.
+:func:`plot_svg_fraction` is the SVG writer the library's integer one
+replaced: it computes the viewport, the pixels and the clipping of each
+line against the four sides (with :func:`~gcnlab.intersect`) in Fraction
+arithmetic, and converts with ``float(Fraction)``.
+
 :class:`DataclassPoint` and :class:`DataclassLine` are the frozen, ordered
 dataclasses that ``Point`` and ``Line`` were before they became plain
 classes; the tests compare construction, errors, equality, hashing, order
@@ -85,13 +93,16 @@ and repr against them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Mapping
 
 from gcnlab import (
+    BadRational,
     GCNLabError,
+    IdenticalLines,
     IdenticalPoints,
     Line,
     MDSequence,
@@ -102,6 +113,7 @@ from gcnlab import (
     NotPoised,
     DuplicateLine,
     ParallelLines,
+    ParseError,
     Point,
     RetryLimitExceeded,
     ZeroPolynomial,
@@ -822,3 +834,132 @@ def projective_image_fraction(degree, seed, bound):
 
 def projective_image_nodes_fraction(degree, seed, bound):
     return projective_image_fraction(degree, seed, bound)[0]
+
+
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _parse_rational_fraction(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+        raise BadRational(f"not an exact rational string: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise BadRational(f"zero denominator in {text!r}") from None
+
+
+def _expect(condition, message):
+    if not condition:
+        raise ParseError(message)
+
+
+def nodeset_from_dict_fraction(doc):
+    """A node-set document as a NodeSet built from Fraction Points."""
+    _expect(isinstance(doc, dict), "node set document must be an object")
+    degree = doc.get("degree")
+    _expect(isinstance(degree, int) and not isinstance(degree, bool) and degree >= 0,
+            "field 'degree' must be a nonnegative integer")
+    raw_nodes = doc.get("nodes")
+    _expect(isinstance(raw_nodes, list), "field 'nodes' must be a list")
+    points = []
+    for row, entry in enumerate(raw_nodes):
+        _expect(isinstance(entry, list) and len(entry) == 2,
+                f"node row {row} must be a [x, y] pair")
+        points.append(Point(_parse_rational_fraction(entry[0]), _parse_rational_fraction(entry[1])))
+    labels = doc.get("labels")
+    if labels is not None:
+        _expect(isinstance(labels, list) and all(isinstance(s, str) for s in labels),
+                "field 'labels' must be a list of strings")
+        labels = tuple(labels)
+    return NodeSet(degree=degree, nodes=tuple(points), labels=labels)
+
+
+_PLOT_PALETTE = (
+    "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#e377c2", "#17becf",
+)
+
+
+def _fmt_fraction(v):
+    return f"{float(v):.4f}"
+
+
+def _clip_segment_fraction(line, x0, x1, y0, y1):
+    borders = (
+        (Line.from_rationals(1, 0, -x0), Point(x0, y0), Point(x0, y1)),
+        (Line.from_rationals(1, 0, -x1), Point(x1, y0), Point(x1, y1)),
+        (Line.from_rationals(0, 1, -y0), Point(x0, y0), Point(x1, y0)),
+        (Line.from_rationals(0, 1, -y1), Point(x0, y1), Point(x1, y1)),
+    )
+    hits = set()
+    for border, start, end in borders:
+        try:
+            p = intersect(line, border)
+        except IdenticalLines:
+            hits.update((start, end))
+            continue
+        except ParallelLines:
+            continue
+        if x0 <= p.x <= x1 and y0 <= p.y <= y1:
+            hits.add(p)
+    if len(hits) < 2:
+        return None
+    ordered = sorted(hits)
+    return ordered[0], ordered[-1]
+
+
+def plot_svg_fraction(xs, maximal=(), used=(), sequence=None):
+    """The SVG of ``gcnlab.plot_svg``, computed over Fractions from the set's Points."""
+    if xs.nodes:
+        min_x, max_x = min(p.x for p in xs.nodes), max(p.x for p in xs.nodes)
+        min_y, max_y = min(p.y for p in xs.nodes), max(p.y for p in xs.nodes)
+    else:
+        min_x = max_x = min_y = max_y = Fraction(0)
+    pad_x = (max_x - min_x) / 10 if max_x > min_x else Fraction(1)
+    pad_y = (max_y - min_y) / 10 if max_y > min_y else Fraction(1)
+    x0, x1, y0, y1 = min_x - pad_x, max_x + pad_x, min_y - pad_y, max_y + pad_y
+    scale = Fraction(600) / max(x1 - x0, y1 - y0)
+    width = float((x1 - x0) * scale)
+    height = float((y1 - y0) * scale)
+
+    def to_px(p):
+        return (float((p.x - x0) * scale), float((y1 - p.y) * scale))
+
+    fmt = _fmt_fraction
+    radius = max(3.0, 0.008 * min(width, height))
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(width)}" '
+        f'height="{fmt(height)}" viewBox="0 0 {fmt(width)} {fmt(height)}">',
+        f'<rect x="0" y="0" width="{fmt(width)}" height="{fmt(height)}" fill="#ffffff"/>',
+    ]
+
+    def emit_line(line, style):
+        segment = _clip_segment_fraction(line, x0, x1, y0, y1)
+        if segment is None:
+            return
+        (ax, ay), (bx, by) = to_px(segment[0]), to_px(segment[1])
+        parts.append(f'<line x1="{fmt(ax)}" y1="{fmt(ay)}" x2="{fmt(bx)}" y2="{fmt(by)}" {style}/>')
+
+    for line in sorted(set(maximal)):
+        emit_line(line, 'stroke="#d62728" stroke-width="2"')
+    for line in sorted(set(used)):
+        emit_line(line, 'stroke="#1f77b4" stroke-width="1.5" stroke-dasharray="6 4"')
+    if sequence is not None:
+        for pos, line in enumerate(sequence.lines):
+            emit_line(line, f'stroke="{_PLOT_PALETTE[pos % 8]}" stroke-width="1.5"')
+    for j, node in enumerate(xs.nodes):
+        px, py = to_px(node)
+        fill, extra, r = "#000000", "", radius
+        if sequence is not None:
+            if j == sequence.node_index:
+                fill, extra, r = "#ffffff", ' stroke="#000000" stroke-width="2"', radius * 1.6
+            elif j in sequence.primary:
+                fill = _PLOT_PALETTE[sequence.primary[j] % 8]
+        parts.append(f'<circle cx="{fmt(px)}" cy="{fmt(py)}" r="{fmt(r)}" fill="{fill}"{extra}/>')
+        if xs.labels is not None:
+            label = xs.labels[j].replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            parts.append(
+                f'<text x="{fmt(px + radius + 2)}" y="{fmt(py - radius - 2)}" '
+                f'font-size="11" font-family="monospace">{label}</text>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

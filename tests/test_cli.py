@@ -464,6 +464,18 @@ class TestErrorPaths:
         code, _ = run(capsys, "check-poised", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["check-poised", "plot", "maximal-lines"])
+    def test_non_utf8_file_names_the_file(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff{}")
+        code = main([command, str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == (
+            f"gcnlab: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
+
     def test_unwritable_out_through_emit_doc(self, capsys, cy3_file):
         code = main(["maximal-lines", cy3_file, "--out", "/nonexistent/x.json"])
         out, err = capsys.readouterr()
@@ -642,14 +654,24 @@ class TestOneParserPerCommand:
 
 
 class TestClosedStdout:
-    @pytest.mark.parametrize("command", ["check-poised", "certify-gc"])
-    def test_exits_two_with_one_line(self, cy3_file, command):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["check-poised", "FILE"], id="check-poised"),
+            pytest.param(["certify-gc", "FILE"], id="certify-gc"),
+            pytest.param(["--help"], id="--help"),
+            pytest.param(["mdseq", "--help"], id="mdseq --help"),
+        ],
+    )
+    def test_exits_two_with_one_line(self, cy3_file, argv):
         # stdout to a pipe is block-buffered unless PYTHONUNBUFFERED is set,
-        # so the failure comes from a flush, and the exit flush must not fail again
+        # so the failure comes from a flush, and the exit flush must not fail again;
+        # argparse itself would drop the failure of a help message
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        argv = [cy3_file if arg == "FILE" else arg for arg in argv]
         proc = subprocess.Popen(
-            [sys.executable, "-m", "gcnlab.cli", command, cy3_file],
+            [sys.executable, "-m", "gcnlab.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,

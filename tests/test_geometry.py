@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Union
 
 import operator
 
@@ -321,6 +322,16 @@ class TestScalar:
             got = to_scalar(value)
             assert type(got) is Fraction
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    def test_scalar_and_rational_like_resolve_on_access(self):
+        import gcnlab
+        from gcnlab import geometry
+
+        assert gcnlab.Scalar is geometry.Scalar is Fraction
+        assert geometry.RationalLike == Union[int, str, Fraction]
+        assert "Scalar" not in vars(geometry)
+        with pytest.raises(AttributeError, match="module 'gcnlab.geometry' has no attribute 'nope'"):
+            geometry.nope  # noqa: B018
 
     def test_fraction_subclass_becomes_fraction(self):
         class Tagged(Fraction):

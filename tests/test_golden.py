@@ -1,11 +1,12 @@
-"""Golden digests: generated sets, certificates and sweep summaries stay byte-identical.
+"""Golden digests: generated sets, certificates, sweep summaries and plots stay byte-identical.
 
 The digests were recorded from the package before its generators began
 emitting canonical cover tables, drawing with an inlined splitmix64 and
 clearing affine coefficients on integers.  Any change to the seeded
 stream, to the node order, to the line order of a certificate or to a
 sweep's summary changes a digest here, on every Python the suite runs on
-(criterion 9).
+(criterion 9).  The plot digests were recorded from the package while its
+plotting still computed the viewport and the clipping over Fractions.
 """
 
 import hashlib
@@ -15,9 +16,15 @@ import pytest
 from gcnlab import (
     DEFAULT_KINDS,
     GeneratorSpec,
+    Line,
+    NodeSet,
+    Point,
     generate,
     generate_with_certificate,
+    greedy_mdseq,
+    plot_svg,
     search_counterexample,
+    used_lines_of,
 )
 from gcnlab.serialization import save_certificate, save_nodeset, save_summary
 
@@ -128,3 +135,96 @@ def test_generated_certificates(kind):
         for degree in range(1, 9)
     )
     assert got == CERTIFICATE_DIGESTS[kind]
+
+
+def _plots(spec):
+    """A generated set drawn bare and with each overlay ``gcnlab plot`` draws."""
+    xs, cert = generate_with_certificate(spec)
+    yield plot_svg(xs)
+    yield plot_svg(xs, maximal={line for line, _ in xs.maximal})
+    yield plot_svg(xs, used=used_lines_of(cert, 0))
+    yield plot_svg(xs, sequence=greedy_mdseq(cert, 1))
+
+
+# SHA-256 of the plots of seeds 0-2, concatenated, by kind, for degrees 1-8
+SVG_DIGESTS = {
+    "chung_yao": (
+        "cd455cc96a7c4fca46f1ead0774ec82f7225e38876a0fe319875b5985807e8dd",
+        "3f8a7b9d757132c1463e4a17d201fc878848994aec69c6110445678db4783df5",
+        "def07ec4ab60d216df940cb1f2e9ce0f77cc59083757158823f36f12f084915f",
+        "8ad2f9e2b363bb0e37ce2e76f4f1f96a256eafd0f9f935d8d1be2c2ccbe5fbca",
+        "e22d021038aa49737faafd5e76774f20b792541b68efd8decc1aa975c53d2739",
+        "ea7c04731ecd6c1fdbc099ff159f77c4c4ade2c8cc93e66c193af7d8060c0102",
+        "fc7647bc8b4f4d7301cb5c1deebb377486adad67559d85e2840e67367267ff24",
+        "df69dc1cdf73c661b9e99a19ec9d0ec3864b9054382cf99e883272228e3b5d83",
+    ),
+    "principal": (
+        "e3250ef5fdee918fde503ce29b936a9cd6305414045620c70eac54c5b2497f56",
+        "c425a44833719433c9b55a0634845e433e6e5d2d459a5eabad9f1e108b82df9a",
+        "1d27114a40c578854a4d699089563cada4cadf247604d8215a888862b3420649",
+        "a2b13ec5f155e22d2c9cc7f87d3bbf49d09570d5f2f7d43f115079219b792d4c",
+        "018b72a1b925f5dcaa1d3b5edddc93b238d4de05ab236e795a458e40b1bed2e0",
+        "0214752c7ad1397cca22aaa426dd88fccb52d1a5f5d282f1297b87bcc41fd904",
+        "25e3774151b1259f23652f0e10373b4920f81a13dc2266d61a266a0393474c45",
+        "59d38e3fa1bdeb7e28618a3073813ae4efd9e6a06f0ab586be5ff5d13efb8034",
+    ),
+    "projective_image": (
+        "22a3941e4e13dfb229caea30d5d701aee30c85f6e1bfe4134b862f7348bddc5b",
+        "43c38f9b86d6d1e46f92d8eba81fefe42b7231fc86d1f3287c29caaf827591ee",
+        "1a187d5e04fa8eb8f935d6f92f62587bacf1c1954f7acca410a20e490829ce0d",
+        "620730c265a15f14cdebddf91efe11f50ad0412828d2a11e7db57430c47e24f7",
+        "2cafca08b8eda82ddd48360e90fd88f8f3e7c1f80261ee06ed25ae00fb0780f8",
+        "15c1f825f46fbd869a200b7c6070d0e475e6587631e36ca2004fd81246b5e36e",
+        "e4a95966084361e8cd54ea4dc964e13340baf5f02dfb5b181aa2639c7530cfd6",
+        "2b347426d6b49baff023f3e1dbc0dc54f8c976247f74eaf74bfff1effcc9f367",
+    ),
+}
+
+_GRID = (Point(0, 0), Point(10, 0), Point(0, 10), Point(10, 10), Point(5, 5), Point(5, 0))
+#: Hand-made plots: the set, and the lines drawn as maximal lines
+HAND_MADE = {
+    "empty": (NodeSet(0, ()), ()),
+    "one node": (NodeSet(0, (Point("-7/3", 2),)), (Line(1, 1, 0), Line(0, 1, -2))),
+    "escaped labels": (
+        NodeSet(1, (Point(0, 0), Point(1, 0), Point(0, 1)), labels=("a<b", "R&D", "</svg>&gt;")),
+        (Line(1, 0, 0), Line(0, 1, 0)),
+    ),
+    "vertical and horizontal": (
+        NodeSet(2, (Point(0, 0), Point("1/3", 0), Point("2/3", 0), Point(0, "-1/2"),
+                    Point("1/3", "-1/2"), Point(0, -1))),
+        (Line(1, 0, 0), Line(0, 1, 0), Line(3, 0, -1), Line(0, 2, 1)),
+    ),
+    "viewport corners": (
+        NodeSet(2, _GRID),
+        (Line(1, -1, 0), Line(1, 1, -10), Line(1, -1, 12), Line(2, -1, 1)),
+    ),
+    "viewport borders": (NodeSet(2, _GRID), (Line(1, 0, 1), Line(0, 1, -11), Line(1, 0, -50))),
+    "flat": (
+        NodeSet(2, (Point(0, 0), Point("1/2", 0), Point(3, 0))),
+        (Line(0, 1, 0), Line(1, 0, 0), Line(1, 3, -3)),
+    ),
+}
+HAND_MADE_DIGESTS = {
+    "empty": "6b4a6072b922202b6c925593240c86cd0557519664eb9f205d4eb7854ca4f59e",
+    "escaped labels": "500a03c4a3dea51264dd2f23472dac110c185ce1f2887671dd5ed5528c6a6957",
+    "flat": "bfda2182b3717d11433b1ae6e2b96349d7fae8b2328fbcbb44c0de706f68b858",
+    "one node": "25875120d24bbb1dcae4913e7261836b3e91938577a5804d77d4b44f6634c34c",
+    "vertical and horizontal": "0d8287ef68d27caaf7d7c830fb74b59a7e7e7077373c78eb344fe53a47d01a7a",
+    "viewport borders": "5fef2e7e53d075cdf4ef0517b7aababd805d8b3ffa797539b05a2a91052b8cf9",
+    "viewport corners": "c76a617c8851d79318a8743c8d5076c32553d60e3e76bd719ad14673f289d8a4",
+}
+
+
+@pytest.mark.parametrize("kind", DEFAULT_KINDS)
+def test_plots(kind):
+    got = tuple(
+        _digest(svg for seed in range(3) for svg in _plots(GeneratorSpec(kind, degree, seed=seed)))
+        for degree in range(1, 9)
+    )
+    assert got == SVG_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MADE))
+def test_hand_made_plots(name):
+    xs, lines = HAND_MADE[name]
+    assert _digest([plot_svg(xs, maximal=lines)]) == HAND_MADE_DIGESTS[name]

@@ -117,10 +117,12 @@ class TestNamespace:
 
 # Runs one CLI command as ``python -m gcnlab.cli`` does and reports, as the
 # last stderr line, its exit code, the gcnlab submodules it loaded and which
-# of ``dataclasses`` and ``inspect`` it loaded.  No part of a CLI process
-# but gcnlab would import those two (with ``ast``, ``dis`` and
-# ``tokenize``), so each one gcnlab pulled in would be start-up time paid by
-# every command.
+# of ``dataclasses``, ``inspect``, ``fractions`` and ``decimal`` it loaded.
+# No part of a CLI process but gcnlab would import those (``dataclasses``
+# and ``inspect`` bring ``ast``, ``dis`` and ``tokenize``, ``fractions``
+# brings ``decimal`` and ``numbers``), so each one gcnlab pulled in would be
+# start-up time paid by every command.  Only a command that computes a
+# rational (a certificate's constants, a rank, a solve) loads ``fractions``.
 PROBE = """
 import json, runpy, sys
 sys.argv = ["gcnlab", *sys.argv[1:]]
@@ -130,7 +132,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("gcnlab."))
-stdlib = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+stdlib = [m for m in ("dataclasses", "inspect", "fractions", "decimal") if m in sys.modules]
 print(json.dumps([code, loaded, stdlib]), file=sys.stderr)
 """
 
@@ -139,7 +141,7 @@ BARE = """
 import json, sys
 __import__(sys.argv[1])
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("gcnlab."))
-stdlib = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+stdlib = [m for m in ("dataclasses", "inspect", "fractions", "decimal") if m in sys.modules]
 print(json.dumps([0, loaded, stdlib]), file=sys.stderr)
 """
 
@@ -166,6 +168,7 @@ def workdir(tmp_path_factory):
 READ = ["errors", "geometry", "nodefile"]
 BASE = READ + ["certification"]
 ALGEBRA = ["interpolation", "linalg", "polynomials"]
+RATIONALS = ["fractions", "decimal"]
 
 #: What ``gcnlab.serialization`` exposes: the document codecs and, re-exported
 #: from ``gcnlab.nodefile``, the node-file codec.
@@ -199,24 +202,50 @@ class TestImportBoundary:
     def test_nodefile_loads_only_geometry(self, workdir):
         assert probe(workdir, BARE, "gcnlab.nodefile") == [0, sorted(READ), []]
 
+    def test_geometry_loads_no_fractions(self, workdir):
+        assert probe(workdir, BARE, "gcnlab.geometry") == [0, ["errors", "geometry"], []]
+
     def test_linalg_loads_only_geometry(self, workdir):
         # linalg clears denominators with geometry._clear, and every command
         # loads geometry already, so the algebra adds no other module
-        assert probe(workdir, BARE, "gcnlab.linalg") == [0, ["errors", "geometry", "linalg"], []]
+        assert probe(workdir, BARE, "gcnlab.linalg") == [0, ["errors", "geometry", "linalg"], RATIONALS]
 
     @pytest.mark.parametrize(
-        "argv, expected",
+        "argv, expected, stdlib",
         [
             pytest.param(["certify-gc", "cy.json", "--out", "cert.json"], BASE + ["serialization"],
-                         id="certify-gc"),
-            pytest.param(["verify-gm", "cy.json"], BASE + ["analysis", "serialization"], id="verify-gm"),
-            pytest.param(["mdseq", "cy.json", "--node", "0", "--all"], BASE + ["sequences"], id="mdseq"),
-            pytest.param(["plot", "cy.json", "--overlay", "maximal"], READ + ["plotting"], id="plot"),
+                         RATIONALS, id="certify-gc"),
+            pytest.param(["verify-gm", "cy.json"], BASE + ["analysis", "serialization"], [],
+                         id="verify-gm"),
+            pytest.param(["mdseq", "cy.json", "--node", "0", "--all"], BASE + ["sequences"], [],
+                         id="mdseq"),
+            pytest.param(["plot", "cy.json", "--overlay", "maximal"], READ + ["plotting"], [],
+                         id="plot"),
         ],
     )
-    def test_benchmark_commands(self, workdir, argv, expected):
-        # only the commands that write a certificate or a report load the document codecs
-        assert probe(workdir, PROBE, *argv) == [0, sorted(expected), []]
+    def test_benchmark_commands(self, workdir, argv, expected, stdlib):
+        # only the commands that write a certificate or a report load the document codecs,
+        # and only a certificate's constants are rationals
+        assert probe(workdir, PROBE, *argv) == [0, sorted(expected), stdlib]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plot", "cy.json", "--overlay", "used:0", "--overlay", "primary:1"],
+            ["mdseq", "cy.json", "--node", "0"],
+            ["verify-gm", "cy.json", "--out", "report.json"],
+            ["maximal-lines", "cy.json"],
+            ["used-lines", "cy.json", "--node", "0"],
+            ["incidence-profile", "cy.json", "--node", "0"],
+            *(["generate", "--kind", kind, "--degree", "3"]
+              for kind in ("chung_yao", "principal", "projective_image")),
+        ],
+        ids=lambda argv: " ".join(argv[:3] if argv[0] == "generate" else argv[:1]),
+    )
+    def test_integer_commands_load_no_fractions(self, workdir, argv):
+        # from the node file to the output, these stay on the set's integer index
+        code, _, stdlib = probe(workdir, PROBE, *argv)
+        assert (code, stdlib) == (0, [])
 
     def test_maximal_lines_reads_the_index_without_the_certifier(self, workdir):
         # maximal lines come from the node set's own index
@@ -230,13 +259,13 @@ class TestImportBoundary:
         # telling a non-poised set from a poised non-GC one needs a rank; a
         # set that fails writes no document, so the codecs stay unloaded
         got = probe(workdir, PROBE, "certify-gc", "moved.json")
-        assert got == [1, sorted(BASE + ALGEBRA), []]
+        assert got == [1, sorted(BASE + ALGEBRA), RATIONALS]
 
     @pytest.mark.parametrize("argv", [["verify-gm"], ["mdseq", "--node", "0", "--all"]],
                              ids=lambda argv: argv[0])
     def test_failing_commands_load_no_document_codec(self, workdir, argv):
         code, loaded, stdlib = probe(workdir, PROBE, argv[0], "moved.json", *argv[1:])
-        assert (code, stdlib) == (1, [])
+        assert (code, stdlib) == (1, RATIONALS)  # the rank that tells poised from GC
         assert "nodefile" in loaded and "serialization" not in loaded
 
     def test_generate_loads_the_generators(self, workdir):
@@ -246,4 +275,5 @@ class TestImportBoundary:
 
     def test_check_cert_loads_only_the_reader_and_the_rule(self, workdir):
         assert probe(workdir, PROBE, "certify-gc", "cy.json", "--out", "c.json")[0] == 0
-        assert probe(workdir, PROBE, "check-cert", "c.json") == [0, sorted(BASE + ["serialization"]), []]
+        expected = [0, sorted(BASE + ["serialization"]), RATIONALS]
+        assert probe(workdir, PROBE, "check-cert", "c.json") == expected

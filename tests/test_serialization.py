@@ -1,22 +1,27 @@
 """Interchange schemas: exact round trips, canonical dumps, diagnostics."""
 
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from conftest import index_of
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import nodeset_from_dict_fraction, plot_svg_fraction
 
 from gcnlab import (
     BadRational,
     DuplicateNode,
     GMReport,
     InvalidCertificate,
+    Line,
     NodeSet,
     ParseError,
     Point,
     certify_gc,
     gm_report_from_certificate,
+    plot_svg,
     search_counterexample,
 )
 from gcnlab.serialization import (
@@ -25,6 +30,8 @@ from gcnlab.serialization import (
     load_nodeset,
     load_report,
     load_summary,
+    nodeset_from_dict,
+    nodeset_to_dict,
     parse_rational,
     poly_from_dict,
     poly_to_dict,
@@ -416,3 +423,97 @@ class TestPolyDocuments:
     def test_coefficient_count_checked(self):
         with pytest.raises(ParseError):
             poly_from_dict({"degree": 2, "coefficients": ["1", "2"]})
+
+
+def _outcome(load, doc):
+    """What ``load(doc)`` gives: ``("ok", set)`` or ``("raises", type, message)``."""
+    try:
+        return ("ok", load(doc))
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return ("raises", type(exc), str(exc))
+
+
+# Exact rationals with small parts, so equal values in different spellings
+# ("1/2", "2/4", "-0", "003") and repeated nodes are common
+_spellings = st.builds(
+    lambda p, q, zeros, form: (
+        f"{'-' if p < 0 else ''}{'0' * zeros}{abs(p)}" + ("" if form and q == 1 else f"/{q}")
+    ),
+    st.integers(-6, 6), st.integers(1, 6), st.integers(0, 2), st.booleans(),
+)
+_pairs = st.lists(_spellings, min_size=2, max_size=2)
+# Well-formed documents, with a label per node or none
+_documents = st.lists(_pairs, max_size=7).flatmap(
+    lambda rows: st.fixed_dictionaries(
+        {"degree": st.integers(0, 3), "nodes": st.just(rows)},
+        optional={"labels": st.lists(st.text("ab<&>", max_size=3),
+                                     min_size=len(rows), max_size=len(rows))},
+    )
+)
+# Documents with any field wrong, or several
+_coordinates = st.one_of(
+    _spellings,
+    st.sampled_from(["+1", " 1", "1 ", "1.5", "1/-2", "1_0", "", "/2", "1/", "\u0661", "0/0", "-3/00"]),
+    st.integers(-2, 2),
+    st.none(),
+)
+_rows = st.one_of(_pairs, st.lists(_coordinates, min_size=2, max_size=2),
+                  st.lists(_coordinates, max_size=3), st.just("0"))
+_faulty_documents = st.fixed_dictionaries(
+    {"degree": st.one_of(st.integers(0, 3), st.sampled_from([-1, True, "2"])),
+     "nodes": st.one_of(st.lists(_rows, max_size=7), st.lists(_rows, max_size=7), st.just({}))},
+    optional={"labels": st.one_of(st.lists(st.text("ab", max_size=2), max_size=7),
+                                  st.lists(st.integers(), max_size=2), st.just("ab"))},
+)
+_lines = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-8, 8))
+    .filter(lambda t: t[:2] != (0, 0)).map(lambda t: Line(*t)),
+    max_size=4,
+)
+
+
+class TestIntegerLoader:
+    """The integer loader and writer against the Fraction loader and plot of tests/oracles.py."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=st.one_of(_documents, _documents, _faulty_documents), maximal=_lines, used=_lines)
+    def test_same_set_errors_and_svg(self, doc, maximal, used):
+        got = _outcome(nodeset_from_dict, doc)
+        want = _outcome(nodeset_from_dict_fraction, doc)
+        if want[0] == "raises":
+            assert got == want
+            return
+        xs, points_set = got[1], want[1]
+        assert index_of(xs) == index_of(points_set)
+        assert xs.labels == points_set.labels
+        assert xs == points_set and hash(xs) == hash(points_set)
+        assert repr(xs) == repr(points_set)
+        assert pickle.dumps(xs) == pickle.dumps(points_set)
+        assert nodeset_to_dict(xs) == nodeset_to_dict(points_set)
+        assert load_nodeset(save_nodeset(xs)) == xs
+        svg = plot_svg(xs, maximal=maximal, used=used)
+        assert svg == plot_svg_fraction(points_set, maximal=maximal, used=used)
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            ([["1/2", "0"], ["2/4", "0"]], "node Point(1/2, 0) appears twice"),
+            ([["-3/6", "-0"], ["1", "1"], ["-1/2", "0/7"]], "node Point(-1/2, 0) appears twice"),
+        ],
+    )
+    def test_duplicate_spellings(self, nodes, message):
+        with pytest.raises(DuplicateNode) as info:
+            nodeset_from_dict({"degree": 1, "nodes": nodes, "labels": ["a"]})
+        assert str(info.value) == message
+
+    def test_loading_and_writing_build_no_fraction(self, monkeypatch):
+        import fractions
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(fractions.Fraction, "__new__", refuse)
+        xs = load_nodeset('{"degree": 1, "nodes": [["2/4", "-1/3"], ["1", "0"], ["0", "007"]]}')
+        assert (xs.scale, xs.coords) == (6, ((3, -2), (6, 0), (0, 42)))
+        assert nodeset_to_dict(xs)["nodes"] == [["1/2", "-1/3"], ["1", "0"], ["0", "7"]]
+        plot_svg(xs, maximal=[Line(1, 1, -1)])
