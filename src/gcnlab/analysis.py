@@ -16,19 +16,19 @@ violation on a merely poised set would be a category error.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterator, Sequence
 
 from .certification import GCCertificate, certify_gc
 from .errors import (
     CenterInTarget,
     DegenerateIntersection,
-    DuplicateNode,
     GCNLabError,
     IdenticalLines,
     ParallelLines,
     RetryLimitExceeded,
 )
-from .geometry import Line, NodeSet, Value, _bits, intersect
+from .geometry import Line, NodeSet, Value, _bits, _meet
 
 
 class GMReport(Value):
@@ -155,26 +155,31 @@ def cayley_bacharach_check(lines_m: Sequence[Line], lines_n: Sequence[Line]) -> 
     raised.  Returns True iff those points are essentially
     (m+n-3)-dependent, i.e. no point has a fundamental polynomial at that
     degree (each inhomogeneous system is infeasible by rank).
+
+    The check stays on integers: each meet is the integer point
+    ``(X, Y, W)``, W > 0, that :func:`~gcnlab.geometry.intersect` divides
+    out, the meets are put over the lcm of their W, and the set is built
+    from those integer nodes with ``NodeSet._scaled``, which gives the
+    index the constructor builds from the points.
     """
     m, n = len(lines_m), len(lines_n)
     if m < 1 or n < 1 or m + n < 3:
         raise ValueError("need line groups of degrees m, n with m + n >= 3")
     from .interpolation import is_essentially_dependent
 
-    points = []
+    meets = []
     for la in lines_m:
         for lb in lines_n:
             try:
-                points.append(intersect(la, lb))
+                meets.append(_meet(la, lb))
             except (ParallelLines, IdenticalLines) as exc:
                 raise DegenerateIntersection(f"{la} and {lb} do not meet transversally") from exc
-    try:
-        xs = NodeSet(m + n - 3, points)
-    except DuplicateNode as exc:
-        raise DegenerateIntersection(
-            f"only {len(set(points))} distinct intersection points, expected {m * n}"
-        ) from exc
-    return is_essentially_dependent(xs, m + n - 3)
+    scale = lcm(*(w for _, _, w in meets))
+    coords = [(x * (scale // w), y * (scale // w)) for x, y, w in meets]
+    distinct = len(set(coords))
+    if distinct != m * n:
+        raise DegenerateIntersection(f"only {distinct} distinct intersection points, expected {m * n}")
+    return is_essentially_dependent(NodeSet._scaled(m + n - 3, scale, coords), m + n - 3)
 
 
 class TrialFailure(Value):

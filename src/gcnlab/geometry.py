@@ -455,21 +455,32 @@ class NodeSet(Value):
         return mask
 
 
-def intersect(l1: Line, l2: Line) -> Point:
-    """The unique point incident to two distinct, non-parallel lines.
+def _meet(l1: Line, l2: Line) -> tuple[int, int, int]:
+    """The meet of two lines as integers ``(X, Y, W)``, W > 0: the point ``(X/W, Y/W)``.
 
     Raises IdenticalLines when the canonical triples coincide and
-    ParallelLines when ``a1*b2 - a2*b1 = 0``.
+    ParallelLines when ``W = a1*b2 - a2*b1`` is 0.  The triple is not
+    reduced by its gcd.
     """
     if l1 == l2:
         raise IdenticalLines(f"{l1} given twice")
     det = l1.a * l2.b - l2.a * l1.b
     if det == 0:
         raise ParallelLines(f"{l1} and {l2} are parallel")
+    x = l1.b * l2.c - l2.b * l1.c
+    y = l2.a * l1.c - l1.a * l2.c
+    return (x, y, det) if det > 0 else (-x, -y, -det)
+
+
+def intersect(l1: Line, l2: Line) -> Point:
+    """The unique point incident to two distinct, non-parallel lines.
+
+    Raises IdenticalLines when the canonical triples coincide and
+    ParallelLines when ``a1*b2 - a2*b1 = 0``.
+    """
+    x, y, w = _meet(l1, l2)
     Fraction = _Fraction or _fraction()
-    x = Fraction(l1.b * l2.c - l2.b * l1.c, det)
-    y = Fraction(l2.a * l1.c - l1.a * l2.c, det)
-    return Point(x, y)
+    return Point(Fraction(x, w), Fraction(y, w))
 
 
 def is_incident(p: Point, l: Line) -> bool:

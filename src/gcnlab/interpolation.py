@@ -10,7 +10,10 @@ interpolants come from exact solves.
 Every exact question runs on one integer Vandermonde matrix, built by
 :func:`_integer_vandermonde` from the integer nodes the set holds
 (``xs.scale`` and ``xs.coords``), so no point is built or cleared again;
-:func:`vandermonde` is its rational view.
+:func:`vandermonde` is its rational view.  Poisedness and independence
+are ranks of those integers: full rank modulo a prime proves them, and
+only a deficiency there pays for the exact rank.  Neither builds a
+Fraction, and :mod:`fractions` is imported only when one is made.
 
 All functions are pure.  Fundamental polynomials for all nodes of one set
 are produced from a single shared elimination (see :func:`all_fundamentals`),
@@ -20,14 +23,18 @@ immutable.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import linalg
 from .errors import LengthMismatch, NotPoised
-from .geometry import NodeSet, RationalLike, Value, to_scalar
+from .geometry import NodeSet, Value, _fraction, to_scalar
 from .polynomials import Poly, _check_degree_bound, dim_pi, monomials
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .geometry import RationalLike
 
 
 class FundamentalSolution(Value):
@@ -69,6 +76,7 @@ def _integer_vandermonde(xs: NodeSet, n: int) -> list[list[int]]:
 
 def vandermonde(xs: NodeSet) -> list[list[Fraction]]:
     """One row per node of monomial values at the set's degree."""
+    Fraction = _fraction()
     return [[Fraction(v, row[0]) for v in row] for row in _integer_vandermonde(xs, xs.degree)]
 
 
@@ -90,10 +98,18 @@ def is_poised(xs: NodeSet) -> bool:
 
 
 def is_independent(xs: NodeSet) -> bool:
-    """True iff every node has a fundamental polynomial at the set's degree."""
+    """True iff every node has a fundamental polynomial at the set's degree.
+
+    That is full row rank of the Vandermonde matrix, proved as in
+    :func:`is_poised`: full rank modulo a prime proves it, and only a
+    deficiency there pays for the exact rank.
+    """
     if len(xs) > dim_pi(xs.degree):
         return False
-    return linalg.rank(_integer_vandermonde(xs, xs.degree)) == len(xs)
+    rows = _integer_vandermonde(xs, xs.degree)
+    if linalg.rank_mod_p(rows) == len(xs):
+        return True
+    return linalg.rank(rows) == len(xs)
 
 
 def is_essentially_dependent(xs: NodeSet, m: int) -> bool:

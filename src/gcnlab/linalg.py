@@ -19,23 +19,37 @@ modulo a fixed prime, in the elimination :func:`rank_mod_p` runs, takes
 the kernel of those columns alone, and proves it is A's kernel by checking
 it against the other columns before it answers.
 
+The modular elimination, :func:`_pivots_mod_p`, holds each row as one
+int of fixed-width slots, one slot per column.  A row update is one
+big-int multiply-add by the reduced pivot row, and the other rows are not
+reduced between updates (delayed modular reduction, as in Dumas, Giorgi
+and Pernet, "Dense linear algebra over word-size prime fields", ACM TOMS
+35(3), 2008).  A slot of ``61 + s.bit_length()`` bits for s rows cannot
+carry into the next; the proof is in the function's docstring.
+
 The prime :data:`PRIME` is below 2^30, so every residue is a one-digit
 CPython int and every product of two stays below 2^60.  No answer depends
 on its size: a modular rank is only ever used to prove full rank, and
 modular pivot columns are checked exactly before they are trusted.
 
-No function mutates its input.
+Solutions and kernel vectors are Fractions, and :mod:`fractions` is
+imported when the first one is made, so a rank or a consistency verdict
+never loads it.  No function mutates its input.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import chain
 from operator import mul
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence
 
-from .geometry import _clear
+from .geometry import _clear, _fraction
 
-Row = Sequence[Union[int, Fraction]]
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import Union
+
+    Row = Sequence[Union[int, Fraction]]
 
 
 def _integer_rows(rows: Sequence[Row]) -> list[list[int]]:
@@ -93,28 +107,57 @@ def _pivots_mod_p(rows: Sequence[Sequence[int]]) -> list[int]:
     """Pivot columns of the row echelon form of integer rows modulo :data:`PRIME`.
 
     Their minor is nonzero modulo the prime, so these columns are
-    independent over Q too.
+    independent over Q too.  They are the columns that are not in the span
+    of the columns before them, so no choice of pivot rows changes them.
+
+    Each row is one int of fixed-width slots, and every slot is reduced
+    modulo p = PRIME to start with.  Slot 0 is always the column being
+    eliminated: once a column is done, every row moves one slot down.  The
+    pivot row alone is unpacked, reduced and scaled by the inverse of its
+    pivot to P.  Every other row R, with f its slot 0 modulo p, takes one
+    big-int multiply-add, ``R += (p - f) * P``.  That makes its slot 0 a
+    multiple of p, so the code skips that slot and adds ``(p - f)`` times
+    the rest of P to the row moved down.  No other slot is ever reduced.
+
+    No slot carries into the next.  A slot starts below p, and one update
+    adds ``(p - f) * P_j`` with ``p - f`` and ``P_j`` at most p - 1, so
+    less than p**2 < 2**60.  A row gets at most one update per pivot
+    taken from another row, so at most s - 1 for s rows, and its slots
+    stay below ``s * p**2 < 2**(60 + s.bit_length())``.  The width is
+    ``61 + s.bit_length()`` bits rounded up to whole bytes, so rows pack
+    and unpack with ``to_bytes`` and ``int.from_bytes``.
     """
+    if not rows:
+        return []
     p = PRIME
-    m = [[v % p for v in row] for row in rows]
+    nbytes = (61 + len(rows).bit_length() + 7) // 8
+    width = 8 * nbytes
+    low = (1 << width) - 1
+    unpack = int.from_bytes
+
+    def pack(values, scale=1):
+        """One int whose slot j holds ``values[j] * scale`` modulo p."""
+        return unpack(b"".join([(v * scale % p).to_bytes(nbytes, "little") for v in values]), "little")
+
+    ncols = len(rows[0])
+    m = [pack(row) for row in rows]
     pivots: list[int] = []
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        # left of column c, rows r and below are already 0
-        inv = pow(m[r][c], -1, p)
-        pivot = [v * inv % p for v in m[r][c:]]
-        for i in range(r + 1, len(m)):
-            row = m[i]
-            f = row[c]
+    for c in range(ncols):
+        for k, row in enumerate(m):
+            f = (row & low) % p
             if f:
-                row[c:] = [(v - f * w) % p for v, w in zip(row[c:], pivot)]
+                break
+        else:
+            m = [row >> width for row in m]
+            continue
+        raw = m.pop(k).to_bytes((ncols - c) * nbytes, "little")
+        # the pivot row right of column c, reduced and scaled so its pivot is 1
+        pivot = pack([unpack(raw[i : i + nbytes], "little") for i in range(nbytes, len(raw), nbytes)],
+                     pow(f, -1, p))
+        m = [(row >> width) + (p - g) * pivot if (g := (row & low) % p) else row >> width
+             for row in m]
         pivots.append(c)
-        r += 1
-        if r == len(m):
+        if not m:
             break
     return pivots
 
@@ -196,7 +239,8 @@ def unit_consistency(rows: Sequence[Row]) -> list[bool]:
     s = len(rows)
     if s == 0:
         return []
-    m = _integer_rows(rows)
+    # nothing below changes m, so rows of ints are used as they are
+    m = rows if set(map(type, chain.from_iterable(rows))) <= {int} else _integer_rows(rows)
     pivots = _pivots_mod_p(m)
     if len(pivots) == s:
         return [True] * s
@@ -225,6 +269,7 @@ def solve_square(rows: Sequence[Row], rhs_columns: Sequence[Sequence[Fraction]])
     if len(pivot_cols) < n or pivot_cols[:n] != list(range(n)):
         return None
     d = _last_pivot(m, pivot_cols)
+    Fraction = _fraction()
     solutions = []
     for t in range(len(rhs_columns)):
         x = _back_substitute(m, pivot_cols, [0] * n, [d * row[n + t] for row in m])
@@ -242,6 +287,7 @@ def nullspace_basis(rows: Sequence[Row], ncols: int | None = None) -> list[list[
     if m:
         ncols = len(m[0])
     d, basis = _kernel(m, pivot_cols, ncols or 0)
+    Fraction = _fraction()
     return [[Fraction(v, d) for v in x] for x in basis]
 
 

@@ -14,16 +14,24 @@ across runs.
 Divisibility by a line is decided by exact remainder (synthetic long
 division along the line's leading variable), never by evaluating at sample
 points, which rules out false positives entirely.
+
+:mod:`fractions` is imported when the first coefficient is made, so
+importing this module for :func:`dim_pi` or :func:`monomials` alone does
+not load it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import NotDivisible, ZeroPolynomial
-from .geometry import Line, Point, RationalLike, Value, to_scalar
+from .geometry import Line, Point, Value, _fraction, to_scalar
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .geometry import RationalLike
 
 #: Largest supported degree bound.  Dense triangular tables stay small up to
 #: here (dim 91 at degree 12); raise it if a larger desk fits your problem.
@@ -76,17 +84,17 @@ class Poly(Value):
 
     @classmethod
     def zero(cls, n: int) -> "Poly":
-        return cls(n, (Fraction(0),) * dim_pi(n))
+        return cls(n, (0,) * dim_pi(n))
 
     @classmethod
     def constant(cls, value: RationalLike, n: int = 0) -> "Poly":
-        c = [Fraction(0)] * dim_pi(n)
+        c = [0] * dim_pi(n)
         c[0] = to_scalar(value)
         return cls(n, tuple(c))
 
     @classmethod
     def from_coeff_dict(cls, entries: Mapping[tuple[int, int], RationalLike], n: int) -> "Poly":
-        c = [Fraction(0)] * dim_pi(n)
+        c = [0] * dim_pi(n)
         index = _monomial_index(n)
         for (i, j), v in entries.items():
             if i < 0 or j < 0 or i + j > n:
@@ -114,7 +122,7 @@ class Poly(Value):
         n = max(self.degree_bound, other.degree_bound)
         out: dict[tuple[int, int], Fraction] = dict(self.as_dict())
         for ij, c in other.as_dict().items():
-            out[ij] = out.get(ij, Fraction(0)) + c
+            out[ij] = out.get(ij, 0) + c
         return Poly.from_coeff_dict(out, n)
 
     def __neg__(self) -> "Poly":
@@ -130,6 +138,7 @@ class Poly(Value):
     def at(self, pt: Point) -> Fraction:
         """Exact value at a point."""
         n = self.degree_bound
+        Fraction = _fraction()
         xp = [Fraction(1)] * (n + 1)
         yp = [Fraction(1)] * (n + 1)
         for k in range(1, n + 1):
@@ -161,7 +170,7 @@ def multiply_line(p: Poly, line: Line) -> Poly:
     for (i, j), c in p.as_dict().items():
         for ij, f in (((i + 1, j), line.a), ((i, j + 1), line.b), ((i, j), line.c)):
             if f:
-                out[ij] = out.get(ij, Fraction(0)) + f * c
+                out[ij] = out.get(ij, 0) + f * c
     return Poly.from_coeff_dict(out, p.degree_bound + 1)
 
 
@@ -185,26 +194,26 @@ def divide_by_line(p: Poly, line: Line) -> Poly:
         # Divide along x by a*x + (b*y + c).
         for i in range(n, 0, -1):
             for j in range(n - i + 1):
-                c = table.pop((i, j), Fraction(0))
+                c = table.pop((i, j), 0)
                 if c == 0:
                     continue
                 q = c / line.a
                 quotient[(i - 1, j)] = q
                 if line.b:
-                    table[(i - 1, j + 1)] = table.get((i - 1, j + 1), Fraction(0)) - q * line.b
+                    table[(i - 1, j + 1)] = table.get((i - 1, j + 1), 0) - q * line.b
                 if line.c:
-                    table[(i - 1, j)] = table.get((i - 1, j), Fraction(0)) - q * line.c
+                    table[(i - 1, j)] = table.get((i - 1, j), 0) - q * line.c
     else:
         # Divide along y by b*y + c (here a == 0, so b != 0).
         for j in range(n, 0, -1):
             for i in range(n - j + 1):
-                c = table.pop((i, j), Fraction(0))
+                c = table.pop((i, j), 0)
                 if c == 0:
                     continue
                 q = c / line.b
                 quotient[(i, j - 1)] = q
                 if line.c:
-                    table[(i, j - 1)] = table.get((i, j - 1), Fraction(0)) - q * line.c
+                    table[(i, j - 1)] = table.get((i, j - 1), 0) - q * line.c
     if any(v != 0 for v in table.values()):
         raise NotDivisible(f"{line} leaves a nonzero remainder")
     return Poly.from_coeff_dict({ij: c for ij, c in quotient.items() if c != 0}, n - 1)

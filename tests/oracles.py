@@ -26,6 +26,13 @@ on node bitmasks.
 node-mask test replaced: it intersects the two lines in Fraction arithmetic
 and looks the meet up among the nodes.
 
+:func:`cayley_bacharach_set_fraction` builds the node set of a
+Cayley-Bacharach check the way the library did before the check stayed on
+integers: it intersects every cross pair in Fraction arithmetic, by
+eliminating a variable rather than by Cramer's rule, and builds the set
+from the points with the NodeSet constructor, raising the library's
+DegenerateIntersection messages.
+
 :func:`line_through` is the Fraction line through two points; it left the
 library once nothing there built a line from a node pair.
 
@@ -47,6 +54,10 @@ echelon rows.
 
 :func:`is_consistent` is the one-system consistency check by Bareiss rank;
 it is the per-column reference for ``gcnlab.linalg.unit_consistency``.
+
+:func:`pivots_mod_p_lists` is the modular elimination the library's
+packed-row kernel replaced: rows are lists of residues, and every entry
+of every row update is reduced on its own.
 
 :func:`chung_yao_fraction` and :func:`projective_image_fraction` (with
 ``*_nodes_fraction`` for the node set alone) are the builders the
@@ -101,6 +112,8 @@ from typing import Mapping
 
 from gcnlab import (
     BadRational,
+    DegenerateIntersection,
+    DuplicateNode,
     GCNLabError,
     IdenticalLines,
     IdenticalPoints,
@@ -274,6 +287,61 @@ def is_consistent(rows, rhs):
     ncols = len(aug[0])
     _, pivot_cols = _echelon(_integer_rows(aug))
     return (ncols - 1) not in pivot_cols
+
+
+def pivots_mod_p_lists(rows, p):
+    """Pivot columns of the row echelon form of integer rows modulo the prime ``p``."""
+    m = [[v % p for v in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        # left of column c, rows r and below are already 0
+        inv = pow(m[r][c], -1, p)
+        pivot = [v * inv % p for v in m[r][c:]]
+        for i in range(r + 1, len(m)):
+            row = m[i]
+            f = row[c]
+            if f:
+                row[c:] = [(v - f * w) % p for v, w in zip(row[c:], pivot)]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return pivots
+
+
+def _meet_fraction(l1, l2):
+    """The meet of two lines by eliminating x (or y when l1 has no x), in Fractions."""
+    if l1 == l2:
+        raise IdenticalLines(f"{l1} given twice")
+    if l1.a * l2.b == l2.a * l1.b:
+        raise ParallelLines(f"{l1} and {l2} are parallel")
+    if l1.a:
+        y = (Fraction(l2.a * l1.c, l1.a) - l2.c) / (l2.b - Fraction(l2.a * l1.b, l1.a))
+        return Point(-(l1.b * y + l1.c) / l1.a, y)
+    y = Fraction(-l1.c, l1.b)
+    return Point(-(l2.b * y + l2.c) / l2.a, y)
+
+
+def cayley_bacharach_set_fraction(lines_m, lines_n):
+    """The degree-(m+n-3) set of the m*n cross meets, or DegenerateIntersection."""
+    points = []
+    for la in lines_m:
+        for lb in lines_n:
+            try:
+                points.append(_meet_fraction(la, lb))
+            except (ParallelLines, IdenticalLines) as exc:
+                raise DegenerateIntersection(f"{la} and {lb} do not meet transversally") from exc
+    try:
+        return NodeSet(len(lines_m) + len(lines_n) - 3, points)
+    except DuplicateNode as exc:
+        raise DegenerateIntersection(
+            f"only {len(set(points))} distinct intersection points, expected {len(points)}"
+        ) from exc
 
 
 def line_through(p, q):

@@ -8,9 +8,11 @@ from gcnlab import (
     CenterInTarget,
     DegenerateIntersection,
     GeneratorSpec,
+    IdenticalLines,
     Line,
     NodeSet,
     NotGC,
+    ParallelLines,
     Point,
     TooManyCollinear,
     cayley_bacharach_check,
@@ -20,6 +22,7 @@ from gcnlab import (
     generate_with_certificate,
     gm_report_from_certificate,
     incidence_profile,
+    intersect,
     line_incidence,
     maximal_lines,
     search_counterexample,
@@ -30,7 +33,8 @@ from gcnlab.generators import DEFAULT_KINDS
 from gcnlab.rng import SplitMix64, substream_seed
 
 from oracles import (
-    incidence_profile_fraction, solvable_naive, used_line_index, vandermonde_naive,
+    cayley_bacharach_set_fraction, incidence_profile_fraction, solvable_naive, used_line_index,
+    vandermonde_naive,
 )
 
 
@@ -220,8 +224,58 @@ class TestCayleyBacharach:
             assert not solvable_naive(rows, rhs)
 
     def test_parallel_cross_pair_rejected(self):
-        with pytest.raises(DegenerateIntersection):
+        with pytest.raises(DegenerateIntersection) as excinfo:
             cayley_bacharach_check([Line(1, 0, 0)], [Line(1, 0, -1), Line(0, 1, 0)])
+        assert str(excinfo.value) == "Line(1, 0, 0) and Line(1, 0, -1) do not meet transversally"
+        assert isinstance(excinfo.value.__cause__, ParallelLines)
+
+    def test_line_in_both_groups_rejected(self):
+        lines_m = [Line(1, 0, 0), Line(1, 1, -3)]
+        lines_n = [Line(0, 1, 0), Line(1, 1, -3), Line(1, -1, 5)]
+        with pytest.raises(DegenerateIntersection) as excinfo:
+            cayley_bacharach_check(lines_m, lines_n)
+        assert str(excinfo.value) == "Line(1, 1, -3) and Line(1, 1, -3) do not meet transversally"
+        assert isinstance(excinfo.value.__cause__, IdenticalLines)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_integer_meets_build_the_fraction_set(self, m, n, monkeypatch):
+        # the set the check hands to the algebra is the one Fraction meets and
+        # the constructor give, and a degenerate draw raises the same message
+        if m + n < 3:
+            with pytest.raises(ValueError):
+                cayley_bacharach_check([Line(1, 0, -k) for k in range(m)],
+                                       [Line(0, 1, -k) for k in range(n)])
+            return
+        seen = []
+        monkeypatch.setattr(
+            "gcnlab.interpolation.is_essentially_dependent",
+            lambda xs, degree: seen.append((xs, degree)) or "verdict",
+        )
+        rng = SplitMix64(substream_seed(77, 8 * m + n))
+        sets = degenerate = 0
+        while sets < 3 or degenerate < 3:  # parallel pairs and repeated meets come up too
+            lines = []
+            while len(lines) < m + n:
+                a, b, c = (rng.randint(-7, 7) for _ in range(3))
+                if (a, b) != (0, 0):
+                    lines.append(Line(a, b, c))
+            try:
+                expected = cayley_bacharach_set_fraction(lines[:m], lines[m:])
+            except DegenerateIntersection as exc:
+                with pytest.raises(DegenerateIntersection) as excinfo:
+                    cayley_bacharach_check(lines[:m], lines[m:])
+                assert str(excinfo.value) == str(exc)
+                degenerate += 1
+                continue
+            assert cayley_bacharach_check(lines[:m], lines[m:]) == "verdict"
+            xs, degree = seen.pop()
+            assert degree == m + n - 3 == xs.degree
+            by_intersect = NodeSet(degree, [intersect(la, lb) for la in lines[:m] for lb in lines[m:]])
+            assert (xs.scale, xs.coords) == (expected.scale, expected.coords)
+            assert (by_intersect.scale, by_intersect.coords) == (xs.scale, xs.coords)
+            assert xs == expected == by_intersect
+            sets += 1
 
     def test_coincident_intersections_rejected(self):
         # three concurrent cross lines collapse the point count

@@ -122,7 +122,7 @@ class TestNamespace:
 # and ``inspect`` bring ``ast``, ``dis`` and ``tokenize``, ``fractions``
 # brings ``decimal`` and ``numbers``), so each one gcnlab pulled in would be
 # start-up time paid by every command.  Only a command that computes a
-# rational (a certificate's constants, a rank, a solve) loads ``fractions``.
+# rational (a certificate's constants, a solution) loads ``fractions``.
 PROBE = """
 import json, runpy, sys
 sys.argv = ["gcnlab", *sys.argv[1:]]
@@ -207,8 +207,13 @@ class TestImportBoundary:
 
     def test_linalg_loads_only_geometry(self, workdir):
         # linalg clears denominators with geometry._clear, and every command
-        # loads geometry already, so the algebra adds no other module
-        assert probe(workdir, BARE, "gcnlab.linalg") == [0, ["errors", "geometry", "linalg"], RATIONALS]
+        # loads geometry already, so the algebra adds no other module; it
+        # imports fractions only to return a solution or a kernel vector
+        assert probe(workdir, BARE, "gcnlab.linalg") == [0, ["errors", "geometry", "linalg"], []]
+
+    @pytest.mark.parametrize("module", ["interpolation", "polynomials"])
+    def test_the_algebra_imports_no_fractions(self, workdir, module):
+        assert probe(workdir, BARE, f"gcnlab.{module}")[2] == []
 
     @pytest.mark.parametrize(
         "argv, expected, stdlib",
@@ -257,16 +262,23 @@ class TestImportBoundary:
 
     def test_only_a_failed_cover_loads_the_algebra(self, workdir):
         # telling a non-poised set from a poised non-GC one needs a rank; a
-        # set that fails writes no document, so the codecs stay unloaded
+        # set that fails writes no document, so the codecs stay unloaded,
+        # and full rank modulo a prime builds no rational
         got = probe(workdir, PROBE, "certify-gc", "moved.json")
-        assert got == [1, sorted(BASE + ALGEBRA), RATIONALS]
+        assert got == [1, sorted(BASE + ALGEBRA), []]
 
     @pytest.mark.parametrize("argv", [["verify-gm"], ["mdseq", "--node", "0", "--all"]],
                              ids=lambda argv: argv[0])
     def test_failing_commands_load_no_document_codec(self, workdir, argv):
         code, loaded, stdlib = probe(workdir, PROBE, argv[0], "moved.json", *argv[1:])
-        assert (code, stdlib) == (1, RATIONALS)  # the rank that tells poised from GC
+        assert (code, stdlib) == (1, [])  # the rank that tells poised from GC is modular
         assert "nodefile" in loaded and "serialization" not in loaded
+
+    @pytest.mark.parametrize("name", ["cy.json", "moved.json"])
+    def test_check_poised_builds_no_rational(self, workdir, name):
+        # the modular rank proves a poised set poised
+        expected = sorted(READ + ALGEBRA)
+        assert probe(workdir, PROBE, "check-poised", name) == [0, expected, []]
 
     def test_generate_loads_the_generators(self, workdir):
         argv = ["generate", "--kind", "principal", "--degree", "2"]

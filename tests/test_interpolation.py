@@ -220,6 +220,31 @@ class TestIndependence:
         pts = tuple(Point(i, i * i) for i in range(5))
         assert not is_independent(NodeSet(0, pts))
 
+    @pytest.mark.parametrize(
+        "xs, independent",
+        [
+            (grid_3x3(), False),
+            (NodeSet(3, (Point(0, 0), Point(1, 2), Point(5, -1))), True),
+            # Vandermonde rows [1, 0, 0] and [1, p, 0]: deficient modulo p only
+            (NodeSet(1, (Point(0, 0), Point(linalg.PRIME, 0))), True),
+        ],
+        ids=["grid", "three_nodes", "prime_apart"],
+    )
+    def test_exact_rank_only_after_a_modular_deficiency(self, xs, independent, monkeypatch):
+        rows = _integer_vandermonde(xs, xs.degree)
+        calls = []
+        rank = linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(1) or rank(rows))
+        assert is_independent(xs) == independent
+        assert len(calls) == (linalg.rank_mod_p(rows) < len(xs))
+
+    def test_full_rank_hidden_by_the_prime(self, monkeypatch):
+        # rank 2 over Q, rank 1 modulo the prime: only the exact rank proves independence
+        m = [[2, 1], [linalg.PRIME + 2, 1]]
+        assert linalg.rank_mod_p(m) == 1 and linalg.rank(m) == 2
+        monkeypatch.setattr("gcnlab.interpolation._integer_vandermonde", lambda xs, n: m)
+        assert is_independent(NodeSet(1, (Point(0, 0), Point(1, 0))))
+
 
 class TestEssentialDependence:
     def test_single_node_never(self):

@@ -18,7 +18,7 @@ from gcnlab.linalg import (
     unit_consistency,
 )
 
-from oracles import is_consistent, nullspace_naive, rank_naive, solvable_naive
+from oracles import is_consistent, nullspace_naive, pivots_mod_p_lists, rank_naive, solvable_naive
 
 entry = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -75,6 +75,89 @@ def big_entry_matrices(draw):
             row = [sum(a * r[j] for a, r in zip(coefficients, m)) for j in range(width)]
         m.append(row)
     return m
+
+
+#: small ints, PRIME multiples, residues next to the prime and entries of 60-80 bits, either sign
+kernel_entry = st.one_of(
+    st.integers(-5, 5),
+    st.integers(-3, 3).map(lambda k: k * PRIME),
+    st.sampled_from((PRIME - 1, PRIME + 1, -PRIME + 1, -1 - PRIME)),
+    big_entry,
+)
+
+
+@st.composite
+def kernel_matrices(draw, rows=st.integers(1, 10), cols=st.integers(1, 10)):
+    """Rows of ``kernel_entry``, some zero rows and columns, and combinations of earlier rows.
+
+    A combination plus a PRIME multiple is dependent modulo the prime only.
+    """
+    s, width = draw(rows), draw(cols)
+    m = []
+    for _ in range(s):
+        if m and draw(st.booleans()):
+            coefficients = draw(st.lists(st.integers(-3, 3), min_size=len(m), max_size=len(m)))
+            noise = draw(st.lists(st.integers(-2, 2), min_size=width, max_size=width))
+            m.append([sum(a * r[j] for a, r in zip(coefficients, m)) + PRIME * e
+                      for j, e in enumerate(noise)])
+        else:
+            m.append(draw(st.lists(kernel_entry, min_size=width, max_size=width)))
+    for i in draw(st.sets(st.integers(0, s - 1), max_size=2)):
+        m[i] = [0] * width
+    for j in draw(st.sets(st.integers(0, width - 1), max_size=2)):
+        for row in m:
+            row[j] = 0
+    return m
+
+
+def worst_slots(s):
+    """s x s rows on which every row update adds (p - 1) * (p - 1) to every slot it touches.
+
+    The rows are L U with L all 1 on and below the diagonal and U all 1 on
+    the diagonal and -1 right of it, so each pivot row, scaled, has every
+    entry right of its pivot p - 1, and every other row meets each pivot
+    as 1, so its multiplier is p - 1.  Row s - 1's last slot takes all
+    s - 1 updates.
+    """
+    upper = [[0] * i + [1] + [-1] * (s - 1 - i) for i in range(s)]
+    return [[sum(upper[k][j] for k in range(i + 1)) for j in range(s)] for i in range(s)]
+
+
+class TestPackedKernel:
+    """``_pivots_mod_p`` against the list elimination it replaced, which reduces every entry it updates."""
+
+    @given(kernel_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_list_elimination(self, m):
+        before = [list(row) for row in m]
+        assert linalg._pivots_mod_p(m) == pivots_mod_p_lists(m, PRIME)
+        assert m == before
+
+    @given(kernel_matrices(rows=st.integers(11, 128), cols=st.integers(1, 6)))
+    @settings(max_examples=40, deadline=None)
+    def test_tall(self, m):
+        assert linalg._pivots_mod_p(m) == pivots_mod_p_lists(m, PRIME)
+
+    @pytest.mark.parametrize(
+        "m",
+        [[], [[]], [[], []], [[0, 0, 0]], [[3, PRIME, -7, 1 << 70]], [[0], [0]],
+         [[PRIME], [2 * PRIME], [5]], [[1 << 64], [-(1 << 61)], [0]]],
+        ids=["no_rows", "one_empty_row", "two_empty_rows", "zero_row", "one_row",
+             "zero_column", "one_column", "big_column"],
+    )
+    def test_shapes(self, m):
+        assert linalg._pivots_mod_p(m) == pivots_mod_p_lists(m, PRIME)
+
+    def test_every_update_is_the_largest(self):
+        # row 127's last slot reaches (p - 1) + 127 (p - 1)^2, above 2^66,
+        # which a 64-bit slot would carry out of
+        m = worst_slots(128)
+        assert (PRIME - 1) + 127 * (PRIME - 1) ** 2 > 1 << 66
+        assert linalg._pivots_mod_p(m) == pivots_mod_p_lists(m, PRIME) == list(range(128))
+
+    def test_every_residue_p_minus_one(self):
+        m = [[PRIME - 1] * 128 for _ in range(128)]
+        assert linalg._pivots_mod_p(m) == pivots_mod_p_lists(m, PRIME) == [0]
 
 
 def per_unit(m):
