@@ -23,8 +23,8 @@ that read or write a certificate, report, summary or polynomial load
 the serializer, not the generators, sequences, plotting or exact algebra,
 and ``plot --overlay maximal`` loads neither the certifier nor the
 serializer.  A node file is read into the set's integer index, so only a
-command that computes a rational (a certificate's constants, a rank, a
-solve) loads :mod:`fractions`.
+command that computes a rational (a certificate's constants, a solve)
+loads :mod:`fractions`.
 """
 
 from __future__ import annotations

@@ -1,18 +1,21 @@
-"""Poisedness, fundamental polynomials and interpolation by exact rank.
+"""Poisedness, fundamental polynomials and interpolation by exact linear algebra.
 
 A node set (:class:`~gcnlab.geometry.NodeSet`, re-exported here) is a
 degree-tagged tuple of distinct points.  Everything here reduces to exact
 linear algebra on the Vandermonde matrix whose row for a node lists the
-monomial values in the global graded-lex order; poisedness, independence
-and essential dependence are rank statements, fundamental polynomials and
-interpolants come from exact solves.
+monomial values in the global graded-lex order; fundamental polynomials
+and interpolants come from exact solves.
 
 Every exact question runs on one integer Vandermonde matrix, built by
 :func:`_integer_vandermonde` from the integer nodes the set holds
 (``xs.scale`` and ``xs.coords``), so no point is built or cleared again;
-:func:`vandermonde` is its rational view.  Poisedness and independence
-are ranks of those integers: full rank modulo a prime proves them, and
-only a deficiency there pays for the exact rank.  Neither builds a
+:func:`vandermonde` is its rational view.  Independence, poisedness and
+essential dependence are all read from one primitive,
+:func:`~gcnlab.linalg.unit_consistency`, which says of each node whether
+it has a fundamental polynomial: a set is independent when every node
+has one, poised when it is also of full size, and essentially dependent
+when none has.  Full rank modulo a prime proves every verdict true, and
+only a deficiency there pays for exact work.  None of them builds a
 Fraction, and :mod:`fractions` is imported only when one is made.
 
 All functions are pure.  Fundamental polynomials for all nodes of one set
@@ -83,33 +86,21 @@ def vandermonde(xs: NodeSet) -> list[list[Fraction]]:
 def is_poised(xs: NodeSet) -> bool:
     """True iff the set admits unique interpolation at its degree.
 
-    Equivalent to: the node count equals the space dimension and only the
-    zero polynomial vanishes on all nodes (full Vandermonde rank).  Full
-    rank modulo a prime proves it; only a deficiency there pays for the
-    exact rank.
+    That is: the node count equals the space dimension and every node has
+    a fundamental polynomial (the set is independent).
     """
-    n_dim = dim_pi(xs.degree)
-    if len(xs) != n_dim:
-        return False
-    rows = _integer_vandermonde(xs, xs.degree)
-    if linalg.rank_mod_p(rows) == n_dim:
-        return True
-    return linalg.rank(rows) == n_dim
+    return len(xs) == dim_pi(xs.degree) and is_independent(xs)
 
 
 def is_independent(xs: NodeSet) -> bool:
     """True iff every node has a fundamental polynomial at the set's degree.
 
-    That is full row rank of the Vandermonde matrix, proved as in
-    :func:`is_poised`: full rank modulo a prime proves it, and only a
-    deficiency there pays for the exact rank.
+    That is full row rank of the Vandermonde matrix.  Full rank modulo a
+    prime proves it, and only a deficiency there pays for an exact kernel.
     """
-    if len(xs) > dim_pi(xs.degree):
-        return False
-    rows = _integer_vandermonde(xs, xs.degree)
-    if linalg.rank_mod_p(rows) == len(xs):
-        return True
-    return linalg.rank(rows) == len(xs)
+    return len(xs) <= dim_pi(xs.degree) and all(
+        linalg.unit_consistency(_integer_vandermonde(xs, xs.degree))
+    )
 
 
 def is_essentially_dependent(xs: NodeSet, m: int) -> bool:
@@ -134,10 +125,8 @@ def annihilator(xs: NodeSet) -> Poly | None:
     rows = _integer_vandermonde(xs, xs.degree)
     if not rows:
         return Poly.from_coeff_dict({(0, 0): 1}, xs.degree)
-    vec = linalg.nullspace_vector(rows)
-    if vec is None:
-        return None
-    return Poly(xs.degree, tuple(vec))
+    basis = linalg.nullspace_basis(rows)
+    return Poly(xs.degree, tuple(basis[0])) if basis else None
 
 
 def _solve_poised(xs: NodeSet, rhs: Sequence[Sequence]) -> list[list[Fraction]]:
@@ -147,10 +136,10 @@ def _solve_poised(xs: NodeSet, rhs: Sequence[Sequence]) -> list[list[Fraction]]:
     ``Poly`` the solutions become), before any exact elimination; a value
     that is a float raises TypeError, as in :func:`~gcnlab.geometry.to_scalar`.
     """
-    if not is_poised(xs):
+    rows = _integer_vandermonde(xs, xs.degree) if len(xs) == dim_pi(xs.degree) else None
+    if rows is None or not all(linalg.unit_consistency(rows)):
         raise NotPoised(f"{len(xs)} nodes at degree {xs.degree} are not poised")
     _check_degree_bound(xs.degree)
-    rows = _integer_vandermonde(xs, xs.degree)
     scaled = [[to_scalar(v) * row[0] for v, row in zip(column, rows)] for column in rhs]
     solutions = linalg.solve_square(rows, scaled)
     if solutions is None:  # unreachable after the poisedness check

@@ -1,8 +1,8 @@
 """Fraction-free exact linear algebra over the rationals.
 
-Rows hold ints or Fractions; each is cleared to integers up front by
-:func:`~gcnlab.geometry._clear` (an elementary row operation, so ranks
-and solution sets are untouched) and elimination then follows the
+The solvers take rows of ints or Fractions; each is cleared to integers
+up front by :func:`~gcnlab.geometry._clear` (an elementary row operation,
+so ranks and solution sets are untouched) and elimination then follows the
 Bareiss two-step recurrence: every intermediate entry is a minor of the
 scaled matrix, so the divisions are exact and integer growth stays
 polynomial instead of exponential.  A failed exact division would mean the
@@ -12,12 +12,13 @@ Solutions are read off the echelon rows by one integer back-substitution,
 ``_back_substitute``, scaled by the last pivot d (up to sign the
 determinant of the pivot block), which makes every unknown an integer;
 :func:`solve_square` and :func:`nullspace_basis` divide by d once per entry
-at the end.  :func:`unit_consistency` decides every ``A x = e_k`` from an
-integer basis of A's left kernel: ``e_k`` lies in the column space exactly
-when every left-kernel vector is 0 at k.  It finds A's pivot columns
-modulo a fixed prime, in the elimination :func:`rank_mod_p` runs, takes
-the kernel of those columns alone, and proves it is A's kernel by checking
-it against the other columns before it answers.
+at the end.  :func:`unit_consistency` takes integer rows and decides
+every ``A x = e_k`` from an integer basis of A's left kernel: ``e_k`` lies
+in the column space exactly when every left-kernel vector is 0 at k.  It
+finds A's pivot columns modulo a fixed prime, takes the kernel of those
+columns alone, and proves it is A's kernel by checking it against the
+other columns before it answers.  Every verdict is true exactly when A
+has full row rank, so it also decides independence.
 
 The modular elimination, :func:`_pivots_mod_p`, holds each row as one
 int of fixed-width slots, one slot per column.  A row update is one
@@ -29,17 +30,17 @@ carry into the next; the proof is in the function's docstring.
 
 The prime :data:`PRIME` is below 2^30, so every residue is a one-digit
 CPython int and every product of two stays below 2^60.  No answer depends
-on its size: a modular rank is only ever used to prove full rank, and
-modular pivot columns are checked exactly before they are trusted.
+on its size: as many modular pivots as rows prove full row rank, and
+otherwise the modular pivot columns are checked exactly before they are
+trusted.
 
 Solutions and kernel vectors are Fractions, and :mod:`fractions` is
-imported when the first one is made, so a rank or a consistency verdict
-never loads it.  No function mutates its input.
+imported when the first one is made, so a consistency verdict never
+loads it.  No function mutates its input.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
@@ -89,15 +90,8 @@ def _echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return m, pivot_cols
 
 
-def rank(rows: Sequence[Row]) -> int:
-    if not rows:
-        return 0
-    _, pivot_cols = _echelon(_integer_rows(rows))
-    return len(pivot_cols)
-
-
 #: 1073741789, the largest prime below 2^30 and the modulus of
-#: :func:`rank_mod_p`.  Residues fit in one 30-bit CPython digit, so the
+#: :func:`_pivots_mod_p`.  Residues fit in one 30-bit CPython digit, so the
 #: elimination multiplies small ints; a larger prime would only make a
 #: fallback to exact work rarer, never change an answer.
 PRIME = 1073741789
@@ -106,8 +100,11 @@ PRIME = 1073741789
 def _pivots_mod_p(rows: Sequence[Sequence[int]]) -> list[int]:
     """Pivot columns of the row echelon form of integer rows modulo :data:`PRIME`.
 
-    Their minor is nonzero modulo the prime, so these columns are
-    independent over Q too.  They are the columns that are not in the span
+    Their minor is nonzero modulo the prime, so it is a nonzero integer
+    and these columns are independent over Q too: as many pivots as rows
+    prove full row rank over Q.  Fewer prove nothing, since the prime may
+    divide every maximal minor; :func:`unit_consistency` then checks the
+    pivot columns exactly.  They are the columns that are not in the span
     of the columns before them, so no choice of pivot rows changes them.
 
     Each row is one int of fixed-width slots, and every slot is reduced
@@ -162,18 +159,6 @@ def _pivots_mod_p(rows: Sequence[Sequence[int]]) -> list[int]:
     return pivots
 
 
-def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of integer rows modulo :data:`PRIME`; never above their rank over Q.
-
-    A minor that is nonzero modulo the prime is a nonzero integer, so full
-    rank here proves full rank over Q.  A deficiency proves nothing: the
-    prime may divide every maximal minor, and only :func:`rank` decides.
-    The elimination is the one :func:`unit_consistency` takes its pivot
-    columns from.
-    """
-    return len(_pivots_mod_p(rows))
-
-
 def _back_substitute(
     m: list[list[int]], pivot_cols: list[int], x: list[int], rhs: Sequence[int]
 ) -> list[int]:
@@ -223,8 +208,8 @@ def _left_kernel(cols: list[tuple[int, ...]], which: Sequence[int], s: int) -> l
     return _kernel(m, pivot_cols, s)[1]
 
 
-def unit_consistency(rows: Sequence[Row]) -> list[bool]:
-    """For each k, whether ``A x = e_k`` has a solution.
+def unit_consistency(rows: Sequence[Sequence[int]]) -> list[bool]:
+    """For each k, whether ``A x = e_k`` has a solution, for A of integer rows.
 
     ``e_k`` lies in A's column space exactly when every vector of A's left
     kernel is 0 at k.  A's pivot columns modulo :data:`PRIME` are
@@ -234,17 +219,16 @@ def unit_consistency(rows: Sequence[Row]) -> list[bool]:
     It is A's left kernel exactly when it annihilates A's other columns
     too; if it does not (the prime divided a minor, so A's rank over Q is
     above r), the kernel is computed again from all columns.  Every
-    verdict is therefore exact.
+    verdict is therefore exact, and every one is true exactly when A has
+    full row rank.
     """
     s = len(rows)
     if s == 0:
         return []
-    # nothing below changes m, so rows of ints are used as they are
-    m = rows if set(map(type, chain.from_iterable(rows))) <= {int} else _integer_rows(rows)
-    pivots = _pivots_mod_p(m)
+    pivots = _pivots_mod_p(rows)
     if len(pivots) == s:
         return [True] * s
-    cols = list(zip(*m))
+    cols = list(zip(*rows))
     basis = _left_kernel(cols, pivots, s)
     others = set(range(len(cols))).difference(pivots)
     if any(sum(map(mul, y, cols[j])) for y in basis for j in others):
@@ -290,8 +274,3 @@ def nullspace_basis(rows: Sequence[Row], ncols: int | None = None) -> list[list[
     Fraction = _fraction()
     return [[Fraction(v, d) for v in x] for x in basis]
 
-
-def nullspace_vector(rows: Sequence[Row]) -> list[Fraction] | None:
-    """A nonzero kernel vector, or None when the kernel is trivial."""
-    basis = nullspace_basis(rows)
-    return basis[0] if basis else None

@@ -10,7 +10,10 @@ the viewport's sides and its padding are integers, and a line
 are integer points over one common denominator.  Each pixel coordinate is
 then one int/int division, which is correctly rounded, so identical input
 yields byte-identical SVG, and the same SVG as the float of the exact
-rational.  Node labels are escaped, so any label gives well-formed XML.
+rational.  Node labels are escaped, and a label holding a character that
+XML 1.0 does not allow (a control character other than tab, newline and
+carriage return, a lone surrogate, U+FFFE or U+FFFF) raises ValueError, so
+every SVG returned is well-formed XML.
 
 Overlay styling: maximal lines are solid red, a node's used lines are
 dashed blue, and a line-sequence overlay draws each sequence line in a
@@ -21,6 +24,7 @@ with a black outline).
 
 from __future__ import annotations
 
+import re
 from typing import TYPE_CHECKING, Iterable
 
 from .geometry import Line, NodeSet
@@ -38,6 +42,12 @@ _PALETTE = (
     "#e377c2",
     "#17becf",
 )
+
+#: One character outside XML 1.0's ``Char`` production.  A pattern string,
+#: not a compiled pattern: :mod:`re` compiles and caches it at the first
+#: label, so a plot without labels pays nothing for it.
+_NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+
 
 def _fmt(v: float) -> str:
     return f"{v:.4f}"
@@ -96,7 +106,16 @@ def plot_svg(
     used: Iterable[Line] = (),
     sequence: MLineSequence | None = None,
 ) -> str:
-    """Render the configuration with the requested overlays as SVG text."""
+    """Render the configuration with the requested overlays as SVG text.
+
+    Raises ValueError when a label holds a character XML 1.0 does not allow.
+    """
+    for j, label in enumerate(xs.labels or ()):
+        bad = re.search(_NOT_XML_CHAR, label)
+        if bad:
+            raise ValueError(
+                f"label of node {j} holds U+{ord(bad.group()):04X}, which XML 1.0 does not allow"
+            )
     u0, u1, v0, v1 = _viewport(xs)
     span = max(u1 - u0, v1 - v0)  # 600 pixels
     width = 600 * (u1 - u0) / span

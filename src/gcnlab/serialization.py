@@ -157,11 +157,11 @@ def certificate_from_dict(doc: Any) -> GCCertificate:
     for e in raw_entries:
         _expect(isinstance(e, dict), "certificate entries must be objects")
         _expect(_is_int(e.get("node")), "entry field 'node' must be an integer")
-        raw_lines = e.get("lines", [])
+        raw_lines = e.get("lines")
         _expect(isinstance(raw_lines, list), "entry field 'lines' must be a list")
         lines = tuple(_line_from_triple(t, f"entry {e['node']}") for t in raw_lines)
         witnesses = {}
-        raw_witnesses = e.get("witnesses", {})
+        raw_witnesses = e.get("witnesses")
         _expect(isinstance(raw_witnesses, dict), "entry field 'witnesses' must be an object")
         for key, ids in raw_witnesses.items():
             parts = key.split(",")
@@ -302,7 +302,7 @@ def summary_from_dict(doc: Any) -> SearchSummary:
             "field 'kinds' must be a nonempty list of strings")
     _expect(all(k in DEFAULT_KINDS for k in kinds),
             f"field 'kinds' must list generator kinds from {DEFAULT_KINDS}")
-    raw_failures = doc.get("failures", [])
+    raw_failures = doc.get("failures")
     _expect(isinstance(raw_failures, list), "field 'failures' must be a list")
     failures = []
     for f in raw_failures:
@@ -332,7 +332,7 @@ def summary_from_dict(doc: Any) -> SearchSummary:
             "field 'failures' must hold one failure per trial that is not GM-satisfied")
     _expect(sum(f.certificate is not None for f in failures) == certified - satisfied,
             "exactly the certified trials that are not GM-satisfied carry a certificate")
-    raw_counts = doc.get("use_count_max", {})
+    raw_counts = doc.get("use_count_max")
     _expect(isinstance(raw_counts, dict), "field 'use_count_max' must be an object")
     for k, v in raw_counts.items():
         _expect(_INTEGER_RE.fullmatch(k) is not None and _is_int(v),

@@ -148,6 +148,12 @@ class TestCheckCert:
     def test_missing_file_exits_two(self, capsys, tmp_path):
         assert main(["check-cert", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("field, kind", [("lines", "a list"), ("witnesses", "an object")])
+    def test_missing_entry_field_exits_two(self, capsys, tmp_path, cert_doc, field, kind):
+        del cert_doc["entries"][0][field]
+        code, out, err = self.check(capsys, tmp_path, json.dumps(cert_doc))
+        assert (code, out, err) == (2, "", f"gcnlab: entry field {field!r} must be {kind}\n")
+
     def test_non_canonical_witness_key_exits_two(self, capsys, tmp_path, cert_doc):
         # the key names the right line, but saving it would write other bytes
         witnesses = cert_doc["entries"][0]["witnesses"]
@@ -368,6 +374,19 @@ class TestPlot:
         doc = minidom.parseString(out)
         assert [t.firstChild.data for t in doc.getElementsByTagName("text")] == labels
         assert doc.getElementsByTagName("script") == []
+
+    @pytest.mark.parametrize("label, out", [("a\u0007", None), ("\ud800", None), ("a\u0007", "p.svg")])
+    def test_label_xml_forbids_exits_two(self, capsys, tmp_path, label, out):
+        path = tmp_path / "labelled.json"
+        path.write_text(json.dumps(
+            {"degree": 1, "nodes": [["0", "0"], ["1", "0"], ["0", "1"]], "labels": ["A", label, "C"]}
+        ))
+        argv = ["plot", str(path)] + (["--out", str(tmp_path / out)] if out else [])
+        code = main(argv)
+        stdout, err = capsys.readouterr()
+        assert (code, stdout) == (2, "")
+        assert err == f"gcnlab: label of node 1 holds U+{ord(label[-1]):04X}, which XML 1.0 does not allow\n"
+        assert not (tmp_path / "p.svg").exists()
 
     def test_unknown_overlay(self, capsys, cy3_file, tmp_path):
         code, _ = run(capsys, "plot", cy3_file, "--overlay", "sparkles",

@@ -111,6 +111,14 @@ def scaled_fraction_rows(nodes, n):
     return rows
 
 
+def count_kernels(monkeypatch):
+    """A list that gains one entry per call of ``linalg._left_kernel``, the exact step of ``unit_consistency``."""
+    calls = []
+    kernel = linalg._left_kernel
+    monkeypatch.setattr(linalg, "_left_kernel", lambda *args: calls.append(1) or kernel(*args))
+    return calls
+
+
 class TestModularRankScreen:
     CASES = {
         "principal": lambda: gen_principal(5),
@@ -123,14 +131,13 @@ class TestModularRankScreen:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_agrees_with_exact_rank(self, name, monkeypatch):
         xs = self.CASES[name]()
-        exact = linalg.rank(vandermonde(xs))
-        assert linalg.rank_mod_p(_integer_vandermonde(xs, xs.degree)) <= exact
-        calls = []
-        rank = linalg.rank
-        monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(1) or rank(rows))
+        exact = rank_naive(vandermonde(xs))
+        assert len(linalg._pivots_mod_p(_integer_vandermonde(xs, xs.degree))) <= exact
+        calls = count_kernels(monkeypatch)
         poised = is_poised(xs)
         assert poised == (exact == len(xs))
-        # the exact rank runs only when the modular screen finds a deficiency
+        # exact work runs only when the modular screen finds a deficiency,
+        # and then the kernel of the modular pivot columns passes its check
         assert len(calls) == (0 if poised else 1)
 
     def test_integer_rows_scale_the_fraction_rows(self):
@@ -167,14 +174,14 @@ class TestModularRankScreen:
 
     def test_prime_multiple_determinant_falls_back(self):
         p = linalg.PRIME
-        assert linalg.rank_mod_p([[p, 0], [0, 1]]) == 1
-        assert linalg.rank([[p, 0], [0, 1]]) == 2
+        assert len(linalg._pivots_mod_p([[p, 0], [0, 1]])) == 1
+        assert rank_naive([[p, 0], [0, 1]]) == 2
         # both Vandermonde determinants are p: singular modulo p, poised over Q
         for xs in (
             NodeSet(1, (Point(0, 0), Point(p, 0), Point(0, 1))),
             NodeSet(1, (Point(0, 0), Point(Fraction(p, 3), 0), Point(0, Fraction(1, 5)))),
         ):
-            assert linalg.rank_mod_p(_integer_vandermonde(xs, xs.degree)) == 2
+            assert len(linalg._pivots_mod_p(_integer_vandermonde(xs, xs.degree))) == 2
             assert is_poised(xs)
 
 
@@ -221,29 +228,32 @@ class TestIndependence:
         assert not is_independent(NodeSet(0, pts))
 
     @pytest.mark.parametrize(
-        "xs, independent",
+        "xs, independent, kernels",
         [
-            (grid_3x3(), False),
-            (NodeSet(3, (Point(0, 0), Point(1, 2), Point(5, -1))), True),
-            # Vandermonde rows [1, 0, 0] and [1, p, 0]: deficient modulo p only
-            (NodeSet(1, (Point(0, 0), Point(linalg.PRIME, 0))), True),
+            (grid_3x3(), False, 1),
+            (NodeSet(3, (Point(0, 0), Point(1, 2), Point(5, -1))), True, 0),
+            # Vandermonde rows [1, 0, 0] and [1, p, 0]: deficient modulo p
+            # only, so the kernel of column 0 fails its check on column 1
+            (NodeSet(1, (Point(0, 0), Point(linalg.PRIME, 0))), True, 2),
         ],
         ids=["grid", "three_nodes", "prime_apart"],
     )
-    def test_exact_rank_only_after_a_modular_deficiency(self, xs, independent, monkeypatch):
+    def test_exact_rank_only_after_a_modular_deficiency(self, xs, independent, kernels, monkeypatch):
         rows = _integer_vandermonde(xs, xs.degree)
-        calls = []
-        rank = linalg.rank
-        monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(1) or rank(rows))
+        calls = count_kernels(monkeypatch)
         assert is_independent(xs) == independent
-        assert len(calls) == (linalg.rank_mod_p(rows) < len(xs))
+        assert len(calls) == kernels
+        assert bool(calls) == (len(linalg._pivots_mod_p(rows)) < len(xs))
 
     def test_full_rank_hidden_by_the_prime(self, monkeypatch):
-        # rank 2 over Q, rank 1 modulo the prime: only the exact rank proves independence
+        # rank 2 over Q, rank 1 modulo the prime: only the exact kernel of
+        # all columns proves independence
         m = [[2, 1], [linalg.PRIME + 2, 1]]
-        assert linalg.rank_mod_p(m) == 1 and linalg.rank(m) == 2
+        assert len(linalg._pivots_mod_p(m)) == 1 and rank_naive(m) == 2
         monkeypatch.setattr("gcnlab.interpolation._integer_vandermonde", lambda xs, n: m)
+        calls = count_kernels(monkeypatch)
         assert is_independent(NodeSet(1, (Point(0, 0), Point(1, 0))))
+        assert len(calls) == 2
 
 
 class TestEssentialDependence:
@@ -443,3 +453,44 @@ class TestMixedDenominatorsAgainstNaiveRows:
             assert apply(rows, solutions[k].poly.coeffs) == e
             assert fundamental(xs, k) == solutions[k]
         assert apply(rows, interpolate(xs, values).coeffs) == values
+
+
+#: small ints, PRIME multiples and halves, so some minors vanish modulo the prime only
+coordinate = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-2, 2).map(lambda k: k * linalg.PRIME),
+    st.builds(Fraction, st.integers(-4, 4), st.just(2)),
+)
+
+
+@st.composite
+def predicate_sets(draw):
+    """A degree 0 to 3 set: scattered nodes, n + 2 collinear nodes plus a few more, or a grid."""
+    n = draw(st.integers(0, 3))
+    points = st.tuples(coordinate, coordinate)
+    kind = draw(st.sampled_from(("scattered", "collinear", "grid")))
+    if kind == "scattered":
+        pts = draw(st.lists(points, min_size=1, max_size=dim_pi(n) + 1))
+    elif kind == "collinear":
+        (x0, y0), (dx, dy) = draw(points), draw(points.filter(lambda d: d != (0, 0)))
+        pts = [(x0 + t * dx, y0 + t * dy) for t in range(n + 2)] + draw(st.lists(points, max_size=2))
+    else:
+        xs = draw(st.lists(coordinate, min_size=1, max_size=4, unique=True))
+        ys = draw(st.lists(coordinate, min_size=1, max_size=4, unique=True))
+        pts = [(x, y) for x in xs for y in ys]
+    return NodeSet(n, tuple(Point(x, y) for x, y in dict.fromkeys(pts)))
+
+
+class TestPredicatesAgainstNaiveRank:
+    """``is_poised``, ``is_independent`` and ``is_essentially_dependent`` against Fraction Gauss."""
+
+    @given(predicate_sets(), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_agree(self, xs, m):
+        s = len(xs)
+        units = [[int(i == k) for i in range(s)] for k in range(s)]
+        independent = rank_naive(vandermonde_naive(xs.nodes, xs.degree)) == s
+        assert is_independent(xs) == independent
+        assert is_poised(xs) == (independent and s == dim_pi(xs.degree))
+        rows_m = vandermonde_naive(xs.nodes, m)
+        assert is_essentially_dependent(xs, m) == (not any(solvable_naive(rows_m, e) for e in units))

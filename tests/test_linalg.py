@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from gcnlab import linalg
 from gcnlab.linalg import (
+    _echelon,
+    _integer_rows,
+    _pivots_mod_p,
     nullspace_basis,
-    nullspace_vector,
     PRIME,
-    rank,
-    rank_mod_p,
     solve_square,
     unit_consistency,
 )
@@ -165,15 +165,25 @@ def per_unit(m):
     return [is_consistent(m, [int(i == k) for i in range(len(m))]) for k in range(len(m))]
 
 
+def bareiss_rank(m):
+    """The pivot count of the Bareiss echelon form that ``solve_square`` and ``nullspace_basis`` share."""
+    return len(_echelon(_integer_rows(m))[1])
+
+
+def modular_rank(m):
+    """The number of pivot columns modulo PRIME, a lower bound on the rank over Q."""
+    return len(_pivots_mod_p(m))
+
+
 class TestRank:
     @given(matrices())
     @settings(max_examples=120)
     def test_matches_naive_gauss(self, m):
-        assert rank(m) == rank_naive(m)
+        assert bareiss_rank(m) == rank_naive(m)
 
     def test_duplicated_rows(self):
         row = [Fraction(1), Fraction(2), Fraction(3)]
-        assert rank([row, row, [Fraction(0), Fraction(1), Fraction(1)]]) == 2
+        assert bareiss_rank([row, row, [Fraction(0), Fraction(1), Fraction(1)]]) == 2
 
     def test_rank_deficient_keeps_exactness(self):
         # column skips exercise the Bareiss divisions on a singular matrix
@@ -183,7 +193,7 @@ class TestRank:
             [Fraction(0), Fraction(3), Fraction(6), Fraction(4)],
             [Fraction(0), Fraction(5), Fraction(10), Fraction(9)],
         ]
-        assert rank(m) == rank_naive(m) == 2
+        assert bareiss_rank(m) == rank_naive(m) == 2
 
 
 class TestRankModP:
@@ -201,7 +211,7 @@ class TestRankModP:
         # every minor is at most 5^5 * 5! < PRIME in absolute value, so none
         # vanishes modulo PRIME unless it vanishes
         assert 5**5 * 120 < PRIME
-        assert rank_mod_p(m) == rank(m)
+        assert modular_rank(m) == rank_naive(m)
 
     def test_prime_is_a_prime_below_2_to_the_30(self):
         # every residue is a one-digit CPython int, every product below 2^60
@@ -211,14 +221,14 @@ class TestRankModP:
     @given(big_entry_matrices())
     @settings(max_examples=150, deadline=None)
     def test_big_entries_and_prime_multiples(self, m):
-        assert rank_mod_p(m) <= rank(m) == rank_naive(m)
+        assert modular_rank(m) <= rank_naive(m)
         assert unit_consistency(m) == per_unit(m)
 
     def test_prime_multiples_lose_rank(self):
-        assert rank_mod_p([[PRIME, 0], [0, 1]]) == 1
-        assert rank_mod_p([[2, 1], [PRIME + 2, 1]]) == 1
-        assert rank([[2, 1], [PRIME + 2, 1]]) == 2
-        assert rank_mod_p([]) == 0
+        assert modular_rank([[PRIME, 0], [0, 1]]) == 1
+        assert modular_rank([[2, 1], [PRIME + 2, 1]]) == 1
+        assert rank_naive([[2, 1], [PRIME + 2, 1]]) == 2
+        assert modular_rank([]) == 0
 
 
 class TestConsistency:
@@ -236,7 +246,8 @@ class TestConsistency:
     @given(matrices(5, 5))
     @settings(max_examples=100)
     def test_shared_elimination_matches_per_unit_checks(self, m):
-        got = unit_consistency(m)
+        # clearing a row scales it by a positive integer, which keeps every verdict
+        got = unit_consistency(_integer_rows(m))
         for k in range(len(m)):
             rhs = [Fraction(1) if i == k else Fraction(0) for i in range(len(m))]
             assert got[k] == is_consistent(m, rhs)
@@ -325,7 +336,7 @@ class TestNullspace:
 
     def test_full_rank_trivial_kernel(self):
         m = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-        assert nullspace_vector(m) is None
+        assert nullspace_basis(m) == []
 
 
 def combinations(m):

@@ -3,6 +3,8 @@
 import xml.etree.ElementTree as ET
 from xml.dom import minidom
 
+import pytest
+
 from gcnlab import Line, NodeSet, Point, certify_gc, greedy_mdseq, maximal_lines, plot_svg
 
 
@@ -72,3 +74,24 @@ class TestLabels:
         assert texts == list(labels)
         assert doc.getElementsByTagName("script") == []
         assert "&lt;/svg&gt;&lt;script&gt;x&lt;/script&gt;" in svg
+        # every character XML 1.0 allows, at the ends of each range, is accepted and parses back
+        for labels in (
+            ("tab\there", "new\nline", "\x20~\x7f"),
+            ("\ud7ff", "\ue000\ufffd", "\U00010000\U0010ffff"),
+            ('"quoted" \'single\'', "]]>", ""),
+        ):
+            svg = plot_svg(NodeSet(1, (Point(0, 0), Point(1, 0), Point(0, 1)), labels=labels))
+            assert [t.text or "" for t in tags(svg, "text")] == list(labels)
+            texts = [t.firstChild.data if t.firstChild else "" for t in
+                     minidom.parseString(svg).getElementsByTagName("text")]
+            assert texts == list(labels)
+
+    @pytest.mark.parametrize(
+        "label, code",
+        [("a\x07", "0007"), ("\x00", "0000"), ("x\x1fy", "001F"), ("\x0b", "000B"),
+         ("\ud800", "D800"), ("ok\udfff", "DFFF"), ("\ufffe", "FFFE"), ("\uffff", "FFFF")],
+    )
+    def test_labels_xml_forbids_are_rejected(self, label, code):
+        xs = NodeSet(1, (Point(0, 0), Point(1, 0), Point(0, 1)), labels=("A", label, "C"))
+        with pytest.raises(ValueError, match=f"^label of node 1 holds U\\+{code}, which XML 1.0 does not allow$"):
+            plot_svg(xs)

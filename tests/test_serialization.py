@@ -175,6 +175,15 @@ def _set(field, value, entry=None):
     return corrupt
 
 
+def _delete(field, entry=None):
+    """A corruption: delete ``field`` of the document, or of its entry ``entry``."""
+
+    def corrupt(doc):
+        del (doc if entry is None else doc["entries"][entry])[field]
+
+    return corrupt
+
+
 def _witness_key(spell):
     """A corruption: write the witness key of entry 0's first line as ``spell(a, b, c)``."""
 
@@ -207,12 +216,16 @@ class TestMalformedDocuments:
             pytest.param(load_summary, _set("failures", [1]), id="failure-not-an-object"),
             pytest.param(load_summary, _set("failures", [{}]), id="failure-without-fields"),
             pytest.param(load_summary, _set("failures", 5), id="failures-not-a-list"),
+            pytest.param(load_summary, _delete("failures"), id="summary-without-failures"),
+            pytest.param(load_summary, _delete("use_count_max"), id="summary-without-use-count-max"),
             pytest.param(load_summary, _count("three", 3), id="use-count-key-not-an-integer"),
             pytest.param(load_summary, _count("3", "3"), id="use-count-value-not-an-integer"),
             # the valid document has key "3", which a padded "03" would overwrite
             pytest.param(load_summary, _count("03", 999), id="use-count-key-padded"),
             pytest.param(load_summary, _count("-0", 3), id="use-count-key-negative-zero"),
             pytest.param(load_certificate, _set("lines", 5, entry=0), id="entry-lines-not-a-list"),
+            pytest.param(load_certificate, _delete("lines", entry=0), id="entry-without-lines"),
+            pytest.param(load_certificate, _delete("witnesses", entry=0), id="entry-without-witnesses"),
             pytest.param(load_certificate, _set("node", True, entry=0), id="entry-node-boolean"),
             pytest.param(load_certificate, _set("lines", [[0, 0, 1]], entry=0), id="entry-no-line"),
             pytest.param(load_certificate, _first_line_doubled, id="entry-line-not-canonical"),
