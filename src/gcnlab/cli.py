@@ -12,10 +12,16 @@ does not come with ``--all``, overlays and that no ``used:K`` or
 ``primary:K`` repeats) before it certifies or analyses the set, so a usage
 error exits 2 on any set, GC or not, without paying for a certification.
 
-Each command is a fresh process, so :func:`main` builds only the parser of
-the command that ``argv[0]`` names.  The whole tree of :func:`build_parser`
-comes from the same ``_COMMANDS`` table and is built only to report no
-command, an unknown command or arguments left over.  Each handler imports
+Each command is a fresh process, so :func:`main` builds no argument parser
+for a plainly well-formed command line: it reads the argv off the
+``_COMMANDS`` table itself, into the namespace argparse would give, and never
+imports :mod:`argparse` (nor the :mod:`gettext` and :mod:`locale` it
+loads).  Only what that plain parse declines (help, a usage error, an
+abbreviated option, ``--opt=value``, a negative number) goes to argparse, in
+:mod:`gcnlab._cliparser`, which builds the parser of the command that
+``argv[0]`` names from the same table.  The whole tree of
+:func:`build_parser` is built only to report no command, an unknown command
+or arguments left over.  Each handler imports
 the modules it runs when it runs.  Every command reads node files and
 writes canonical JSON through :mod:`gcnlab.nodefile`; only the commands
 that read or write a certificate, report, summary or polynomial load
@@ -29,10 +35,10 @@ loads :mod:`fractions`.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -47,6 +53,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .geometry import Line, NodeSet
 
 _PROPERTY_FAILED = 1
@@ -362,41 +370,35 @@ def _cmd_plot(args) -> int:
 
 # --- parser -----------------------------------------------------------------------
 
-class _GeneratorKinds:
-    """``generators.DEFAULT_KINDS`` as ``--kind`` choices, imported when first read.
-
-    Once the argument exists, argparse reads its choices only to test a
-    parsed ``--kind`` and to print help or a usage error, so other commands
-    never load the generators.  ``add_argument`` itself formats the choices,
-    so they are attached to the action after it is added.
-    """
-
-    def __iter__(self):
-        from .generators import DEFAULT_KINDS
-
-        return iter(DEFAULT_KINDS)
-
-    def __contains__(self, kind) -> bool:
-        return kind in tuple(self)
-
-
+_OUT = (("--out",), {"help": "write output to this file instead of stdout"})
 _FILE = (("file",), {})
 _NODE = (("--node",), {"type": int, "required": True})
 _SEED = (("--seed",), {"type": int, "default": 0})
 _BOUND = (("--bound",), {"type": int, "default": 8})
 
-#: Each command's handler, its help line and its arguments after ``--out``,
-#: as the positional and keyword arguments of ``add_argument``.
+#: Each command's handler, its help line and its arguments, as the
+#: positional and keyword arguments of ``add_argument``.
 _COMMANDS = {
-    "check-poised": (_cmd_check_poised, "decide unique solvability of a node file", [_FILE]),
-    "fundamental": (_cmd_fundamental, "fundamental polynomial of one node", [_FILE, _NODE]),
-    "certify-gc": (_cmd_certify_gc, "factor every fundamental polynomial into lines", [_FILE]),
-    "check-cert": (_cmd_check_cert, "verify a saved certificate without searching", [_FILE]),
-    "used-lines": (_cmd_used_lines, "distinct factor lines of one node", [_FILE, _NODE]),
+    "check-poised": (
+        _cmd_check_poised, "decide unique solvability of a node file", [_OUT, _FILE]
+    ),
+    "fundamental": (
+        _cmd_fundamental, "fundamental polynomial of one node", [_OUT, _FILE, _NODE]
+    ),
+    "certify-gc": (
+        _cmd_certify_gc, "factor every fundamental polynomial into lines", [_OUT, _FILE]
+    ),
+    "check-cert": (
+        _cmd_check_cert, "verify a saved certificate without searching", [_OUT, _FILE]
+    ),
+    "used-lines": (
+        _cmd_used_lines, "distinct factor lines of one node", [_OUT, _FILE, _NODE]
+    ),
     "mdseq": (
         _cmd_mdseq,
         "greedy line sequence and count vector of one node",
         [
+            _OUT,
             _FILE,
             _NODE,
             (("--fix-line",), {"help": "force 'a,b,c' as the first line"}),
@@ -404,12 +406,15 @@ _COMMANDS = {
                           "help": "enumerate all achievable count vectors"}),
         ],
     ),
-    "maximal-lines": (_cmd_maximal_lines, "lines through exactly degree+1 nodes", [_FILE]),
-    "verify-gm": (_cmd_verify_gm, "certify, then check for a maximal line", [_FILE]),
+    "maximal-lines": (
+        _cmd_maximal_lines, "lines through exactly degree+1 nodes", [_OUT, _FILE]
+    ),
+    "verify-gm": (_cmd_verify_gm, "certify, then check for a maximal line", [_OUT, _FILE]),
     "incidence-profile": (
         _cmd_incidence_profile,
         "per-line target counts through a center",
         [
+            _OUT,
             _FILE,
             _NODE,
             (("--target",), {"help": "comma-separated node indices (default: all others)"}),
@@ -419,6 +424,7 @@ _COMMANDS = {
         _cmd_cayley_bacharach,
         "dependence of a random line-product grid",
         [
+            _OUT,
             (("--m",), {"type": int, "required": True}),
             (("--n",), {"type": int, "required": True}),
             _SEED,
@@ -429,6 +435,7 @@ _COMMANDS = {
         _cmd_generate,
         "emit a certified node set",
         [
+            _OUT,
             (("--kind",), {"required": True}),
             (("--degree",), {"type": int, "required": True}),
             _SEED,
@@ -439,6 +446,7 @@ _COMMANDS = {
         _cmd_search,
         "generate many sets and hunt for a GM violation",
         [
+            _OUT,
             (("--degree",), {"type": int, "required": True}),
             (("--trials",), {"type": int, "required": True}),
             _SEED,
@@ -449,6 +457,7 @@ _COMMANDS = {
         _cmd_plot,
         "render nodes and overlays as SVG",
         [
+            _OUT,
             _FILE,
             (("--overlay",), {"action": "append",
                               "help": "repeatable: 'maximal', 'used:K' or 'primary:K'"}),
@@ -457,66 +466,85 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose help, like every output, exits 2 when stdout cannot take it.
+def _plain_parse(argv: list[str]) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)`` for a plainly well-formed ``argv``, else None.
 
-    ``ArgumentParser`` writes help through ``_print_message``, which drops
-    an OSError, so ``--help`` to a closed pipe would print nothing and
-    exit 0.  The subparsers of the tree are of this class too.
+    Plainly well formed means: a command name, then only that command's
+    exact option names, each but a ``store_true`` followed by a value that
+    does not start with ``-``, every ``type`` that converts its value, a
+    ``--kind`` among the generator kinds, every required option, and as many
+    other tokens as the command has positionals.  Read off ``_COMMANDS``
+    like that, the argv means the same to argparse, so the namespace holds
+    the same attributes and values, defaults included.  Everything else
+    (help, ``--``, ``-``, ``--opt=value``, an abbreviated option, a
+    negative number, any usage error) is declined and left to argparse,
+    which alone writes help and usage errors.
     """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, arguments = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "handler": handler}
+    options = {}
+    positionals = []
+    for (flag,), spec in arguments:
+        if not flag.startswith("-"):
+            positionals.append(flag)
+            continue
+        dest = flag[2:].replace("-", "_")
+        options[flag] = dest, spec
+        values[dest] = spec.get("default", False if spec.get("action") == "store_true" else None)
+    given = []
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        if token not in options:
+            return None
+        dest, spec = options[token]
+        seen.add(dest)
+        action = spec.get("action")
+        if action == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except (TypeError, ValueError):
+                return None
+        if dest == "kind":
+            from .generators import DEFAULT_KINDS
 
-    def print_help(self, file=None):
-        if file is None:
-            _emit(self.format_help(), None)
-        else:
-            super().print_help(file)
+            if value not in DEFAULT_KINDS:
+                return None
+        values[dest] = [*(values[dest] or ()), value] if action == "append" else value
+    if len(given) != len(positionals):
+        return None
+    if any(spec.get("required") and dest not in seen for dest, spec in options.values()):
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
 
 
-def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    handler, _, arguments = _COMMANDS[name]
-    parser.set_defaults(handler=handler)
-    parser.add_argument("--out", help="write output to this file instead of stdout")
-    for flags, options in arguments:
-        action = parser.add_argument(*flags, **options)
-        if action.dest == "kind":
-            action.choices = _GeneratorKinds()
-    return parser
+def _parse(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` gives; argparse parses only what the plain parse declines."""
+    args = _plain_parse(argv)
+    if args is None:
+        from . import _cliparser
+
+        args = _cliparser.parse(argv, _COMMANDS, _emit)
+    return args
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The whole command tree: ``gcnlab`` and one subparser per command."""
-    parser = _Parser(
-        prog="gcnlab",
-        description="Exact geometry of GC interpolation sets: poisedness, line-factor "
-        "certificates, distribution sequences, maximal-line analysis.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
-    return parser
+    from . import _cliparser
 
-
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command, as it stands in :func:`build_parser`'s tree."""
-    return _add_arguments(_Parser(prog=f"gcnlab {name}"), name)
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """What ``build_parser().parse_args(argv)`` gives, building one parser when it can.
-
-    The tree hands every argument after the command name to that command's
-    parser, so parsing them with the same parser alone gives the same
-    namespace, help and errors.  The tree itself is built only when no
-    command is named or arguments are left over, which it reports with its
-    own usage.
-    """
-    name = argv[0] if argv else None
-    if name in _COMMANDS:
-        parser = _command_parser(name)
-        args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
+    return _cliparser.build_parser(_COMMANDS, _emit)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,13 +1,17 @@
 """End-to-end CLI behavior: output documents and exit codes."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from gcnlab import (
     DEFAULT_KINDS,
@@ -594,7 +598,7 @@ class TestDegreeCap:
 
 
 class TestOneParserPerCommand:
-    """``main`` builds only the parser of the command it runs; the tree reports the rest."""
+    """``main`` builds no parser for a plain command line, one for the rest; the tree reports errors."""
 
     @pytest.fixture()
     def built(self, monkeypatch):
@@ -608,10 +612,10 @@ class TestOneParserPerCommand:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         return progs
 
-    def test_a_well_formed_command_builds_one_parser(self, capsys, cy3_file, built):
+    def test_a_well_formed_command_builds_no_parser(self, capsys, cy3_file, built):
         code, out = run(capsys, "plot", cy3_file, "--overlay", "maximal")
         assert code == 0 and out.startswith("<svg")
-        assert built == ["gcnlab plot"]
+        assert built == []
 
     def test_help_builds_the_whole_tree(self, capsys, built):
         with pytest.raises(SystemExit) as excinfo:
@@ -656,8 +660,13 @@ class TestOneParserPerCommand:
             ["check-cert", "-h", "f.json"],
             ["generate", "--kind", "nope", "--degree", "3"],
             ["plot", "--help", "--bogus"],
+            ["mdseq", "f.json", "--all"],
             ["-h", "plot"],
             ["plot"],
+            ["certify-gc", "f.json", "--out", "certificate.json"],
+            ["verify-gm", "f.json"],
+            ["mdseq", "f.json", "--node", "0", "--all"],
+            ["plot", "f.json", "--overlay", "maximal"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -670,6 +679,110 @@ class TestOneParserPerCommand:
             return result, capsys.readouterr()
 
         assert parse(cli._parse) == parse(build_parser().parse_args)
+
+
+def _option_names(parser):
+    """A parser's option names, help left out."""
+    return sorted(set(parser._option_string_actions) - {"-h", "--help"})
+
+
+_TREE = _subparsers(build_parser()).choices
+_OPTIONS = sorted({name for parser in _TREE.values() for name in _option_names(parser)})
+_VALUES = ["f.json", "g.json", "", "0", "+4", " 5", "1.5", "x", "-2", "-1", "-", "--",
+           "maximal", "used:1", "principal", "nope", "1,0,0"]
+_MALFORMED = ["--ov", "--o", "--no", "--al", "--out=x.svg", "--node=-2", "--node=1",
+              "--all=x", "--kind=principal", "--bogus", "-x", "-h", "--help"]
+_TOKENS = sorted(_TREE) + _OPTIONS + _VALUES + _MALFORMED
+
+
+def _plain_chunks(parser):
+    """A command's arguments in plain form, read off argparse: the required ones and the others."""
+    required, optional = [], []
+    for action in parser._actions:
+        if not action.option_strings:
+            required.append(["f.json"])
+        elif action.dest != "help":
+            chunk = action.option_strings[:1]
+            if action.nargs != 0:
+                chunk.append("3" if action.type is int else "principal" if action.choices else "v")
+            (required if action.required else optional).append(chunk)
+    return required, optional
+
+
+@st.composite
+def _argv(draw):
+    """A command's plain argv, respelled in part, then a few tokens inserted or dropped.
+
+    The plain argv holds each required argument (but one in ten) and up to
+    three optional ones, repeats included, in any order.
+    """
+    name = draw(st.sampled_from(sorted(_TREE) + ["nope", "-h", ""]))
+    required, optional = _plain_chunks(_TREE[name]) if name in _TREE else ([], [])
+    chunks = [chunk for chunk in required if draw(st.integers(0, 9))]  # one in ten left out
+    if optional:
+        chunks += draw(st.lists(st.sampled_from(optional), max_size=3))
+    argv = [name]
+    for flag, *value in draw(st.permutations(chunks)):
+        if value:
+            value = [draw(st.sampled_from(value * len(_VALUES) + _VALUES))]
+        spelling = draw(st.sampled_from(["plain"] * 8 + ["abbreviated", "joined"]))
+        if spelling == "abbreviated" and flag.startswith("--"):
+            flag = flag[:4]
+        if spelling == "joined" and value:
+            argv.append(f"{flag}={value[0]}")
+        else:
+            argv += [flag, *value]
+    inserts = st.tuples(st.integers(0, 20), st.sampled_from(_TOKENS))
+    for at, token in draw(st.lists(inserts, max_size=2)):
+        argv.insert(1 + at % len(argv), token)
+    if draw(st.booleans()) and len(argv) > 1:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv
+
+
+class TestPlainParse:
+    """The plain parse of ``main`` against argparse's tree, on argv drawn from a token alphabet."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_argv())
+    def test_declines_or_agrees_with_the_tree(self, argv):
+        plain = cli._plain_parse(argv)
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                expected = vars(build_parser().parse_args(argv))
+        except SystemExit:
+            assert plain is None  # help and every usage error come from argparse
+            return
+        event("declined" if plain is None else "accepted")
+        if plain is not None:
+            assert vars(plain) == expected
+        # argparse alone reads abbreviations, --opt=value, --, - and negative numbers
+        command = _TREE.get(argv[0])
+        names = [] if command is None else _option_names(command)
+        if any(token.startswith("-") and token not in names for token in argv[1:]):
+            assert plain is None
+
+    def test_accepts_every_command_in_plain_form(self):
+        argv = {
+            "check-poised": ["f.json"],
+            "fundamental": ["f.json", "--node", "3"],
+            "certify-gc": ["f.json", "--out", "c.json"],
+            "check-cert": ["c.json"],
+            "used-lines": ["--node", "0", "f.json"],
+            "mdseq": ["f.json", "--all", "--node", "0", "--fix-line", "1,0,0"],
+            "maximal-lines": ["f.json"],
+            "verify-gm": ["f.json"],
+            "incidence-profile": ["f.json", "--node", "0", "--target", "1,2"],
+            "cayley-bacharach": ["--m", "2", "--n", "3"],
+            "generate": ["--kind", "principal", "--degree", "3", "--seed", "+4"],
+            "search": ["--degree", "2", "--trials", "4", "--bound", "5"],
+            "plot": ["f.json", "--overlay", "maximal", "--overlay", "used:1"],
+        }
+        assert sorted(argv) == sorted(_TREE)
+        for name, rest in argv.items():
+            plain = cli._plain_parse([name, *rest])
+            assert plain is not None, name
+            assert vars(plain) == vars(build_parser().parse_args([name, *rest]))
 
 
 class TestClosedStdout:

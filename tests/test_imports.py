@@ -117,13 +117,17 @@ class TestNamespace:
 
 # Runs one CLI command as ``python -m gcnlab.cli`` does and reports, as the
 # last stderr line, its exit code, the gcnlab submodules it loaded and which
-# of ``dataclasses``, ``inspect``, ``fractions`` and ``decimal`` it loaded.
-# No part of a CLI process but gcnlab would import those (``dataclasses``
-# and ``inspect`` bring ``ast``, ``dis`` and ``tokenize``, ``fractions``
-# brings ``decimal`` and ``numbers``), so each one gcnlab pulled in would be
-# start-up time paid by every command.  Only a command that computes a
-# rational (a certificate's constants, a solution) loads ``fractions``.
-PROBE = """
+# of ``dataclasses``, ``inspect``, ``fractions``, ``decimal``, ``argparse``,
+# ``gettext`` and ``locale`` it loaded.  No part of a CLI process but gcnlab
+# would import those (``dataclasses`` and ``inspect`` bring ``ast``, ``dis``
+# and ``tokenize``, ``fractions`` brings ``decimal`` and ``numbers``,
+# ``argparse`` brings ``gettext``, which loads ``locale`` when a parser is
+# built), so each one gcnlab pulled in would be start-up time paid by every
+# command.  Only a command that computes a rational (a certificate's
+# constants, a solution) loads ``fractions``, and only help and usage errors
+# load ``argparse``.
+STDLIB = ("dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext", "locale")
+PROBE = f"""
 import json, runpy, sys
 sys.argv = ["gcnlab", *sys.argv[1:]]
 code = 0
@@ -132,16 +136,16 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("gcnlab."))
-stdlib = [m for m in ("dataclasses", "inspect", "fractions", "decimal") if m in sys.modules]
+stdlib = [m for m in {STDLIB!r} if m in sys.modules]
 print(json.dumps([code, loaded, stdlib]), file=sys.stderr)
 """
 
 # Imports the module named by its argument and reports as PROBE does.
-BARE = """
+BARE = f"""
 import json, sys
 __import__(sys.argv[1])
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("gcnlab."))
-stdlib = [m for m in ("dataclasses", "inspect", "fractions", "decimal") if m in sys.modules]
+stdlib = [m for m in {STDLIB!r} if m in sys.modules]
 print(json.dumps([0, loaded, stdlib]), file=sys.stderr)
 """
 
@@ -230,7 +234,8 @@ class TestImportBoundary:
     )
     def test_benchmark_commands(self, workdir, argv, expected, stdlib):
         # only the commands that write a certificate or a report load the document codecs,
-        # and only a certificate's constants are rationals
+        # only a certificate's constants are rationals, and no command line is parsed
+        # by argparse (the fallback parser module stays unloaded too)
         assert probe(workdir, PROBE, *argv) == [0, sorted(expected), stdlib]
 
     @pytest.mark.parametrize(
@@ -273,6 +278,18 @@ class TestImportBoundary:
         code, loaded, stdlib = probe(workdir, PROBE, argv[0], "moved.json", *argv[1:])
         assert (code, stdlib) == (1, [])  # the rank that tells poised from GC is modular
         assert "nodefile" in loaded and "serialization" not in loaded
+        assert "_cliparser" not in loaded
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--help"], 0), (["plot", "--help"], 0), (["mdseq", "cy.json"], 2)],
+        ids=["--help", "plot --help", "mdseq without --node"],
+    )
+    def test_only_help_and_usage_errors_load_argparse(self, workdir, argv, code):
+        got, loaded, stdlib = probe(workdir, PROBE, *argv)
+        assert got == code
+        assert "_cliparser" in loaded and "argparse" in stdlib
+        assert "certification" not in loaded  # the usage error comes first
 
     @pytest.mark.parametrize("name", ["cy.json", "moved.json"])
     def test_check_poised_builds_no_rational(self, workdir, name):
