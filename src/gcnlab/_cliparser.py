@@ -9,8 +9,8 @@ loads the first time a parser translates a string) nor compiles this module.
 
 The command table and the function that writes help are passed in rather
 than imported: under ``python -m gcnlab.cli`` the running module is
-``__main__``, and importing ``gcnlab.cli`` here would run a second copy whose
-handlers raise an input error that the running ``main`` does not catch.
+``__main__``, and importing ``gcnlab.cli`` here would compile and run a
+second copy of it.
 """
 
 from __future__ import annotations

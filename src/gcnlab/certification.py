@@ -61,10 +61,13 @@ from __future__ import annotations
 from functools import cached_property
 from math import prod
 from operator import lt
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvalidCertificate, NotGC, NotPoised
 from .geometry import Key, Line, NodeSet, Value, _bits, _fraction
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class NodeCertificate(Value):
@@ -73,9 +76,32 @@ class NodeCertificate(Value):
     ``constant * product(lines)`` equals the fundamental polynomial exactly;
     ``witnesses`` maps each distinct factor line to the indices of nodes on
     it where the complementary cofactor is nonzero (always at least two).
+
+    The constant is kept as the integer pair ``_ratio`` = (p, q), q > 0,
+    and read as the Fraction p/q, so :attr:`GCCertificate.entries` and the
+    certificate writer need no Fraction.
     """
 
-    __slots__ = _fields = ("node_index", "constant", "lines", "witnesses")
+    __slots__ = ("node_index", "lines", "witnesses", "_ratio")
+    _fields = ("node_index", "constant", "lines", "witnesses")
+
+    @property
+    def constant(self) -> Fraction:
+        return _fraction()(*self._ratio)
+
+    @constant.setter
+    def constant(self, value) -> None:
+        # reached only through object.__setattr__, from the constructor
+        object.__setattr__(self, "_ratio", (value.numerator, value.denominator))
+
+    @classmethod
+    def _of_ratio(
+        cls, node_index: int, ratio: tuple[int, int], lines: tuple[Line, ...], witnesses: dict
+    ) -> NodeCertificate:
+        """The entry whose constant is ``ratio[0] / ratio[1]``, with ``ratio[1] > 0``."""
+        entry = cls(node_index, 0, lines, witnesses)
+        object.__setattr__(entry, "_ratio", ratio)
+        return entry
 
 
 class GCCertificate(Value):
@@ -121,17 +147,18 @@ class GCCertificate(Value):
     @cached_property
     def entries(self) -> tuple[NodeCertificate, ...]:
         """Each node's factorization, read off the verified table."""
-        Fraction = _fraction()  # the constants are the one rational a certificate holds
         xs = self.nodeset
         rows = [xs.values(line) for line in self.lines]
+        scale = xs.scale**xs.degree
         entries = []
         for k, cover in enumerate(self.covers):
             lines = tuple(self.lines[f] for f in cover)
             _, once = _union_once(self.masks, cover)
             witnesses = {self.lines[f]: _bits(self.masks[f] & once) for f in cover}
             # constant * product(lines) at node k is constant * product_k / D^n = 1
-            constant = Fraction(xs.scale**xs.degree, prod(rows[f][k] for f in cover))
-            entries.append(NodeCertificate(k, constant, lines, witnesses))
+            product = prod(rows[f][k] for f in cover)
+            ratio = (scale, product) if product > 0 else (-scale, -product)
+            entries.append(NodeCertificate._of_ratio(k, ratio, lines, witnesses))
         return tuple(entries)
 
 

@@ -3,18 +3,25 @@
 Rationals travel as the exact strings ``"p"`` or ``"p/q"``, and a dump is
 canonical (sorted keys, two-space indent, a single trailing newline).
 This module reads and writes node sets, and lists maximal lines; it needs
-only :mod:`gcnlab.geometry` and :mod:`gcnlab.errors`.  The certificate,
-report, summary and polynomial codecs live in :mod:`gcnlab.serialization`,
-which re-exports every public name defined here, so a command that only
-reads a node file and prints canonical JSON does not compile them.
+only :mod:`gcnlab.geometry` and :mod:`gcnlab.errors`.  Every CLI command
+loads it.  The writers of certificates, reports, summaries and polynomials
+live in :mod:`gcnlab.serialization`, which re-exports every public name
+defined here, and their readers in :mod:`gcnlab._loaders`.  With no
+bytecode written or shipped (``PYTHONDONTWRITEBYTECODE``), a command
+compiles each module it imports from source, so a command that only reads
+a node file and prints canonical JSON (``plot``, ``mdseq``,
+``maximal-lines``) compiles neither, one that writes a certificate or
+report (``certify-gc``, ``verify-gm``) compiles the writers only, and only
+``check-cert`` compiles the readers.
 
 A node file is read straight into the set's integer index: each ``"p/q"``
 becomes the integer pair ``(p, q)``, the pairs are put over the lcm D of
 their denominators, and ``NodeSet._scaled`` stores the integer nodes, so
 no Fraction is built.  A set is written from its integer nodes X and D the
-same way, each ``"p/q"`` being ``X/D`` in lowest terms.  Only
-:func:`parse_rational` and :func:`format_rational`, which the certificate
-and polynomial codecs use, make Fractions, so only they import
+same way, each ``"p/q"`` being ``X/D`` in lowest terms, and so is a
+certificate's constant, from the integer pair its entry keeps.  Only
+:func:`parse_rational` and :func:`format_rational`, which the polynomial
+codec and the certificate reader use, make Fractions, so only they import
 :mod:`fractions`, when first called.
 
 Schema::

@@ -41,7 +41,7 @@ from gcnlab import (
     verify_certificate,
 )
 from gcnlab import certification, generators
-from gcnlab.certification import GCCertificate, _cover
+from gcnlab.certification import GCCertificate, NodeCertificate, _cover
 from gcnlab.errors import NotDivisible
 from gcnlab.geometry import _bits
 from gcnlab.rng import SplitMix64
@@ -674,6 +674,16 @@ class TestVerifyCertificate:
             rebuilt = rebuild(cert)
             assert rebuilt == cert and calls[-1] is rebuilt
         assert len(calls) == 3
+
+    def test_an_entry_is_the_value_its_fields_build(self, cy3_pair):
+        # an entry of the table and an entry built from its fields keep the
+        # constant the same way, so they compare, copy and print alike
+        _, cert = cy3_pair
+        for entry in cert.entries:
+            built = NodeCertificate(entry.node_index, entry.constant, entry.lines, entry.witnesses)
+            assert type(entry.constant) is Fraction
+            assert built == entry and repr(built) == repr(entry)
+            assert pickle.loads(pickle.dumps(entry)) == entry == copy.copy(built)
 
     def test_lines_in_any_order_and_repeated(self, cy3_pair):
         _, cert = cy3_pair

@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import gcnlab
-from gcnlab import GeneratorSpec, generate
-from gcnlab.serialization import save_nodeset
+from gcnlab import GeneratorSpec, certify_gc, generate
+from gcnlab.cli import _COMMANDS
+from gcnlab.serialization import save_certificate, save_nodeset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -123,9 +124,10 @@ class TestNamespace:
 # and ``tokenize``, ``fractions`` brings ``decimal`` and ``numbers``,
 # ``argparse`` brings ``gettext``, which loads ``locale`` when a parser is
 # built), so each one gcnlab pulled in would be start-up time paid by every
-# command.  Only a command that computes a rational (a certificate's
-# constants, a solution) loads ``fractions``, and only help and usage errors
-# load ``argparse``.
+# command.  Only a command that computes a rational (a solution, a
+# certificate read back) loads ``fractions``, and only help and usage errors
+# load ``argparse``.  A command also loads the handler package
+# ``_commands`` and its own module there, and no other handler.
 STDLIB = ("dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext", "locale")
 PROBE = f"""
 import json, runpy, sys
@@ -161,7 +163,9 @@ def probe(cwd, code, *argv):
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("imports")
-    (path / "cy.json").write_text(save_nodeset(generate(GeneratorSpec("chung_yao", 4, seed=3))))
+    xs = generate(GeneratorSpec("chung_yao", 4, seed=3))
+    (path / "cy.json").write_text(save_nodeset(xs))
+    (path / "cy-cert.json").write_text(save_certificate(certify_gc(xs)))
     (path / "moved.json").write_text(
         '{"degree": 2, "nodes": [["0","0"],["0","1"],["0","4"],["1","0"],'
         '["2","0"],["22/7","-21/11"]]}\n'
@@ -173,6 +177,29 @@ READ = ["errors", "geometry", "nodefile"]
 BASE = READ + ["certification"]
 ALGEBRA = ["interpolation", "linalg", "polynomials"]
 RATIONALS = ["fractions", "decimal"]
+
+
+def running(command, *modules):
+    """What running ``command`` loads: ``modules``, the handler package and the command's own module."""
+    return sorted([*modules, "_commands", f"_commands.{_COMMANDS[command][0]}"])
+
+
+#: The smallest valid argv of every command; each exits 0.
+SMALLEST = {
+    "check-poised": ["cy.json"],
+    "fundamental": ["cy.json", "--node", "0"],
+    "certify-gc": ["cy.json"],
+    "check-cert": ["cy-cert.json"],
+    "used-lines": ["cy.json", "--node", "0"],
+    "mdseq": ["cy.json", "--node", "0"],
+    "maximal-lines": ["cy.json"],
+    "verify-gm": ["cy.json"],
+    "incidence-profile": ["cy.json", "--node", "0"],
+    "cayley-bacharach": ["--m", "1", "--n", "2"],
+    "generate": ["--kind", "principal", "--degree", "1"],
+    "search": ["--degree", "1", "--trials", "1"],
+    "plot": ["cy.json"],
+}
 
 #: What ``gcnlab.serialization`` exposes: the document codecs and, re-exported
 #: from ``gcnlab.nodefile``, the node-file codec.
@@ -194,6 +221,10 @@ def test_serialization_keeps_every_codec_name():
         assert callable(getattr(serialization, name)), name
     for name in NODE_FILE:
         assert getattr(serialization, name) is getattr(nodefile, name), name
+    # the loaders are resolved on first access, and still listed and star-imported
+    namespace = {}
+    exec("from gcnlab.serialization import *", namespace)
+    assert set(CODECS + NODE_FILE) <= set(namespace) & set(dir(serialization))
 
 
 class TestImportBoundary:
@@ -223,7 +254,7 @@ class TestImportBoundary:
         "argv, expected, stdlib",
         [
             pytest.param(["certify-gc", "cy.json", "--out", "cert.json"], BASE + ["serialization"],
-                         RATIONALS, id="certify-gc"),
+                         [], id="certify-gc"),
             pytest.param(["verify-gm", "cy.json"], BASE + ["analysis", "serialization"], [],
                          id="verify-gm"),
             pytest.param(["mdseq", "cy.json", "--node", "0", "--all"], BASE + ["sequences"], [],
@@ -233,10 +264,11 @@ class TestImportBoundary:
         ],
     )
     def test_benchmark_commands(self, workdir, argv, expected, stdlib):
-        # only the commands that write a certificate or a report load the document codecs,
-        # only a certificate's constants are rationals, and no command line is parsed
-        # by argparse (the fallback parser module stays unloaded too)
-        assert probe(workdir, PROBE, *argv) == [0, sorted(expected), stdlib]
+        # only the commands that write a certificate or a report load the writers, and
+        # neither loads the readers; a certificate's constants are written from integer
+        # pairs; no command line is parsed by argparse (the fallback parser module stays
+        # unloaded too), and each command compiles its own handler only
+        assert probe(workdir, PROBE, *argv) == [0, running(argv[0], *expected), stdlib]
 
     @pytest.mark.parametrize(
         "argv",
@@ -259,18 +291,19 @@ class TestImportBoundary:
 
     def test_maximal_lines_reads_the_index_without_the_certifier(self, workdir):
         # maximal lines come from the node set's own index
-        assert probe(workdir, PROBE, "maximal-lines", "cy.json") == [0, sorted(READ), []]
+        expected = [0, running("maximal-lines", *READ), []]
+        assert probe(workdir, PROBE, "maximal-lines", "cy.json") == expected
 
     def test_plot_certifies_only_for_a_certificate_overlay(self, workdir):
         argv = ["plot", "cy.json", "--overlay", "maximal", "--overlay", "used:0"]
-        assert probe(workdir, PROBE, *argv) == [0, sorted(BASE + ["plotting"]), []]
+        assert probe(workdir, PROBE, *argv) == [0, running("plot", *BASE, "plotting"), []]
 
     def test_only_a_failed_cover_loads_the_algebra(self, workdir):
         # telling a non-poised set from a poised non-GC one needs a rank; a
         # set that fails writes no document, so the codecs stay unloaded,
         # and full rank modulo a prime builds no rational
         got = probe(workdir, PROBE, "certify-gc", "moved.json")
-        assert got == [1, sorted(BASE + ALGEBRA), []]
+        assert got == [1, running("certify-gc", *BASE, *ALGEBRA), []]
 
     @pytest.mark.parametrize("argv", [["verify-gm"], ["mdseq", "--node", "0", "--all"]],
                              ids=lambda argv: argv[0])
@@ -294,15 +327,27 @@ class TestImportBoundary:
     @pytest.mark.parametrize("name", ["cy.json", "moved.json"])
     def test_check_poised_builds_no_rational(self, workdir, name):
         # the modular rank proves a poised set poised
-        expected = sorted(READ + ALGEBRA)
+        expected = running("check-poised", *READ, *ALGEBRA)
         assert probe(workdir, PROBE, "check-poised", name) == [0, expected, []]
 
     def test_generate_loads_the_generators(self, workdir):
         argv = ["generate", "--kind", "principal", "--degree", "2"]
-        expected = sorted(BASE + ["generators", "rng"])
+        expected = running("generate", *BASE, "generators", "rng")
         assert probe(workdir, PROBE, *argv) == [0, expected, []]
 
     def test_check_cert_loads_only_the_reader_and_the_rule(self, workdir):
         assert probe(workdir, PROBE, "certify-gc", "cy.json", "--out", "c.json")[0] == 0
-        expected = [0, sorted(BASE + ["serialization"]), RATIONALS]
+        expected = [0, running("check-cert", *BASE, "serialization", "_loaders"), RATIONALS]
         assert probe(workdir, PROBE, "check-cert", "c.json") == expected
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_each_command_compiles_its_own_handler_only(self, workdir, command):
+        # a command module that imported gcnlab.cli would compile it a second time
+        # under python -m gcnlab.cli, where the running copy is __main__
+        got, loaded, _ = probe(workdir, PROBE, command, *SMALLEST[command])
+        assert got == 0
+        handlers = [m for m in loaded if m.startswith("_commands.")]
+        assert handlers == [f"_commands.{_COMMANDS[command][0]}"]
+        assert "cli" not in loaded
+        # only check-cert reads a document; every other command at most writes one
+        assert ("_loaders" in loaded) is (command == "check-cert")
