@@ -15,8 +15,7 @@ from typing import TYPE_CHECKING, Any
 
 from .errors import ParseError
 from .geometry import Line
-from .nodefile import _expect, _is_int, _loads, nodeset_from_dict, parse_rational
-from .serialization import _line_key
+from .nodefile import _expect, _is_int, _line_key, _loads, nodeset_from_dict, parse_rational
 
 if TYPE_CHECKING:
     from .analysis import GMReport, SearchSummary

@@ -12,39 +12,34 @@ does not come with ``--all``, overlays and that no ``used:K`` or
 ``primary:K`` repeats) before it certifies or analyses the set, so a usage
 error exits 2 on any set, GC or not, without paying for a certification.
 
-Each command is a fresh process, so :func:`main` builds no argument parser
-for a plainly well-formed command line: it reads the argv off the
-``_COMMANDS`` table itself, into the namespace argparse would give, and never
-imports :mod:`argparse` (nor the :mod:`gettext` and :mod:`locale` it
-loads).  Only what that plain parse declines (help, a usage error, an
-abbreviated option, ``--opt=value``, a negative number) goes to argparse, in
-:mod:`gcnlab._cliparser`, which builds the parser of the command that
-``argv[0]`` names from the same table.  The whole tree of
-:func:`build_parser` is built only to report no command, an unknown command
-or arguments left over.
+Each command is a fresh process, so a command line parses by one of two
+routes, both read off the table ``_COMMANDS`` in :mod:`gcnlab._commands`.
+:func:`_plain_parse` reads a plainly well-formed argv into the namespace
+argparse would give, and never imports :mod:`argparse` (nor the
+:mod:`gettext` and :mod:`locale` it loads).  What it declines (help, a
+usage error, an abbreviated option, ``--opt=value``, a negative number) goes
+to argparse's whole tree, :func:`build_parser` in :mod:`gcnlab._cliparser`,
+which alone writes help and usage errors.
 
 With no bytecode written or shipped (``PYTHONDONTWRITEBYTECODE``, a fresh
 checkout), a command compiles every gcnlab module it imports from source,
-so each imports only what it runs.  The table names each command's handler
-module in :mod:`gcnlab._commands`, and :func:`main` imports that one module
-once the argv is parsed: this module holds no handler, and a command
-compiles ``cli``, ``_commands`` (the helpers the handlers share) and its
-own handler, never the other twelve.  With bytecode compiled and reused
-there is nothing to save, and the two modules a command imports beyond
-``cli`` cost up to about half a millisecond of start-up
-(``BENCH_single_set_cli.json``, the entry of parent ``831ed14``).  Each
-handler imports the modules it runs when it runs.  Every command reads
-node files and writes canonical
-JSON through :mod:`gcnlab.nodefile`; only the commands that read or write
-a certificate, report, summary or polynomial load
-:mod:`gcnlab.serialization`, and only ``check-cert``, the one command that
-reads such a document, loads its readers, :mod:`gcnlab._loaders`.  So
-``certify-gc`` compiles the certifier and the writers, not the readers,
-generators, sequences, plotting or exact algebra, and ``plot --overlay
-maximal`` loads neither the certifier nor the serializer.  A node file is
-read into the set's integer index, and a certificate's constants are
-written from integer pairs, so only a command that computes a rational (a
-solve, a certificate read back) loads :mod:`fractions`.
+so each imports only what it runs: ``cli``, ``_commands`` (the table and
+the helpers the handlers share) and the module of ``_commands`` named after
+the command, never the other twelve handlers.  With bytecode compiled and
+reused there is nothing to save, and the two modules a command imports
+beyond ``cli`` cost up to about half a millisecond of start-up
+(``BENCH_single_set_cli.json``).  Each handler imports the
+modules it runs when it runs.  Every command reads node files and writes
+canonical JSON through :mod:`gcnlab.nodefile`; only the commands that read
+or write a certificate, report, summary or polynomial load
+:mod:`gcnlab.serialization`, and only ``check-cert`` loads the readers,
+:mod:`gcnlab._loaders`.  So ``certify-gc`` compiles the certifier and the
+writers, not the readers, generators, sequences, plotting or exact algebra,
+and ``plot --overlay maximal`` loads neither the certifier nor the
+serializer.  A node file is read into the set's integer index, and a
+certificate's constants are written from integer pairs, so only a command
+that computes a rational (a solve, a certificate read back) loads
+:mod:`fractions`.
 """
 
 from __future__ import annotations
@@ -54,7 +49,7 @@ from importlib import import_module
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from ._commands import _BAD_INPUT, _PROPERTY_FAILED, _emit, _InputError
+from ._commands import _BAD_INPUT, _COMMANDS, _PROPERTY_FAILED, _InputError
 from .errors import (
     DegenerateIntersection,
     GCNLabError,
@@ -68,93 +63,6 @@ from .errors import (
 
 if TYPE_CHECKING:
     import argparse
-
-
-# --- parser -----------------------------------------------------------------------
-
-_OUT = (("--out",), {"help": "write output to this file instead of stdout"})
-_FILE = (("file",), {})
-_NODE = (("--node",), {"type": int, "required": True})
-_SEED = (("--seed",), {"type": int, "default": 0})
-_BOUND = (("--bound",), {"type": int, "default": 8})
-
-#: Each command's handler (its module in :mod:`gcnlab._commands`), its help
-#: line and its arguments, as the positional and keyword arguments of
-#: ``add_argument``.
-_COMMANDS = {
-    "check-poised": ("check_poised", "decide unique solvability of a node file", [_OUT, _FILE]),
-    "fundamental": ("fundamental", "fundamental polynomial of one node", [_OUT, _FILE, _NODE]),
-    "certify-gc": ("certify_gc", "factor every fundamental polynomial into lines", [_OUT, _FILE]),
-    "check-cert": ("check_cert", "verify a saved certificate without searching", [_OUT, _FILE]),
-    "used-lines": ("used_lines", "distinct factor lines of one node", [_OUT, _FILE, _NODE]),
-    "mdseq": (
-        "mdseq",
-        "greedy line sequence and count vector of one node",
-        [
-            _OUT,
-            _FILE,
-            _NODE,
-            (("--fix-line",), {"help": "force 'a,b,c' as the first line"}),
-            (("--all",), {"action": "store_true",
-                          "help": "enumerate all achievable count vectors"}),
-        ],
-    ),
-    "maximal-lines": ("maximal_lines", "lines through exactly degree+1 nodes", [_OUT, _FILE]),
-    "verify-gm": ("verify_gm", "certify, then check for a maximal line", [_OUT, _FILE]),
-    "incidence-profile": (
-        "incidence_profile",
-        "per-line target counts through a center",
-        [
-            _OUT,
-            _FILE,
-            _NODE,
-            (("--target",), {"help": "comma-separated node indices (default: all others)"}),
-        ],
-    ),
-    "cayley-bacharach": (
-        "cayley_bacharach",
-        "dependence of a random line-product grid",
-        [
-            _OUT,
-            (("--m",), {"type": int, "required": True}),
-            (("--n",), {"type": int, "required": True}),
-            _SEED,
-            _BOUND,
-        ],
-    ),
-    "generate": (
-        "generate",
-        "emit a certified node set",
-        [
-            _OUT,
-            (("--kind",), {"required": True}),
-            (("--degree",), {"type": int, "required": True}),
-            _SEED,
-            _BOUND,
-        ],
-    ),
-    "search": (
-        "search",
-        "generate many sets and hunt for a GM violation",
-        [
-            _OUT,
-            (("--degree",), {"type": int, "required": True}),
-            (("--trials",), {"type": int, "required": True}),
-            _SEED,
-            _BOUND,
-        ],
-    ),
-    "plot": (
-        "plot",
-        "render nodes and overlays as SVG",
-        [
-            _OUT,
-            _FILE,
-            (("--overlay",), {"action": "append",
-                              "help": "repeatable: 'maximal', 'used:K' or 'primary:K'"}),
-        ],
-    ),
-}
 
 
 def _plain_parse(argv: list[str]) -> SimpleNamespace | None:
@@ -173,8 +81,8 @@ def _plain_parse(argv: list[str]) -> SimpleNamespace | None:
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
-    handler, _, arguments = _COMMANDS[argv[0]]
-    values = {"command": argv[0], "handler": handler}
+    _, arguments = _COMMANDS[argv[0]]
+    values = {"command": argv[0]}
     options = {}
     positionals = []
     for (flag,), spec in arguments:
@@ -224,24 +132,21 @@ def _plain_parse(argv: list[str]) -> SimpleNamespace | None:
 def _parse(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
     """What ``build_parser().parse_args(argv)`` gives; argparse parses only what the plain parse declines."""
     args = _plain_parse(argv)
-    if args is None:
-        from . import _cliparser
-
-        args = _cliparser.parse(argv, _COMMANDS, _emit)
-    return args
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The whole command tree: ``gcnlab`` and one subparser per command."""
     from . import _cliparser
 
-    return _cliparser.build_parser(_COMMANDS, _emit)
+    return _cliparser.build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
-        return import_module(f"{__package__}._commands.{args.handler}").run(args)
+        handler = args.command.replace("-", "_")
+        return import_module(f"{__package__}._commands.{handler}").run(args)
     except (_InputError, ParseError, ValueError) as exc:
         print(f"gcnlab: {exc}", file=sys.stderr)
         return _BAD_INPUT

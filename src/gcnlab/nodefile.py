@@ -2,11 +2,13 @@
 
 Rationals travel as the exact strings ``"p"`` or ``"p/q"``, and a dump is
 canonical (sorted keys, two-space indent, a single trailing newline).
-This module reads and writes node sets, and lists maximal lines; it needs
-only :mod:`gcnlab.geometry` and :mod:`gcnlab.errors`.  Every CLI command
-loads it.  The writers of certificates, reports, summaries and polynomials
-live in :mod:`gcnlab.serialization`, which re-exports every public name
-defined here, and their readers in :mod:`gcnlab._loaders`.  With no
+This module reads and writes node sets, and writes lines, as maximal-line
+lists and as the ``"a,b,c"`` witness keys of a certificate, which its
+writer and its reader share; it needs only :mod:`gcnlab.geometry` and
+:mod:`gcnlab.errors`.  Every CLI command loads it.  The writers of
+certificates, reports, summaries and polynomials live in
+:mod:`gcnlab.serialization`, which re-exports every public name defined
+here, and their readers in :mod:`gcnlab._loaders`.  With no
 bytecode written or shipped (``PYTHONDONTWRITEBYTECODE``), a command
 compiles each module it imports from source, so a command that only reads
 a node file and prints canonical JSON (``plot``, ``mdseq``,
@@ -137,3 +139,8 @@ def load_nodeset(text: str) -> NodeSet:
 def maximal_lines_to_list(maximal: Sequence[tuple[Line, Sequence[int]]]) -> list:
     """Each maximal line and its node indices as ``{"line": [a, b, c], "nodes": [j, ...]}``."""
     return [{"line": list(line.coefficients), "nodes": list(ids)} for line, ids in maximal]
+
+
+def _line_key(line: Line) -> str:
+    """A line as the ``"a,b,c"`` key of a certificate's witnesses."""
+    return f"{line.a},{line.b},{line.c}"

@@ -63,6 +63,7 @@ from typing import TYPE_CHECKING
 from .nodefile import (
     _dumps,
     _format_ratio,
+    _line_key,
     format_rational,
     load_nodeset,
     maximal_lines_to_list,
@@ -75,7 +76,6 @@ from .nodefile import (
 if TYPE_CHECKING:
     from .analysis import GMReport, SearchSummary
     from .certification import GCCertificate
-    from .geometry import Line
     from .polynomials import Poly
 
 #: The loaders, defined in :mod:`gcnlab._loaders` and imported when one is first read.
@@ -118,10 +118,6 @@ def poly_to_dict(p: Poly) -> dict:
 
 
 # --- certificates --------------------------------------------------------------
-
-def _line_key(line: Line) -> str:
-    return f"{line.a},{line.b},{line.c}"
-
 
 def certificate_to_dict(cert: GCCertificate) -> dict:
     entries = []

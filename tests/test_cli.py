@@ -598,7 +598,11 @@ class TestDegreeCap:
 
 
 class TestOneParserPerCommand:
-    """``main`` builds no parser for a plain command line, one for the rest; the tree reports errors."""
+    """``main`` builds no parser for a plain command line, and argparse's whole tree for the rest.
+
+    The tree, ``gcnlab`` and one subparser per command, is the only
+    argparse route: it writes all help and every usage error.
+    """
 
     @pytest.fixture()
     def built(self, monkeypatch):
@@ -623,11 +627,11 @@ class TestOneParserPerCommand:
         assert excinfo.value.code == 0
         assert len(built) == 14 == 1 + len(_subparsers(build_parser()).choices)
 
-    def test_left_over_arguments_build_the_tree_after_the_command(self, capsys, cy3_file, built):
+    def test_left_over_arguments_build_only_the_tree(self, capsys, cy3_file, built):
         with pytest.raises(SystemExit) as excinfo:
             main(["plot", cy3_file, "--bogus"])
         assert excinfo.value.code == 2
-        assert built[0] == "gcnlab plot" and len(built) == 15
+        assert built[0] == "gcnlab" and len(built) == 14
         assert capsys.readouterr().err.endswith("\ngcnlab: error: unrecognized arguments: --bogus\n")
 
     @pytest.mark.parametrize("name", list(cli._COMMANDS))

@@ -8,6 +8,7 @@ top-level import then fails here instead of quietly slowing the CLI.
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -181,7 +182,7 @@ RATIONALS = ["fractions", "decimal"]
 
 def running(command, *modules):
     """What running ``command`` loads: ``modules``, the handler package and the command's own module."""
-    return sorted([*modules, "_commands", f"_commands.{_COMMANDS[command][0]}"])
+    return sorted([*modules, "_commands", f"_commands.{command.replace('-', '_')}"])
 
 
 #: The smallest valid argv of every command; each exits 0.
@@ -225,6 +226,17 @@ def test_serialization_keeps_every_codec_name():
     namespace = {}
     exec("from gcnlab.serialization import *", namespace)
     assert set(CODECS + NODE_FILE) <= set(namespace) & set(dir(serialization))
+
+
+def test_each_command_has_its_own_handler_module():
+    # main runs command c from the module named c with - as _, so an orphaned
+    # handler or a renamed command fails here
+    from gcnlab import _commands
+
+    modules = {module.name for module in pkgutil.iter_modules(_commands.__path__)}
+    assert modules == {name.replace("-", "_") for name in _COMMANDS}
+    for name in modules:
+        assert callable(importlib.import_module(f"gcnlab._commands.{name}").run), name
 
 
 class TestImportBoundary:
@@ -323,6 +335,8 @@ class TestImportBoundary:
         assert got == code
         assert "_cliparser" in loaded and "argparse" in stdlib
         assert "certification" not in loaded  # the usage error comes first
+        # the tree reads the table from _commands, so no second gcnlab.cli is compiled
+        assert "cli" not in loaded
 
     @pytest.mark.parametrize("name", ["cy.json", "moved.json"])
     def test_check_poised_builds_no_rational(self, workdir, name):
@@ -347,7 +361,7 @@ class TestImportBoundary:
         got, loaded, _ = probe(workdir, PROBE, command, *SMALLEST[command])
         assert got == 0
         handlers = [m for m in loaded if m.startswith("_commands.")]
-        assert handlers == [f"_commands.{_COMMANDS[command][0]}"]
+        assert handlers == [f"_commands.{command.replace('-', '_')}"]
         assert "cli" not in loaded
         # only check-cert reads a document; every other command at most writes one
         assert ("_loaders" in loaded) is (command == "check-cert")
