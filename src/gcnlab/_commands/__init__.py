@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from ..geometry import Line, NodeSet
+    from ..geometry import NodeSet
 
 _PROPERTY_FAILED = 1
 _BAD_INPUT = 2
@@ -151,15 +151,3 @@ def _node_index(xs: NodeSet, k: int) -> int:
     if not 0 <= k < len(xs):
         raise _InputError(f"node index {k} out of range [0, {len(xs) - 1}]")
     return k
-
-
-def _parse_line_option(text: str) -> Line:
-    from ..geometry import Line
-
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise _InputError(f"--fix-line expects 'a,b,c', got {text!r}")
-    try:
-        return Line(int(parts[0]), int(parts[1]), int(parts[2]))
-    except (ValueError, TypeError) as exc:
-        raise _InputError(f"bad line coefficients {text!r}: {exc}") from None

@@ -1,4 +1,9 @@
-"""``gcnlab cayley-bacharach --m M --n N``: dependence of a random line-product grid."""
+"""``gcnlab cayley-bacharach --m M --n N``: dependence of a random line-product grid.
+
+The m + n distinct lines come from ``SplitMix64.line``, the first m forming
+the first group; the draw budget counts only repeated lines, since a small
+bound has few lines.
+"""
 
 from ..errors import DegenerateIntersection, RetryLimitExceeded
 from . import _PROPERTY_FAILED, _InputError, _emit_doc
@@ -14,26 +19,24 @@ def run(args) -> int:
     if args.bound < 1:
         raise _InputError("need --bound >= 1")
     rng = SplitMix64(args.seed)
-    bound = args.bound
+    count = args.m + args.n
     for _ in range(RETRY_LIMIT):
-        lines_m = []
-        lines_n = []
+        lines = []
         seen = set()
-        rejected = 0  # draws that are no line or repeat one; small bounds have few lines
-        for group, count in ((lines_m, args.m), (lines_n, args.n)):
-            while len(group) < count:
-                a, b, c = (rng.randint(-bound, bound) for _ in range(3))
-                line = Line(a, b, c) if (a, b) != (0, 0) else None
-                if line is None or line in seen:
-                    rejected += 1
-                    if rejected > RETRY_LIMIT:
-                        raise RetryLimitExceeded(
-                            f"no {args.m + args.n} distinct lines within {RETRY_LIMIT} "
-                            f"rejected draws at coordinate bound {bound}"
-                        )
-                    continue
-                seen.add(line)
-                group.append(line)
+        repeats = 0
+        while len(lines) < count:
+            line = Line(*rng.line(args.bound))
+            if line in seen:
+                repeats += 1
+                if repeats > RETRY_LIMIT:
+                    raise RetryLimitExceeded(
+                        f"no {count} distinct lines within {RETRY_LIMIT} "
+                        f"rejected draws at coordinate bound {args.bound}"
+                    )
+                continue
+            seen.add(line)
+            lines.append(line)
+        lines_m, lines_n = lines[: args.m], lines[args.m :]
         try:
             dependent = cayley_bacharach_check(lines_m, lines_n)
         except DegenerateIntersection:

@@ -1,6 +1,18 @@
 """``gcnlab mdseq FILE --node K``: the greedy line sequence and count vector of one node."""
 
-from . import _InputError, _emit_doc, _node_index, _parse_line_option, _read_nodeset
+from . import _InputError, _emit_doc, _node_index, _read_nodeset
+
+
+def _parse_line_option(text: str):
+    from ..geometry import Line
+
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise _InputError(f"--fix-line expects 'a,b,c', got {text!r}")
+    try:
+        return Line(int(parts[0]), int(parts[1]), int(parts[2]))
+    except (ValueError, TypeError) as exc:
+        raise _InputError(f"bad line coefficients {text!r}: {exc}") from None
 
 
 def run(args) -> int:

@@ -28,7 +28,9 @@ the constructor.  The certificate's entries
 (constants and witnesses) are a view built only when something reads
 them, so a sweep builds none.
 
-Nodes are built on integers and become Fractions only when read.  Two
+Nodes are built on integers and become Fractions only when read.  A
+natural lattice's candidate lines come from ``SplitMix64.line``, and each,
+kept or not, counts against the budget of ``RETRY_LIMIT`` draws.  Two
 random lines ``(a1, b1, c1)`` and ``(a2, b2, c2)`` meet at the homogeneous
 point ``(b1*c2 - b2*c1, a2*c1 - a1*c2, a1*b2 - a2*b1)``, taken with a
 positive last entry w; over the lcm D of all w, a natural lattice is a
@@ -95,15 +97,6 @@ class GeneratorSpec(Value):
         object.__setattr__(self, "coordinate_bound", coordinate_bound)
 
 
-def _random_line(rng: SplitMix64, bound: int) -> tuple[int, int, int]:
-    while True:
-        a = rng.randint(-bound, bound)
-        b = rng.randint(-bound, bound)
-        c = rng.randint(-bound, bound)
-        if (a, b) != (0, 0):
-            return a, b, c
-
-
 def _general_position_meets(
     rng: SplitMix64, count: int, bound: int
 ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int, int, int]]]:
@@ -127,7 +120,7 @@ def _general_position_meets(
                 f"no general-position configuration of {count} lines within "
                 f"{RETRY_LIMIT} draws at coordinate bound {bound}"
             )
-        a, b, c = _random_line(rng, bound)
+        a, b, c = rng.line(bound)
         g = gcd(a, b)
         if a < 0 or (a == 0 and b < 0):
             g = -g

@@ -29,9 +29,9 @@ node-file loader built.  Certification, maximal lines,
 sequences, the generators and the Vandermonde rows all read these
 integers, and ``len`` counts them.  The lines through two nodes
 (``xs.keys``) and the maximal lines (``xs.maximal``) are built when first
-read.  A generated or loaded set is held as its index alone, and its
-points (``xs.nodes``) are built from it when first read, by equality,
-hashing, pickling or the repr.
+read.  Every set, however it was built, is held as its index alone, and
+its points (``xs.nodes``) are built from it when first read, by
+equality, hashing, pickling or the repr.
 
 Every value type of the package derives from :class:`Value`, defined
 here.  A subclass names its fields once, in constructor order:
@@ -283,10 +283,12 @@ class NodeSet(Value):
     Node order is significant only for indexing (certificates, CLI output);
     every predicate in this package is order-invariant.
 
-    ``scale`` is the lcm D of all coordinate denominators and ``coords``
-    the integer nodes ``(D*x, D*y)``.  ``keys``, built on first use, maps
-    the primitive equation ``(A, B, C)`` of each line through two nodes,
-    ``A*X + B*Y + C = 0`` in the integer coordinates with ``(A, B)``
+    A set holds ``degree``, ``scale``, ``coords`` and ``labels``, however
+    it was built; ``nodes``, the points, are built from the index when
+    first read.  ``scale`` is the lcm D of all coordinate denominators and
+    ``coords`` the integer nodes ``(D*x, D*y)``.  ``keys``, built on first
+    use, maps the primitive equation ``(A, B, C)`` of each line through two
+    nodes, ``A*X + B*Y + C = 0`` in the integer coordinates with ``(A, B)``
     coprime and its first nonzero positive, to the line's node bitmask:
     bit j is set iff node j lies on the line.  Lines are listed in the
     order their first node pair appears in the pair enumeration ``(0, 1),
@@ -301,11 +303,9 @@ class NodeSet(Value):
     def __init__(
         self, degree: int, nodes: Sequence[Point], labels: Sequence[str] | None = None
     ):
-        nodes = tuple(nodes)
         # D is the lcm of reduced denominators, so D and the integer nodes have gcd 1
         d, flat = _clear([c for p in nodes for c in (p.x, p.y)])
         self._store(degree, d, tuple(zip(flat[::2], flat[1::2])), labels)
-        object.__setattr__(self, "nodes", nodes)
 
     @classmethod
     def _scaled(
@@ -362,7 +362,7 @@ class NodeSet(Value):
 
     @cached_property
     def nodes(self) -> tuple[Point, ...]:
-        """The points of a set held as its index (the constructor stores them instead)."""
+        """The points, built from the index when first read."""
         Fraction = _fraction()
         d = self.scale
         return tuple(Point(Fraction(x, d), Fraction(y, d)) for x, y in self.coords)

@@ -122,10 +122,7 @@ def annihilator(xs: NodeSet) -> Poly | None:
     non-poised set of full size this exhibits the kernel witness promised
     by the rank criterion.
     """
-    rows = _integer_vandermonde(xs, xs.degree)
-    if not rows:
-        return Poly.from_coeff_dict({(0, 0): 1}, xs.degree)
-    basis = linalg.nullspace_basis(rows)
+    basis = linalg.nullspace_basis(_integer_vandermonde(xs, xs.degree), dim_pi(xs.degree))
     return Poly(xs.degree, tuple(basis[0])) if basis else None
 
 

@@ -14,9 +14,12 @@ Bounded integers come from rejection sampling, never plain modulo, so the
 stream is bias-free and independent of the range's divisibility
 properties: an integer in [lo, hi] with span s = hi - lo + 1 is
 ``lo + r % s`` for the first output r below the largest multiple of s
-that is at most 2**64.  A rational is a numerator drawn in [-bound, bound]
-over a denominator then drawn in [1, bound], returned as that pair divided
-by its gcd.
+that is at most 2**64.  The composite draws are part of the contract too.
+A rational is a numerator drawn in [-bound, bound] over a denominator then
+drawn in [1, bound], returned as that pair divided by its gcd.  A line
+``a*x + b*y + c = 0`` is a, b and c drawn in [-bound, bound] in that order,
+all three drawn again while a = b = 0.  A choice among n items is the item
+at an index drawn in [0, n - 1].
 """
 
 from __future__ import annotations
@@ -53,14 +56,12 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK
 
-    # next_u64 and randint inline mix64, which saves a call per draw (about
-    # a tenth of a randint); a sweep trial draws a dozen times or more.
     def next_u64(self) -> int:
-        z = self._state = (self._state + _GAMMA) & _MASK
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        self._state = (self._state + _GAMMA) & _MASK
+        return mix64(self._state)
 
+    # randint inlines mix64, which saves a call per draw (about a tenth of a
+    # randint); a sweep trial draws a dozen times or more.
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], by rejection sampling."""
         if lo > hi:
@@ -87,6 +88,20 @@ class SplitMix64:
         den = self.randint(1, bound)
         g = gcd(num, den)
         return num // g, den // g
+
+    def line(self, bound: int) -> tuple[int, int, int]:
+        """``(a, b, c)`` of a line ``a*x + b*y + c = 0``, as drawn (not canonicalized).
+
+        Draws a, b and c in [-bound, bound] in that order, all three again while a = b = 0.
+        """
+        if bound < 1:
+            raise ValueError("bound must be positive")
+        while True:
+            a = self.randint(-bound, bound)
+            b = self.randint(-bound, bound)
+            c = self.randint(-bound, bound)
+            if a or b:
+                return a, b, c
 
     def choice(self, items):
         seq = list(items)

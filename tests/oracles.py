@@ -825,6 +825,13 @@ class ReferenceSplitMix64:
         items = list(items)
         return items[self.randint(0, len(items) - 1)]
 
+    def line(self, bound):
+        # a, b and c in [-bound, bound], drawn again while a = b = 0
+        while True:
+            a, b, c = (self.randint(-bound, bound) for _ in range(3))
+            if (a, b) != (0, 0):
+                return a, b, c
+
 
 def _general_position_lines_fraction(rng, count, bound):
     lines = []
@@ -836,13 +843,7 @@ def _general_position_lines_fraction(rng, count, bound):
                 f"no general-position configuration of {count} lines within "
                 f"{RETRY_LIMIT} draws at coordinate bound {bound}"
             )
-        while True:
-            a = rng.randint(-bound, bound)
-            b = rng.randint(-bound, bound)
-            c = rng.randint(-bound, bound)
-            if (a, b) != (0, 0):
-                break
-        candidate = Line(a, b, c)
+        candidate = Line(*rng.line(bound))
         if candidate in lines:
             continue
         if general_position(lines + [candidate]):

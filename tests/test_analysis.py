@@ -185,6 +185,12 @@ class TestIncidenceProfile:
         with pytest.raises(CenterInTarget):
             incidence_profile(cy2, 0, (0, 1))
 
+    def test_index_out_of_range(self, cy2):
+        with pytest.raises(IndexError, match="center index 6 out of range"):
+            incidence_profile(cy2, len(cy2))
+        with pytest.raises(IndexError, match="target index -1 out of range"):
+            incidence_profile(cy2, 0, (1, -1))
+
     def test_repeated_target_rejected(self, cy2):
         with pytest.raises(ValueError, match="repeats a node index"):
             incidence_profile(cy2, 0, (1, 1, 2))

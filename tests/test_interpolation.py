@@ -291,6 +291,10 @@ class TestAnnihilator:
         for node in grid_3x3().nodes:
             assert evaluate(p, node) == 0
 
+    @pytest.mark.parametrize("n", range(4))
+    def test_empty_set_gives_the_constant_one(self, n):
+        assert annihilator(NodeSet(n, ())) == Poly.constant(1, n)
+
 
 class TestInterpolate:
     def test_zero_data(self, triangle):

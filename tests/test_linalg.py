@@ -301,6 +301,13 @@ class TestSolveSquare:
         m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
         assert solve_square(m, [[Fraction(1), Fraction(1)]]) is None
 
+    def test_shape_errors(self):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            solve_square([[Fraction(1), Fraction(2)]], [[Fraction(1)]])
+        m = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+        with pytest.raises(ValueError, match="rhs columns must have one entry per row"):
+            solve_square(m, [[Fraction(1)]])
+
     def test_multiple_rhs_shared_elimination(self):
         m = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
         sols = solve_square(m, [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(2)]])

@@ -214,3 +214,19 @@ class TestEvaluateAlgebra:
     def test_degree_bound_cap(self):
         with pytest.raises(ValueError):
             Poly.zero(13)
+
+    @given(polys(3), polys(3))
+    @settings(max_examples=60)
+    def test_negation_and_difference(self, p, q):
+        pt = Point(Fraction(2, 3), Fraction(-1, 2))
+        assert (-p).at(pt) == -p.at(pt)
+        assert (p - q).at(pt) == p.at(pt) - q.at(pt)
+        assert (p - p).is_zero()
+
+    def test_wrong_number_of_coefficients(self):
+        with pytest.raises(ValueError, match="need 3 coefficients for degree 1, got 2"):
+            Poly(1, (1, 2))
+
+    def test_monomial_above_the_bound(self):
+        with pytest.raises(ValueError, match="exceeds degree bound 2"):
+            Poly.from_coeff_dict({(2, 1): 1}, 2)

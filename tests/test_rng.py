@@ -65,6 +65,19 @@ def test_rational(seed, bound):
         assert gcd(num, den) == 1 and 0 < den <= bound and abs(num) <= bound
 
 
+@pytest.mark.parametrize("bound", (1, 2, 8))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_line(seed, bound):
+    rng, reference = SplitMix64(seed), ReferenceSplitMix64(seed)
+    got = [rng.line(bound) for _ in range(100)]
+    assert got == [reference.line(bound) for _ in range(100)]
+    for a, b, c in got:
+        assert (a, b) != (0, 0)
+        assert max(abs(a), abs(b), abs(c)) <= bound
+    # both streams consumed the same number of outputs, redraws included
+    assert rng.next_u64() == reference.next_u64()
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_choice(seed):
     rng, reference = SplitMix64(seed), ReferenceSplitMix64(seed)
@@ -87,3 +100,5 @@ def test_empty_range_and_sequence():
         rng.choice(())
     with pytest.raises(ValueError):
         rng.rational(0)
+    with pytest.raises(ValueError):
+        rng.line(0)

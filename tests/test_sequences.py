@@ -492,9 +492,16 @@ class TestPrimaryZeroDivisibility:
         pts1 = [Point(t, 0) for t in range(-2, 3)]
         pts2 = [Point(0, t) for t in (0, 1, 2, 3)]  # (0, 0) sits on l1
         p = sample_vanishing_poly(4, pts1 + pts2[1:], seed=9)
-        if p.at(Point(0, 0)) != 0:
-            with pytest.raises(ValueError):
-                primary_zero_divisibility(p, [(l1, pts1), (l2, pts2)])
+        assert p.at(Point(0, 0)) == 0  # a zero of p, but on l1: rejected all the same
+        with pytest.raises(ValueError, match=r"lies on an earlier line of the suffix"):
+            primary_zero_divisibility(p, [(l1, pts1), (l2, pts2)])
+
+    def test_repeated_primary_zero_rejected(self):
+        line = Line(0, 1, 0)
+        pts = [Point(t, 0) for t in range(4)] + [Point(0, 0)]
+        p = sample_vanishing_poly(4, pts, seed=5)
+        with pytest.raises(ValueError, match="line at position 0 repeats a primary zero"):
+            primary_zero_divisibility(p, [(line, pts)])
 
     def test_nonvanishing_rejected(self):
         line = Line(0, 1, 0)

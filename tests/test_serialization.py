@@ -239,6 +239,8 @@ class TestMalformedDocuments:
                 _witness_key(lambda a, b, c: f" +{a},{b},{c}"),
                 id="witness-key-padded",
             ),
+            # three integers, but a = b = 0: "is not a line"
+            pytest.param(load_certificate, _witness_key(lambda a, b, c: "0,0,1"), id="witness-key-no-line"),
             pytest.param(load_nodeset, _set("degree", -1), id="nodeset-negative-degree"),
             pytest.param(load_certificate, _set("degree", -1), id="certificate-negative-degree"),
         ],
