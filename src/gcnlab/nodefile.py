@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -53,8 +54,16 @@ def _ratio(text: Any) -> tuple[int, int]:
     if match is None:
         raise BadRational(f"not an exact rational string: {text!r}")
     numerator, denominator = match.groups()
-    p = int(numerator)
-    q = 1 if denominator is None else int(denominator)
+    try:
+        p = int(numerator)
+        q = 1 if denominator is None else int(denominator)
+    except ValueError:
+        # past sys.get_int_max_str_digits(); the digits are not echoed
+        digits = max(len(numerator.lstrip("-")), len(denominator or ""))
+        raise BadRational(
+            f"rational with a {digits}-digit integer exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit limit"
+        ) from None
     if q == 0:
         raise BadRational(f"zero denominator in {text!r}")
     return p, q
@@ -84,6 +93,12 @@ def _loads(text: str, what: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed {what} document at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError:
+        # an integer literal past sys.get_int_max_str_digits()
+        raise ParseError(
+            f"malformed {what} document: an integer exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit limit"
+        ) from None
 
 
 def _expect(condition: bool, message: str) -> None:

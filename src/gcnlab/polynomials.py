@@ -9,7 +9,11 @@ order
 i.e. ordered by total degree and, inside one degree block, by decreasing
 exponent of x.  This order is fixed globally: Vandermonde columns and every
 serialized coefficient list follow it, so artifacts are byte-comparable
-across runs.
+across runs.  It is a prefix order: the coefficients of a polynomial of
+bound ``n`` are the first ``dim_pi(n)`` of the same polynomial at any
+higher bound, and ``x^i y^j`` sits at position ``d(d+1)/2 + j``, with
+``d = i + j``, at every bound (:func:`_position`).  Sums, products with a
+line and quotients by a line work on the coefficient tuples by position.
 
 Divisibility by a line is decided by exact remainder (synthetic long
 division along the line's leading variable), never by evaluating at sample
@@ -23,6 +27,7 @@ not load it.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import NotDivisible, ZeroPolynomial
@@ -57,9 +62,10 @@ def monomials(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((d - k, k) for d in range(n + 1) for k in range(d + 1))
 
 
-@lru_cache(maxsize=None)
-def _monomial_index(n: int) -> dict[tuple[int, int], int]:
-    return {ij: pos for pos, ij in enumerate(monomials(n))}
+def _position(i: int, j: int) -> int:
+    """Position of ``x^i y^j`` in the graded-lex order, the same at every bound >= i + j."""
+    d = i + j
+    return d * (d + 1) // 2 + j
 
 
 class Poly(Value):
@@ -95,11 +101,10 @@ class Poly(Value):
     @classmethod
     def from_coeff_dict(cls, entries: Mapping[tuple[int, int], RationalLike], n: int) -> "Poly":
         c = [0] * dim_pi(n)
-        index = _monomial_index(n)
         for (i, j), v in entries.items():
             if i < 0 or j < 0 or i + j > n:
                 raise ValueError(f"monomial x^{i} y^{j} exceeds degree bound {n}")
-            c[index[(i, j)]] = to_scalar(v)
+            c[_position(i, j)] = to_scalar(v)
         return cls(n, tuple(c))
 
     # --- inspection ---------------------------------------------------------
@@ -119,11 +124,9 @@ class Poly(Value):
     # --- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(self.degree_bound, other.degree_bound)
-        out: dict[tuple[int, int], Fraction] = dict(self.as_dict())
-        for ij, c in other.as_dict().items():
-            out[ij] = out.get(ij, 0) + c
-        return Poly.from_coeff_dict(out, n)
+        # the prefix order pads the lower bound's coefficients with zeros
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return Poly(max(self.degree_bound, other.degree_bound), tuple(u + v for u, v in pairs))
 
     def __neg__(self) -> "Poly":
         return Poly(self.degree_bound, tuple(-c for c in self.coeffs))
@@ -166,57 +169,56 @@ def evaluate(p: Poly, pt: Point) -> Fraction:
 
 def multiply_line(p: Poly, line: Line) -> Poly:
     """The product ``p * (a*x + b*y + c)``, with degree bound raised by one."""
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, j), c in p.as_dict().items():
-        for ij, f in (((i + 1, j), line.a), ((i, j + 1), line.b), ((i, j), line.c)):
-            if f:
-                out[ij] = out.get(ij, 0) + f * c
-    return Poly.from_coeff_dict(out, p.degree_bound + 1)
+    a, b, c = line.coefficients
+    out = [0] * dim_pi(p.degree_bound + 1)
+    for (i, j), v in zip(monomials(p.degree_bound), p.coeffs):
+        if v:
+            k = _position(i, j)
+            if c:
+                out[k] += c * v
+            # x^(i+1) y^j and x^i y^(j+1) open the next degree block
+            if a:
+                out[k + i + j + 1] += a * v
+            if b:
+                out[k + i + j + 2] += b * v
+    return Poly(p.degree_bound + 1, tuple(out))
 
 
 def divide_by_line(p: Poly, line: Line) -> Poly:
     """Exact quotient ``p / (a*x + b*y + c)``; the remainder must vanish.
 
-    The divisor is linear in its leading variable (x when a != 0, else y),
-    so synthetic long division along that variable yields the unique
-    quotient and a remainder free of the leading variable.  Divisibility
-    holds iff that remainder is identically zero; otherwise NotDivisible is
-    raised.  On success ``multiply_line(result, line) == p`` coefficientwise.
+    One synthetic long division runs along the divisor's leading variable:
+    along x, with lead ``a`` and cross term ``b*y``, when ``a != 0``; else
+    the same loop reads the exponents in the other order, with lead ``b``
+    and no cross term.  It yields the unique quotient and a remainder free
+    of the leading variable, and divisibility holds iff that remainder is
+    identically zero; otherwise NotDivisible is raised.  On success
+    ``multiply_line(result, line) == p`` coefficientwise.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot divide the zero polynomial by a line")
     n = p.degree_bound
     if n == 0:
         raise NotDivisible(f"nonzero constant has no factor {line}")
-    table = dict(p.as_dict())
-    quotient: dict[tuple[int, int], Fraction] = {}
-    if line.a != 0:
-        # Divide along x by a*x + (b*y + c).
-        for i in range(n, 0, -1):
-            for j in range(n - i + 1):
-                c = table.pop((i, j), 0)
-                if c == 0:
-                    continue
-                q = c / line.a
-                quotient[(i - 1, j)] = q
-                if line.b:
-                    table[(i - 1, j + 1)] = table.get((i - 1, j + 1), 0) - q * line.b
-                if line.c:
-                    table[(i - 1, j)] = table.get((i - 1, j), 0) - q * line.c
+    if line.a:
+        lead, cross, at = line.a, line.b, _position
     else:
-        # Divide along y by b*y + c (here a == 0, so b != 0).
-        for j in range(n, 0, -1):
-            for i in range(n - j + 1):
-                c = table.pop((i, j), 0)
-                if c == 0:
-                    continue
-                q = c / line.b
-                quotient[(i, j - 1)] = q
-                if line.c:
-                    table[(i, j - 1)] = table.get((i, j - 1), 0) - q * line.c
-    if any(v != 0 for v in table.values()):
+        lead, cross, at = line.b, 0, lambda u, v: _position(v, u)
+    table = list(p.coeffs)
+    quotient = [0] * dim_pi(n - 1)
+    for u in range(n, 0, -1):
+        for v in range(n - u + 1):
+            r = table[at(u, v)]
+            if r == 0:
+                continue
+            q = quotient[at(u - 1, v)] = r / lead
+            if cross:
+                table[at(u - 1, v + 1)] -= q * cross
+            if line.c:
+                table[at(u - 1, v)] -= q * line.c
+    if any(table[at(0, v)] for v in range(n + 1)):
         raise NotDivisible(f"{line} leaves a nonzero remainder")
-    return Poly.from_coeff_dict({ij: c for ij, c in quotient.items() if c != 0}, n - 1)
+    return Poly(n - 1, tuple(quotient))
 
 
 def format_poly(p: Poly) -> str:

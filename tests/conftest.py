@@ -44,6 +44,15 @@ def built_indexes(monkeypatch):
     return built
 
 
+@pytest.fixture
+def too_many_digits():
+    """A decimal integer one digit past ``sys.get_int_max_str_digits()``; skips where there is no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None or limit() == 0:
+        pytest.skip("this Python has no integer string conversion limit")
+    return "7" * (limit() + 1)
+
+
 def index_of(xs):
     """A node set's incidence index, ``(degree, scale, coords)``, for comparing two sets' indexes."""
     return (xs.degree, xs.scale, xs.coords)

@@ -96,6 +96,13 @@ replaced: it computes the viewport, the pixels and the clipping of each
 line against the four sides (with :func:`~gcnlab.intersect`) in Fraction
 arithmetic, and converts with ``float(Fraction)``.
 
+:func:`poly_add_dict`, :func:`multiply_line_dict` and
+:func:`divide_by_line_dict` are ``Poly.__add__``, ``multiply_line`` and
+``divide_by_line`` as they were before the library worked on coefficient
+positions: they go through ``as_dict`` dictionaries keyed by exponent
+pair, divide along x and along y in two loops, and build the result from
+a dictionary over an index made by enumerating :func:`~gcnlab.monomials`.
+
 :class:`DataclassPoint` and :class:`DataclassLine` are the frozen, ordered
 dataclasses that ``Point`` and ``Line`` were before they became plain
 classes; the tests compare construction, errors, equality, hashing, order
@@ -125,6 +132,7 @@ from gcnlab import (
     NotGC,
     NotPoised,
     DuplicateLine,
+    Poly,
     ParallelLines,
     ParseError,
     Point,
@@ -137,6 +145,7 @@ from gcnlab import (
     is_incident,
     is_poised,
     line_incidence,
+    monomials,
     to_scalar,
 )
 from gcnlab.generators import RETRY_LIMIT
@@ -449,6 +458,69 @@ def poly_multiply_naive(d1, d2):
             key = (i1 + i2, j1 + j2)
             out[key] = out.get(key, Fraction(0)) + c1 * c2
     return {k: v for k, v in out.items() if v != 0}
+
+
+def _poly_from_dict(entries, n):
+    """The Poly of bound ``n`` with the coefficients in ``entries``, placed by enumerating monomials(n)."""
+    index = {ij: pos for pos, ij in enumerate(monomials(n))}
+    c = [0] * dim_pi(n)
+    for ij, v in entries.items():
+        c[index[ij]] = v
+    return Poly(n, tuple(c))
+
+
+def poly_add_dict(p, q):
+    """``p + q`` by adding the coefficient dictionaries, at the larger bound."""
+    out = dict(p.as_dict())
+    for ij, c in q.as_dict().items():
+        out[ij] = out.get(ij, 0) + c
+    return _poly_from_dict(out, max(p.degree_bound, q.degree_bound))
+
+
+def multiply_line_dict(p, line):
+    """``p * (a*x + b*y + c)`` by dictionary, at bound one higher."""
+    out = {}
+    for (i, j), c in p.as_dict().items():
+        for ij, f in (((i + 1, j), line.a), ((i, j + 1), line.b), ((i, j), line.c)):
+            if f:
+                out[ij] = out.get(ij, 0) + f * c
+    return _poly_from_dict(out, p.degree_bound + 1)
+
+
+def divide_by_line_dict(p, line):
+    """Exact quotient by long division on a dictionary: along x when a != 0, else along y."""
+    if p.is_zero():
+        raise ZeroPolynomial("cannot divide the zero polynomial by a line")
+    n = p.degree_bound
+    if n == 0:
+        raise NotDivisible(f"nonzero constant has no factor {line}")
+    table = dict(p.as_dict())
+    quotient = {}
+    if line.a != 0:
+        for i in range(n, 0, -1):
+            for j in range(n - i + 1):
+                c = table.pop((i, j), 0)
+                if c == 0:
+                    continue
+                q = c / line.a
+                quotient[(i - 1, j)] = q
+                if line.b:
+                    table[(i - 1, j + 1)] = table.get((i - 1, j + 1), 0) - q * line.b
+                if line.c:
+                    table[(i - 1, j)] = table.get((i - 1, j), 0) - q * line.c
+    else:
+        for j in range(n, 0, -1):
+            for i in range(n - j + 1):
+                c = table.pop((i, j), 0)
+                if c == 0:
+                    continue
+                q = c / line.b
+                quotient[(i, j - 1)] = q
+                if line.c:
+                    table[(i, j - 1)] = table.get((i, j - 1), 0) - q * line.c
+    if any(v != 0 for v in table.values()):
+        raise NotDivisible(f"{line} leaves a nonzero remainder")
+    return _poly_from_dict({ij: c for ij, c in quotient.items() if c != 0}, n - 1)
 
 
 def greedy_counts_recount(node_points, ordered_lines):

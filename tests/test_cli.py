@@ -487,6 +487,15 @@ class TestErrorPaths:
         code, _ = run(capsys, "check-poised", str(path))
         assert code == 2
 
+    def test_oversized_coordinate(self, capsys, tmp_path, too_many_digits):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"degree": 0, "nodes": [[too_many_digits, "0"]]}))
+        code = main(["check-poised", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("gcnlab: ") and err.count("\n") == 1
+        assert "set_int_max_str_digits" not in err
+
     @pytest.mark.parametrize("command", ["check-poised", "plot", "maximal-lines"])
     def test_non_utf8_file_names_the_file(self, capsys, tmp_path, command):
         path = tmp_path / "latin1.json"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcnlab import (
+    MAX_DEGREE,
     Line,
     NotDivisible,
     Point,
@@ -20,15 +21,29 @@ from gcnlab import (
     multiply_line,
 )
 from gcnlab.linalg import nullspace_basis
+from gcnlab.polynomials import _position
 from gcnlab.rng import SplitMix64
 
-from oracles import poly_multiply_naive, vandermonde_naive
+from oracles import (
+    divide_by_line_dict,
+    multiply_line_dict,
+    poly_add_dict,
+    poly_multiply_naive,
+    vandermonde_naive,
+)
 
 coeff = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 line_coeffs = st.tuples(
     st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6)
 ).filter(lambda t: (t[0], t[1]) != (0, 0))
 lines = st.builds(lambda t: Line(*t), line_coeffs)
+# general lines and lines with a = 0, b = 0 or c = 0
+any_lines = st.one_of(
+    lines,
+    st.builds(lambda b, c: Line(0, b, c), st.integers(-6, 6).filter(bool), st.integers(-6, 6)),
+    st.builds(lambda a, c: Line(a, 0, c), st.integers(-6, 6).filter(bool), st.integers(-6, 6)),
+    line_coeffs.map(lambda t: Line(t[0], t[1], 0)),
+)
 
 
 def polys(max_degree=4):
@@ -59,6 +74,18 @@ class TestMonomialOrder:
     def test_block_lengths(self):
         for n in range(7):
             assert len(monomials(n)) == dim_pi(n)
+
+
+class TestPositions:
+    def test_lower_bounds_are_prefixes(self):
+        for n in range(MAX_DEGREE + 1):
+            assert monomials(n) == monomials(MAX_DEGREE)[: dim_pi(n)]
+
+    def test_position_formula(self):
+        order = monomials(MAX_DEGREE)
+        for i in range(MAX_DEGREE + 1):
+            for j in range(MAX_DEGREE + 1 - i):
+                assert _position(i, j) == order.index((i, j))
 
 
 class TestEvaluate:
@@ -230,3 +257,71 @@ class TestEvaluateAlgebra:
     def test_monomial_above_the_bound(self):
         with pytest.raises(ValueError, match="exceeds degree bound 2"):
             Poly.from_coeff_dict({(2, 1): 1}, 2)
+
+
+def _same(got, want):
+    assert got.degree_bound == want.degree_bound
+    assert got.coeffs == want.coeffs
+
+
+def _outcome(f, *args):
+    """``("ok", result)`` or ``(exception type, message)`` of a call."""
+    try:
+        return "ok", f(*args)
+    except (NotDivisible, ZeroPolynomial, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstDictReference:
+    """Positional arithmetic gives the dictionary reference's coefficients, bounds and errors."""
+
+    @given(polys(5), polys(5))
+    @settings(max_examples=60)
+    def test_add_and_subtract(self, p, q):
+        _same(p + q, poly_add_dict(p, q))
+        _same(p - q, poly_add_dict(p, -q))
+
+    @given(polys(5), any_lines)
+    @settings(max_examples=80)
+    def test_multiply_line(self, p, line):
+        _same(multiply_line(p, line), multiply_line_dict(p, line))
+
+    @given(polys(5), any_lines, st.booleans())
+    @settings(max_examples=100)
+    def test_divide_by_line(self, p, line, divisible):
+        if divisible and p.degree_bound < 5:
+            p = multiply_line_dict(p, line)
+        self._compare(p, line)
+
+    @given(polys(4), any_lines, st.data())
+    @settings(max_examples=100)
+    def test_divide_a_product_plus_one_monomial(self, r, line, data):
+        # the monomial alone is the remainder when it is free of the leading variable
+        n = r.degree_bound + 1
+        i, j = data.draw(st.sampled_from(monomials(n)))
+        p = multiply_line_dict(r, line) + Poly.from_coeff_dict({(i, j): 1}, n)
+        self._compare(p, line)
+
+    @staticmethod
+    def _compare(p, line):
+        got, want = _outcome(divide_by_line, p, line), _outcome(divide_by_line_dict, p, line)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            _same(got[1], want[1])
+        else:
+            assert got == want
+
+    @given(any_lines)
+    def test_divide_zero(self, line):
+        for n in range(4):
+            got = _outcome(divide_by_line, Poly.zero(n), line)
+            assert got == _outcome(divide_by_line_dict, Poly.zero(n), line)
+            assert got[0] is ZeroPolynomial
+
+    @given(any_lines)
+    @settings(max_examples=20)
+    def test_multiply_at_the_cap(self, line):
+        p = Poly.constant(3, MAX_DEGREE)
+        got = _outcome(multiply_line, p, line)
+        assert got == _outcome(multiply_line_dict, p, line)
+        assert got[0] is ValueError

@@ -60,6 +60,29 @@ class TestRationals:
         assert parse_rational(format_rational(q)) == q
 
 
+class TestOversizedIntegers:
+    """Integers past the interpreter's string conversion limit are schema errors, not bare ValueErrors."""
+
+    @pytest.mark.parametrize("form", ["{}", "-{}", "1/{}", "{}/3"])
+    def test_parse_rational(self, too_many_digits, form):
+        digits = len(too_many_digits)
+        message = f"^rational with a {digits}-digit integer exceeds the {digits - 1}-digit limit$"
+        with pytest.raises(BadRational, match=message):
+            parse_rational(form.format(too_many_digits))
+
+    def test_node_coordinate(self, too_many_digits):
+        doc = json.dumps({"degree": 0, "nodes": [[too_many_digits, "0"]]})
+        with pytest.raises(BadRational):
+            load_nodeset(doc)
+
+    def test_degree_literal(self, too_many_digits):
+        doc = '{"degree": %s, "nodes": []}' % too_many_digits
+        limit = len(too_many_digits) - 1
+        message = f"^malformed node set document: an integer exceeds the {limit}-digit limit$"
+        with pytest.raises(ParseError, match=message):
+            load_nodeset(doc)
+
+
 class TestNodeSetDocuments:
     def test_minimal_document(self):
         xs = load_nodeset('{"degree":1,"nodes":[["0","0"],["1","0"],["0","1"]]}')
