@@ -12,7 +12,10 @@ def _parse_line_option(text: str):
     try:
         return Line(int(parts[0]), int(parts[1]), int(parts[2]))
     except (ValueError, TypeError) as exc:
-        raise _InputError(f"bad line coefficients {text!r}: {exc}") from None
+        from ..nodefile import _too_long
+
+        too_long = _too_long("--fix-line coefficient", parts)
+        raise _InputError(too_long or f"bad line coefficients {text!r}: {exc}") from None
 
 
 def run(args) -> int:

@@ -15,7 +15,9 @@ from typing import TYPE_CHECKING, Any
 
 from .errors import ParseError
 from .geometry import Line
-from .nodefile import _expect, _is_int, _line_key, _loads, nodeset_from_dict, parse_rational
+from .nodefile import (
+    _expect, _is_int, _line_key, _loads, _too_long, nodeset_from_dict, parse_rational,
+)
 
 if TYPE_CHECKING:
     from .analysis import GMReport, SearchSummary
@@ -87,7 +89,8 @@ def certificate_from_dict(doc: Any) -> GCCertificate:
             try:
                 line = Line(int(parts[0]), int(parts[1]), int(parts[2]))
             except ValueError as exc:
-                raise ParseError(f"witness key {key!r} is not a line: {exc}") from None
+                too_long = _too_long("witness key", parts)
+                raise ParseError(too_long or f"witness key {key!r} is not a line: {exc}") from None
             _expect(key == _line_key(line),
                     f"witness key {key!r} is not canonical; {line} is {_line_key(line)!r}")
             _expect(_is_int_list(ids), f"witnesses of {key!r} must be a list of node indices")
@@ -209,7 +212,11 @@ def summary_from_dict(doc: Any) -> SearchSummary:
     for k, v in raw_counts.items():
         _expect(_INTEGER_RE.fullmatch(k) is not None and _is_int(v),
                 f"use_count_max entry {k!r}: {v!r} must map an integer key to an integer")
-        _expect(str(int(k)) == k, f"use_count_max key {k!r} is not canonical; write {str(int(k))!r}")
+        try:
+            count = int(k)
+        except ValueError:
+            raise ParseError(_too_long("use_count_max key", (k,))) from None
+        _expect(str(count) == k, f"use_count_max key {k!r} is not canonical; write {str(count)!r}")
     return SearchSummary(
         degree=degree,
         trials=trials,

@@ -66,22 +66,23 @@ def maximal_lines(xs: NodeSet) -> set[Line]:
     return {line for line, _ in xs.maximal}
 
 
-def _maximal_covers(cert: GCCertificate) -> Iterator[tuple[Line, int]]:
-    """The maximal lines of a certified set and their node masks, in line order.
+def _maximal_covers(cert: GCCertificate) -> Iterator[tuple[int, int]]:
+    """The maximal lines of a certified set, as positions in its cover lines, and their node masks.
 
     A maximal line is a factor of the fundamental polynomial of every node
     off it, so the maximal lines are the cover lines with more than n
     nodes (no line of a poised set holds more than n + 1), and the cover
-    lines are in line order already.
+    lines are in line order already.  Only the masks are read, so no
+    :class:`Line` is built.
     """
     n = cert.degree
-    return ((line, mask) for line, mask in zip(cert.lines, cert.masks) if mask.bit_count() > n)
+    return ((f, mask) for f, mask in enumerate(cert.masks) if mask.bit_count() > n)
 
 
 def gm_report_from_certificate(cert: GCCertificate) -> GMReport:
     """Build the GM report for an already-certified set, from its cover table."""
     n = cert.degree
-    maximal = tuple((line, _bits(mask)) for line, mask in _maximal_covers(cert))
+    maximal = tuple((cert.lines[f], _bits(mask)) for f, mask in _maximal_covers(cert))
     satisfied = bool(maximal)
     return GMReport(
         degree=n,
@@ -263,7 +264,7 @@ def search_counterexample(
             )
         # the lines of one node's cover are distinct, so a line's count is
         # the number of nodes that use it
-        uses = [0] * len(cert.lines)
+        uses = [0] * len(cert.masks)
         for cover in cert.covers:
             for f in cover:
                 uses[f] += 1

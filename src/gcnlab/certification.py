@@ -18,24 +18,28 @@ coordinates to integers ``(X, Y)``, and ``xs.keys``, every line through
 two nodes mapped, under its primitive integer equation ``(A, B, C)``, to
 the bitmask of its nodes, built when first read and kept on the set.  So
 whatever reads the lines after certification (maximal lines, the GM
-report, sequences) reuses them.  A canonical :class:`Line` is built only
-for a line that leaves the index: a cover line, or a line reported to a
-caller.  With r lines left, a line holding at least r + 1 uncovered nodes
-must be chosen (the other r - 1 lines meet it at most once each).  The
-lines are ranked once by node count, largest first, so each forcing pass
-stops at the first line with at most r nodes; after forcing, more than
-r^2 uncovered nodes cannot be covered, and otherwise the search branches
-over the lines through the lowest uncovered node.  Lines through the
+report, sequences) reuses them.  A cover line leaves the index as its
+canonical integer triple, and a :class:`Line` is built only for a line
+reported to a caller.  With r lines left, a line holding at least r + 1
+uncovered nodes must be chosen (the other r - 1 lines meet it at most
+once each).  The lines are ranked once by node count, largest first, so
+each forcing pass stops at the first line with at most r nodes; after
+forcing, more than r^2 uncovered nodes cannot be covered, and otherwise
+the search branches over the lines through the lowest uncovered node.  Lines through the
 node being certified are skipped by a mask test.  When a poised set has
 no cover at some node, :class:`NotGC` names the node and the nodes its
 forced lines left uncovered.
 
 A certificate is a cover table (:class:`GCCertificate`): the distinct
 cover lines, in Line order, and each node's cover as sorted positions in
-them.  The product of node k's lines is its fundamental polynomial up to
-scale exactly when the OR of their zero masks (bit j is set iff the
-line's integer value ``a*X + b*Y + c*D`` at node j is 0) is every node
-but k.  Each line must also carry at least two witnesses, nodes where
+them.  It holds the lines as their canonical integer triples ``(a, b, c)``
+(``triples``) and builds their :class:`Line` objects (``lines``) when
+first read, as a node set builds its points; the zero masks, the order
+check and the rule read the triples, so a sweep that needs only validity
+builds no Line.  The product of node k's lines is its fundamental
+polynomial up to scale exactly when the OR of their zero masks (bit j
+is set iff the line's integer value ``a*X + b*Y + c*D`` at node j is 0)
+is every node but k.  Each line must also carry at least two witnesses, nodes where
 only it vanishes; a repeated line has none.  One pass over a node's
 lines ORs their masks and the nodes seen again, so the witnesses are
 read off the nodes on exactly one line.  :func:`verify_certificate` is
@@ -48,8 +52,9 @@ within range.  It keeps such a table as it is (a natural lattice's
 generator, a copy and an unpickled certificate hand one over), and only
 otherwise puts the distinct lines in Line order and remaps and sorts the
 covers (``certify_gc``, the loader, the principal lattice and affine
-images).  Whatever
-reads a certificate trusts its table.  The entries
+images).  ``certify_gc`` and the generators hand over triples; the
+public constructor takes Line objects and keeps them as ``lines``.
+Whatever reads a certificate trusts its table.  The entries
 (:class:`NodeCertificate`: constant, lines and witnesses) are a view
 derived from the table when first read, so a sweep that needs only
 validity builds none.  Failures raise
@@ -64,7 +69,7 @@ from operator import lt
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvalidCertificate, NotGC, NotPoised
-from .geometry import Key, Line, NodeSet, Value, _bits, _fraction
+from .geometry import Key, Line, NodeSet, Triple, Value, _bits, _fraction
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -107,32 +112,64 @@ class NodeCertificate(Value):
 class GCCertificate(Value):
     """The cover table of a poised set: which lines cover each node.
 
-    ``lines`` holds the distinct cover lines in Line order, and
-    ``covers[k]`` node k's lines as sorted positions in ``lines``.  The
-    constructor takes lines in any order, with the covers as positions in
-    them.  A table whose lines strictly increase in Line order and whose
-    covers strictly increase within ``range(len(lines))`` is stored as
-    given, after one pass that checks just that.  Any other has its
-    distinct lines put in Line order and its covers remapped and sorted;
-    a position outside ``range(len(lines))`` raises InvalidCertificate
-    with reason ``position``, and a repeated one stays, for the rule to
-    reject.  Then :func:`verify_certificate` runs, so a table that breaks
-    the rule raises InvalidCertificate and every certificate, copied and
-    unpickled ones included, has passed.  The incidence index is the node
-    set itself.  ``masks`` and ``entries`` are derived from the table when
-    first read.
+    ``triples`` holds the canonical integer triples ``(a, b, c)`` of the
+    distinct cover lines in Line order, ``lines`` those lines as
+    :class:`Line` objects, and ``covers[k]`` node k's lines as sorted
+    positions in them.  The constructor takes lines in any order, with the
+    covers as positions in them.  A table whose lines strictly increase in
+    Line order and whose covers strictly increase within
+    ``range(len(lines))`` is stored as given, after one pass that checks
+    just that.  Any other has its distinct lines put in Line order and its
+    covers remapped and sorted; a position outside ``range(len(lines))``
+    raises InvalidCertificate with reason ``position``, and a repeated one
+    stays, for the rule to reject.  Then :func:`verify_certificate` runs,
+    so a table that breaks the rule raises InvalidCertificate and every
+    certificate, copied and unpickled ones included, has passed.  The
+    constructor keeps the caller's Line objects as ``lines``; a table built
+    from triples (:meth:`_of_triples`, which the generators and
+    :func:`certify_gc` use) builds them when ``lines`` is first read.  The
+    incidence index is the node set itself.  ``masks`` and ``entries`` are
+    derived from the table when first read.
     """
 
     _fields = ("nodeset", "lines", "covers")
 
     def __init__(self, nodeset: NodeSet, lines: Sequence[Line], covers: Sequence[Sequence[int]]):
         lines = tuple(lines)
+        self._store(nodeset, [line._values() for line in lines], covers, lines)
+
+    @classmethod
+    def _of_triples(
+        cls, nodeset: NodeSet, triples: Sequence[Triple], covers: Sequence[Sequence[int]]
+    ) -> GCCertificate:
+        """The certificate of a table whose lines are canonical triples ``(a, b, c)``.
+
+        It is stored, put in order and verified as the constructor does
+        with Line objects; ``lines`` is built when first read.
+        """
+        cert = object.__new__(cls)
+        cert._store(nodeset, triples, covers)
+        return cert
+
+    def _store(
+        self,
+        nodeset: NodeSet,
+        triples: Sequence[Triple],
+        covers: Sequence[Sequence[int]],
+        lines: tuple[Line, ...] | None = None,
+    ) -> None:
+        """Store the table in canonical order, and ``lines`` as its Line objects if given; verify it."""
         covers = tuple(map(tuple, covers))
-        if not _in_order(lines, covers):
-            lines, covers = _sorted_table(lines, covers)
+        if not _in_order(triples, covers):
+            firsts, covers = _sorted_table(triples, covers)
+            triples = [triples[i] for i in firsts]
+            if lines is not None:
+                lines = tuple(lines[i] for i in firsts)
         object.__setattr__(self, "nodeset", nodeset)
-        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "triples", tuple(triples))
         object.__setattr__(self, "covers", covers)
+        if lines is not None:
+            object.__setattr__(self, "lines", lines)
         verify_certificate(self)
 
     @property
@@ -140,15 +177,20 @@ class GCCertificate(Value):
         return self.nodeset.degree
 
     @cached_property
+    def lines(self) -> tuple[Line, ...]:
+        """The cover lines, built from ``triples`` when first read."""
+        return tuple(Line(*t) for t in self.triples)
+
+    @cached_property
     def masks(self) -> tuple[int, ...]:
         """Each line's zero mask: bit j is set iff the line passes through node j."""
-        return tuple(map(self.nodeset.zero_mask, self.lines))
+        return tuple(map(self.nodeset._mask, self.triples))
 
     @cached_property
     def entries(self) -> tuple[NodeCertificate, ...]:
         """Each node's factorization, read off the verified table."""
         xs = self.nodeset
-        rows = [xs.values(line) for line in self.lines]
+        rows = [xs._row(t) for t in self.triples]
         scale = xs.scale**xs.degree
         entries = []
         for k, cover in enumerate(self.covers):
@@ -162,14 +204,14 @@ class GCCertificate(Value):
         return tuple(entries)
 
 
-def _in_order(lines: tuple[Line, ...], covers: tuple[tuple[int, ...], ...]) -> bool:
+def _in_order(triples: Sequence[Triple], covers: tuple[tuple[int, ...], ...]) -> bool:
     """Whether the table is canonical.
 
-    That is, the lines strictly increase in Line order and each cover
-    strictly increases within ``range(len(lines))``.
+    That is, the lines strictly increase in Line order (their triples
+    strictly increase) and each cover strictly increases within
+    ``range(len(triples))``.
     """
-    keys = [line._values() for line in lines]
-    if not all(map(lt, keys, keys[1:])):
+    if not all(map(lt, triples, triples[1:])):
         return False
     for cover in covers:
         last = -1
@@ -177,34 +219,34 @@ def _in_order(lines: tuple[Line, ...], covers: tuple[tuple[int, ...], ...]) -> b
             if i <= last:
                 return False
             last = i
-        if last >= len(lines):
+        if last >= len(triples):
             return False
     return True
 
 
 def _sorted_table(
-    lines: tuple[Line, ...], covers: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[Line, ...], tuple[tuple[int, ...], ...]]:
+    triples: Sequence[Triple], covers: tuple[tuple[int, ...], ...]
+) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
     """The distinct lines in Line order, and the covers as sorted positions in them.
 
-    Raises InvalidCertificate with reason ``position`` for a position
-    outside ``range(len(lines))``.
+    The distinct lines are returned as the position in ``triples`` of the
+    first copy of each.  Raises InvalidCertificate with reason
+    ``position`` for a position outside ``range(len(triples))``.
     """
     for k, cover in enumerate(covers):
         for i in cover:
-            if not 0 <= i < len(lines):
-                raise _invalid(k, "position", f"{i} is not one of {len(lines)} positions")
-    keys = [line._values() for line in lines]
-    distinct: list[Line] = []
-    position = [0] * len(lines)
+            if not 0 <= i < len(triples):
+                raise _invalid(k, "position", f"{i} is not one of {len(triples)} positions")
+    firsts: list[int] = []
+    position = [0] * len(triples)
     last = None
-    for i in sorted(range(len(lines)), key=keys.__getitem__):
-        if keys[i] != last:
-            last = keys[i]
-            distinct.append(lines[i])
-        position[i] = len(distinct) - 1
+    for i in sorted(range(len(triples)), key=triples.__getitem__):
+        if triples[i] != last:
+            last = triples[i]
+            firsts.append(i)
+        position[i] = len(firsts) - 1
     remap = position.__getitem__
-    return tuple(distinct), tuple(tuple(sorted(map(remap, cover))) for cover in covers)
+    return firsts, tuple(tuple(sorted(map(remap, cover))) for cover in covers)
 
 
 def line_incidence(xs: NodeSet) -> dict[Line, tuple[int, ...]]:
@@ -294,7 +336,7 @@ def certify_gc(xs: NodeSet) -> GCCertificate:
     # factorization of a fundamental polynomial.
     position: dict[Key, int] = {}
     covers = [[position.setdefault(key, len(position)) for key in cover] for cover in covers]
-    return GCCertificate(xs, [xs.line(key) for key in position], covers)
+    return GCCertificate._of_triples(xs, list(map(xs._triple, position)), covers)
 
 
 def _invalid(k: int, reason: str, detail: str) -> InvalidCertificate:

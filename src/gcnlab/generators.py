@@ -14,19 +14,20 @@ and j, is covered by the other n generating lines (Chung & Yao).  The
 principal lattice's node (i, j) is covered by x = a/n (a < i), y = b/n
 (b < j) and x + y = c/n (c > i + j).  An affine map carries each cover to
 the image's cover: node j of an image is the image of base node j, and
-each distinct base line is mapped once.  The distinct lines and each
-node's cover, as positions in them, go to the constructor of the cover
-table (:class:`~gcnlab.certification.GCCertificate`), which verifies it
-once by the certificate rule, evaluating every line at every node.  If
-the rule rejects a construction, InvalidCertificate is raised: an
-internal error, never a property of the set.  A natural lattice hands
-over its lines in Line order and each node's cover as the positions
-``0..n+1`` without the two of its meeting lines, so the constructor keeps
-that table as it is; the principal lattice (built once per degree) and
-affine images, whose lines the map reorders, are put in Line order by
-the constructor.  The certificate's entries
-(constants and witnesses) are a view built only when something reads
-them, so a sweep builds none.
+each distinct base line is mapped once.  Every line is kept as its
+canonical integer triple ``(a, b, c)`` (``geometry._canonical``, the
+normalization of :class:`~gcnlab.geometry.Line`).  The distinct triples
+and each node's cover, as positions in them, go to the cover table
+(:class:`~gcnlab.certification.GCCertificate`), which verifies it once
+by the certificate rule, evaluating every line at every node.  If the
+rule rejects a construction, InvalidCertificate is raised: an internal
+error, never a property of the set.  A natural lattice hands over its
+triples in Line order and each node's cover as the positions ``0..n+1``
+without the two of its meeting lines, so the table is kept as it is; the
+principal lattice (built once per degree) and affine images, whose lines
+the map reorders, are put in Line order by the table.  The certificate's
+``Line`` objects (``lines``) and entries (constants and witnesses) are
+views built only when something reads them, so a sweep builds none.
 
 Nodes are built on integers and become Fractions only when read.  A
 natural lattice's candidate lines come from ``SplitMix64.line``, and each,
@@ -66,7 +67,7 @@ from math import gcd, lcm
 
 from .certification import GCCertificate
 from .errors import RetryLimitExceeded
-from .geometry import Line, NodeSet, Value
+from .geometry import NodeSet, Triple, Value, _canonical
 from .rng import RETRY_LIMIT, SplitMix64
 
 DEFAULT_KINDS = ("chung_yao", "principal", "projective_image")
@@ -141,23 +142,24 @@ def _general_position_meets(
 
 
 # A construction on integers: the scale D, the integer nodes (D*x, D*y), the
-# distinct cover lines, and each node's cover as positions in those lines.
-_Scaled = tuple[int, list[tuple[int, int]], list[Line], list[tuple[int, ...]]]
+# canonical triples of the distinct cover lines, and each node's cover as
+# positions in those lines.
+_Scaled = tuple[int, list[tuple[int, int]], list[Triple], list[tuple[int, ...]]]
 
 
 def _chung_yao_scaled(degree: int, seed: int, bound: int) -> _Scaled:
     """The natural lattice of ``degree + 2`` random lines, over the lcm D of the meets' weights.
 
     Its nodes are sorted, which is the order of the points because D > 0.
-    The lines are returned in Line order, and the node where the lines at
-    positions p < q meet is covered by the other n: the positions
+    The lines' triples are returned in Line order, and the node where the
+    lines at positions p < q meet is covered by the other n: the positions
     ``0..n+1`` without p and q, ascending.
     """
     lines, meets = _general_position_meets(SplitMix64(seed), degree + 2, bound)
     d = lcm(*(w for _, _, w, _, _ in meets))
     nodes = sorted((x * (d // w), y * (d // w), i, j) for x, y, w, i, j in meets)
-    drawn = [Line(*t) for t in lines]
-    order = sorted(range(len(drawn)), key=[line._values() for line in drawn].__getitem__)
+    drawn = [_canonical(*t) for t in lines]
+    order = sorted(range(len(drawn)), key=drawn.__getitem__)
     rank = [0] * len(drawn)
     for p, i in enumerate(order):
         rank[i] = p
@@ -180,9 +182,9 @@ def _principal_scaled(degree: int) -> _Scaled:
     n = degree
     coords = [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
     lines = (
-        [Line(n, 0, -a) for a in range(n)]
-        + [Line(0, n, -b) for b in range(n)]
-        + [Line(n, n, -c) for c in range(1, n + 1)]
+        [_canonical(n, 0, -a) for a in range(n)]
+        + [_canonical(0, n, -b) for b in range(n)]
+        + [_canonical(n, n, -c) for c in range(1, n + 1)]
     )
     covers = [(*range(i), *range(n, n + j), *range(2 * n + i + j, 3 * n)) for i, j in coords]
     return n, coords, lines, covers
@@ -191,7 +193,7 @@ def _principal_scaled(degree: int) -> _Scaled:
 def _certified(degree: int, scaled: _Scaled) -> GCCertificate:
     """The node set of a construction, with its index, certified from its covers."""
     d, coords, lines, covers = scaled
-    return GCCertificate(NodeSet._scaled(degree, d, coords), lines, covers)
+    return GCCertificate._of_triples(NodeSet._scaled(degree, d, coords), lines, covers)
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +217,7 @@ def _projective_image_scaled(degree: int, seed: int, bound: int) -> _Scaled:
     else:
         base = _principal_certified(degree)
         d, coords = base.nodeset.scale, base.nodeset.coords
-        lines, covers = base.lines, base.covers
+        lines, covers = base.triples, base.covers
     for _ in range(RETRY_LIMIT):
         (n00, d00), (n01, d01), (n10, d10), (n11, d11), (nt0, dt0), (nt1, dt1) = (
             rng.rational(bound) for _ in range(6)
@@ -237,10 +239,9 @@ def _projective_image_scaled(degree: int, seed: int, bound: int) -> _Scaled:
             # a*x + b*y + c = 0 with x, y solved from x', y' (k is the determinant)
             k = ax * by - bx * ay
             image = []
-            for line in lines:
-                a, b, c = line.coefficients
+            for a, b, c in lines:
                 p, q = a * by - b * ay, b * ax - a * bx
-                image.append(Line(p * lx, q * ly, c * k - p * cx - q * cy))
+                image.append(_canonical(p * lx, q * ly, c * k - p * cx - q * cy))
             return scale * d, mapped, image, covers
     raise RetryLimitExceeded(f"no invertible affine map within {RETRY_LIMIT} draws")
 

@@ -13,9 +13,12 @@ on a set's integers, as most CLI commands do, never loads it, nor the
 A line is the zero set of ``a*x + b*y + c`` and is stored as an integer
 triple normalized so that ``gcd(|a|, |b|, |c|) = 1`` and the first nonzero
 of ``(a, b, c)`` is positive.  Line equality is therefore plain equality of
-triples, which makes deduplication of lines trivial.  Parallel lines never
-intersect: there are no projective points at infinity, callers get an
-explicit :class:`~gcnlab.errors.ParallelLines` signal instead.
+triples, which makes deduplication of lines trivial.  ``_canonical`` is
+that normalization on its own: certificates hold their lines as such
+integer triples and build :class:`Line` objects from them when first
+read.  Parallel lines never intersect: there are no projective points at
+infinity, callers get an explicit :class:`~gcnlab.errors.ParallelLines`
+signal instead.
 
 A :class:`NodeSet` is a degree-tagged tuple of distinct points, the input of
 every question the package answers, and it is its own incidence index:
@@ -217,6 +220,24 @@ class Point(_Ordered):
         return f"Point({self.x}, {self.y})"
 
 
+#: A line ``a*x + b*y + c = 0`` as its canonical integer triple ``(a, b, c)``.
+Triple = tuple[int, int, int]
+
+
+def _canonical(a: int, b: int, c: int) -> Triple:
+    """The canonical triple of ``a*x + b*y + c = 0``: ``Line(a, b, c)._values()``.
+
+    The integers are divided by their gcd, signed so the first nonzero of
+    ``(a, b)`` is positive.  Raises ValueError when a = b = 0.
+    """
+    if a == 0 and b == 0:
+        raise ValueError("(a, b) = (0, 0) does not define a line")
+    g = gcd(a, b, c)
+    if a < 0 or (a == 0 and b < 0):
+        g = -g
+    return a // g, b // g, c // g
+
+
 class Line(_Ordered):
     """The line ``a*x + b*y + c = 0`` with canonical integer coefficients.
 
@@ -233,12 +254,7 @@ class Line(_Ordered):
     def __init__(self, a: int, b: int, c: int):
         if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int)):
             raise TypeError("line coefficients must be int; see Line.from_rationals")
-        if a == 0 and b == 0:
-            raise ValueError("(a, b) = (0, 0) does not define a line")
-        g = gcd(a, b, c)
-        a, b, c = a // g, b // g, c // g
-        if a < 0 or (a == 0 and b < 0):
-            a, b, c = -a, -b, -c
+        a, b, c = _canonical(a, b, c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -415,8 +431,12 @@ class NodeSet(Value):
 
     def line(self, key: Key) -> Line:
         """The canonical line with integer-coordinate equation ``key``."""
+        return Line(*self._triple(key))
+
+    def _triple(self, key: Key) -> Triple:
+        """The canonical triple of :meth:`line`, without building the Line."""
         a, b, c = key
-        return Line(self.scale * a, self.scale * b, c)
+        return _canonical(self.scale * a, self.scale * b, c)
 
     @cached_property
     def maximal(self) -> tuple[tuple[Line, tuple[int, ...]], ...]:
@@ -442,12 +462,22 @@ class NodeSet(Value):
 
     def values(self, line: Line) -> list[int]:
         """``a*X + b*Y + c*D`` at every node: D times the line's value there."""
-        a, b, c = line.a, line.b, line.c * self.scale
+        return self._row(line._values())
+
+    def _row(self, triple: Triple) -> list[int]:
+        """:meth:`values` of the line ``a*x + b*y + c = 0``, given as ``(a, b, c)``."""
+        a, b, c = triple
+        c *= self.scale
         return [a * x + b * y + c for x, y in self.coords]
 
     def zero_mask(self, line: Line) -> int:
         """The bitmask of the nodes where :meth:`values` is 0; any line works."""
-        a, b, c = line.a, line.b, line.c * self.scale
+        return self._mask(line._values())
+
+    def _mask(self, triple: Triple) -> int:
+        """:meth:`zero_mask` of the line ``a*x + b*y + c = 0``, given as ``(a, b, c)``."""
+        a, b, c = triple
+        c *= self.scale
         mask = 0
         for j, (x, y) in enumerate(self.coords):
             if not a * x + b * y + c:

@@ -58,15 +58,27 @@ def _ratio(text: Any) -> tuple[int, int]:
         p = int(numerator)
         q = 1 if denominator is None else int(denominator)
     except ValueError:
-        # past sys.get_int_max_str_digits(); the digits are not echoed
-        digits = max(len(numerator.lstrip("-")), len(denominator or ""))
-        raise BadRational(
-            f"rational with a {digits}-digit integer exceeds the "
-            f"{sys.get_int_max_str_digits()}-digit limit"
-        ) from None
+        raise BadRational(_too_long("rational", (numerator, denominator or ""))) from None
     if q == 0:
         raise BadRational(f"zero denominator in {text!r}")
     return p, q
+
+
+def _too_long(what: str, texts: Sequence[str]) -> str | None:
+    """Why ``int`` refused one of ``texts``, if it has too many digits; else None.
+
+    The message reads "{what} with a N-digit integer exceeds the L-digit
+    limit", for the longest decimal of N digits past L =
+    ``sys.get_int_max_str_digits()``.  It echoes no digit, nor Python's
+    advice to raise the limit.
+    """
+    # 0, no limit, on an interpreter without one (CPython before 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    decimals = (t.strip().lstrip("+-") for t in texts)
+    digits = max((len(t) for t in decimals if t.isdigit()), default=0)
+    if 0 < limit < digits:
+        return f"{what} with a {digits}-digit integer exceeds the {limit}-digit limit"
+    return None
 
 
 def _format_ratio(p: int, q: int) -> str:

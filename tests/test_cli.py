@@ -496,6 +496,16 @@ class TestErrorPaths:
         assert err.startswith("gcnlab: ") and err.count("\n") == 1
         assert "set_int_max_str_digits" not in err
 
+    def test_oversized_fix_line_coefficient(self, capsys, cy3_file, too_many_digits):
+        code = main(["mdseq", cy3_file, "--node", "0", "--fix-line", f"1,{too_many_digits},2"])
+        out, err = capsys.readouterr()
+        digits = len(too_many_digits)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"gcnlab: --fix-line coefficient with a {digits}-digit integer exceeds the "
+            f"{digits - 1}-digit limit\n"
+        )
+
     @pytest.mark.parametrize("command", ["check-poised", "plot", "maximal-lines"])
     def test_non_utf8_file_names_the_file(self, capsys, tmp_path, command):
         path = tmp_path / "latin1.json"

@@ -14,6 +14,7 @@ from gcnlab.serialization import save_nodeset
 from gcnlab import (
     DEFAULT_KINDS,
     DuplicateNode,
+    GCCertificate,
     GeneratorSpec,
     InvalidCertificate,
     Line,
@@ -304,6 +305,23 @@ class TestConstructedCertificates:
             assert "nodes" not in cert.nodeset.__dict__
             # validity needs the zero masks only: no constant or witness is built
             assert "masks" in cert.__dict__ and "entries" not in cert.__dict__
+            # the table holds line triples: no trial builds a Line
+            assert "lines" not in cert.__dict__
+
+    @pytest.mark.parametrize("kind", DEFAULT_KINDS)
+    def test_certificate_of_triples_is_the_certificate_of_its_lines(self, cold_cache, kind):
+        for degree in range(1, 13):
+            for seed in range(3):
+                _, cert = generate_with_certificate(GeneratorSpec(kind, degree, seed=seed))
+                assert "lines" not in cert.__dict__ or (kind == "principal" and seed)
+                want = GCCertificate(cert.nodeset, list(cert.lines), cert.covers)
+                assert cert.triples == want.triples == tuple(l._values() for l in want.lines)
+                assert (cert.lines, cert.covers, cert.masks) == (want.lines, want.covers, want.masks)
+                assert cert.entries == want.entries
+                assert cert == want and hash(cert) == hash(want)
+                again = pickle.loads(pickle.dumps(cert))
+                assert again == want and again.triples == want.triples
+                assert again.entries == want.entries
 
     def test_corrupted_cover_is_an_internal_error(self, monkeypatch):
         scaled = generators._chung_yao_scaled
@@ -331,18 +349,28 @@ def _exact(build, *args):
 
 
 def _built(scaled):
-    """The node set of an integer construction and its cover lines, without the certificate."""
+    """The node set of an integer construction and its cover lines' triples, without the certificate."""
 
     def build(degree, seed, bound):
-        d, coords, lines, _ = scaled(degree, seed, bound)
-        return NodeSet._scaled(degree, d, coords), lines
+        d, coords, triples, _ = scaled(degree, seed, bound)
+        return NodeSet._scaled(degree, d, coords), triples
+
+    return build
+
+
+def _as_triples(oracle):
+    """A Fraction oracle whose cover lines are given as their canonical triples ``Line._values()``."""
+
+    def build(degree, seed, bound):
+        xs, lines = oracle(degree, seed, bound)
+        return xs, [line._values() for line in lines]
 
     return build
 
 
 BUILDERS = (
-    (_built(generators._chung_yao_scaled), chung_yao_fraction),
-    (_built(generators._projective_image_scaled), projective_image_fraction),
+    (_built(generators._chung_yao_scaled), _as_triples(chung_yao_fraction)),
+    (_built(generators._projective_image_scaled), _as_triples(projective_image_fraction)),
 )
 
 

@@ -25,7 +25,7 @@ from gcnlab import (
     to_scalar,
 )
 
-from gcnlab.geometry import _clear
+from gcnlab.geometry import _canonical, _clear
 
 from conftest import index_of
 from oracles import (
@@ -66,6 +66,20 @@ class TestLineCanonicalization:
     @given(lines)
     def test_idempotent(self, l):
         assert Line(*l.coefficients) == l
+
+    @given(st.integers(), st.integers(), st.integers())
+    def test_canonical_triple_is_the_lines(self, a, b, c):
+        # the helper the generators and certification call, against the constructor
+        if a == 0 and b == 0:
+            with pytest.raises(ValueError, match=r"^\(a, b\) = \(0, 0\) does not define a line$"):
+                _canonical(a, b, c)
+        else:
+            assert _canonical(a, b, c) == Line(a, b, c)._values()
+
+    @pytest.mark.parametrize("c", (0, 1, -7, 2**70))
+    def test_canonical_triple_rejects_no_line(self, c):
+        with pytest.raises(ValueError):
+            _canonical(0, 0, c)
 
 
 class TestLineThrough:

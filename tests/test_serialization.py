@@ -82,6 +82,28 @@ class TestOversizedIntegers:
         with pytest.raises(ParseError, match=message):
             load_nodeset(doc)
 
+    def test_use_count_max_key(self, too_many_digits):
+        doc = json.loads(save_summary(search_counterexample(degree=2, trials=2, seed=1)))
+        doc["use_count_max"][too_many_digits] = 3
+        digits = len(too_many_digits)
+        message = f"^use_count_max key with a {digits}-digit integer exceeds the {digits - 1}-digit limit$"
+        with pytest.raises(ParseError, match=message):
+            load_summary(json.dumps(doc))
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_witness_key(self, cy2_cert, too_many_digits, position):
+        doc = json.loads(save_certificate(cy2_cert))
+        witnesses = doc["entries"][0]["witnesses"]
+        key = next(iter(witnesses))
+        parts = key.split(",")
+        parts[position] = ("-" if position else "") + too_many_digits
+        witnesses[",".join(parts)] = witnesses.pop(key)
+        digits = len(too_many_digits)
+        message = f"^witness key with a {digits}-digit integer exceeds the {digits - 1}-digit limit$"
+        with pytest.raises(ParseError, match=message) as excinfo:
+            load_certificate(json.dumps(doc))
+        assert "set_int_max_str_digits" not in str(excinfo.value)
+
 
 class TestNodeSetDocuments:
     def test_minimal_document(self):
