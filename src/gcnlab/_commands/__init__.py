@@ -148,6 +148,8 @@ def _emit_doc(doc, out: str | None) -> None:
 
 
 def _node_index(xs: NodeSet, k: int) -> int:
+    if not len(xs):
+        raise _InputError(f"node index {k}: the set has no nodes")
     if not 0 <= k < len(xs):
         raise _InputError(f"node index {k} out of range [0, {len(xs) - 1}]")
     return k

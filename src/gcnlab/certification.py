@@ -31,33 +31,33 @@ no cover at some node, :class:`NotGC` names the node and the nodes its
 forced lines left uncovered.
 
 A certificate is a cover table (:class:`GCCertificate`): the distinct
-cover lines, in Line order, and each node's cover as sorted positions in
-them.  It holds the lines as their canonical integer triples ``(a, b, c)``
-(``triples``) and builds their :class:`Line` objects (``lines``) when
-first read, as a node set builds its points; the zero masks, the order
-check and the rule read the triples, so a sweep that needs only validity
-builds no Line.  The product of node k's lines is its fundamental
-polynomial up to scale exactly when the OR of their zero masks (bit j
-is set iff the line's integer value ``a*X + b*Y + c*D`` at node j is 0)
-is every node but k.  Each line must also carry at least two witnesses, nodes where
-only it vanishes; a repeated line has none.  One pass over a node's
-lines ORs their masks and the nodes seen again, so the witnesses are
-read off the nodes on exactly one line.  :func:`verify_certificate` is
-the one place this rule runs, and the constructor of
-:class:`GCCertificate` runs it, so every certificate that exists has
-passed, a copied or unpickled one included.  The constructor first
-checks in one pass whether the table is canonical already: the lines
-strictly increasing in Line order, every cover strictly increasing and
-within range.  It keeps such a table as it is (a natural lattice's
-generator, a copy and an unpickled certificate hand one over), and only
-otherwise puts the distinct lines in Line order and remaps and sorts the
-covers (``certify_gc``, the loader, the principal lattice and affine
-images).  ``certify_gc`` and the generators hand over triples; the
-public constructor takes Line objects and keeps them as ``lines``.
-Whatever reads a certificate trusts its table.  The entries
-(:class:`NodeCertificate`: constant, lines and witnesses) are a view
-derived from the table when first read, so a sweep that needs only
-validity builds none.  Failures raise
+cover lines, in Line order, as their canonical integer triples ``(a, b,
+c)`` (``triples``), each node's cover as sorted positions in them
+(``covers``), and each line's zero mask (``masks``: bit j is set iff the
+line's integer value ``a*X + b*Y + c*D`` at node j is 0).  Every
+constructor stores a table one way: ``certify_gc`` and the generators
+hand over triples, and the public constructor takes Line objects and
+hands over their triples.  A table that is canonical already, its lines
+strictly increasing in Line order and every cover strictly increasing
+and within range, is kept as it is (a natural lattice's generator, a
+copy and an unpickled certificate hand one over); any other has its
+distinct lines put in Line order and its covers remapped and sorted
+(``certify_gc``, the loader, the principal lattice and affine images).
+The masks are computed from the stored triples, and ``lines``, the
+:class:`Line` objects, is a view built from them when first read, as a
+node set builds its points, so a sweep that needs only validity builds
+no Line.  The product of node k's lines is its fundamental polynomial up
+to scale exactly when the OR of their zero masks is every node but k.
+Each line must also carry at least two witnesses, nodes where only it
+vanishes; a repeated line has none.  One pass over a node's lines ORs
+their masks and the nodes seen again, so the witnesses are read off the
+nodes on exactly one line.  :func:`verify_certificate` is the one place
+this rule runs, and every constructor of :class:`GCCertificate` runs it
+on the stored table, so every certificate that exists has passed, a
+copied or unpickled one included.  Whatever reads a certificate trusts
+its table.  The entries (:class:`NodeCertificate`: constant, lines and
+witnesses) are a view derived from the table when first read, so a
+sweep that needs only validity builds none.  Failures raise
 :class:`~gcnlab.errors.InvalidCertificate`, naming the node and the reason.
 """
 
@@ -113,63 +113,48 @@ class GCCertificate(Value):
     """The cover table of a poised set: which lines cover each node.
 
     ``triples`` holds the canonical integer triples ``(a, b, c)`` of the
-    distinct cover lines in Line order, ``lines`` those lines as
-    :class:`Line` objects, and ``covers[k]`` node k's lines as sorted
-    positions in them.  The constructor takes lines in any order, with the
-    covers as positions in them.  A table whose lines strictly increase in
-    Line order and whose covers strictly increase within
-    ``range(len(lines))`` is stored as given, after one pass that checks
-    just that.  Any other has its distinct lines put in Line order and its
-    covers remapped and sorted; a position outside ``range(len(lines))``
-    raises InvalidCertificate with reason ``position``, and a repeated one
-    stays, for the rule to reject.  Then :func:`verify_certificate` runs,
-    so a table that breaks the rule raises InvalidCertificate and every
-    certificate, copied and unpickled ones included, has passed.  The
-    constructor keeps the caller's Line objects as ``lines``; a table built
-    from triples (:meth:`_of_triples`, which the generators and
-    :func:`certify_gc` use) builds them when ``lines`` is first read.  The
-    incidence index is the node set itself.  ``masks`` and ``entries`` are
-    derived from the table when first read.
+    distinct cover lines in Line order, ``covers[k]`` node k's lines as
+    sorted positions in them, and ``masks`` each line's zero mask.  The
+    constructor takes lines in any order, with the covers as positions in
+    them, and stores their triples as :meth:`_of_triples` (which the
+    generators and :func:`certify_gc` use) stores triples.  A table whose
+    lines strictly increase in Line order and whose covers strictly
+    increase within ``range(len(lines))`` is stored as given.  Any other
+    has its distinct lines put in Line order and its covers remapped and
+    sorted; a position outside ``range(len(lines))`` raises
+    InvalidCertificate with reason ``position``, and a repeated one stays,
+    for the rule to reject.  The zero masks are computed and stored, then
+    :func:`verify_certificate` runs, so a table that breaks the rule raises
+    InvalidCertificate and every certificate, copied and unpickled ones
+    included, has passed.  ``lines``, the :class:`Line` objects, and
+    ``entries`` are views built from the table when first read; the
+    caller's Line objects are not kept.  The incidence index is the node
+    set itself.
     """
 
     _fields = ("nodeset", "lines", "covers")
 
     def __init__(self, nodeset: NodeSet, lines: Sequence[Line], covers: Sequence[Sequence[int]]):
-        lines = tuple(lines)
-        self._store(nodeset, [line._values() for line in lines], covers, lines)
+        self._store(nodeset, [line._values() for line in lines], covers)
 
     @classmethod
     def _of_triples(
         cls, nodeset: NodeSet, triples: Sequence[Triple], covers: Sequence[Sequence[int]]
     ) -> GCCertificate:
-        """The certificate of a table whose lines are canonical triples ``(a, b, c)``.
-
-        It is stored, put in order and verified as the constructor does
-        with Line objects; ``lines`` is built when first read.
-        """
+        """The certificate of a table whose lines are canonical triples ``(a, b, c)``."""
         cert = object.__new__(cls)
         cert._store(nodeset, triples, covers)
         return cert
 
     def _store(
-        self,
-        nodeset: NodeSet,
-        triples: Sequence[Triple],
-        covers: Sequence[Sequence[int]],
-        lines: tuple[Line, ...] | None = None,
+        self, nodeset: NodeSet, triples: Sequence[Triple], covers: Sequence[Sequence[int]]
     ) -> None:
-        """Store the table in canonical order, and ``lines`` as its Line objects if given; verify it."""
-        covers = tuple(map(tuple, covers))
-        if not _in_order(triples, covers):
-            firsts, covers = _sorted_table(triples, covers)
-            triples = [triples[i] for i in firsts]
-            if lines is not None:
-                lines = tuple(lines[i] for i in firsts)
+        """Store the table in canonical order with its zero masks, and verify it."""
+        triples, covers = _canonical_table(tuple(triples), tuple(map(tuple, covers)))
         object.__setattr__(self, "nodeset", nodeset)
-        object.__setattr__(self, "triples", tuple(triples))
+        object.__setattr__(self, "triples", triples)
         object.__setattr__(self, "covers", covers)
-        if lines is not None:
-            object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "masks", tuple(map(nodeset._mask, triples)))
         verify_certificate(self)
 
     @property
@@ -180,11 +165,6 @@ class GCCertificate(Value):
     def lines(self) -> tuple[Line, ...]:
         """The cover lines, built from ``triples`` when first read."""
         return tuple(Line(*t) for t in self.triples)
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Each line's zero mask: bit j is set iff the line passes through node j."""
-        return tuple(map(self.nodeset._mask, self.triples))
 
     @cached_property
     def entries(self) -> tuple[NodeCertificate, ...]:
@@ -204,49 +184,37 @@ class GCCertificate(Value):
         return tuple(entries)
 
 
-def _in_order(triples: Sequence[Triple], covers: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether the table is canonical.
+def _canonical_table(
+    triples: tuple[Triple, ...], covers: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[Triple, ...], tuple[tuple[int, ...], ...]]:
+    """The table with its distinct lines in Line order and each cover as sorted positions in them.
 
-    That is, the lines strictly increase in Line order (their triples
-    strictly increase) and each cover strictly increases within
-    ``range(len(triples))``.
+    A table that is canonical already, its triples strictly increasing and
+    each cover strictly increasing within ``range(len(triples))``, is
+    returned as given.  Raises InvalidCertificate with reason ``position``
+    for a position outside that range; a repeated position stays.
     """
-    if not all(map(lt, triples, triples[1:])):
-        return False
-    for cover in covers:
+    m = len(triples)
+    canonical = all(map(lt, triples, triples[1:]))
+    for k, cover in enumerate(covers):
         last = -1
         for i in cover:
-            if i <= last:
-                return False
+            # last >= -1, so every position outside range(m) lands here
+            if not last < i < m:
+                if not 0 <= i < m:
+                    raise _invalid(k, "position", f"{i} is not one of {m} positions")
+                canonical = False
             last = i
-        if last >= len(triples):
-            return False
-    return True
-
-
-def _sorted_table(
-    triples: Sequence[Triple], covers: tuple[tuple[int, ...], ...]
-) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
-    """The distinct lines in Line order, and the covers as sorted positions in them.
-
-    The distinct lines are returned as the position in ``triples`` of the
-    first copy of each.  Raises InvalidCertificate with reason
-    ``position`` for a position outside ``range(len(triples))``.
-    """
-    for k, cover in enumerate(covers):
-        for i in cover:
-            if not 0 <= i < len(triples):
-                raise _invalid(k, "position", f"{i} is not one of {len(triples)} positions")
-    firsts: list[int] = []
-    position = [0] * len(triples)
-    last = None
-    for i in sorted(range(len(triples)), key=triples.__getitem__):
-        if triples[i] != last:
-            last = triples[i]
-            firsts.append(i)
-        position[i] = len(firsts) - 1
+    if canonical:
+        return triples, covers
+    distinct: list[Triple] = []
+    position = [0] * m
+    for i in sorted(range(m), key=triples.__getitem__):
+        if not distinct or triples[i] != distinct[-1]:
+            distinct.append(triples[i])
+        position[i] = len(distinct) - 1
     remap = position.__getitem__
-    return firsts, tuple(tuple(sorted(map(remap, cover))) for cover in covers)
+    return tuple(distinct), tuple(tuple(sorted(map(remap, cover))) for cover in covers)
 
 
 def line_incidence(xs: NodeSet) -> dict[Line, tuple[int, ...]]:

@@ -718,18 +718,6 @@ class TestConstructorOrder:
         st.integers(0, 2**64 - 1),
     )
 
-    @staticmethod
-    def sorting_calls(monkeypatch):
-        calls = []
-        sort = certification._sorted_table
-
-        def spy(lines, covers):
-            calls.append(lines)
-            return sort(lines, covers)
-
-        monkeypatch.setattr(certification, "_sorted_table", spy)
-        return calls
-
     @settings(max_examples=40, deadline=None)
     @given(cert=tables, data=st.data())
     def test_permuted_and_repeated_lines_give_an_equal_certificate(self, cert, data):
@@ -740,22 +728,55 @@ class TestConstructorOrder:
         for f, g in enumerate(new):
             lines[g] = cert.lines[f]
         covers = [data.draw(st.permutations([new[f] for f in cover])) for cover in cert.covers]
-        assert GCCertificate(cert.nodeset, lines, covers) == cert
+        self.assert_one_table(cert, lines, covers)
         # a second copy of a line, used in place of the first by one node
         f = data.draw(st.integers(0, m - 1))
         k = next(k for k, cover in enumerate(cert.covers) if f in cover)
         covers[k] = [m if i == new[f] else i for i in covers[k]]
-        assert GCCertificate(cert.nodeset, lines + [cert.lines[f]], covers) == cert
+        self.assert_one_table(cert, lines + [cert.lines[f]], covers)
+
+    @staticmethod
+    def assert_one_table(cert, lines, covers):
+        """The table is stored as ``cert``'s, from Line objects and from their triples alike."""
+        by_lines = GCCertificate(cert.nodeset, lines, covers)
+        by_triples = GCCertificate._of_triples(cert.nodeset, [l._values() for l in lines], covers)
+        assert by_lines == by_triples == cert
+        for got in (by_lines, by_triples):
+            assert (got.triples, got.covers, got.masks) == (cert.triples, cert.covers, cert.masks)
+
+    @pytest.mark.parametrize("kind", DEFAULT_KINDS)
+    def test_masks_are_stored_and_lines_built_when_read(self, kind):
+        for degree in range(1, 7):
+            _, cert = generate_with_certificate(GeneratorSpec(kind, degree, seed=degree))
+            built = {
+                "of_triples": GCCertificate._of_triples(cert.nodeset, cert.triples, cert.covers),
+                "constructor": GCCertificate(cert.nodeset, list(cert.lines), cert.covers),
+                "copy": copy.copy(cert),
+                "pickle": pickle.loads(pickle.dumps(cert)),
+            }
+            for how, got in built.items():
+                assert "masks" in got.__dict__ and "lines" not in got.__dict__, how
+                assert got.masks == cert.masks
+                assert got.lines == cert.lines and "lines" in got.__dict__, how
+            # the loader checks the file's entries against the table's, and
+            # the entries read their lines off the one view
+            loaded = load_saved(cert)
+            assert "masks" in loaded.__dict__ and loaded.masks == cert.masks
+            assert "entries" in loaded.__dict__ and "lines" in loaded.__dict__
+            for entry, cover in zip(loaded.entries, loaded.covers):
+                assert all(a is loaded.lines[f] for a, f in zip(entry.lines, cover))
 
     @settings(max_examples=40, deadline=None)
     @given(cert=tables)
     def test_a_canonical_table_is_stored_as_given(self, cert):
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            calls = self.sorting_calls(monkeypatch)
-            again = GCCertificate(cert.nodeset, list(cert.lines), [list(c) for c in cert.covers])
-        assert calls == []
+        # a sorted table holds new cover tuples; a canonical one the very tuples handed in
+        again = GCCertificate(cert.nodeset, list(cert.lines), cert.covers)
+        assert all(a is b for a, b in zip(again.covers, cert.covers))
         assert again == cert
-        assert all(a is b for a, b in zip(again.lines, cert.lines))
+        assert again.lines == cert.lines
+        by_triples = GCCertificate._of_triples(cert.nodeset, cert.triples, cert.covers)
+        assert by_triples.triples is cert.triples
+        assert all(a is b for a, b in zip(by_triples.covers, cert.covers))
 
     @settings(max_examples=40, deadline=None)
     @given(cert=tables, data=st.data())
@@ -794,15 +815,19 @@ class TestConstructorOrder:
         assert excinfo.value.node_index == k
 
     @pytest.mark.parametrize("degree", range(1, 13))
-    def test_natural_lattices_are_built_in_canonical_order(self, degree, monkeypatch):
-        calls = self.sorting_calls(monkeypatch)
+    def test_natural_lattices_are_built_in_canonical_order(self, degree):
         for seed in range(3):
-            _, _, lines, covers = generators._chung_yao_scaled(degree, seed, 8)
+            scaled = generators._chung_yao_scaled(degree, seed, 8)
+            _, _, lines, covers = scaled
             assert lines == sorted(lines) and len(set(lines)) == len(lines)
             assert all(list(cover) == sorted(set(cover)) for cover in covers)
             assert all(0 <= i < len(lines) for cover in covers for i in cover)
-            generate_with_certificate(GeneratorSpec("chung_yao", degree, seed=seed))
-        assert calls == []
+            cert = generators._certified(degree, scaled)
+            # stored as given: the very cover tuples, not sorted copies
+            assert len(cert.covers) == len(covers)
+            assert all(a is b for a, b in zip(cert.covers, covers))
+            assert cert.triples == tuple(lines)
+            assert cert == generate_with_certificate(GeneratorSpec("chung_yao", degree, seed=seed))[1]
 
 
 # --- the one-pass rule against the prefix-and-suffix reference ----------------

@@ -506,6 +506,24 @@ class TestErrorPaths:
             f"{digits - 1}-digit limit\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["fundamental", "--node", "0"], id="fundamental"),
+            pytest.param(["used-lines", "--node", "0"], id="used-lines"),
+            pytest.param(["mdseq", "--node", "0"], id="mdseq"),
+            pytest.param(["incidence-profile", "--node", "0"], id="incidence-profile"),
+            pytest.param(["plot", "--overlay", "used:0"], id="plot"),
+        ],
+    )
+    def test_node_of_an_empty_set(self, capsys, tmp_path, argv):
+        path = tmp_path / "empty.json"
+        path.write_text('{"degree": 0, "nodes": []}')
+        code = main([argv[0], str(path), *argv[1:]])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "gcnlab: node index 0: the set has no nodes\n"
+
     @pytest.mark.parametrize("command", ["check-poised", "plot", "maximal-lines"])
     def test_non_utf8_file_names_the_file(self, capsys, tmp_path, command):
         path = tmp_path / "latin1.json"

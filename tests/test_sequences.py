@@ -422,7 +422,6 @@ class TestIncidenceReads:
         want = [greedy_sequence_for_lines(xs, k, used_lines_of(cert, k)) for k in range(len(xs))]
         first = cert.lines[cert.covers[0][-1]]
         want_fixed = greedy_sequence_for_lines(xs, 0, used_lines_of(cert, 0), first)
-        cert.masks  # built by the constructor's check; read here so the spy cannot see it
         calls = []
         monkeypatch.setattr(NodeSet, "zero_mask", lambda nodeset, line: calls.append(line))
         assert [greedy_mdseq(cert, k) for k in range(len(xs))] == want
