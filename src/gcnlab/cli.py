@@ -4,7 +4,9 @@ Exit codes: 0 when the requested property holds (or the command simply
 succeeded), 1 when the property fails (not poised, not GC, GM violated,
 dependence check false, retry budget exhausted, a certificate that
 ``check-cert`` finds invalid), 2 for input or usage errors, an unwritable
-stdout or ``--out`` included.  All structured output is canonical JSON on
+stdout or ``--out``, a ``--bound`` of 2**63 or more (a random draw in
+[-bound, bound] must span at most 2**64 integers) and a document nested
+too deeply to parse included.  All structured output is canonical JSON on
 stdout (or ``--out``); diagnostics go to stderr.
 
 A command checks its arguments (node indices, ``--fix-line`` and that it
@@ -32,10 +34,9 @@ beyond ``cli`` cost up to about half a millisecond of start-up
 modules it runs when it runs.  Every command reads node files and writes
 canonical JSON through :mod:`gcnlab.nodefile`; only the commands that read
 or write a certificate, report, summary or polynomial load
-:mod:`gcnlab.serialization`, and only ``check-cert`` loads the readers,
-:mod:`gcnlab._loaders`.  So ``certify-gc`` compiles the certifier and the
-writers, not the readers, generators, sequences, plotting or exact algebra,
-and ``plot --overlay maximal`` loads neither the certifier nor the
+:mod:`gcnlab.serialization`.  So ``certify-gc`` compiles the certifier and
+the document codecs, not the generators, sequences, plotting or exact
+algebra, and ``plot --overlay maximal`` loads neither the certifier nor the
 serializer.  A node file is read into the set's integer index, and a
 certificate's constants are written from integer pairs, so only a command
 that computes a rational (a solve, a certificate read back) loads

@@ -2,19 +2,15 @@
 
 Rationals travel as the exact strings ``"p"`` or ``"p/q"``, and a dump is
 canonical (sorted keys, two-space indent, a single trailing newline).
-This module reads and writes node sets, and writes lines, as maximal-line
-lists and as the ``"a,b,c"`` witness keys of a certificate, which its
-writer and its reader share; it needs only :mod:`gcnlab.geometry` and
-:mod:`gcnlab.errors`.  Every CLI command loads it.  The writers of
-certificates, reports, summaries and polynomials live in
-:mod:`gcnlab.serialization`, which re-exports every public name defined
-here, and their readers in :mod:`gcnlab._loaders`.  With no
-bytecode written or shipped (``PYTHONDONTWRITEBYTECODE``), a command
-compiles each module it imports from source, so a command that only reads
-a node file and prints canonical JSON (``plot``, ``mdseq``,
-``maximal-lines``) compiles neither, one that writes a certificate or
-report (``certify-gc``, ``verify-gm``) compiles the writers only, and only
-``check-cert`` compiles the readers.
+This module reads and writes node sets, and writes maximal-line lists; it
+needs only :mod:`gcnlab.geometry` and :mod:`gcnlab.errors`.  Every CLI
+command loads it.  The readers and writers of certificates, reports,
+summaries and polynomials live in :mod:`gcnlab.serialization`, which
+re-exports every public name defined here.  With no bytecode written or
+shipped (``PYTHONDONTWRITEBYTECODE``), a command compiles each module it
+imports from source, so a command that only reads a node file and prints
+canonical JSON (``plot``, ``mdseq``, ``maximal-lines``) does not compile
+:mod:`gcnlab.serialization`.
 
 A node file is read straight into the set's integer index: each ``"p/q"``
 becomes the integer pair ``(p, q)``, the pairs are put over the lcm D of
@@ -111,6 +107,8 @@ def _loads(text: str, what: str) -> Any:
             f"malformed {what} document: an integer exceeds the "
             f"{sys.get_int_max_str_digits()}-digit limit"
         ) from None
+    except RecursionError:
+        raise ParseError(f"malformed {what} document: nested too deeply") from None
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -166,8 +164,3 @@ def load_nodeset(text: str) -> NodeSet:
 def maximal_lines_to_list(maximal: Sequence[tuple[Line, Sequence[int]]]) -> list:
     """Each maximal line and its node indices as ``{"line": [a, b, c], "nodes": [j, ...]}``."""
     return [{"line": list(line.coefficients), "nodes": list(ids)} for line, ids in maximal]
-
-
-def _line_key(line: Line) -> str:
-    """A line as the ``"a,b,c"`` key of a certificate's witnesses."""
-    return f"{line.a},{line.b},{line.c}"

@@ -14,12 +14,14 @@ Bounded integers come from rejection sampling, never plain modulo, so the
 stream is bias-free and independent of the range's divisibility
 properties: an integer in [lo, hi] with span s = hi - lo + 1 is
 ``lo + r % s`` for the first output r below the largest multiple of s
-that is at most 2**64.  The composite draws are part of the contract too.
-A rational is a numerator drawn in [-bound, bound] over a denominator then
-drawn in [1, bound], returned as that pair divided by its gcd.  A line
-``a*x + b*y + c = 0`` is a, b and c drawn in [-bound, bound] in that order,
-all three drawn again while a = b = 0.  A choice among n items is the item
-at an index drawn in [0, n - 1].
+that is at most 2**64.  For a span past 2**64 that multiple is 0 and no
+output could be accepted, so such a draw raises ValueError: a draw in
+[-bound, bound] needs a bound below 2**63.  The composite draws are part
+of the contract too.  A rational is a numerator drawn in [-bound, bound]
+over a denominator then drawn in [1, bound], returned as that pair divided
+by its gcd.  A line ``a*x + b*y + c = 0`` is a, b and c drawn in
+[-bound, bound] in that order, all three drawn again while a = b = 0.  A
+choice among n items is the item at an index drawn in [0, n - 1].
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ class SplitMix64:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
         limit = (1 << 64) - ((1 << 64) % span)
+        if not limit:  # a span past 2**64
+            raise ValueError(f"range [{lo}, {hi}] holds more than 2**64 integers")
         while True:
             z = self._state = (self._state + _GAMMA) & _MASK
             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK

@@ -884,6 +884,8 @@ class ReferenceSplitMix64:
         # accept an output below the largest multiple of the span that fits in 64 bits
         span = hi - lo + 1
         accepted = _TWO_64 // span * span
+        if accepted == 0:  # more than 2**64 integers: no output would be accepted
+            raise ValueError(f"range [{lo}, {hi}] holds more than 2**64 integers")
         while True:
             r = self.next_u64()
             if r < accepted:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output documents and exit codes."""
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -552,6 +553,73 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as excinfo:
             main(["mdseq"])  # missing required file and --node
         assert excinfo.value.code == 2
+
+
+def run_process(*argv):
+    """``python -m gcnlab.cli argv`` in a child process, stopped after a minute."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "gcnlab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+class TestInputPastALimit:
+    """A bound or a nesting depth past what gcnlab can serve exits 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            pytest.param(["generate", "--kind", "chung_yao", "--degree", "2"], 2**63, id="generate"),
+            pytest.param(["search", "--degree", "2", "--trials", "3"], 2**63, id="search"),
+            pytest.param(["cayley-bacharach", "--m", "2", "--n", "2"], 10**20, id="cayley-bacharach"),
+        ],
+    )
+    def test_bound_of_two_to_the_63_or_more(self, argv, bound):
+        # a draw in [-bound, bound] spans more than 2**64 integers, which
+        # rejection sampling from 64-bit outputs cannot serve
+        proc = run_process(*argv, "--bound", str(bound))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"gcnlab: range [{-bound}, {bound}] holds more than 2**64 integers\n"
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            pytest.param(
+                ["generate", "--kind", "chung_yao", "--degree", "2"],
+                "816c5711b13f09382f1c32b6da49dc2ba94eda09d270341a3aa5b364fadabebf",
+                id="generate chung_yao",
+            ),
+            pytest.param(
+                ["generate", "--kind", "projective_image", "--degree", "2"],
+                "9fdb48ed0ac7c0d2748ba4891c0ae6b0935be09152ed0661d30194ea14db3463",
+                id="generate projective_image",
+            ),
+            pytest.param(
+                ["search", "--degree", "2", "--trials", "3"],
+                "0b2b9c20481dc709d3da7472818d75ce8e3bd6c02b06b39b31eae4407b2ecb51",
+                id="search",
+            ),
+            pytest.param(
+                ["cayley-bacharach", "--m", "2", "--n", "2"],
+                "b8a332b2653ef412a3b8974b30fa867cc62ee4cbf3ffbcbe415a7217a373fafe",
+                id="cayley-bacharach",
+            ),
+        ],
+    )
+    def test_widest_bound_draws_as_pinned(self, capsys, argv, digest):
+        # pinned before the 2**63 bound was refused
+        assert main([*argv, "--bound", str(2**63 - 1)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command", ["check-poised", "check-cert"])
+    def test_nesting_past_the_recursion_limit(self, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        proc = run_process(command, str(path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("gcnlab: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 def _subparsers(parser):

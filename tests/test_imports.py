@@ -214,6 +214,9 @@ NODE_FILE = (
     "nodeset_to_dict", "parse_rational", "save_nodeset",
 )
 
+#: The commands that read or write a certificate, report, summary or polynomial.
+DOCUMENT_COMMANDS = ("fundamental", "certify-gc", "check-cert", "verify-gm", "search")
+
 
 def test_serialization_keeps_every_codec_name():
     from gcnlab import nodefile, serialization
@@ -222,9 +225,11 @@ def test_serialization_keeps_every_codec_name():
         assert callable(getattr(serialization, name)), name
     for name in NODE_FILE:
         assert getattr(serialization, name) is getattr(nodefile, name), name
-    # the loaders are resolved on first access, and still listed and star-imported
+    for name in CODECS:
+        assert getattr(serialization, name).__module__ == "gcnlab.serialization", name
     namespace = {}
     exec("from gcnlab.serialization import *", namespace)
+    assert sorted(serialization.__all__) == sorted(CODECS + NODE_FILE)
     assert set(CODECS + NODE_FILE) <= set(namespace) & set(dir(serialization))
 
 
@@ -351,7 +356,7 @@ class TestImportBoundary:
 
     def test_check_cert_loads_only_the_reader_and_the_rule(self, workdir):
         assert probe(workdir, PROBE, "certify-gc", "cy.json", "--out", "c.json")[0] == 0
-        expected = [0, running("check-cert", *BASE, "serialization", "_loaders"), RATIONALS]
+        expected = [0, running("check-cert", *BASE, "serialization"), RATIONALS]
         assert probe(workdir, PROBE, "check-cert", "c.json") == expected
 
     @pytest.mark.parametrize("command", list(_COMMANDS))
@@ -363,5 +368,6 @@ class TestImportBoundary:
         handlers = [m for m in loaded if m.startswith("_commands.")]
         assert handlers == [f"_commands.{command.replace('-', '_')}"]
         assert "cli" not in loaded
-        # only check-cert reads a document; every other command at most writes one
-        assert ("_loaders" in loaded) is (command == "check-cert")
+        # only a command that reads or writes a certificate, report, summary or
+        # polynomial loads the document codecs
+        assert ("serialization" in loaded) is (command in DOCUMENT_COMMANDS)

@@ -11,8 +11,8 @@ from oracles import ReferenceSplitMix64, reference_substream_seed
 
 SEEDS = (0, 2**64 - 1, -12345)
 # 2**32 + 1 and 2**63 + 1 reject a large share of outputs, so the
-# rejection branch runs within a few draws
-SPANS = (1, 2, 3, 17, 2**32 + 1, 2**63 + 1)
+# rejection branch runs within a few draws; 2**64, the widest span, rejects none
+SPANS = (1, 2, 3, 17, 2**32 + 1, 2**63 + 1, 2**64)
 
 
 def test_seed_zero_gives_the_published_vector():
@@ -102,3 +102,22 @@ def test_empty_range_and_sequence():
         rng.rational(0)
     with pytest.raises(ValueError):
         rng.line(0)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_span_past_two_to_the_64_raises(seed):
+    # no 64-bit output is below the largest multiple of such a span that fits, 0
+    rng, reference = SplitMix64(seed), ReferenceSplitMix64(seed)
+    for generator in (rng, reference):
+        for lo, hi in ((0, 2**64), (-(2**63), 2**63), (5, 2**70)):
+            with pytest.raises(ValueError, match=r"holds more than 2\*\*64 integers"):
+                generator.randint(lo, hi)
+        with pytest.raises(ValueError):
+            generator.rational(2**63)
+        with pytest.raises(ValueError):
+            generator.line(2**63)
+    # a refused draw consumes no output, and the widest bound below 2**63 still draws
+    assert rng.next_u64() == reference.next_u64()
+    bound = 2**63 - 1
+    assert rng.line(bound) == reference.line(bound)
+    assert Fraction(*rng.rational(bound)) == reference.rational(bound)

@@ -139,6 +139,15 @@ class TestNodeSetDocuments:
         with pytest.raises(ParseError, match="row 0"):
             load_nodeset('{"degree":1,"nodes":[["1"]]}')
 
+    @pytest.mark.parametrize(
+        "load, what", [(load_nodeset, "node set"), (load_certificate, "certificate")]
+    )
+    def test_nesting_past_the_recursion_limit(self, load, what):
+        depth = 100_000
+        with pytest.raises(ParseError) as excinfo:
+            load("[" * depth + "]" * depth)
+        assert str(excinfo.value) == f"malformed {what} document: nested too deeply"
+
     def test_float_coordinates_rejected(self):
         with pytest.raises(BadRational):
             load_nodeset('{"degree":0,"nodes":[["0.5","1"]]}')
