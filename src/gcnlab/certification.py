@@ -55,24 +55,24 @@ nodes on exactly one line.  :func:`verify_certificate` is the one place
 this rule runs, and every constructor of :class:`GCCertificate` runs it
 on the stored table, so every certificate that exists has passed, a
 copied or unpickled one included.  Whatever reads a certificate trusts
-its table.  The entries (:class:`NodeCertificate`: constant, lines and
-witnesses) are a view derived from the table when first read, so a
-sweep that needs only validity builds none.  Failures raise
+its table.  Each node's constant, cover and witnesses are derived from
+the table in integers, one way, which the certificate writer and reader
+read; the entries (:class:`NodeCertificate`: a Fraction constant, Line
+objects and witnesses) are a view built from that derivation when first
+read, so a sweep that needs only validity builds none.  Failures raise
 :class:`~gcnlab.errors.InvalidCertificate`, naming the node and the reason.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 from math import prod
 from operator import lt
-from typing import TYPE_CHECKING, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InvalidCertificate, NotGC, NotPoised
 from .geometry import Key, Line, NodeSet, Triple, Value, _bits, _fraction
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class NodeCertificate(Value):
@@ -81,32 +81,9 @@ class NodeCertificate(Value):
     ``constant * product(lines)`` equals the fundamental polynomial exactly;
     ``witnesses`` maps each distinct factor line to the indices of nodes on
     it where the complementary cofactor is nonzero (always at least two).
-
-    The constant is kept as the integer pair ``_ratio`` = (p, q), q > 0,
-    and read as the Fraction p/q, so :attr:`GCCertificate.entries` and the
-    certificate writer need no Fraction.
     """
 
-    __slots__ = ("node_index", "lines", "witnesses", "_ratio")
-    _fields = ("node_index", "constant", "lines", "witnesses")
-
-    @property
-    def constant(self) -> Fraction:
-        return _fraction()(*self._ratio)
-
-    @constant.setter
-    def constant(self, value) -> None:
-        # reached only through object.__setattr__, from the constructor
-        object.__setattr__(self, "_ratio", (value.numerator, value.denominator))
-
-    @classmethod
-    def _of_ratio(
-        cls, node_index: int, ratio: tuple[int, int], lines: tuple[Line, ...], witnesses: dict
-    ) -> NodeCertificate:
-        """The entry whose constant is ``ratio[0] / ratio[1]``, with ``ratio[1] > 0``."""
-        entry = cls(node_index, 0, lines, witnesses)
-        object.__setattr__(entry, "_ratio", ratio)
-        return entry
+    __slots__ = _fields = ("node_index", "constant", "lines", "witnesses")
 
 
 class GCCertificate(Value):
@@ -127,9 +104,9 @@ class GCCertificate(Value):
     :func:`verify_certificate` runs, so a table that breaks the rule raises
     InvalidCertificate and every certificate, copied and unpickled ones
     included, has passed.  ``lines``, the :class:`Line` objects, and
-    ``entries`` are views built from the table when first read; the
-    caller's Line objects are not kept.  The incidence index is the node
-    set itself.
+    ``entries``, built from :meth:`_derivations`, are views built from the
+    table when first read; the caller's Line objects are not kept.  The
+    incidence index is the node set itself.
     """
 
     _fields = ("nodeset", "lines", "covers")
@@ -166,22 +143,33 @@ class GCCertificate(Value):
         """The cover lines, built from ``triples`` when first read."""
         return tuple(Line(*t) for t in self.triples)
 
+    def _derivations(self) -> Iterator[tuple[tuple[int, int], tuple[int, ...], tuple[int, ...]]]:
+        """Each node's constant, cover and witness masks, in node order and in integers.
+
+        The constant D^n / product is the pair ``(D^n, product)`` with the
+        sign moved up, where ``product`` multiplies the node's lines' values
+        ``a*X + b*Y + c*D`` at the node.  A line's witness mask holds its
+        nodes that are on no other line of the cover.
+        """
+        xs = self.nodeset
+        d = xs.scale
+        scale = d**xs.degree
+        triples, masks = self.triples, self.masks
+        for (x, y), cover in zip(xs.coords, self.covers):
+            _, once = _union_once(masks, cover)
+            product = prod(a * x + b * y + c * d for a, b, c in (triples[f] for f in cover))
+            ratio = (scale, product) if product > 0 else (-scale, -product)
+            yield ratio, cover, tuple(masks[f] & once for f in cover)
+
     @cached_property
     def entries(self) -> tuple[NodeCertificate, ...]:
         """Each node's factorization, read off the verified table."""
-        xs = self.nodeset
-        rows = [xs._row(t) for t in self.triples]
-        scale = xs.scale**xs.degree
-        entries = []
-        for k, cover in enumerate(self.covers):
-            lines = tuple(self.lines[f] for f in cover)
-            _, once = _union_once(self.masks, cover)
-            witnesses = {self.lines[f]: _bits(self.masks[f] & once) for f in cover}
-            # constant * product(lines) at node k is constant * product_k / D^n = 1
-            product = prod(rows[f][k] for f in cover)
-            ratio = (scale, product) if product > 0 else (-scale, -product)
-            entries.append(NodeCertificate._of_ratio(k, ratio, lines, witnesses))
-        return tuple(entries)
+        Fraction, lines = _fraction(), self.lines
+        return tuple(
+            NodeCertificate(k, Fraction(*ratio), tuple(lines[f] for f in cover),
+                            {lines[f]: _bits(w) for f, w in zip(cover, witnesses)})
+            for k, (ratio, cover, witnesses) in enumerate(self._derivations())
+        )
 
 
 def _canonical_table(
@@ -332,10 +320,13 @@ def verify_certificate(cert: GCCertificate) -> None:
     size = (n + 1) * (n + 2) // 2  # dim Pi_n
     count = len(cert.nodeset.coords)
     if count != size or len(cert.covers) != size:
-        raise InvalidCertificate(
-            f"count: {len(cert.covers)} entries for {count} nodes; degree {n} needs "
-            f"{size} of each"
-        )
+        entries = f"count: {len(cert.covers)} entries for {count} nodes"
+        try:
+            needs = f"degree {n} needs {size} of each"
+        except ValueError:  # dim Pi_n is past sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            needs = f"the degree needs dim Pi_n of each, an integer past the {limit}-digit limit"
+        raise InvalidCertificate(f"{entries}; {needs}")
     masks = cert.masks
     everyone = (1 << size) - 1
     for k, cover in enumerate(cert.covers):

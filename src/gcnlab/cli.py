@@ -38,9 +38,9 @@ or write a certificate, report, summary or polynomial load
 the document codecs, not the generators, sequences, plotting or exact
 algebra, and ``plot --overlay maximal`` loads neither the certifier nor the
 serializer.  A node file is read into the set's integer index, and a
-certificate's constants are written from integer pairs, so only a command
-that computes a rational (a solve, a certificate read back) loads
-:mod:`fractions`.
+certificate is written and read back in integers, so only a command that
+computes a rational (a solve) loads :mod:`fractions`; ``check-cert`` does
+not.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ becomes the integer pair ``(p, q)``, the pairs are put over the lcm D of
 their denominators, and ``NodeSet._scaled`` stores the integer nodes, so
 no Fraction is built.  A set is written from its integer nodes X and D the
 same way, each ``"p/q"`` being ``X/D`` in lowest terms, and so is a
-certificate's constant, from the integer pair its entry keeps.  Only
+certificate's constant, from the integer pair the table derives.  Only
 :func:`parse_rational` and :func:`format_rational`, which the polynomial
-codec and the certificate reader use, make Fractions, so only they import
-:mod:`fractions`, when first called.
+codec uses, make Fractions, so only they import :mod:`fractions`, when
+first called.
 
 Schema::
 

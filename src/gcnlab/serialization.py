@@ -14,9 +14,13 @@ module reads and writes certificates, reports, summaries and polynomials.
 Each reader imports the types it builds when it runs, so importing this
 module pulls in no gcnlab module but ``nodefile``, ``geometry`` and
 ``errors``, and a CLI command that reads or writes no such document does
-not load it.  A certificate's constants are written
-from the integer pairs its entries keep, as a node file's coordinates are,
-so writing one builds no Fraction.
+not load it.  A certificate is written from its cover table's integer
+derivation of each node (``GCCertificate._derivations``: the constant as
+an integer pair, the cover and the witness masks) and read back against
+it: lines and witness keys parse as canonical triples, constants compare
+as integer pairs (so an unreduced ``"3/6"`` loads), and a
+:class:`~gcnlab.geometry.Line` or a ``"p/q"`` is built only to word a
+mismatch, so neither direction loads :mod:`fractions`.
 
 Schemas
 -------
@@ -55,7 +59,7 @@ import re
 from typing import TYPE_CHECKING, Any
 
 from .errors import ParseError
-from .geometry import Line
+from .geometry import Line, Triple, _bits, _canonical
 
 # The node-file codec lives in nodefile, which every command loads; its
 # public names are this module's too.
@@ -65,6 +69,7 @@ from .nodefile import (
     _format_ratio,
     _is_int,
     _loads,
+    _ratio,
     _too_long,
     format_rational,
     load_nodeset,
@@ -105,11 +110,12 @@ def poly_to_dict(p: Poly) -> dict:
 
 
 def poly_from_dict(doc: Any) -> Poly:
-    from .polynomials import Poly, dim_pi
+    from .polynomials import MAX_DEGREE, Poly, dim_pi
 
     _expect(isinstance(doc, dict), "polynomial document must be an object")
     degree = doc.get("degree")
     _expect(_is_int(degree) and degree >= 0, "field 'degree' must be a nonnegative integer")
+    _expect(degree <= MAX_DEGREE, f"field 'degree' must be at most {MAX_DEGREE}")
     coeffs = doc.get("coefficients")
     _expect(isinstance(coeffs, list) and len(coeffs) == dim_pi(degree),
             f"field 'coefficients' must list {dim_pi(degree)} rationals")
@@ -118,20 +124,21 @@ def poly_from_dict(doc: Any) -> Poly:
 
 # --- certificates --------------------------------------------------------------
 
-def _line_key(line: Line) -> str:
-    """A line as the ``"a,b,c"`` key of a certificate's witnesses."""
-    return f"{line.a},{line.b},{line.c}"
+def _line_key(triple: Triple) -> str:
+    """A line's triple as the ``"a,b,c"`` key of a certificate's witnesses."""
+    return "%d,%d,%d" % triple
 
 
 def certificate_to_dict(cert: GCCertificate) -> dict:
+    triples = cert.triples
     entries = []
-    for e in cert.entries:
+    for k, (ratio, cover, witnesses) in enumerate(cert._derivations()):
         entries.append(
             {
-                "node": e.node_index,
-                "constant": _format_ratio(*e._ratio),
-                "lines": [list(l.coefficients) for l in e.lines],
-                "witnesses": {_line_key(l): list(w) for l, w in sorted(e.witnesses.items())},
+                "node": k,
+                "constant": _format_ratio(*ratio),
+                "lines": [list(triples[f]) for f in cover],
+                "witnesses": {_line_key(triples[f]): list(_bits(w)) for f, w in zip(cover, witnesses)},
             }
         )
     doc = nodeset_to_dict(cert.nodeset)
@@ -143,19 +150,19 @@ def save_certificate(cert: GCCertificate) -> str:
     return _dumps(certificate_to_dict(cert))
 
 
-def _line_from_triple(triple: Any, context: str) -> Line:
-    """The line of a canonical ``[a, b, c]`` triple; ParseError for any other spelling."""
+def _triple(value: Any, context: str) -> Triple:
+    """The canonical ``[a, b, c]`` triple ``value``, as a tuple; ParseError for any other spelling."""
     _expect(
-        _is_int_list(triple) and len(triple) == 3,
+        _is_int_list(value) and len(value) == 3,
         f"{context}: a line must be an [a, b, c] integer triple",
     )
     try:
-        line = Line(triple[0], triple[1], triple[2])
+        triple = _canonical(*value)
     except ValueError as exc:
-        raise ParseError(f"{context}: {triple} is not a line: {exc}") from None
-    _expect(list(line.coefficients) == triple,
-            f"{context}: {triple} is not canonical; {line} is {list(line.coefficients)}")
-    return line
+        raise ParseError(f"{context}: {value} is not a line: {exc}") from None
+    if list(triple) != value:
+        raise ParseError(f"{context}: {value} is not canonical; {Line(*triple)} is {list(triple)}")
+    return triple
 
 
 def certificate_from_dict(doc: Any) -> GCCertificate:
@@ -163,12 +170,12 @@ def certificate_from_dict(doc: Any) -> GCCertificate:
 
     Raises ParseError when the document breaks its schema and
     InvalidCertificate when the certificate it holds breaks the rule of
-    :func:`~gcnlab.certification.verify_certificate`.  The entries become a
-    cover table, which its constructor verifies; then each entry's
-    constant, line order and witnesses must equal the ones derived from
-    the table.
+    :func:`~gcnlab.certification.verify_certificate`.  The entries' lines,
+    as canonical triples, become a cover table, which its constructor
+    verifies; then each entry's constant, line order and witnesses must
+    equal the table's derivation of them, compared in integers.
     """
-    from .certification import GCCertificate, NodeCertificate, _invalid
+    from .certification import GCCertificate, _invalid
 
     xs = nodeset_from_dict(doc)
     raw_entries = doc.get("entries")
@@ -179,7 +186,7 @@ def certificate_from_dict(doc: Any) -> GCCertificate:
         _expect(_is_int(e.get("node")), "entry field 'node' must be an integer")
         raw_lines = e.get("lines")
         _expect(isinstance(raw_lines, list), "entry field 'lines' must be a list")
-        lines = tuple(_line_from_triple(t, f"entry {e['node']}") for t in raw_lines)
+        lines = tuple(_triple(t, f"entry {e['node']}") for t in raw_lines)
         witnesses = {}
         raw_witnesses = e.get("witnesses")
         _expect(isinstance(raw_witnesses, dict), "entry field 'witnesses' must be an object")
@@ -187,37 +194,36 @@ def certificate_from_dict(doc: Any) -> GCCertificate:
             parts = key.split(",")
             _expect(len(parts) == 3, f"witness key {key!r} is not 'a,b,c'")
             try:
-                line = Line(int(parts[0]), int(parts[1]), int(parts[2]))
+                triple = _canonical(int(parts[0]), int(parts[1]), int(parts[2]))
             except ValueError as exc:
                 too_long = _too_long("witness key", parts)
                 raise ParseError(too_long or f"witness key {key!r} is not a line: {exc}") from None
-            _expect(key == _line_key(line),
-                    f"witness key {key!r} is not canonical; {line} is {_line_key(line)!r}")
+            if key != _line_key(triple):
+                raise ParseError(f"witness key {key!r} is not canonical; "
+                                 f"{Line(*triple)} is {_line_key(triple)!r}")
             _expect(_is_int_list(ids), f"witnesses of {key!r} must be a list of node indices")
-            witnesses[line] = tuple(ids)
-        entries.append(
-            NodeCertificate(
-                node_index=e["node"],
-                constant=parse_rational(e.get("constant")),
-                lines=lines,
-                witnesses=witnesses,
-            )
-        )
+            witnesses[triple] = tuple(ids)
+        entries.append((e["node"], _ratio(e.get("constant")), lines, witnesses))
     if len(entries) == len(xs):  # otherwise the count check reports it
-        for k, entry in enumerate(entries):
-            if entry.node_index != k:
-                raise _invalid(k, "order", f"entry {k} is for node {entry.node_index}")
-    position: dict[Line, int] = {}
-    covers = [[position.setdefault(line, len(position)) for line in e.lines] for e in entries]
-    cert = GCCertificate(xs, list(position), covers)
-    for k, (entry, derived) in enumerate(zip(entries, cert.entries)):
-        for reason, given, want in (
-            ("constant", entry.constant, derived.constant),
-            ("line order", entry.lines, derived.lines),
-            ("witnesses", entry.witnesses, derived.witnesses),
-        ):
-            if given != want:
-                raise _invalid(k, reason, f"{given}, not {want}")
+        for k, (node, *_) in enumerate(entries):
+            if node != k:
+                raise _invalid(k, "order", f"entry {k} is for node {node}")
+    position: dict[Triple, int] = {}
+    covers = [[position.setdefault(t, len(position)) for t in lines] for _, _, lines, _ in entries]
+    cert = GCCertificate._of_triples(xs, list(position), covers)
+    triples = cert.triples
+    for k, (entry, (ratio, cover, masks)) in enumerate(zip(entries, cert._derivations())):
+        _, (p, q), lines, witnesses = entry
+        if p * ratio[1] != ratio[0] * q:
+            raise _invalid(k, "constant", f"{_format_ratio(p, q)}, not {_format_ratio(*ratio)}")
+        want = tuple(triples[f] for f in cover)
+        if lines != want:
+            given, want = (tuple(Line(*t) for t in w) for w in (lines, want))
+            raise _invalid(k, "line order", f"{given}, not {want}")
+        derived = {triples[f]: _bits(w) for f, w in zip(cover, masks)}
+        if witnesses != derived:
+            given, want = ({Line(*t): ids for t, ids in w.items()} for w in (witnesses, derived))
+            raise _invalid(k, "witnesses", f"{given}, not {want}")
     return cert
 
 
@@ -255,7 +261,7 @@ def report_from_dict(doc: Any) -> GMReport:
     maximal = []
     for item in raw:
         _expect(isinstance(item, dict), "maximal line entries must be objects")
-        line = _line_from_triple(item.get("line"), "maximal line")
+        line = Line(*_triple(item.get("line"), "maximal line"))
         ids = item.get("nodes")
         _expect(_is_int_list(ids), "maximal line 'nodes' must be a list of indices")
         maximal.append((line, tuple(ids)))

@@ -96,6 +96,13 @@ replaced: it computes the viewport, the pixels and the clipping of each
 line against the four sides (with :func:`~gcnlab.intersect`) in Fraction
 arithmetic, and converts with ``float(Fraction)``.
 
+:func:`save_certificate_lines` and :func:`load_certificate_lines` are
+the certificate writer and reader the library's integer ones replaced:
+the writer reads ``cert.entries`` (Line objects, Fraction constants), and
+the reader parses every line and witness key into a :class:`Line` and
+every constant into a Fraction, rebuilds the table through the public
+``GCCertificate`` constructor and compares its entries with the file's.
+
 :func:`poly_add_dict`, :func:`multiply_line_dict` and
 :func:`divide_by_line_dict` are ``Poly.__add__``, ``multiply_line`` and
 ``divide_by_line`` as they were before the library worked on coefficient
@@ -111,6 +118,7 @@ and repr against them.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,7 +129,9 @@ from gcnlab import (
     BadRational,
     DegenerateIntersection,
     DuplicateNode,
+    GCCertificate,
     GCNLabError,
+    InvalidCertificate,
     IdenticalLines,
     IdenticalPoints,
     Line,
@@ -150,6 +160,7 @@ from gcnlab import (
 )
 from gcnlab.generators import RETRY_LIMIT
 from gcnlab.linalg import _echelon, _integer_rows
+from gcnlab.nodefile import _loads, _too_long, nodeset_from_dict, nodeset_to_dict, parse_rational
 
 
 @dataclass(frozen=True, order=True)
@@ -1015,6 +1026,103 @@ def nodeset_from_dict_fraction(doc):
                 "field 'labels' must be a list of strings")
         labels = tuple(labels)
     return NodeSet(degree=degree, nodes=tuple(points), labels=labels)
+
+
+def _line_key_lines(line):
+    return f"{line.a},{line.b},{line.c}"
+
+
+def save_certificate_lines(cert):
+    """A certificate document written from ``cert.entries``: Line objects and Fraction constants."""
+    entries = []
+    for e in cert.entries:
+        entries.append(
+            {
+                "node": e.node_index,
+                "constant": str(e.constant),
+                "lines": [list(l.coefficients) for l in e.lines],
+                "witnesses": {_line_key_lines(l): list(w) for l, w in sorted(e.witnesses.items())},
+            }
+        )
+    doc = nodeset_to_dict(cert.nodeset)
+    doc["entries"] = entries
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _line_from_triple(triple, context):
+    _expect(
+        isinstance(triple, list) and len(triple) == 3
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in triple),
+        f"{context}: a line must be an [a, b, c] integer triple",
+    )
+    try:
+        line = Line(triple[0], triple[1], triple[2])
+    except ValueError as exc:
+        raise ParseError(f"{context}: {triple} is not a line: {exc}") from None
+    _expect(list(line.coefficients) == triple,
+            f"{context}: {triple} is not canonical; {line} is {list(line.coefficients)}")
+    return line
+
+
+def _invalid_lines(k, reason, detail):
+    return InvalidCertificate(f"node {k}: {reason}: {detail}", node_index=k)
+
+
+def load_certificate_lines(text):
+    """A certificate document read into Line objects and Fraction constants, then checked.
+
+    The entries become ``NodeCertificate`` values, their lines a table for
+    the public ``GCCertificate`` constructor, and each entry must equal the
+    table's own entry, compared as Fractions, Line tuples and Line-keyed
+    dictionaries.
+    """
+    doc = _loads(text, "certificate")
+    xs = nodeset_from_dict(doc)
+    raw_entries = doc.get("entries")
+    _expect(isinstance(raw_entries, list), "field 'entries' must be a list")
+    entries = []
+    for e in raw_entries:
+        _expect(isinstance(e, dict), "certificate entries must be objects")
+        node = e.get("node")
+        _expect(isinstance(node, int) and not isinstance(node, bool),
+                "entry field 'node' must be an integer")
+        raw_lines = e.get("lines")
+        _expect(isinstance(raw_lines, list), "entry field 'lines' must be a list")
+        lines = tuple(_line_from_triple(t, f"entry {node}") for t in raw_lines)
+        witnesses = {}
+        raw_witnesses = e.get("witnesses")
+        _expect(isinstance(raw_witnesses, dict), "entry field 'witnesses' must be an object")
+        for key, ids in raw_witnesses.items():
+            parts = key.split(",")
+            _expect(len(parts) == 3, f"witness key {key!r} is not 'a,b,c'")
+            try:
+                line = Line(int(parts[0]), int(parts[1]), int(parts[2]))
+            except ValueError as exc:
+                too_long = _too_long("witness key", parts)
+                raise ParseError(too_long or f"witness key {key!r} is not a line: {exc}") from None
+            _expect(key == _line_key_lines(line),
+                    f"witness key {key!r} is not canonical; {line} is {_line_key_lines(line)!r}")
+            _expect(isinstance(ids, list)
+                    and all(isinstance(j, int) and not isinstance(j, bool) for j in ids),
+                    f"witnesses of {key!r} must be a list of node indices")
+            witnesses[line] = tuple(ids)
+        entries.append(NodeCertificate(node, parse_rational(e.get("constant")), lines, witnesses))
+    if len(entries) == len(xs):
+        for k, entry in enumerate(entries):
+            if entry.node_index != k:
+                raise _invalid_lines(k, "order", f"entry {k} is for node {entry.node_index}")
+    position = {}
+    covers = [[position.setdefault(line, len(position)) for line in e.lines] for e in entries]
+    cert = GCCertificate(xs, list(position), covers)
+    for k, (entry, derived) in enumerate(zip(entries, cert.entries)):
+        for reason, given, want in (
+            ("constant", entry.constant, derived.constant),
+            ("line order", entry.lines, derived.lines),
+            ("witnesses", entry.witnesses, derived.witnesses),
+        ):
+            if given != want:
+                raise _invalid_lines(k, reason, f"{given}, not {want}")
+    return cert
 
 
 _PLOT_PALETTE = (

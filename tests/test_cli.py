@@ -565,7 +565,30 @@ def run_process(*argv):
 
 
 class TestInputPastALimit:
-    """A bound or a nesting depth past what gcnlab can serve exits 2 with one line."""
+    """A bound or a nesting depth past what gcnlab can serve exits 2 with one line.
+
+    A certificate whose degree is too large to print dim Pi_n is invalid
+    instead: it exits 1 with one line.
+    """
+
+    def test_certificate_whose_dim_pi_is_past_the_string_limit(self, capsys, tmp_path,
+                                                               too_many_digits):
+        # dim Pi_n has about twice the digits of the degree, which stays printable;
+        # formatting it used to exit 2 with Python's advice to raise the limit
+        limit = len(too_many_digits) - 1
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "degree": 10 ** (limit // 2 + 100),
+            "nodes": [["0", "0"]],
+            "entries": [{"node": 0, "constant": "1", "lines": [], "witnesses": {}}],
+        }))
+        code = main(["check-cert", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == (
+            "gcnlab: invalid certificate: count: 1 entries for 1 nodes; the degree needs "
+            f"dim Pi_n of each, an integer past the {limit}-digit limit\n"
+        )
 
     @pytest.mark.parametrize(
         "argv, bound",

@@ -125,10 +125,10 @@ class TestNamespace:
 # and ``tokenize``, ``fractions`` brings ``decimal`` and ``numbers``,
 # ``argparse`` brings ``gettext``, which loads ``locale`` when a parser is
 # built), so each one gcnlab pulled in would be start-up time paid by every
-# command.  Only a command that computes a rational (a solution, a
-# certificate read back) loads ``fractions``, and only help and usage errors
-# load ``argparse``.  A command also loads the handler package
-# ``_commands`` and its own module there, and no other handler.
+# command.  Only a command that computes a rational (a solution) loads
+# ``fractions``, and only help and usage errors load ``argparse``.  A
+# command also loads the handler package ``_commands`` and its own module
+# there, and no other handler.
 STDLIB = ("dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext", "locale")
 PROBE = f"""
 import json, runpy, sys
@@ -177,7 +177,6 @@ def workdir(tmp_path_factory):
 READ = ["errors", "geometry", "nodefile"]
 BASE = READ + ["certification"]
 ALGEBRA = ["interpolation", "linalg", "polynomials"]
-RATIONALS = ["fractions", "decimal"]
 
 
 def running(command, *modules):
@@ -356,7 +355,8 @@ class TestImportBoundary:
 
     def test_check_cert_loads_only_the_reader_and_the_rule(self, workdir):
         assert probe(workdir, PROBE, "certify-gc", "cy.json", "--out", "c.json")[0] == 0
-        expected = [0, running("check-cert", *BASE, "serialization"), RATIONALS]
+        # the reader compares constants as integer pairs
+        expected = [0, running("check-cert", *BASE, "serialization"), []]
         assert probe(workdir, PROBE, "check-cert", "c.json") == expected
 
     @pytest.mark.parametrize("command", list(_COMMANDS))

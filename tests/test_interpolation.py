@@ -1,6 +1,7 @@
 """Poisedness, fundamental polynomials, dependence and reproduction."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -498,3 +499,27 @@ class TestPredicatesAgainstNaiveRank:
         assert is_poised(xs) == (independent and s == dim_pi(xs.degree))
         rows_m = vandermonde_naive(xs.nodes, m)
         assert is_essentially_dependent(xs, m) == (not any(solvable_naive(rows_m, e) for e in units))
+
+
+class TestLinkage:
+    """Cayley-Bacharach linkage on the 4x4 grid, the meets of the lines x = i and y = j.
+
+    Theorem CB5 of Eisenbud, Green and Harris ("Cayley-Bacharach theorems
+    and conjectures", Bull. AMS 33, 1996), with m = n = 4 lines, s = m + n - 3
+    = 5 and a = 2: no conic holds the 16 meets, so a subset X' of dim Pi_2 = 6
+    of them is poised at degree 2 exactly when the other 10 impose
+    independent conditions at degree s - a = 3.  The two sides run different
+    code, at different degrees, on sets of different sizes.
+    """
+
+    def test_every_six_subset_of_the_grid(self):
+        grid = [Point(i, j) for i in range(4) for j in range(4)]
+        poised = 0
+        subsets = list(combinations(range(16), 6))
+        for chosen in subsets:
+            inside = NodeSet(2, tuple(grid[i] for i in chosen))
+            outside = NodeSet(3, tuple(p for i, p in enumerate(grid) if i not in chosen))
+            holds = is_poised(inside)
+            assert holds == is_independent(outside), chosen
+            poised += holds
+        assert (len(subsets), poised, len(subsets) - poised) == (8008, 6932, 1076)

@@ -8,11 +8,18 @@ import pytest
 from conftest import index_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import nodeset_from_dict_fraction, plot_svg_fraction
+from oracles import (
+    load_certificate_lines,
+    nodeset_from_dict_fraction,
+    plot_svg_fraction,
+    save_certificate_lines,
+)
 
 from gcnlab import (
     BadRational,
+    DEFAULT_KINDS,
     DuplicateNode,
+    GeneratorSpec,
     GMReport,
     InvalidCertificate,
     Line,
@@ -20,6 +27,7 @@ from gcnlab import (
     ParseError,
     Point,
     certify_gc,
+    generate_with_certificate,
     gm_report_from_certificate,
     plot_svg,
     search_counterexample,
@@ -493,6 +501,19 @@ class TestPolyDocuments:
         with pytest.raises(ParseError):
             poly_from_dict({"degree": 2, "coefficients": ["1", "2"]})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # the Poly constructor used to raise a bare ValueError here
+            pytest.param({"degree": 13, "coefficients": ["0"] * 105}, id="degree-13"),
+            # and formatting dim_pi(degree) one past the integer string limit
+            pytest.param({"degree": 10**2500, "coefficients": []}, id="degree-10**2500"),
+        ],
+    )
+    def test_degree_past_max_degree(self, doc):
+        with pytest.raises(ParseError, match=r"^field 'degree' must be at most 12$"):
+            poly_from_dict(doc)
+
 
 def _outcome(load, doc):
     """What ``load(doc)`` gives: ``("ok", set)`` or ``("raises", type, message)``."""
@@ -586,3 +607,91 @@ class TestIntegerLoader:
         assert (xs.scale, xs.coords) == (6, ((3, -2), (6, 0), (0, 42)))
         assert nodeset_to_dict(xs)["nodes"] == [["1/2", "-1/3"], ["1", "0"], ["0", "7"]]
         plot_svg(xs, maximal=[Line(1, 1, -1)])
+
+
+def _constant(spell):
+    """A corruption: write entry 1's constant ``p/q`` as ``spell(p, q)``."""
+
+    def corrupt(doc):
+        entry = doc["entries"][1]
+        p, _, q = entry["constant"].partition("/")
+        entry["constant"] = spell(int(p), int(q or 1))
+
+    return corrupt
+
+
+def _lines_of(k, change):
+    """A corruption: ``change`` entry ``k``'s list of lines in place."""
+    return lambda doc: change(doc["entries"][k]["lines"])
+
+
+def _witness_ids(change):
+    """A corruption: ``change`` the witness list of entry 0's first line in place."""
+
+    def corrupt(doc):
+        a, b, c = doc["entries"][0]["lines"][0]
+        change(doc["entries"][0]["witnesses"][f"{a},{b},{c}"])
+
+    return corrupt
+
+
+def _swap_entries(doc):
+    entries = doc["entries"]
+    entries[0], entries[1] = entries[1], entries[0]
+
+
+def _extra_witness(doc):
+    # a line through no node of any generated set
+    doc["entries"][0]["witnesses"]["1,0,123457"] = [0, 1]
+
+
+def _repeat_line(lines):
+    lines[-1] = lines[0]
+
+
+CODEC_CORRUPTIONS = {
+    "intact": lambda doc: None,
+    "constant-changed": _constant(lambda p, q: f"{p + q}/{q}"),
+    "constant-negated": _constant(lambda p, q: f"{-p}/{q}"),
+    "constant-unreduced": _constant(lambda p, q: f"{3 * p}/{3 * q}"),
+    "constant-missing": _delete("constant", entry=1),
+    "lines-reversed": _lines_of(1, list.reverse),
+    "line-doubled": _lines_of(1, lambda lines: lines.append(lines[0])),
+    "line-repeated": _lines_of(1, _repeat_line),
+    "line-not-canonical": _first_line_doubled,
+    "line-no-line": _lines_of(0, lambda lines: lines.__setitem__(0, [0, 0, 1])),
+    "line-short": _lines_of(0, lambda lines: lines.__setitem__(0, lines[0][:2])),
+    "witness-dropped": lambda doc: doc["entries"][0]["witnesses"].popitem(),
+    "witness-extra": _extra_witness,
+    "witness-key-padded": _witness_key(lambda a, b, c: f" +{a},{b},{c}"),
+    "witness-key-not-primitive": _witness_key(lambda a, b, c: f"{2 * a},{2 * b},{2 * c}"),
+    "witness-key-no-line": _witness_key(lambda a, b, c: "0,0,1"),
+    "witness-ids-reversed": _witness_ids(list.reverse),
+    "witness-ids-short": _witness_ids(list.pop),
+    "entries-swapped": _swap_entries,
+    "entries-short": lambda doc: doc["entries"].pop(),
+    "lines-missing": _delete("lines", entry=0),
+    "node-boolean": _set("node", True, entry=0),
+}
+
+
+class TestCertificateCodecOracle:
+    """The integer certificate writer and reader against the Line/Fraction ones of tests/oracles.py."""
+
+    @pytest.mark.parametrize("degree", range(1, 8))
+    @pytest.mark.parametrize("kind", DEFAULT_KINDS)
+    def test_same_document_verdict_and_message(self, kind, degree):
+        _, cert = generate_with_certificate(GeneratorSpec(kind, degree, seed=degree))
+        text = save_certificate(cert)
+        assert text == save_certificate_lines(cert)
+        outcomes = set()
+        for name, corrupt in CODEC_CORRUPTIONS.items():
+            doc = json.loads(text)
+            corrupt(doc)
+            corrupted = json.dumps(doc)
+            got = _outcome(load_certificate, corrupted)
+            assert got == _outcome(load_certificate_lines, corrupted), name
+            outcomes.add(got[:2] if got[0] == "raises" else ("ok", got[1] == cert))
+        # every verdict is reached: the intact and unreduced documents load,
+        # and corruptions raise both kinds of error
+        assert {("ok", True), ("raises", ParseError), ("raises", InvalidCertificate)} <= outcomes
