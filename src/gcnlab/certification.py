@@ -15,12 +15,12 @@ The covering search runs on the incidence index that every node set
 (:class:`~gcnlab.geometry.NodeSet`) is from construction: ``xs.coords``,
 the nodes scaled by the common denominator ``xs.scale`` of their
 coordinates to integers ``(X, Y)``, and ``xs.keys``, every line through
-two nodes mapped, under its primitive integer equation ``(A, B, C)``, to
-the bitmask of its nodes, built when first read and kept on the set.  So
-whatever reads the lines after certification (maximal lines, the GM
-report, sequences) reuses them.  A cover line leaves the index as its
-canonical integer triple, and a :class:`Line` is built only for a line
-reported to a caller.  With r lines left, a line holding at least r + 1
+two nodes mapped, under ``geometry._canonical`` of its equation
+``A*X + B*Y + C = 0`` in those integers, to the bitmask of its nodes,
+built when first read and kept on the set.  So whatever reads the lines
+after certification (maximal lines, the GM report, sequences) reuses
+them.  A cover line leaves the index as its canonical integer triple, and
+a :class:`Line` is built only for a line reported to a caller.  With r lines left, a line holding at least r + 1
 uncovered nodes must be chosen (the other r - 1 lines meet it at most
 once each).  The lines are ranked once by node count, largest first, so
 each forcing pass stops at the first line with at most r nodes; after

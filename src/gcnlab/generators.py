@@ -36,10 +36,10 @@ random lines ``(a1, b1, c1)`` and ``(a2, b2, c2)`` meet at the homogeneous
 point ``(b1*c2 - b2*c1, a2*c1 - a1*c2, a1*b2 - a2*b1)``, taken with a
 positive last entry w; over the lcm D of all w, a natural lattice is a
 sorted list of integer nodes ``(D*x, D*y)``, which is the order of its
-points because D > 0.  A drawn line is parallel to an earlier one exactly
-when their directions ``(a, b)``, divided by their gcd and signed so the
-first nonzero is positive, are equal, so general position is a set
-lookup and one pass over the meets so far.  An affine image maps such
+points because D > 0.  A drawn line ``(a, b, c)`` is parallel to an
+earlier one exactly when their parallels through the origin,
+``_canonical(a, b, 0)``, are equal, so general position is a set lookup
+and one pass over the meets so far.  An affine image maps such
 integer nodes with integer rows over one common scale: its six
 coefficients are drawn as the reduced integer pairs of ``rng.rational``,
 and each row is cleared by the integer lcm of its denominators, so no
@@ -63,7 +63,7 @@ node sets on every platform (see :mod:`gcnlab.rng` for the PRNG contract).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .certification import GCCertificate
 from .errors import RetryLimitExceeded
@@ -112,7 +112,7 @@ def _general_position_meets(
     """
     lines: list[tuple[int, int, int]] = []
     meets: list[tuple[int, int, int, int, int]] = []
-    directions: set[tuple[int, int]] = set()
+    directions: set[Triple] = set()
     attempts = 0
     while len(lines) < count:
         attempts += 1
@@ -122,10 +122,7 @@ def _general_position_meets(
                 f"{RETRY_LIMIT} draws at coordinate bound {bound}"
             )
         a, b, c = rng.line(bound)
-        g = gcd(a, b)
-        if a < 0 or (a == 0 and b < 0):
-            g = -g
-        direction = (a // g, b // g)
+        direction = _canonical(a, b, 0)
         if direction in directions:
             continue
         for x, y, w, _, _ in meets:

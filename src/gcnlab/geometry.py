@@ -12,13 +12,15 @@ on a set's integers, as most CLI commands do, never loads it, nor the
 
 A line is the zero set of ``a*x + b*y + c`` and is stored as an integer
 triple normalized so that ``gcd(|a|, |b|, |c|) = 1`` and the first nonzero
-of ``(a, b, c)`` is positive.  Line equality is therefore plain equality of
+of ``(a, b)`` is positive.  Line equality is therefore plain equality of
 triples, which makes deduplication of lines trivial.  ``_canonical`` is
-that normalization on its own: certificates hold their lines as such
-integer triples and build :class:`Line` objects from them when first
-read.  Parallel lines never intersect: there are no projective points at
-infinity, callers get an explicit :class:`~gcnlab.errors.ParallelLines`
-signal instead.
+that normalization on its own, and the package's only one: a
+:class:`Line`, a key of a set's incidence index, a certificate's line
+and a generator's line direction are all named by it.  Certificates hold
+their lines as such integer triples and build :class:`Line` objects from
+them when first read.  Parallel lines never intersect: there are no
+projective points at infinity, callers get an explicit
+:class:`~gcnlab.errors.ParallelLines` signal instead.
 
 A :class:`NodeSet` is a degree-tagged tuple of distinct points, the input of
 every question the package answers, and it is its own incidence index:
@@ -31,10 +33,12 @@ points, and ``NodeSet._scaled``, from the integer nodes a generator or the
 node-file loader built.  Certification, maximal lines,
 sequences, the generators and the Vandermonde rows all read these
 integers, and ``len`` counts them.  The lines through two nodes
-(``xs.keys``) and the maximal lines (``xs.maximal``) are built when first
-read.  Every set, however it was built, is held as its index alone, and
-its points (``xs.nodes``) are built from it when first read, by
-equality, hashing, pickling or the repr.
+(``xs.keys``, each keyed by ``_canonical`` of its equation in the integer
+coordinates, in one plain pass over the node pairs) and the maximal lines
+(``xs.maximal``) are built when first read.  Every set, however it was
+built, is held as its index alone, and its points (``xs.nodes``) are
+built from it when first read, by equality, hashing, pickling or the
+repr.
 
 Every value type of the package derives from :class:`Value`, defined
 here.  A subclass names its fields once, in constructor order:
@@ -241,12 +245,12 @@ def _canonical(a: int, b: int, c: int) -> Triple:
 class Line(_Ordered):
     """The line ``a*x + b*y + c = 0`` with canonical integer coefficients.
 
-    The constructor canonicalizes: coefficients are divided by their gcd
-    and the sign is flipped so the first nonzero of ``(a, b, c)`` is
-    positive.  Canonicalization is idempotent, so ``Line(*line.coefficients)``
-    reproduces ``line`` exactly.  Lines sort lexicographically by the
-    canonical triple, which is the tie-breaking order used throughout the
-    package.
+    The constructor canonicalizes with ``_canonical``: coefficients are
+    divided by their gcd and the sign is flipped so the first nonzero of
+    ``(a, b)`` is positive.  Canonicalization is idempotent, so
+    ``Line(*line.coefficients)`` reproduces ``line`` exactly.  Lines sort
+    lexicographically by the canonical triple, which is the tie-breaking
+    order used throughout the package.
     """
 
     __slots__ = _fields = ("a", "b", "c")
@@ -303,12 +307,11 @@ class NodeSet(Value):
     it was built; ``nodes``, the points, are built from the index when
     first read.  ``scale`` is the lcm D of all coordinate denominators and
     ``coords`` the integer nodes ``(D*x, D*y)``.  ``keys``, built on first
-    use, maps the primitive equation ``(A, B, C)`` of each line through two
-    nodes, ``A*X + B*Y + C = 0`` in the integer coordinates with ``(A, B)``
-    coprime and its first nonzero positive, to the line's node bitmask:
-    bit j is set iff node j lies on the line.  Lines are listed in the
-    order their first node pair appears in the pair enumeration ``(0, 1),
-    (0, 2), ..., (1, 2), ...``.  :meth:`line` turns a key into its
+    use, maps each line through two nodes to its node bitmask: bit j is
+    set iff node j lies on the line.  A key is ``_canonical`` of the line's
+    equation ``A*X + B*Y + C = 0`` in the integer coordinates.  Lines are
+    listed in the order their first node pair appears in the pair
+    enumeration ``(0, 1), (0, 2), ..., (1, 2), ...``.  :meth:`line` turns a key into its
     canonical :class:`Line`, and ``maximal``, built on first use, holds
     the maximal lines.  :meth:`zero_mask` evaluates any line at every node
     instead, without the line map.
@@ -398,35 +401,22 @@ class NodeSet(Value):
 
     @cached_property
     def keys(self) -> dict[Key, int]:
-        """Every line through two nodes, from the node pairs in one pass."""
+        """Every line through two nodes, keyed by ``_canonical`` of its integer-coordinate equation.
+
+        Each pair i < j of nodes ``(Xi, Yi)``, ``(Xj, Yj)`` gives the
+        equation ``A*X + B*Y + C = 0`` with ``(A, B) = (Yj - Yi, Xi - Xj)``
+        and ``C = -(A*Xi + B*Yi)``, and sets bits i and j of its key's mask.
+        gcd(A, B) divides C, so the key's A and B are coprime.  Keys are in
+        the order of their first pair.
+        """
         coords = self.coords
-        # Once the pairs of a line's first node are done, its mask is
-        # complete, and every later pair on it is skipped.
         by_key: dict[Key, int] = {}
-        known = [0] * len(coords)
         for i, (xi, yi) in enumerate(coords):
-            first = []
-            skip = known[i]
             for j in range(i + 1, len(coords)):
-                if skip >> j & 1:
-                    continue
                 xj, yj = coords[j]
                 a, b = yj - yi, xi - xj
-                g = gcd(a, b)
-                if a < 0 or (a == 0 and b < 0):
-                    g = -g
-                key = (a // g, b // g, (yi * xj - xi * yj) // g)
-                mask = by_key.get(key)
-                if mask is None:
-                    by_key[key] = 1 << i | 1 << j
-                    first.append(key)
-                else:
-                    by_key[key] = mask | 1 << j
-            for key in first:
-                mask = by_key[key]
-                if mask.bit_count() > 2:
-                    for u in _bits(mask):
-                        known[u] |= mask
+                key = _canonical(a, b, -(a * xi + b * yi))
+                by_key[key] = by_key.get(key, 0) | 1 << i | 1 << j
         return by_key
 
     def line(self, key: Key) -> Line:
@@ -462,11 +452,7 @@ class NodeSet(Value):
 
     def values(self, line: Line) -> list[int]:
         """``a*X + b*Y + c*D`` at every node: D times the line's value there."""
-        return self._row(line._values())
-
-    def _row(self, triple: Triple) -> list[int]:
-        """:meth:`values` of the line ``a*x + b*y + c = 0``, given as ``(a, b, c)``."""
-        a, b, c = triple
+        a, b, c = line._values()
         c *= self.scale
         return [a * x + b * y + c for x, y in self.coords]
 

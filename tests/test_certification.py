@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 from types import SimpleNamespace
 
@@ -29,6 +30,7 @@ from gcnlab import (
     divide_by_line,
     enumerate_mdseqs,
     fixed_first_mdseq,
+    gen_principal,
     generate,
     generate_with_certificate,
     gm_report_from_certificate,
@@ -435,6 +437,38 @@ class TestIncidenceIndex:
         assert list(lines.values()) == [_bits(mask) for mask in index.keys.values()]
         for line, mask in zip(lines, index.keys.values()):
             assert index.zero_mask(line) == mask
+
+
+def assert_keys_match_pairs(xs):
+    """``xs.keys`` holds the lines of the pair oracle, in its order, each with its nodes."""
+    pairs = line_incidence_pairs(xs)
+    assert [xs.line(key) for key in xs.keys] == list(pairs)
+    assert [_bits(mask) for mask in xs.keys.values()] == list(pairs.values())
+
+
+GRID_4X4 = tuple(Point(i, j) for i in range(4) for j in range(4))
+
+
+class TestIndexOnCollinearSets:
+    """The index against the pair oracle on sets where many lines hold three or more nodes."""
+
+    @pytest.mark.parametrize("degree", range(1, 13))
+    def test_principal_lattice(self, degree):
+        xs = NodeSet(degree, gen_principal(degree).nodes)
+        assert max(mask.bit_count() for mask in xs.keys.values()) == degree + 1
+        assert_keys_match_pairs(xs)
+
+    @pytest.mark.parametrize("size", [6, 10])
+    def test_grid_subsets(self, size):
+        # every 97th subset in lexicographic order: a fixed sample of 83
+        for chosen in list(combinations(range(16), size))[::97]:
+            assert_keys_match_pairs(NodeSet(1, tuple(GRID_4X4[i] for i in chosen)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                    min_size=3, max_size=12, unique=True))
+    def test_small_integer_sets(self, points):
+        assert_keys_match_pairs(NodeSet(1, tuple(Point(x, y) for x, y in points)))
 
 
 class TestCoverSearch:

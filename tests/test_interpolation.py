@@ -16,6 +16,7 @@ from gcnlab import (
     Line,
     NodeSet,
     NotPoised,
+    ParallelLines,
     Point,
     Poly,
     all_fundamentals,
@@ -501,15 +502,50 @@ class TestPredicatesAgainstNaiveRank:
         assert is_essentially_dependent(xs, m) == (not any(solvable_naive(rows_m, e) for e in units))
 
 
+def linkage_meets(rng, m, n, bound):
+    """The m*n meets of m lines with n lines, drawn by ``rng.line(bound)``; None unless distinct.
+
+    The m + n lines are distinct as canonical lines (a repeat is drawn
+    again).
+    A line of the first family parallel to one of the second, or two meets
+    that coincide, gives None: the meets are then not m*n transversal
+    points.
+    """
+    lines = []
+    while len(lines) < m + n:
+        line = Line(*rng.line(bound))
+        if line not in lines:
+            lines.append(line)
+    try:
+        meets = [intersect(l1, l2) for l1 in lines[:m] for l2 in lines[m:]]
+    except ParallelLines:
+        return None
+    return meets if len(set(meets)) == m * n else None
+
+
+def assert_linkage(m, n, a, meets, chosen):
+    """X' = the chosen meets is a-poised iff the rest are independent at degree m + n - 3 - a.
+
+    Returns whether X' is poised.
+    """
+    inside = NodeSet(a, tuple(meets[i] for i in chosen))
+    outside = NodeSet(m + n - 3 - a, tuple(p for i, p in enumerate(meets) if i not in chosen))
+    poised = is_poised(inside)
+    assert poised == is_independent(outside), (m, n, a, meets, chosen)
+    return poised
+
+
 class TestLinkage:
-    """Cayley-Bacharach linkage on the 4x4 grid, the meets of the lines x = i and y = j.
+    """Cayley-Bacharach linkage on the meets of m lines with n lines.
 
     Theorem CB5 of Eisenbud, Green and Harris ("Cayley-Bacharach theorems
-    and conjectures", Bull. AMS 33, 1996), with m = n = 4 lines, s = m + n - 3
-    = 5 and a = 2: no conic holds the 16 meets, so a subset X' of dim Pi_2 = 6
-    of them is poised at degree 2 exactly when the other 10 impose
-    independent conditions at degree s - a = 3.  The two sides run different
-    code, at different degrees, on sets of different sizes.
+    and conjectures", Bull. AMS 33, 1996): let Gamma be the m*n distinct
+    meets, s = m + n - 3 and a < min(m, n), so no curve of degree a holds
+    Gamma.  Then a subset X' of dim Pi_a meets is poised at degree a exactly
+    when the other meets impose independent conditions at degree s - a.
+    On the 4x4 grid, the meets of the lines x = i and y = j, m = n = 4 and
+    a = 2.  The two sides run different code, at different degrees, on sets
+    of different sizes.
     """
 
     def test_every_six_subset_of_the_grid(self):
@@ -523,3 +559,37 @@ class TestLinkage:
             assert holds == is_independent(outside), chosen
             poised += holds
         assert (len(subsets), poised, len(subsets) - poised) == (8008, 6932, 1076)
+
+    def test_random_instances(self):
+        rng = SplitMix64(15)
+        instances = checks = not_poised = 0
+        for _ in range(400):
+            m = rng.randint(2, 5)
+            n = rng.randint(m, m + 2)
+            meets = linkage_meets(rng, m, n, rng.randint(2, 4))
+            if meets is None:
+                continue
+            instances += 1
+            for a in range(min(m, n)):
+                size = dim_pi(a)
+                for _ in range(3):
+                    order = list(range(m * n))
+                    for i in range(size):  # a partial Fisher-Yates shuffle
+                        j = rng.randint(i, len(order) - 1)
+                        order[i], order[j] = order[j], order[i]
+                    checks += 1
+                    not_poised += not assert_linkage(m, n, a, meets, set(order[:size]))
+        assert (instances, checks, not_poised) == (58, 435, 23)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 4), extra=st.integers(0, 2), bound=st.integers(3, 4),
+           seed=st.integers(0, 2**32), data=st.data())
+    def test_property_subsets(self, m, extra, bound, seed, data):
+        # at m = 4, n = 6 and bound 3, about 1 draw in 100 is kept; at bound 2, almost none
+        n, rng, meets = m + extra, SplitMix64(seed), None
+        while meets is None:
+            meets = linkage_meets(rng, m, n, bound)
+        a = data.draw(st.integers(0, m - 1))
+        size = dim_pi(a)
+        chosen = data.draw(st.sets(st.integers(0, m * n - 1), min_size=size, max_size=size))
+        assert_linkage(m, n, a, meets, chosen)
